@@ -65,6 +65,7 @@ class FlowletTable:
         self.sim = sim
         self.params = params
         self.size = params.flowlet_table_size
+        self._period = params.flowlet_timeout
         # Slots materialize on first touch.  The hash-slot semantics are
         # identical to a dense 2**16-entry array (collisions included: two
         # flows mapping to one slot share one entry), but a leaf only ever
@@ -75,13 +76,6 @@ class FlowletTable:
         self.new_flowlets = 0
         self.expired_flowlets = 0
 
-    def _slot(self, five_tuple: FiveTuple) -> int:
-        return stable_hash(five_tuple, salt=0x5F10) % self.size
-
-    def _expired(self, entry: FlowletEntry) -> bool:
-        period = self.params.flowlet_timeout
-        return self.sim.now // period - entry.last_seen // period >= 2
-
     def lookup(self, five_tuple: FiveTuple) -> FlowletEntry:
         """Return the entry for ``five_tuple``, applying lazy expiry.
 
@@ -89,16 +83,19 @@ class FlowletTable:
         and the caller must reuse ``entry.port``; the lookup refreshes the
         entry's activity timestamp in that case.
         """
-        slot = stable_hash(five_tuple, salt=0x5F10) % self.size
+        slot = stable_hash(five_tuple, 0x5F10) % self.size
         entry = self._entries.get(slot)
         if entry is None:
             entry = FlowletEntry()
             self._entries[slot] = entry
-        if entry.valid and self._expired(entry):
-            entry.valid = False
-            self.expired_flowlets += 1
-        if entry.valid:
-            entry.last_seen = self.sim.now
+        elif entry.valid:
+            now = self.sim._now
+            period = self._period
+            if now // period - entry.last_seen // period >= 2:
+                entry.valid = False
+                self.expired_flowlets += 1
+            else:
+                entry.last_seen = now
         return entry
 
     def install(self, entry: FlowletEntry, port: int) -> None:
@@ -111,10 +108,12 @@ class FlowletTable:
     @property
     def active_flowlets(self) -> int:
         """Number of currently valid (non-expired) entries."""
+        period = self._period
+        tick = self.sim.now // period
         return sum(
             1
             for entry in self._entries.values()  # repro-lint: ignore[D104] -- order-independent count
-            if entry.valid and not self._expired(entry)
+            if entry.valid and tick - entry.last_seen // period < 2
         )
 
 

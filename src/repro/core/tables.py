@@ -65,9 +65,9 @@ class CongestionToLeafTable:
         """Record feedback ``metric`` for path ``lbtag`` toward ``dst_leaf``."""
         if not 0 <= lbtag < self.num_uplinks:
             raise ValueError(f"LBTag {lbtag} out of range 0..{self.num_uplinks - 1}")
-        cell = self._row(dst_leaf)[lbtag]
+        cell = (self._rows.get(dst_leaf) or self._row(dst_leaf))[lbtag]
         cell.value = metric
-        cell.updated_at = self.sim.now
+        cell.updated_at = self.sim._now
         cell.valid = True
         tracer = self.sim.tracer
         if tracer is not None and tracer.table:
@@ -166,7 +166,7 @@ class CongestionFromLeafTable:
         """Store the CE value carried by a packet from ``src_leaf``."""
         if not 0 <= lbtag < self.num_lbtags:
             raise ValueError(f"LBTag {lbtag} out of range 0..{self.num_lbtags - 1}")
-        cell = self._row(src_leaf)[lbtag]
+        cell = (self._rows.get(src_leaf) or self._row(src_leaf))[lbtag]
         if (not cell.valid or cell.value != ce) and not cell.changed:
             cell.changed = True
             self._changed_cells[src_leaf] = self._changed_cells.get(src_leaf, 0) + 1

@@ -50,7 +50,7 @@ class CongaSelector(UplinkSelector):
         return max(local, remote)
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
-        entry = self.flowlets.lookup(packet.five_tuple)
+        entry = self.flowlets.lookup(packet._five_tuple or packet.five_tuple)
         if entry.valid and entry.port in candidates:
             return entry.port
         choice = self._decide(
@@ -124,7 +124,7 @@ class LocalAwareSelector(UplinkSelector):
         self._rng = leaf.sim.rng(f"local-{leaf.leaf_id}")
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
-        entry = self.flowlets.lookup(packet.five_tuple)
+        entry = self.flowlets.lookup(packet._five_tuple or packet.five_tuple)
         if entry.valid and entry.port in candidates:
             return entry.port
         metrics = [self.leaf.local_metric(uplink) for uplink in candidates]

@@ -36,7 +36,7 @@ class EcmpSelector(UplinkSelector):
     name = "ecmp"
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
-        index = ecmp_hash(packet.five_tuple, salt=self.leaf.leaf_id)
+        index = stable_hash(packet._five_tuple or packet.five_tuple, self.leaf.leaf_id)
         return candidates[index % len(candidates)]
 
     @classmethod

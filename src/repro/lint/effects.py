@@ -68,7 +68,6 @@ DEFAULT_E301_ENTRIES: tuple[str, ...] = (
     "repro.sim.kernel.PeriodicTimer._fire",
     "repro.net.port.Port.send",
     "repro.net.port.Port._advance",
-    "repro.net.port.Port._transmit_next",
     "repro.net.port.Port._arrive",
     "repro.core.dre.DRE.measure",
     "repro.core.dre.DRE.on_transmit",
@@ -77,8 +76,8 @@ DEFAULT_E301_ENTRIES: tuple[str, ...] = (
 
 #: Entry points of the allocation-free per-packet train path (E302).
 DEFAULT_E302_ENTRIES: tuple[str, ...] = (
+    "repro.net.port.Port.send",
     "repro.net.port.Port._advance",
-    "repro.net.port.Port._transmit_next",
     "repro.core.dre.DRE.measure",
     "repro.core.dre.DRE.on_transmit",
 )

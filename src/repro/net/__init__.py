@@ -8,8 +8,6 @@ from repro.net.packet import (
     JUMBO_MTU,
     OverlayHeader,
     Packet,
-    ack_packet,
-    data_packet,
 )
 from repro.net.port import (
     DEFAULT_PROPAGATION_DELAY,
@@ -34,7 +32,5 @@ __all__ = [
     "PacketHandler",
     "Port",
     "QueueStats",
-    "ack_packet",
     "connect",
-    "data_packet",
 ]

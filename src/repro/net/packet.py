@@ -111,66 +111,6 @@ class Packet:
         )
 
 
-def data_packet(
-    *,
-    src: int,
-    dst: int,
-    sport: int,
-    dport: int,
-    flow_id: int,
-    seq: int,
-    payload_len: int,
-    protocol: str = "tcp",
-    fin: bool = False,
-    created_at: int = 0,
-) -> Packet:
-    """Build a data segment with standard header overhead added to the size."""
-    return Packet(
-        src=src,
-        dst=dst,
-        size=payload_len + HEADER_BYTES,
-        protocol=protocol,
-        sport=sport,
-        dport=dport,
-        flow_id=flow_id,
-        seq=seq,
-        payload_len=payload_len,
-        fin=fin,
-        created_at=created_at,
-    )
-
-
-def ack_packet(
-    *,
-    src: int,
-    dst: int,
-    sport: int,
-    dport: int,
-    flow_id: int,
-    ack_no: int,
-    created_at: int = 0,
-    echo: int = -1,
-) -> Packet:
-    """Build a pure ACK travelling from receiver back to sender.
-
-    ``echo`` carries the timestamp of the data packet that triggered the
-    ACK (TCP timestamp-option style) so the sender can take RTT samples.
-    """
-    return Packet(
-        src=src,
-        dst=dst,
-        size=ACK_BYTES,
-        protocol="tcp",
-        sport=sport,
-        dport=dport,
-        flow_id=flow_id,
-        ack_no=ack_no,
-        is_ack=True,
-        created_at=created_at,
-        echo=echo,
-    )
-
-
 __all__ = [
     "ACK_BYTES",
     "DEFAULT_MTU",
@@ -178,6 +118,4 @@ __all__ = [
     "JUMBO_MTU",
     "OverlayHeader",
     "Packet",
-    "ack_packet",
-    "data_packet",
 ]

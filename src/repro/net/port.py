@@ -109,6 +109,7 @@ class Port:
         "_schedule_fast",
         "_advance_ref",
         "_arrive_ref",
+        "_receive",
     )
 
     def __init__(
@@ -163,6 +164,7 @@ class Port:
         self._schedule_fast = sim.schedule_fast
         self._advance_ref = self._advance
         self._arrive_ref = self._arrive
+        self._receive = node.receive
 
     # -- wiring ---------------------------------------------------------------
 
@@ -270,8 +272,9 @@ class Port:
         """Queue ``packet`` for transmission; returns False if it was dropped.
 
         The enqueue mirrors :meth:`DropTailQueue.offer` inline (keep the two
-        in sync — tests/test_net.py covers both): every fabric hop passes
-        through here, and the method-call round trip was measurable.
+        in sync — the equivalence property in tests/test_net.py drives both):
+        every fabric hop passes through here, and the method-call round trip
+        was measurable.
         """
         if not self.up or self.peer is None:
             # A down link drops silently; upper layers recover via timeouts.
@@ -295,22 +298,40 @@ class Port:
             if tracer is not None and tracer.drop:
                 tracer.emit(self._drop_event(packet, "queue-full"))
             return False
+        stats = queue.stats
+        if not self._transmitting:
+            # Idle transmitter ⇒ empty queue (``_advance`` only goes idle on
+            # an empty deque), so the packet starts its train here with no
+            # append/popleft round trip; occupancy 0 is below any ECN
+            # threshold, and ``max_bytes`` counts the packet as offer() would.
+            if size > stats.max_bytes:
+                stats.max_bytes = size
+            self._transmitting = True
+            hooks = self.on_transmit
+            if hooks:
+                for hook in hooks:
+                    hook(packet)
+            if self._ns_per_byte:
+                serialization = size * self._ns_per_byte
+            else:
+                serialization = self._serialization_ns.get(size)
+                if serialization is None:
+                    serialization = transmission_time(size, self.rate_bps)
+                    self._serialization_ns[size] = serialization
+            self.busy_time += serialization
+            self._schedule_fast(serialization, self._advance_ref, packet)
+            return True
         if (
             queue.ecn_threshold_bytes is not None
             and occupancy >= queue.ecn_threshold_bytes
         ):
             packet.ecn_ce = True
-            queue.stats.ecn_marked += 1
+            stats.ecn_marked += 1
         queue._queue.append(packet)
         occupancy += size
         queue._bytes = occupancy
-        stats = queue.stats
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
         if occupancy > stats.max_bytes:
             stats.max_bytes = occupancy
-        if not self._transmitting:
-            self._transmit_next()
         return True
 
     def _drop_event(self, packet: Packet, reason: str) -> PacketDropped:
@@ -322,38 +343,12 @@ class Port:
             reason=reason,
         )
 
-    def _transmit_next(self) -> None:
-        """Start a serialization train from an idle transmitter.
-
-        Dequeues the head packet (inline :meth:`DropTailQueue.poll` — keep
-        in sync) and schedules the train's single continuation event,
-        :meth:`_advance`, at the serialization boundary.
-        """
-        queue = self.queue
-        pending = queue._queue
-        if not pending:
-            self._transmitting = False
-            return
-        packet = pending.popleft()
-        size = packet.size
-        queue._bytes -= size
-        stats = queue.stats
-        stats.dequeued_packets += 1
-        stats.dequeued_bytes += size
-        self._transmitting = True
-        hooks = self.on_transmit
-        if hooks:
-            for hook in hooks:
-                hook(packet)
-        if self._ns_per_byte:
-            serialization = size * self._ns_per_byte
-        else:
-            serialization = self._serialization_ns.get(size)
-            if serialization is None:
-                serialization = transmission_time(size, self.rate_bps)
-                self._serialization_ns[size] = serialization
-        self.busy_time += serialization
-        self._schedule_fast(serialization, self._advance_ref, packet)
+    def _lose(self, packet: Packet, reason: str) -> None:
+        """Count a packet that vanished after occupying the wire."""
+        self.lost_packets += 1
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.drop:
+            tracer.emit(self._drop_event(packet, reason))
 
     def _advance(self, packet: Packet) -> None:
         """Advance the serialization train at one boundary (single event).
@@ -367,21 +362,19 @@ class Port:
         times, so queue-occupancy-dependent behavior (ECN marking, drops)
         is bit-identical to the unfused two-callback implementation.
         """
-        size = packet.size
         self.tx_packets += 1
-        self.tx_bytes += size
+        self.tx_bytes += packet.size
+        # The loss draw precedes the link check so a cut mid-wire does not
+        # shift the seeded loss stream.
         if self._loss_probability > 0.0 and (
             self._loss_probability >= 1.0
             or self._loss_rng.random() < self._loss_probability
         ):
-            self.lost_packets += 1
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.drop:
-                tracer.emit(self._drop_event(packet, "loss"))
+            self._lose(packet, "loss")
+        elif self.up:
+            self._schedule_fast(self.propagation_delay, self.peer._arrive_ref, packet)
         else:
-            peer = self.peer
-            if peer is not None and self.up:
-                self._schedule_fast(self.propagation_delay, peer._arrive_ref, packet)
+            self._lose(packet, "link-down")
         # Continue the train: inline head dequeue (mirror of poll()).
         queue = self.queue
         pending = queue._queue
@@ -391,9 +384,6 @@ class Port:
         packet = pending.popleft()
         size = packet.size
         queue._bytes -= size
-        stats = queue.stats
-        stats.dequeued_packets += 1
-        stats.dequeued_bytes += size
         hooks = self.on_transmit
         if hooks:
             for hook in hooks:
@@ -414,7 +404,7 @@ class Port:
         self.rx_packets += 1
         self.rx_bytes += packet.size
         packet.hops += 1
-        self.node.receive(packet, self)
+        self._receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Port({self.name}, {self.rate_bps / 1e9:g}Gbps, up={self.up})"

@@ -21,14 +21,14 @@ class QueueStats:
     ``samples`` is a bounded :class:`~repro.core.series.DecimatedSeries`
     rather than a raw list, so arbitrarily long runs record occupancy
     without unbounded memory growth; it behaves like a list for reads.
+
+    Enqueue/dequeue totals are derived on read, not stored (DESIGN.md
+    "Per-hop budget"): a port has dequeued ``tx_packets`` plus the packet on
+    its wire, and enqueued that plus ``len(queue)``.
     """
 
-    enqueued_packets: int = 0
-    enqueued_bytes: int = 0
     dropped_packets: int = 0
     dropped_bytes: int = 0
-    dequeued_packets: int = 0
-    dequeued_bytes: int = 0
     ecn_marked: int = 0
     max_bytes: int = 0
     samples: DecimatedSeries = field(default_factory=DecimatedSeries)
@@ -97,8 +97,6 @@ class DropTailQueue:
             self.stats.ecn_marked += 1
         self._queue.append(packet)
         self._bytes += packet.size
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size
         if self._bytes > self.stats.max_bytes:
             self.stats.max_bytes = self._bytes
         return True
@@ -109,8 +107,6 @@ class DropTailQueue:
             return None
         packet = self._queue.popleft()
         self._bytes -= packet.size
-        self.stats.dequeued_packets += 1
-        self.stats.dequeued_bytes += packet.size
         return packet
 
     def sample_occupancy(self) -> None:

@@ -81,13 +81,15 @@ class TunnelEndpoint:
         """Attach the overlay header for a packet entering the fabric."""
         if packet.overlay is not None:
             raise ValueError(f"packet already encapsulated: {packet!r}")
-        header = OverlayHeader(src_leaf=self.leaf_id, dst_leaf=dst_leaf, lbtag=lbtag)
         feedback = self.from_leaf_table.select_feedback(dst_leaf)
-        if feedback is not None:
-            header.fb_lbtag, header.fb_metric = feedback
-            header.fb_valid = True
+        # Positional: (src_leaf, dst_leaf, lbtag, ce, fb_lbtag, fb_metric, fb_valid).
+        if feedback is None:
+            packet.overlay = OverlayHeader(self.leaf_id, dst_leaf, lbtag)
+        else:
+            packet.overlay = OverlayHeader(
+                self.leaf_id, dst_leaf, lbtag, 0, feedback[0], feedback[1], True
+            )
             self.feedback_sent += 1
-        packet.overlay = header
         packet.size += VXLAN_OVERHEAD
         self.encapsulated += 1
 

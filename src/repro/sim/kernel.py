@@ -569,7 +569,7 @@ class Timer:
     callback).  ``start`` on a running timer restarts it.
 
     Restarts are *lazily reprogrammed*: pushing the expiry later only moves
-    ``_deadline`` and records the restart's sequence number; the entry
+    ``expires_at`` and records the restart's sequence number; the entry
     already queued at the old expiry re-arms itself at the new deadline when
     it surfaces.  Each restart still consumes exactly one kernel sequence
     number — the same count the eager cancel-and-repush implementation
@@ -581,24 +581,22 @@ class Timer:
     ``events_executed`` — see the kernel module docstring.
     """
 
-    __slots__ = ("_sim", "_callback", "_event", "_deadline", "_seq")
+    __slots__ = ("_sim", "_callback", "_event", "expires_at", "_seq")
 
     def __init__(self, sim: Simulator, callback: Callback) -> None:
         self._sim = sim
         self._callback = callback
         self._event: _Event | None = None
-        self._deadline: int | None = None
+        #: Absolute expiry time, or None if not running.  A plain attribute
+        #: so per-packet callers test it without a property frame; only
+        #: :meth:`start`, :meth:`stop` and the expiry itself write it.
+        self.expires_at: int | None = None
         self._seq = 0
 
     @property
     def running(self) -> bool:
         """Whether the timer currently has a pending expiry."""
-        return self._deadline is not None
-
-    @property
-    def expires_at(self) -> int | None:
-        """Absolute expiry time, or None if not running."""
-        return self._deadline
+        return self.expires_at is not None
 
     def start(self, delay: int) -> None:
         """(Re)arm the timer to fire ``delay`` ticks from now."""
@@ -608,7 +606,7 @@ class Timer:
         deadline = sim._now + delay
         sequence = sim._sequence
         sim._sequence = sequence + 1
-        self._deadline = deadline
+        self.expires_at = deadline
         self._seq = sequence
         event = self._event
         if event is not None:
@@ -625,10 +623,10 @@ class Timer:
         if event is not None:
             event.cancelled = True
             self._event = None
-        self._deadline = None
+        self.expires_at = None
 
     def _fire(self) -> None:
-        deadline = self._deadline
+        deadline = self.expires_at
         if deadline is None:  # pragma: no cover - stop() cancels the entry
             self._event = None
             return
@@ -650,7 +648,7 @@ class Timer:
             sim._insert(deadline, (deadline, sequence, event))
             return
         self._event = None
-        self._deadline = None
+        self.expires_at = None
         self._callback()
 
 

@@ -32,7 +32,9 @@ class Fabric:
         self.hosts: dict[int, Host] = {}
         self.leaves: list["LeafSwitch"] = []
         self.spines: list["SpineSwitch"] = []
-        self._host_leaf: dict[int, int] = {}
+        #: Endpoint directory, host id -> leaf id.  Leaves read it directly
+        #: on the per-packet path; fill it through :meth:`register_host`.
+        self.host_leaf: dict[int, int] = {}
 
     # -- directory -------------------------------------------------------------
 
@@ -41,11 +43,11 @@ class Fabric:
         if host.host_id in self.hosts:
             raise ValueError(f"host id {host.host_id} already registered")
         self.hosts[host.host_id] = host
-        self._host_leaf[host.host_id] = leaf_id
+        self.host_leaf[host.host_id] = leaf_id
 
     def leaf_of(self, host_id: int) -> int:
         """The leaf id serving ``host_id``."""
-        return self._host_leaf[host_id]
+        return self.host_leaf[host_id]
 
     def host(self, host_id: int) -> Host:
         """The host object for ``host_id``."""
@@ -53,7 +55,7 @@ class Fabric:
 
     def hosts_under(self, leaf_id: int) -> list[int]:
         """All host ids attached to ``leaf_id``."""
-        return [h for h, leaf in sorted(self._host_leaf.items()) if leaf == leaf_id]
+        return [h for h, leaf in sorted(self.host_leaf.items()) if leaf == leaf_id]
 
     def finalize(self, selector_factory: "SelectorFactory") -> None:
         """Finish construction: instantiate each leaf's TEP and selector."""

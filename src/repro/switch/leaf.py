@@ -19,6 +19,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.overlay.vxlan import TunnelEndpoint
+from repro.sim.kernel import PeriodicTimer
 
 if TYPE_CHECKING:
     from repro.core.tables import CongestionFromLeafTable, CongestionToLeafTable
@@ -56,6 +57,8 @@ class LeafSwitch(Node):
         self.tep: TunnelEndpoint | None = None
         self.selector: "UplinkSelector | None" = None
         self.dropped_unroutable = 0
+        self.explicit_feedback_sent = 0
+        self._feedback_timer: PeriodicTimer | None = None
         # Routing cache: destination leaf -> candidate uplink list, valid
         # while the global link up/down epoch is unchanged.  Callers (the
         # selectors) must not mutate the returned lists.
@@ -124,21 +127,21 @@ class LeafSwitch(Node):
         enables it: whenever metrics are owed to some leaf and ``interval``
         elapses, a 64-byte control packet is sent toward that leaf carrying
         one (FB_LBTag, FB_Metric) pair via the normal encapsulation path.
+        Enabling again replaces the interval; ``explicit_feedback_sent``
+        keeps counting across re-enables.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        from repro.sim.kernel import PeriodicTimer
-
+        self.disable_explicit_feedback()
         self._feedback_timer = PeriodicTimer(
             self.sim, interval, self._emit_explicit_feedback
         )
-        self.explicit_feedback_sent = 0
 
     def disable_explicit_feedback(self) -> None:
         """Stop generating explicit feedback packets."""
-        timer = getattr(self, "_feedback_timer", None)
-        if timer is not None:
-            timer.stop()
+        if self._feedback_timer is not None:
+            self._feedback_timer.stop()
+            self._feedback_timer = None
 
     def _emit_explicit_feedback(self) -> None:
         assert self.tep is not None and self.selector is not None
@@ -211,42 +214,44 @@ class LeafSwitch(Node):
         return cached
 
     def receive(self, packet: Packet, port: Port) -> None:
+        """Forward one packet: the leaf's single per-hop frame (both directions).
+
+        Fabric → host decapsulates (feeding both congestion tables) and falls
+        through to the downlink; host → fabric resolves the destination leaf,
+        reads the candidate-uplink cache, asks the selector, encapsulates and
+        sends.  Intra-leaf traffic skips the overlay.
+        """
+        tep = self.tep
         if packet.overlay is not None:
-            self._receive_from_fabric(packet)
+            assert tep is not None, f"{self.name} used before finalize()"
+            tep.decapsulate(packet)
+            if packet.protocol == "conga-fb":
+                # Explicit feedback control packets terminate at the leaf;
+                # the decapsulation above already consumed their payload.
+                return
         else:
-            self._receive_from_host(packet)
-
-    def _receive_from_host(self, packet: Packet) -> None:
-        dst_leaf = self.fabric.leaf_of(packet.dst)
-        if dst_leaf == self.leaf_id:
-            self._deliver_down(packet)
-            return
-        assert self.tep is not None and self.selector is not None, (
-            f"{self.name} used before finalize()"
-        )
-        candidates = self.candidate_uplinks(dst_leaf)
-        if not candidates:
+            dst_leaf = self.fabric.host_leaf[packet.dst]
+            if dst_leaf != self.leaf_id:
+                assert tep is not None, f"{self.name} used before finalize()"
+                candidates = (
+                    self._route_cache.get(dst_leaf)
+                    if self._route_epoch == _port_mod._topology_epoch
+                    else None
+                )
+                if candidates is None:
+                    candidates = self.candidate_uplinks(dst_leaf)
+                if not candidates:
+                    self.dropped_unroutable += 1
+                    return
+                choice = self.selector.choose_uplink(packet, dst_leaf, candidates)
+                tep.encapsulate(packet, dst_leaf, choice)
+                self.uplinks[choice].send(packet)
+                return
+        down = self._host_ports.get(packet.dst)
+        if down is None:
             self.dropped_unroutable += 1
             return
-        choice = self.selector.choose_uplink(packet, dst_leaf, candidates)
-        self.tep.encapsulate(packet, dst_leaf, lbtag=choice)
-        self.uplinks[choice].send(packet)
-
-    def _receive_from_fabric(self, packet: Packet) -> None:
-        assert self.tep is not None, f"{self.name} used before finalize()"
-        self.tep.decapsulate(packet)
-        if packet.protocol == "conga-fb":
-            # Explicit feedback control packets terminate at the leaf; the
-            # decapsulation above already consumed their payload fields.
-            return
-        self._deliver_down(packet)
-
-    def _deliver_down(self, packet: Packet) -> None:
-        port = self._host_ports.get(packet.dst)
-        if port is None:
-            self.dropped_unroutable += 1
-            return
-        port.send(packet)
+        down.send(packet)
 
 
 __all__ = ["LeafSwitch"]

@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.dre import DRE
 from repro.core.params import CongaParams, DEFAULT_PARAMS
-from repro.lb.ecmp import ecmp_hash
 from repro.net import port as _port_mod
+from repro.net.hashing import stable_hash
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.port import Port
@@ -115,14 +115,23 @@ class SpineSwitch(Node):
             # Spines only ever see encapsulated fabric traffic.
             self.dropped_unroutable += 1
             return
-        candidates = self.ports_to_leaf(header.dst_leaf)
+        dst_leaf = header.dst_leaf
+        candidates = (
+            self._route_cache.get(dst_leaf)
+            if self._route_epoch == _port_mod._topology_epoch
+            else None
+        )
+        if candidates is None:
+            candidates = self.ports_to_leaf(dst_leaf)
         if not candidates:
             self.dropped_unroutable += 1
             return
         if len(candidates) == 1:
             choice = candidates[0]
         else:
-            index = ecmp_hash(packet.five_tuple, salt=1_000_003 + self.spine_id)
+            index = stable_hash(
+                packet._five_tuple or packet.five_tuple, 1_000_003 + self.spine_id
+            )
             choice = candidates[index % len(candidates)]
         self.ports[choice].send(packet)
 

@@ -31,13 +31,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.node import Host
-from repro.net.packet import Packet, ack_packet, data_packet
+from repro.net.packet import ACK_BYTES, HEADER_BYTES, Packet
 from repro.obs.events import RtoFired, TcpStateChanged
 from repro.sim.kernel import Timer
 from repro.units import microseconds, milliseconds, seconds
 
 if TYPE_CHECKING:
     from repro.sim import Simulator
+
+#: Floor on the variance term of the RTO (clock granularity), ticks.
+_RTO_GRANULARITY = float(microseconds(1))
+
 
 def next_flow_id(sim: "Simulator") -> int:
     """Allocate a flow id unique within ``sim``.
@@ -234,11 +238,16 @@ class TcpSender:
         self.params = params
         self.cc = cc or CongestionControl()
         self.on_complete = on_complete
+        # Every segment hashes the same 5-tuple at each switch hop; stamping
+        # the flow's one tuple on the packet spares it the property frame per
+        # hop and a tuple of its own.
+        self._five_tuple = (self.src, dst, sport, dport, "tcp")
 
         self.snd_una = 0
         self.snd_nxt = 0
         self.cwnd: float = float(params.initial_cwnd)
-        self.ssthresh: float = float(params.receive_window)
+        self._rwnd = float(params.receive_window)
+        self.ssthresh: float = self._rwnd
         self.state = OPEN
         self.dup_acks = 0
         self.recover = 0  # highest snd_nxt when recovery was entered
@@ -263,7 +272,7 @@ class TcpSender:
 
     def on_data_available(self) -> None:
         """Wake an idle sender because its source released more bytes."""
-        if not self.finished:
+        if self.completed_at is None:
             self._try_send()
 
     @property
@@ -290,17 +299,15 @@ class TcpSender:
 
     # -- transmit path ------------------------------------------------------------
 
-    def _window(self) -> float:
-        return min(self.cwnd, float(self.params.receive_window))
-
     def _try_send(self) -> None:
         mss = self.params.mss
         source = self.source
         # cwnd and snd_una are stable for the duration of this burst (they
-        # only move on ACK/timeout), so resolve the window once.
-        window = self._window()
+        # only move on ACK/timeout), so resolve the window once; the
+        # source's extent only moves through request(), so re-read it there.
+        window = self.cwnd if self.cwnd < self._rwnd else self._rwnd
+        available = source.available()
         while True:
-            available = source.available()
             if self.snd_nxt >= available:
                 source.request(self, mss)
                 available = source.available()
@@ -311,54 +318,76 @@ class TcpSender:
                 segment = mss
             if self.snd_nxt - self.snd_una + segment > window:
                 break
-            self._send_segment(self.snd_nxt, segment)
+            self._send_segment(self.snd_nxt, segment, available)
             self.snd_nxt += segment
 
-    def _send_segment(self, seq: int, length: int, retransmit: bool = False) -> None:
-        is_last = (
-            self.source.closed() and seq + length >= self.source.available()
+    def _send_segment(self, seq: int, length: int, available: int) -> None:
+        """Put one segment on the NIC; ``available`` is the source's extent."""
+        # Positional Packet: src, dst, size, protocol, sport, dport, flow_id,
+        # seq, ack_no, payload_len, is_ack, fin, overlay, created_at.  FIN
+        # rides the segment that reaches the end of a closed source.
+        packet = Packet(
+            self.src, self.dst, length + HEADER_BYTES, "tcp", self.sport,
+            self.dport, self.flow_id, seq, -1, length, False,
+            seq + length >= available and self.source.closed(),
+            None, self.sim._now,
         )
-        packet = data_packet(
-            src=self.src,
-            dst=self.dst,
-            sport=self.sport,
-            dport=self.dport,
-            flow_id=self.flow_id,
-            seq=seq,
-            payload_len=length,
-            fin=is_last,
-            created_at=self.sim.now,
-        )
-        self.host.send(packet)
-        self.stats.segments_sent += 1
-        self.stats.bytes_sent += length
-        if retransmit:
-            self.stats.retransmissions += 1
-        if not self._rto_timer.running:
+        packet._five_tuple = self._five_tuple
+        self.host.nic.send(packet)
+        stats = self.stats
+        stats.segments_sent += 1
+        stats.bytes_sent += length
+        if self._rto_timer.expires_at is None:
             self._rto_timer.start(self.rto)
+
+    def _retransmit_head(self) -> None:
+        """Resend the first unacknowledged segment and restart the RTO."""
+        self._send_segment(
+            self.snd_una,
+            min(self.params.mss, self.snd_nxt - self.snd_una),
+            self.source.available(),
+        )
+        self.stats.retransmissions += 1
+        self._rto_timer.start(self.rto)
 
     # -- receive path (ACKs) --------------------------------------------------------
 
     def _on_packet(self, packet: Packet) -> None:
-        if not packet.is_ack or self.finished:
+        if not packet.is_ack or self.completed_at is not None:
             return
-        if packet.ack_no > self.snd_una:
+        ack_no = packet.ack_no
+        if ack_no > self.snd_una:
             self._on_new_ack(packet)
-        elif packet.ack_no == self.snd_una and self.inflight > 0:
-            self._on_dup_ack()
+        elif ack_no == self.snd_una and self.snd_nxt > ack_no:
+            if self.state == RECOVERY:
+                self.cwnd += self.params.mss  # window inflation
+            else:
+                self.dup_acks += 1
+                if self.dup_acks >= self.params.dupack_threshold:
+                    self._fast_retransmit()
         self._try_send()
-        self._check_complete()
+        # Completion needs snd_una >= available >= snd_nxt, so the source is
+        # only consulted once nothing is in flight.
+        if self.snd_una >= self.snd_nxt:
+            source = self.source
+            if source.closed() and self.snd_una >= source.available():
+                self.completed_at = self.sim._now
+                self._rto_timer.stop()
+                self.host.unbind(self.flow_id)
+                if self.on_complete is not None:
+                    self.on_complete(self)
 
     def _on_new_ack(self, packet: Packet) -> None:
-        acked = packet.ack_no - self.snd_una
-        self.snd_una = packet.ack_no
+        ack_no = packet.ack_no
+        acked = ack_no - self.snd_una
+        self.snd_una = ack_no
         if packet.echo >= 0:
-            self._sample_rtt(self.sim.now - packet.echo)
+            self._sample_rtt(self.sim._now - packet.echo)
         self._backoff = 1
         self.cc.on_ack(self, acked, packet.ecn_echo)
 
         if self.state == RECOVERY:
-            if packet.ack_no >= self.recover:
+            if ack_no >= self.recover:
                 # Full ACK: leave recovery, deflate to ssthresh.
                 self.cwnd = self.ssthresh
                 self.state = OPEN
@@ -378,15 +407,10 @@ class TcpSender:
             else:
                 # NewReno partial ACK: retransmit the next hole, deflate by
                 # the amount acked, re-inflate by one MSS.
-                self._send_segment(
-                    self.snd_una,
-                    min(self.params.mss, self.snd_nxt - self.snd_una),
-                    retransmit=True,
-                )
+                self._retransmit_head()
                 self.cwnd = max(
                     self.cwnd - acked + self.params.mss, float(self.params.mss)
                 )
-                self._rto_timer.start(self.rto)
                 return
         else:
             self.dup_acks = 0
@@ -395,18 +419,10 @@ class TcpSender:
             else:
                 self.cwnd += self.cc.ca_increase(self, acked)
 
-        if self.inflight > 0:
+        if self.snd_nxt > ack_no:
             self._rto_timer.start(self.rto)
         else:
             self._rto_timer.stop()
-
-    def _on_dup_ack(self) -> None:
-        if self.state == RECOVERY:
-            self.cwnd += self.params.mss  # window inflation
-            return
-        self.dup_acks += 1
-        if self.dup_acks >= self.params.dupack_threshold:
-            self._fast_retransmit()
 
     def _fast_retransmit(self) -> None:
         mss = self.params.mss
@@ -428,10 +444,7 @@ class TcpSender:
                 )
             )
         self.cc.on_loss(self)
-        self._send_segment(
-            self.snd_una, min(mss, self.snd_nxt - self.snd_una), retransmit=True
-        )
-        self._rto_timer.start(self.rto)
+        self._retransmit_head()
 
     # -- timers ------------------------------------------------------------------
 
@@ -477,29 +490,27 @@ class TcpSender:
     def _sample_rtt(self, rtt: int) -> None:
         if rtt < 0:
             return
-        self.stats.rtt_samples += 1
-        self.stats.last_rtt = rtt
-        if self._srtt is None:
-            self._srtt = float(rtt)
-            self._rttvar = rtt / 2.0
+        stats = self.stats
+        stats.rtt_samples += 1
+        stats.last_rtt = rtt
+        srtt = self._srtt
+        if srtt is None:
+            srtt = float(rtt)
+            rttvar = rtt / 2.0
         else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self.stats.srtt = self._srtt
-        raw = self._srtt + max(4.0 * self._rttvar, float(microseconds(1)))
-        self.rto = int(min(max(raw, self.params.min_rto), self.params.max_rto))
-
-    # -- completion ---------------------------------------------------------------
-
-    def _check_complete(self) -> None:
-        if self.finished:
-            return
-        if self.source.closed() and self.snd_una >= self.source.available():
-            self.completed_at = self.sim.now
-            self._rto_timer.stop()
-            self.host.unbind(self.flow_id)
-            if self.on_complete is not None:
-                self.on_complete(self)
+            rttvar = 0.75 * self._rttvar + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
+        self._srtt = stats.srtt = srtt
+        self._rttvar = rttvar
+        # RTO = srtt + max(4·rttvar, granularity), clamped to [min, max]_rto.
+        spread = 4.0 * rttvar
+        raw = srtt + (spread if spread > _RTO_GRANULARITY else _RTO_GRANULARITY)
+        params = self.params
+        if raw < params.min_rto:
+            raw = params.min_rto
+        elif raw > params.max_rto:
+            raw = params.max_rto
+        self.rto = int(raw)
 
 
 class TcpReceiver:
@@ -529,6 +540,7 @@ class TcpReceiver:
         self._pending_ce = False
         self.bytes_received = 0
         self.acks_sent = 0
+        self._five_tuple = (dst_host.host_id, src, dport, sport, "tcp")
         dst_host.bind(flow_id, self._on_packet)
 
     def _on_packet(self, packet: Packet) -> None:
@@ -537,21 +549,42 @@ class TcpReceiver:
         self.bytes_received += packet.payload_len
         if packet.ecn_ce:
             self._pending_ce = True
-        in_order = packet.seq <= self.rcv_nxt
-        self._absorb(packet.seq, packet.end_seq)
-        self._unacked_segments += 1
-        force = (not in_order) or packet.fin
-        if force or self._unacked_segments >= self.params.ack_every:
-            self._send_ack(echo=packet.created_at)
-
-    def _absorb(self, start: int, end: int) -> None:
-        if end <= self.rcv_nxt:
-            return  # pure duplicate
-        if start <= self.rcv_nxt and not self._out_of_order:
+        seq = packet.seq
+        end = seq + packet.payload_len
+        in_order = seq <= self.rcv_nxt
+        if in_order and not self._out_of_order:
             # In-order arrival with no reassembly backlog — the overwhelmingly
             # common case; skip the sort/merge machinery entirely.
-            self.rcv_nxt = end
-            return
+            if end > self.rcv_nxt:
+                self.rcv_nxt = end
+        else:
+            self._absorb(seq, end)
+        self._unacked_segments += 1
+        if (
+            in_order
+            and not packet.fin
+            and self._unacked_segments < self.params.ack_every
+        ):
+            return  # delayed ACK: out-of-order data and FINs never wait
+        self._unacked_segments = 0
+        # Positional Packet: src, dst, size, protocol, sport, dport (reverse
+        # direction), flow_id, seq, ack_no, payload_len, is_ack, fin, overlay,
+        # created_at, echo (the data packet's timestamp, for RTT samples),
+        # ecn_ce, ecn_echo.
+        ack = Packet(
+            self.host.host_id, self.src, ACK_BYTES, "tcp", self.dport,
+            self.sport, self.flow_id, 0, self.rcv_nxt, 0, True, False, None,
+            self.sim._now, packet.created_at, False, self._pending_ce,
+        )
+        ack._five_tuple = self._five_tuple
+        self._pending_ce = False
+        self.host.nic.send(ack)
+        self.acks_sent += 1
+
+    def _absorb(self, start: int, end: int) -> None:
+        """Merge an arrival into the reassembly backlog (slow path)."""
+        if end <= self.rcv_nxt:
+            return  # pure duplicate
         self._out_of_order.append((max(start, self.rcv_nxt), end))
         self._out_of_order.sort()
         merged: list[tuple[int, int]] = []
@@ -563,24 +596,6 @@ class TcpReceiver:
         if merged and merged[0][0] <= self.rcv_nxt:
             self.rcv_nxt = merged.pop(0)[1]
         self._out_of_order = merged
-
-    def _send_ack(self, echo: int) -> None:
-        self._unacked_segments = 0
-        ecn_echo = self._pending_ce
-        self._pending_ce = False
-        ack = ack_packet(
-            src=self.host.host_id,
-            dst=self.src,
-            sport=self.dport,  # reverse direction
-            dport=self.sport,
-            flow_id=self.flow_id,
-            ack_no=self.rcv_nxt,
-            created_at=self.sim.now,
-            echo=echo,
-        )
-        ack.ecn_echo = ecn_echo
-        self.host.send(ack)
-        self.acks_sent += 1
 
     def close(self) -> None:
         """Unbind from the host (used when tearing down experiments)."""

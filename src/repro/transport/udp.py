@@ -11,7 +11,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.node import Host
-from repro.net.packet import Packet, data_packet
+from repro.net.packet import HEADER_BYTES, Packet
 from repro.units import transmission_time
 
 if TYPE_CHECKING:
@@ -60,15 +60,16 @@ class UdpSource:
                 self.on_done(self)
             return
         length = min(self.datagram_size, self.size - self.sent_bytes)
-        packet = data_packet(
+        packet = Packet(
             src=self.host.host_id,
             dst=self.dst,
+            size=length + HEADER_BYTES,
+            protocol="udp",
             sport=self.sport,
             dport=9,
             flow_id=self.flow_id,
             seq=self.sent_bytes,
             payload_len=length,
-            protocol="udp",
             created_at=self.sim.now,
         )
         self.host.send(packet)

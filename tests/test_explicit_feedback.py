@@ -66,6 +66,27 @@ class TestExplicitFeedback:
         sim.run(until=sim.now + milliseconds(2))
         assert fabric.leaves[1].explicit_feedback_sent == before
 
+    def test_state_exists_before_enabling(self):
+        sim = Simulator()
+        fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=2))
+        fabric.finalize(CongaSelector.factory())
+        leaf = fabric.leaves[0]
+        assert leaf.explicit_feedback_sent == 0
+        leaf.disable_explicit_feedback()  # never enabled: a no-op
+
+    def test_reenabling_keeps_the_count_and_leaks_no_timer(self):
+        sim, fabric = _one_way_scenario(explicit=True)
+        leaf = fabric.leaves[1]
+        before = leaf.explicit_feedback_sent
+        assert before > 0
+        leaf.enable_explicit_feedback(microseconds(500))
+        assert leaf.explicit_feedback_sent == before
+        # One disable must silence the leaf: a timer leaked by the second
+        # enable would keep emitting control packets.
+        leaf.disable_explicit_feedback()
+        sim.run(until=sim.now + milliseconds(2))
+        assert leaf.explicit_feedback_sent == before
+
     def test_validation(self):
         sim = Simulator()
         fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=2))

@@ -1,7 +1,7 @@
 """Tests for the network substrate: packets, queues, ports, links, hosts."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net import (
     ACK_BYTES,
@@ -12,43 +12,59 @@ from repro.net import (
     OverlayHeader,
     Packet,
     Port,
-    ack_packet,
     connect,
-    data_packet,
 )
 from repro.sim import Simulator
 from repro.units import gbps, transmission_time
 
 
+def _wire_packets(size=1460):
+    """(data packets, ACKs) one TcpFlow puts on a cable between two hosts."""
+    from repro.transport import TcpFlow
+
+    sim = Simulator()
+    a, b = Host(sim, 1, gbps(10)), Host(sim, 2, gbps(10))
+    connect(a.nic, b.nic)
+    data, acks = [], []
+    a.nic.on_transmit.append(data.append)
+    b.nic.on_transmit.append(acks.append)
+    flow = TcpFlow(sim, a, b, size, sport=10, dport=20)
+    flow.start()
+    sim.run()
+    assert flow.finished
+    return data, acks
+
+
 class TestPacket:
     def test_data_packet_size_includes_headers(self):
-        packet = data_packet(
-            src=1, dst=2, sport=10, dport=20, flow_id=5, seq=0, payload_len=1460
-        )
+        data, _ = _wire_packets(1460)
+        (packet,) = data
         assert packet.size == 1460 + HEADER_BYTES
+        assert packet.payload_len == 1460
         assert not packet.is_ack
+        assert packet.fin
+        assert packet.five_tuple == (1, 2, 10, 20, "tcp")
 
     def test_ack_packet(self):
-        ack = ack_packet(src=2, dst=1, sport=20, dport=10, flow_id=5, ack_no=1460)
+        data, acks = _wire_packets(1460)
+        (ack,) = acks
         assert ack.is_ack
         assert ack.size == ACK_BYTES
         assert ack.ack_no == 1460
+        assert ack.echo == data[0].created_at
+        assert ack.five_tuple == (2, 1, 20, 10, "tcp")
 
     def test_five_tuple(self):
-        packet = data_packet(
-            src=1, dst=2, sport=10, dport=20, flow_id=5, seq=0, payload_len=100
-        )
+        packet = Packet(src=1, dst=2, size=158, sport=10, dport=20, flow_id=5)
         assert packet.five_tuple == (1, 2, 10, 20, "tcp")
 
     def test_end_seq(self):
-        packet = data_packet(
-            src=1, dst=2, sport=1, dport=1, flow_id=1, seq=1000, payload_len=500
-        )
+        packet = Packet(src=1, dst=2, size=558, seq=1000, payload_len=500)
         assert packet.end_seq == 1500
 
     def test_packet_ids_unique(self):
-        a = data_packet(src=1, dst=2, sport=1, dport=1, flow_id=1, seq=0, payload_len=1)
-        b = data_packet(src=1, dst=2, sport=1, dport=1, flow_id=1, seq=0, payload_len=1)
+        a = Packet(src=1, dst=2, size=59)
+        b = Packet(src=1, dst=2, size=59)
         assert a.packet_id != b.packet_id
 
     def test_overlay_header_defaults(self):
@@ -57,7 +73,7 @@ class TestPacket:
         assert not header.fb_valid
 
     def test_ack_echo_default(self):
-        ack = ack_packet(src=2, dst=1, sport=1, dport=1, flow_id=1, ack_no=0)
+        ack = Packet(src=2, dst=1, size=ACK_BYTES, is_ack=True, ack_no=0)
         assert ack.echo == -1
 
 
@@ -121,9 +137,8 @@ class TestDropTailQueue:
             if packet is None:
                 break
             drained += packet.size
-        stats = queue.stats
-        assert stats.enqueued_bytes == drained
-        assert stats.enqueued_bytes + stats.dropped_bytes == sum(sizes)
+        assert queue.byte_occupancy == 0
+        assert drained + queue.stats.dropped_bytes == sum(sizes)
 
 
 class _Sink(Node):
@@ -233,6 +248,138 @@ class TestPortAndLink:
         node = _Sink(sim)
         with pytest.raises(ValueError):
             node.add_port(0)
+
+
+    def test_link_cut_mid_wire_counts_the_packet_as_lost(self):
+        from repro.obs import Tracer
+
+        sim, _a, b, pa, pb = self._pair()
+        sim.tracer = Tracer(categories="drop")
+        pa.send(Packet(src=0, dst=1, size=1500, flow_id=9))
+        pa.fail()  # the packet is on the wire; its boundary is still ahead
+        sim.run()
+        assert b.received == []
+        # Conservation: everything transmitted is received, lost or dropped.
+        assert (pa.tx_packets, pb.rx_packets, pa.lost_packets) == (1, 0, 1)
+        assert pa.queue.stats.dropped_packets == 0
+        (event,) = sim.tracer.events("drop")
+        assert (event.reason, event.port, event.flow_id) == ("link-down", pa.name, 9)
+
+
+class _ReferencePort:
+    """The unfused egress: every packet goes through offer() then poll().
+
+    The model :meth:`Port.send`/``_advance`` inline and shortcut; built from
+    the public :class:`DropTailQueue` so the two cannot drift silently.
+    """
+
+    def __init__(self, capacity, ecn_threshold):
+        self.queue = DropTailQueue(capacity, ecn_threshold_bytes=ecn_threshold)
+        self.on_wire = None
+        self.accepted = self.dequeued = self.finished = 0
+        self.started = []
+
+    def send(self, packet):
+        if not self.queue.offer(packet):
+            return False
+        self.accepted += 1
+        if self.on_wire is None:
+            self._start_next()
+        return True
+
+    def boundary(self):
+        if self.on_wire is not None:
+            self.finished += 1
+            self._start_next()
+
+    def _start_next(self):
+        self.on_wire = self.queue.poll()
+        if self.on_wire is not None:
+            self.dequeued += 1
+            self.started.append(self.on_wire.flow_id)
+
+
+# Round sizes and limits make occupancy land exactly on a threshold or a
+# capacity often enough to pin the >= / > edges.
+_port_ops = st.lists(
+    st.one_of(
+        st.sampled_from([500, 1000, 1500]),
+        st.integers(min_value=1, max_value=2500),
+        st.just("boundary"),
+    ),
+    max_size=60,
+)
+_limits = st.one_of(
+    st.none(), st.sampled_from([1500, 2000, 3000]), st.integers(1500, 6000)
+)
+
+
+class TestPortMatchesQueueModel:
+    @given(
+        capacity=_limits,
+        ecn_threshold=st.one_of(_limits, st.sampled_from([500, 1000])),
+        ops=_port_ops,
+    )
+    @example(capacity=None, ecn_threshold=500, ops=[500, 500, 500])  # occupancy == K marks
+    @example(capacity=3000, ecn_threshold=None, ops=[1500, 1500, 1500, 1500, "boundary", 3001])
+    def test_send_and_boundaries_match_offer_poll(self, capacity, ecn_threshold, ops):
+        sim = Simulator()
+        node, sink = _Sink(sim, "a"), _Sink(sim, "b")
+        port = node.add_port(gbps(10), capacity, ecn_threshold=ecn_threshold)
+        connect(port, sink.add_port(gbps(10)))
+        started = []
+        port.on_transmit.append(lambda packet: started.append(("first", packet.flow_id)))
+        port.on_transmit.append(lambda packet: started.append(("second", packet.flow_id)))
+        model = _ReferencePort(capacity, ecn_threshold)
+
+        def check():
+            stats, expected = port.queue.stats, model.queue.stats
+            assert (
+                stats.dropped_packets, stats.dropped_bytes, stats.ecn_marked, stats.max_bytes
+            ) == (
+                expected.dropped_packets, expected.dropped_bytes, expected.ecn_marked,
+                expected.max_bytes,
+            )
+            assert port.queue.byte_occupancy == model.queue.byte_occupancy
+            assert len(port.queue) == len(model.queue)
+            # Enqueue/dequeue totals are derived on read, not stored.
+            assert port.tx_packets == model.finished
+            dequeued = port.tx_packets + port._transmitting
+            assert dequeued == model.dequeued
+            assert dequeued + len(port.queue) == model.accepted
+            assert started == [
+                (hook, flow_id) for flow_id in model.started for hook in ("first", "second")
+            ]
+
+        for index, op in enumerate(ops):
+            if op == "boundary":
+                sent = port.tx_packets
+                while sim.pending_events and port.tx_packets == sent:
+                    sim.run(max_events=1)
+                model.boundary()
+            else:
+                mine = Packet(src=0, dst=1, size=op, flow_id=index)
+                theirs = Packet(src=0, dst=1, size=op, flow_id=index)
+                assert port.send(mine) == model.send(theirs)
+                assert mine.ecn_ce == theirs.ecn_ce
+            check()
+        sim.run()
+        while model.on_wire is not None:
+            model.boundary()
+        check()
+        assert len(sink.received) == model.accepted
+
+    def test_oversize_packet_to_an_idle_port_is_dropped(self):
+        sim = Simulator()
+        node, sink = _Sink(sim, "a"), _Sink(sim, "b")
+        port = node.add_port(gbps(10), 3000)
+        connect(port, sink.add_port(gbps(10)))
+        assert not port.send(Packet(src=0, dst=1, size=3001))
+        assert port.send(Packet(src=0, dst=1, size=3000))
+        sim.run()
+        stats = port.queue.stats
+        assert (stats.dropped_packets, stats.dropped_bytes, stats.max_bytes) == (1, 3001, 3000)
+        assert len(sink.received) == 1
 
 
 def _pb_of(node):

@@ -65,7 +65,7 @@ class TestLeafForwarding:
         fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=2))
         packet = Packet(src=0, dst=2, size=100, flow_id=1)
         with pytest.raises(AssertionError):
-            fabric.leaves[0]._receive_from_host(packet)
+            fabric.leaves[0].receive(packet, fabric.leaves[0].host_port(0))
 
     def test_all_uplinks_down_drops(self):
         sim, fabric = _fabric()
