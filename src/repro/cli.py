@@ -135,14 +135,14 @@ def _resolve_sweep_specs(args: argparse.Namespace):
 
 
 def _make_backend(args: argparse.Namespace):
-    """An explicit Backend for ``--backend subprocess``, else None (local)."""
-    if getattr(args, "backend", "local") != "subprocess":
-        return None
-    from repro.runner import SubprocessBackend
+    """The ``--backend`` choice, configured from the shared execution flags."""
+    from repro.runner import get_backend
 
-    return SubprocessBackend(
-        workers=args.workers if args.workers else 2,
-        retries=args.retries,
+    workers = args.workers
+    if args.backend == "subprocess" and not workers:
+        workers = 2
+    return get_backend(args.backend)(
+        workers=workers, timeout=args.timeout, retries=args.retries
     )
 
 
@@ -227,11 +227,8 @@ def _run_sweep_from_args(specs, args: argparse.Namespace, telemetry=None):
 
     return run_sweep(
         specs,
-        workers=args.workers,
         cache=None if args.no_cache else args.cache_dir,
         progress=print if args.verbose else None,
-        timeout=args.timeout,
-        retries=args.retries,
         backend=_make_backend(args),
         telemetry=telemetry,
     )
@@ -535,8 +532,9 @@ def _add_sweep_run_arguments(cmd: argparse.ArgumentParser) -> None:
                      help="worker processes (default: one per CPU for the "
                           "local backend, 2 for subprocess; 0 = serial)")
     cmd.add_argument("--backend", default="local", choices=sorted(BACKENDS),
-                     help="execution backend: in-process pool or worker "
-                          "subprocesses over a stdin/stdout JSON protocol")
+                     help="how parallel workers are launched: forked from "
+                          "this process, or fresh interpreters speaking "
+                          "the stdin/stdout JSON protocol")
     cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     cmd.add_argument("--no-cache", action="store_true",
                      help="always execute, never read or write the cache")
@@ -544,7 +542,7 @@ def _add_sweep_run_arguments(cmd: argparse.ArgumentParser) -> None:
                      help="print per-point timing as results arrive")
     cmd.add_argument("--timeout", type=float, default=None,
                      help="per-point wall-clock budget in seconds "
-                          "(local parallel backend only)")
+                          "(enforced wherever points run on workers)")
     cmd.add_argument("--retries", type=int, default=1,
                      help="re-executions granted to a failing point "
                           "(default 1); failures become table rows, "

@@ -8,9 +8,10 @@ Build :class:`repro.apps.ExperimentSpec` points (by hand, with
   parallel execution, a :class:`SweepResult` of picklable
   :class:`repro.apps.PointResult` values in input order.
 * :class:`Dispatcher` — the streaming form of the same machinery, with a
-  pluggable execution :class:`Backend`: :class:`LocalBackend` (inline or
-  a crash-tolerant process pool) or :class:`SubprocessBackend` (worker
-  subprocesses over an SSH-shaped stdin/stdout JSON protocol).
+  pluggable execution :class:`Backend`: :class:`LocalBackend` (inline, or
+  forked workers) or :class:`SubprocessBackend` (exec'd workers over an
+  SSH-shaped stdin/stdout JSON protocol) — one crash-tolerant worker loop
+  either way.
 
 Results are bit-identical across all backends and worker counts — a
 point run is a pure function of its spec — which

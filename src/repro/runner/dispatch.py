@@ -10,9 +10,8 @@ as actual ``(index, result)`` pairs from :meth:`Dispatcher.stream`.
 Manifests ride along for free: every fresh result lands in the cache via
 :meth:`ResultCache.put`, which writes the provenance manifest.
 
-:func:`run_sweep` keeps its historical signature as the one-call face of
-the same machinery (a :class:`LocalBackend` dispatcher), so existing
-benchmarks and tests are untouched by the redesign.
+:func:`run_sweep` is the one-call face of the same machinery (a
+:class:`LocalBackend` dispatcher unless a backend is passed).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.runner.backends import Backend, LocalBackend, get_backend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.failures import PointFailure
 from repro.runner.sweep import (
-    ExecutorFactory,
     ProgressFn,
     SweepResult,
     _failure_line,
@@ -97,6 +95,18 @@ class _Run:
             else:
                 self.misses.append(index)
 
+    def execute(self, backend: Backend) -> None:
+        """Hand the misses :meth:`scan` found to ``backend``."""
+        if self.misses:
+            backend.execute(
+                self.specs,
+                list(self.misses),
+                finish=self.finish,
+                fail=self.fail,
+                metrics=self.registry,
+                telemetry=self.telemetry,
+            )
+
     def finish(self, index: int, result: PointResult) -> None:
         """Backend callback: one miss computed successfully."""
         with self.lock:
@@ -142,17 +152,18 @@ class _Run:
 
     def finalize(self) -> SweepResult:
         """Resolve duplicates and freeze the accounting into a result."""
+        if self.total == 0:  # the empty sweep: nothing scanned, nothing counted
+            return SweepResult(points=(), executed=0, cached=0, wall_seconds=0.0)
         with self.lock:
             for index, first in self.duplicates.items():
                 self.results[index] = self.results[first]
             executed = len(self.misses)
+            cached = self.total - executed - len(self.duplicates)
             wall = perf_counter() - self.started  # repro-lint: ignore[D101] -- reporting only
             registry = self.registry
             registry.counter("sweep.points").value = self.total
             registry.counter("sweep.executed").value = executed
-            registry.counter("sweep.cache_hits").value = (
-                self.total - executed - len(self.duplicates)
-            )
+            registry.counter("sweep.cache_hits").value = cached
             registry.counter("sweep.duplicates").value = len(self.duplicates)
             registry.counter("sweep.failures").value = sum(
                 1 for point in self.results if isinstance(point, PointFailure)
@@ -165,7 +176,7 @@ class _Run:
                     "sweep_finished",
                     total=self.total,
                     executed=executed,
-                    cached=self.total - executed - len(self.duplicates),
+                    cached=cached,
                     duplicates=len(self.duplicates),
                     failures=registry.counter("sweep.failures").value,
                     worker_restarts=restarts,
@@ -174,7 +185,7 @@ class _Run:
             return SweepResult(
                 points=tuple(self.results),  # type: ignore[arg-type]
                 executed=executed,
-                cached=self.total - executed - len(self.duplicates),
+                cached=cached,
                 wall_seconds=wall,
                 metrics=registry.snapshot(),
             )
@@ -226,9 +237,9 @@ class Dispatcher:
     or a callable receiving each event dict; the dispatcher emits
     lifecycle events (``sweep_started``, ``cache_hit``,
     ``point_completed``, ``point_failed``, ``sweep_finished``) and the
-    backend adds its own (``worker_restart``).  The caller owns closing a
-    sink it constructed; path-created sinks are line-buffered, so the
-    stream is tailable while the sweep runs.
+    backend adds its own (``worker_restart``, one per lost worker child).
+    The caller owns closing a sink it constructed; path-created sinks are
+    line-buffered, so the stream is tailable while the sweep runs.
     """
 
     def __init__(
@@ -264,21 +275,9 @@ class Dispatcher:
     def run(self, specs: Iterable[ExperimentSpec]) -> SweepResult:
         """Resolve every spec (cache, dedupe, backend) into a result."""
         run = self._new_run(specs)
-        if run.total == 0:
-            self.last_result = SweepResult(
-                points=(), executed=0, cached=0, wall_seconds=0.0
-            )
-            return self.last_result
-        run.scan()
-        if run.misses:
-            self.backend.execute(
-                run.specs,
-                list(run.misses),
-                finish=run.finish,
-                fail=run.fail,
-                metrics=run.registry,
-                telemetry=self.telemetry,
-            )
+        if run.total:
+            run.scan()
+            run.execute(self.backend)
         self.last_result = run.finalize()
         return self.last_result
 
@@ -295,9 +294,7 @@ class Dispatcher:
         """
         run = self._new_run(specs)
         if run.total == 0:
-            self.last_result = SweepResult(
-                points=(), executed=0, cached=0, wall_seconds=0.0
-            )
+            self.last_result = run.finalize()
             return
         outcomes: queue_module.Queue[tuple[int, Outcome]] = queue_module.Queue()
         run.on_outcome = lambda index, outcome: outcomes.put((index, outcome))
@@ -307,14 +304,7 @@ class Dispatcher:
         if run.misses:
             def pump() -> None:
                 try:
-                    self.backend.execute(
-                        run.specs,
-                        list(run.misses),
-                        finish=run.finish,
-                        fail=run.fail,
-                        metrics=run.registry,
-                        telemetry=self.telemetry,
-                    )
+                    run.execute(self.backend)
                 except BaseException as exc:  # surfaced after drain
                     backend_error.append(exc)
 
@@ -348,28 +338,26 @@ def run_sweep(
     workers: int | None = None,
     cache: ResultCache | str | os.PathLike | None = DEFAULT_CACHE_DIR,
     progress: ProgressFn | None = None,
-    executor_factory: ExecutorFactory | None = None,
     timeout: float | None = None,
     retries: int = 1,
     retry_backoff: float = 0.5,
-    max_executor_rebuilds: int = 3,
     backend: Backend | None = None,
     telemetry: TelemetryArg = None,
 ) -> SweepResult:
     """Run every spec, in parallel, through the result cache.
 
-    The one-call face of :class:`Dispatcher`.  With ``backend=None`` the
-    knobs configure a :class:`LocalBackend` exactly as they always did;
-    passing a backend instance (e.g. a configured
+    The one-call face of :class:`Dispatcher`.  With ``backend=None``,
+    ``workers``/``timeout``/``retries``/``retry_backoff`` configure a
+    :class:`LocalBackend`; passing a backend instance (e.g. a configured
     :class:`~repro.runner.backends.SubprocessBackend`) dispatches over it
-    instead, and the local-pool knobs are ignored.
+    instead, and those four are ignored — set them on the backend.
 
     Parameters
     ----------
     workers:
         ``None`` — one worker per CPU; ``0`` or ``1`` — run misses inline
-        in this process (no executor, no pickling); ``n > 1`` — a
-        ``ProcessPoolExecutor`` with ``n`` workers.  The answer is
+        in this process (no children, no pickling); ``n > 1`` — ``n``
+        forked worker processes, one point in flight each.  The answer is
         bit-identical in all modes.
     cache:
         A :class:`ResultCache`, a directory path for one, or ``None`` to
@@ -378,30 +366,23 @@ def run_sweep(
         Optional callable receiving one human-readable line per completed
         point (wall clock, events executed, events/sec, cache hits,
         failures).
-    executor_factory:
-        Test seam: builds the executor for parallel misses.  Defaults to
-        ``ProcessPoolExecutor``.  Never called when every point is served
-        from cache or when running inline.
     timeout:
         Per-point wall-clock budget in seconds (parallel modes only; the
-        clock starts at submission, which manual dispatch keeps equal to
-        work start).  An overdue point's workers are killed, the pool is
-        rebuilt, innocent in-flight points are requeued without charge,
-        and the offender retries or fails with kind ``"timeout"``.
+        clock starts when the point is handed to its worker).  An overdue
+        point's worker — that worker only — is killed and replaced, and
+        the point retries or fails with kind ``"timeout"``; points in
+        flight on other workers are untouched.
     retries:
         How many times a failing point is re-executed after its first
-        failed attempt (total attempts = ``retries + 1``).
+        failed attempt (total attempts = ``retries + 1``), whichever way
+        it failed: raised, overran ``timeout``, or killed its worker.
     retry_backoff:
         Base of the deterministic exponential backoff slept before each
         retry: attempt *k* waits ``retry_backoff · 2**(k-1)`` seconds.
         0 disables the wait.
-    max_executor_rebuilds:
-        How many pool rebuilds (crashes + timeout kills) are tolerated
-        before falling back to inline execution for queued points (crash
-        suspects then fail rather than run in-process).
     backend:
         An explicit :class:`Backend` to dispatch over instead of the
-        default local pool.
+        default :class:`LocalBackend`.
     telemetry:
         Structured NDJSON health stream: a
         :class:`~repro.runner.telemetry.TelemetrySink`, a path to write
@@ -409,21 +390,12 @@ def run_sweep(
         A path-created sink is closed before returning; a sink instance
         stays open (the caller owns it).
     """
-    specs = list(specs)
-    if not specs:
-        return SweepResult(points=(), executed=0, cached=0, wall_seconds=0.0)
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
     if backend is None:
         backend = LocalBackend(
             workers=workers,
-            executor_factory=executor_factory,
             timeout=timeout,
             retries=retries,
             retry_backoff=retry_backoff,
-            max_executor_rebuilds=max_executor_rebuilds,
         )
     sink = as_sink(telemetry)
     try:

@@ -15,8 +15,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.apps.spec import ExperimentSpec
 
-#: The three ways a point can fail.
-FAILURE_KINDS = ("exception", "timeout", "crash")
+#: The three ways a point can fail, and the ``sweep.*`` counter each
+#: charged attempt of that kind increments.
+FAILURE_COUNTERS = {
+    "exception": "sweep.exceptions",
+    "timeout": "sweep.timeouts",
+    "crash": "sweep.crashes",
+}
+FAILURE_KINDS = tuple(FAILURE_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -26,8 +32,8 @@ class PointFailure:
     ``kind`` is ``"exception"`` (the point raised), ``"timeout"`` (it
     exceeded the sweep's per-point wall-clock budget), or ``"crash"`` (its
     worker process died — segfault, ``os._exit``, OOM kill).  ``attempts``
-    counts executions actually charged to this spec; innocent in-flight
-    points re-queued after a pool break are not charged.
+    counts executions actually charged to this spec (one point is in flight
+    per worker, so a lost worker charges exactly the point it was running).
     """
 
     spec: "ExperimentSpec"
@@ -67,4 +73,9 @@ class PointFailure:
         return False
 
 
-__all__ = ["FAILURE_KINDS", "PointFailure"]
+def _describe(exc: BaseException) -> str:
+    """The ``error`` text of a failure caused by ``exc``."""
+    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+
+
+__all__ = ["FAILURE_COUNTERS", "FAILURE_KINDS", "PointFailure"]

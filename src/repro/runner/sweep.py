@@ -1,25 +1,16 @@
-"""Sweep construction, results, and the local process-pool machinery.
+"""Sweep construction and results.
 
 Every figure in the paper is a sweep — N schemes × M loads × seeds — and
 each point is an independent, deterministic function of its
 :class:`ExperimentSpec`.  The entry points live in
 :mod:`repro.runner.dispatch` (:func:`run_sweep` and the
-:class:`Dispatcher`/backend API); this module holds what they build on:
-cache hits are served from :class:`ResultCache`, misses fan out over a
-``ProcessPoolExecutor`` (or run inline with ``workers=0``), and results
-come back in input order, bit-identical regardless of worker count because
-every random draw inside a point comes from the spec's own seed via named
-RNG streams and process-stable hashing.
-
-The pool dispatcher survives its own failures (the fault-plane PR's second half):
-a point that raises is retried with deterministic exponential backoff and
-then reported as a structured :class:`PointFailure`; a point that exceeds
-the per-point wall-clock ``timeout`` has its workers killed and the pool
-rebuilt; a worker process that dies (``BrokenProcessPool``) marks the
-in-flight points as *suspects*, rebuilds the pool for the untouched queue,
-and afterwards re-runs each suspect alone in a fresh single-worker pool so
-the culprit is identified without a crasher ever executing in this
-process.  A sweep therefore always returns one entry per spec.
+:class:`Dispatcher`), and execution — inline or over worker processes,
+with its retries, timeouts and crash blame — in
+:mod:`repro.runner.backends`; this module holds what both build on: the
+grid helpers and the :class:`SweepResult` a sweep comes back as, in input
+order and bit-identical regardless of worker count because every random
+draw inside a point comes from the spec's own seed via named RNG streams
+and process-stable hashing.
 
 Sweep construction helpers:
 
@@ -32,33 +23,17 @@ Sweep construction helpers:
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
-from time import perf_counter, sleep
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.net.hashing import stable_string_seed
-from repro.obs.metrics import MetricsRegistry, MetricsReport
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.obs.metrics import MetricsReport
 from repro.runner.failures import PointFailure
 
 ProgressFn = Callable[[str], None]
-ExecutorFactory = Callable[[int], Executor]
-
-#: How often the dispatcher wakes to check per-point deadlines (seconds).
-_POLL_SECONDS = 0.25
 
 
 def derive_seeds(base_seed: int, count: int, stream: str = "sweep-seeds") -> list[int]:
@@ -117,7 +92,7 @@ class SweepResult:
     cached: int
     wall_seconds: float
     #: Sweep-runner accounting under ``sweep.*`` dotted names (cache hits,
-    #: retries, timeouts, crashes, pool rebuilds, ...); None only for the
+    #: retries, timeouts, crashes, worker restarts, ...); None only for the
     #: degenerate empty sweep.
     metrics: MetricsReport | None = None
 
@@ -194,11 +169,6 @@ class SweepResult:
         return hasher.hexdigest()
 
 
-def _execute_point(spec: ExperimentSpec) -> PointResult:
-    """Worker entry point: run one spec (module-level, hence picklable)."""
-    return spec.run()
-
-
 def _point_line(index: int, total: int, result: PointResult) -> str:
     if result.from_cache:
         return f"[{index + 1}/{total}] {result.spec.label()}: cached"
@@ -214,403 +184,6 @@ def _failure_line(index: int, total: int, failure: PointFailure) -> str:
         f"[{index + 1}/{total}] {failure.spec.label()}: "
         f"FAILED ({failure.kind}, attempt {failure.attempts}): {failure.error}"
     )
-
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-
-
-def _backoff(retry_backoff: float, failure_count: int) -> None:
-    """Deterministic exponential backoff before a retry (no jitter)."""
-    if retry_backoff > 0.0:
-        sleep(retry_backoff * (2.0 ** (failure_count - 1)))
-
-
-def _terminate_pool(pool: Executor) -> None:
-    """Best-effort kill of a pool whose work must stop *now* (hung point).
-
-    ``ProcessPoolExecutor`` exposes no supported way to abort running
-    tasks, so the worker processes are terminated directly (private
-    attribute, guarded) and the pool discarded; the caller rebuilds.
-    Executors without worker processes (e.g. thread pools injected through
-    the ``executor_factory`` test seam) just get a non-blocking shutdown.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-
-
-class _PoolDispatcher:
-    """Manual dispatch of sweep points over a rebuildable process pool.
-
-    Keeps at most ``width`` points in flight so a submission's wall clock
-    starts when its work starts — which is what makes the per-point
-    ``timeout`` fair — and owns the failure machinery: retry accounting,
-    pool-break suspect handling, timeout kills, and the inline fallback
-    when no executor can be built at all.
-    """
-
-    def __init__(
-        self,
-        specs: list[ExperimentSpec],
-        misses: list[int],
-        *,
-        width: int,
-        factory: ExecutorFactory,
-        timeout: float | None,
-        retries: int,
-        retry_backoff: float,
-        max_rebuilds: int,
-        finish: Callable[[int, PointResult], None],
-        fail: Callable[[int, PointFailure], None],
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.specs = specs
-        self.queue: deque[int] = deque(misses)
-        self.width = width
-        self.factory = factory
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.max_rebuilds = max_rebuilds
-        self.finish = finish
-        self.fail = fail
-        self.metrics = metrics
-        self.failures: dict[int, int] = dict.fromkeys(misses, 0)
-        self.spent: dict[int, float] = dict.fromkeys(misses, 0.0)
-        self.suspects: list[int] = []
-        self.rebuilds = 0
-        self.pool: Executor | None = None
-        self.in_flight: dict[Future, int] = {}
-        self.deadlines: dict[Future, float | None] = {}
-        self.started: dict[Future, float] = {}
-
-    # -- failure accounting ---------------------------------------------------
-
-    def _point_failure(self, index: int, kind: str, error: str) -> None:
-        self.fail(
-            index,
-            PointFailure(
-                spec=self.specs[index],
-                error=error,
-                kind=kind,
-                attempts=max(1, self.failures[index]),
-                wall_seconds=self.spent[index],
-            ),
-        )
-
-    def _charge(self, index: int, kind: str, error: str) -> bool:
-        """Charge one failed attempt; True if the point may retry."""
-        self.failures[index] += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"sweep.{kind}s").value += 1
-        if self.failures[index] > self.retries:
-            self._point_failure(index, kind, error)
-            return False
-        if self.metrics is not None:
-            self.metrics.counter("sweep.retries").value += 1
-        _backoff(self.retry_backoff, self.failures[index])
-        return True
-
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _build_pool(self) -> bool:
-        try:
-            self.pool = self.factory(max(1, min(self.width, len(self.queue) or 1)))
-            return True
-        except Exception:
-            self.pool = None
-            return False
-
-    def _drop_pool(self, terminate: bool) -> None:
-        if self.pool is None:
-            return
-        if terminate:
-            _terminate_pool(self.pool)
-        else:
-            try:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-        self.pool = None
-        self.in_flight.clear()
-        self.deadlines.clear()
-        self.started.clear()
-
-    def _drain_inline(self) -> None:
-        """Graceful fallback: no usable executor, run queued points inline.
-
-        Suspects are *never* run inline — one of them probably kills its
-        process, and inline that process is this one.  With no pool to
-        isolate them they fail as crashes.
-        """
-        while self.queue:
-            index = self.queue.popleft()
-            outcome = _run_inline(
-                self.specs[index],
-                retries=self.retries - self.failures[index],
-                retry_backoff=self.retry_backoff,
-            )
-            if isinstance(outcome, PointFailure):
-                self.fail(index, outcome)
-            else:
-                self.finish(index, outcome)
-        for index in self.suspects:
-            self._point_failure(
-                index,
-                "crash",
-                "worker pool unavailable and point is a crash suspect; "
-                "refusing to run it in-process",
-            )
-        self.suspects.clear()
-
-    def _rebuild_or_drain(self, terminate: bool) -> bool:
-        """Replace a dead pool; False means we fell back to inline."""
-        self._drop_pool(terminate)
-        self.rebuilds += 1
-        if self.metrics is not None:
-            self.metrics.counter("sweep.pool_rebuilds").value += 1
-        if self.rebuilds > self.max_rebuilds or not self._build_pool():
-            self._drain_inline()
-            return False
-        return True
-
-    # -- event handling -------------------------------------------------------
-
-    def _submit_ready(self) -> bool:
-        """Fill the pool up to ``width`` in-flight points."""
-        assert self.pool is not None
-        while self.queue and len(self.in_flight) < self.width:
-            index = self.queue.popleft()
-            try:
-                future = self.pool.submit(_execute_point, self.specs[index])
-            except (BrokenExecutor, RuntimeError):
-                self.queue.appendleft(index)
-                return self._handle_break(extra_victims=())
-            now = perf_counter()  # repro-lint: ignore[D101] -- runner wall-clock accounting
-            self.in_flight[future] = index
-            self.started[future] = now
-            self.deadlines[future] = (
-                None if self.timeout is None else now + self.timeout
-            )
-        return True
-
-    def _handle_break(self, extra_victims: tuple[int, ...]) -> bool:
-        """The pool broke: in-flight points become suspects, pool rebuilds.
-
-        The culprit is unknowable from here — ``BrokenProcessPool`` fails
-        every in-flight future alike — so nobody is charged an attempt
-        unless exactly one point was in flight (definitive blame).
-        """
-        victims = list(extra_victims) + list(self.in_flight.values())
-        if len(victims) == 1:
-            index = victims[0]
-            if self._charge(
-                index, "crash", "worker process died while running this point"
-            ):
-                self.suspects.append(index)
-        else:
-            self.suspects.extend(victims)
-        return self._rebuild_or_drain(terminate=False)
-
-    def _handle_timeouts(self, overdue: list[Future]) -> bool:
-        """Kill a pool with overdue points; requeue the innocent in-flight.
-
-        The overdue points are charged a ``timeout`` attempt; other
-        in-flight points lose their partial work but keep their attempt
-        budget.
-        """
-        retry: list[int] = []
-        innocent: list[int] = []
-        assert self.timeout is not None
-        for future, index in list(self.in_flight.items()):
-            self.spent[index] += (
-                perf_counter() - self.started[future]  # repro-lint: ignore[D101] -- runner wall-clock accounting
-            )
-            if future in overdue:
-                if self._charge(
-                    index,
-                    "timeout",
-                    f"exceeded the {self.timeout:g}s per-point timeout",
-                ):
-                    retry.append(index)
-            else:
-                innocent.append(index)
-        self.queue.extend(innocent)
-        self.queue.extend(retry)
-        return self._rebuild_or_drain(terminate=True)
-
-    def _handle_done(self, future: Future) -> bool:
-        index = self.in_flight.pop(future)
-        self.spent[index] += (
-            perf_counter() - self.started.pop(future)  # repro-lint: ignore[D101] -- runner wall-clock accounting
-        )
-        self.deadlines.pop(future, None)
-        try:
-            result = future.result()
-        except BrokenExecutor:
-            return self._handle_break(extra_victims=(index,))
-        except Exception as exc:
-            if self._charge(index, "exception", _describe(exc)):
-                self.queue.append(index)
-            return True
-        self.finish(index, result)
-        return True
-
-    # -- main loop ------------------------------------------------------------
-
-    def run(self) -> None:
-        """Execute every miss; on return each index has a result or failure."""
-        if not self._build_pool():
-            self._drain_inline()
-            return
-        try:
-            while self.queue or self.in_flight:
-                if self.pool is None:
-                    # Inline drain already resolved everything left.
-                    return
-                if not self._submit_ready():
-                    continue
-                if not self.in_flight:
-                    continue
-                wait(
-                    list(self.in_flight),
-                    timeout=None if self.timeout is None else _POLL_SECONDS,
-                    return_when=FIRST_COMPLETED,
-                )
-                done = [f for f in self.in_flight if f.done()]
-                intact = True
-                for future in done:
-                    if future not in self.in_flight:
-                        continue  # a break handler already cleared the slot
-                    intact = self._handle_done(future)
-                    if not intact:
-                        break  # pool rebuilt or drained; done list is stale
-                if not intact or self.pool is None:
-                    continue
-                if self.timeout is not None and not done:
-                    now = perf_counter()  # repro-lint: ignore[D101] -- runner wall-clock accounting
-                    overdue = [
-                        f
-                        for f, deadline in self.deadlines.items()
-                        if deadline is not None
-                        and now > deadline
-                        and f in self.in_flight
-                        and not f.done()
-                    ]
-                    if overdue:
-                        self._handle_timeouts(overdue)
-            self._resolve_suspects()
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=True)
-                self.pool = None
-
-    # -- suspect resolution ---------------------------------------------------
-
-    def _resolve_suspects(self) -> None:
-        """Re-run each pool-break suspect alone in a fresh one-worker pool.
-
-        Solo execution makes blame definitive: if the pool breaks again
-        only this point can be the crasher, and it is charged and retried
-        until its budget runs out; an innocent point simply completes.
-        Suspects never run inline — a crasher would take this process with
-        it.
-        """
-        for index in self.suspects:
-            self._resolve_one_suspect(index)
-        self.suspects.clear()
-
-    def _resolve_one_suspect(self, index: int) -> None:
-        while True:
-            start = perf_counter()  # repro-lint: ignore[D101] -- runner wall-clock accounting
-            try:
-                solo = self.factory(1)
-            except Exception as exc:
-                self.failures[index] = max(1, self.failures[index])
-                self._point_failure(
-                    index, "crash", f"could not build a solo executor: {_describe(exc)}"
-                )
-                return
-            kind = error = None
-            result = None
-            try:
-                future = solo.submit(_execute_point, self.specs[index])
-                deadline = None if self.timeout is None else start + self.timeout
-                while not future.done():
-                    wait([future], timeout=_POLL_SECONDS)
-                    if (
-                        deadline is not None
-                        and not future.done()
-                        and perf_counter() > deadline  # repro-lint: ignore[D101] -- runner wall-clock accounting
-                    ):
-                        _terminate_pool(solo)
-                        kind, error = (
-                            "timeout",
-                            f"exceeded the {self.timeout:g}s per-point timeout",
-                        )
-                        break
-                if kind is None:
-                    try:
-                        result = future.result()
-                    except BrokenExecutor:
-                        kind, error = "crash", "worker process died while running this point"
-                    except Exception as exc:
-                        kind, error = "exception", _describe(exc)
-            finally:
-                try:
-                    solo.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-            self.spent[index] += perf_counter() - start  # repro-lint: ignore[D101] -- runner wall-clock accounting
-            if kind is None:
-                assert result is not None
-                self.finish(index, result)
-                return
-            if not self._charge(index, kind, error):
-                return
-
-
-def _run_inline(
-    spec: ExperimentSpec,
-    *,
-    retries: int,
-    retry_backoff: float,
-    metrics: MetricsRegistry | None = None,
-) -> PointResult | PointFailure:
-    """Run one spec in this process with exception retries.
-
-    Timeouts are not enforceable inline (there is no worker to kill) and a
-    genuinely crashing point takes the process down — inline mode trades
-    those protections for zero pickling overhead.
-    """
-    failure_count = 0
-    started = perf_counter()  # repro-lint: ignore[D101] -- runner wall-clock accounting
-    while True:
-        try:
-            return _execute_point(spec)
-        except Exception as exc:
-            failure_count += 1
-            if metrics is not None:
-                metrics.counter("sweep.exceptions").value += 1
-            if failure_count > max(0, retries):
-                return PointFailure(
-                    spec=spec,
-                    error=_describe(exc),
-                    kind="exception",
-                    attempts=failure_count,
-                    wall_seconds=perf_counter() - started,  # repro-lint: ignore[D101] -- reporting only
-                )
-            if metrics is not None:
-                metrics.counter("sweep.retries").value += 1
-            _backoff(retry_backoff, failure_count)
 
 
 __all__ = [

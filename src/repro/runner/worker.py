@@ -1,8 +1,10 @@
-"""Stdin/stdout sweep worker (the far end of the ``subprocess`` backend).
+"""Sweep worker: the far end of every parallel backend's pipe pair.
 
-``python -m repro.runner.worker`` speaks a line-oriented JSON protocol on
-stdin/stdout — the shape an SSH-launched remote worker would speak, which
-is why the transport is pipes and text rather than something richer:
+:func:`serve` speaks a line-oriented JSON protocol over two text streams —
+the forked children of ``LocalBackend`` call it on their pipe ends, and
+``python -m repro.runner.worker`` calls it on stdin/stdout, the shape an
+SSH-launched remote worker would speak, which is why the transport is
+pipes and text rather than something richer:
 
 * ``{"op": "init", "workloads": [{"name": ..., "points": [[size, cdf], ...]}]}``
   registers runtime-defined workload CDFs (scenario-inline workloads are
@@ -28,11 +30,8 @@ import pickle
 import sys
 from typing import IO, Any
 
+from repro.runner.failures import _describe
 from repro.workloads import FlowSizeDistribution, register_workload
-
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
 def _reply(out: IO[str], payload: dict[str, Any]) -> None:
@@ -124,8 +123,18 @@ def serve(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
 
 
 def main() -> int:
-    """Entry point for ``python -m repro.runner.worker``."""
-    return serve()
+    """Entry point for ``python -m repro.runner.worker``.
+
+    The protocol keeps the original stdout to itself: while serving,
+    ``sys.stdout`` is stderr, so a point that ``print``s cannot interleave
+    text with the reply stream.
+    """
+    protocol = sys.stdout
+    sys.stdout = sys.stderr
+    try:
+        return serve(sys.stdin, protocol)
+    finally:
+        sys.stdout = protocol
 
 
 if __name__ == "__main__":

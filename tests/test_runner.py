@@ -23,6 +23,7 @@ from repro.apps.traffic import tcp_flow_factory
 from repro.lb import EcmpSelector
 from repro.runner import (
     DEFAULT_CACHE_DIR,
+    Backend,
     ResultCache,
     derive_seeds,
     run_sweep,
@@ -249,8 +250,11 @@ class TestSweepHelpers:
         assert all(s.num_flows == TINY.num_flows for s in specs)
 
 
-def _forbidden_executor(workers):
-    raise AssertionError("executor must not be constructed on a full cache hit")
+class _ForbiddenBackend(Backend):
+    name = "forbidden"
+
+    def execute(self, specs, misses, *, finish, fail, metrics=None, telemetry=None):
+        raise AssertionError("backend must not be reached on a full cache hit")
 
 
 class TestRunSweep:
@@ -292,14 +296,13 @@ class TestRunSweep:
         first = run_sweep(specs, workers=0, cache=cache)
         assert first.executed == len(specs)
         assert len(cache) == len(specs)
-        # Poisoned executor factory: any attempt to execute (rather than
-        # serve from cache) blows up, proving zero submissions.
+        # Poisoned backend: any attempt to execute (rather than serve from
+        # cache) blows up, proving zero submissions.
         lines = []
         second = run_sweep(
             specs,
-            workers=4,
             cache=cache,
-            executor_factory=_forbidden_executor,
+            backend=_ForbiddenBackend(),
             progress=lines.append,
         )
         assert second.executed == 0

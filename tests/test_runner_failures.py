@@ -7,14 +7,19 @@ the result cache uncorrupted throughout.
 
 The chaos schemes here misbehave *inside* ``make_selector`` so the damage
 happens in the worker that executes the point, not at spec construction.
-They are registered at import time (for the parent and forked workers) and
-again via the ``ProcessPoolExecutor`` initializer (for spawned workers).
+They are registered at import time: forked workers inherit that, and
+exec'd workers are launched with a command that imports this module.
 """
 
+import base64
+import functools
+import io
+import json
 import os
 import pickle
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,14 @@ from repro.apps import ExperimentSpec
 from repro.apps.experiment import SchemeSpec, register_scheme
 from repro.apps.traffic import tcp_flow_factory
 from repro.lb import EcmpSelector
-from repro.runner import PointFailure, ResultCache, run_sweep
+from repro.runner import (
+    LocalBackend,
+    PointFailure,
+    ResultCache,
+    SubprocessBackend,
+    run_sweep,
+    worker,
+)
 from repro.runner.failures import FAILURE_KINDS
 
 
@@ -39,23 +51,55 @@ def _error_selector():
     raise RuntimeError("chaos: injected point failure")
 
 
-def _register_chaos_schemes():
-    """Register the misbehaving schemes (idempotent; used as pool initializer)."""
-    for name, selector in (
-        ("chaos-crash", _crash_selector),
-        ("chaos-sleep", _sleep_selector),
-        ("chaos-error", _error_selector),
-    ):
-        register_scheme(
-            SchemeSpec(name, selector, tcp_flow_factory), replace=True
-        )
+def _print_selector():
+    print("chaos: a point that prints")
+    return EcmpSelector.factory()
 
 
-_register_chaos_schemes()
+def _nap_selector(nap):
+    """Log one line per execution to $REPRO_CHAOS_LOG, then sleep ``nap`` s."""
+
+    def make_selector():
+        with open(os.environ["REPRO_CHAOS_LOG"], "a") as log:
+            log.write(f"{nap}\n")
+        time.sleep(nap)
+        return EcmpSelector.factory()
+
+    return make_selector
 
 
-def _chaos_pool(n):
-    return ProcessPoolExecutor(max_workers=n, initializer=_register_chaos_schemes)
+for _name, _selector in (
+    ("chaos-crash", _crash_selector),
+    ("chaos-sleep", _sleep_selector),
+    ("chaos-error", _error_selector),
+    ("chaos-print", _print_selector),
+    ("chaos-nap-1.0", _nap_selector(1.0)),
+    ("chaos-nap-1.5", _nap_selector(1.5)),
+):
+    register_scheme(SchemeSpec(_name, _selector, tcp_flow_factory), replace=True)
+
+
+#: A worker command whose fresh interpreter knows the chaos schemes.
+_CHAOS_WORKER = [
+    sys.executable, "-u", "-c",
+    "import sys, tests.test_runner_failures\n"
+    "from repro.runner import worker\n"
+    "sys.exit(worker.main())",
+]
+
+
+@pytest.fixture(params=["fork", "exec"])
+def make_backend(request, monkeypatch):
+    """The parallel backend constructor, once per way of launching a child."""
+    if request.param == "fork":
+        return LocalBackend
+    repo_root = str(Path(__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv(
+        "PYTHONPATH",
+        repo_root if not inherited else repo_root + os.pathsep + inherited,
+    )
+    return functools.partial(SubprocessBackend, command=_CHAOS_WORKER)
 
 
 def _tiny(scheme, seed=1):
@@ -126,11 +170,11 @@ def test_inline_retry_can_succeed(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Worker-process death (the chaos-smoke gate in CI)
+# Misbehaving points on worker processes (the chaos-smoke gate in CI)
 
 
 @pytest.mark.chaos_smoke
-def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path):
+def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path, make_backend):
     cache = ResultCache(tmp_path / "cache")
     specs = [
         _tiny("ecmp", seed=1),
@@ -140,11 +184,8 @@ def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path):
     ]
     sweep = run_sweep(
         specs,
-        workers=2,
         cache=cache,
-        executor_factory=_chaos_pool,
-        retries=1,
-        retry_backoff=0.0,
+        backend=make_backend(workers=2, retries=1, retry_backoff=0.0),
     )
     assert len(sweep.points) == 4
     failures = sweep.failures
@@ -152,7 +193,8 @@ def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path):
     assert failures[0].kind == "crash"
     assert failures[0].spec.scheme == "chaos-crash"
     assert failures[0].attempts == 2
-    # Every good point completed despite sharing a pool with the crasher.
+    assert sweep.metrics.counters["sweep.crashes"] == 2
+    # Every good point completed despite sharing the sweep with the crasher.
     good = [p for p in sweep.points if not isinstance(p, PointFailure)]
     assert len(good) == 3
     assert all(p.completed == p.arrivals for p in good)
@@ -165,26 +207,104 @@ def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path):
 
 
 @pytest.mark.chaos_smoke
-def test_point_timeout_is_killed_and_reported(tmp_path):
+def test_point_timeout_is_killed_and_reported(tmp_path, make_backend):
     cache = ResultCache(tmp_path / "cache")
     specs = [_tiny("chaos-sleep"), _tiny("ecmp", seed=3), _tiny("ecmp", seed=4)]
     sweep = run_sweep(
         specs,
-        workers=2,
         cache=cache,
-        executor_factory=_chaos_pool,
-        timeout=2.0,
-        retries=0,
-        retry_backoff=0.0,
+        backend=make_backend(
+            workers=2, timeout=2.0, retries=0, retry_backoff=0.0
+        ),
     )
     failures = sweep.failures
     assert len(failures) == 1
     assert failures[0].kind == "timeout"
     assert failures[0].spec.scheme == "chaos-sleep"
     good = [p for p in sweep.points if not isinstance(p, PointFailure)]
-    assert len(good) == 2  # innocents requeued after the pool kill
+    assert len(good) == 2
     assert all(p.completed == p.arrivals for p in good)
     assert len(cache) == 2
+
+
+@pytest.mark.chaos_smoke
+def test_worker_exception_is_retried_and_reported(make_backend):
+    specs = [_tiny("ecmp"), _tiny("chaos-error")]
+    sweep = run_sweep(
+        specs,
+        cache=None,
+        backend=make_backend(workers=2, retries=1, retry_backoff=0.0),
+    )
+    good, bad = sweep.points
+    assert good.completed == good.arrivals
+    assert isinstance(bad, PointFailure)
+    assert bad.kind == "exception"
+    assert bad.attempts == 2
+    assert "chaos: injected point failure" in bad.error
+    # The worker survived the exception: nothing was restarted for it.
+    assert sweep.metrics.counters["sweep.exceptions"] == 2
+    assert sweep.metrics.counters["sweep.worker_restarts"] == 0
+
+
+@pytest.mark.chaos_smoke
+def test_hanging_points_time_out_however_many_there_are():
+    # More hangers than any restart budget: each must still be killed at
+    # its deadline, on a worker, never run in this process.  (Forked
+    # workers only: an exec'd replacement's start-up is not what is timed.)
+    workers, timeout, retries = 2, 1.0, 1
+    specs = [_tiny("chaos-sleep", seed=seed) for seed in range(1, 6)]
+    specs.insert(2, _tiny("ecmp"))
+    started = time.perf_counter()
+    sweep = run_sweep(
+        specs,
+        workers=workers,
+        cache=None,
+        timeout=timeout,
+        retries=retries,
+        retry_backoff=0.0,
+    )
+    wall = time.perf_counter() - started
+    assert [f.kind for f in sweep.failures] == ["timeout"] * 5
+    assert all(f.attempts == retries + 1 for f in sweep.failures)
+    healthy = sweep.points[2]
+    assert not isinstance(healthy, PointFailure)
+    assert healthy.completed == healthy.arrivals
+    assert wall < 2 * 5 * (retries + 1) * timeout / workers
+
+
+@pytest.mark.chaos_smoke
+def test_timeout_kills_only_the_overdue_worker(tmp_path, monkeypatch):
+    # One worker naps 1.0 s then 1.5 s; the other hangs and is killed at
+    # 2.0 s, while the second nap is in flight.  The napper must not lose
+    # its work to the kill: each nap is executed exactly once.
+    log = tmp_path / "executions.log"
+    monkeypatch.setenv("REPRO_CHAOS_LOG", str(log))
+    specs = [_tiny("chaos-nap-1.0"), _tiny("chaos-sleep"), _tiny("chaos-nap-1.5")]
+    sweep = run_sweep(
+        specs, workers=2, cache=None, timeout=2.0, retries=0, retry_backoff=0.0
+    )
+    assert [f.spec.scheme for f in sweep.failures] == ["chaos-sleep"]
+    assert sweep.failures[0].kind == "timeout"
+    assert sorted(log.read_text().split()) == ["1.0", "1.5"]
+    assert sweep.metrics.counters["sweep.worker_restarts"] == 1
+    assert sweep.metrics.counters["sweep.timeouts"] == 1
+
+
+def test_printing_point_cannot_corrupt_the_reply_stream(monkeypatch):
+    blob = base64.b64encode(pickle.dumps(_tiny("chaos-print"))).decode()
+    requests = [{"op": "init"}, {"op": "run", "id": 7, "spec": blob}, {"op": "exit"}]
+    monkeypatch.setattr(
+        sys, "stdin", io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    )
+    protocol, stderr = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", protocol)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert worker.main() == 0
+    assert sys.stdout is protocol  # restored after serving
+    replies = [json.loads(line) for line in protocol.getvalue().splitlines()]
+    assert [r.get("op", r.get("id")) for r in replies] == ["init", 7, "exit"]
+    assert all(r["ok"] for r in replies)
+    assert "chaos: a point that prints" in stderr.getvalue()
 
 
 # ---------------------------------------------------------------------------
