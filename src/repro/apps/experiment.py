@@ -236,71 +236,69 @@ def execute_experiment(
         # Attach before any component is built so construction-time events
         # (e.g. time-0 fault applications) are captured too.
         sim.tracer = obs.make_tracer()
-    if isinstance(config, MultiPodConfig):
-        fabric: Fabric = build_multipod(sim, config)
-    else:
-        fabric = build_leaf_spine(sim, config)
-    fabric.finalize(spec.make_selector())
-    if spec.post_setup is not None:
-        spec.post_setup(sim, fabric)
-    for leaf_id, spine_id, which in failed_links or []:
-        fabric.fail_link(leaf_id, spine_id, which)
-    # Construct the injector before monitors attach: time-0 faults are
-    # initial conditions, and declarative monitor specs (which exclude down
-    # ports) must resolve against the already-degraded fabric.  With an
-    # empty schedule nothing is constructed, keeping fault-free runs
-    # event-for-event identical to the pre-fault-plane kernel stream.
-    injector = FaultInjector(sim, fabric, faults) if faults else None
+    imbalance = queues = timeline = None
+    try:
+        if isinstance(config, MultiPodConfig):
+            fabric: Fabric = build_multipod(sim, config)
+        else:
+            fabric = build_leaf_spine(sim, config)
+        fabric.finalize(spec.make_selector())
+        if spec.post_setup is not None:
+            spec.post_setup(sim, fabric)
+        for leaf_id, spine_id, which in failed_links or []:
+            fabric.fail_link(leaf_id, spine_id, which)
+        # Construct the injector before monitors attach: time-0 faults are
+        # initial conditions, and declarative monitor specs (which exclude down
+        # ports) must resolve against the already-degraded fabric.  With an
+        # empty schedule nothing is constructed, keeping fault-free runs
+        # event-for-event identical to the pre-fault-plane kernel stream.
+        injector = FaultInjector(sim, fabric, faults) if faults else None
 
-    imbalance = None
-    if monitor_imbalance_leaf is not None:
-        # Scaled-down runs are much shorter than the testbed's, so sample
-        # every 1 ms by default instead of the paper's 10 ms windows.
-        interval = imbalance_interval or milliseconds(1)
-        imbalance = ThroughputImbalanceMonitor(
-            sim, list(fabric.leaves[monitor_imbalance_leaf].uplinks), interval
-        )
-        imbalance.start()
-    queues = None
-    if monitor_queue_ports is not None:
-        queues = QueueMonitor(
-            sim, monitor_queue_ports(fabric), queue_interval or milliseconds(1)
-        )
-        queues.start()
+        if monitor_imbalance_leaf is not None:
+            # Scaled-down runs are much shorter than the testbed's, so sample
+            # every 1 ms by default instead of the paper's 10 ms windows.
+            interval = imbalance_interval or milliseconds(1)
+            imbalance = ThroughputImbalanceMonitor(
+                sim, list(fabric.leaves[monitor_imbalance_leaf].uplinks), interval
+            )
+            imbalance.start()
+        if monitor_queue_ports is not None:
+            queues = QueueMonitor(
+                sim, monitor_queue_ports(fabric), queue_interval or milliseconds(1)
+            )
+            queues.start()
 
-    traffic = CrossRackTraffic(
-        sim,
-        fabric,
-        workload,
-        load,
-        flow_factory=spec.make_flow_factory(tcp_params),
-        num_flows=num_flows,
-        size_scale=size_scale,
-        clients=clients,
-        on_all_done=sim.stop,
-    )
-    traffic.start()
-    timeline = None
-    if obs is not None and obs.timeline is not None:
-        # Constructed after traffic so goodput/RTO series can read its
-        # stats; sampling is strictly read-only (see repro.obs.timeline),
-        # so flow records stay bit-identical with the collector on or off.
-        timeline = TimelineCollector(
-            sim, fabric, obs.timeline, traffic=traffic, injector=injector
+        traffic = CrossRackTraffic(
+            sim,
+            fabric,
+            workload,
+            load,
+            flow_factory=spec.make_flow_factory(tcp_params),
+            num_flows=num_flows,
+            size_scale=size_scale,
+            clients=clients,
+            on_all_done=sim.stop,
         )
-        timeline.start()
-    sim.run(until=deadline)
-
-    if imbalance is not None:
-        imbalance.stop()
-    if queues is not None:
-        queues.stop()
-    if timeline is not None:
-        timeline.stop()
-    if sim.tracer is not None:
-        # Flush/close the optional NDJSON stream sink; the in-memory ring
-        # stays readable for snapshotting.
-        sim.tracer.close()
+        traffic.start()
+        if obs is not None and obs.timeline is not None:
+            # Constructed after traffic so goodput/RTO series can read its
+            # stats; sampling is strictly read-only (see repro.obs.timeline),
+            # so flow records stay bit-identical with the collector on or off.
+            timeline = TimelineCollector(
+                sim, fabric, obs.timeline, traffic=traffic, injector=injector
+            )
+            timeline.start()
+        sim.run(until=deadline)
+    finally:
+        # Also when construction or a callback raised: the stream handle
+        # opened above must not outlive the run.
+        for monitor in (imbalance, queues, timeline):
+            if monitor is not None:
+                monitor.stop()
+        if sim.tracer is not None:
+            # Flush/close the optional NDJSON stream sink; the in-memory
+            # ring stays readable for snapshotting.
+            sim.tracer.close()
     return ExperimentResult(
         scheme=spec.name,
         workload=workload.name,

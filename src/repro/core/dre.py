@@ -155,14 +155,8 @@ class DRE:
             metric = self._max_metric if level > self._max_metric else level
             tracer = self.sim.tracer
             if tracer is not None and tracer.dre:
-                tracer.emit(
-                    DreSampled(  # repro-lint: ignore[E302] -- tracer-gated: allocates only when dre tracing is enabled, never on the bare hot path (perf bench enforces <3% overhead)
-                        time=self.sim.now,
-                        link=self.name,
-                        register=register,
-                        utilization=utilization,
-                        metric=metric,
-                    )
+                tracer.record(
+                    DreSampled, self.sim._now, self.name, register, utilization, metric
                 )
             if metric > header.ce:
                 header.ce = metric
@@ -186,14 +180,8 @@ class DRE:
         metric = min(level, self.params.max_metric)
         tracer = self.sim.tracer
         if tracer is not None and tracer.dre:
-            tracer.emit(
-                DreSampled(
-                    time=self.sim.now,
-                    link=self.name,
-                    register=self._register,
-                    utilization=utilization,
-                    metric=metric,
-                )
+            tracer.record(
+                DreSampled, self.sim._now, self.name, self._register, utilization, metric
             )
         return metric
 

@@ -71,14 +71,8 @@ class CongestionToLeafTable:
         cell.valid = True
         tracer = self.sim.tracer
         if tracer is not None and tracer.table:
-            tracer.emit(
-                CongaTableUpdated(
-                    time=self.sim.now,
-                    leaf=self.owner,
-                    dst_leaf=dst_leaf,
-                    lbtag=lbtag,
-                    metric=metric,
-                )
+            tracer.record(
+                CongaTableUpdated, self.sim._now, self.owner, dst_leaf, lbtag, metric
             )
 
     def metric(self, dst_leaf: int, lbtag: int) -> int:
@@ -103,15 +97,8 @@ class CongestionToLeafTable:
             aged = int(cell.value * (1.0 - overshoot / age_time))
         tracer = self.sim.tracer
         if tracer is not None and tracer.table:
-            tracer.emit(
-                CongaTableAged(
-                    time=self.sim.now,
-                    leaf=self.owner,
-                    dst_leaf=dst_leaf,
-                    lbtag=lbtag,
-                    stored=cell.value,
-                    aged=aged,
-                )
+            tracer.record(
+                CongaTableAged, self.sim._now, self.owner, dst_leaf, lbtag, cell.value, aged
             )
         return aged
 

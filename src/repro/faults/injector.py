@@ -65,13 +65,7 @@ class FaultInjector:
         tracer = self.sim.tracer
         if tracer is not None and tracer.fault:
             cls = FaultRestored if event.restores() else FaultApplied
-            tracer.emit(
-                cls(
-                    time=self.sim.now,
-                    kind=type(event).__name__,
-                    fault=repr(event),
-                )
-            )
+            tracer.record(cls, self.sim._now, type(event).__name__, repr(event))
 
     def _snapshot_asymmetry(self) -> None:
         """Fold the fabric's current per-tier asymmetry into the peaks.

@@ -92,7 +92,7 @@ class CaftSelector(CongaSelector):
     ) -> int:
         leaf = self.leaf
         table = leaf.to_leaf_table
-        now = leaf.sim.now
+        now = leaf.sim._now
         local_metrics = [leaf.local_metric(uplink) for uplink in candidates]
         remote_metrics = [table.metric(dst_leaf, uplink) for uplink in candidates]
         metrics = [max(lo, rm) for lo, rm in zip(local_metrics, remote_metrics)]
@@ -146,18 +146,10 @@ class CaftSelector(CongaSelector):
             tracer = leaf.sim.tracer
             if tracer is not None and tracer.fault:
                 congestion_choice = candidates[metrics.index(congestion_best)]
-                tracer.emit(
-                    FaultRerouted(
-                        time=now,
-                        node=leaf.name,
-                        dst_leaf=dst_leaf,
-                        flow_id=flow_id,
-                        chosen=choice,
-                        congestion_choice=congestion_choice,
-                        candidates=tuple(candidates),
-                        metrics=tuple(metrics),
-                        healths=tuple(healths),
-                    )
+                tracer.record(
+                    FaultRerouted, now, leaf.name, dst_leaf, flow_id,
+                    choice, congestion_choice,
+                    tuple(candidates), tuple(metrics), tuple(healths),
                 )
         return choice
 

@@ -77,18 +77,10 @@ class CongaSelector(UplinkSelector):
             choice = ties[int(self._rng.integers(len(ties)))]
         tracer = leaf.sim.tracer
         if tracer is not None and tracer.flowlet:
-            tracer.emit(
-                FlowletRerouted(
-                    time=leaf.sim.now,
-                    leaf=leaf.leaf_id,
-                    dst_leaf=dst_leaf,
-                    flow_id=flow_id,
-                    chosen=choice,
-                    previous=previous,
-                    candidates=tuple(candidates),
-                    local_metrics=tuple(local_metrics),
-                    remote_metrics=tuple(remote_metrics),
-                )
+            tracer.record(
+                FlowletRerouted, leaf.sim._now, leaf.leaf_id, dst_leaf, flow_id,
+                choice, previous,
+                tuple(candidates), tuple(local_metrics), tuple(remote_metrics),
             )
         return choice
 

@@ -282,7 +282,7 @@ class Port:
             self.queue.stats.dropped_bytes += packet.size
             tracer = self.sim.tracer
             if tracer is not None and tracer.drop:
-                tracer.emit(self._drop_event(packet, "link-down"))
+                self._drop_event(tracer, packet, "link-down")
             return False
         queue = self.queue
         size = packet.size
@@ -296,7 +296,7 @@ class Port:
             stats.dropped_bytes += size
             tracer = self.sim.tracer
             if tracer is not None and tracer.drop:
-                tracer.emit(self._drop_event(packet, "queue-full"))
+                self._drop_event(tracer, packet, "queue-full")
             return False
         stats = queue.stats
         if not self._transmitting:
@@ -334,13 +334,9 @@ class Port:
             stats.max_bytes = occupancy
         return True
 
-    def _drop_event(self, packet: Packet, reason: str) -> PacketDropped:
-        return PacketDropped(  # repro-lint: ignore[E302] -- drop path only: callers gate on tracer.drop before building the event; steady-state trains never reach here
-            time=self.sim.now,
-            port=self.name,
-            flow_id=packet.flow_id,
-            size=packet.size,
-            reason=reason,
+    def _drop_event(self, tracer, packet: Packet, reason: str) -> None:
+        tracer.record(
+            PacketDropped, self.sim._now, self.name, packet.flow_id, packet.size, reason
         )
 
     def _lose(self, packet: Packet, reason: str) -> None:
@@ -348,7 +344,7 @@ class Port:
         self.lost_packets += 1
         tracer = self.sim.tracer
         if tracer is not None and tracer.drop:
-            tracer.emit(self._drop_event(packet, reason))
+            self._drop_event(tracer, packet, reason)
 
     def _advance(self, packet: Packet) -> None:
         """Advance the serialization train at one boundary (single event).

@@ -21,6 +21,9 @@ mirrors the places where CONGA behaviour is otherwise invisible:
 Events are plain values: picklable, comparable, and serializable to one
 JSON object each (see :func:`event_payload`), so traces cross process
 boundaries and land in NDJSON files without any live simulator state.
+They are the *read-side* types: an emit site passes the class and its
+field values to ``Tracer.record`` (positionally, in the field order
+declared here) and an instance is built only when a trace is read.
 This module must stay dependency-free — every instrumented hot path
 imports it.
 """

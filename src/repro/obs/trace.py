@@ -2,11 +2,12 @@
 
 A :class:`Tracer` is attached to a :class:`~repro.sim.Simulator` as
 ``sim.tracer`` (``None`` by default).  Instrumented hot paths gate on
-exactly two cheap checks::
+exactly two cheap checks and pass the event class and its field values,
+never a built event::
 
     tracer = self.sim.tracer
     if tracer is not None and tracer.flowlet:
-        tracer.emit(FlowletRerouted(...))
+        tracer.record(FlowletRerouted, self.sim._now, leaf_id, ...)
 
 so a run without a tracer pays one attribute load and an ``is None`` test
 per potential event — the "zero overhead when disabled" contract that the
@@ -16,10 +17,18 @@ per potential event — the "zero overhead when disabled" contract that the
 tracer with a narrow filter skips uninteresting categories without any
 set lookup.
 
-Tracing *observes* and never perturbs: emitting appends to a bounded
-``deque`` (oldest events fall off when ``limit`` is exceeded), consumes no
+Tracing *observes* and never perturbs: recording appends to a bounded
+``deque`` (oldest entries fall off when ``limit`` is exceeded), consumes no
 RNG stream, and schedules nothing — the golden digests in ``tests/golden``
 are bit-identical with tracing off and on.
+
+The ring and :class:`TraceLog` hold *rows*, and only this module knows
+their layout: a row is :meth:`Tracer.record`'s own argument tuple,
+``(EventClass, time, *fields)`` in dataclass field order.  A typed event
+is built only where one is read (``events``/``select``); NDJSON lines,
+Chrome records and digests come from the rows directly.  An already-built
+event handed to :meth:`Tracer.emit` is stored as it is, so every reader
+takes either kind of entry.
 
 Exports: NDJSON (one JSON object per line, stable field order) and the
 Chrome ``trace_event`` JSON format, loadable in ``chrome://tracing`` /
@@ -62,12 +71,35 @@ def _normalize_categories(categories: object) -> tuple[str, ...]:
     return tuple(name for name in CATEGORIES if name in wanted)
 
 
-def _ndjson_line(event: TraceEvent) -> str:
-    return json.dumps(event_payload(event), sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _chrome_record(event: TraceEvent) -> dict:
-    payload = event_payload(event)
+def _payload(entry) -> dict:
+    """:func:`event_payload` of a ring entry, without building the event."""
+    if type(entry) is not tuple:
+        return event_payload(entry)
+    cls = entry[0]
+    payload = {"name": cls.name, "cat": cls.category}
+    for name, value in zip(cls.__match_args__, entry[1:]):
+        payload[name] = list(value) if type(value) is tuple else value
+    return payload
+
+
+def _event(entry) -> TraceEvent:
+    return entry[0](*entry[1:]) if type(entry) is tuple else entry
+
+
+def _category(entry) -> str:
+    return (entry[0] if type(entry) is tuple else entry).category
+
+
+def _ndjson_line(entry) -> str:
+    return _encode(_payload(entry))
+
+
+def _chrome_record(entry) -> dict:
+    payload = _payload(entry)
     return {
         "name": payload.pop("name"),
         "cat": payload.pop("cat"),
@@ -75,7 +107,7 @@ def _chrome_record(event: TraceEvent) -> dict:
         "s": "g",  # global scope
         "ts": payload["time"] / 1000.0,  # trace_event wants microseconds
         "pid": 1,
-        "tid": CATEGORIES.index(event.category) + 1,
+        "tid": CATEGORIES.index(_category(entry)) + 1,
         "args": payload,
     }
 
@@ -84,34 +116,46 @@ def _chrome_record(event: TraceEvent) -> dict:
 class TraceLog:
     """A frozen, picklable snapshot of a tracer's buffer.
 
-    ``events`` holds the retained ring-buffer contents in emission order;
+    ``rows`` holds the retained ring-buffer entries in emission order (see
+    the module docstring; read them through ``events``/``select``);
     ``emitted`` counts everything ever offered, so ``dropped`` is how many
     old events the ring evicted.  All export/digest helpers live here so a
     :class:`~repro.apps.spec.PointResult` carries them across process and
     cache boundaries.
     """
 
-    events: tuple[TraceEvent, ...]
+    rows: tuple
     categories: tuple[str, ...]
     limit: int
     emitted: int
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before the row format (old ``.repro-cache`` entries)
+        # carry built events under ``events``; those are legal entries.
+        if "events" in state:
+            state["rows"] = state.pop("events")
+        self.__dict__.update(state)
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The retained events, typed — built from the rows on every read."""
+        return tuple(map(_event, self.rows))
+
     @property
     def dropped(self) -> int:
         """Events evicted from the ring buffer (emitted − retained)."""
-        return max(0, self.emitted - len(self.events))
+        return max(0, self.emitted - len(self.rows))
 
     def select(self, *categories: str) -> tuple[TraceEvent, ...]:
         """Retained events restricted to the given categories (all if none)."""
         if not categories:
             return self.events
         wanted = set(_normalize_categories(list(categories)))
-        return tuple(e for e in self.events if e.category in wanted)
+        return tuple(_event(row) for row in self.rows if _category(row) in wanted)
 
     def ndjson_lines(self) -> Iterator[str]:
         """One compact JSON object per retained event, in emission order."""
-        for event in self.events:
-            yield _ndjson_line(event)
+        return map(_ndjson_line, self.rows)
 
     def write_ndjson(self, path: str | Path) -> Path:
         """Write the NDJSON export to ``path``; returns the path."""
@@ -124,7 +168,7 @@ class TraceLog:
     def chrome_trace(self) -> dict:
         """The Chrome ``trace_event`` JSON document (JSON Object Format)."""
         return {
-            "traceEvents": [_chrome_record(event) for event in self.events],
+            "traceEvents": [_chrome_record(row) for row in self.rows],
             "displayTimeUnit": "ns",
             "metadata": {
                 "categories": list(self.categories),
@@ -152,7 +196,7 @@ class TraceLog:
         return hasher.hexdigest()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
 
 class Tracer:
@@ -196,7 +240,7 @@ class Tracer:
         self.limit = limit
         self.emitted = 0
         self.stream_path = Path(stream_path) if stream_path is not None else None
-        self._buffer: deque[TraceEvent] = deque(maxlen=limit)
+        self._buffer: deque = deque(maxlen=limit)
         self._stream = (
             # Opt-in observability sink, opened once per run, never on a
             # hot path without an explicit trace_path knob.
@@ -214,8 +258,19 @@ class Tracer:
         """Whether ``category`` is being recorded."""
         return category in self.categories
 
+    def record(self, *row) -> None:
+        """Record one event as ``(EventClass, time, *fields)``, unbuilt.
+
+        Callers gate on the category flag first and pass the values in
+        dataclass field order; the argument tuple itself is what is stored.
+        """
+        self.emitted += 1
+        self._buffer.append(row)
+        if self._stream is not None:
+            self._stream.write(_ndjson_line(row) + "\n")
+
     def emit(self, event: TraceEvent) -> None:
-        """Record one event (callers gate on the category flag first)."""
+        """Record an already-built event (emit sites use :meth:`record`)."""
         self.emitted += 1
         self._buffer.append(event)
         if self._stream is not None:
@@ -233,16 +288,13 @@ class Tracer:
         return max(0, self.emitted - len(self._buffer))
 
     def events(self, *categories: str) -> list[TraceEvent]:
-        """Retained events, optionally restricted to some categories."""
-        if not categories:
-            return list(self._buffer)
-        wanted = set(_normalize_categories(list(categories)))
-        return [e for e in self._buffer if e.category in wanted]
+        """Retained events, typed, optionally restricted to some categories."""
+        return list(self.snapshot().select(*categories))
 
     def snapshot(self) -> TraceLog:
         """Freeze the buffer into a picklable :class:`TraceLog`."""
         return TraceLog(
-            events=tuple(self._buffer),
+            rows=tuple(self._buffer),
             categories=self.categories,
             limit=self.limit,
             emitted=self.emitted,

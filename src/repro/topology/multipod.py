@@ -296,18 +296,10 @@ class PodSpineSwitch(SpineSwitch):
             tracer = self.sim.tracer
             if tracer is not None and tracer.fault:
                 congestion_choice = candidates[metrics.index(congestion_best)]
-                tracer.emit(
-                    FaultRerouted(
-                        time=self.sim.now,
-                        node=self.name,
-                        dst_leaf=dst_leaf,
-                        flow_id=packet.flow_id,
-                        chosen=choice,
-                        congestion_choice=congestion_choice,
-                        candidates=tuple(candidates),
-                        metrics=tuple(metrics),
-                        healths=tuple(healths),
-                    )
+                tracer.record(
+                    FaultRerouted, self.sim._now, self.name, dst_leaf, packet.flow_id,
+                    choice, congestion_choice,
+                    tuple(candidates), tuple(metrics), tuple(healths),
                 )
         return choice
 

@@ -394,15 +394,9 @@ class TcpSender:
                 self.dup_acks = 0
                 tracer = self.sim.tracer
                 if tracer is not None and tracer.tcp:
-                    tracer.emit(
-                        TcpStateChanged(
-                            time=self.sim.now,
-                            flow_id=self.flow_id,
-                            old_state=RECOVERY,
-                            new_state=OPEN,
-                            cwnd=self.cwnd,
-                            ssthresh=self.ssthresh,
-                        )
+                    tracer.record(
+                        TcpStateChanged, self.sim._now, self.flow_id,
+                        RECOVERY, OPEN, self.cwnd, self.ssthresh,
                     )
             else:
                 # NewReno partial ACK: retransmit the next hole, deflate by
@@ -433,15 +427,9 @@ class TcpSender:
         self.stats.fast_retransmits += 1
         tracer = self.sim.tracer
         if tracer is not None and tracer.tcp:
-            tracer.emit(
-                TcpStateChanged(
-                    time=self.sim.now,
-                    flow_id=self.flow_id,
-                    old_state=OPEN,
-                    new_state=RECOVERY,
-                    cwnd=self.cwnd,
-                    ssthresh=self.ssthresh,
-                )
+            tracer.record(
+                TcpStateChanged, self.sim._now, self.flow_id,
+                OPEN, RECOVERY, self.cwnd, self.ssthresh,
             )
         self.cc.on_loss(self)
         self._retransmit_head()
@@ -464,25 +452,13 @@ class TcpSender:
         self.cc.on_loss(self)
         tracer = self.sim.tracer
         if tracer is not None and tracer.tcp:
-            tracer.emit(
-                RtoFired(
-                    time=self.sim.now,
-                    flow_id=self.flow_id,
-                    rto=self.rto,
-                    backoff=self._backoff,
-                    inflight=inflight,
-                )
+            tracer.record(
+                RtoFired, self.sim._now, self.flow_id, self.rto, self._backoff, inflight
             )
             if old_state != OPEN:
-                tracer.emit(
-                    TcpStateChanged(
-                        time=self.sim.now,
-                        flow_id=self.flow_id,
-                        old_state=old_state,
-                        new_state=OPEN,
-                        cwnd=self.cwnd,
-                        ssthresh=self.ssthresh,
-                    )
+                tracer.record(
+                    TcpStateChanged, self.sim._now, self.flow_id,
+                    old_state, OPEN, self.cwnd, self.ssthresh,
                 )
         self._try_send()
         self._rto_timer.start(min(self.rto * self._backoff, self.params.max_rto))

@@ -9,14 +9,22 @@ Python functions defined under ``src/repro/<layer>/`` and divides by
 the same on every machine, so the budgets below are what the code reaches
 today with the last digit rounded up — not a tolerance.  (Python 3.12
 inlines comprehensions and lands slightly under them.)
+
+The obs-on case counts what tracing adds to that: one ``repro.obs`` frame
+per recorded event (``Tracer.record``) and not one generated dataclass
+``__init__`` (file ``<string>``) — an emit site passes fields, it never
+builds an event.
 """
 
 import os
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.apps import ExperimentSpec
+from repro.apps import ExperimentSpec, ObsSpec
+from repro.sim import Simulator
 
 #: Frames per kernel event each layer may spend on this point.
 BUDGET = {
@@ -32,39 +40,67 @@ BUDGET = {
 #: ... and all seven together (8.63 before the per-hop flattening).
 TOTAL_BUDGET = 5.16
 
+#: ``repro.obs`` frames inside ``Simulator.run`` per recorded trace event.
+#: (Before the ring stored rows each record also cost one generated
+#: ``__init__`` frame and one ``sim.now`` property frame; both are now 0.)
+OBS_FRAMES_PER_RECORD = 1
+
+#: Code compiled from a string: the ``__init__`` dataclasses generate.
+GENERATED = "<string>"
+
+SPEC = ExperimentSpec(
+    "conga", "enterprise", load=0.7, seed=11, num_flows=80, size_scale=0.05
+)
+
 
 def _frames_by_layer(fn):
-    """Run ``fn`` and count Python calls into each budgeted layer's files."""
+    """Run ``fn`` and count Python calls into each budgeted layer's files.
+
+    Also returns the ``obs`` and generated-``__init__`` calls made while
+    ``Simulator.run`` was on the stack.
+    """
     root = Path(repro.__file__).parent
-    prefixes = [(str(root / layer) + os.sep, layer) for layer in BUDGET]
+    layers = [*BUDGET, "obs"]
+    prefixes = [(str(root / layer) + os.sep, layer) for layer in layers]
     counts = dict.fromkeys(BUDGET, 0)
+    in_run = {"obs": 0, GENERATED: 0}
     layer_of = {}
+    run_code = Simulator.run.__code__
+    running = False
 
     def profiler(frame, event, _arg):
+        nonlocal running
+        code = frame.f_code
+        if code is run_code and event in ("call", "return"):
+            running = event == "call"  # c_call/c_return carry run's frame too
         if event != "call":
             return
-        code = frame.f_code
         layer = layer_of.get(code)
         if layer is None:
             filename = code.co_filename
-            layer = next((name for prefix, name in prefixes if filename.startswith(prefix)), "")
+            layer = GENERATED if filename == GENERATED else next(
+                (name for prefix, name in prefixes if filename.startswith(prefix)), ""
+            )
             layer_of[code] = layer
-        if layer:
+        if layer in counts:
             counts[layer] += 1
+        elif running and layer:
+            in_run[layer] += 1
 
     sys.setprofile(profiler)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
-    return result, counts
+    return result, counts, in_run
 
 
-def test_packet_path_stays_within_its_frame_budget():
-    spec = ExperimentSpec(
-        "conga", "enterprise", load=0.7, seed=11, num_flows=80, size_scale=0.05
-    )
-    live, counts = _frames_by_layer(spec.run_live)
+@pytest.fixture(scope="module")
+def untraced():
+    return _frames_by_layer(SPEC.run_live)
+
+
+def _assert_within_budget(live, counts):
     events = live.sim.events_executed
     assert events > 20_000  # big enough that fabric construction is noise
     per_event = {layer: calls / events for layer, calls in counts.items()}
@@ -79,3 +115,21 @@ def test_packet_path_stays_within_its_frame_budget():
     )
     total = sum(counts.values()) / events
     assert total <= TOTAL_BUDGET, f"{total:.3f} frames/event > {TOTAL_BUDGET}: {counts}"
+
+
+def test_packet_path_stays_within_its_frame_budget(untraced):
+    live, counts, in_run = untraced
+    _assert_within_budget(live, counts)
+    assert in_run["obs"] == 0
+
+
+def test_tracing_adds_one_frame_per_record_and_builds_no_event(untraced):
+    _, _, plain_in_run = untraced
+    live, counts, in_run = _frames_by_layer(SPEC.with_(obs=ObsSpec()).run_live)
+    _assert_within_budget(live, counts)  # the emit sites add no frames of their own
+    emitted = live.sim.tracer.emitted
+    assert emitted > 20_000
+    assert in_run["obs"] == OBS_FRAMES_PER_RECORD * emitted
+    # Packets, overlay headers and flow records are built either way; a
+    # traced run builds nothing on top of them.
+    assert in_run[GENERATED] == plain_in_run[GENERATED]

@@ -1,0 +1,156 @@
+"""The tracer stores rows; everything a reader sees is what it always was.
+
+``repro.obs.trace`` keeps ``Tracer.record``'s argument tuples and builds a
+typed event only on read.  These tests hold the read side to the old
+contract from the outside: a recorded row and the equivalent built event
+export the same bytes (property over all ten event classes), streaming and
+ring exports agree line for line, the ring still keeps the newest window,
+a :class:`TraceLog` survives pickle / the worker protocol / a cache entry
+written before the row format, and a run that dies leaves a closed stream.
+"""
+
+import dataclasses
+import json
+import pickle
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps import ObsSpec
+from repro.apps.experiment import SCHEMES, execute_experiment
+from repro.obs import PacketDropped, TraceLog, Tracer, event_payload, events
+from repro.runner import ResultCache, SubprocessBackend, run_sweep
+from repro.units import microseconds
+from repro.workloads import WORKLOADS
+
+from tests.test_golden_traces import GOLDEN_PATH, conga_spec
+
+EVENT_CLASSES = [
+    getattr(events, name)
+    for name in events.__all__
+    if name not in ("TraceEvent", "event_payload")
+]
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Field annotation (a string: events.py defers annotations) -> strategy.
+_FIELD_VALUES = {
+    "int": st.integers(-(2**62), 2**62),
+    "float": _FINITE,
+    "str": st.text(max_size=12),
+    "tuple[int, ...]": st.lists(st.integers(0, 255), max_size=6).map(tuple),
+    "tuple[float, ...]": st.lists(_FINITE, max_size=6).map(tuple),
+}
+
+
+@st.composite
+def rows(draw):
+    """An event class and one value per field, in dataclass field order."""
+    cls = draw(st.sampled_from(EVENT_CLASSES))
+    return cls, [draw(_FIELD_VALUES[spec.type]) for spec in fields(cls)]
+
+
+def _drop(time: int) -> tuple:
+    return (PacketDropped, time, "l0-s0", 7, 1500, "loss")
+
+
+def test_every_event_class_is_covered():
+    assert len(EVENT_CLASSES) == 10
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(rows(), min_size=1, max_size=8))
+def test_row_exports_equal_the_built_events(drawn):
+    recorded, emitted = Tracer(), Tracer()
+    built = []
+    for cls, values in drawn:
+        event = cls(**dict(zip((spec.name for spec in fields(cls)), values)))
+        built.append(event)
+        recorded.record(cls, *values)
+        emitted.emit(event)
+    log = recorded.snapshot()
+    assert list(log.ndjson_lines()) == [
+        json.dumps(event_payload(event), sort_keys=True, separators=(",", ":"))
+        for event in built
+    ]
+    assert log.events == tuple(built) == emitted.snapshot().events
+    assert recorded.events() == built
+    assert log.chrome_trace() == emitted.snapshot().chrome_trace()
+    assert log.digest() == emitted.snapshot().digest()
+    assert pickle.loads(pickle.dumps(log)).digest() == log.digest()
+
+
+def test_ring_keeps_the_newest_rows():
+    tracer = Tracer(limit=4)
+    for t in range(10):
+        tracer.record(*_drop(t))
+    assert (len(tracer), tracer.emitted, tracer.dropped) == (4, 10, 6)
+    log = tracer.snapshot()
+    assert log.rows == tuple(_drop(t) for t in range(6, 10))
+    assert (log.limit, log.emitted, log.dropped, len(log)) == (4, 10, 6, 4)
+    assert [event.time for event in log.events] == [6, 7, 8, 9]
+    assert log.select("drop") == log.events and log.select("dre") == ()
+
+
+def test_stream_and_ring_agree_line_for_line(tmp_path):
+    path = tmp_path / "trace.ndjson"
+    result = conga_spec().with_(obs=ObsSpec(trace_path=str(path))).run()
+    assert result.trace.dropped == 0
+    assert path.read_text().splitlines() == list(result.trace.ndjson_lines())
+    golden = json.loads(GOLDEN_PATH.read_text())["conga-enterprise"]
+    assert result.trace.digest() == golden["digest"]
+
+
+def test_trace_survives_the_worker_protocol():
+    spec = conga_spec()
+    (point,) = run_sweep([spec], backend=SubprocessBackend(workers=2), cache=None)
+    golden = json.loads(GOLDEN_PATH.read_text())["conga-enterprise"]
+    assert point.trace.digest() == golden["digest"]
+    assert point.trace.emitted == golden["emitted"]
+
+
+def test_cache_entry_from_before_the_row_format_still_loads(tmp_path):
+    """The parent commit pickled ``TraceLog.__dict__`` with built events
+    under ``events``; such an entry must come back whole or not at all."""
+    spec = conga_spec().with_(obs=ObsSpec(buffer_limit=1000))
+    result = spec.run()
+    old_log = object.__new__(TraceLog)
+    old_log.__dict__.update(
+        events=result.trace.events,
+        categories=result.trace.categories,
+        limit=result.trace.limit,
+        emitted=result.trace.emitted,
+    )
+    entry = pickle.dumps(dataclasses.replace(result, trace=old_log))
+    assert b"rows" not in entry
+    cache = ResultCache(tmp_path)
+    cache.path(spec).write_bytes(entry)
+    loaded = cache.get(spec).trace
+    assert loaded.digest() == result.trace.digest()
+    assert (loaded.emitted, loaded.dropped) == (result.trace.emitted, 3149)
+    assert loaded.events == result.trace.events
+    assert len(loaded.select("dre")) == len(result.trace.select("dre")) > 0
+
+
+def test_a_run_that_raises_leaves_a_closed_stream_of_whole_lines(tmp_path):
+    path = tmp_path / "trace.ndjson"
+    sims = []
+
+    def boom():
+        raise RuntimeError("callback failed mid-run")
+
+    def arm(sim, fabric):
+        sims.append(sim)
+        sim.schedule(microseconds(300), boom)
+
+    scheme = dataclasses.replace(SCHEMES["conga"], post_setup=arm)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        execute_experiment(
+            scheme, WORKLOADS["enterprise"], 0.6, seed=7, num_flows=30,
+            size_scale=0.02, obs=ObsSpec(trace_path=str(path)),
+        )
+    tracer = sims[0].tracer
+    assert tracer._stream is None  # closed, not left to the garbage collector
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == tracer.emitted > 0
+    assert text.splitlines() == list(tracer.snapshot().ndjson_lines())
