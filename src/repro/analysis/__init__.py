@@ -1,19 +1,12 @@
 """Evaluation metrics: FCT statistics, throughput imbalance, queue monitors."""
 
-from repro.analysis.degradation import DegradationSummary, window_goodput
+from importlib import import_module
+
 from repro.analysis.fct import (
     FctSummary,
     LARGE_FLOW_BYTES,
     SMALL_FLOW_BYTES,
     relative_to,
-)
-from repro.analysis.htmlreport import (
-    html_document,
-    recovery_report,
-    svg_heatmap,
-    svg_line_chart,
-    sweep_report,
-    timeline_sections,
 )
 from repro.analysis.monitors import (
     EmptySeriesError,
@@ -22,12 +15,33 @@ from repro.analysis.monitors import (
     QueueSeries,
     ThroughputImbalanceMonitor,
 )
-from repro.analysis.report import (
-    cdf_points,
-    print_table,
-    render_table,
-    summarize_series,
-)
+
+#: Siblings imported on first access: no run reads the window analysis or renderers.
+_DEFERRED = {
+    "degradation": ("DegradationSummary", "window_goodput"),
+    "htmlreport": (
+        "html_document",
+        "recovery_report",
+        "svg_heatmap",
+        "svg_line_chart",
+        "sweep_report",
+        "timeline_sections",
+    ),
+    "report": ("cdf_points", "print_table", "render_table", "summarize_series"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "DegradationSummary",

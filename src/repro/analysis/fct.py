@@ -19,8 +19,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.transport.tcp import FlowRecord
 
 #: Paper's small-flow threshold (bytes).
@@ -59,6 +57,8 @@ class FctSummary:
         """
         if not records:
             raise ValueError("no completed flows to summarize")
+        import numpy as np
+
         normalized = np.array([r.normalized_fct for r in records])
         small = np.array(
             [r.fct for r in records if r.size < small_threshold], dtype=float

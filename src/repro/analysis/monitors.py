@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.series import DEFAULT_SERIES_LIMIT, DecimatedSeries
 from repro.net.port import Port
 from repro.sim.kernel import PeriodicTimer
@@ -66,12 +64,16 @@ class ImbalanceSeries:
         """The ``q``-th percentile of recorded imbalance samples (percent)."""
         if not self.samples:
             raise EmptySeriesError("ImbalanceSeries", self.interval)
+        import numpy as np
+
         return float(np.percentile(np.array(self.samples) * 100.0, q))
 
     def mean_percent(self) -> float:
         """Mean imbalance in percent."""
         if not self.samples:
             raise EmptySeriesError("ImbalanceSeries", self.interval)
+        import numpy as np
+
         return float(np.mean(self.samples) * 100.0)
 
     def samples_before(self, deadline: int) -> list[float]:
@@ -108,6 +110,8 @@ class QueueSeries:
             raise EmptySeriesError(
                 f"QueueSeries[{_port_name(port)}]", self.interval
             )
+        import numpy as np
+
         return float(np.percentile(series, q))
 
     def mean(self, port) -> float:
@@ -117,6 +121,8 @@ class QueueSeries:
             raise EmptySeriesError(
                 f"QueueSeries[{_port_name(port)}]", self.interval
             )
+        import numpy as np
+
         return float(np.mean(series))
 
 
@@ -164,12 +170,16 @@ class ThroughputImbalanceMonitor:
         """The ``q``-th percentile of recorded imbalance samples (percent)."""
         if not self.samples:
             raise EmptySeriesError("ThroughputImbalanceMonitor", self.interval)
+        import numpy as np
+
         return float(np.percentile(np.array(self.samples) * 100.0, q))
 
     def mean_percent(self) -> float:
         """Mean imbalance in percent."""
         if not self.samples:
             raise EmptySeriesError("ThroughputImbalanceMonitor", self.interval)
+        import numpy as np
+
         return float(np.mean(self.samples) * 100.0)
 
     def samples_before(self, deadline: int) -> list[float]:
@@ -240,6 +250,8 @@ class QueueMonitor:
         series = self.samples[port.name]
         if not series:
             raise EmptySeriesError(f"QueueMonitor[{port.name}]", self.interval)
+        import numpy as np
+
         return float(np.percentile(list(series), q))
 
     def mean(self, port: Port) -> float:
@@ -247,6 +259,8 @@ class QueueMonitor:
         series = self.samples[port.name]
         if not series:
             raise EmptySeriesError(f"QueueMonitor[{port.name}]", self.interval)
+        import numpy as np
+
         return float(np.mean(list(series)))
 
     def snapshot(self) -> QueueSeries:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 def format_value(value) -> str:
     """Render one cell: floats at 3 significant digits, all else via str."""
@@ -59,6 +57,8 @@ def cdf_points(
     """(quantile, value) pairs summarizing a sample set's CDF."""
     if len(samples) == 0:
         raise ValueError("no samples")
+    import numpy as np
+
     array = np.asarray(samples, dtype=float)
     return [(q, float(np.percentile(array, q))) for q in quantiles]
 
@@ -67,6 +67,8 @@ def summarize_series(samples: Sequence[float]) -> dict[str, float]:
     """Mean/median/p90/p99/min/max of a series, as a plain dict."""
     if len(samples) == 0:
         raise ValueError("no samples")
+    import numpy as np
+
     array = np.asarray(samples, dtype=float)
     return {
         "mean": float(array.mean()),

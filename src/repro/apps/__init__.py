@@ -1,5 +1,7 @@
 """Applications and experiment harness: traffic generators, Incast, HDFS."""
 
+from importlib import import_module
+
 from repro.apps.experiment import (
     ExperimentResult,
     SCHEMES,
@@ -10,8 +12,6 @@ from repro.apps.experiment import (
     get_scheme,
     register_scheme,
 )
-from repro.apps.hdfs import HdfsJobResult, HdfsWriteJob
-from repro.apps.incast import IncastClient, IncastResult
 from repro.apps.spec import (
     ExperimentSpec,
     ImbalanceMonitorSpec,
@@ -30,6 +30,25 @@ from repro.apps.traffic import (
     mptcp_flow_factory,
     tcp_flow_factory,
 )
+
+#: Siblings imported on first access: models no ``ExperimentSpec`` run enters.
+_DEFERRED = {
+    "hdfs": ("HdfsJobResult", "HdfsWriteJob"),
+    "incast": ("IncastClient", "IncastResult"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CrossRackTraffic",

@@ -22,7 +22,7 @@ definitions mirror §5's comparison set:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.fct import FctSummary
 from repro.analysis.monitors import QueueMonitor, ThroughputImbalanceMonitor
@@ -44,18 +44,20 @@ from repro.lb import (
     PacketSpraySelector,
 )
 from repro.lb.caft import enable_fault_awareness
-from repro.faults.events import FaultEvent
-from repro.faults.injector import FaultInjector
 from repro.lb.base import SelectorFactory
 from repro.obs.config import ObsSpec
-from repro.obs.timeline import Timeline, TimelineCollector
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine, scaled_testbed
-from repro.topology.multipod import MultiPodConfig, build_multipod
 from repro.transport.tcp import FlowRecord, TcpParams
 from repro.workloads.distributions import FlowSizeDistribution
 from repro.units import milliseconds, seconds
+
+if TYPE_CHECKING:
+    from repro.faults.events import FaultEvent
+    from repro.faults.injector import FaultInjector
+    from repro.obs.timeline import Timeline
+    from repro.topology.multipod import MultiPodConfig
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,14 @@ def execute_experiment(
         # Attach before any component is built so construction-time events
         # (e.g. time-0 fault applications) are captured too.
         sim.tracer = obs.make_tracer()
-    imbalance = queues = timeline = None
+    imbalance = queues = timeline = injector = None
     try:
-        if isinstance(config, MultiPodConfig):
-            fabric: Fabric = build_multipod(sim, config)
+        if isinstance(config, LeafSpineConfig):
+            fabric: Fabric = build_leaf_spine(sim, config)
         else:
-            fabric = build_leaf_spine(sim, config)
+            from repro.topology.multipod import build_multipod
+
+            fabric = build_multipod(sim, config)
         fabric.finalize(spec.make_selector())
         if spec.post_setup is not None:
             spec.post_setup(sim, fabric)
@@ -252,7 +256,10 @@ def execute_experiment(
         # ports) must resolve against the already-degraded fabric.  With an
         # empty schedule nothing is constructed, keeping fault-free runs
         # event-for-event identical to the pre-fault-plane kernel stream.
-        injector = FaultInjector(sim, fabric, faults) if faults else None
+        if faults:
+            from repro.faults.injector import FaultInjector
+
+            injector = FaultInjector(sim, fabric, faults)
 
         if monitor_imbalance_leaf is not None:
             # Scaled-down runs are much shorter than the testbed's, so sample
@@ -284,6 +291,8 @@ def execute_experiment(
             # Constructed after traffic so goodput/RTO series can read its
             # stats; sampling is strictly read-only (see repro.obs.timeline),
             # so flow records stay bit-identical with the collector on or off.
+            from repro.obs.timeline import TimelineCollector
+
             timeline = TimelineCollector(
                 sim, fabric, obs.timeline, traffic=traffic, injector=injector
             )

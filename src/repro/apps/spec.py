@@ -31,24 +31,24 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.analysis.degradation import DegradationSummary
 from repro.analysis.fct import FctSummary
 from repro.analysis.monitors import ImbalanceSeries, QueueSeries
 from repro.apps.experiment import ExperimentResult, execute_experiment, get_scheme
-from repro.faults.events import FaultEvent, fault_window
 from repro.obs.config import ObsSpec
 from repro.obs.metrics import MetricsReport, collect_run_metrics
-from repro.obs.timeline import Timeline
 from repro.obs.trace import TraceLog
 from repro.topology.leafspine import LeafSpineConfig
-from repro.topology.multipod import MultiPodConfig
 from repro.transport.tcp import FlowRecord, TcpParams
 from repro.units import milliseconds, seconds
 from repro.workloads import WORKLOADS
 
 if TYPE_CHECKING:
+    from repro.analysis.degradation import DegradationSummary
+    from repro.faults.events import FaultEvent
     from repro.net.port import Port
+    from repro.obs.timeline import Timeline
     from repro.switch.fabric import Fabric
+    from repro.topology.multipod import MultiPodConfig
 
 
 class UnknownWorkloadError(ValueError):
@@ -227,12 +227,15 @@ class ExperimentSpec:
             tuple(tuple(link) for link in self.failed_links),
         )
         object.__setattr__(self, "faults", tuple(self.faults))
-        for event in self.faults:
-            if not isinstance(event, FaultEvent):
-                raise TypeError(
-                    f"faults must be FaultEvent values, got {event!r}; "
-                    "parse CLI strings with repro.faults.parse_fault first"
-                )
+        if self.faults:
+            from repro.faults.events import FaultEvent
+
+            for event in self.faults:
+                if not isinstance(event, FaultEvent):
+                    raise TypeError(
+                        f"faults must be FaultEvent values, got {event!r}; "
+                        "parse CLI strings with repro.faults.parse_fault first"
+                    )
 
     # -- identity -----------------------------------------------------------
 
@@ -439,6 +442,9 @@ class PointResult:
         Raises when the spec has no degrading faults — there is no window
         to analyze.
         """
+        from repro.analysis.degradation import DegradationSummary
+        from repro.faults.events import fault_window
+
         window = fault_window(self.spec.faults)
         if window is None:
             raise ValueError(

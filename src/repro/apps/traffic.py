@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
-from repro.transport.dctcp import DctcpCC
-from repro.transport.mptcp import DEFAULT_SUBFLOWS, MptcpConnection
 from repro.transport.tcp import FlowRecord, PacedSource, TcpFlow, TcpParams
 from repro.units import microseconds
 from repro.workloads.distributions import FlowSizeDistribution
@@ -83,6 +81,7 @@ def dctcp_flow_factory(params: TcpParams = TcpParams()) -> FlowFactory:
     Requires a fabric built with ``ecn_threshold_bytes`` set so switches
     CE-mark; without marking this degenerates to plain NewReno.
     """
+    from repro.transport.dctcp import DctcpCC
 
     def factory(src: "Host", dst: "Host", size: int, done: Callable) -> TcpFlow:
         return TcpFlow(
@@ -94,9 +93,16 @@ def dctcp_flow_factory(params: TcpParams = TcpParams()) -> FlowFactory:
 
 
 def mptcp_flow_factory(
-    params: TcpParams = TcpParams(), subflows: int = DEFAULT_SUBFLOWS
+    params: TcpParams = TcpParams(), subflows: int | None = None
 ) -> FlowFactory:
-    """Flows carried by MPTCP connections with ``subflows`` subflows."""
+    """Flows carried by MPTCP connections with ``subflows`` subflows.
+
+    ``None`` means :data:`repro.transport.mptcp.DEFAULT_SUBFLOWS`.
+    """
+    from repro.transport.mptcp import DEFAULT_SUBFLOWS, MptcpConnection
+
+    if subflows is None:
+        subflows = DEFAULT_SUBFLOWS
 
     def factory(
         src: "Host", dst: "Host", size: int, done: Callable

@@ -430,6 +430,11 @@ def connect(
     """Join two ports with a full-duplex cable."""
     if a.peer is not None or b.peer is not None:
         raise ValueError(f"port already connected: {a if a.peer else b}")
+    if propagation_delay < 0:
+        raise ValueError(
+            f"propagation delay between {a.name} and {b.name} must be "
+            f"non-negative, got {propagation_delay}"
+        )
     a.peer = b
     b.peer = a
     a.propagation_delay = propagation_delay

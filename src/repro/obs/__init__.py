@@ -26,6 +26,8 @@ Import discipline: this package depends only on the standard library and
 :mod:`repro.sim.kernel` — can import it without cycles.
 """
 
+from importlib import import_module
+
 from repro.obs.config import ObsSpec
 from repro.obs.events import (
     CongaTableAged,
@@ -40,13 +42,6 @@ from repro.obs.events import (
     TraceEvent,
     event_payload,
 )
-from repro.obs.manifest import (
-    MANIFEST_SUFFIX,
-    build_manifest,
-    git_sha,
-    manifest_path,
-    write_manifest,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -56,14 +51,39 @@ from repro.obs.metrics import (
     MetricsReport,
     collect_run_metrics,
 )
-from repro.obs.timeline import (
-    DEFAULT_TIMELINE_INTERVAL,
-    DEFAULT_TIMELINE_LIMIT,
-    Timeline,
-    TimelineCollector,
-    TimelineSpec,
-)
 from repro.obs.trace import CATEGORIES, DEFAULT_TRACE_LIMIT, TraceLog, Tracer
+
+#: Siblings imported on first access: ``manifest`` drags ``subprocess``, and the
+#: timeline collector is an opt-in plane.
+_DEFERRED = {
+    "manifest": (
+        "MANIFEST_SUFFIX",
+        "build_manifest",
+        "git_sha",
+        "manifest_path",
+        "write_manifest",
+    ),
+    "timeline": (
+        "DEFAULT_TIMELINE_INTERVAL",
+        "DEFAULT_TIMELINE_LIMIT",
+        "Timeline",
+        "TimelineCollector",
+        "TimelineSpec",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CATEGORIES",

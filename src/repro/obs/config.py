@@ -12,14 +12,17 @@ single ``tracer is None`` predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.obs.timeline import TimelineSpec
 from repro.obs.trace import (
     CATEGORIES,
     DEFAULT_TRACE_LIMIT,
     Tracer,
     _normalize_categories,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.timeline import TimelineSpec
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,38 @@ point run is a pure function of its spec — which
 :meth:`SweepResult.digest` makes checkable in one comparison.
 """
 
-from repro.runner.backends import (
-    BACKENDS,
-    Backend,
-    LocalBackend,
-    SubprocessBackend,
-    get_backend,
-)
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.dispatch import Dispatcher, run_sweep
+from importlib import import_module
+
 from repro.runner.failures import FAILURE_KINDS, PointFailure
-from repro.runner.sweep import SweepResult, derive_seeds, sweep_grid
-from repro.runner.telemetry import TelemetrySink
+
+#: Siblings imported on first access: a worker child imports this package and
+#: needs none of the parent-side machinery.
+_DEFERRED = {
+    "backends": (
+        "BACKENDS",
+        "Backend",
+        "LocalBackend",
+        "SubprocessBackend",
+        "get_backend",
+    ),
+    "cache": ("DEFAULT_CACHE_DIR", "ResultCache"),
+    "dispatch": ("Dispatcher", "run_sweep"),
+    "sweep": ("SweepResult", "derive_seeds", "sweep_grid"),
+    "telemetry": ("TelemetrySink",),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "BACKENDS",

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.net.hashing import stable_string_seed
 from repro.obs.metrics import MetricsReport
@@ -46,6 +44,8 @@ def derive_seeds(base_seed: int, count: int, stream: str = "sweep-seeds") -> lis
     """
     if count < 1:
         raise ValueError(f"need at least one seed, got {count}")
+    import numpy as np
+
     sequence = np.random.SeedSequence((base_seed, stable_string_seed(stream)))
     state = sequence.generate_state(count, dtype=np.uint64)
     return [int(value % (1 << 31)) or 1 for value in state]

@@ -54,12 +54,12 @@ from bisect import insort
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.obs.metrics import MetricsRegistry
 from repro.units import SECOND
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.obs.trace import Tracer
 
 Callback = Callable[[], None]
@@ -261,6 +261,8 @@ class Simulator:
         """
         generator = self._rngs.get(stream)
         if generator is None:
+            import numpy as np
+
             from repro.net.hashing import stable_string_seed
 
             seed_seq = np.random.SeedSequence((self._seed, stable_string_seed(stream)))

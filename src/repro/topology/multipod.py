@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from repro.core.dre import DRE
 from repro.core.flowlet import FlowletTable
 from repro.core.params import CongaParams, DEFAULT_PARAMS
-from repro.lb.ecmp import ecmp_hash
 from repro.net import port as _port_mod
+from repro.net.hashing import stable_hash
 from repro.net.node import Host, Node
 from repro.net.packet import HEADER_BYTES, Packet
 from repro.net.port import DEFAULT_PROPAGATION_DELAY, Port, connect, residual_capacity
@@ -86,6 +86,12 @@ class CoreSwitch(Node):
         self.dres: list[DRE] = []
         self._pod_ports: dict[int, list[int]] = {}
         self.dropped_unroutable = 0
+        self._leaf_pod = fabric.leaf_pod
+        # Routing cache, the contract of SpineSwitch's: pod -> up port
+        # indices, valid while the global link up/down epoch is unchanged.
+        # Callers must not mutate the returned lists.
+        self._route_cache: dict[int, list[int]] = {}
+        self._route_epoch = -1
 
     def add_spine_port(
         self,
@@ -108,11 +114,23 @@ class CoreSwitch(Node):
         port.on_transmit.append(dre.measure)
         port.dre = dre
         self._pod_ports.setdefault(pod, []).append(port.index)
+        _port_mod._bump_topology_epoch()
         return port
 
     def ports_to_pod(self, pod: int) -> list[int]:
-        """Indices of up ports toward ``pod``."""
-        return [i for i in self._pod_ports.get(pod, []) if self.ports[i].up]
+        """Indices of *up* ports toward ``pod``.
+
+        Cached per pod until a link anywhere fails or is restored (or a
+        port is added here); do not mutate the returned list.
+        """
+        if self._route_epoch != _port_mod._topology_epoch:
+            self._route_cache.clear()
+            self._route_epoch = _port_mod._topology_epoch
+        cached = self._route_cache.get(pod)
+        if cached is None:
+            cached = [i for i in self._pod_ports.get(pod, []) if self.ports[i].up]
+            self._route_cache[pod] = cached
+        return cached
 
     def pod_health(self, pod: int) -> float:
         """Residual capacity toward ``pod`` as a fraction of nominal.
@@ -129,12 +147,20 @@ class CoreSwitch(Node):
         if header is None:
             self.dropped_unroutable += 1
             return
-        pod = self.fabric.pod_of_leaf(header.dst_leaf)
-        candidates = self.ports_to_pod(pod)
+        pod = self._leaf_pod[header.dst_leaf]
+        candidates = (
+            self._route_cache.get(pod)
+            if self._route_epoch == _port_mod._topology_epoch
+            else None
+        )
+        if candidates is None:
+            candidates = self.ports_to_pod(pod)
         if not candidates:
             self.dropped_unroutable += 1
             return
-        index = ecmp_hash(packet.five_tuple, salt=7_000_003 + self.core_id)
+        index = stable_hash(
+            packet._five_tuple or packet.five_tuple, 7_000_003 + self.core_id
+        )
         self.ports[candidates[index % len(candidates)]].send(packet)
 
 
@@ -152,6 +178,7 @@ class PodSpineSwitch(SpineSwitch):
         super().__init__(sim, spine_id, params, name=f"pod{pod}-spine{spine_id}")
         self.pod = pod
         self.fabric = fabric
+        self._leaf_pod = fabric.leaf_pod
         self._core_ports: list[int] = []
         self._core_of: dict[int, CoreSwitch] = {}
         self._core_route_cache: list[int] | None = None
@@ -257,10 +284,10 @@ class PodSpineSwitch(SpineSwitch):
 
     def _choose_core_port(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
         """caft's core-uplink choice: min DRE metric over residual health."""
-        pod = self.fabric.pod_of_leaf(dst_leaf)
-        entry = self._flowlets.lookup(packet.five_tuple)
+        entry = self._flowlets.lookup(packet._five_tuple or packet.five_tuple)
         if entry.valid and entry.port in candidates:
             return entry.port
+        pod = self._leaf_pod[dst_leaf]
         ports = self.ports
         metrics: list[int] = []
         healths: list[float] = []
@@ -308,7 +335,7 @@ class PodSpineSwitch(SpineSwitch):
         if header is None:
             self.dropped_unroutable += 1
             return
-        if self.fabric.pod_of_leaf(header.dst_leaf) == self.pod:
+        if self._leaf_pod[header.dst_leaf] == self.pod:
             super().receive(packet, port)
             return
         candidates = self.up_core_ports()
@@ -319,7 +346,9 @@ class PodSpineSwitch(SpineSwitch):
             choice = self._choose_core_port(packet, header.dst_leaf, candidates)
             self.ports[choice].send(packet)
             return
-        index = ecmp_hash(packet.five_tuple, salt=3_000_017 + self.spine_id)
+        index = stable_hash(
+            packet._five_tuple or packet.five_tuple, 3_000_017 + self.spine_id
+        )
         self.ports[candidates[index % len(candidates)]].send(packet)
 
 
@@ -330,6 +359,12 @@ class MultiPodFabric(Fabric):
         super().__init__(sim)
         self.config = config
         self.cores: list[CoreSwitch] = []
+        #: Leaf id -> pod, read per packet by the core and pod-spine switches
+        #: (the tier-3 counterpart of ``host_leaf``).
+        self.leaf_pod: list[int] = [
+            self.pod_of_leaf(leaf_id)
+            for leaf_id in range(config.num_pods * config.leaves_per_pod)
+        ]
 
     def pod_of_leaf(self, leaf_id: int) -> int:
         """The pod housing ``leaf_id``."""

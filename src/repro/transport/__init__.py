@@ -1,7 +1,7 @@
 """Transports: NewReno TCP, DCTCP, MPTCP (coupled LIA), and UDP."""
 
-from repro.transport.dctcp import DEFAULT_K_BYTES, DctcpCC, dctcp_cc_factory
-from repro.transport.mptcp import DEFAULT_SUBFLOWS, LinkedIncreasesCC, MptcpConnection
+from importlib import import_module
+
 from repro.transport.tcp import (
     CongestionControl,
     DataSource,
@@ -15,7 +15,27 @@ from repro.transport.tcp import (
     TcpSender,
     next_flow_id,
 )
-from repro.transport.udp import UdpSink, UdpSource
+
+#: Siblings imported on first access: every run needs ``tcp``, the rest load
+#: with the scheme that names them.
+_DEFERRED = {
+    "dctcp": ("DEFAULT_K_BYTES", "DctcpCC", "dctcp_cc_factory"),
+    "mptcp": ("DEFAULT_SUBFLOWS", "LinkedIncreasesCC", "MptcpConnection"),
+    "udp": ("UdpSink", "UdpSource"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CongestionControl",

@@ -19,9 +19,12 @@ analytically as well.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class FlowSizeDistribution:
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` flow sizes as an integer array (vectorized)."""
+        import numpy as np
+
         u = rng.uniform(size=count)
         cdfs = np.array([p[1] for p in self.points])
         sizes = np.array([p[0] for p in self.points])
@@ -97,7 +102,7 @@ class FlowSizeDistribution:
         """σ_S / E[S] — the workload "heaviness" factor of Theorem 2."""
         mean = self.mean()
         variance = self.second_moment() - mean * mean
-        return float(np.sqrt(max(variance, 0.0)) / mean)
+        return math.sqrt(max(variance, 0.0)) / mean
 
     # -- byte-weighted views (the "Bytes" curves of Fig. 8) ----------------------
 

@@ -48,6 +48,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiPodConfig(num_cores=0)
 
+    def test_core_routes_are_cached_until_the_topology_changes(self):
+        _sim, fabric = _fabric()
+        core = fabric.cores[0]
+        routes = core.ports_to_pod(1)
+        assert core.ports_to_pod(1) is routes
+        failed = fabric.fail_core_link(2, 0)  # spine 2 is in pod 1
+        assert core.ports_to_pod(1) is not routes
+        assert len(core.ports_to_pod(1)) == len(routes) - 1
+        failed.restore()
+        assert core.ports_to_pod(1) == routes
+        assert fabric.leaf_pod == [fabric.pod_of_leaf(leaf) for leaf in range(4)]
+
+    def test_negative_propagation_delay_fails_at_the_wiring_call(self):
+        with pytest.raises(ValueError, match="propagation delay between .* and "):
+            _fabric(propagation_delay=-5)
+
     def test_fabric_ports_include_core(self):
         _sim, fabric = _fabric()
         names = [p.name for p in fabric.fabric_ports()]

@@ -188,6 +188,16 @@ class TestPortAndLink:
         with pytest.raises(ValueError):
             connect(pa, pc)
 
+    def test_connect_rejects_negative_delay_naming_both_ports(self):
+        sim = Simulator()
+        a, b = _Sink(sim, "a"), _Sink(sim, "b")
+        pa, pb = a.add_port(gbps(1)), b.add_port(gbps(1))
+        with pytest.raises(ValueError) as excinfo:
+            connect(pa, pb, -5)
+        assert pa.name in str(excinfo.value) and pb.name in str(excinfo.value)
+        assert not pa.connected and not pb.connected
+        connect(pa, pb, 0)  # zero is a legal (back-to-back) cable
+
     def test_send_without_peer_drops(self):
         sim = Simulator()
         a = _Sink(sim, "a")

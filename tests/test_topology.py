@@ -1,5 +1,7 @@
 """Tests for topology construction, configuration, and failure injection."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lb import EcmpSelector
@@ -63,6 +65,12 @@ class TestBuilder:
         fabric = build_leaf_spine(sim, config or scaled_testbed(hosts_per_leaf=4))
         fabric.finalize(EcmpSelector.factory())
         return sim, fabric
+
+    def test_negative_propagation_delay_fails_at_the_wiring_call(self):
+        # Used to build, then die inside Port._advance scheduling into the past.
+        config = replace(scaled_testbed(hosts_per_leaf=4), propagation_delay=-5)
+        with pytest.raises(ValueError, match="propagation delay between .* and "):
+            build_leaf_spine(Simulator(), config)
 
     def test_counts(self):
         _sim, fabric = self._build()
