@@ -13,7 +13,6 @@ Examples::
     conga-repro scenario validate scenarios/*.yaml
     conga-repro scenario run scenarios/tiny_smoke.yaml --backend subprocess
     conga-repro incast --transport mptcp --fan-in 31 --mtu 9000
-    conga-repro bench --quick
     conga-repro lint src --format json
     conga-repro poa
 
@@ -624,30 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     incast.add_argument("--seed", type=int, default=1)
     incast.set_defaults(func=_cmd_incast)
 
-    bench = sub.add_parser(
-        "bench", help="run the tracked kernel performance benchmarks"
-    )
-    from repro.perf import BENCH_FILENAME
-
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller specs for CI smoke runs")
-    bench.add_argument("--specs", default=None,
-                       help="comma-separated subset of bench spec names")
-    bench.add_argument("--output", default=BENCH_FILENAME,
-                       help=f"benchmark file to update (default {BENCH_FILENAME})")
-    bench.add_argument("--set-baseline", action="store_true",
-                       help="freeze this run's numbers as the comparison baseline")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                       help="compare two benchmark files instead of running; "
-                            "exits non-zero on any >3%% events/sec regression")
-    bench.add_argument("--tolerance", type=float, default=None, metavar="FRAC",
-                       help="regression tolerance for --compare as a fraction "
-                            "(default 0.03; raise on noisy shared runners)")
-    bench.add_argument("--profile", default=None, metavar="PSTATS",
-                       help="run the specs under cProfile and dump pstats "
-                            "to this path (skips updating the benchmark file)")
-    bench.set_defaults(func=_cmd_bench)
-
     trace = sub.add_parser(
         "trace", help="run one experiment point with structured tracing on"
     )
@@ -730,65 +705,6 @@ def _cmd_incast(args: argparse.Namespace) -> int:
     print(f"transport={args.transport} fan_in={args.fan_in} "
           f"minRTO={args.min_rto_ms}ms MTU={args.mtu}")
     print(f"  effective throughput: {percent:.1f}% of line rate")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        compare_bench,
-        comparison_failed,
-        load_bench_file,
-        profile_bench,
-        run_bench,
-        write_bench_file,
-    )
-
-    if args.compare is not None:
-        old_path, new_path = args.compare
-        old_payload = load_bench_file(old_path)
-        new_payload = load_bench_file(new_path)
-        for path, payload in ((old_path, old_payload), (new_path, new_payload)):
-            if payload is None:
-                print(f"error: cannot read benchmark file {path}", file=sys.stderr)
-                return 2
-        if args.tolerance is not None:
-            rows = compare_bench(old_payload, new_payload, tolerance=args.tolerance)
-        else:
-            rows = compare_bench(old_payload, new_payload)
-        print(f"bench compare: {old_path} -> {new_path}")
-        for row in rows:
-            print(row.row())
-        if comparison_failed(rows):
-            print("\nFAIL: regression or invalid comparison detected",
-                  file=sys.stderr)
-            return 1
-        print("\nOK: no spec regressed beyond tolerance")
-        return 0
-
-    specs = (
-        [s.strip() for s in args.specs.split(",")] if args.specs else None
-    )
-    try:
-        if args.profile is not None:
-            results = profile_bench(
-                args.profile, quick=args.quick, specs=specs, progress=print
-            )
-            print(f"\nwrote profile to {args.profile} "
-                  "(profiled ev/s are ~3-4x low; benchmark file left untouched)")
-            return 0
-        results = run_bench(quick=args.quick, specs=specs, progress=print)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = write_bench_file(
-        results,
-        args.output,
-        quick=args.quick,
-        set_baseline=args.set_baseline,
-    )
-    print(f"\nwrote {args.output}")
-    for name, ratio in sorted(payload["speedup"].items()):
-        print(f"  {name:<24} {ratio:.2f}x vs baseline events/sec")
     return 0
 
 

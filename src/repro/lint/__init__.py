@@ -10,19 +10,22 @@ Rule classes:
 
 * ``D1xx`` (determinism): wall-clock reads, ambient randomness, process-
   dependent hashing, unordered iteration, float accumulation.
-* ``S2xx`` (simulation invariants): picklable event callbacks, frozen
-  experiment specs, registry writes through the registration API.
+* ``S2xx`` (simulation invariants): frozen experiment specs, registry
+  writes through the registration API, benchmark grids through the sweep
+  runner, no closures in hot-path methods.
 * ``R3xx`` (reporting discipline): no print()/logging on simulator code
   paths — signals go through the :mod:`repro.obs` plane.
 * ``E3xx`` (whole-program effects): transitive contracts enforced over
   the interprocedural call graph (:mod:`repro.lint.effects`) — no
   wall-clock/RNG/io reachable from kernel entry points (E301), no
-  allocation reachable from the per-packet train path (E302),
-  transitively picklable scheduled callbacks (E303), and no stale
-  suppression comments (E304).
+  allocation reachable from the per-packet train path (E302), nothing
+  unpicklable in a schedule slot, directly or forwarded (E303), and no
+  stale suppression comments (E304).
 
-See DESIGN.md for the full catalog with paper references, and README.md
-for CLI usage (``lint --effects``, ``callgraph``).
+One pass computes all of it: :func:`analyze_effects` parses each file
+once, runs every per-file rule once, links the call graph and evaluates
+the E3xx family.  See DESIGN.md for the full catalog with paper
+references, and README.md for CLI usage (``lint``, ``callgraph``).
 """
 
 from repro.lint.callgraph import (
@@ -49,14 +52,12 @@ from repro.lint.engine import (
     lint_paths,
     lint_source,
 )
-from repro.lint.fixer import apply_suppressions
 from repro.lint.rules import (
     ALL_RULES,
     UnknownRuleError,
     get_rules,
     resolve_select,
 )
-from repro.lint.sarif import sarif_document
 
 __all__ = [
     "ALL_RULES",
@@ -72,7 +73,6 @@ __all__ = [
     "UnknownRuleError",
     "Violation",
     "analyze_effects",
-    "apply_suppressions",
     "dump_callgraph",
     "get_rules",
     "iter_python_files",
@@ -80,7 +80,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "resolve_select",
-    "sarif_document",
     "summarize_module",
     "summarize_paths",
 ]

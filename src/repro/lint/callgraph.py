@@ -3,17 +3,12 @@
 The per-file rules in :mod:`repro.lint.rules` see one module at a time, so
 a helper two calls away from the kernel loop can reintroduce wall-clock
 reads or per-packet allocation without any rule firing.  This module is
-the first half of the fix: it lowers every analyzed file into a compact,
-JSON-serializable :class:`ModuleSummary` (functions, classes, imports,
-atomic effects, callback registrations) and then links the summaries into
-a whole-program :class:`CallGraph`.  :mod:`repro.lint.effects` propagates
-effect sets over that graph and enforces the E3xx rules.
-
-Summaries are deliberately self-contained and cheap to serialize: the
-incremental cache (:mod:`repro.lint.effcache`) stores one summary per
-file keyed by content hash, so an unchanged file is never re-parsed and
-only the linking + propagation over dirty strongly-connected components
-is redone.
+the first half of the fix: it lowers every analyzed file into a compact
+:class:`ModuleSummary` (functions, classes, imports, atomic effects,
+callback registrations, and the per-file rules' findings on the same
+parsed tree) and then links the summaries into a whole-program
+:class:`CallGraph`.  :mod:`repro.lint.effects` propagates effect sets
+over that graph and enforces the E3xx rules.
 
 Resolution strategy (static, no imports executed):
 
@@ -44,10 +39,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.lint.engine import Suppressions, Violation, parse_suppressions, scope_of
+from repro.lint.engine import (
+    Suppressions,
+    Violation,
+    iter_python_files,
+    parse_module,
+    run_rules,
+)
 from repro.lint.rules import (
+    ALL_RULES,
     _NUMPY_GLOBAL_RANDOM,
     _SCHEDULE_METHODS,
     _WALL_CLOCK_DATETIME_FUNCS,
@@ -61,12 +63,8 @@ from repro.lint.rules import (
 EFFECT_KINDS = (
     "time",        # wall-clock reads
     "rng",         # ambient/global RNG (stdlib random, numpy global state)
-    "hash",        # hash()/id() — process-dependent values
-    "iter",        # iteration over unordered collections
-    "float-acc",   # naive float accumulation in loops
     "alloc",       # closures / comprehensions / known-class construction
     "io",          # print / open / logging
-    "global-write",  # mutates module-global state
 )
 
 #: Base per-file rule that patrols each effect kind; a suppression of the
@@ -74,12 +72,8 @@ EFFECT_KINDS = (
 KIND_BASE_RULES: dict[str, tuple[str, ...]] = {
     "time": ("D101",),
     "rng": ("D102",),
-    "hash": ("D103",),
-    "iter": ("D104",),
-    "float-acc": ("D105",),
     "alloc": ("S205",),
     "io": ("R301",),
-    "global-write": ("S203",),
 }
 
 #: E3xx rules that can report each effect kind transitively.
@@ -137,6 +131,9 @@ class FunctionInfo:
     #: a schedule/Timer callback slot (seeds of the E303 forwarding
     #: fixpoint).
     sched_params: list[tuple[str, int]] = field(default_factory=list)
+    #: ``(line, name)`` — a lambda (``name`` None) or nested def handed
+    #: *directly* to a schedule/Timer callback slot: E303 at depth 0.
+    sched_direct: list[tuple[int, str | None]] = field(default_factory=list)
     #: Interesting arguments at call sites, for the E303 fixpoint:
     #: ``(callee_text, line, position, keyword, kind, name)`` where kind is
     #: ``lambda`` / ``def`` (unpicklable values) or ``name`` (a parameter of
@@ -146,44 +143,6 @@ class FunctionInfo:
     )
     #: Local variable name -> constructor/call text (one-level inference).
     local_types: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "params": self.params,
-            "is_method": self.is_method,
-            "calls": [list(item) for item in self.calls],
-            "callbacks": [list(item) for item in self.callbacks],
-            "effects": [list(item) for item in self.effects],
-            "suppressed_effects": [list(item) for item in self.suppressed_effects],
-            "sched_params": [list(item) for item in self.sched_params],
-            "sched_args": [list(item) for item in self.sched_args],
-            "local_types": self.local_types,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qname=data["qname"],
-            name=data["name"],
-            cls=data["cls"],
-            line=data["line"],
-            params=list(data["params"]),
-            is_method=data["is_method"],
-            calls=[tuple(item) for item in data["calls"]],
-            callbacks=[tuple(item) for item in data["callbacks"]],
-            effects=[tuple(item) for item in data["effects"]],
-            suppressed_effects=[
-                (item[0], item[1], item[2], list(item[3]))
-                for item in data["suppressed_effects"]
-            ],
-            sched_params=[tuple(item) for item in data["sched_params"]],
-            sched_args=[tuple(item) for item in data["sched_args"]],
-            local_types=dict(data["local_types"]),
-        )
 
 
 @dataclass
@@ -197,31 +156,10 @@ class ClassInfo:
     methods: dict[str, str]
     attr_types: dict[str, str]
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "methods": self.methods,
-            "attr_types": self.attr_types,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ClassInfo":
-        return cls(
-            qname=data["qname"],
-            name=data["name"],
-            line=data["line"],
-            bases=list(data["bases"]),
-            methods=dict(data["methods"]),
-            attr_types=dict(data["attr_types"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """Everything the linker needs about one file, content-hash cacheable."""
+    """Everything the linker and the report need about one file."""
 
     module: str
     path: str
@@ -234,41 +172,10 @@ class ModuleSummary:
     #: line -> sorted rule ids, plus whole-file ids under line 0.
     suppression_lines: dict[int, list[str]]
     file_suppressions: list[str]
-    #: Pre-suppression per-file findings ``(rule, line)`` — the evidence
-    #: base for E304 stale-suppression checks.
-    rule_findings: list[tuple[str, int]]
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "functions": [fn.to_json() for fn in self.functions],
-            "classes": [ci.to_json() for ci in self.classes],
-            "hooks": [list(item) for item in self.hooks],
-            "suppression_lines": {
-                str(line): rules for line, rules in self.suppression_lines.items()
-            },
-            "file_suppressions": self.file_suppressions,
-            "rule_findings": [list(item) for item in self.rule_findings],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data["imports"]),
-            functions=[FunctionInfo.from_json(fn) for fn in data["functions"]],
-            classes=[ClassInfo.from_json(ci) for ci in data["classes"]],
-            hooks=[tuple(item) for item in data["hooks"]],
-            suppression_lines={
-                int(line): list(rules)
-                for line, rules in data["suppression_lines"].items()
-            },
-            file_suppressions=list(data["file_suppressions"]),
-            rule_findings=[tuple(item) for item in data["rule_findings"]],
-        )
+    #: Every per-file rule's findings before suppression: the evidence
+    #: base for E304, and — minus the waived ones — the per-file report.
+    rule_findings: list[Violation]
+    violations: list[Violation]
 
 
 def _annotation_ref(node: ast.expr | None) -> str | None:
@@ -346,7 +253,12 @@ class _FunctionExtractor(ast.NodeVisitor):
         # AST nodes hash by identity, so a plain set tracks membership
         # without process-dependent id()/hash() calls (D103-clean).
         self._raise_calls: set[ast.Call] = set()
-        self._loop_depth = 0
+        self._nested = {
+            child.name
+            for child in ast.walk(root)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and child is not root
+        }
 
     # -- effect bookkeeping -------------------------------------------------
 
@@ -405,38 +317,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._effect("alloc", node, "generator expression")
         self.generic_visit(node)
 
-    def visit_Global(self, node: ast.Global) -> None:
-        self._effect("global-write", node, f"global {', '.join(node.names)}")
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        if isinstance(node.iter, ast.Set) or (
-            isinstance(node.iter, ast.Call)
-            and isinstance(node.iter.func, ast.Name)
-            and node.iter.func.id in {"set", "frozenset"}
-        ):
-            self._effect("iter", node, "iteration over an unordered set")
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if (
-            self._loop_depth
-            and isinstance(node.op, ast.Add)
-            and isinstance(node.target, ast.Name)
-            and isinstance(node.value, (ast.BinOp, ast.Call, ast.Name, ast.Attribute))
-        ):
-            self._effect(
-                "float-acc", node, f"accumulation into {node.target.id!r} in a loop"
-            )
-        self.generic_visit(node)
-
     def visit_Assign(self, node: ast.Assign) -> None:
         if (
             len(node.targets) == 1
@@ -452,6 +332,9 @@ class _FunctionExtractor(ast.NodeVisitor):
         text = _dotted_name(node.func)
         if text is not None:
             self._classify_call(node, text)
+        elif isinstance(node.func, ast.Attribute):
+            # ``self.ports[0].sim.schedule(...)``: no dotted name, still a slot.
+            self._maybe_callback_site(node, "", ["", node.func.attr])
         self.generic_visit(node)
 
     # -- call classification ------------------------------------------------
@@ -467,9 +350,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 return
             if tail == "open":
                 self._effect("io", node, "open()")
-                return
-            if tail in {"hash", "id"} and node.args:
-                self._effect("hash", node, f"{tail}()")
                 return
         if resolved_head in {"time", "datetime"} or head in {"time", "datetime"}:
             base = resolved_head or head
@@ -517,10 +397,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         via = ""
         if tail in _SCHEDULE_METHODS and len(segs) >= 2:
             via = "schedule"
-            if tail == "schedule_at":
-                callback = node.args[1] if len(node.args) > 1 else None
-            else:
-                callback = node.args[1] if len(node.args) > 1 else None
+            callback = node.args[1] if len(node.args) > 1 else None
             for keyword in node.keywords:
                 if keyword.arg == "callback":
                     callback = keyword.value
@@ -550,8 +427,12 @@ class _FunctionExtractor(ast.NodeVisitor):
                 if ref not in [name for name, _ in self.info.sched_params]:
                     self.info.sched_params.append((ref, node.lineno))
             else:
+                if via != "hook" and ref in self._nested:
+                    self.info.sched_direct.append((callback.lineno, ref))
                 self.info.callbacks.append((ref, node.lineno))
         elif isinstance(callback, ast.Lambda):
+            if via != "hook":
+                self.info.sched_direct.append((callback.lineno, None))
             body_ref = None
             if isinstance(callback.body, ast.Call):
                 body_ref = _dotted_name(callback.body.func)
@@ -687,36 +568,19 @@ def _infer_attr_types(init: ast.FunctionDef | ast.AsyncFunctionDef, cls: ClassIn
 
 
 def summarize_module(source: str, path: Path | str) -> ModuleSummary:
-    """Lower one file into its :class:`ModuleSummary` (parse errors → empty)."""
-    path = Path(path)
-    display = str(path)
-    module = module_qname(path)
-    is_pkg = path.stem == "__init__"
-    suppressions = parse_suppressions(source)
-    suppression_lines = {
-        line: sorted(rules) for line, rules in suppressions.by_line.items()
-    }
-    file_suppressions = sorted(suppressions.whole_file)
-    # Pre-suppression per-file findings: the evidence base for E304.
-    findings = [
-        (violation.rule, violation.line)
-        for violation in _presuppression_findings(source, path)
-    ]
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError:
-        return ModuleSummary(
-            module=module,
-            path=display,
-            imports={},
-            functions=[],
-            classes=[],
-            hooks=[],
-            suppression_lines=suppression_lines,
-            file_suppressions=file_suppressions,
-            rule_findings=findings,
-        )
-    imports = _collect_imports(tree, module, is_pkg)
+    """Lower one file into its :class:`ModuleSummary`.
+
+    The file is parsed and tokenised once (:func:`parse_module`); every
+    per-file rule runs once over that tree, and the call-graph extraction
+    walks the same tree.  A file that does not parse yields an empty
+    summary carrying its E001.
+    """
+    context = parse_module(source, path)
+    suppressions = context.suppressions
+    tree = context.tree
+    module = module_qname(context.path)
+    findings = run_rules(context, ALL_RULES)
+    imports = _collect_imports(tree, module, context.path.stem == "__init__")
     functions: list[FunctionInfo] = []
     classes: list[ClassInfo] = []
     for node in tree.body:
@@ -736,50 +600,20 @@ def summarize_module(source: str, path: Path | str) -> ModuleSummary:
             )
             classes.append(cls_info)
             functions.extend(methods)
-    hooks = _module_level_hooks(tree)
     return ModuleSummary(
         module=module,
-        path=display,
+        path=context.display_path,
         imports=imports,
         functions=functions,
         classes=classes,
-        hooks=hooks,
-        suppression_lines=suppression_lines,
-        file_suppressions=file_suppressions,
+        hooks=_module_level_hooks(tree),
+        suppression_lines={
+            line: sorted(rules) for line, rules in suppressions.by_line.items()
+        },
+        file_suppressions=sorted(suppressions.whole_file),
         rule_findings=findings,
+        violations=[v for v in findings if not suppressions.suppressed(v)],
     )
-
-
-def _presuppression_findings(source: str, path: Path) -> list[Violation]:
-    """Per-file rule findings *before* suppression filtering (E304 evidence)."""
-    from repro.lint.engine import ModuleContext
-    from repro.lint.rules import ALL_RULES  # cycle-free: rules imports engine only
-
-    display = str(path)
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                rule="E001",
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    module = ModuleContext(
-        path=path,
-        display_path=display,
-        source=source,
-        tree=tree,
-        scope=scope_of(path),
-    )
-    found: list[Violation] = []
-    for rule in ALL_RULES:
-        if rule.applies(module):
-            found.extend(rule.check(module))
-    return found
 
 
 def _module_level_hooks(tree: ast.Module) -> list[tuple[str, int, str]]:
@@ -1228,12 +1062,10 @@ def link_modules(summaries: Sequence[ModuleSummary]) -> CallGraph:
 
 def summarize_paths(paths: Sequence[Path | str]) -> list[ModuleSummary]:
     """Summarize every Python file under ``paths`` (sorted, deterministic)."""
-    from repro.lint.engine import iter_python_files
-
-    summaries = []
-    for path in iter_python_files(paths):
-        summaries.append(summarize_module(path.read_text(encoding="utf-8"), path))
-    return summaries
+    return [
+        summarize_module(path.read_text(encoding="utf-8"), path)
+        for path in iter_python_files(paths)
+    ]
 
 
 __all__ = [

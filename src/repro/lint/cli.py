@@ -7,11 +7,15 @@ Exit-code semantics (stable contract for CI and pre-commit hooks):
   (per-file D/S/R rules, whole-program E3xx findings, or stale-waiver
   E304 reports).
 * ``2`` — the analysis itself could not run: unknown ``--select`` token,
-  unreadable path, or an unwritable ``--sarif``/cache destination.
+  unknown flag, or unreadable path.
+
+Every ``lint`` call is the same one pass — each file parsed once, every
+rule run once, the call graph linked and E301–E304 evaluated; ``--select``
+narrows what is reported, never what is computed.
 
 ``conga-repro callgraph`` is informational: it exits ``0`` after dumping
 witness chains (``2`` on usage errors), never ``1`` — gating belongs to
-``lint --effects``.
+``lint``.
 """
 
 from __future__ import annotations
@@ -19,16 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-from repro.lint.engine import LintReport, Violation, lint_paths
-from repro.lint.fixer import apply_suppressions
+from repro.lint.callgraph import EFFECT_KINDS
+from repro.lint.effects import EFFECT_RULE_CATALOG, analyze_effects, dump_callgraph
+from repro.lint.engine import LintReport
 from repro.lint.rules import ALL_RULES, UnknownRuleError, resolve_select
-
-if TYPE_CHECKING:
-    from repro.lint.effects import EffectsReport
-    from repro.lint.rules import Rule
 
 
 def add_lint_parser(
@@ -41,9 +40,9 @@ def add_lint_parser(
         description=(
             "AST-based static analysis enforcing the repo's determinism "
             "contract (D1xx rules), simulator invariants (S2xx rules), "
-            "reporting discipline (R3xx), and — with --effects — the "
-            "whole-program E3xx contracts over the interprocedural call "
-            "graph.  See DESIGN.md for the rule catalog.  Exit codes: "
+            "reporting discipline (R3xx), and the whole-program E3xx "
+            "contracts over the interprocedural call graph, in one pass.  "
+            "See DESIGN.md for the rule catalog.  Exit codes: "
             "0 clean, 1 findings, 2 usage/internal error."
         ),
     )
@@ -65,67 +64,20 @@ def add_lint_parser(
         default=None,
         metavar="RULES",
         help=(
-            "comma-separated rule ids or family prefixes to run "
-            "(e.g. 'D101', 'E3', 'D,S2'); selecting an E3xx family "
-            "implies the whole-program effects pass"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "lint files with N worker processes (findings are reported in "
-            "deterministic (path, line, col, rule) order for any N)"
-        ),
-    )
-    parser.add_argument(
-        "--effects",
-        action="store_true",
-        help=(
-            "additionally run the whole-program effect analysis "
-            "(call graph + transitive E301/E302/E303 checks and the E304 "
-            "stale-suppression check)"
+            "comma-separated rule ids or family prefixes to report "
+            "(e.g. 'D101', 'E3', 'D,S2'); every rule still runs, so a "
+            "selected E304 judges waivers of unselected rules too"
         ),
     )
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help=(
-            "list every suppression comment with its staleness verdict "
-            "(implies the effects pass, which owns the evidence base)"
-        ),
-    )
-    parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report (GitHub code scanning)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=".repro-cache/lint-effects.json",
-        metavar="PATH",
-        help="effects-pass content-hash cache file (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the effects-pass cache (cold analysis every run)",
+        help="list every suppression comment with its staleness verdict",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--fix-suppress",
-        action="store_true",
-        help=(
-            "insert '# repro-lint: ignore[RULE]' comments for every current "
-            "finding (triage helper for legacy violations)"
-        ),
     )
     parser.set_defaults(func=cmd_lint)
     return parser
@@ -168,16 +120,7 @@ def add_callgraph_parser(
         action="append",
         default=None,
         metavar="KIND",
-        choices=(
-            "time",
-            "rng",
-            "hash",
-            "iter",
-            "float-acc",
-            "alloc",
-            "io",
-            "global-write",
-        ),
+        choices=EFFECT_KINDS,
         help="only show these effect kinds (repeatable; default: all)",
     )
     parser.add_argument(
@@ -187,42 +130,16 @@ def add_callgraph_parser(
         dest="output_format",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--cache",
-        default=".repro-cache/lint-effects.json",
-        metavar="PATH",
-        help="effects-pass content-hash cache file (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the effects-pass cache",
-    )
     parser.set_defaults(func=cmd_callgraph)
     return parser
 
 
 def _print_rules() -> None:
-    from repro.lint.effects import EFFECT_RULE_CATALOG
-
     for rule in ALL_RULES + EFFECT_RULE_CATALOG:
-        if rule.scopes:
-            scope = ", ".join(rule.scopes)
-        elif rule.rule_id.startswith("E3"):
-            scope = "whole program (call graph over the analyzed paths)"
-        else:
-            scope = "src/repro (all)"
         print(f"{rule.rule_id}  {rule.title}")
-        print(f"      scope: {scope}")
+        print(f"      scope: {rule.patrols}")
         print(f"      guards: {rule.rationale}")
         print(f"      derives from: {rule.paper_ref}")
-
-
-def _run_effects(args: argparse.Namespace) -> "EffectsReport":
-    from repro.lint.effects import analyze_effects
-
-    cache_path = None if args.no_cache else Path(args.cache)
-    return analyze_effects(args.paths, cache_path=cache_path)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -230,61 +147,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         _print_rules()
         return 0
+    selected = None
     try:
-        file_rules, effect_ids = resolve_select(args.select)
-    except UnknownRuleError as exc:
+        if args.select is not None:
+            file_rules, effect_ids = resolve_select(args.select)
+            selected = [rule.rule_id for rule in file_rules] + list(effect_ids)
+        effects_report = analyze_effects(args.paths)
+    except (UnknownRuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    selected_effects = args.select is not None and bool(effect_ids)
-    run_effects = args.effects or args.show_suppressed or selected_effects
-    effect_filter = effect_ids if args.select is not None else None
-
-    try:
-        report, effects_report = _run_passes(
-            args, file_rules, run_effects, effect_filter
-        )
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.fix_suppress:
-        edited = apply_suppressions(report.violations)
-        for path, count in edited.items():
-            print(f"suppressed {count} line(s) in {path}")
-        report, effects_report = _run_passes(  # re-check after edits
-            args, file_rules, run_effects, effect_filter
-        )
-
-    if args.sarif:
-        from repro.lint.sarif import sarif_document
-
-        findings = effects_report.findings if effects_report is not None else ()
-        finding_sites = {
-            (f.rule, f.site_path, f.site_line) for f in findings
-        }
-        plain = [
-            violation
-            for violation in report.violations
-            if (violation.rule, violation.path, violation.line) not in finding_sites
-        ]
-        document = sarif_document(plain, findings)
-        try:
-            Path(args.sarif).write_text(
-                json.dumps(document, indent=2, sort_keys=True), encoding="utf-8"
-            )
-        except OSError as exc:
-            print(f"error: cannot write SARIF to {args.sarif}: {exc}", file=sys.stderr)
-            return 2
+    report = LintReport(
+        violations=effects_report.violations(selected),
+        files_checked=effects_report.files_checked,
+    )
 
     if args.output_format == "json":
         document = report.to_json()
-        if effects_report is not None:
-            document["effects"] = effects_report.to_json()
+        document["effects"] = effects_report.to_json()
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         for violation in report.violations:
             print(violation.format())
-        if args.show_suppressed and effects_report is not None:
+        if args.show_suppressed:
             for status in effects_report.suppressions:
                 where = f"{status.path}:{status.line}" if status.line else status.path
                 form = "ignore" if status.line else "ignore-file"
@@ -302,37 +186,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_passes(
-    args: argparse.Namespace,
-    file_rules: "tuple[Rule, ...]",
-    run_effects: bool,
-    effect_filter: "tuple[str, ...] | None",
-) -> "tuple[LintReport, EffectsReport | None]":
-    """One lint round: per-file rules (maybe parallel) + optional effects."""
-    if file_rules:
-        report = lint_paths(args.paths, file_rules, jobs=args.jobs)
-    else:
-        report = LintReport(violations=[], files_checked=0)
-    effects_report = None
-    if run_effects:
-        effects_report = _run_effects(args)
-        merged: list[Violation] = list(report.violations)
-        merged.extend(effects_report.violations(effect_filter))
-        merged.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-        report = LintReport(
-            violations=merged,
-            files_checked=max(report.files_checked, effects_report.files_checked),
-        )
-    return report, effects_report
-
-
 def cmd_callgraph(args: argparse.Namespace) -> int:
     """Entry point for ``conga-repro callgraph``."""
-    from repro.lint.effects import dump_callgraph
-
     try:
-        report = _run_effects(args)
-    except (FileNotFoundError, OSError) as exc:
+        report = analyze_effects(args.paths)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = dump_callgraph(report, entries=args.entry, kinds=args.kind)

@@ -11,19 +11,21 @@ contracts that per-file rules cannot see:
 * **E302** — no allocation effects (closures, comprehensions, known-class
   construction) reachable from the per-packet train path *without
   crossing a callback edge* — the synchronous per-packet code that PR 7's
-  train batching made allocation-free.  Generalizes S205 beyond syntactic
-  lambdas in the same file.
-* **E303** — nothing unpicklable handed into a parameter that is
-  (transitively) scheduled on the event kernel: a lambda passed through
-  two helpers into ``sim.schedule`` breaks subprocess shipping even
-  though S201's per-file check never sees it.
+  train batching made allocation-free.  S205's concern followed in depth
+  from four entries; S205 itself patrols in breadth (DESIGN.md says why
+  both stay).
+* **E303** — nothing unpicklable reaches a schedule slot
+  (``sim.schedule*`` / ``Timer`` / ``PeriodicTimer`` callback): a lambda
+  or nested def passed directly (depth 0), or a lambda handed into a
+  parameter that is transitively scheduled (depth n — through two
+  helpers into ``sim.schedule`` breaks subprocess shipping just the same).
 * **E304** — stale suppression comments: an ``ignore[...]`` whose rules
   no longer match any (pre-suppression) finding at that site.
 
 Every E301/E302/E303 finding carries a concrete witness chain — entry
 point → call → … → effect site, with ``path:line`` per hop — rendered in
-the violation message, exported in JSON/SARIF ``codeFlows``, and dumped
-by ``conga-repro callgraph``.
+the violation message, exported in ``--format json``, and dumped by
+``conga-repro callgraph``.
 
 Propagation runs over the condensation of the call graph (iterative
 Tarjan SCCs, callees first).  Crossing a ``callback`` edge marks an
@@ -41,8 +43,6 @@ anything.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -52,9 +52,9 @@ from repro.lint.callgraph import (
     CallGraph,
     ModuleSummary,
     link_modules,
-    summarize_module,
+    summarize_paths,
 )
-from repro.lint.engine import Violation, iter_python_files
+from repro.lint.engine import Violation
 
 #: Effect kinds banned on the kernel clock (E301) and the train path (E302).
 E301_BANNED = ("time", "rng", "io")
@@ -91,7 +91,7 @@ class EffectRule:
     title: str
     rationale: str
     paper_ref: str
-    scopes: tuple[str, ...] | None = None
+    patrols: str = "whole program (call graph over the analyzed paths)"
 
 
 EFFECT_RULE_CATALOG: tuple[EffectRule, ...] = (
@@ -111,21 +111,23 @@ EFFECT_RULE_CATALOG: tuple[EffectRule, ...] = (
         rationale=(
             "Port._advance/DRE.measure run once per packet at 1M events/sec; "
             "any reachable closure, comprehension, or object construction on "
-            "the synchronous path is a per-packet allocation (generalizes "
-            "S205 across call boundaries)."
+            "the synchronous path is a per-packet allocation (S205's "
+            "concern followed across call boundaries from four entries)."
         ),
-        paper_ref="CONGA §3.2 (DRE on the data path), BENCH_kernel.json gate",
+        paper_ref="CONGA §3.2 (DRE on the data path), tests/test_frame_budget.py",
     ),
     EffectRule(
         rule_id="E303",
-        title="values scheduled on the kernel must be transitively picklable",
+        title="nothing unpicklable reaches a schedule slot, directly or forwarded",
         rationale=(
-            "A lambda forwarded through helpers into kernel.schedule* lands "
-            "on the event heap that SubprocessBackend workers pickle; S201 "
-            "only sees the schedule call itself (generalized via the call "
-            "graph)."
+            "A lambda or nested def in a kernel.schedule*/Timer callback "
+            "slot — passed directly or forwarded through helpers — lands on "
+            "the event heap that SubprocessBackend workers pickle, and "
+            "captures state that diverges between a cancelled and a "
+            "re-armed event.  Pass a bound method or module-level function "
+            "(plus the arg slot for data)."
         ),
-        paper_ref="repro.runner subprocess isolation contract",
+        paper_ref="repro.runner subprocess isolation contract (run_sweep)",
     ),
     EffectRule(
         rule_id="E304",
@@ -234,104 +236,16 @@ def _tarjan_sccs(
     return sccs
 
 
-@dataclass
-class PropagationStats:
-    """Cache-effectiveness counters asserted by the incremental tests."""
-
-    files_total: int = 0
-    files_analyzed: int = 0
-    files_cached: int = 0
-    sccs_total: int = 0
-    sccs_repropagated: int = 0
-
-    def to_json(self) -> dict[str, int]:
-        return {
-            "files_total": self.files_total,
-            "files_analyzed": self.files_analyzed,
-            "files_cached": self.files_cached,
-            "sccs_total": self.sccs_total,
-            "sccs_repropagated": self.sccs_repropagated,
-        }
-
-
-def _fingerprints(
-    graph: CallGraph, own: dict[str, dict[str, Witness]]
-) -> dict[str, str]:
-    """Stable per-function digest of own effects + resolved out-edges."""
-    prints: dict[str, str] = {}
-    for qname in graph.functions:
-        payload = {
-            "own": sorted(
-                (key, value[0], value[3] or "")
-                for key, value in own.get(qname, {}).items()
-            ),
-            "edges": sorted(
-                (edge.callee, edge.kind, edge.line)
-                for edge in graph.out_edges.get(qname, ())
-            ),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        prints[qname] = hashlib.sha256(blob).hexdigest()
-    return prints
-
-
-def propagate(
-    graph: CallGraph,
-    *,
-    cached_propagation: dict[str, dict[str, Witness]] | None = None,
-    cached_fingerprints: dict[str, str] | None = None,
-    stats: PropagationStats | None = None,
-) -> tuple[dict[str, dict[str, Witness]], dict[str, str]]:
-    """Transitive effect sets with first-acquisition witnesses.
-
-    When cached propagation + fingerprints from a previous run are given,
-    only strongly-connected components that can reach a changed function
-    are recomputed; clean SCCs reuse the cached transitive sets.
-    """
+def propagate(graph: CallGraph) -> dict[str, dict[str, Witness]]:
+    """Transitive effect sets with first-acquisition witnesses."""
     own = _own_effects(graph)
-    prints = _fingerprints(graph, own)
-    cached_propagation = cached_propagation or {}
-    cached_fingerprints = cached_fingerprints or {}
-    seeds = {
-        qname
-        for qname, fingerprint in prints.items()
-        if cached_fingerprints.get(qname) != fingerprint
-    }
-
     nodes = sorted(graph.functions)
     successors = {
         qname: [edge.callee for edge in graph.out_edges.get(qname, ())]
         for qname in nodes
     }
-    sccs = _tarjan_sccs(nodes, successors)
-    scc_of = {member: i for i, component in enumerate(sccs) for member in component}
-
     result: dict[str, dict[str, Witness]] = {}
-    dirty: list[bool] = []
-    if stats is not None:
-        stats.sccs_total = len(sccs)
-
-    for component in sccs:
-        is_dirty = any(member in seeds for member in component) or any(
-            member not in cached_propagation for member in component
-        )
-        if not is_dirty:
-            for member in component:
-                for edge in graph.out_edges.get(member, ()):
-                    callee_scc = scc_of.get(edge.callee)
-                    if callee_scc is not None and callee_scc < len(dirty):
-                        if dirty[callee_scc]:
-                            is_dirty = True
-                            break
-                if is_dirty:
-                    break
-        dirty.append(is_dirty)
-        if not is_dirty:
-            for member in component:
-                result[member] = dict(cached_propagation[member])
-            continue
-        if stats is not None:
-            stats.sccs_repropagated += 1
+    for component in _tarjan_sccs(nodes, successors):
         for member in component:
             result[member] = dict(own.get(member, {}))
         changed = True
@@ -355,7 +269,7 @@ def propagate(
                                 None,
                             )
                             changed = True
-    return result, prints
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +365,14 @@ def _witness_chain(
     """Reconstruct ``(hops, detail, site_path, site_line)`` for one key."""
     hops: list[ChainHop] = []
     qname, key = start, start_key
-    seen: set[tuple[str, str]] = set()
-    while (qname, key) not in seen and len(hops) < 64:
-        seen.add((qname, key))
-        witness = propagation.get(qname, {}).get(key)
-        if witness is None:
-            break
-        line, callee, callee_key, detail = witness
+    # Terminates: a witness always names a key its callee acquired earlier.
+    while True:
+        line, callee, callee_key, detail = propagation[qname][key]
         path = graph.path_of(qname)
         hops.append(ChainHop(qname=qname, path=path, line=line))
         if callee is None:
             return hops, detail or key, path, line
         qname, key = callee, callee_key or key
-    # Degenerate (cache corruption): anchor at the entry itself.
-    fn = graph.functions.get(start)
-    line = fn.line if fn else 1
-    path = graph.path_of(start)
-    if not hops:
-        hops = [ChainHop(qname=start, path=path, line=line)]
-    return hops, _split_key(start_key)[0], hops[-1].path, hops[-1].line
 
 
 def _match_entries(
@@ -526,7 +429,7 @@ def _check_reachability(
 
 
 # ---------------------------------------------------------------------------
-# E303: transitive callback forwarding
+# E303: unpicklable values in schedule slots, direct or forwarded
 # ---------------------------------------------------------------------------
 
 
@@ -534,7 +437,7 @@ def _check_forwarding(
     graph: CallGraph,
     used_marks: dict[tuple[str, int], set[str]],
 ) -> list[EffectFinding]:
-    """Lambdas forwarded through helpers into a schedule/Timer slot."""
+    """Lambdas/nested defs in a schedule/Timer slot, direct or via helpers."""
     # Fixpoint: (function, param) pairs whose value ends up scheduled.
     forwarding: dict[tuple[str, str], tuple] = {}
     for qname, fn in graph.functions.items():
@@ -553,6 +456,38 @@ def _check_forwarding(
                 changed = True
 
     findings: list[EffectFinding] = []
+    # Depth 0: the unpicklable value sits in the slot itself.
+    for qname, fn in graph.functions.items():
+        if not fn.sched_direct:
+            continue
+        owner = qname.rsplit(".", 2 if fn.cls else 1)[0]
+        path = graph.path_of(qname)
+        for line, name in fn.sched_direct:
+            if name is not None and f"{owner}.{name}" in graph.functions:
+                continue  # also a module-level function: not provably the closure
+            matched = _suppressed_at(graph, qname, line, ("E303",))
+            if matched:
+                used_marks.setdefault((path, line), set()).update(matched)
+                continue
+            what = "lambda" if name is None else f"nested function {name!r}"
+            findings.append(
+                EffectFinding(
+                    rule="E303",
+                    kind="unpicklable-callback",
+                    entry=qname,
+                    entry_reason="schedules it directly",
+                    chain=[ChainHop(qname=qname, path=path, line=line)],
+                    site_path=path,
+                    site_line=line,
+                    detail=(
+                        f"{what} scheduled on the event kernel; pass a bound "
+                        "method or module-level function (use the arg slot for "
+                        "data) so the component stays picklable for "
+                        "SubprocessBackend workers"
+                    ),
+                )
+            )
+    # Depth n: a lambda handed to a parameter that ends up scheduled.
     for arg in graph.forward_args:
         if arg.kind != "lambda":
             continue
@@ -560,7 +495,7 @@ def _check_forwarding(
         if target not in forwarding:
             continue
         caller_path = graph.path_of(arg.caller)
-        matched = _suppressed_at(graph, arg.caller, arg.line, ("S201", "E303"))
+        matched = _suppressed_at(graph, arg.caller, arg.line, ("E303",))
         if matched:
             used_marks.setdefault((caller_path, arg.line), set()).update(matched)
             continue
@@ -638,9 +573,9 @@ def _check_suppressions(
     for module in sorted(graph.modules.values(), key=lambda s: s.path):
         findings_by_line: dict[int, set[str]] = {}
         file_rules_seen: set[str] = set()
-        for rule, line in module.rule_findings:
-            findings_by_line.setdefault(line, set()).add(rule)
-            file_rules_seen.add(rule)
+        for found in module.rule_findings:
+            findings_by_line.setdefault(found.line, set()).add(found.rule)
+            file_rules_seen.add(found.rule)
         suppressed_by_line: dict[int, set[str]] = {}
         for fn in module.functions:
             for _kind, line, _detail, matched in fn.suppressed_effects:
@@ -727,39 +662,41 @@ def _check_suppressions(
 
 @dataclass
 class EffectsReport:
-    """Result of one whole-program effects pass."""
+    """Result of one analysis pass: per-file findings and the E3xx family."""
 
+    #: Per-file D/S/R findings (and E001) that survived suppression.
+    file_violations: list[Violation]
     findings: list[EffectFinding]
     stale: list[Violation]
     suppressions: list[SuppressionStatus]
-    stats: PropagationStats
     files_checked: int
     graph: CallGraph
     propagation: dict[str, dict[str, Witness]] = field(repr=False, default_factory=dict)
 
     def violations(self, select: Iterable[str] | None = None) -> list[Violation]:
-        """All E3xx violations, optionally filtered to selected rule ids."""
-        wanted = set(select) if select is not None else None
-        out = [
-            finding.to_violation()
-            for finding in self.findings
-            if wanted is None or finding.rule in wanted
-        ]
-        if wanted is None or "E304" in wanted:
-            out.extend(self.stale)
+        """Every violation, optionally narrowed to selected rule ids.
+
+        E001 is never narrowed away: nothing can be said about a file
+        that does not parse, whatever was selected.
+        """
+        out = list(self.file_violations)
+        out.extend(finding.to_violation() for finding in self.findings)
+        out.extend(self.stale)
+        if select is not None:
+            wanted = {"E001", *select}
+            out = [violation for violation in out if violation.rule in wanted]
         out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
         return out
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale
+        return not (self.file_violations or self.findings or self.stale)
 
     def to_json(self) -> dict[str, object]:
         return {
             "version": 1,
             "ok": self.ok,
             "files_checked": self.files_checked,
-            "stats": self.stats.to_json(),
             "findings": [finding.to_json() for finding in self.findings],
             "stale_suppressions": [
                 {
@@ -776,44 +713,18 @@ class EffectsReport:
 def analyze_effects(
     paths: Sequence[Path | str],
     *,
-    cache_path: Path | str | None = None,
     e301_entries: Sequence[str] = DEFAULT_E301_ENTRIES,
     e302_entries: Sequence[str] = DEFAULT_E302_ENTRIES,
     include_dynamic_entries: bool = True,
 ) -> EffectsReport:
-    """Run the whole-program effects pass over ``paths``.
+    """The one analysis pass over ``paths``.
 
-    ``cache_path`` enables the per-file content-hash cache: unchanged
-    files reuse their summaries, and only SCCs that can reach a changed
-    function are re-propagated (:class:`PropagationStats` records both).
+    file → module summary (one parse, one rule sweep) → {per-file
+    findings, linked call graph} → E301–E304 → report.
     """
-    from repro.lint.effcache import EffectCache
-
-    cache = EffectCache(Path(cache_path)) if cache_path is not None else None
-    stats = PropagationStats()
-
-    summaries: list[ModuleSummary] = []
-    for path in iter_python_files(paths):
-        raw = path.read_bytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        stats.files_total += 1
-        summary = cache.summary_for(str(path), digest) if cache else None
-        if summary is None:
-            summary = summarize_module(raw.decode("utf-8"), path)
-            stats.files_analyzed += 1
-        else:
-            stats.files_cached += 1
-        if cache:
-            cache.store_summary(str(path), digest, summary)
-        summaries.append(summary)
-
+    summaries = summarize_paths(paths)
     graph = link_modules(summaries)
-    propagation, fingerprints = propagate(
-        graph,
-        cached_propagation=cache.propagation if cache else None,
-        cached_fingerprints=cache.fingerprints if cache else None,
-        stats=stats,
-    )
+    propagation = propagate(graph)
 
     e301 = _match_entries(graph, e301_entries)
     if include_dynamic_entries:
@@ -834,16 +745,12 @@ def analyze_effects(
     findings.sort(key=lambda f: (f.site_path, f.site_line, f.rule, f.entry))
     stale, suppressions = _check_suppressions(graph, used_marks)
 
-    if cache:
-        cache.store_propagation(propagation, fingerprints)
-        cache.save()
-
     return EffectsReport(
+        file_violations=[v for summary in summaries for v in summary.violations],
         findings=findings,
         stale=stale,
         suppressions=suppressions,
-        stats=stats,
-        files_checked=stats.files_total,
+        files_checked=len(summaries),
         graph=graph,
         propagation=propagation,
     )
@@ -907,7 +814,6 @@ __all__ = [
     "EffectFinding",
     "EffectRule",
     "EffectsReport",
-    "PropagationStats",
     "SuppressionStatus",
     "analyze_effects",
     "dump_callgraph",

@@ -1,9 +1,11 @@
 """Rule engine for the repro static analyzer (``conga-repro lint``).
 
-The engine is deliberately small: it walks Python files, parses each one
-once with the stdlib :mod:`ast`, hands the tree to every applicable rule,
-and filters the resulting violations through suppression comments.  Rules
-live in :mod:`repro.lint.rules`; each one encodes a determinism or
+The engine is deliberately small: :func:`parse_module` reads one file —
+parsed once with the stdlib :mod:`ast`, tokenised once for suppression
+comments — into the :class:`ModuleContext` that both rule families
+consume: the per-file rules of :mod:`repro.lint.rules` check its tree,
+and :mod:`repro.lint.callgraph` lowers the same tree into the summary the
+whole-program E3xx pass links.  Each rule encodes a determinism or
 simulation invariant of this reproduction (see DESIGN.md for the catalog
 and the paper sections the invariants derive from).
 
@@ -16,8 +18,8 @@ work anywhere a comment does:
   separated, ``*`` for all) on this physical line.  Trailing prose after
   the bracket is allowed and encouraged: state *why* the finding is safe.
 * ``# repro-lint: ignore-file[D101]`` — suppress the listed rule ids for
-  the whole file (used e.g. by :mod:`repro.perf`, which is wall-clock
-  measurement code by definition).
+  the whole file (for a module that is, say, wall-clock measurement code
+  by definition).
 
 A violation is matched against the physical line of the AST node that
 raised it (``node.lineno``), so on a multi-line statement the suppression
@@ -80,6 +82,8 @@ class Rule:
     ``scopes`` restricts a rule to top-level subpackages of ``repro``
     (``None`` means the whole tree); files outside any ``repro`` package
     are always in scope so fixtures and scripts can be checked too.
+    ``directory`` restricts it to files under a directory of that name
+    instead (the benchmark suite lives outside the package tree).
     """
 
     rule_id: str = ""
@@ -90,9 +94,19 @@ class Rule:
     #: Paper section the invariant derives from ("" when repo-internal).
     paper_ref: str = ""
     scopes: tuple[str, ...] | None = None
+    directory: str | None = None
+
+    @property
+    def patrols(self) -> str:
+        """Where the rule applies, as ``--list-rules`` prints it."""
+        if self.directory is not None:
+            return f"files under a {self.directory}/ directory"
+        return ", ".join(self.scopes) if self.scopes else "src/repro (all)"
 
     def applies(self, module: "ModuleContext") -> bool:
         """Whether this rule patrols ``module`` (scope check)."""
+        if self.directory is not None:
+            return self.directory in module.path.parts
         if self.scopes is None or module.scope is None:
             return True
         return bool(module.scope) and module.scope[0] in self.scopes
@@ -116,16 +130,19 @@ class Rule:
 
 @dataclass
 class ModuleContext:
-    """Everything a rule needs about one parsed file."""
+    """One file, parsed and tokenised once, for every rule family."""
 
     path: Path
     display_path: str
-    source: str
+    #: Empty when the file does not parse (``error`` is then its E001).
     tree: ast.Module
     #: Path components after the last ``repro`` directory, e.g.
     #: ``("sim", "kernel.py")``; ``None`` when the file is not inside a
     #: ``repro`` package tree.
     scope: tuple[str, ...] | None
+    #: Empty too when the file does not parse: E001 cannot be waived.
+    suppressions: "Suppressions"
+    error: Violation | None = None
 
 
 @dataclass
@@ -190,44 +207,56 @@ def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a Python file or directory: {path}")
 
 
+def parse_module(source: str, path: Path | str) -> ModuleContext:
+    """Parse and tokenise ``source`` exactly once into a :class:`ModuleContext`."""
+    path = Path(path)
+    display = str(path)
+    error = None
+    try:
+        tree = ast.parse(source, filename=display)
+        suppressions = parse_suppressions(source)
+    except SyntaxError as exc:
+        tree, suppressions = ast.Module(body=[], type_ignores=[]), Suppressions({}, set())
+        error = Violation(
+            rule="E001",
+            path=display,
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) + 1,
+            message=f"file does not parse: {exc.msg}",
+        )
+    return ModuleContext(
+        path=path,
+        display_path=display,
+        tree=tree,
+        scope=scope_of(path),
+        suppressions=suppressions,
+        error=error,
+    )
+
+
+def run_rules(module: ModuleContext, rules: Sequence[Rule]) -> list[Violation]:
+    """Findings *before* suppression: the report's input and E304's evidence."""
+    if module.error is not None:
+        return [module.error]
+    return [
+        violation
+        for rule in rules
+        if rule.applies(module)
+        for violation in rule.check(module)
+    ]
+
+
 def lint_source(
     source: str,
     rules: Sequence[Rule],
     *,
     path: Path | str = "<string>",
 ) -> list[Violation]:
-    """Lint one in-memory module; the workhorse behind :func:`lint_paths`."""
-    path = Path(path)
-    display = str(path)
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                rule="E001",
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    module = ModuleContext(
-        path=path,
-        display_path=display,
-        source=source,
-        tree=tree,
-        scope=scope_of(path),
-    )
-    suppressions = parse_suppressions(source)
-    found: list[Violation] = []
-    for rule in rules:
-        if not rule.applies(module):
-            continue
-        for violation in rule.check(module):
-            if not suppressions.suppressed(violation):
-                found.append(violation)
+    """Run per-file ``rules`` over one in-memory module."""
+    module = parse_module(source, path)
+    found = run_rules(module, rules)
     found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return found
+    return [v for v in found if not module.suppressions.suppressed(v)]
 
 
 @dataclass
@@ -269,44 +298,12 @@ class LintReport:
         }
 
 
-def _lint_file_worker(task: tuple[str, str | None]) -> list[Violation]:
-    """Process-pool worker: lint one file with rules rebuilt from ids."""
-    from repro.lint.rules import get_rules
-
-    path_str, select = task
-    rules = get_rules(select)
-    path = Path(path_str)
-    return lint_source(path.read_text(encoding="utf-8"), rules, path=path)
-
-
-def lint_paths(
-    paths: Sequence[Path | str],
-    rules: Sequence[Rule],
-    *,
-    jobs: int | None = None,
-) -> LintReport:
-    """Lint every Python file under ``paths`` with ``rules``.
-
-    ``jobs`` > 1 fans files out over a process pool; the final report is
-    sorted by ``(path, line, col, rule)`` after the merge, so the
-    ordering is deterministic for any worker count (including the serial
-    path) — CI diffs and golden outputs never depend on scheduling.
-    """
+def lint_paths(paths: Sequence[Path | str], rules: Sequence[Rule]) -> LintReport:
+    """Per-file ``rules`` only, over ``paths``; the CLI reports via ``analyze_effects``."""
     files = list(iter_python_files(paths))
     violations: list[Violation] = []
-    if jobs is not None and jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        select = ",".join(rule.rule_id for rule in rules)
-        tasks = [(str(path), select) for path in files]
-        workers = min(jobs, len(files))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_lint_file_worker, tasks):
-                violations.extend(chunk)
-    else:
-        for path in files:
-            source = path.read_text(encoding="utf-8")
-            violations.extend(lint_source(source, rules, path=path))
+    for path in files:
+        violations.extend(lint_source(path.read_text(encoding="utf-8"), rules, path=path))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return LintReport(violations=violations, files_checked=len(files))
 
@@ -320,6 +317,8 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
+    "parse_module",
     "parse_suppressions",
+    "run_rules",
     "scope_of",
 ]

@@ -63,7 +63,8 @@ _APPROVED_ACCUMULATORS = frozenset({"fsum", "isum", "kahan_add"})
 #: Registry dicts that must be written through their registration API.
 _REGISTRIES = frozenset({"SCHEMES", "WORKLOADS"})
 
-#: ``Simulator`` scheduling methods whose callback lands on the event heap.
+#: ``Simulator`` scheduling methods whose callback lands on the event heap
+#: (the schedule slots of the E303 contract, see :mod:`repro.lint.callgraph`).
 _SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "schedule_fast"})
 
 
@@ -373,89 +374,6 @@ class FloatAccumulationRule(Rule):
         return False
 
 
-class ScheduleCallbackRule(Rule):
-    """S201 — event callbacks must be bound methods or module functions."""
-
-    rule_id = "S201"
-    title = "no lambda / nested-function callbacks on the event heap"
-    rationale = (
-        "run_sweep executes specs in worker processes; components whose "
-        "constructors park lambdas or closures on the event heap cannot be "
-        "pickled, and closures capture mutable state that silently diverges "
-        "between a cancelled and a re-armed event.  Pass a bound method or "
-        "module-level function (plus the arg slot for data)."
-    )
-    paper_ref = "repo sweep-runner contract (repro.runner.run_sweep)"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        toplevel = {
-            node.name
-            for node in module.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        yield from self._walk(module, module.tree, toplevel, nested=frozenset())
-
-    def _walk(
-        self,
-        module: ModuleContext,
-        node: ast.AST,
-        toplevel: set[str],
-        nested: frozenset[str],
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            child_nested = nested
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = {
-                    stmt.name
-                    for stmt in ast.walk(child)
-                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt is not child
-                }
-                child_nested = nested | frozenset(inner)
-            elif isinstance(child, ast.Call):
-                callback = self._callback_arg(child)
-                if isinstance(callback, ast.Lambda):
-                    yield self.violation(
-                        module,
-                        callback,
-                        "lambda scheduled on the event heap; pass a bound "
-                        "method or module-level function (use the arg slot "
-                        "for data) so the component stays picklable",
-                    )
-                elif (
-                    isinstance(callback, ast.Name)
-                    and callback.id in nested
-                    and callback.id not in toplevel
-                ):
-                    yield self.violation(
-                        module,
-                        callback,
-                        f"nested function {callback.id!r} scheduled on the "
-                        "event heap; closures are unpicklable — use a bound "
-                        "method or module-level function",
-                    )
-            yield from self._walk(module, child, toplevel, child_nested)
-
-    @staticmethod
-    def _callback_arg(call: ast.Call) -> ast.expr | None:
-        func = call.func
-        index: int | None = None
-        if isinstance(func, ast.Attribute) and func.attr in _SCHEDULE_METHODS:
-            index = 1
-        elif isinstance(func, ast.Name) and func.id == "Timer":
-            index = 1
-        elif isinstance(func, ast.Name) and func.id == "PeriodicTimer":
-            index = 2
-        if index is None:
-            return None
-        for keyword in call.keywords:
-            if keyword.arg == "callback":
-                return keyword.value
-        if len(call.args) > index:
-            return call.args[index]
-        return None
-
-
 class FrozenSpecRule(Rule):
     """S202 — experiment spec dataclasses stay frozen and hashable."""
 
@@ -664,11 +582,9 @@ class AdHocGridRule(Rule):
         "a Scenario (or sweep_grid) and hand it to run_sweep."
     )
     paper_ref = "repro.scenarios (EXPERIMENTS.md, Authoring scenarios)"
-
-    def applies(self, module: ModuleContext) -> bool:
-        # Path-scoped rather than package-scoped: this rule patrols the
-        # benchmark suite, which lives outside the repro package tree.
-        return "benchmarks" in module.path.parts
+    # Path-scoped rather than package-scoped: this rule patrols the
+    # benchmark suite, which lives outside the repro package tree.
+    directory = "benchmarks"
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
         yield from self._walk(module, module.tree, loop_depth=0)
@@ -735,7 +651,7 @@ class HotPathClosureRule(Rule):
         "module-level function; dunder methods (``__init__`` and friends) "
         "run at setup/reporting time and are exempt."
     )
-    paper_ref = "repo perf contract (BENCH_kernel.json events/sec gate)"
+    paper_ref = "repo perf contract (bench/ events_per_s, tests/test_frame_budget.py)"
     scopes = ("core", "sim", "net")
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
@@ -787,7 +703,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnorderedIterationRule(),
     FloatAccumulationRule(),
     AdHocOutputRule(),
-    ScheduleCallbackRule(),
     FrozenSpecRule(),
     RegistryWriteRule(),
     AdHocGridRule(),
@@ -805,11 +720,12 @@ def resolve_select(
     """Split a ``--select`` expression into (per-file rules, effect ids).
 
     Tokens are comma-separated and may be exact rule ids (``D101``,
-    ``E302``) or family prefixes (``D`` → D101–D105, ``S2`` → S201–S205,
+    ``E302``) or family prefixes (``D`` → D101–D105, ``S2`` → S202–S205,
     ``E3`` → the whole-program effect rules).  A token that matches
     nothing in either catalog raises :class:`UnknownRuleError`.  With
     ``select=None`` every per-file rule and every effect rule is
-    selected (callers decide separately whether the effects pass runs).
+    selected.  Selection only narrows what is *reported*: the analyzer
+    always runs every rule, which is what keeps E304 evidence complete.
     """
     from repro.lint.effects import EFFECT_RULE_IDS  # deferred: avoids a cycle
 
@@ -865,7 +781,6 @@ __all__ = [
     "HotPathClosureRule",
     "RandomModuleRule",
     "RegistryWriteRule",
-    "ScheduleCallbackRule",
     "UnknownRuleError",
     "UnorderedIterationRule",
     "UnstableHashRule",

@@ -11,8 +11,8 @@ plane off and on):
   faults), collected by a per-simulator :class:`Tracer` with category
   filters and a bounded ring buffer, exportable as NDJSON or Chrome
   ``trace_event`` JSON.  Disabled (the default) it costs one ``is None``
-  check per potential event — enforced by the ``repro.perf``
-  trace-overhead bench.
+  check per potential event — pinned by the frame budget in
+  ``tests/test_frame_budget.py`` (no ``repro.obs`` frame in an untraced run).
 * **Metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges, and
   decimated histograms under stable dotted names (``kernel.*``,
   ``port.*``, ``tcp.*``, ``sweep.*``), frozen into a picklable

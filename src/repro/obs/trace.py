@@ -10,9 +10,9 @@ never a built event::
         tracer.record(FlowletRerouted, self.sim._now, leaf_id, ...)
 
 so a run without a tracer pays one attribute load and an ``is None`` test
-per potential event — the "zero overhead when disabled" contract that the
-``repro.perf`` trace-overhead bench enforces (<3% vs the committed
-``BENCH_kernel.json`` baseline).  The per-category flags (``tracer.dre``,
+per potential event — the "zero overhead when disabled" contract that
+``tests/test_frame_budget.py`` pins exactly (an untraced run enters no
+``repro.obs`` frame).  The per-category flags (``tracer.dre``,
 ``tracer.flowlet``, ...) are precomputed plain booleans, so an enabled
 tracer with a narrow filter skips uninteresting categories without any
 set lookup.

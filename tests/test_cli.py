@@ -77,23 +77,3 @@ class TestCommands:
         )
         assert code == 0
         assert "effective throughput" in capsys.readouterr().out
-
-    def test_bench_quick_writes_file(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--specs", "fct-ecmp-datamining",
-            "--output", str(out),
-        ])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "fct-ecmp-datamining" in captured
-        assert "1.00x vs baseline" in captured  # first write is the baseline
-        assert out.exists()
-
-    def test_bench_rejects_unknown_spec(self, capsys, tmp_path):
-        code = main([
-            "bench", "--quick", "--specs", "bogus",
-            "--output", str(tmp_path / "bench.json"),
-        ])
-        assert code == 2
-        assert "unknown bench spec" in capsys.readouterr().err

@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.fct import records_digest
-from repro.apps import ExperimentSpec
+from repro.apps import ExperimentSpec, ObsSpec
+from repro.obs import TimelineSpec
 from repro.topology import scaled_testbed
 from repro.units import kilobytes
 
@@ -95,6 +96,50 @@ def test_same_process_repeatability():
     first = compute_entry("ecmp")
     second = compute_entry("ecmp")
     assert first == second
+
+
+#: ``(digest, events_executed)`` of the two FCT specs the retired kernel
+#: tracker followed, copied from its committed results before PR 16 deleted
+#: it.  The pair, not just the digest: equal digests with a different event
+#: count is the kernel-accounting bug class its A/B compare errored on.
+CONGA_ENTERPRISE = ExperimentSpec(
+    scheme="conga", workload="enterprise", load=0.7, seed=42, num_flows=400,
+    size_scale=0.05,
+)
+ECMP_DATAMINING = ExperimentSpec(
+    scheme="ecmp", workload="data-mining", load=0.6, seed=42, num_flows=400,
+    size_scale=0.02,
+)
+CONGA_ENTERPRISE_PAIR = (
+    "9013ca3c848b9c63f8c182d7dd35fb6fb32e2b96a4bcdbc2c0cc43f1c915e3d6",
+    257_615,
+)
+ECMP_DATAMINING_PAIR = (
+    "9f1b17c02653d3330fc46b3c653a93caf2a6d00cd09d6fb42cb603cdacf14657",
+    320_895,
+)
+
+
+def _digest_and_events(spec: ExperimentSpec) -> tuple[str, int]:
+    point = spec.run()
+    return records_digest(list(point.records)), point.events_executed
+
+
+def test_digest_and_event_accounting_of_the_tracked_fct_specs():
+    assert _digest_and_events(CONGA_ENTERPRISE) == CONGA_ENTERPRISE_PAIR
+    assert _digest_and_events(ECMP_DATAMINING) == ECMP_DATAMINING_PAIR
+    # Every trace category on: the simulation and its accounting do not move.
+    traced = CONGA_ENTERPRISE.with_(obs=ObsSpec())
+    assert _digest_and_events(traced) == CONGA_ENTERPRISE_PAIR
+    # Timeline on: same records; the collector's own sampling events are
+    # the only additions to the kernel's count, one per sample.
+    sampled = CONGA_ENTERPRISE.with_(
+        obs=ObsSpec(categories=(), timeline=TimelineSpec())
+    ).run()
+    digest, events = CONGA_ENTERPRISE_PAIR
+    assert records_digest(list(sampled.records)) == digest
+    assert sampled.timeline.samples == 173
+    assert sampled.events_executed == events + sampled.timeline.samples
 
 
 def _update() -> None:

@@ -5,7 +5,7 @@ Three layers:
 * per-rule fixtures — one seeded violation per rule asserting the rule id
   and line, plus a negative twin showing the sanctioned idiom passes;
 * machinery — suppression comments, scoping, ``--select``, JSON schema,
-  the ``--fix-suppress`` round trip, and exit codes through the real CLI;
+  and exit codes through the real CLI;
 * the self-check — ``src/repro`` must be violation-free, which is the
   acceptance criterion the CI lint job enforces.
 """
@@ -199,40 +199,6 @@ def test_d105_allows_integer_and_fsum_accumulation():
         "        acc += fsum([sample])\n"
         "    return acc, count\n",
         path="repro/core/snippet.py",
-    ) == []
-
-
-# ---------------------------------------------------------------------------
-# S201 — event-heap callbacks
-# ---------------------------------------------------------------------------
-
-
-def test_s201_flags_lambda_callback():
-    violations = lint_snippet(
-        "def arm(sim, packet):\n"
-        "    sim.schedule(10, lambda: packet.send())\n"
-    )
-    assert rule_ids(violations) == ["S201"]
-    assert violations[0].line == 2
-
-
-def test_s201_flags_nested_function_callback():
-    violations = lint_snippet(
-        "def arm(sim):\n"
-        "    def fire():\n"
-        "        pass\n"
-        "    sim.schedule(10, fire)\n"
-    )
-    assert rule_ids(violations) == ["S201"]
-
-
-def test_s201_allows_bound_method_with_arg_slot():
-    assert lint_snippet(
-        "class Nic:\n"
-        "    def arm(self, sim, packet):\n"
-        "        sim.schedule(10, self.send, packet)\n"
-        "    def send(self, packet):\n"
-        "        pass\n"
     ) == []
 
 
@@ -488,9 +454,9 @@ def test_file_level_suppression_and_wildcard():
 
 def test_parse_suppressions_reads_comma_lists():
     suppressions = parse_suppressions(
-        "x = 1  # repro-lint: ignore[D101, S201] -- both\n"
+        "x = 1  # repro-lint: ignore[D101, S205] -- both\n"
     )
-    assert suppressions.by_line[1] == {"D101", "S201"}
+    assert suppressions.by_line[1] == {"D101", "S205"}
     assert suppressions.whole_file == set()
 
 
@@ -510,8 +476,8 @@ def test_get_rules_select_and_unknown():
 def test_rule_catalog_metadata_complete():
     ids = [rule.rule_id for rule in ALL_RULES]
     assert ids == sorted(ids) == [
-        "D101", "D102", "D103", "D104", "D105", "R301", "S201", "S202",
-        "S203", "S204", "S205",
+        "D101", "D102", "D103", "D104", "D105", "R301", "S202", "S203",
+        "S204", "S205",
     ]
     for rule in ALL_RULES:
         assert rule.title and rule.rationale and rule.paper_ref
@@ -527,7 +493,7 @@ def test_rule_catalog_metadata_complete():
 
 
 # ---------------------------------------------------------------------------
-# CLI: exit codes, JSON schema, --fix-suppress
+# CLI: exit codes, JSON schema
 # ---------------------------------------------------------------------------
 
 
@@ -591,40 +557,6 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in ALL_RULES:
         assert rule.rule_id in out
-
-
-def test_fix_suppress_round_trip(tmp_path, capsys):
-    bad = write_fixture(
-        tmp_path,
-        "bad.py",
-        "import time  # repro-lint: ignore[D101] -- the import site\n"
-        "x = time.time()\n",
-    )
-    # --fix-suppress edits the file and the re-check comes back clean.
-    assert main(["lint", str(tmp_path), "--fix-suppress"]) == 0
-    text = bad.read_text()
-    assert "x = time.time()  # repro-lint: ignore[D101] -- triaged" in text
-    assert main(["lint", str(tmp_path)]) == 0
-
-
-def test_fix_suppress_merges_into_existing_comment(tmp_path):
-    bad = write_fixture(
-        tmp_path,
-        "bad.py",
-        "import time\n"
-        "x = time.time() + hash('a')  # repro-lint: ignore[D103] -- fixture\n",
-    )
-    assert main(["lint", str(tmp_path), "--fix-suppress"]) == 0
-    line = bad.read_text().splitlines()[1]
-    assert "ignore[D101,D103]" in line
-    assert line.count("repro-lint") == 1
-
-
-def test_fix_suppress_never_suppresses_parse_errors(tmp_path):
-    broken = write_fixture(tmp_path, "broken.py", "def broken(:\n")
-    before = broken.read_text()
-    assert main(["lint", str(tmp_path), "--fix-suppress"]) == 1
-    assert broken.read_text() == before
 
 
 # ---------------------------------------------------------------------------

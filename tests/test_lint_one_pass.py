@@ -1,0 +1,172 @@
+"""The one-pass contract of ``conga-repro lint`` (PR 16).
+
+* the answer — ``tests/golden/lint_answers.json`` holds what the
+  two-pass analyzer of the parent commit (``lint --effects --no-cache
+  --show-suppressed``) said about ``src/`` and about every fixture tree
+  and snippet of ``tests/test_lint.py`` / ``tests/test_effects.py``; the
+  one-pass analyzer must say the same, with the two differences the PR
+  made on purpose spelled out below;
+* the cost — one ``lint`` call parses each file's source exactly once;
+* the surface — the flags and the subcommand that only chose between
+  ways of computing that answer are gone, and ``--list-rules`` prints
+  the scope each rule declares.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+ANSWERS = json.loads(
+    (REPO_ROOT / "tests" / "golden" / "lint_answers.json").read_text(encoding="utf-8")
+)
+
+
+def _lint_json(target: Path, capsys) -> dict:
+    main(["lint", str(target), "--format", "json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def _answer(document: dict, base: Path) -> dict:
+    def rel(path: str) -> str:
+        return Path(path).relative_to(base).as_posix()
+
+    return {
+        "findings": sorted(
+            [v["rule"], rel(v["path"]), v["line"]] for v in document["violations"]
+        ),
+        "suppressions": sorted(
+            [rel(s["path"]), s["line"], s["rules"], s["used"], s["stale"]]
+            for s in document["effects"]["suppressions"]
+        ),
+    }
+
+
+def _expected(recorded: dict) -> dict:
+    """The parent's answer with this PR's two deliberate differences applied."""
+    return {
+        # S201 was folded into E303: same site, new id.
+        "findings": sorted(
+            ["E303" if rule == "S201" else rule, path, line]
+            for rule, path, line in recorded["findings"]
+        ),
+        # The legacy perf module was deleted, and its ignore-file[D101] with it.
+        "suppressions": [
+            row for row in recorded["suppressions"] if row[0] != "src/repro/perf.py"
+        ],
+    }
+
+
+def test_src_answer_is_the_parents(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    answer = _answer(_lint_json(Path("src"), capsys), Path("."))
+    assert answer == _expected(ANSWERS["src"])
+    assert answer["findings"] == []
+    assert len(answer["suppressions"]) == 17
+    assert all(row[3] == row[2] and row[4] == [] for row in answer["suppressions"])
+
+
+@pytest.mark.parametrize("case", ANSWERS["cases"], ids=lambda case: case["name"])
+def test_fixture_corpus_answer_is_the_parents(case, tmp_path, capsys):
+    for rel, source in case["files"].items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    assert _answer(_lint_json(tmp_path, capsys), tmp_path) == _expected(case)
+
+
+def test_one_lint_call_parses_each_file_once(tmp_path, monkeypatch, capsys):
+    files = {
+        "repro/sim/kernel.py": (
+            "from repro.util.helpers import stamp\n"
+            "class Simulator:\n"
+            "    tracer: 'Tracer | None'\n"
+            "    def run(self):\n"
+            "        stamp('tick')\n"
+        ),
+        "repro/util/helpers.py": "def stamp(label):\n    print(label)\n",
+        "repro/util/broken.py": "def broken(:\n",
+    }
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+
+    parsed: list[str] = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", mode="exec", **kwargs):
+        if mode == "exec":  # mode="eval" re-parses a string annotation, not a file
+            parsed.append(str(filename))
+        return real_parse(source, filename, mode, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    assert main(["lint", str(tmp_path), "--show-suppressed"]) == 1
+    out = capsys.readouterr().out
+    assert "E301" in out and "E001" in out
+    assert sorted(parsed) == sorted(str(tmp_path / rel) for rel in files)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", "src", "--effects"],
+        ["lint", "src", "--jobs", "2"],
+        ["lint", "src", "--sarif", "out.sarif"],
+        ["lint", "src", "--cache", "x.json"],
+        ["lint", "src", "--no-cache"],
+        ["lint", "src", "--fix-suppress"],
+        ["callgraph", "src", "--cache", "x.json"],
+        ["callgraph", "src", "--no-cache"],
+        ["callgraph", "src", "--kind", "hash"],
+        ["bench", "--quick"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_removed_surface_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
+def test_list_rules_prints_the_scope_each_rule_declares(capsys):
+    assert main(["lint", "--list-rules"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    scope_of = {
+        line.split()[0]: lines[index + 1].strip()
+        for index, line in enumerate(lines)
+        if line[:1].isalpha()
+    }
+    assert scope_of["S204"] == "scope: files under a benchmarks/ directory"
+    assert scope_of["S205"] == "scope: core, sim, net"
+    assert scope_of["D101"] == "scope: src/repro (all)"
+    assert scope_of["E302"].startswith("scope: whole program")
+    assert "S201" not in scope_of
+
+
+STALE_S204_BENCHMARK = """\
+from repro.runner import run_sweep, sweep_grid
+
+
+def sweep(template):
+    return run_sweep(  # repro-lint: ignore[S204] -- the loop this excused is gone
+        sweep_grid(template, schemes=['ecmp'], loads=[0.3, 0.5])
+    )
+"""
+
+
+def test_benchmark_hygiene_selection_audits_its_own_waiver(tmp_path, capsys):
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    (bench / "test_grid.py").write_text(STALE_S204_BENCHMARK, encoding="utf-8")
+    assert main(["lint", str(bench), "--select", "S204,E304"]) == 1
+    out = capsys.readouterr().out
+    assert "E304" in out and "ignore[S204]" in out
+    # The waiver's own rule alone does not see it — which is why CI selects both.
+    assert main(["lint", str(bench), "--select", "S204"]) == 0

@@ -1,6 +1,6 @@
 """Tests for the repro.obs observability plane.
 
-Four layers:
+Three layers:
 
 * tracer mechanics — ring-buffer bounds, category filters, export and
   digest round-trips, ObsSpec canonicalization;
@@ -8,9 +8,7 @@ Four layers:
   snapshots and filtering;
 * integration — a hand-checked CONGA reroute trace, trace-digest
   determinism across sweep worker counts, content-hash neutrality, and
-  the run manifest written next to every cache entry;
-* the overhead contract — unit tests of the gate against a synthetic
-  baseline, plus the real measured bench (marked ``obs_smoke``).
+  the run manifest written next to every cache entry.
 """
 
 from __future__ import annotations
@@ -37,15 +35,6 @@ from repro.obs import (
     manifest_path,
 )
 from repro.obs.trace import _normalize_categories
-from repro.perf import (
-    TRACE_OVERHEAD_SPEC,
-    TraceOverheadResult,
-    assert_disabled_overhead,
-    run_timeline_overhead,
-    run_trace_overhead,
-    write_bench_file,
-)
-from repro.perf import BenchResult
 from repro.runner import ResultCache, run_sweep
 from repro.sim import Simulator
 from repro.topology import build_leaf_spine, scaled_testbed
@@ -345,85 +334,3 @@ class TestManifests:
         cache.put(TINY, result)
         assert cache.clear() == 1
         assert list(cache.root.glob(f"*{MANIFEST_SUFFIX}")) == []
-
-
-# ---------------------------------------------------------------------------
-# Overhead contract
-# ---------------------------------------------------------------------------
-
-
-def _overhead(untraced: float, traced: float = 0.0) -> TraceOverheadResult:
-    return TraceOverheadResult(
-        events_executed=1000,
-        repeats=1,
-        untraced_events_per_sec=untraced,
-        traced_events_per_sec=traced or untraced,
-        untraced_digest="d" * 64,
-        traced_digest="d" * 64,
-        trace_events_emitted=10,
-    )
-
-
-class TestOverheadGate:
-    def _bench_file(self, tmp_path, eps: float):
-        path = tmp_path / "bench.json"
-        write_bench_file(
-            {
-                TRACE_OVERHEAD_SPEC: BenchResult(
-                    name=TRACE_OVERHEAD_SPEC,
-                    events_executed=1000,
-                    wall_seconds=1000 / eps,
-                    events_per_sec=eps,
-                    peak_rss_kb=4096,
-                    alloc_blocks=0,
-                    sim_end_time=1,
-                    digest="d" * 64,
-                )
-            },
-            path,
-        )
-        return path
-
-    def test_within_tolerance_passes(self, tmp_path):
-        path = self._bench_file(tmp_path, 100_000.0)
-        ratio = assert_disabled_overhead(_overhead(99_000.0), bench_path=path)
-        assert ratio == pytest.approx(0.99)
-
-    def test_regression_fails(self, tmp_path):
-        path = self._bench_file(tmp_path, 100_000.0)
-        with pytest.raises(AssertionError, match="regressed"):
-            assert_disabled_overhead(_overhead(90_000.0), bench_path=path)
-
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="no .* baseline"):
-            assert_disabled_overhead(
-                _overhead(100_000.0), bench_path=tmp_path / "absent.json"
-            )
-
-    def test_identity_and_slowdown_properties(self):
-        result = _overhead(100_000.0, traced=80_000.0)
-        assert result.identical
-        assert result.traced_slowdown_percent == pytest.approx(25.0)
-        assert "trace-overhead" in result.row()
-
-
-@pytest.mark.obs_smoke
-def test_measured_disabled_overhead_within_contract():
-    """The real gate: instrumented-but-disabled hot paths must keep the
-    committed baseline's speed, and tracing must not change behaviour."""
-    result = run_trace_overhead(quick=False, repeats=2)
-    assert result.identical, "traced and untraced runs must be bit-identical"
-    ratio = assert_disabled_overhead(result)
-    assert ratio > 0.97
-
-
-@pytest.mark.obs_smoke
-def test_measured_timeline_disabled_overhead_within_contract():
-    """Same gate for the timeline plane: a run without a collector must
-    keep the committed baseline's speed, and sampling must not move a bit
-    of the simulation (the arms share one records digest)."""
-    result = run_timeline_overhead(quick=False, repeats=2)
-    assert result.identical, "sampled and unsampled runs must be bit-identical"
-    assert result.trace_events_emitted > 0, "the sampled arm recorded nothing"
-    ratio = assert_disabled_overhead(result)
-    assert ratio > 0.97
