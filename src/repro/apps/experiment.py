@@ -291,6 +291,8 @@ def execute_experiment(
             # Constructed after traffic so goodput/RTO series can read its
             # stats; sampling is strictly read-only (see repro.obs.timeline),
             # so flow records stay bit-identical with the collector on or off.
+            # start() above only scheduled arrivals: no port has transmitted,
+            # so the collector may still require the congestion plane.
             from repro.obs.timeline import TimelineCollector
 
             timeline = TimelineCollector(

@@ -135,7 +135,9 @@ class DRE:
         ``header.ce = max(header.ce, metric())`` (the switch-egress sequence
         of §3.2/§3.3 step 2), collapsed into one call so the hot path pays a
         single decay application and no attribute-chain re-reads.  Bound
-        directly into ``port.on_transmit`` by the leaf and spine switches.
+        directly into ``port.on_transmit`` by
+        ``Fabric.require_congestion_plane`` — on no port until something
+        reads what it measures.
         """
         tick = self.sim._now // self._period
         elapsed = tick - self._last_decay_tick

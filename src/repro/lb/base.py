@@ -1,11 +1,14 @@
 """Uplink-selection policy interface for leaf switches.
 
 A leaf switch delegates the *choice of uplink* for each fabric-bound packet
-to an :class:`UplinkSelector`.  Everything else — overlay encapsulation, CE
-marking, leaf-to-leaf feedback — is common plumbing in
-:class:`repro.switch.leaf.LeafSwitch` and runs regardless of the policy, so
-schemes differ only in this one decision, exactly as in Figure 1's design
-tree.
+to an :class:`UplinkSelector`; schemes differ only in this one decision,
+exactly as in Figure 1's design tree.  Overlay encapsulation is common
+plumbing in :class:`repro.switch.leaf.LeafSwitch` under every policy.  The
+congestion plane — per-link DREs, CE marking, leaf-to-leaf feedback — is
+measurement, and runs only when something reads it: a selector says so with
+:attr:`UplinkSelector.reads_congestion`, and finalizing a leaf with a
+reading selector switches the plane on for the whole fabric
+(:meth:`repro.switch.fabric.Fabric.require_congestion_plane`).
 
 Selectors are created per leaf via a :class:`SelectorFactory` so that an
 experiment config can say "all leaves run CONGA with these parameters".
@@ -29,6 +32,13 @@ class UplinkSelector(ABC):
 
     #: Human-readable scheme name used in results tables.
     name = "base"
+
+    #: Whether ``choose_uplink`` reads DRE metrics or the congestion tables
+    #: (``leaf.local_metric``, ``leaf.to_leaf_table`` ...).  True unless a
+    #: subclass says otherwise, so a selector written without knowing the
+    #: rule is measured for; a congestion-oblivious one sets it False and
+    #: the fabric skips the measurement nothing consumes.
+    reads_congestion = True
 
     def __init__(self, leaf: "LeafSwitch") -> None:
         self.leaf = leaf

@@ -42,6 +42,7 @@ class CentralizedSelector(UplinkSelector):
     """ECMP plus controller-installed per-flow pins."""
 
     name = "central"
+    reads_congestion = False
 
     def __init__(self, leaf: "LeafSwitch") -> None:
         super().__init__(leaf)

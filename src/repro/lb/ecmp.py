@@ -34,6 +34,7 @@ class EcmpSelector(UplinkSelector):
     """Per-flow static hashing over the available uplinks."""
 
     name = "ecmp"
+    reads_congestion = False
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
         index = stable_hash(packet._five_tuple or packet.five_tuple, self.leaf.leaf_id)
@@ -54,6 +55,7 @@ class PacketSpraySelector(UplinkSelector):
     """
 
     name = "spray"
+    reads_congestion = False
 
     def __init__(self, leaf: "LeafSwitch") -> None:
         super().__init__(leaf)
@@ -78,6 +80,7 @@ class WeightedRandomSelector(UplinkSelector):
     """
 
     name = "weighted"
+    reads_congestion = False
 
     def __init__(self, leaf: "LeafSwitch", weights: list[float]) -> None:
         super().__init__(leaf)

@@ -23,9 +23,9 @@ directions, exactly like a cut cable.  Partial degradation — the
 degraded-but-alive scenarios of the fault plane (:mod:`repro.faults`) — is
 driven through :meth:`Port.degrade` (rate brownout, both directions) and
 :meth:`Port.set_loss` (seeded per-packet drop after serialization).  The
-per-port ``on_transmit`` hook list is where CONGA's DREs attach (§3.2);
-switches additionally store the attached estimator on ``port.dre`` so rate
-changes can retarget it.
+per-port ``on_transmit`` hook list is where CONGA's DREs attach (§3.2)
+when the fabric's congestion plane is switched on; switches store each
+port's estimator on ``port.dre`` either way so rate changes can retarget it.
 """
 
 from __future__ import annotations

@@ -152,7 +152,12 @@ class TimelineCollector:
     stable), pass the traffic generator and injector if present, and call
     :meth:`start` before ``sim.run``.  The sample callback is a bound
     method (picklable-safe, closure-free) and performs reads only — see
-    the module docstring for the full determinism contract.
+    the module docstring for the full determinism contract.  The DRE
+    series are measured state, so the collector requires the fabric's
+    congestion plane: constructed once traffic has crossed a fabric that
+    runs without it, it raises
+    :class:`~repro.switch.fabric.CongestionPlaneError` rather than sample
+    registers nothing fed.
     """
 
     def __init__(
@@ -169,6 +174,7 @@ class TimelineCollector:
         self.spec = spec
         self.traffic = traffic
         self.injector = injector
+        fabric.require_congestion_plane()
         self._ports = list(fabric.fabric_ports())
         self._dre_ports = [p for p in self._ports if p.dre is not None]
         limit = spec.limit

@@ -13,6 +13,10 @@ be unit-tested without instantiating switches:
   Congestion-From-Leaf table (step 3) and feeds piggybacked metrics into the
   Congestion-To-Leaf table (step 5).
 
+Both halves of that feedback loop are skipped on a fabric whose congestion
+plane is off (nothing stamps CE there and nothing reads the tables); the
+header, its bytes and the ``encapsulated``/``decapsulated`` counts are not.
+
 The ASIC's VXLAN header grows by 46 bytes on the wire; we account for that
 in packet size so fabric serialization is faithful.
 """
@@ -41,11 +45,17 @@ class TunnelEndpoint:
         leaf_id: int,
         num_uplinks: int,
         params: CongaParams = DEFAULT_PARAMS,
+        feedback_loop: bool = True,
     ) -> None:
         self.sim = sim
         self.leaf_id = leaf_id
         self.num_uplinks = num_uplinks
         self.params = params
+        #: Whether arriving CE is recorded and feedback piggybacked and
+        #: applied (§3.3 steps 3–5).  A leaf passes its fabric's
+        #: ``congestion_plane``; off, only the header and its byte
+        #: accounting remain.
+        self.feedback_loop = feedback_loop
         self.to_leaf_table = CongestionToLeafTable(sim, num_uplinks, params, owner=leaf_id)
         self.from_leaf_table = CongestionFromLeafTable(num_uplinks)
         self.encapsulated = 0
@@ -81,7 +91,11 @@ class TunnelEndpoint:
         """Attach the overlay header for a packet entering the fabric."""
         if packet.overlay is not None:
             raise ValueError(f"packet already encapsulated: {packet!r}")
-        feedback = self.from_leaf_table.select_feedback(dst_leaf)
+        feedback = (
+            self.from_leaf_table.select_feedback(dst_leaf)
+            if self.feedback_loop
+            else None
+        )
         # Positional: (src_leaf, dst_leaf, lbtag, ce, fb_lbtag, fb_metric, fb_valid).
         if feedback is None:
             packet.overlay = OverlayHeader(self.leaf_id, dst_leaf, lbtag)
@@ -107,18 +121,19 @@ class TunnelEndpoint:
             raise ValueError(
                 f"packet for leaf {header.dst_leaf} decapsulated at leaf {self.leaf_id}"
             )
-        self.from_leaf_table.record(header.src_leaf, header.lbtag, header.ce)
-        if header.fb_valid:
-            if self.fb_loss_probability > 0.0 and (
-                self.fb_loss_probability >= 1.0
-                or self._fb_loss_rng.random() < self.fb_loss_probability
-            ):
-                self.feedback_lost += 1
-            else:
-                self.to_leaf_table.update(
-                    header.src_leaf, header.fb_lbtag, header.fb_metric
-                )
-                self.feedback_received += 1
+        if self.feedback_loop:
+            self.from_leaf_table.record(header.src_leaf, header.lbtag, header.ce)
+            if header.fb_valid:
+                if self.fb_loss_probability > 0.0 and (
+                    self.fb_loss_probability >= 1.0
+                    or self._fb_loss_rng.random() < self.fb_loss_probability
+                ):
+                    self.feedback_lost += 1
+                else:
+                    self.to_leaf_table.update(
+                        header.src_leaf, header.fb_lbtag, header.fb_metric
+                    )
+                    self.feedback_received += 1
         packet.overlay = None
         packet.size -= VXLAN_OVERHEAD
         self.decapsulated += 1

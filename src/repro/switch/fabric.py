@@ -5,6 +5,12 @@ directory: it maps endpoint ids to their leaf switches so source TEPs can
 resolve destination TEPs (§2.5).  It also provides the experiment-facing
 helpers: link-failure injection, port iteration for statistics, and the
 idealized FCT model used to normalize results (§5.2.1).
+
+The fabric also owns the one switch of the *congestion plane* — the DRE
+hook on every fabric port, the CE stamp it makes, and the leaf-to-leaf
+feedback loop in the TEPs (§3.2–3.3).  In the ASIC that machinery is free
+hardware; here it is Python on every hop, so it runs only when something
+reads what it measures (:meth:`Fabric.require_congestion_plane`).
 """
 
 from __future__ import annotations
@@ -24,11 +30,19 @@ if TYPE_CHECKING:
     from repro.switch.spine import SpineSwitch
 
 
+class CongestionPlaneError(RuntimeError):
+    """The congestion plane was asked for after unmeasured traffic crossed it."""
+
+
 class Fabric:
     """All nodes of one simulated datacenter fabric."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
+        #: Whether fabric ports run their DRE (and so stamp CE) and the TEPs
+        #: run the feedback loop.  Off until a reader of that state appears;
+        #: switch it on with :meth:`require_congestion_plane`, never directly.
+        self.congestion_plane = False
         self.hosts: dict[int, Host] = {}
         self.leaves: list["LeafSwitch"] = []
         self.spines: list["SpineSwitch"] = []
@@ -58,9 +72,50 @@ class Fabric:
         return [h for h, leaf in sorted(self.host_leaf.items()) if leaf == leaf_id]
 
     def finalize(self, selector_factory: "SelectorFactory") -> None:
-        """Finish construction: instantiate each leaf's TEP and selector."""
+        """Finish construction: instantiate each leaf's TEP and selector.
+
+        A selector that reads congestion state switches the congestion
+        plane on as its leaf is finalized; so does a tracer recording the
+        ``dre`` or ``table`` categories, which reads it for the trace.
+        """
         for leaf in self.leaves:
             leaf.finalize(selector_factory)
+        tracer = self.sim.tracer
+        if tracer is not None and (tracer.dre or tracer.table):
+            self.require_congestion_plane()
+
+    def require_congestion_plane(self) -> None:
+        """Switch on DRE measurement, CE stamping and leaf-to-leaf feedback.
+
+        Called by whatever reads that state: a leaf finalized with a
+        selector whose ``reads_congestion`` is true, caft's pod-spine
+        weighting, a ``dre``/``table`` tracer, a ``TimelineCollector``,
+        ``LeafSwitch.enable_explicit_feedback``.  Idempotent.  Call it once
+        the fabric is wired — it hooks the ports that exist — and before
+        traffic: once a fabric port has transmitted unmeasured, a DRE
+        started now would report a half-warm register as if it were the
+        link's load, so that raises :class:`CongestionPlaneError` instead.
+        """
+        if self.congestion_plane:
+            return
+        ports = list(self.fabric_ports())
+        for port in ports:
+            if port.busy_time:
+                raise CongestionPlaneError(
+                    f"{port.name} has already transmitted with the congestion "
+                    "plane off; whatever reads DREs or congestion tables must "
+                    "require the plane before traffic starts"
+                )
+        self.congestion_plane = True
+        for port in ports:
+            dre = port.dre
+            if dre is not None:
+                # The fused hook, bound directly — no per-port closure, one
+                # call per packet (decay + increment + CE stamp, §3.2).
+                port.on_transmit.append(dre.measure)
+        for leaf in self.leaves:
+            if leaf.tep is not None:
+                leaf.tep.feedback_loop = True
 
     # -- failure injection -------------------------------------------------------
 
@@ -182,4 +237,4 @@ class Fabric:
         return stream_time + pipeline + propagation
 
 
-__all__ = ["Fabric"]
+__all__ = ["CongestionPlaneError", "Fabric"]

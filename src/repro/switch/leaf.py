@@ -29,6 +29,12 @@ if TYPE_CHECKING:
     from repro.switch.spine import SpineSwitch
 
 
+_PLANE_OFF = (
+    "congestion state read with the congestion plane off: the selector "
+    "declares reads_congestion = False (or nothing required the plane)"
+)
+
+
 class LeafSwitch(Node):
     """A leaf switch: overlay TEP, per-uplink DREs, and the LB selector.
 
@@ -98,10 +104,9 @@ class LeafSwitch(Node):
             ecn_threshold=ecn_threshold,
         )
         dre = DRE(self.sim, rate_bps, self.params, name=port.name)
-        # The fused DRE hook is bound directly — no per-port closure, one
-        # call per packet (decay + increment + CE stamp, §3.2).
-        port.on_transmit.append(dre.measure)
-        port.dre = dre  # so rate changes (Port.set_rate) retarget it
+        # The fabric hooks it into the port when the congestion plane is
+        # switched on; rate changes (Port.set_rate) retarget it either way.
+        port.dre = dre
         self.uplinks.append(port)
         self.uplink_spine.append(spine)
         self.uplink_dres.append(dre)
@@ -109,13 +114,21 @@ class LeafSwitch(Node):
         return port
 
     def finalize(self, selector_factory: "SelectorFactory") -> None:
-        """Create the TEP and the uplink selector once all ports exist."""
+        """Create the TEP and the uplink selector once all ports exist.
+
+        A selector that reads congestion state needs it measured at every
+        leaf and spine, not just here, so it switches the fabric's
+        congestion plane on.
+        """
         if not self.uplinks:
             raise ValueError(f"{self.name} has no uplinks")
         self.tep = TunnelEndpoint(
-            self.sim, self.leaf_id, len(self.uplinks), self.params
+            self.sim, self.leaf_id, len(self.uplinks), self.params,
+            feedback_loop=self.fabric.congestion_plane,
         )
         self.selector = selector_factory(self)
+        if self.selector.reads_congestion:
+            self.fabric.require_congestion_plane()
 
     def enable_explicit_feedback(self, interval: int) -> None:
         """Generate explicit feedback packets every ``interval`` (§3.3).
@@ -128,10 +141,14 @@ class LeafSwitch(Node):
         elapses, a 64-byte control packet is sent toward that leaf carrying
         one (FB_LBTag, FB_Metric) pair via the normal encapsulation path.
         Enabling again replaces the interval; ``explicit_feedback_sent``
-        keeps counting across re-enables.
+        keeps counting across re-enables.  Feedback is only ever owed where
+        CE is measured, so this requires the fabric's congestion plane
+        (:class:`~repro.switch.fabric.CongestionPlaneError` once traffic
+        has crossed the fabric without it).
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
+        self.fabric.require_congestion_plane()
         self.disable_explicit_feedback()
         self._feedback_timer = PeriodicTimer(
             self.sim, interval, self._emit_explicit_feedback
@@ -166,20 +183,27 @@ class LeafSwitch(Node):
 
     # -- CONGA state accessors --------------------------------------------------
 
+    # The asserts below catch a selector that reads this state while
+    # declaring ``reads_congestion = False``: with the plane off nothing is
+    # measured, and every read would be a plausible zero.
+
     def local_metric(self, uplink: int) -> int:
         """Quantized local congestion (DRE) of ``uplink``'s egress (§3.5)."""
+        assert self.fabric.congestion_plane, _PLANE_OFF
         return self.uplink_dres[uplink].metric()
 
     @property
     def to_leaf_table(self) -> "CongestionToLeafTable":
         """The Congestion-To-Leaf table (valid after :meth:`finalize`)."""
         assert self.tep is not None, "leaf not finalized"
+        assert self.fabric.congestion_plane, _PLANE_OFF
         return self.tep.to_leaf_table
 
     @property
     def from_leaf_table(self) -> "CongestionFromLeafTable":
         """The Congestion-From-Leaf table (valid after :meth:`finalize`)."""
         assert self.tep is not None, "leaf not finalized"
+        assert self.fabric.congestion_plane, _PLANE_OFF
         return self.tep.from_leaf_table
 
     def host_port(self, host_id: int) -> Port:

@@ -61,10 +61,9 @@ class SpineSwitch(Node):
         )
         dre = DRE(self.sim, rate_bps, self.params, name=port.name)
         self.dres.append(dre)
-        # Fused DRE hook, bound directly (no per-port closure): one call
-        # per packet does decay + increment + CE stamp (§3.3 step 2).
-        port.on_transmit.append(dre.measure)
-        port.dre = dre  # so rate changes (Port.set_rate) retarget it
+        # Hooked into the port by Fabric.require_congestion_plane; rate
+        # changes (Port.set_rate) retarget it either way.
+        port.dre = dre
         self._leaf_ports.setdefault(leaf_id, []).append(port.index)
         # New wiring changes reachability fabric-wide (leaf candidate caches
         # consult this spine via can_reach), so bump the global epoch.

@@ -16,10 +16,11 @@ The model here follows that exactly:
   the 2-tier fabric and hash inter-pod traffic across their core uplinks;
 * core switches (:class:`CoreSwitch`) route on the destination pod with
   ECMP over the parallel links toward it;
-* every fabric link (leaf→spine, spine→core, core→spine, spine→leaf) runs
-  a DRE and CE-marks packets, so the leaf-to-leaf feedback loop sees the
-  *maximum* congestion along the whole 4-hop inter-pod path — the natural
-  generalization the paper sketches.
+* every fabric link (leaf→spine, spine→core, core→spine, spine→leaf) has
+  a DRE that — whenever the fabric's congestion plane is on — CE-marks
+  packets, so the leaf-to-leaf feedback loop sees the *maximum* congestion
+  along the whole 4-hop inter-pod path — the natural generalization the
+  paper sketches.
 """
 
 from __future__ import annotations
@@ -107,11 +108,9 @@ class CoreSwitch(Node):
         )
         dre = DRE(self.sim, rate_bps, self.params, name=port.name)
         self.dres.append(dre)
-        # Fused DRE hook, bound directly (same idiom as the 2-tier
-        # switches): decay + increment + CE stamp in one call, and the
-        # estimator hangs off the port so rate changes (LinkDegrade via
-        # Port.set_rate) retarget it.
-        port.on_transmit.append(dre.measure)
+        # Same idiom as the 2-tier switches: the fabric hooks it in with the
+        # congestion plane, and the estimator hangs off the port so rate
+        # changes (LinkDegrade via Port.set_rate) retarget it.
         port.dre = dre
         self._pod_ports.setdefault(pod, []).append(port.index)
         _port_mod._bump_topology_epoch()
@@ -205,9 +204,8 @@ class PodSpineSwitch(SpineSwitch):
         )
         dre = DRE(self.sim, rate_bps, self.params, name=port.name)
         self.dres.append(dre)
-        # Fused hook + port.dre, matching add_leaf_port: one call per
-        # packet, and LinkDegrade's rate change retargets the estimator.
-        port.on_transmit.append(dre.measure)
+        # port.dre, matching add_leaf_port: LinkDegrade's rate change
+        # retargets the estimator.
         port.dre = dre
         self._core_ports.append(port.index)
         self._core_of[port.index] = core
@@ -276,8 +274,10 @@ class PodSpineSwitch(SpineSwitch):
         local DRE metric divided by the path's residual capacity — so a
         black-holed or degraded spine→core link repels new flowlets even
         though the leaf's 2-tier feedback loop cannot see it.  Tie-breaks
-        draw from the dedicated ``caft-spine-{id}`` stream.
+        draw from the dedicated ``caft-spine-{id}`` stream.  The choice
+        reads this spine's DREs, so it requires the congestion plane.
         """
+        self.fabric.require_congestion_plane()
         self._fault_aware = True
         self._flowlets = FlowletTable(self.sim, params or self.params)
         self._lb_rng = self.sim.rng(f"caft-spine-{self.spine_id}")

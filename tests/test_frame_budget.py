@@ -14,6 +14,11 @@ The obs-on case counts what tracing adds to that: one ``repro.obs`` frame
 per recorded event (``Tracer.record``) and not one generated dataclass
 ``__init__`` (file ``<string>``) — an emit site passes fields, it never
 builds an event.
+
+The ecmp case runs the same point under a selector that reads no
+congestion state: the congestion plane stays off (DESIGN.md "Congestion
+plane on demand"), so ``core`` is what building the fabric costs and
+nothing per packet.
 """
 
 import os
@@ -44,6 +49,12 @@ TOTAL_BUDGET = 5.16
 #: (Before the ring stored rows each record also cost one generated
 #: ``__init__`` frame and one ``sim.now`` property frame; both are now 0.)
 OBS_FRAMES_PER_RECORD = 1
+
+#: The same point under ``ecmp``: ``core`` is construction only (0.628 with
+#: the unconditional DRE hook and feedback loop), and the total falls with
+#: it (4.944 before).
+ECMP_CORE_BUDGET = 0.01
+ECMP_TOTAL_BUDGET = 4.33
 
 #: Code compiled from a string: the ``__init__`` dataclasses generate.
 GENERATED = "<string>"
@@ -121,6 +132,16 @@ def test_packet_path_stays_within_its_frame_budget(untraced):
     live, counts, in_run = untraced
     _assert_within_budget(live, counts)
     assert in_run["obs"] == 0
+
+
+def test_ecmp_pays_for_no_congestion_plane():
+    live, counts, _ = _frames_by_layer(SPEC.with_(scheme="ecmp").run_live)
+    _assert_within_budget(live, counts)
+    events = live.sim.events_executed
+    core = counts["core"] / events
+    assert core <= ECMP_CORE_BUDGET, f"core: {counts['core']} calls = {core:.3f}/event"
+    total = sum(counts.values()) / events
+    assert total <= ECMP_TOTAL_BUDGET, f"{total:.3f} frames/event: {counts}"
 
 
 def test_tracing_adds_one_frame_per_record_and_builds_no_event(untraced):

@@ -11,9 +11,18 @@ between them emit all ten event classes:
 * ``caft-brownout`` — scenarios/caft_recovery.yaml's leaf/brownout/x1 cell
   on the 2-pod Clos: fault applications, restores and caft's reroutes.
 
-The fixture was recorded on the commit *before* the ring switched from
-event objects to rows.  Regenerate (only when the trace vocabulary is
-changed on purpose)::
+Two ``ecmp`` entries pin what an *observer* of a congestion-oblivious run
+sees: ``ecmp-dre-table`` is the trace of a point whose only reader of DREs
+and congestion tables is the tracer (``categories=("dre", "table")``), and
+``ecmp-timeline`` is the ``Timeline.digest()`` of the same point sampled by
+the timeline collector.  Either observer switches the congestion plane on
+(DESIGN.md "Congestion plane on demand"); a plane left off under them
+would record zeros, not fail.
+
+The first three entries were recorded on the commit *before* the ring
+switched from event objects to rows, the two ``ecmp`` ones on the commit
+before the congestion plane became demand-driven.  Regenerate (only when
+the trace vocabulary is changed on purpose)::
 
     PYTHONPATH=src python tests/test_golden_traces.py --update
 """
@@ -28,7 +37,7 @@ from repro.apps import ExperimentSpec, IncastClient, ObsSpec, tcp_flow_factory
 from repro.core.params import CongaParams
 from repro.faults import parse_fault
 from repro.lb import CongaSelector
-from repro.obs import TraceLog, Tracer
+from repro.obs import Timeline, TimelineSpec, TraceLog, Tracer
 from repro.scenarios import load_scenario
 from repro.sim import Simulator
 from repro.topology import build_leaf_spine, scaled_testbed
@@ -43,6 +52,13 @@ def conga_spec() -> ExperimentSpec:
     return ExperimentSpec(
         "conga", "enterprise", load=0.6, seed=7, num_flows=30, size_scale=0.02,
         obs=ObsSpec(),
+    )
+
+
+def ecmp_spec(obs: ObsSpec) -> ExperimentSpec:
+    return ExperimentSpec(
+        "ecmp", "enterprise", load=0.6, seed=7, num_flows=30, size_scale=0.02,
+        obs=obs,
     )
 
 
@@ -83,7 +99,15 @@ GOLDEN_TRACES = {
     "conga-enterprise": lambda: conga_spec().run().trace,
     "incast-rto": incast_trace,
     "caft-brownout": lambda: caft_spec().run().trace,
+    "ecmp-dre-table": lambda: ecmp_spec(ObsSpec(categories=("dre", "table"))).run().trace,
 }
+
+#: The one timeline entry, kept beside the traces under this key.
+TIMELINE_KEY = "ecmp-timeline"
+
+
+def ecmp_timeline() -> Timeline:
+    return ecmp_spec(ObsSpec(categories=(), timeline=TimelineSpec())).run().timeline
 
 
 def compute_entry(trace: TraceLog) -> dict:
@@ -96,6 +120,15 @@ def compute_entry(trace: TraceLog) -> dict:
     }
 
 
+def compute_timeline_entry(timeline: Timeline) -> dict:
+    return {
+        "digest": timeline.digest(),
+        "samples": timeline.samples,
+        "dre_ports": len(timeline.dre),
+        "peak_dre": max(max(series) for series in timeline.dre.values()),
+    }
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_TRACES))
 def test_trace_matches_fixture(key):
     golden = json.loads(GOLDEN_PATH.read_text())
@@ -105,16 +138,24 @@ def test_trace_matches_fixture(key):
     )
 
 
+def test_ecmp_timeline_matches_fixture():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    entry = compute_timeline_entry(ecmp_timeline())
+    assert entry["peak_dre"] > 0  # measured state, not a plane left off
+    assert entry == golden[TIMELINE_KEY]
+
+
 def test_fixture_covers_every_event_class():
     from repro.obs import events
 
     golden = json.loads(GOLDEN_PATH.read_text())
-    seen = {name for entry in golden.values() for name in entry["names"]}
+    seen = {name for key in GOLDEN_TRACES for name in golden[key]["names"]}
     assert seen == set(events.__all__) - {"TraceEvent", "event_payload"}
 
 
 def _update() -> None:
     golden = {key: compute_entry(make()) for key, make in sorted(GOLDEN_TRACES.items())}
+    golden[TIMELINE_KEY] = compute_timeline_entry(ecmp_timeline())
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
 

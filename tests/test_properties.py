@@ -185,6 +185,27 @@ class TestHashingProperties:
         counts = np.bincount(values, minlength=4)
         assert counts.min() > 800  # roughly uniform
 
+    def test_memo_is_small_and_clearing_it_mid_run_changes_nothing(self, monkeypatch):
+        from repro.analysis.fct import records_digest
+        from repro.apps import ExperimentSpec
+        from repro.net import hashing
+
+        # ~9 MiB at ~0.3 KB an entry: a worker serving hundreds of points stays bounded.
+        assert hashing._MEMO_CAP == 1 << 15
+        tuples = [(src, 9, 40_000 + src, 80, "tcp") for src in range(300)]
+        before = [stable_hash(t, salt) for t in tuples for salt in (0, 3)]
+        spec = ExperimentSpec(
+            "ecmp", "enterprise", load=0.6, seed=7, num_flows=30, size_scale=0.02
+        )
+        digest = records_digest(spec.run_live().records)
+        # A cap far below one run's key population: the memo is cleared
+        # wholesale again and again while packets are in flight.
+        monkeypatch.setattr(hashing, "_MEMO_CAP", 16)
+        hashing._memo.clear()
+        assert records_digest(spec.run_live().records) == digest
+        assert len(hashing._memo) <= 16
+        assert [stable_hash(t, salt) for t in tuples for salt in (0, 3)] == before
+
 
 # ---------------------------------------------------------------------------
 # End-to-end conservation: every TCP byte sent is delivered exactly once.
