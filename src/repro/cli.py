@@ -18,10 +18,12 @@ Examples::
 
 (Equivalently: ``python -m repro.cli ...``.)
 
-The ``fct``/``sweep``/``trace``/``metrics`` commands share one spec
-loader: every one of them accepts either point flags or
-``--scenario file.yaml``, and the single-point commands require the
-scenario to compile to exactly one point.
+The ``fct``/``sweep``/``report``/``trace``/``metrics`` commands share one
+spec loader: every one of them accepts either flags or ``--scenario
+file.yaml``, and both go through :mod:`repro.scenarios`' schema (flags as an
+in-memory mapping), so a bad value is refused the same way at either door:
+one ``conga-repro: <key or file:line>: <message>`` line on stderr and exit
+code 2.  The single-point commands require exactly one compiled point.
 """
 
 from __future__ import annotations
@@ -41,96 +43,92 @@ class _CliError(Exception):
         self.code = code
 
 
-def _parse_failed_links(values: list[str] | None) -> list[tuple[int, int, int]]:
-    failed = []
-    for spec in values or []:
-        leaf, spine, which = (int(x) for x in spec.split(","))
-        failed.append((leaf, spine, which))
-    return failed
+def _scalars(text: str) -> list:
+    """Comma-separated flag text as the scalars a YAML list would hold.
+
+    Tokens that are not numbers stay strings, so the schema — not this
+    function — is what refuses ``--loads 0.3,x``.
+    """
+    items: list = []
+    for token in (part.strip() for part in text.split(",")):
+        for kind in (int, float):
+            try:
+                items.append(kind(token))
+                break
+            except ValueError:
+                continue
+        else:
+            items.append(token)
+    return items
 
 
-def _parse_faults(values: list[str] | None) -> tuple:
-    from repro.faults import parse_fault
+def _flag_mapping(args: argparse.Namespace, template: dict, grid=None) -> dict:
+    """The flags of a point or sweep command as the mapping a file would hold."""
+    template.update(
+        workload=args.workload,
+        num_flows=args.flows,
+        size_scale=args.size_scale,
+        faults=args.fault or [],
+    )
+    name = f"{args.workload}, {args.flows} flows/point"
+    return {"name": name, "template": template, "grid": grid}
 
-    return tuple(parse_fault(text) for text in values or [])
 
+def _load_scenario(path: str | None, flags: dict | None = None):
+    """The one front door: a scenario file, or else the flags' mapping.
 
-def _load_scenario(path: str):
-    """Load a scenario file, converting loader errors to CLI errors."""
-    from repro.scenarios import ScenarioError, load_scenario
+    Either way the input goes through :mod:`repro.scenarios`' schema, and a
+    refusal becomes a one-line CLI error naming the file and line or the
+    mapping key (``template.load``, ``grid.seeds.1``) a flag filled.
+    """
+    from repro.scenarios import ScenarioError, load_scenario, scenario_from_mapping
 
     try:
-        return load_scenario(path)
+        return load_scenario(path) if path else scenario_from_mapping(flags)
     except ScenarioError as exc:
-        raise _CliError(str(exc)) from exc
+        where = "" if exc.source else f"{exc.key}: "
+        raise _CliError(f"{where}{exc}") from exc
 
 
 def _resolve_point_spec(args: argparse.Namespace):
     """The shared spec loader behind fct/trace/metrics.
 
-    Builds one :class:`ExperimentSpec` either from the point flags or —
-    when ``--scenario`` is given — by compiling the scenario file, which
-    must then describe exactly one point.
+    One :class:`ExperimentSpec`, from the point flags or — when
+    ``--scenario`` is given — from the scenario file, which must then
+    describe exactly one point.
     """
-    from repro.apps import ExperimentSpec
-
-    if getattr(args, "scenario", None):
-        scenario = _load_scenario(args.scenario)
-        specs = scenario.compile()
-        if len(specs) != 1:
-            raise _CliError(
-                f"scenario {scenario.name!r} compiles to {len(specs)} points; "
-                "this command needs exactly one (use 'sweep --scenario' or "
-                "'scenario run' for grids)"
-            )
-        return specs[0]
-    return ExperimentSpec(
-        scheme=args.scheme,
-        workload=args.workload,
-        load=args.load,
-        num_flows=args.flows,
-        size_scale=args.size_scale,
-        seed=args.seed,
-        failed_links=_parse_failed_links(args.fail_link),
-        faults=_parse_faults(args.fault),
-    )
+    template = {
+        "scheme": args.scheme,
+        "load": args.load,
+        "seed": args.seed,
+        "failed_links": [_scalars(text) for text in args.fail_link or []],
+    }
+    scenario = _load_scenario(args.scenario, _flag_mapping(args, template))
+    specs = scenario.compile()
+    if len(specs) != 1:
+        raise _CliError(
+            f"scenario {scenario.name!r} compiles to {len(specs)} points; "
+            "this command needs exactly one (use 'sweep --scenario' or "
+            "'scenario run' for grids)"
+        )
+    return specs[0]
 
 
 def _resolve_sweep_specs(args: argparse.Namespace):
-    """The shared grid loader behind sweep: flags or a scenario file.
+    """The shared grid loader behind sweep/report: flags or a scenario file.
 
-    Returns ``(title, specs)``; scheme names are resolved before any
-    point executes so typos fail fast.
+    Returns ``(title, specs)``; every name and value is checked before any
+    point executes, so typos fail fast.
     """
-    from repro.apps import ExperimentSpec, UnknownSchemeError, get_scheme
-    from repro.runner import sweep_grid
-
-    if getattr(args, "scenario", None):
-        scenario = _load_scenario(args.scenario)
-        return scenario.name, scenario.compile()
-
-    schemes = [s.strip() for s in args.schemes.split(",")]
-    try:
-        for name in schemes:  # fail fast, before any point executes
-            get_scheme(name)
-    except UnknownSchemeError as exc:
-        raise _CliError(str(exc)) from exc
-
-    template = ExperimentSpec(
-        scheme="ecmp",  # placeholder; the grid overwrites scheme/load/seed
-        workload=args.workload,
-        load=0.6,
-        num_flows=args.flows,
-        size_scale=args.size_scale,
-        faults=_parse_faults(args.fault),
-    )
-    specs = sweep_grid(
-        template,
-        schemes=schemes,
-        loads=[float(x) for x in args.loads.split(",")],
-        seeds=[int(x) for x in args.seeds.split(",")],
-    )
-    return f"{args.workload}, {args.flows} flows/point", specs
+    grid = {
+        "schemes": [name.strip() for name in args.schemes.split(",")],
+        "loads": _scalars(args.loads),
+        "seeds": _scalars(args.seeds),
+    }
+    # The template's scheme and load are placeholders the grid overwrites.
+    flags = _flag_mapping(args, {"scheme": "ecmp", "load": 0.6}, grid)
+    scenario = _load_scenario(args.scenario, flags)
+    return scenario.name, scenario.compile()
 
 
 def _make_backend(args: argparse.Namespace):
@@ -337,7 +335,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     recovery_cells = None
     scenario = None
-    if getattr(args, "scenario", None):
+    if args.scenario:
         scenario = _load_scenario(args.scenario)
         recovery_cells = scenario.params.get("cells")
 
@@ -444,7 +442,7 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
                     source=str(path),
                 )
         except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"conga-repro: {exc}", file=sys.stderr)
             failed = True
             continue
         print(
@@ -727,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"conga-repro: {exc}", file=sys.stderr)
         return exc.code
 
 

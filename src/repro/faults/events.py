@@ -30,11 +30,10 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.units import _parse_duration
+
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-
-#: Nanoseconds per supported time-suffix for :func:`parse_fault`.
-_TIME_UNITS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
 
 _LINK_TARGET = re.compile(r"^l(\d+)-s(\d+)(?:\.(\d+))?$")
 _CORE_LINK_TARGET = re.compile(r"^s(\d+)-c(\d+)(?:\.(\d+))?$")
@@ -302,23 +301,6 @@ def fault_window(faults: tuple[FaultEvent, ...]) -> tuple[int, int | None] | Non
     return min(starts), (max(ends) if ends else None)
 
 
-def _parse_time(text: str) -> int:
-    """``"0.1s"`` / ``"250us"`` / bare integer nanoseconds → int ns."""
-    for suffix, scale in sorted(_TIME_UNITS.items(), key=lambda kv: -len(kv[0])):
-        if text.endswith(suffix):
-            number = text[: -len(suffix)]
-            try:
-                return round(float(number) * scale)
-            except ValueError:
-                raise ValueError(f"bad time value {text!r}") from None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"bad time {text!r}; use <number><ns|us|ms|s> or integer ns"
-        ) from None
-
-
 def _parse_link(target: str, kind: str) -> dict[str, int]:
     """Link-target grammar → constructor kwargs for the Link* events.
 
@@ -362,7 +344,7 @@ def parse_fault(text: str) -> FaultEvent:
     duration = None
     if "+" in rest:
         rest, _, dur_text = rest.rpartition("+")
-        duration = _parse_time(dur_text)
+        duration = _parse_duration(dur_text)
     prob = None
     if "~" in rest:
         rest, _, prob_text = rest.partition("~")
@@ -372,7 +354,7 @@ def parse_fault(text: str) -> FaultEvent:
         rest, _, value_text = rest.partition("=")
         value = float(value_text)
     time_text, _, target = rest.partition(":")
-    time = _parse_time(time_text)
+    time = _parse_duration(time_text)
 
     if kind in ("link_down", "link_up"):
         cls = LinkDown if kind == "link_down" else LinkUp
@@ -416,8 +398,9 @@ def parse_fault(text: str) -> FaultEvent:
     if kind == "random_downs":
         if value is None:
             raise ValueError("random_downs needs '=<count>'")
-        tier = target or "leaf"
-        return RandomLinkDowns(time=time, count=int(value), tier=tier)
+        if not value.is_integer():  # also refuses nan and inf
+            raise ValueError(f"random_downs count must be an integer, got {value}")
+        return RandomLinkDowns(time=time, count=int(value), tier=target or "leaf")
     raise ValueError(
         f"unknown fault kind {kind!r}; known kinds: link_down, link_up, "
         "link_degrade, link_loss, feedback_loss, blackout, random_downs"

@@ -54,11 +54,6 @@ DEFAULT_PROPAGATION_DELAY = 500  # nanoseconds
 _topology_epoch = 0
 
 
-def topology_epoch() -> int:
-    """The current link up/down generation (see :data:`_topology_epoch`)."""
-    return _topology_epoch
-
-
 def _bump_topology_epoch() -> None:
     global _topology_epoch
     _topology_epoch += 1
@@ -242,16 +237,6 @@ class Port:
             )
         self._loss_probability = probability
         self._loss_rng = rng if 0.0 < probability < 1.0 else None
-
-    @property
-    def loss_probability(self) -> float:
-        """Injected per-packet loss probability on this direction.
-
-        Read-only view for fault-aware schemes (a detected grey failure is
-        part of the liveness signal CAFT-style control planes distribute);
-        mutate only through :meth:`set_loss`.
-        """
-        return self._loss_probability
 
     def residual_fraction(self) -> float:
         """Usable capacity as a fraction of the as-built rate.
@@ -447,5 +432,4 @@ __all__ = [
     "Port",
     "connect",
     "residual_capacity",
-    "topology_epoch",
 ]

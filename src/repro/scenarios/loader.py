@@ -26,44 +26,57 @@ The schema mirrors the value objects one-to-one (see EXPERIMENTS.md,
     params:                   # free-form knobs for benchmark code
       fan_ins: [1, 7, 15]
 
-A ``topology`` section containing any multipod-only key (``num_pods``,
-``leaves_per_pod``, ``spines_per_pod``, ``num_cores``, ``core_rate_bps``)
-compiles a 3-tier :class:`~repro.topology.multipod.MultiPodConfig` instead
-of a :class:`LeafSpineConfig`, and fault targets — including spine↔core
-links (``s1-c0``) and core switches — are range-checked against the
-compiled topology at load time.
+The schema is a set of tables, one :class:`_Section` per mapping of the
+document; each table's ``{key: parser}`` dict is the only list of that
+section's keys, and one generic :func:`_build_section` does the unknown-key
+check, the per-key parse and the construction for all of them.  The CLI's
+flags come through the same door (:func:`scenario_from_mapping` over an
+in-memory mapping), so every rule — finite numbers, non-negative
+durations, indices the compiled topology actually has, a bounded grid —
+exists once.  A ``topology`` section containing any multipod-only key
+(``num_pods``, ``leaves_per_pod``, ``spines_per_pod``, ``num_cores``,
+``core_rate_bps``) compiles a 3-tier
+:class:`~repro.topology.multipod.MultiPodConfig` instead of a
+:class:`LeafSpineConfig`.
 
-Every loader error is a :class:`ScenarioError` carrying the source file
-and the YAML line of the offending key — unknown keys, malformed CDFs,
-bad units, unresolvable scheme/workload names — so a typo'd scenario
-fails with ``file.yaml:12: ...`` instead of a stack trace mid-sweep.
+Every loader error is a :class:`ScenarioError` carrying the dotted key
+path, the source file and the YAML line of the offending key — unknown
+keys, malformed CDFs, bad units, out-of-range indices, unresolvable
+scheme/workload names — so a typo'd scenario fails with
+``file.yaml:12: ...`` instead of a stack trace mid-sweep.
 
-PyYAML is an optional dependency: everything here is import-gated so the
-rest of the package works without it.
+PyYAML is an optional dependency, needed by :func:`load_scenario` only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.apps.spec import (
     ExperimentSpec,
     ImbalanceMonitorSpec,
     QueueMonitorSpec,
-    UnknownWorkloadError,
     get_workload,
 )
-from repro.faults.events import parse_fault
+from repro.faults.events import (
+    FaultEvent,
+    FeedbackLoss,
+    RandomLinkDowns,
+    SwitchBlackout,
+    parse_fault,
+)
 from repro.obs.config import ObsSpec
 from repro.scenarios.scenario import Scenario, SeedPlan
-from repro.topology.leafspine import LeafSpineConfig
+from repro.topology.leafspine import LeafSpineConfig, scaled_testbed
 from repro.topology.multipod import MultiPodConfig
 from repro.transport.tcp import TcpParams
-from repro.units import gbps, kilobytes, mbps, megabytes, microseconds
-from repro.units import gigabytes, milliseconds, nanoseconds, seconds
+from repro.units import _parse_duration, gbps, gigabytes, kilobytes, mbps, megabytes
 from repro.workloads import FlowSizeDistribution, register_workload
 
 Path_ = str | Path
@@ -143,588 +156,501 @@ def _line_map(yaml_module, text: str) -> dict[_KeyPath, int]:
     return lines
 
 
-class _Context:
-    """Threads (source, line-map) through the loader for error reporting."""
+# -- value parsers ------------------------------------------------------------
+#
+# A parser is ``value -> parsed value`` and raises ValueError on anything it
+# does not accept; :func:`_at` attaches the key path on the way out.  Both
+# doors (YAML files and the CLI's flags) reach an ExperimentSpec through
+# these and only these, so each rule below exists once.
 
-    def __init__(
-        self, source: str | None, lines: dict[_KeyPath, int] | None
-    ) -> None:
-        self.source = source
-        self.lines = lines or {}
+_Parser = Callable[[Any], Any]
 
-    def line(self, path: _KeyPath) -> int | None:
-        """The best-known line for ``path`` (longest known prefix)."""
-        probe = path
-        while True:
-            if probe in self.lines:
-                return self.lines[probe]
-            if not probe:
-                return None
-            probe = probe[:-1]
+#: A parser's "leave the constructor's default in place" answer.
+_SKIP = object()
 
-    def error(self, message: str, path: _KeyPath) -> ScenarioError:
-        return ScenarioError(
-            message,
-            source=self.source,
-            line=self.line(path),
-            key=".".join(path) or None,
-        )
+#: Grids larger than this are refused before any seed is derived.
+_MAX_GRID_POINTS = 1_000_000
 
 
-# -- field-level parsers ------------------------------------------------------
+class _Refused(ValueError):
+    """A refused value and its key path below whoever catches this."""
 
-_DURATION_UNITS = {
-    "ns": nanoseconds,
-    "us": microseconds,
-    "µs": microseconds,
-    "ms": milliseconds,
-    "s": seconds,
-}
-_SIZE_UNITS = {"b": 1, "kb": None, "mb": None, "gb": None}
-_RATE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([gm])bps\s*$", re.I)
-_DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ns|us|µs|ms|s)\s*$")
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([kmg]?b)\s*$", re.I)
+    def __init__(self, message: str, path: _KeyPath) -> None:
+        super().__init__(message)
+        self.path = path
 
 
-def _as_int(value: Any, path: _KeyPath, ctx: _Context) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ctx.error(f"expected an integer, got {value!r}", path)
-    return value
+def _at(path: _KeyPath, parse: _Parser, value: Any) -> Any:
+    """``parse(value)``, with any refusal located under ``path``."""
+    try:
+        return parse(value)
+    except _Refused as exc:
+        raise _Refused(str(exc), path + exc.path) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _Refused(str(exc), path) from exc
 
 
-def _as_number(value: Any, path: _KeyPath, ctx: _Context) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ctx.error(f"expected a number, got {value!r}", path)
-    return float(value)
+def _int(minimum: int | None = None) -> _Parser:
+    def parse(value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _as_str(value: Any, path: _KeyPath, ctx: _Context) -> str:
+def _number(positive: bool = False) -> _Parser:
+    def parse(value: Any) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"expected a number, got {value!r}")
+        if not math.isfinite(value) or (positive and value <= 0):
+            kind = "positive finite" if positive else "finite"
+            raise ValueError(f"expected a {kind} number, got {value!r}")
+        return float(value)
+
+    return parse
+
+
+def _str(value: Any) -> str:
     if not isinstance(value, str):
-        raise ctx.error(f"expected a string, got {value!r}", path)
+        raise ValueError(f"expected a string, got {value!r}")
     return value
 
 
-def _as_list(value: Any, path: _KeyPath, ctx: _Context) -> list:
-    if not isinstance(value, list):
-        raise ctx.error(f"expected a list, got {value!r}", path)
-    return value
-
-
-def _as_mapping(value: Any, path: _KeyPath, ctx: _Context) -> dict:
+def _mapping(value: Any) -> dict:
     if not isinstance(value, dict):
-        raise ctx.error(f"expected a mapping, got {value!r}", path)
+        raise ValueError(f"expected a mapping, got {value!r}")
     return value
 
 
-def _check_keys(
-    mapping: dict, allowed: frozenset[str], path: _KeyPath, ctx: _Context
-) -> None:
-    for key in mapping:
-        if str(key) not in allowed:
-            known = ", ".join(sorted(allowed))
-            raise ctx.error(
-                f"unknown key {key!r}; allowed keys: {known}",
-                path + (str(key),),
-            )
+def _tuple_of(item: _Parser, names: tuple[str, ...] | None = None) -> _Parser:
+    """A list parsed item by item; ``names`` fixes its length and meaning."""
+
+    def parse(value: Any) -> tuple:
+        if not isinstance(value, list) or len(value) != len(names or value):
+            shape = "a list" if names is None else f"[{', '.join(names)}]"
+            raise ValueError(f"expected {shape}, got {value!r}")
+        return tuple(_at((str(i),), item, each) for i, each in enumerate(value))
+
+    return parse
 
 
-def _parse_duration(value: Any, path: _KeyPath, ctx: _Context) -> int:
-    """A duration in integer ticks: a raw int (ns) or ``"200ms"``-style."""
-    if isinstance(value, bool):
-        raise ctx.error(f"expected a duration, got {value!r}", path)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        match = _DURATION_RE.match(value)
-        if match:
-            return _DURATION_UNITS[match.group(2)](float(match.group(1)))
-    raise ctx.error(
-        f"expected a duration (integer ns or e.g. '200ms', '0.1s'), "
-        f"got {value!r}",
-        path,
-    )
+_ints = _tuple_of(_int())
+_strings = _tuple_of(_str)
 
 
-def _parse_size(value: Any, path: _KeyPath, ctx: _Context) -> int:
-    """A byte size: a raw int or ``"100KB"`` / ``"8MB"`` / ``"1GB"``."""
-    if isinstance(value, bool):
-        raise ctx.error(f"expected a byte size, got {value!r}", path)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        match = _SIZE_RE.match(value)
-        if match:
-            amount = float(match.group(1))
-            unit = match.group(2).lower()
-            if unit == "b":
-                return int(amount)
-            return {"kb": kilobytes, "mb": megabytes, "gb": gigabytes}[unit](
-                amount
-            )
-    raise ctx.error(
-        f"expected a byte size (integer bytes or e.g. '100KB', '8MB'), "
-        f"got {value!r}",
-        path,
-    )
+def _duration(minimum: int = 0) -> _Parser:
+    """Integer ticks from a raw int (ns) or ``"200ms"``-style text."""
+
+    def parse(value: Any) -> int:
+        ticks = _parse_duration(value)
+        if ticks < minimum:
+            raise ValueError(f"must be at least {minimum} ns, got {value!r}")
+        return ticks
+
+    return parse
 
 
-def _parse_rate(value: Any, path: _KeyPath, ctx: _Context) -> int:
-    """A link rate: a raw int (bps) or ``"40Gbps"`` / ``"100Mbps"``."""
-    if isinstance(value, bool):
-        raise ctx.error(f"expected a rate, got {value!r}", path)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        match = _RATE_RE.match(value)
-        if match:
-            maker = gbps if match.group(2).lower() == "g" else mbps
-            return maker(float(match.group(1)))
-    raise ctx.error(
-        f"expected a rate (integer bps or e.g. '40Gbps', '100Mbps'), "
-        f"got {value!r}",
-        path,
-    )
+def _quantity(pattern: str, units: dict[str, Callable], what: str) -> _Parser:
+    """A raw non-negative int, or ``<number><unit>`` text scaled by its unit."""
+    regex = re.compile(rf"^\s*([0-9]+(?:\.[0-9]+)?)\s*({pattern})\s*$", re.I)
+
+    def parse(value: Any) -> int:
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            return value
+        match = regex.match(value) if isinstance(value, str) else None
+        if match is None:
+            raise ValueError(f"expected {what}, got {value!r}")
+        return units[match.group(2).lower()](float(match.group(1)))
+
+    return parse
 
 
-# -- section builders ---------------------------------------------------------
-
-_TOP_KEYS = frozenset(
-    {"name", "description", "template", "grid", "params", "workloads"}
+_rate = _quantity(
+    "[gm]bps", {"gbps": gbps, "mbps": mbps},
+    "a rate (integer bps or e.g. '40Gbps', '100Mbps')",
 )
-_TEMPLATE_KEYS = frozenset(
-    {
-        "scheme", "workload", "load", "seed", "num_flows", "size_scale",
-        "clients", "failed_links", "faults", "deadline", "topology", "tcp",
-        "queue_monitor", "imbalance_monitor", "obs",
-    }
+_size = _quantity(
+    "[kmg]?b", {"b": int, "kb": kilobytes, "mb": megabytes, "gb": gigabytes},
+    "a byte size (integer bytes or e.g. '100KB', '8MB')",
 )
-_GRID_KEYS = frozenset({"schemes", "workloads", "loads", "seeds"})
-_SEED_PLAN_KEYS = frozenset({"base", "count", "stream"})
-_TOPOLOGY_INT_KEYS = (
-    "num_leaves", "num_spines", "hosts_per_leaf", "links_per_pair",
-)
-_TOPOLOGY_KEYS = frozenset(
-    _TOPOLOGY_INT_KEYS
-    + (
-        "host_rate_bps", "fabric_rate_bps", "host_queue_bytes",
-        "fabric_queue_bytes", "ecn_threshold_bytes", "propagation_delay",
-    )
-)
-_MULTIPOD_INT_KEYS = (
-    "num_pods", "leaves_per_pod", "spines_per_pod", "hosts_per_leaf",
-    "num_cores", "links_per_pair",
-)
-_MULTIPOD_KEYS = frozenset(
-    _MULTIPOD_INT_KEYS
-    + (
-        "host_rate_bps", "fabric_rate_bps", "core_rate_bps",
-        "host_queue_bytes", "fabric_queue_bytes", "ecn_threshold_bytes",
-        "propagation_delay",
-    )
-)
-#: Keys only a 3-tier topology has; any of them flips the ``topology``
-#: section to :class:`MultiPodConfig`.
-_MULTIPOD_ONLY_KEYS = frozenset(
-    {"num_pods", "leaves_per_pod", "spines_per_pod", "num_cores", "core_rate_bps"}
-)
-_TCP_INT_KEYS = (
-    "mss", "initial_cwnd_segments", "dupack_threshold", "receive_window",
-    "ack_every",
-)
-_TCP_DURATION_KEYS = ("min_rto", "max_rto", "initial_rto")
-_TCP_KEYS = frozenset(_TCP_INT_KEYS + _TCP_DURATION_KEYS)
-_QUEUE_MONITOR_KEYS = frozenset(
-    {"tier", "direction", "leaf", "spine", "interval"}
-)
-_IMBALANCE_MONITOR_KEYS = frozenset({"leaf", "interval"})
-_OBS_KEYS = frozenset({"categories", "buffer_limit", "timeline", "trace_path"})
-_TIMELINE_KEYS = frozenset({"interval", "limit"})
-_WORKLOAD_KEYS = frozenset({"points"})
 
 
-def _build_topology(
-    data: dict, path: _KeyPath, ctx: _Context
-) -> LeafSpineConfig | MultiPodConfig:
-    """Build the topology config; multipod-only keys select the 3-tier one."""
-    multipod = any(str(key) in _MULTIPOD_ONLY_KEYS for key in data)
-    if multipod:
-        _check_keys(data, _MULTIPOD_KEYS, path, ctx)
-        int_keys: tuple[str, ...] = _MULTIPOD_INT_KEYS
-        rate_keys = ("host_rate_bps", "fabric_rate_bps", "core_rate_bps")
-    else:
-        _check_keys(data, _TOPOLOGY_KEYS, path, ctx)
-        int_keys = _TOPOLOGY_INT_KEYS
-        rate_keys = ("host_rate_bps", "fabric_rate_bps")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        where = path + (key,)
-        if key in int_keys:
-            kwargs[key] = _as_int(value, where, ctx)
-        elif key in rate_keys:
-            kwargs[key] = _parse_rate(value, where, ctx)
-        elif key in (
-            "host_queue_bytes", "fabric_queue_bytes", "ecn_threshold_bytes"
-        ):
-            kwargs[key] = (
-                None if value is None else _parse_size(value, where, ctx)
-            )
-        else:  # propagation_delay
-            kwargs[key] = _parse_duration(value, where, ctx)
+def _or_none(parser: _Parser, keep: bool = False) -> _Parser:
+    """``null`` means "absent" — or, with ``keep``, is itself the value."""
+
+    def parse(value: Any) -> Any:
+        if value is None:
+            return None if keep else _SKIP
+        return parser(value)
+
+    return parse
+
+
+def _fault(value: Any) -> FaultEvent:
+    return parse_fault(_str(value))
+
+
+def _categories(value: Any) -> Any:
+    """One comma-separated string or a list of category names."""
+    return value if isinstance(value, str) else _strings(value)
+
+
+_points = _tuple_of(_tuple_of(_number(), ("size_bytes", "cdf")))
+
+
+def _cdf(value: Any) -> FlowSizeDistribution:
+    """Inline CDF points, validated here so that errors name ``points``."""
+    return FlowSizeDistribution("inline", _points(value))
+
+
+def _params(value: Any) -> str:
     try:
-        return MultiPodConfig(**kwargs) if multipod else LeafSpineConfig(**kwargs)
-    except ValueError as exc:
-        raise ctx.error(str(exc), path) from exc
+        return json.dumps(_mapping(value), sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"params must be JSON-serializable: {exc}") from exc
 
 
-def _build_tcp(data: dict, path: _KeyPath, ctx: _Context) -> TcpParams:
-    _check_keys(data, _TCP_KEYS, path, ctx)
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        where = path + (key,)
-        if key in _TCP_DURATION_KEYS:
-            kwargs[key] = _parse_duration(value, where, ctx)
-        else:
-            kwargs[key] = _as_int(value, where, ctx)
-    try:
-        return TcpParams(**kwargs)
-    except ValueError as exc:
-        raise ctx.error(str(exc), path) from exc
+# -- the schema: one table per section ----------------------------------------
 
 
-def _build_queue_monitor(
-    data: dict, path: _KeyPath, ctx: _Context
-) -> QueueMonitorSpec:
-    _check_keys(data, _QUEUE_MONITOR_KEYS, path, ctx)
-    kwargs: dict[str, Any] = {}
-    if "tier" in data:
-        kwargs["tier"] = _as_str(data["tier"], path + ("tier",), ctx)
-    if "direction" in data:
-        kwargs["direction"] = _as_str(
-            data["direction"], path + ("direction",), ctx
-        )
-    elif "tier" in data:
-        # The direction is implied by the tier; fill it so scenario authors
-        # only spell it out when they want the readability.
-        implied = QueueMonitorSpec._DIRECTIONS.get(kwargs["tier"])
-        if implied is not None:
-            kwargs["direction"] = implied
-    for key in ("leaf", "spine"):
-        if key in data and data[key] is not None:
-            kwargs[key] = _as_int(data[key], path + (key,), ctx)
-    if "interval" in data:
-        kwargs["interval"] = _parse_duration(
-            data["interval"], path + ("interval",), ctx
-        )
-    try:
-        return QueueMonitorSpec(**kwargs)
-    except ValueError as exc:
-        raise ctx.error(str(exc), path) from exc
+@dataclass(frozen=True)
+class _Section:
+    """One mapping of the schema.
 
-
-def _build_imbalance_monitor(
-    data: dict, path: _KeyPath, ctx: _Context
-) -> ImbalanceMonitorSpec:
-    _check_keys(data, _IMBALANCE_MONITOR_KEYS, path, ctx)
-    kwargs: dict[str, Any] = {}
-    if "leaf" in data:
-        kwargs["leaf"] = _as_int(data["leaf"], path + ("leaf",), ctx)
-    if "interval" in data and data["interval"] is not None:
-        kwargs["interval"] = _parse_duration(
-            data["interval"], path + ("interval",), ctx
-        )
-    try:
-        return ImbalanceMonitorSpec(**kwargs)
-    except ValueError as exc:
-        raise ctx.error(str(exc), path) from exc
-
-
-def _build_obs(data: dict, path: _KeyPath, ctx: _Context) -> ObsSpec:
-    _check_keys(data, _OBS_KEYS, path, ctx)
-    kwargs: dict[str, Any] = {}
-    if "categories" in data:
-        value = data["categories"]
-        if isinstance(value, str):
-            kwargs["categories"] = value
-        else:
-            kwargs["categories"] = tuple(
-                _as_str(item, path + ("categories", str(i)), ctx)
-                for i, item in enumerate(
-                    _as_list(value, path + ("categories",), ctx)
-                )
-            )
-    if "buffer_limit" in data:
-        kwargs["buffer_limit"] = _as_int(
-            data["buffer_limit"], path + ("buffer_limit",), ctx
-        )
-    if "timeline" in data and data["timeline"] not in (None, False):
-        from repro.obs.timeline import TimelineSpec
-
-        where = path + ("timeline",)
-        timeline_kwargs: dict[str, Any] = {}
-        if data["timeline"] is True:
-            pass  # `timeline: true` = collector with default cadence/bounds
-        else:
-            mapping = _as_mapping(data["timeline"], where, ctx)
-            _check_keys(mapping, _TIMELINE_KEYS, where, ctx)
-            if "interval" in mapping:
-                timeline_kwargs["interval"] = _parse_duration(
-                    mapping["interval"], where + ("interval",), ctx
-                )
-            if "limit" in mapping:
-                timeline_kwargs["limit"] = _as_int(
-                    mapping["limit"], where + ("limit",), ctx
-                )
-        try:
-            kwargs["timeline"] = TimelineSpec(**timeline_kwargs)
-        except ValueError as exc:
-            raise ctx.error(str(exc), where) from exc
-    if "trace_path" in data and data["trace_path"] is not None:
-        kwargs["trace_path"] = _as_str(
-            data["trace_path"], path + ("trace_path",), ctx
-        )
-    try:
-        return ObsSpec(**kwargs)
-    except ValueError as exc:
-        raise ctx.error(str(exc), path) from exc
-
-
-def _validate_fault_targets(
-    spec: ExperimentSpec, path: _KeyPath, ctx: _Context
-) -> None:
-    """Range-check every fault's target against the compiled topology.
-
-    Resolves the template's topology (or the default scaled testbed) and
-    rejects out-of-range leaf/spine/core indices — and core-tier targets
-    aimed at a 2-tier fabric — at load time, with the fault's ``file:line``
-    attached, instead of a mid-sweep stack trace from the injector.
+    ``keys`` is the only list of the section's keys: the unknown-key check,
+    the per-key parse and EXPERIMENTS.md's key reference all derive from it.
     """
-    from repro.faults.events import (
-        FeedbackLoss,
-        RandomLinkDowns,
-        SwitchBlackout,
+
+    build: Callable[..., Any]
+    keys: dict[str, _Parser]
+    required: tuple[str, ...] = ()
+
+
+def _build_section(section: _Section, data: Any) -> Any:
+    """Check, parse and construct one section; each refusal names its key."""
+    kwargs: dict[str, Any] = {}
+    for key, value in _mapping(data).items():
+        parser = section.keys.get(key)
+        if parser is None:
+            known = ", ".join(sorted(section.keys))
+            raise _Refused(
+                f"unknown key {key!r}; allowed keys: {known}", (str(key),)
+            )
+        parsed = _at((key,), parser, value)
+        if parsed is not _SKIP:
+            kwargs[key] = parsed
+    missing = [key for key in section.required if key not in kwargs]
+    if missing:
+        raise ValueError(f"missing required keys: {', '.join(missing)}")
+    return section.build(**kwargs)
+
+
+def _section(section: _Section) -> _Parser:
+    return partial(_build_section, section)
+
+
+_FABRIC_KEYS: dict[str, _Parser] = {  # shared by both topology tables
+    "hosts_per_leaf": _int(),
+    "links_per_pair": _int(),
+    "host_rate_bps": _rate,
+    "fabric_rate_bps": _rate,
+    "host_queue_bytes": _or_none(_size, keep=True),
+    "fabric_queue_bytes": _or_none(_size, keep=True),
+    "ecn_threshold_bytes": _or_none(_size, keep=True),
+    "propagation_delay": _duration(),
+}
+_LEAF_SPINE = _Section(
+    LeafSpineConfig,
+    {"num_leaves": _int(), "num_spines": _int(), **_FABRIC_KEYS},
+)
+_MULTIPOD = _Section(
+    MultiPodConfig,
+    {
+        "num_pods": _int(),
+        "leaves_per_pod": _int(),
+        "spines_per_pod": _int(),
+        "num_cores": _int(),
+        "core_rate_bps": _rate,
+        **_FABRIC_KEYS,
+    },
+)
+
+
+def _topology(value: Any) -> LeafSpineConfig | MultiPodConfig:
+    """Any key only the 3-tier table has selects :class:`MultiPodConfig`."""
+    multipod = any(
+        key in _MULTIPOD.keys and key not in _LEAF_SPINE.keys
+        for key in _mapping(value)
     )
-    from repro.topology.leafspine import scaled_testbed
+    return _build_section(_MULTIPOD if multipod else _LEAF_SPINE, value)
 
-    config = spec.config if spec.config is not None else scaled_testbed()
-    if isinstance(config, MultiPodConfig):
-        num_leaves = config.num_pods * config.leaves_per_pod
-        num_spines = config.num_pods * config.spines_per_pod
-        num_cores = config.num_cores
-    else:
-        num_leaves = config.num_leaves
-        num_spines = config.num_spines
-        num_cores = 0
-    links = config.links_per_pair
 
-    def check(index: int, limit: int, what: str, where: _KeyPath, event) -> None:
-        if not 0 <= index < limit:
-            raise ctx.error(
-                f"{what} {index} out of range for this topology "
-                f"(0..{limit - 1}) in fault {event!r}",
-                where,
-            )
+_TCP = _Section(
+    TcpParams,
+    {
+        "mss": _int(),
+        "initial_cwnd_segments": _int(),
+        "dupack_threshold": _int(),
+        "receive_window": _int(),
+        "ack_every": _int(),
+        "min_rto": _duration(),
+        "max_rto": _duration(),
+        "initial_rto": _duration(),
+    },
+)
 
-    def need_core(where: _KeyPath, event) -> None:
-        if num_cores == 0:
-            raise ctx.error(
-                "core-tier fault targets need a multipod topology "
-                f"(this scenario compiles a 2-tier fabric) in fault {event!r}",
-                where,
-            )
 
+def _queue_monitor(**kwargs: Any) -> QueueMonitorSpec:
+    # The direction is implied by the tier; authors spell it out only when
+    # they want the readability.
+    if "tier" in kwargs:
+        implied = QueueMonitorSpec._DIRECTIONS.get(kwargs["tier"], "down")
+        kwargs.setdefault("direction", implied)
+    return QueueMonitorSpec(**kwargs)
+
+
+_QUEUE_MONITOR = _Section(
+    _queue_monitor,
+    {
+        "tier": _str,
+        "direction": _str,
+        "leaf": _or_none(_int()),
+        "spine": _or_none(_int()),
+        "interval": _duration(minimum=1),
+    },
+)
+_IMBALANCE_MONITOR = _Section(
+    ImbalanceMonitorSpec,
+    {"leaf": _int(), "interval": _or_none(_duration(minimum=1))},
+)
+
+
+def _timeline_spec(**kwargs: Any) -> Any:
+    from repro.obs.timeline import TimelineSpec
+
+    return TimelineSpec(**kwargs)
+
+
+_TIMELINE = _Section(
+    _timeline_spec, {"interval": _duration(minimum=1), "limit": _int()}
+)
+
+
+def _timeline(value: Any) -> Any:
+    """``true`` = default cadence and bounds; ``false`` / ``null`` = off."""
+    if value is None or value is False:
+        return _SKIP
+    return _build_section(_TIMELINE, {} if value is True else value)
+
+
+_OBS = _Section(
+    ObsSpec,
+    {
+        "categories": _categories,
+        "buffer_limit": _int(),
+        "timeline": _timeline,
+        "trace_path": _or_none(_str),
+    },
+)
+
+
+def _named_indices(
+    spec: ExperimentSpec,
+) -> Iterator[tuple[str, int | None, _KeyPath, str]]:
+    """Every (kind, index, key path, message suffix) a template names.
+
+    A ``None`` index names the tier without a member of it (a random core
+    failure set) or an unset optional field.
+    """
+    for i, host in enumerate(spec.clients or ()):
+        yield "host", host, ("clients", str(i)), ""
+    for i, link in enumerate(spec.failed_links):
+        for j, kind in enumerate(("leaf", "spine", "parallel link")):
+            yield kind, link[j], ("failed_links", str(i), str(j)), ""
+    if spec.queue_monitor is not None:
+        yield "leaf", spec.queue_monitor.leaf, ("queue_monitor", "leaf"), ""
+        yield "spine", spec.queue_monitor.spine, ("queue_monitor", "spine"), ""
+    if spec.imbalance_monitor is not None:
+        yield "leaf", spec.imbalance_monitor.leaf, ("imbalance_monitor", "leaf"), ""
     for i, event in enumerate(spec.faults):
-        where = path + ("faults", str(i))
+        where, suffix = ("faults", str(i)), f" in fault {event!r}"
         if isinstance(event, RandomLinkDowns):
             if event.tier == "core":
-                need_core(where, event)
-            continue
-        if isinstance(event, SwitchBlackout):
-            if event.kind == "core":
-                need_core(where, event)
-            limit = {
-                "leaf": num_leaves, "spine": num_spines, "core": num_cores,
-            }[event.kind]
-            check(event.switch, limit, f"{event.kind} switch", where, event)
-            continue
-        if isinstance(event, FeedbackLoss):
-            if event.leaf is not None:
-                check(event.leaf, num_leaves, "leaf", where, event)
-            continue
-        # The Link* family: leaf↔spine or (when .core is set) spine↔core.
-        if event.core is not None:
-            need_core(where, event)
-            check(event.spine, num_spines, "spine", where, event)
-            check(event.core, num_cores, "core", where, event)
-        else:
-            check(event.leaf, num_leaves, "leaf", where, event)
-            check(event.spine, num_spines, "spine", where, event)
-        check(event.which, links, "parallel link", where, event)
+                yield "core", None, where, suffix
+        elif isinstance(event, SwitchBlackout):
+            yield event.kind, event.switch, where, suffix
+        elif isinstance(event, FeedbackLoss):
+            yield "leaf", event.leaf, where, suffix
+        else:  # the Link* family: leaf↔spine or (when .core is set) spine↔core
+            if event.core is not None:
+                yield "core", event.core, where, suffix
+            else:
+                yield "leaf", event.leaf, where, suffix
+            yield "spine", event.spine, where, suffix
+            yield "parallel link", event.which, where, suffix
 
 
-def _build_template(
-    data: dict, path: _KeyPath, ctx: _Context
-) -> ExperimentSpec:
-    _check_keys(data, _TEMPLATE_KEYS, path, ctx)
-    kwargs: dict[str, Any] = {}
-    for key in ("scheme", "workload"):
-        if key in data:
-            kwargs[key] = _as_str(data[key], path + (key,), ctx)
-    if "load" in data:
-        kwargs["load"] = _as_number(data["load"], path + ("load",), ctx)
-    for key in ("seed", "num_flows"):
-        if key in data:
-            kwargs[key] = _as_int(data[key], path + (key,), ctx)
-    if "size_scale" in data:
-        kwargs["size_scale"] = _as_number(
-            data["size_scale"], path + ("size_scale",), ctx
-        )
-    if "clients" in data and data["clients"] is not None:
-        clients = _as_list(data["clients"], path + ("clients",), ctx)
-        kwargs["clients"] = tuple(
-            _as_int(item, path + ("clients", str(i)), ctx)
-            for i, item in enumerate(clients)
-        )
-    if "failed_links" in data:
-        links = _as_list(data["failed_links"], path + ("failed_links",), ctx)
-        parsed = []
-        for i, link in enumerate(links):
-            where = path + ("failed_links", str(i))
-            triple = _as_list(link, where, ctx)
-            if len(triple) != 3:
-                raise ctx.error(
-                    f"a failed link is [leaf, spine, which], got {link!r}",
-                    where,
-                )
-            parsed.append(
-                tuple(
-                    _as_int(part, where + (str(j),), ctx)
-                    for j, part in enumerate(triple)
-                )
+def _validate_targets(spec: ExperimentSpec) -> None:
+    """Range-check every index the template names against its topology.
+
+    Resolves the template's topology (or the default scaled testbed) and
+    rejects out-of-range host/leaf/spine/core/link indices — and core-tier
+    targets aimed at a 2-tier fabric — at load time, located, instead of
+    an ``IndexError`` mid-sweep.
+    """
+    config = spec.config if spec.config is not None else scaled_testbed()
+    if isinstance(config, MultiPodConfig):
+        leaves = config.num_pods * config.leaves_per_pod
+        spines = config.num_pods * config.spines_per_pod
+        cores = config.num_cores
+    else:
+        leaves, spines, cores = config.num_leaves, config.num_spines, 0
+    limits = {
+        "host": leaves * config.hosts_per_leaf,
+        "leaf": leaves,
+        "spine": spines,
+        "core": cores,
+        "parallel link": config.links_per_pair,
+    }
+    for kind, index, where, suffix in _named_indices(spec):
+        if kind == "core" and cores == 0:
+            raise _Refused(
+                "core-tier fault targets need a multipod topology "
+                f"(this scenario compiles a 2-tier fabric){suffix}",
+                where,
             )
-        kwargs["failed_links"] = tuple(parsed)
-    if "faults" in data:
-        faults = []
-        for i, text in enumerate(
-            _as_list(data["faults"], path + ("faults",), ctx)
-        ):
-            where = path + ("faults", str(i))
-            try:
-                faults.append(
-                    parse_fault(_as_str(text, where, ctx))
-                )
-            except ValueError as exc:
-                raise ctx.error(str(exc), where) from exc
-        kwargs["faults"] = tuple(faults)
-    if "deadline" in data:
-        kwargs["deadline"] = _parse_duration(
-            data["deadline"], path + ("deadline",), ctx
-        )
-    if "topology" in data and data["topology"] is not None:
-        kwargs["config"] = _build_topology(
-            _as_mapping(data["topology"], path + ("topology",), ctx),
-            path + ("topology",),
-            ctx,
-        )
-    if "tcp" in data and data["tcp"] is not None:
-        kwargs["tcp_params"] = _build_tcp(
-            _as_mapping(data["tcp"], path + ("tcp",), ctx),
-            path + ("tcp",),
-            ctx,
-        )
-    if "queue_monitor" in data and data["queue_monitor"] is not None:
-        kwargs["queue_monitor"] = _build_queue_monitor(
-            _as_mapping(data["queue_monitor"], path + ("queue_monitor",), ctx),
-            path + ("queue_monitor",),
-            ctx,
-        )
-    if "imbalance_monitor" in data and data["imbalance_monitor"] is not None:
-        kwargs["imbalance_monitor"] = _build_imbalance_monitor(
-            _as_mapping(
-                data["imbalance_monitor"], path + ("imbalance_monitor",), ctx
-            ),
-            path + ("imbalance_monitor",),
-            ctx,
-        )
-    if "obs" in data and data["obs"] is not None:
-        kwargs["obs"] = _build_obs(
-            _as_mapping(data["obs"], path + ("obs",), ctx),
-            path + ("obs",),
-            ctx,
-        )
-    if "scheme" not in kwargs or "workload" not in kwargs or "load" not in kwargs:
-        missing = [
-            key for key in ("scheme", "workload", "load") if key not in kwargs
-        ]
-        raise ctx.error(
-            f"template is missing required keys: {', '.join(missing)}", path
-        )
-    try:
-        spec = ExperimentSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ctx.error(str(exc), path) from exc
-    _validate_fault_targets(spec, path, ctx)
+        if index is not None and not 0 <= index < limits[kind]:
+            raise _Refused(
+                f"{kind} {index} out of range for this topology "
+                f"(0..{limits[kind] - 1}){suffix}",
+                where,
+            )
+
+
+def _experiment_spec(
+    topology: Any = None, tcp: TcpParams | None = None, **kwargs: Any
+) -> ExperimentSpec:
+    if tcp is not None:
+        kwargs["tcp_params"] = tcp
+    spec = ExperimentSpec(config=topology, **kwargs)
+    _validate_targets(spec)
     return spec
 
 
-def _build_seeds(
-    value: Any, path: _KeyPath, ctx: _Context
-) -> tuple[int, ...] | SeedPlan:
+_TEMPLATE = _Section(
+    _experiment_spec,
+    {
+        "scheme": _str,
+        "workload": _str,
+        "load": _number(positive=True),
+        "seed": _int(),
+        "num_flows": _int(minimum=1),
+        "size_scale": _number(positive=True),
+        "clients": _or_none(_ints),
+        "failed_links": _tuple_of(_tuple_of(_int(), ("leaf", "spine", "which"))),
+        "faults": _tuple_of(_fault),
+        "deadline": _duration(),
+        "topology": _or_none(_topology),
+        "tcp": _or_none(_section(_TCP)),
+        "queue_monitor": _or_none(_section(_QUEUE_MONITOR)),
+        "imbalance_monitor": _or_none(_section(_IMBALANCE_MONITOR)),
+        "obs": _or_none(_section(_OBS)),
+    },
+    required=("scheme", "workload", "load"),
+)
+_SEED_PLAN = _Section(
+    SeedPlan,
+    {"base": _int(), "count": _int(), "stream": _str},
+    required=("base", "count"),
+)
+
+
+def _seeds(value: Any) -> tuple[int, ...] | SeedPlan:
+    """A ``{base, count[, stream]}`` plan or an explicit list of seeds."""
     if isinstance(value, dict):
-        _check_keys(value, _SEED_PLAN_KEYS, path, ctx)
-        if "base" not in value or "count" not in value:
-            raise ctx.error(
-                "a seed plan needs 'base' and 'count' (optionally 'stream')",
-                path,
-            )
-        kwargs: dict[str, Any] = {
-            "base": _as_int(value["base"], path + ("base",), ctx),
-            "count": _as_int(value["count"], path + ("count",), ctx),
-        }
-        if "stream" in value:
-            kwargs["stream"] = _as_str(
-                value["stream"], path + ("stream",), ctx
-            )
-        try:
-            return SeedPlan(**kwargs)
-        except ValueError as exc:
-            raise ctx.error(str(exc), path) from exc
-    seeds = _as_list(value, path, ctx)
+        return _build_section(_SEED_PLAN, value)
+    return _ints(value)
+
+
+_GRID = _Section(
+    dict,
+    {
+        "schemes": _strings,
+        "workloads": _strings,
+        "loads": _tuple_of(_number(positive=True)),
+        "seeds": _seeds,
+    },
+)
+_WORKLOAD = _Section(dict, {"points": _cdf}, required=("points",))
+
+
+def _workloads(value: Any) -> tuple[FlowSizeDistribution, ...]:
+    """Inline CDFs, one ``{points: ...}`` section per workload name."""
     return tuple(
-        _as_int(item, path + (str(i),), ctx) for i, item in enumerate(seeds)
+        replace(_at((str(name),), _section(_WORKLOAD), body)["points"], name=str(name))
+        for name, body in _mapping(value).items()
     )
 
 
-def _build_workloads(
-    data: dict, path: _KeyPath, ctx: _Context
-) -> tuple[FlowSizeDistribution, ...]:
-    dists = []
-    for name, body in data.items():
-        where = path + (str(name),)
-        mapping = _as_mapping(body, where, ctx)
-        _check_keys(mapping, _WORKLOAD_KEYS, where, ctx)
-        if "points" not in mapping:
-            raise ctx.error("an inline workload needs 'points'", where)
-        raw_points = _as_list(mapping["points"], where + ("points",), ctx)
-        points = []
-        for i, pair in enumerate(raw_points):
-            point_path = where + ("points", str(i))
-            values = _as_list(pair, point_path, ctx)
-            if len(values) != 2:
-                raise ctx.error(
-                    f"a CDF point is [size_bytes, cdf], got {pair!r}",
-                    point_path,
-                )
-            points.append(
-                (
-                    _as_number(values[0], point_path + ("0",), ctx),
-                    _as_number(values[1], point_path + ("1",), ctx),
-                )
-            )
-        try:
-            dists.append(FlowSizeDistribution(str(name), tuple(points)))
-        except ValueError as exc:
-            raise ctx.error(str(exc), where + ("points",)) from exc
-    return tuple(dists)
+_SCENARIO = _Section(
+    dict,
+    {
+        "name": _str,
+        "description": _str,
+        "template": _section(_TEMPLATE),
+        "grid": _or_none(_section(_GRID)),
+        "params": _or_none(_params),
+        "workloads": _or_none(_workloads),
+    },
+    required=("name", "template"),
+)
+
+
+def _scenario(data: Any, source: str | None) -> Scenario:
+    from repro.apps.experiment import get_scheme
+
+    top = _build_section(_SCENARIO, data)
+    template: ExperimentSpec = top["template"]
+    defined = top.get("workloads", ())
+    for dist in defined:
+        _at(("workloads", dist.name), register_workload, dist)
+
+    axes: dict[str, Any] = top.get("grid", {})
+    points = 1
+    for axis in axes.values():
+        points *= axis.count if isinstance(axis, SeedPlan) else len(axis)
+    if points > _MAX_GRID_POINTS:
+        raise _Refused(
+            f"the grid has {points} points; the limit is {_MAX_GRID_POINTS}",
+            ("grid",),
+        )
+
+    # Resolve every scheme and workload name the grid will reference now,
+    # with precise locations, rather than letting compile() fail without one.
+    for axis, field, lookup in (
+        ("schemes", "scheme", get_scheme),
+        ("workloads", "workload", get_workload),
+    ):
+        if axis in axes:
+            for i, name in enumerate(axes[axis]):
+                _at(("grid", axis, str(i)), lookup, name)
+        else:
+            _at(("template", field), lookup, getattr(template, field))
+
+    scenario = Scenario(
+        name=top["name"],
+        template=template,
+        description=top.get("description", ""),
+        defined_workloads=defined,
+        params_json=top.get("params", "{}"),
+        source=source,
+        **axes,
+    )
+    scenario.validate()
+    return scenario
 
 
 def scenario_from_mapping(
@@ -736,121 +662,20 @@ def scenario_from_mapping(
     """Build and fully validate a :class:`Scenario` from parsed YAML data.
 
     Raises :class:`ScenarioError` — with ``source``/line context when
-    available — for unknown keys, malformed values, invalid CDFs, and
-    scheme/workload names that do not resolve.  The returned scenario is
-    guaranteed compilable (its inline workloads are registered).
+    available — for unknown keys, malformed values, invalid CDFs, indices
+    the topology does not have, and scheme/workload names that do not
+    resolve.  The returned scenario is guaranteed compilable (its inline
+    workloads are registered).
     """
-    from repro.apps.experiment import UnknownSchemeError, get_scheme
-
-    ctx = _Context(source, lines)
-    mapping = _as_mapping(data, (), ctx)
-    _check_keys(mapping, _TOP_KEYS, (), ctx)
-    if "name" not in mapping:
-        raise ctx.error("a scenario needs a 'name'", ())
-    if "template" not in mapping:
-        raise ctx.error("a scenario needs a 'template' section", ())
-    name = _as_str(mapping["name"], ("name",), ctx)
-    description = (
-        _as_str(mapping["description"], ("description",), ctx)
-        if "description" in mapping
-        else ""
-    )
-    template = _build_template(
-        _as_mapping(mapping["template"], ("template",), ctx),
-        ("template",),
-        ctx,
-    )
-
-    defined = ()
-    if "workloads" in mapping and mapping["workloads"] is not None:
-        defined = _build_workloads(
-            _as_mapping(mapping["workloads"], ("workloads",), ctx),
-            ("workloads",),
-            ctx,
-        )
-        for i, dist in enumerate(defined):
-            try:
-                register_workload(dist)
-            except ValueError as exc:
-                raise ctx.error(str(exc), ("workloads", dist.name)) from exc
-
-    axes: dict[str, Any] = {}
-    if "grid" in mapping and mapping["grid"] is not None:
-        grid = _as_mapping(mapping["grid"], ("grid",), ctx)
-        _check_keys(grid, _GRID_KEYS, ("grid",), ctx)
-        if "schemes" in grid:
-            axes["schemes"] = tuple(
-                _as_str(item, ("grid", "schemes", str(i)), ctx)
-                for i, item in enumerate(
-                    _as_list(grid["schemes"], ("grid", "schemes"), ctx)
-                )
-            )
-        if "workloads" in grid:
-            axes["workloads"] = tuple(
-                _as_str(item, ("grid", "workloads", str(i)), ctx)
-                for i, item in enumerate(
-                    _as_list(grid["workloads"], ("grid", "workloads"), ctx)
-                )
-            )
-        if "loads" in grid:
-            axes["loads"] = tuple(
-                _as_number(item, ("grid", "loads", str(i)), ctx)
-                for i, item in enumerate(
-                    _as_list(grid["loads"], ("grid", "loads"), ctx)
-                )
-            )
-        if "seeds" in grid:
-            axes["seeds"] = _build_seeds(grid["seeds"], ("grid", "seeds"), ctx)
-
-    params_json = "{}"
-    if "params" in mapping and mapping["params"] is not None:
-        params = _as_mapping(mapping["params"], ("params",), ctx)
-        try:
-            params_json = json.dumps(params, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise ctx.error(
-                f"params must be JSON-serializable: {exc}", ("params",)
-            ) from exc
-
-    # Resolve every referenced scheme and workload name now, with precise
-    # locations, rather than letting compile() fail without context.
-    for i, scheme in enumerate(axes.get("schemes") or ()):
-        try:
-            get_scheme(scheme)
-        except UnknownSchemeError as exc:
-            raise ctx.error(str(exc), ("grid", "schemes", str(i))) from exc
-    if "schemes" not in axes:
-        try:
-            get_scheme(template.scheme)
-        except UnknownSchemeError as exc:
-            raise ctx.error(str(exc), ("template", "scheme")) from exc
-    for i, workload in enumerate(axes.get("workloads") or ()):
-        try:
-            get_workload(workload)
-        except UnknownWorkloadError as exc:
-            raise ctx.error(str(exc), ("grid", "workloads", str(i))) from exc
-    if "workloads" not in axes:
-        try:
-            get_workload(template.workload)
-        except UnknownWorkloadError as exc:
-            raise ctx.error(str(exc), ("template", "workload")) from exc
-
     try:
-        scenario = Scenario(
-            name=name,
-            template=template,
-            description=description,
-            defined_workloads=defined,
-            params_json=params_json,
-            source=source,
-            **axes,
-        )
-        scenario.validate()
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ctx.error(str(exc), ()) from exc
-    return scenario
+        return _at((), partial(_scenario, source=source), data)
+    except _Refused as exc:
+        # The best-known line is that of the longest known prefix of the path.
+        known = [exc.path[:n] for n in range(len(exc.path), -1, -1)]
+        line = next((lines[p] for p in known if p in lines), None) if lines else None
+        raise ScenarioError(
+            str(exc), source=source, line=line, key=".".join(exc.path) or None
+        ) from exc
 
 
 def load_scenario(path: Path_) -> Scenario:
@@ -864,7 +689,7 @@ def load_scenario(path: Path_) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(
             f"cannot read scenario file: {exc}", source=str(path)
         ) from exc

@@ -15,6 +15,7 @@ reads what it measures (:meth:`Fabric.require_congestion_plane`).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.net.node import Host
@@ -202,39 +203,44 @@ class Fabric:
         link on the path, plus one segment's serialization at each later hop
         and the propagation delays.
         """
-        src_leaf = self.leaf_of(src)
-        dst_leaf = self.leaf_of(dst)
-        src_host = self.hosts[src]
-        # (rate, per-segment overhead) for each hop: access links carry plain
-        # TCP/IP framing, fabric links add the VXLAN encapsulation.
-        hops = [(src_host.nic.rate_bps, HEADER_BYTES)]
-        if src_leaf != dst_leaf:
-            leaf = self.leaves[src_leaf]
-            fabric_overhead = HEADER_BYTES + VXLAN_OVERHEAD
-            hops.append(
-                (max(port.rate_bps for port in leaf.uplinks), fabric_overhead)
-            )
-            spine_rate = (
-                max(port.rate_bps for port in self.spines[0].ports)
-                if self.spines
-                else hops[-1][0]
-            )
-            hops.append((spine_rate, fabric_overhead))
-        hops.append((self.leaves[dst_leaf].host_port(dst).rate_bps, HEADER_BYTES))
-
+        hops = self._ideal_hops(src, dst)
         segments = max(1, -(-size // mss))
         # The stream drains at the hop where total wire bytes take longest.
         stream_time = max(
             transmission_time(size + segments * overhead, rate)
-            for rate, overhead in hops
+            for rate, overhead, _ in hops
         )
         last_segment = min(size, mss)
         pipeline = sum(
             transmission_time(last_segment + overhead, rate)
-            for rate, overhead in hops[1:]
+            for rate, overhead, _ in hops[1:]
         )
-        propagation = len(hops) * 500  # matches DEFAULT_PROPAGATION_DELAY
-        return stream_time + pipeline + propagation
+        return stream_time + pipeline + sum(delay for _, _, delay in hops)
+
+    def _ideal_hops(self, src: int, dst: int) -> list[tuple[int, int, int]]:
+        """(rate, per-segment overhead, propagation delay) of each hop.
+
+        Access links carry plain TCP/IP framing, fabric links add the VXLAN
+        encapsulation; every hop charges the delay of the port it leaves by.
+        """
+        src_leaf = self.leaf_of(src)
+        dst_leaf = self.leaf_of(dst)
+        ports = [(self.hosts[src].nic, HEADER_BYTES)]
+        if src_leaf != dst_leaf:
+            fabric_overhead = HEADER_BYTES + VXLAN_OVERHEAD
+            uplink = max(self.leaves[src_leaf].uplinks, key=attrgetter("rate_bps"))
+            ports.append((uplink, fabric_overhead))
+            downlink = (
+                max(self.spines[0].ports, key=attrgetter("rate_bps"))
+                if self.spines
+                else uplink
+            )
+            ports.append((downlink, fabric_overhead))
+        ports.append((self.leaves[dst_leaf].host_port(dst), HEADER_BYTES))
+        return [
+            (port.rate_bps, overhead, port.propagation_delay)
+            for port, overhead in ports
+        ]
 
 
 __all__ = ["CongestionPlaneError", "Fabric"]

@@ -210,11 +210,6 @@ class LeafSwitch(Node):
         """The downlink port serving ``host_id``."""
         return self._host_ports[host_id]
 
-    @property
-    def attached_hosts(self) -> list[int]:
-        """Host ids attached to this leaf."""
-        return list(self._host_ports)
-
     # -- forwarding -----------------------------------------------------------
 
     def candidate_uplinks(self, dst_leaf: int) -> list[int]:

@@ -41,7 +41,7 @@ from repro.sim import Simulator
 from repro.switch.fabric import Fabric
 from repro.switch.leaf import LeafSwitch
 from repro.switch.spine import SpineSwitch
-from repro.units import gbps, transmission_time
+from repro.units import gbps
 
 
 @dataclass(frozen=True)
@@ -435,31 +435,23 @@ class MultiPodFabric(Fabric):
             return list(self.cores[switch_id].ports)
         return super().switch_ports(kind, switch_id)
 
-    def ideal_fct(self, src: int, dst: int, size: int, mss: int = 1460) -> int:
+    def _ideal_hops(self, src: int, dst: int) -> list[tuple[int, int, int]]:
         src_leaf = self.leaf_of(src)
         dst_leaf = self.leaf_of(dst)
         if self.pod_of_leaf(src_leaf) == self.pod_of_leaf(dst_leaf):
-            return super().ideal_fct(src, dst, size, mss)
+            return super()._ideal_hops(src, dst)
         # Inter-pod: host -> leaf -> spine -> core -> spine -> leaf -> host.
+        config = self.config
+        delay = config.propagation_delay
         fabric_overhead = HEADER_BYTES + VXLAN_OVERHEAD
-        hops = [
-            (self.hosts[src].nic.rate_bps, HEADER_BYTES),
-            (self.config.fabric_rate_bps, fabric_overhead),
-            (self.config.core_rate_bps, fabric_overhead),
-            (self.config.core_rate_bps, fabric_overhead),
-            (self.config.fabric_rate_bps, fabric_overhead),
-            (self.leaves[dst_leaf].host_port(dst).rate_bps, HEADER_BYTES),
+        return [
+            (self.hosts[src].nic.rate_bps, HEADER_BYTES, delay),
+            (config.fabric_rate_bps, fabric_overhead, delay),
+            (config.core_rate_bps, fabric_overhead, delay),
+            (config.core_rate_bps, fabric_overhead, delay),
+            (config.fabric_rate_bps, fabric_overhead, delay),
+            (self.leaves[dst_leaf].host_port(dst).rate_bps, HEADER_BYTES, delay),
         ]
-        segments = max(1, -(-size // mss))
-        stream_time = max(
-            transmission_time(size + segments * overhead, rate)
-            for rate, overhead in hops
-        )
-        last = min(size, mss)
-        pipeline = sum(
-            transmission_time(last + overhead, rate) for rate, overhead in hops[1:]
-        )
-        return stream_time + pipeline + len(hops) * self.config.propagation_delay
 
 
 def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> MultiPodFabric:

@@ -55,6 +55,47 @@ def to_milliseconds(ticks: int) -> float:
     return ticks / MILLISECOND
 
 
+#: Ticks per duration suffix, two-letter suffixes first so "ms" is not read
+#: as a number ending in "m" followed by "s".
+_DURATION_SUFFIXES = (
+    ("ns", NANOSECOND),
+    ("us", MICROSECOND),
+    ("µs", MICROSECOND),
+    ("ms", MILLISECOND),
+    ("s", SECOND),
+)
+
+
+def _parse_duration(value: int | str) -> int:
+    """A duration in clock ticks: integer ns, or ``"200ms"`` / ``"0.1s"`` text.
+
+    The one parser behind scenario files, CLI flags and the fault grammar
+    (``repro.scenarios.loader`` and ``repro.faults.events`` import it).
+    Anything else — a negative, non-finite or unit-less fractional amount, a
+    non-string — raises :class:`ValueError`.
+    """
+    ticks: int | None = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        ticks = value
+    elif isinstance(value, str):
+        text = value.strip()
+        try:
+            for suffix, scale in _DURATION_SUFFIXES:
+                if text.endswith(suffix):
+                    ticks = round(float(text[: -len(suffix)]) * scale)
+                    break
+            else:
+                ticks = int(text)
+        except (ValueError, OverflowError):  # "oops", "nans"; "infs", "1e400s"
+            pass
+    if ticks is None or ticks < 0:
+        raise ValueError(
+            "expected a non-negative duration (integer ns or e.g. '200ms', "
+            f"'0.1s'), got {value!r}"
+        )
+    return ticks
+
+
 # ---------------------------------------------------------------------------
 # Rates: bits per second.
 # ---------------------------------------------------------------------------
