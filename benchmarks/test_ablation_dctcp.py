@@ -99,8 +99,8 @@ def _run():
     return fct, incast
 
 
-def test_conga_with_dctcp(benchmark):
-    fct, incast = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_conga_with_dctcp():
+    fct, incast = _run()
     report(
         "Ablation: CONGA + DCTCP, enterprise @60%",
         ["transport", "avg FCT (norm)", "max fabric queue (KB)"],

@@ -94,8 +94,8 @@ def _run():
     return results
 
 
-def test_parameter_ablation(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_parameter_ablation():
+    results = _run()
     default = results["default (Q=3, tau=160us, Tfl=500us)"]
     report(
         "Ablation (3.6/7): CONGA variants, data-mining @60%, failed link",

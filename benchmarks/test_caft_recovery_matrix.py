@@ -90,8 +90,8 @@ def _run():
     return matrix
 
 
-def test_caft_recovery_matrix(benchmark):
-    matrix = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_caft_recovery_matrix():
+    matrix = _run()
     rows = []
     for cell in CELLS:
         key = _cell_key(cell)

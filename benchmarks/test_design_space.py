@@ -70,8 +70,8 @@ def _run():
     return results
 
 
-def test_design_space_under_asymmetry(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_design_space_under_asymmetry():
+    results = _run()
     report(
         "Design space (2.2): data-mining @60%, failed link — avg FCT (norm)",
         ["scheme", "avg FCT", "vs conga"],

@@ -35,8 +35,8 @@ def _run():
     }
 
 
-def test_figure10_datamining_fct(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure10_datamining_fct():
+    results = _run()
     report(
         "Figure 10(a): data-mining overall avg FCT (normalized to optimal)",
         ["load"] + SCHEMES,

@@ -84,8 +84,8 @@ def _run():
     return fct, queues
 
 
-def test_figure11_link_failure(benchmark):
-    fct, queues = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure11_link_failure():
+    fct, queues = _run()
     for workload in ("enterprise", "data-mining"):
         report(
             f"Figure 11: {workload} avg FCT with link failure (norm. to optimal)",

@@ -84,8 +84,8 @@ def _run():
     return table
 
 
-def test_figure13_incast(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure13_incast():
+    table = _run()
     for mtu in PARAMS["mtus"]:
         report(
             f"Figure 13: Incast effective throughput %, MTU={mtu}",

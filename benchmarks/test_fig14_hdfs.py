@@ -57,8 +57,8 @@ def _run():
     return table
 
 
-def test_figure14_hdfs_benchmark(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure14_hdfs_benchmark():
+    table = _run()
     rows = []
     for fail in (False, True):
         for scheme in SCHEMES:

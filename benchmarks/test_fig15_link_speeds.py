@@ -53,8 +53,8 @@ def _run():
     }
 
 
-def test_figure15_access_link_speed(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure15_access_link_speed():
+    table = _run()
     rows = []
     for access in (2.5, 10.0):
         for load in LOADS:

@@ -54,8 +54,8 @@ def _run():
     return outcomes
 
 
-def test_figure3_optimal_split_depends_on_traffic_matrix(benchmark):
-    outcomes = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure3_optimal_split_depends_on_traffic_matrix():
+    outcomes = _run()
     report(
         "Figure 3: L1->L2 split through S0 vs traffic matrix (Gbps)",
         ["L0->L2 traffic", "via S0", "via S1", "bottleneck util", "delivered"],

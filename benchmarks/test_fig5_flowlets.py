@@ -43,10 +43,8 @@ def _run():
     return probes, curves, medians, concurrency
 
 
-def test_figure5_flowlet_size_distribution(benchmark):
-    probes, curves, medians, concurrency = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+def test_figure5_flowlet_size_distribution():
+    probes, curves, medians, concurrency = _run()
     rows = [
         [f"{p:.0f}"] + [f"{curves[name][i]:.2f}" for name in FIGURE5_GAPS]
         for i, p in enumerate(probes)

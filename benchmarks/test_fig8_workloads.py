@@ -50,8 +50,8 @@ def _run():
     return probes, table
 
 
-def test_figure8_workload_distributions(benchmark):
-    probes, table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure8_workload_distributions():
+    probes, table = _run()
     for name, (flow_cdf, byte_cdf) in table.items():
         report(
             f"Figure 8: {name} workload CDFs",

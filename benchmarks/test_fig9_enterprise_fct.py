@@ -39,8 +39,8 @@ def _run():
     }
 
 
-def test_figure9_enterprise_fct(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure9_enterprise_fct():
+    results = _run()
     report(
         "Figure 9(a): enterprise overall avg FCT (normalized to optimal)",
         ["load"] + SCHEMES,

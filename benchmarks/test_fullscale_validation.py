@@ -45,8 +45,8 @@ def _run():
     return table
 
 
-def test_full_scale_flow_level_validation(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_full_scale_flow_level_validation():
+    table = _run()
     rows = []
     for topo in ("baseline", "failure"):
         for load in (0.5, 0.6, 0.7):

@@ -53,8 +53,8 @@ def _run():
     return gadget, np.array(random_poas)
 
 
-def test_theorem1_price_of_anarchy(benchmark):
-    gadget, random_poas = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_theorem1_price_of_anarchy():
+    gadget, random_poas = _run()
     report(
         "Theorem 1 / Figure 17: Price of Anarchy",
         ["quantity", "paper", "measured"],

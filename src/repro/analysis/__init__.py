@@ -9,12 +9,12 @@ from repro.analysis.fct import (
     relative_to,
 )
 from repro.analysis.monitors import (
-    EmptySeriesError,
     ImbalanceSeries,
     QueueMonitor,
     QueueSeries,
     ThroughputImbalanceMonitor,
 )
+from repro.analysis.stats import EmptySeriesError
 
 #: Siblings imported on first access: no run reads the window analysis or renderers.
 _DEFERRED = {

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.analysis.stats import series_stats
 from repro.transport.tcp import FlowRecord
 
 #: Paper's small-flow threshold (bytes).
@@ -55,26 +56,22 @@ class FctSummary:
         a baseline scheme's bucket means to obtain the paper's relative
         plots.
         """
-        if not records:
-            raise ValueError("no completed flows to summarize")
-        import numpy as np
-
-        normalized = np.array([r.normalized_fct for r in records])
-        small = np.array(
-            [r.fct for r in records if r.size < small_threshold], dtype=float
+        who = "FctSummary.from_records"
+        mean, p95, p99 = series_stats(
+            [r.normalized_fct for r in records], (95, 99), who=who
         )
-        large = np.array(
-            [r.fct for r in records if r.size > large_threshold], dtype=float
-        )
+        small = [r.fct for r in records if r.size < small_threshold]
+        large = [r.fct for r in records if r.size > large_threshold]
+        nan = float("nan")
         return FctSummary(
             count=len(records),
-            mean_normalized=float(normalized.mean()),
-            p95_normalized=float(np.percentile(normalized, 95)),
-            p99_normalized=float(np.percentile(normalized, 99)),
-            mean_fct_small=float(small.mean()) if small.size else float("nan"),
-            mean_fct_large=float(large.mean()) if large.size else float("nan"),
-            count_small=int(small.size),
-            count_large=int(large.size),
+            mean_normalized=mean,
+            p95_normalized=p95,
+            p99_normalized=p99,
+            mean_fct_small=series_stats(small, who=who)[0] if small else nan,
+            mean_fct_large=series_stats(large, who=who)[0] if large else nan,
+            count_small=len(small),
+            count_large=len(large),
         )
 
 

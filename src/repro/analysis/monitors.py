@@ -4,8 +4,10 @@ Figure 12 measures load balancing efficiency directly as the *throughput
 imbalance* across a leaf's uplinks: synchronized 10 ms samples of per-uplink
 throughput, reporting ``(MAX − MIN) / AVG`` per sample.  Figure 11(c) and
 Figure 16 report queue-occupancy distributions at fabric ports.  Both
-monitors here sample on a periodic timer and expose the raw series so
-benchmarks can build CDFs.
+monitors here sample on a periodic timer; ``snapshot()`` freezes what they
+recorded into a picklable series, and the statistics live on that snapshot
+(each through :func:`repro.analysis.stats.series_stats`), so a live run and
+a cached result answer through the same code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.analysis.stats import series_stats
 from repro.core.series import DEFAULT_SERIES_LIMIT, DecimatedSeries
 from repro.net.port import Port
 from repro.sim.kernel import PeriodicTimer
@@ -25,26 +28,6 @@ if TYPE_CHECKING:
 def _port_name(port) -> str:
     """Accept either a live :class:`Port` or its name string."""
     return port.name if isinstance(port, Port) else port
-
-
-class EmptySeriesError(ValueError):
-    """A monitor statistic was requested before any sample landed.
-
-    Short runs (smoke tests, quick sweeps) can finish before a monitor's
-    first loaded window, so "no samples" is an expected condition that
-    sweep-level aggregation wants to *skip and log*, not crash on.  The
-    exception carries the monitor name and its sampling interval so the
-    skip message can say which monitor came up empty and how coarse its
-    windows were.  Subclasses ``ValueError`` for backward compatibility
-    with callers that caught the old bare error.
-    """
-
-    def __init__(self, monitor: str, interval: int) -> None:
-        super().__init__(
-            f"no samples recorded by {monitor} (sampling interval {interval} ns)"
-        )
-        self.monitor = monitor
-        self.interval = interval
 
 
 @dataclass(frozen=True)
@@ -62,22 +45,20 @@ class ImbalanceSeries:
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of recorded imbalance samples (percent)."""
-        if not self.samples:
-            raise EmptySeriesError("ImbalanceSeries", self.interval)
-        import numpy as np
-
-        return float(np.percentile(np.array(self.samples) * 100.0, q))
+        percent = [sample * 100.0 for sample in self.samples]
+        return series_stats(percent, (q,), who="ImbalanceSeries", interval=self.interval)[1]
 
     def mean_percent(self) -> float:
         """Mean imbalance in percent."""
-        if not self.samples:
-            raise EmptySeriesError("ImbalanceSeries", self.interval)
-        import numpy as np
-
-        return float(np.mean(self.samples) * 100.0)
+        mean = series_stats(self.samples, who="ImbalanceSeries", interval=self.interval)[0]
+        return mean * 100.0
 
     def samples_before(self, deadline: int) -> list[float]:
-        """Samples from windows that ended no later than ``deadline``."""
+        """Samples from windows that ended no later than ``deadline``.
+
+        Restricts a statistic to the loaded phase of a run: the drain tail
+        after the last arrival is near-idle windows of meaningless imbalance.
+        """
         return [
             value
             for value, when in zip(self.samples, self.sample_times)
@@ -103,56 +84,54 @@ class QueueSeries:
         """The recorded occupancy series for ``port``."""
         return self.samples[_port_name(port)]
 
+    def _stats(self, port, *quantiles: float) -> list[float]:
+        who = f"QueueSeries[{_port_name(port)}]"
+        return series_stats(self.series(port), quantiles, who=who, interval=self.interval)
+
     def percentile(self, port, q: float) -> float:
         """The ``q``-th percentile occupancy (bytes) at ``port``."""
-        series = self.series(port)
-        if not series:
-            raise EmptySeriesError(
-                f"QueueSeries[{_port_name(port)}]", self.interval
-            )
-        import numpy as np
-
-        return float(np.percentile(series, q))
+        return self._stats(port, q)[1]
 
     def mean(self, port) -> float:
         """Mean occupancy (bytes) at ``port``."""
-        series = self.series(port)
-        if not series:
-            raise EmptySeriesError(
-                f"QueueSeries[{_port_name(port)}]", self.interval
-            )
-        import numpy as np
-
-        return float(np.mean(series))
+        return self._stats(port)[0]
 
 
-class ThroughputImbalanceMonitor:
-    """Samples (MAX−MIN)/AVG throughput across a port group (Fig. 12)."""
+class _Sampler:
+    """A periodic kernel timer driving a subclass's ``_sample`` over ``ports``."""
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        ports: list[Port],
-        interval: int = milliseconds(10),
-    ) -> None:
-        if len(ports) < 2:
-            raise ValueError("imbalance needs at least two ports")
+    def __init__(self, sim: "Simulator", ports: list[Port], interval: int) -> None:
         self.sim = sim
         self.ports = ports
         self.interval = interval
-        self.samples: list[float] = []
-        self.sample_times: list[int] = []
-        self._last_bytes = [port.tx_bytes for port in ports]
         self._timer = PeriodicTimer(sim, interval, self._sample, start=False)
 
     def start(self) -> None:
         """Begin sampling."""
-        self._last_bytes = [port.tx_bytes for port in self.ports]
         self._timer.start()
 
     def stop(self) -> None:
         """Stop sampling."""
         self._timer.stop()
+
+
+class ThroughputImbalanceMonitor(_Sampler):
+    """Samples (MAX−MIN)/AVG throughput across a port group (Fig. 12)."""
+
+    def __init__(
+        self, sim: "Simulator", ports: list[Port], interval: int = milliseconds(10)
+    ) -> None:
+        if len(ports) < 2:
+            raise ValueError("imbalance needs at least two ports")
+        super().__init__(sim, ports, interval)
+        self.samples: list[float] = []
+        self.sample_times: list[int] = []
+        self._last_bytes = [port.tx_bytes for port in ports]
+
+    def start(self) -> None:
+        """Begin sampling."""
+        self._last_bytes = [port.tx_bytes for port in self.ports]
+        super().start()
 
     def _sample(self) -> None:
         current = [port.tx_bytes for port in self.ports]
@@ -166,35 +145,6 @@ class ThroughputImbalanceMonitor:
         self.samples.append(imbalance)
         self.sample_times.append(self.sim.now)
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile of recorded imbalance samples (percent)."""
-        if not self.samples:
-            raise EmptySeriesError("ThroughputImbalanceMonitor", self.interval)
-        import numpy as np
-
-        return float(np.percentile(np.array(self.samples) * 100.0, q))
-
-    def mean_percent(self) -> float:
-        """Mean imbalance in percent."""
-        if not self.samples:
-            raise EmptySeriesError("ThroughputImbalanceMonitor", self.interval)
-        import numpy as np
-
-        return float(np.mean(self.samples) * 100.0)
-
-    def samples_before(self, deadline: int) -> list[float]:
-        """Samples from windows that ended no later than ``deadline``.
-
-        Experiments use this to restrict the statistic to the loaded phase
-        of a run — the long drain tail after the last arrival contains
-        near-idle windows whose imbalance is meaningless.
-        """
-        return [
-            value
-            for value, when in zip(self.samples, self.sample_times)
-            if when <= deadline
-        ]
-
     def snapshot(self) -> ImbalanceSeries:
         """Freeze the recorded series into a picklable value object."""
         return ImbalanceSeries(
@@ -204,7 +154,7 @@ class ThroughputImbalanceMonitor:
         )
 
 
-class QueueMonitor:
+class QueueMonitor(_Sampler):
     """Periodically samples byte occupancy of a set of queues (Fig. 11c/16).
 
     Per-port series are bounded :class:`DecimatedSeries` (uniform stride
@@ -221,47 +171,14 @@ class QueueMonitor:
     ) -> None:
         if not ports:
             raise ValueError("need at least one port to monitor")
-        self.sim = sim
-        self.ports = ports
-        self.interval = interval
+        super().__init__(sim, ports, interval)
         self.samples: dict[str, DecimatedSeries] = {
             port.name: DecimatedSeries(max_samples) for port in ports
         }
-        self._timer = PeriodicTimer(sim, interval, self._sample, start=False)
-
-    def start(self) -> None:
-        """Begin sampling."""
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Stop sampling."""
-        self._timer.stop()
 
     def _sample(self) -> None:
         for port in self.ports:
             self.samples[port.name].append(port.queue.byte_occupancy)
-
-    def series(self, port: Port) -> DecimatedSeries:
-        """The recorded (decimated) occupancy series for ``port``."""
-        return self.samples[port.name]
-
-    def percentile(self, port: Port, q: float) -> float:
-        """The ``q``-th percentile occupancy (bytes) at ``port``."""
-        series = self.samples[port.name]
-        if not series:
-            raise EmptySeriesError(f"QueueMonitor[{port.name}]", self.interval)
-        import numpy as np
-
-        return float(np.percentile(list(series), q))
-
-    def mean(self, port: Port) -> float:
-        """Mean occupancy (bytes) at ``port``."""
-        series = self.samples[port.name]
-        if not series:
-            raise EmptySeriesError(f"QueueMonitor[{port.name}]", self.interval)
-        import numpy as np
-
-        return float(np.mean(list(series)))
 
     def snapshot(self) -> QueueSeries:
         """Freeze the recorded series into a picklable value object."""
@@ -273,7 +190,6 @@ class QueueMonitor:
 
 
 __all__ = [
-    "EmptySeriesError",
     "ImbalanceSeries",
     "QueueMonitor",
     "QueueSeries",

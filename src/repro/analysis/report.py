@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.analysis.stats import series_stats
+
 
 def format_value(value) -> str:
     """Render one cell: floats at 3 significant digits, all else via str."""
@@ -55,28 +57,19 @@ def cdf_points(
     samples: Sequence[float], quantiles: Sequence[float] = (10, 25, 50, 75, 90, 99)
 ) -> list[tuple[float, float]]:
     """(quantile, value) pairs summarizing a sample set's CDF."""
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    import numpy as np
-
-    array = np.asarray(samples, dtype=float)
-    return [(q, float(np.percentile(array, q))) for q in quantiles]
+    return list(zip(quantiles, series_stats(samples, quantiles, who="cdf_points")[1:]))
 
 
 def summarize_series(samples: Sequence[float]) -> dict[str, float]:
     """Mean/median/p90/p99/min/max of a series, as a plain dict."""
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    import numpy as np
-
-    array = np.asarray(samples, dtype=float)
+    mean, p50, p90, p99 = series_stats(samples, (50, 90, 99), who="summarize_series")
     return {
-        "mean": float(array.mean()),
-        "p50": float(np.percentile(array, 50)),
-        "p90": float(np.percentile(array, 90)),
-        "p99": float(np.percentile(array, 99)),
-        "min": float(array.min()),
-        "max": float(array.max()),
+        "mean": mean,
+        "p50": p50,
+        "p90": p90,
+        "p99": p99,
+        "min": float(min(samples)),
+        "max": float(max(samples)),
     }
 
 

@@ -259,17 +259,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     result = spec.run()
     trace = result.trace
     assert trace is not None  # the spec carried an ObsSpec
-    if args.format == "chrome":
+    chrome = args.format == "chrome"
+    if args.output != "-":
+        (trace.write_chrome if chrome else trace.write_ndjson)(args.output)
+    elif chrome:
         import json
 
-        text = json.dumps(trace.chrome_trace(), indent=1) + "\n"
+        sys.stdout.write(json.dumps(trace.chrome_trace(), indent=1) + "\n")
     else:
-        text = "".join(line + "\n" for line in trace.ndjson_lines())
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        sys.stdout.writelines(line + "\n" for line in trace.ndjson_lines())
     print(
         f"trace: {trace.emitted} events emitted, {len(trace)} retained, "
         f"{trace.dropped} dropped (categories: {','.join(trace.categories)}; "

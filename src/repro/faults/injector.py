@@ -96,29 +96,17 @@ class FaultInjector:
 
     def link_port(self, leaf: int, spine: int, which: int) -> "Port":
         """The leaf-side port of the ``which``-th parallel leaf↔spine link."""
-        ports = self.fabric.uplink_ports(leaf, spine)
-        if which >= len(ports):
-            raise ValueError(
-                f"leaf{leaf}<->spine{spine} has {len(ports)} links, "
-                f"no link {which}"
-            )
-        return ports[which]
+        return self.fabric.link(leaf, spine, which)
 
     def core_link_port(self, spine: int, core: int, which: int) -> "Port":
         """The spine-side port of the ``which``-th parallel spine↔core link."""
-        core_uplinks = getattr(self.fabric, "core_uplink_ports", None)
-        if core_uplinks is None:
+        core_link = getattr(self.fabric, "core_link", None)
+        if core_link is None:
             raise ValueError(
                 "core-tier fault targets need a multi-pod fabric "
                 "(this fabric has no spine-core links)"
             )
-        ports = core_uplinks(spine, core)
-        if which >= len(ports):
-            raise ValueError(
-                f"spine{spine}<->core{core} has {len(ports)} links, "
-                f"no link {which}"
-            )
-        return ports[which]
+        return core_link(spine, core, which)
 
     def target_port(self, event) -> "Port":
         """Resolve a Link* event's target port across both link tiers."""

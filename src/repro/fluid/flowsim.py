@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fluid.model import water_fill
 from repro.net.hashing import stable_hash
 from repro.topology.leafspine import LeafSpineConfig
 from repro.workloads.distributions import FlowSizeDistribution
@@ -151,45 +152,13 @@ class FlowLevelFabric:
 def max_min_rates(
     flows: list[ActiveFlow], capacity: dict[LinkId, float]
 ) -> None:
-    """Assign each flow its max-min fair rate (progressive filling).
+    """Assign each flow its max-min fair rate, in place (``flow.rate``).
 
-    Mutates ``flow.rate`` in place.  O(links x flows) per saturation round;
-    concurrency in these experiments is a few hundred flows, which keeps
-    full-scale runs in seconds.
+    The uncapped case of :func:`repro.fluid.model.water_fill`.
     """
-    remaining = dict(capacity)
-    link_members: dict[LinkId, set[int]] = {}
-    for index, flow in enumerate(flows):
-        flow.rate = 0.0
-        for link in flow.links:
-            link_members.setdefault(link, set()).add(index)
-    active = set(range(len(flows)))
-    while active:
-        bottleneck_share = None
-        for link, members in link_members.items():
-            users = len(members & active)
-            if users == 0:
-                continue
-            share = remaining[link] / users
-            if bottleneck_share is None or share < bottleneck_share:
-                bottleneck_share = share
-        if bottleneck_share is None:
-            break
-        frozen = set()
-        for link, members in link_members.items():
-            users = members & active
-            if not users:
-                continue
-            if remaining[link] / len(users) <= bottleneck_share * (1 + 1e-9):
-                frozen |= users
-        if not frozen:
-            frozen = set(active)  # numerical safety
-        for index in active:
-            flows[index].rate += bottleneck_share
-        for link, members in link_members.items():
-            users = members & active
-            remaining[link] -= bottleneck_share * len(users)
-        active -= frozen
+    rates = water_fill([flow.links for flow in flows], capacity)
+    for flow, rate in zip(flows, rates):
+        flow.rate = rate
 
 
 class FlowLevelSimulation:

@@ -22,6 +22,7 @@ standard fluid abstraction of long-lived TCP flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,7 @@ class FluidAllocation:
 
     def link_loads(self) -> dict[tuple[str, str], float]:
         """Total offered rate per link."""
-        loads: dict[tuple[str, str], float] = {
-            key: 0.0 for key in self.network.links
-        }
+        loads = {key: 0.0 for key in self.network.links}
         for split in self.splits:
             for path, rate in split.items():
                 for key in FluidLeafSpine.path_links(path):
@@ -129,12 +128,17 @@ class FluidAllocation:
         flow never receives more than it offers (TCP cannot exceed the
         application's demand on that path).
         """
-        flows: list[tuple[int, tuple[str, ...], float]] = []
-        for index, split in enumerate(self.splits):
-            for path, rate in split.items():
-                if rate > 0:
-                    flows.append((index, path, rate))
-        rates = _max_min_fair(self.network, flows)
+        flows = [
+            (index, path, offered)
+            for index, split in enumerate(self.splits)
+            for path, offered in split.items()
+            if offered > 0
+        ]
+        rates = water_fill(
+            [FluidLeafSpine.path_links(path) for _index, path, _offered in flows],
+            {key: link.capacity for key, link in self.network.links.items()},
+            caps=[offered for _index, _path, offered in flows],
+        )
         delivered = [0.0] * len(self.splits)
         for (index, _path, _offered), rate in zip(flows, rates):
             delivered[index] += rate
@@ -145,55 +149,48 @@ class FluidAllocation:
         return sum(self.delivered_throughput())
 
 
-def _max_min_fair(
-    network: FluidLeafSpine, flows: list[tuple[int, tuple[str, ...], float]]
+def water_fill(
+    paths: Sequence[Sequence[Hashable]],
+    capacity: Mapping[Hashable, float],
+    caps: Sequence[float] | None = None,
 ) -> list[float]:
-    """Progressive-filling max-min fairness with per-flow rate caps."""
-    remaining_capacity = {
-        key: link.capacity for key, link in network.links.items()
-    }
-    rate = [0.0] * len(flows)
-    active = set(range(len(flows)))
-    # Map links to the flows crossing them.
-    link_flows: dict[tuple[str, str], set[int]] = {
-        key: set() for key in network.links
-    }
-    for i, (_d, path, _cap) in enumerate(flows):
-        for key in FluidLeafSpine.path_links(path):
-            link_flows[key].add(i)
+    """Progressive-filling max-min fair rates, one per path.
 
+    ``paths[i]`` is the links flow ``i`` crosses, ``capacity`` each link's
+    bandwidth, ``caps[i]`` the most flow ``i`` will take (its offered
+    rate; ``None`` means no flow is capped).  Every round raises all
+    unfrozen flows by the smallest per-link fair share — or the smallest
+    headroom under a cap — and freezes the flows on links that share
+    exhausts (relative ``1e-9``) and the flows that reached their cap
+    (absolute ``1e-9``).  O(links x flows) per round.
+    """
+    remaining = dict(capacity)
+    members: dict[Hashable, set[int]] = {}
+    for index, links in enumerate(paths):
+        for link in links:
+            members.setdefault(link, set()).add(index)
+    rates = [0.0] * len(paths)
+    active = set(range(len(paths)))
     while active:
-        # The next bottleneck: the link whose fair share is smallest, or a
-        # flow hitting its offered-rate cap first.
-        increments = []
-        for key, members in link_flows.items():
-            users = members & active
-            if users:
-                increments.append(remaining_capacity[key] / len(users))
-        cap_limited = min(
-            (flows[i][2] - rate[i] for i in active), default=float("inf")
-        )
-        step = min(min(increments, default=float("inf")), cap_limited)
+        users = {link: len(flows & active) for link, flows in members.items()}
+        shares = {link: remaining[link] / n for link, n in users.items() if n}
+        step = min(shares.values(), default=float("inf"))
+        if caps is not None:
+            step = min(step, min(caps[i] - rates[i] for i in active))
         if step == float("inf"):
             break
-        if step <= 1e-12:
-            step = 0.0
+        frozen: set[int] = set()
+        for link, share in shares.items():
+            if share <= step * (1 + 1e-9):
+                frozen |= members[link] & active
         for i in active:
-            rate[i] += step
-        for key in link_flows:
-            users = link_flows[key] & active
-            remaining_capacity[key] -= step * len(users)
-        newly_frozen = set()
-        for i in active:
-            if flows[i][2] - rate[i] <= 1e-9:
-                newly_frozen.add(i)  # reached offered rate
-        for key, members in link_flows.items():
-            if remaining_capacity[key] <= 1e-9:
-                newly_frozen |= members & active
-        if not newly_frozen:
-            break  # numerical safety
-        active -= newly_frozen
-    return rate
+            rates[i] += step
+        for link, n in users.items():
+            remaining[link] -= step * n
+        if caps is not None:
+            frozen |= {i for i in active if caps[i] - rates[i] <= 1e-9}
+        active -= frozen or active  # nothing froze: numerical safety, stop
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +222,18 @@ def local_aware_split(
     point is therefore: delivered rate r on each of the k uplinks, with r
     no larger than any path's bottleneck capacity share.
     """
-    allocation = FluidAllocation(network, demands)
     # Compute, per demand, the equal-rate fixed point: r = min over paths of
     # that path's achievable rate when all paths carry the same rate.  This
     # solver handles each demand independently, which matches the scenarios
     # of Figure 2 (single demand); for shared links the fixed point is
-    # computed by iterating to convergence.
-    splits: list[dict[tuple[str, ...], float]] = []
-    for demand in demands:
-        paths = network.paths(demand.src, demand.dst)
-        splits.append({path: demand.rate / len(paths) for path in paths})
+    # computed by iterating to convergence from the equal split.
+    allocation = ecmp_split(network, demands)
     for _ in range(1000):
         # Evaluate per-path delivered rate under current splits.
-        loads: dict[tuple[str, str], float] = {k: 0.0 for k in network.links}
-        for split in splits:
-            for path, rate in split.items():
-                for key in FluidLeafSpine.path_links(path):
-                    loads[key] += rate
+        loads = allocation.link_loads()
         new_splits = []
         changed = False
-        for demand, split in zip(demands, splits):
+        for demand, split in zip(demands, allocation.splits):
             paths = list(split)
             # Per-path cap: scale the path's rate by the worst over-utilized
             # link on it (TCP backpressure).
@@ -265,10 +254,9 @@ def local_aware_split(
             if any(abs(new_split[p] - split[p]) > 1e-9 for p in paths):
                 changed = True
             new_splits.append(new_split)
-        splits = new_splits
+        allocation.splits = new_splits
         if not changed:
             break
-    allocation.splits = splits
     return allocation
 
 
@@ -288,18 +276,10 @@ def conga_split(
     §6.1; for single-demand scenarios like Figure 2 this equalizes path
     utilizations.
     """
-    allocation = FluidAllocation(network, demands)
-    splits: list[dict[tuple[str, ...], float]] = []
-    for demand in demands:
-        paths = network.paths(demand.src, demand.dst)
-        splits.append({path: demand.rate / len(paths) for path in paths})
+    allocation = ecmp_split(network, demands)
     for _ in range(iterations):
-        loads: dict[tuple[str, str], float] = {k: 0.0 for k in network.links}
-        for split in splits:
-            for path, rate in split.items():
-                for key in FluidLeafSpine.path_links(path):
-                    loads[key] += rate
-        for demand, split in zip(demands, splits):
+        loads = allocation.link_loads()
+        for demand, split in zip(demands, allocation.splits):
             paths = list(split)
             metric = {}
             for path in paths:
@@ -334,7 +314,6 @@ def conga_split(
                 loads[key] -= moved
             for key in FluidLeafSpine.path_links(best):
                 loads[key] += moved
-    allocation.splits = splits
     return allocation
 
 
@@ -392,4 +371,5 @@ __all__ = [
     "figure2_network",
     "figure3_network",
     "local_aware_split",
+    "water_fill",
 ]

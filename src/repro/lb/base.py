@@ -43,6 +43,11 @@ class UplinkSelector(ABC):
     def __init__(self, leaf: "LeafSwitch") -> None:
         self.leaf = leaf
 
+    @classmethod
+    def factory(cls, *args, **kwargs) -> SelectorFactory:
+        """A factory building ``cls(leaf, *args, **kwargs)`` on each leaf."""
+        return lambda leaf: cls(leaf, *args, **kwargs)
+
     @abstractmethod
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
         """Return the uplink index to carry ``packet`` toward ``dst_leaf``.

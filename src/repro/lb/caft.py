@@ -24,9 +24,7 @@ balancing needs an explicit fault-awareness signal in three tiers.
   one *accelerated re-probe* flowlet per probe interval so recovery is
   still detected (§3.3's re-probing, sped up and made explicit);
 * pod spines reweight their core uplinks the same way instead of blind
-  ECMP hashing — see
-  :meth:`repro.topology.multipod.PodSpineSwitch.enable_fault_aware_core_lb`,
-  installed by the scheme's post-setup hook.
+  ECMP hashing (:class:`CaftCoreSelector`, via :func:`enable_fault_awareness`).
 
 On a healthy fabric every weight is 1.0 and no cell is stale, so the
 decision rule reduces exactly to CONGA's (same argmin set, same
@@ -43,27 +41,71 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.flowlet import FlowletTable
 from repro.core.params import CongaParams, DEFAULT_PARAMS
-from repro.lb.base import SelectorFactory
-from repro.lb.conga import CongaSelector
+from repro.lb.conga import CongaSelector, least_congested
+from repro.net.packet import Packet
 from repro.obs.events import FaultRerouted
 
 if TYPE_CHECKING:
+    from repro.net.node import Node
     from repro.switch.fabric import Fabric
     from repro.switch.leaf import LeafSwitch
     from repro.sim import Simulator
+    from repro.topology.multipod import PodSpineSwitch
+
+
+def _account_reroute(
+    selector: "CaftSelector | CaftCoreSelector",
+    node: "Node",
+    dst_leaf: int,
+    flow_id: int,
+    choice: int,
+    candidates: list[int],
+    metrics: list[int],
+    healths: list[float],
+) -> None:
+    """Count and trace a choice that fault awareness, not congestion, made.
+
+    A reroute is a ``choice`` whose raw congestion metric is not the
+    minimum: pure CONGA would have steered into degraded capacity.
+    """
+    congestion_best = min(metrics)
+    if metrics[candidates.index(choice)] <= congestion_best:
+        return
+    selector.fault_reroutes += 1
+    tracer = node.sim.tracer
+    if tracer is not None and tracer.fault:
+        congestion_choice = candidates[metrics.index(congestion_best)]
+        tracer.record(
+            FaultRerouted, node.sim._now, node.name, dst_leaf, flow_id,
+            choice, congestion_choice,
+            tuple(candidates), tuple(metrics), tuple(healths),
+        )
+
+
+def _weighted(metrics: list[int], healths: list[float]) -> list[float]:
+    """Each congestion metric divided by its path's residual capacity.
+
+    Scaling rather than flat-penalizing: an *idle* degraded path still
+    scores 0 (CONGA's optimism is preserved and a brownout is not
+    over-steered at low load), while under load the same congestion reads
+    ``1/health`` times worse on it; a dead path (health 0) sinks to inf.
+    """
+    return [
+        metric / health if health > 0.0 else float("inf")
+        for metric, health in zip(metrics, healths)
+    ]
 
 
 class CaftSelector(CongaSelector):
     """CONGA's flowlet rule with liveness weighting and stale re-probing."""
 
     name = "caft"
+    stream = "caft"
 
     def __init__(self, leaf: "LeafSwitch", params: CongaParams = DEFAULT_PARAMS) -> None:
         super().__init__(leaf, params)
-        # Own tie-break stream; named streams are independent by name, so
-        # the parent's (now unused) conga-{leaf} stream draws nothing.
-        self._rng = leaf.sim.rng(f"caft-{leaf.leaf_id}")
         #: Decisions where liveness weighting overrode the congestion choice.
         self.fault_reroutes = 0
         # Feedback older than this is stale: 2 × metric_age_time is when
@@ -96,81 +138,78 @@ class CaftSelector(CongaSelector):
         local_metrics = [leaf.local_metric(uplink) for uplink in candidates]
         remote_metrics = [table.metric(dst_leaf, uplink) for uplink in candidates]
         metrics = [max(lo, rm) for lo, rm in zip(local_metrics, remote_metrics)]
-        # Anything beyond the metric range outranks every healthy path.
-        stale_penalty = float(self.params.max_metric + 1)
-        healths: list[float] = []
-        scores: list[float] = []
-        probing: list[bool] = []
-        for uplink, metric in zip(candidates, metrics):
-            health = self.path_weight(dst_leaf, uplink)
-            healths.append(health)
-            if health <= 0.0:
-                scores.append(float("inf"))
-                probing.append(False)
+        healths = [self.path_weight(dst_leaf, uplink) for uplink in candidates]
+        scores = _weighted(metrics, healths)
+        probes = set()
+        for position, uplink in enumerate(candidates):
+            if healths[position] <= 0.0:
                 continue
-            # Scale the congestion metric by residual capacity rather than
-            # flat-penalizing the path: an *idle* degraded path still
-            # scores 0 (CONGA's optimism is preserved and a brownout is
-            # not over-steered at low load), while under load the same
-            # congestion reads ``1/health`` times worse on it.  Dead paths
-            # (health 0) were already sunk to inf above.
-            score = metric / health
-            probe = False
             age = table.age_of(dst_leaf, uplink)
             if age is not None and age > self._stale_after:
                 last = self._last_probe.get((dst_leaf, uplink), -1)
                 if last >= 0 and now - last < self._probe_interval:
                     # Stale and recently probed: do not trust the decayed
-                    # metric; sink below every fresh path.
-                    score += stale_penalty
+                    # metric; sink below every fresh path (anything beyond
+                    # the metric range outranks every healthy one).
+                    scores[position] += float(self.params.max_metric + 1)
                 else:
                     # Accelerated re-probe: let one flowlet test the path
                     # at face value (recorded below only if chosen).
-                    probe = True
-            scores.append(score)
-            probing.append(probe)
-        best = min(scores)
-        ties = [u for u, s in zip(candidates, scores) if s == best]
-        if previous in ties:
-            # §3.5 stickiness: a flow only moves if strictly better exists.
-            choice = previous
-        else:
-            choice = ties[int(self._rng.integers(len(ties)))]
-        position = candidates.index(choice)
-        if probing[position]:
+                    probes.add(uplink)
+        choice = least_congested(candidates, scores, previous, self._rng)
+        if choice in probes:
             self._last_probe[(dst_leaf, choice)] = now
-        congestion_best = min(metrics)
-        if metrics[position] > congestion_best:
-            # Fault awareness, not congestion, steered this flowlet.
-            self.fault_reroutes += 1
-            tracer = leaf.sim.tracer
-            if tracer is not None and tracer.fault:
-                congestion_choice = candidates[metrics.index(congestion_best)]
-                tracer.record(
-                    FaultRerouted, now, leaf.name, dst_leaf, flow_id,
-                    choice, congestion_choice,
-                    tuple(candidates), tuple(metrics), tuple(healths),
-                )
+        _account_reroute(
+            self, leaf, dst_leaf, flow_id, choice, candidates, metrics, healths
+        )
         return choice
 
-    @classmethod
-    def factory(cls, params: CongaParams = DEFAULT_PARAMS) -> SelectorFactory:
-        """Factory binding a CONGA parameter block."""
-        return lambda leaf: cls(leaf, params)
+
+class CaftCoreSelector:
+    """caft at a pod spine: the flowlet choice over its core uplinks.
+
+    Inter-pod traffic picks, per flowlet, the core uplink minimizing the
+    local DRE metric over the path's residual capacity — so a black-holed
+    or degraded spine→core link repels new flowlets even though the leaves'
+    feedback loop cannot see it.  Ties draw from ``caft-spine-{id}``.
+    """
+
+    def __init__(self, spine: "PodSpineSwitch", params: CongaParams | None = None) -> None:
+        spine.fabric.require_congestion_plane()
+        self.spine = spine
+        self.flowlets = FlowletTable(spine.sim, params or spine.params)
+        self._rng = spine.sim.rng(f"caft-spine-{spine.spine_id}")
+        #: Decisions where liveness weighting overrode the congestion choice.
+        self.fault_reroutes = 0
+        spine.install_core_selector(self)
+
+    def choose_core_port(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
+        """The core uplink (port index) to carry ``packet`` toward ``dst_leaf``."""
+        entry = self.flowlets.lookup(packet._five_tuple or packet.five_tuple)
+        if entry.valid and entry.port in candidates:
+            return entry.port
+        spine = self.spine
+        pod = spine.fabric.leaf_pod[dst_leaf]
+        metrics = [spine.ports[index].dre.metric() for index in candidates]
+        healths = [spine.core_path_health(index, pod) for index in candidates]
+        scores = _weighted(metrics, healths)
+        choice = least_congested(candidates, scores, entry.port, self._rng)
+        self.flowlets.install(entry, choice)
+        _account_reroute(
+            self, spine, dst_leaf, packet.flow_id, choice, candidates, metrics, healths
+        )
+        return choice
 
 
 def enable_fault_awareness(sim: "Simulator", fabric: "Fabric") -> None:
-    """Scheme post-setup hook: make pod spines fault-aware too.
+    """Scheme post-setup hook: a :class:`CaftCoreSelector` on every pod spine.
 
-    On a :class:`~repro.topology.multipod.MultiPodFabric` every pod spine
-    swaps blind inter-pod ECMP for caft's weighted flowlet choice; on a
-    2-tier fabric there is nothing to install and the leaves' weighting
-    alone carries the scheme.
+    On a 2-tier fabric there is nothing to install and the leaves'
+    weighting alone carries the scheme.
     """
     for spine in fabric.spines:
-        enable = getattr(spine, "enable_fault_aware_core_lb", None)
-        if enable is not None:
-            enable()
+        if hasattr(spine, "install_core_selector"):
+            CaftCoreSelector(spine)
 
 
-__all__ = ["CaftSelector", "enable_fault_awareness"]
+__all__ = ["CaftCoreSelector", "CaftSelector", "enable_fault_awareness"]

@@ -5,7 +5,7 @@ of each flowlet, pick the uplink minimizing ``max(local DRE metric,
 remote Congestion-To-Leaf metric)``; among ties prefer the uplink cached in
 the (expired) flowlet entry so a flow only moves when a strictly better path
 exists, otherwise pick uniformly at random.  Subsequent packets of an active
-flowlet reuse the cached uplink.
+flowlet reuse the cached uplink.  The choice itself is :func:`least_congested`.
 
 :class:`CongaFlowSelector` is CONGA-Flow from §5: identical logic with a
 flowlet timeout larger than any path latency, i.e. one congestion-aware
@@ -23,24 +23,44 @@ from typing import TYPE_CHECKING
 
 from repro.core.flowlet import FlowletTable
 from repro.core.params import CONGA_FLOW_PARAMS, CongaParams, DEFAULT_PARAMS
-from repro.lb.base import SelectorFactory, UplinkSelector
+from repro.lb.base import UplinkSelector
 from repro.net.packet import Packet
 from repro.obs.events import FlowletRerouted
 
 if TYPE_CHECKING:
+    from numpy.random import Generator
+
     from repro.switch.leaf import LeafSwitch
+
+
+def least_congested(
+    candidates: list[int], scores: list, previous: int, rng: "Generator"
+) -> int:
+    """§3.5's choice — the one copy every congestion-aware scheme calls.
+
+    The candidate with the minimum score; among equals the ``previous``
+    port, so a flow only moves when a strictly better path exists;
+    otherwise one of the equals drawn from ``rng``, which is touched in
+    that last case only.  ``scores`` parallels ``candidates``.
+    """
+    best = min(scores)
+    ties = [c for c, s in zip(candidates, scores) if s == best]
+    if previous in ties:
+        return previous
+    return ties[int(rng.integers(len(ties)))]
 
 
 class CongaSelector(UplinkSelector):
     """The CONGA decision logic of §3.5 (flowlets + global congestion)."""
 
     name = "conga"
+    stream = "conga"  # tie-breaks draw from the RNG stream "{stream}-{leaf}"
 
     def __init__(self, leaf: "LeafSwitch", params: CongaParams = DEFAULT_PARAMS) -> None:
         super().__init__(leaf)
         self.params = params
         self.flowlets = FlowletTable(leaf.sim, params)
-        self._rng = leaf.sim.rng(f"conga-{leaf.leaf_id}")
+        self._rng = leaf.sim.rng(f"{self.stream}-{leaf.leaf_id}")
         self.decisions = 0
 
     def path_metric(self, dst_leaf: int, uplink: int) -> int:
@@ -68,13 +88,7 @@ class CongaSelector(UplinkSelector):
         local_metrics = [leaf.local_metric(uplink) for uplink in candidates]
         remote_metrics = [table.metric(dst_leaf, uplink) for uplink in candidates]
         metrics = [max(lo, rm) for lo, rm in zip(local_metrics, remote_metrics)]
-        best = min(metrics)
-        ties = [u for u, m in zip(candidates, metrics) if m == best]
-        if previous in ties:
-            # §3.5: a flow only moves if a strictly better uplink exists.
-            choice = previous
-        else:
-            choice = ties[int(self._rng.integers(len(ties)))]
+        choice = least_congested(candidates, metrics, previous, self._rng)
         tracer = leaf.sim.tracer
         if tracer is not None and tracer.flowlet:
             tracer.record(
@@ -84,11 +98,6 @@ class CongaSelector(UplinkSelector):
             )
         return choice
 
-    @classmethod
-    def factory(cls, params: CongaParams = DEFAULT_PARAMS) -> SelectorFactory:
-        """Factory binding a CONGA parameter block."""
-        return lambda leaf: cls(leaf, params)
-
 
 class CongaFlowSelector(CongaSelector):
     """CONGA-Flow (§5): one congestion-aware decision per flow."""
@@ -97,11 +106,6 @@ class CongaFlowSelector(CongaSelector):
 
     def __init__(self, leaf: "LeafSwitch", params: CongaParams = CONGA_FLOW_PARAMS) -> None:
         super().__init__(leaf, params)
-
-    @classmethod
-    def factory(cls, params: CongaParams = CONGA_FLOW_PARAMS) -> SelectorFactory:
-        """Factory binding the CONGA-Flow parameter block."""
-        return lambda leaf: cls(leaf, params)
 
 
 class LocalAwareSelector(UplinkSelector):
@@ -119,20 +123,16 @@ class LocalAwareSelector(UplinkSelector):
         entry = self.flowlets.lookup(packet._five_tuple or packet.five_tuple)
         if entry.valid and entry.port in candidates:
             return entry.port
+        # §3.5 with the remote metric taken as zero: max(local, 0) = local.
         metrics = [self.leaf.local_metric(uplink) for uplink in candidates]
-        best = min(metrics)
-        ties = [u for u, m in zip(candidates, metrics) if m == best]
-        if entry.port in ties:
-            choice = entry.port
-        else:
-            choice = ties[int(self._rng.integers(len(ties)))]
+        choice = least_congested(candidates, metrics, entry.port, self._rng)
         self.flowlets.install(entry, choice)
         return choice
 
-    @classmethod
-    def factory(cls, params: CongaParams = DEFAULT_PARAMS) -> SelectorFactory:
-        """Factory binding a parameter block."""
-        return lambda leaf: cls(leaf, params)
 
-
-__all__ = ["CongaFlowSelector", "CongaSelector", "LocalAwareSelector"]
+__all__ = [
+    "CongaFlowSelector",
+    "CongaSelector",
+    "LocalAwareSelector",
+    "least_congested",
+]

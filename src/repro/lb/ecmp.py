@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.lb.base import SelectorFactory, UplinkSelector
+from repro.lb.base import UplinkSelector
 from repro.net.hashing import stable_hash
 from repro.net.packet import Packet
 
@@ -40,11 +40,6 @@ class EcmpSelector(UplinkSelector):
         index = stable_hash(packet._five_tuple or packet.five_tuple, self.leaf.leaf_id)
         return candidates[index % len(candidates)]
 
-    @classmethod
-    def factory(cls) -> SelectorFactory:
-        """Factory suitable for experiment configs."""
-        return cls
-
 
 class PacketSpraySelector(UplinkSelector):
     """Per-packet round-robin spraying (congestion-oblivious, optimal split).
@@ -65,11 +60,6 @@ class PacketSpraySelector(UplinkSelector):
         choice = candidates[self._next % len(candidates)]
         self._next += 1
         return choice
-
-    @classmethod
-    def factory(cls) -> SelectorFactory:
-        """Factory suitable for experiment configs."""
-        return cls
 
 
 class WeightedRandomSelector(UplinkSelector):
@@ -100,11 +90,6 @@ class WeightedRandomSelector(UplinkSelector):
             return candidates[0]
         probabilities = [w / total for w in live_weights]
         return candidates[self._rng.choice(len(candidates), p=probabilities)]
-
-    @classmethod
-    def factory(cls, weights: list[float]) -> SelectorFactory:
-        """Factory binding a fixed weight vector."""
-        return lambda leaf: cls(leaf, weights)
 
 
 __all__ = [

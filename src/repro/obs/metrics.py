@@ -105,21 +105,16 @@ class HistogramSummary:
     @staticmethod
     def of(histogram: Histogram) -> "HistogramSummary":
         """Summarize ``histogram``'s retained samples."""
-        import numpy as np
+        # Imported here: the repro.analysis package imports the kernel,
+        # which imports this module.
+        from repro.analysis.stats import series_stats
 
         values = list(histogram.series)
         if not values:
             return HistogramSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        array = np.asarray(values, dtype=float)
-        p50, p90, p99 = np.percentile(array, [50.0, 90.0, 99.0])
+        mean, p50, p90, p99 = series_stats(values, (50, 90, 99), who=histogram.name)
         return HistogramSummary(
-            count=histogram.count,
-            minimum=float(array.min()),
-            maximum=float(array.max()),
-            mean=float(array.mean()),
-            p50=float(p50),
-            p90=float(p90),
-            p99=float(p99),
+            histogram.count, min(values), max(values), mean, p50, p90, p99
         )
 
 
@@ -363,8 +358,8 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
             (getattr(s, "decisions", 0) for s in selectors),
         )
 
-    reroutes = sum(getattr(s, "fault_reroutes", 0) for s in selectors) + sum(
-        getattr(spine, "fault_reroutes", 0) for spine in live.fabric.spines
+    reroutes = sum(
+        getattr(s, "fault_reroutes", 0) for s in live.fabric.selectors()
     )
     if reroutes:
         # Leaf- plus pod-spine-level decisions where fault awareness (not
@@ -372,19 +367,11 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
         registry.counter("lb.caft.fault_reroutes").value = reroutes
 
     if live.imbalance is not None:
-        from repro.analysis.monitors import EmptySeriesError
-
-        registry.counter("monitor.imbalance.samples").value = len(
-            live.imbalance.samples
-        )
-        try:
-            mean_percent = live.imbalance.mean_percent()
-            p95_percent = live.imbalance.percentile(95.0)
-        except EmptySeriesError:
-            pass  # short run never saw a loaded window: skip, don't crash
-        else:
-            registry.gauge("monitor.imbalance.mean_percent").set(mean_percent)
-            registry.gauge("monitor.imbalance.p95_percent").set(p95_percent)
+        imbalance = live.imbalance.snapshot()
+        registry.counter("monitor.imbalance.samples").value = len(imbalance.samples)
+        if imbalance.samples:  # a short run may never see a loaded window
+            registry.gauge("monitor.imbalance.mean_percent").set(imbalance.mean_percent())
+            registry.gauge("monitor.imbalance.p95_percent").set(imbalance.percentile(95.0))
 
     tracer = live.sim.tracer
     if tracer is not None:

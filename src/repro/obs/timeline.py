@@ -220,13 +220,10 @@ class TimelineCollector:
         self._timer.stop()
 
     def _selector_totals(self) -> tuple[int, int]:
-        """Cumulative (flowlet decisions, fault reroutes) across leaves."""
+        """Cumulative (flowlet decisions, fault reroutes) across the fabric."""
         decisions = 0
         reroutes = 0
-        for leaf in self.fabric.leaves:
-            selector = leaf.selector
-            if selector is None:
-                continue
+        for selector in self.fabric.selectors():
             decisions += getattr(selector, "decisions", 0)
             reroutes += getattr(selector, "fault_reroutes", 0)
         return decisions, reroutes

@@ -25,7 +25,7 @@ from repro.overlay.vxlan import VXLAN_OVERHEAD
 from repro.units import transmission_time
 
 if TYPE_CHECKING:
-    from repro.lb.base import SelectorFactory
+    from repro.lb.base import SelectorFactory, UplinkSelector
     from repro.sim import Simulator
     from repro.switch.leaf import LeafSwitch
     from repro.switch.spine import SpineSwitch
@@ -129,33 +129,27 @@ class Fabric:
             if spine.spine_id == spine_id
         ]
 
-    def fail_link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
-        """Fail the ``which``-th parallel link between a leaf and a spine.
-
-        Returns the failed (leaf-side) port so tests can restore it.
-        """
+    def link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
+        """The leaf-side port of the ``which``-th parallel leaf↔spine link."""
         ports = self.uplink_ports(leaf_id, spine_id)
         if which >= len(ports):
             raise ValueError(
                 f"leaf{leaf_id}<->spine{spine_id} has {len(ports)} links, "
-                f"cannot fail link {which}"
+                f"no link {which}"
             )
-        ports[which].fail()
         return ports[which]
+
+    def fail_link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
+        """Fail one leaf↔spine link; returns its port so tests can restore it."""
+        port = self.link(leaf_id, spine_id, which)
+        port.fail()
+        return port
 
     def restore_link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
-        """Restore the ``which``-th parallel link between a leaf and a spine.
-
-        Returns the restored (leaf-side) port.
-        """
-        ports = self.uplink_ports(leaf_id, spine_id)
-        if which >= len(ports):
-            raise ValueError(
-                f"leaf{leaf_id}<->spine{spine_id} has {len(ports)} links, "
-                f"cannot restore link {which}"
-            )
-        ports[which].restore()
-        return ports[which]
+        """Restore one leaf↔spine link; returns its (leaf-side) port."""
+        port = self.link(leaf_id, spine_id, which)
+        port.restore()
+        return port
 
     def switch_ports(self, kind: str, switch_id: int) -> list[Port]:
         """Every port of one switch (``kind`` is ``"leaf"`` or ``"spine"``).
@@ -174,6 +168,12 @@ class Fabric:
         raise ValueError(f"kind must be 'leaf', 'spine', or 'core', got {kind!r}")
 
     # -- statistics -------------------------------------------------------------
+
+    def selectors(self) -> Iterator["UplinkSelector"]:
+        """Every load-balancing object installed on the fabric's switches."""
+        for leaf in self.leaves:
+            if leaf.selector is not None:
+                yield leaf.selector
 
     def leaf_uplink_ports(self) -> Iterator[Port]:
         """All leaf-side fabric ports (leaf → spine direction)."""

@@ -28,14 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.dre import DRE
-from repro.core.flowlet import FlowletTable
 from repro.core.params import CongaParams, DEFAULT_PARAMS
 from repro.net import port as _port_mod
 from repro.net.hashing import stable_hash
 from repro.net.node import Host, Node
 from repro.net.packet import HEADER_BYTES, Packet
 from repro.net.port import DEFAULT_PROPAGATION_DELAY, Port, connect, residual_capacity
-from repro.obs.events import FaultRerouted
 from repro.overlay.vxlan import VXLAN_OVERHEAD
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
@@ -70,6 +68,25 @@ class MultiPodConfig:
             raise ValueError("need at least one host per leaf and one core")
 
 
+def _add_dre_port(
+    node: Node, name: str, rate_bps: int, queue_capacity: int | None,
+    ecn_threshold: int | None,
+) -> Port:
+    """Add a core-tier port with its DRE, the 2-tier switches' idiom.
+
+    The estimator hangs off the port (``LinkDegrade`` retargets it, the
+    congestion plane hooks it in); new wiring bumps the topology epoch.
+    """
+    port = node.add_port(
+        rate_bps, queue_capacity, name=name, ecn_threshold=ecn_threshold
+    )
+    dre = DRE(node.sim, rate_bps, node.params, name=port.name)
+    node.dres.append(dre)
+    port.dre = dre
+    _port_mod._bump_topology_epoch()
+    return port
+
+
 class CoreSwitch(Node):
     """A core switch joining pods; routes on the destination pod."""
 
@@ -102,18 +119,10 @@ class CoreSwitch(Node):
         ecn_threshold: int | None = None,
     ) -> Port:
         """Create a port toward a spine in ``pod``, with its DRE."""
-        port = self.add_port(
-            rate_bps, queue_capacity,
-            name=f"{self.name}->pod{pod}", ecn_threshold=ecn_threshold,
+        port = _add_dre_port(
+            self, f"{self.name}->pod{pod}", rate_bps, queue_capacity, ecn_threshold
         )
-        dre = DRE(self.sim, rate_bps, self.params, name=port.name)
-        self.dres.append(dre)
-        # Same idiom as the 2-tier switches: the fabric hooks it in with the
-        # congestion plane, and the estimator hangs off the port so rate
-        # changes (LinkDegrade via Port.set_rate) retarget it.
-        port.dre = dre
         self._pod_ports.setdefault(pod, []).append(port.index)
-        _port_mod._bump_topology_epoch()
         return port
 
     def ports_to_pod(self, pod: int) -> list[int]:
@@ -182,13 +191,12 @@ class PodSpineSwitch(SpineSwitch):
         self._core_of: dict[int, CoreSwitch] = {}
         self._core_route_cache: list[int] | None = None
         self._core_route_epoch = -1
-        # Fault-aware core load balancing (the caft scheme): installed by
-        # enable_fault_aware_core_lb, off by default so ecmp/conga keep the
-        # paper's blind first-hop hashing at this tier.
+        #: The inter-pod flowlet choice a scheme installed (caft's
+        #: ``repro.lb.caft.CaftCoreSelector``); None keeps the paper's blind
+        #: first-hop hashing at this tier, as under ecmp / conga.
+        self.core_selector = None
         self._fault_aware = False
-        self._flowlets: FlowletTable | None = None
-        self._lb_rng = None
-        self.fault_reroutes = 0
+        self._choose_core_port = None
 
     def add_core_port(
         self,
@@ -198,20 +206,11 @@ class PodSpineSwitch(SpineSwitch):
         ecn_threshold: int | None = None,
     ) -> Port:
         """Create an uplink toward ``core``, with its DRE."""
-        port = self.add_port(
-            rate_bps, queue_capacity,
-            name=f"{self.name}->{core.name}", ecn_threshold=ecn_threshold,
+        port = _add_dre_port(
+            self, f"{self.name}->{core.name}", rate_bps, queue_capacity, ecn_threshold
         )
-        dre = DRE(self.sim, rate_bps, self.params, name=port.name)
-        self.dres.append(dre)
-        # port.dre, matching add_leaf_port: LinkDegrade's rate change
-        # retargets the estimator.
-        port.dre = dre
         self._core_ports.append(port.index)
         self._core_of[port.index] = core
-        # Core wiring changes inter-pod reachability (leaf candidate caches
-        # consult can_reach), so bump the global epoch like add_leaf_port.
-        _port_mod._bump_topology_epoch()
         return port
 
     def up_core_ports(self) -> list[int]:
@@ -257,78 +256,23 @@ class PodSpineSwitch(SpineSwitch):
         nominal = 0
         effective = 0.0
         for index in self._core_ports:
-            port = self.ports[index]
-            nominal += port.nominal_rate_bps
-            effective += (
-                port.residual_fraction()
-                * self._core_of[index].pod_health(pod)
-                * port.nominal_rate_bps
-            )
+            rate = self.ports[index].nominal_rate_bps
+            nominal += rate
+            effective += self.core_path_health(index, pod) * rate
         return effective / nominal if nominal else 0.0
 
-    def enable_fault_aware_core_lb(self, params: CongaParams | None = None) -> None:
-        """Replace blind inter-pod ECMP with caft's weighted flowlet choice.
+    def core_path_health(self, index: int, pod: int) -> float:
+        """Residual capacity toward ``pod`` through core uplink ``index``."""
+        return (
+            self.ports[index].residual_fraction()
+            * self._core_of[index].pod_health(pod)
+        )
 
-        Installed by the ``caft`` scheme's post-setup hook.  Inter-pod
-        traffic then picks, per flowlet, the core uplink minimizing the
-        local DRE metric divided by the path's residual capacity — so a
-        black-holed or degraded spine→core link repels new flowlets even
-        though the leaf's 2-tier feedback loop cannot see it.  Tie-breaks
-        draw from the dedicated ``caft-spine-{id}`` stream.  The choice
-        reads this spine's DREs, so it requires the congestion plane.
-        """
-        self.fabric.require_congestion_plane()
+    def install_core_selector(self, selector) -> None:
+        """Route inter-pod packets through ``selector.choose_core_port``."""
+        self.core_selector = selector
+        self._choose_core_port = selector.choose_core_port
         self._fault_aware = True
-        self._flowlets = FlowletTable(self.sim, params or self.params)
-        self._lb_rng = self.sim.rng(f"caft-spine-{self.spine_id}")
-
-    def _choose_core_port(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
-        """caft's core-uplink choice: min DRE metric over residual health."""
-        entry = self._flowlets.lookup(packet._five_tuple or packet.five_tuple)
-        if entry.valid and entry.port in candidates:
-            return entry.port
-        pod = self._leaf_pod[dst_leaf]
-        ports = self.ports
-        metrics: list[int] = []
-        healths: list[float] = []
-        for index in candidates:
-            port = ports[index]
-            metrics.append(port.dre.metric())
-            healths.append(
-                port.residual_fraction() * self._core_of[index].pod_health(pod)
-            )
-        # Same scoring rule as the leaf-level CaftSelector: the congestion
-        # metric scaled by residual capacity (idle degraded uplinks keep
-        # CONGA's optimistic 0; dead ones sink to inf).
-        scores = [
-            metric / health if health > 0.0 else float("inf")
-            for metric, health in zip(metrics, healths)
-        ]
-        best = min(scores)
-        ties = [c for c, s in zip(candidates, scores) if s == best]
-        previous = entry.port
-        if previous in ties:
-            # Same stickiness as §3.5: a flowlet only moves when a
-            # strictly better core uplink exists.
-            choice = previous
-        else:
-            choice = ties[int(self._lb_rng.integers(len(ties)))]
-        self._flowlets.install(entry, choice)
-        congestion_best = min(metrics)
-        chosen_metric = metrics[candidates.index(choice)]
-        if chosen_metric > congestion_best:
-            # Liveness weighting overrode the congestion argmin: the
-            # pure-CONGA choice would have steered into degraded capacity.
-            self.fault_reroutes += 1
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.fault:
-                congestion_choice = candidates[metrics.index(congestion_best)]
-                tracer.record(
-                    FaultRerouted, self.sim._now, self.name, dst_leaf, packet.flow_id,
-                    choice, congestion_choice,
-                    tuple(candidates), tuple(metrics), tuple(healths),
-                )
-        return choice
 
     def receive(self, packet: Packet, port: Port) -> None:
         header = packet.overlay
@@ -389,6 +333,12 @@ class MultiPodFabric(Fabric):
         yield from super().fabric_ports()
         yield from self.core_ports()
 
+    def selectors(self):
+        yield from super().selectors()
+        for spine in self.spines:
+            if spine.core_selector is not None:
+                yield spine.core_selector
+
     # -- failure injection (core tier) ----------------------------------------
 
     def core_uplink_ports(self, spine_id: int, core_id: int) -> list[Port]:
@@ -399,33 +349,27 @@ class MultiPodFabric(Fabric):
             raise ValueError(f"no core {core_id} in this fabric")
         return self.spines[spine_id].core_uplink_ports(core_id)
 
-    def fail_core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
-        """Fail the ``which``-th parallel link between a spine and a core.
-
-        Returns the failed (spine-side) port so tests can restore it.
-        """
+    def core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
+        """The spine-side port of the ``which``-th parallel spine↔core link."""
         ports = self.core_uplink_ports(spine_id, core_id)
         if which >= len(ports):
             raise ValueError(
                 f"spine{spine_id}<->core{core_id} has {len(ports)} links, "
-                f"cannot fail link {which}"
+                f"no link {which}"
             )
-        ports[which].fail()
         return ports[which]
+
+    def fail_core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
+        """Fail one spine↔core link; returns its port so tests can restore it."""
+        port = self.core_link(spine_id, core_id, which)
+        port.fail()
+        return port
 
     def restore_core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
-        """Restore the ``which``-th parallel link between a spine and a core.
-
-        Returns the restored (spine-side) port.
-        """
-        ports = self.core_uplink_ports(spine_id, core_id)
-        if which >= len(ports):
-            raise ValueError(
-                f"spine{spine_id}<->core{core_id} has {len(ports)} links, "
-                f"cannot restore link {which}"
-            )
-        ports[which].restore()
-        return ports[which]
+        """Restore one spine↔core link; returns its (spine-side) port."""
+        port = self.core_link(spine_id, core_id, which)
+        port.restore()
+        return port
 
     def switch_ports(self, kind: str, switch_id: int) -> list[Port]:
         """Every port of one switch; adds ``"core"`` to the 2-tier kinds."""

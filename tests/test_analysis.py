@@ -137,8 +137,8 @@ class TestThroughputImbalanceMonitor:
             env.sim, env.ports, interval=microseconds(100)
         )
         monitor.samples = [0.0, 1.0, 2.0]
-        assert monitor.mean_percent() == pytest.approx(100.0)
-        assert monitor.percentile(50) == pytest.approx(100.0)
+        assert monitor.snapshot().mean_percent() == pytest.approx(100.0)
+        assert monitor.snapshot().percentile(50) == pytest.approx(100.0)
 
     def test_needs_two_ports(self):
         env = _Sender()
@@ -149,7 +149,7 @@ class TestThroughputImbalanceMonitor:
         env = _Sender()
         monitor = ThroughputImbalanceMonitor(env.sim, env.ports)
         with pytest.raises(ValueError):
-            monitor.mean_percent()
+            monitor.snapshot().mean_percent()
 
 
 class TestQueueMonitor:
@@ -162,7 +162,7 @@ class TestQueueMonitor:
             env.send(0, 1500)
         env.sim.run(until=microseconds(20))
         monitor.stop()
-        series = monitor.series(env.ports[0])
+        series = list(monitor.snapshot().series(env.ports[0]))
         assert len(series) >= 10
         assert max(series) > 0
         assert series == sorted(series, reverse=True)  # draining monotone
@@ -171,8 +171,8 @@ class TestQueueMonitor:
         env = _Sender()
         monitor = QueueMonitor(env.sim, [env.ports[0]])
         monitor.samples[env.ports[0].name] = [0, 100, 200, 300]
-        assert monitor.mean(env.ports[0]) == pytest.approx(150.0)
-        assert monitor.percentile(env.ports[0], 100) == pytest.approx(300.0)
+        assert monitor.snapshot().mean(env.ports[0]) == pytest.approx(150.0)
+        assert monitor.snapshot().percentile(env.ports[0], 100) == pytest.approx(300.0)
 
     def test_requires_ports(self):
         with pytest.raises(ValueError):
@@ -182,4 +182,4 @@ class TestQueueMonitor:
         env = _Sender()
         monitor = QueueMonitor(env.sim, [env.ports[0]])
         with pytest.raises(ValueError):
-            monitor.mean(env.ports[0])
+            monitor.snapshot().mean(env.ports[0])

@@ -29,6 +29,7 @@ from repro.apps import (
 )
 from repro.faults import FeedbackLoss, LinkDegrade
 from repro.lb import CongaSelector, EcmpSelector
+from repro.lb.caft import CaftCoreSelector
 from repro.obs import TimelineCollector, TimelineSpec
 from repro.sim import Simulator
 from repro.switch import CongestionPlaneError
@@ -139,7 +140,7 @@ class TestWhoSwitchesItOn:
         sim = Simulator(seed=1)
         fabric = build_multipod(sim, MultiPodConfig())
         fabric.finalize(EcmpSelector.factory())
-        fabric.spines[0].enable_fault_aware_core_lb()
+        CaftCoreSelector(fabric.spines[0])
         assert fabric.congestion_plane
 
 

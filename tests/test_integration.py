@@ -96,7 +96,7 @@ class TestLinkFailureFct:
         for scheme, result in results.items():
             spine1 = result.fabric.spines[1]
             port = spine1.ports[spine1.ports_to_leaf(1)[0]]
-            means[scheme] = float(np.mean(result.queues.series(port)))
+            means[scheme] = float(np.mean(result.queues.snapshot().series(port)))
         assert means["conga"] < 0.5 * means["ecmp"]
 
 
@@ -151,7 +151,7 @@ class TestImbalanceShape:
                 monitor_imbalance_leaf=0,
                 imbalance_interval=microseconds(200),
             )
-            results[scheme] = result.imbalance.mean_percent()
+            results[scheme] = result.imbalance.snapshot().mean_percent()
         assert results["conga"] < results["ecmp"]
 
 

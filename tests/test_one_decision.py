@@ -1,0 +1,198 @@
+"""The §3.5 choice exists once: oracles for ``least_congested`` and its callers.
+
+ROADMAP item 2(a), first rows.  With no hardware to compare against, the
+checks are relations between *different* code paths that must agree exactly:
+
+* the shared choice function against a reference written here, on the same
+  inputs and identically seeded generators — same choice, same draws;
+* ``caft`` with every health at 1.0 and no stale cell against ``conga``
+  (``m / 1.0 == m`` exactly), decision by decision through a live run on
+  the leaf-spine and the 2-pod fabric;
+* ``local`` against ``conga`` over a To-Leaf table nothing ever wrote;
+* ``conga`` with one uplink per leaf against ``ecmp``: with nothing to
+  choose, the records, the event count and every port's packet count match;
+* the two readers of ``fault_reroutes`` — the end-of-run counter and the
+  timeline series — against each other, on a run where pod spines reroute.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.fct import records_digest
+from repro.apps import ExperimentSpec, ObsSpec
+from repro.faults import parse_fault
+from repro.lb import CaftSelector, CongaSelector, LocalAwareSelector
+from repro.lb.caft import CaftCoreSelector
+from repro.lb.conga import least_congested
+from repro.net import Packet
+from repro.obs import TimelineSpec, collect_run_metrics
+from repro.sim import Simulator
+from repro.topology import build_leaf_spine, scaled_testbed
+from repro.topology.multipod import MultiPodConfig
+from repro.units import microseconds
+
+
+def _reference(candidates, scores, previous, rng):
+    """§3.5 as the paper states it, written without reading the source."""
+    lowest = None
+    for score in scores:
+        if lowest is None or score < lowest:
+            lowest = score
+    ties = []
+    for candidate, score in zip(candidates, scores):
+        if score == lowest:
+            ties.append(candidate)
+    for candidate in ties:
+        if candidate == previous:
+            return previous  # sticky: only a strictly better path moves a flow
+    return ties[int(rng.integers(len(ties)))]
+
+
+_SCORES = st.one_of(
+    st.integers(0, 7), st.sampled_from([0.0, 0.5, 3.0, 7 / 0.1, 8.0, float("inf")])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(_SCORES, min_size=1, max_size=8),
+    previous=st.integers(-1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_shared_choice_matches_the_reference(scores, previous, seed, data):
+    candidates = data.draw(
+        st.lists(
+            st.integers(0, 9), min_size=len(scores), max_size=len(scores), unique=True
+        )
+    )
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert least_congested(candidates, scores, previous, ours) == _reference(
+        candidates, scores, previous, theirs
+    )
+    # Same number of draws: the generators are in the same state ...
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # ... and none at all when the minimum is unique or ``previous`` holds it.
+    ties = [c for c, s in zip(candidates, scores) if s == min(scores)]
+    if previous in ties:
+        untouched = np.random.default_rng(seed).bit_generator.state
+        assert ours.bit_generator.state == untouched
+
+
+TOPOLOGIES = {"leaf-spine": None, "multipod": MultiPodConfig()}
+
+
+def _caft_spec(config):
+    return ExperimentSpec(
+        "caft", "enterprise", load=0.6, seed=23, num_flows=40, size_scale=0.02,
+        config=config,
+    )
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_healthy_caft_decides_as_conga_from_the_same_generator_state(
+    topology, monkeypatch
+):
+    spec = _caft_spec(TOPOLOGIES[topology])
+    caft_decide = CaftSelector._decide
+    decisions = []
+
+    def both(self, dst_leaf, candidates, previous, flow_id=-1):
+        # Precondition of the relation: nothing degraded, nothing stale.
+        table, stale_after = self.leaf.to_leaf_table, self._stale_after
+        assert all(self.path_weight(dst_leaf, u) == 1.0 for u in candidates)
+        assert all((table.age_of(dst_leaf, u) or 0) <= stale_after for u in candidates)
+        rng = self._rng.bit_generator
+        before = rng.state
+        conga = CongaSelector._decide(self, dst_leaf, candidates, previous, flow_id)
+        after_conga = rng.state
+        rng.state = before
+        caft = caft_decide(self, dst_leaf, candidates, previous, flow_id)
+        assert caft == conga
+        assert rng.state == after_conga
+        decisions.append(caft)
+        return caft
+
+    monkeypatch.setattr(CaftSelector, "_decide", both)
+    checked = spec.run_live()
+    monkeypatch.undo()
+    assert checked.completed == 40
+    selectors = list(checked.fabric.selectors())
+    assert len(decisions) == sum(getattr(s, "decisions", 0) for s in selectors) > 40
+    assert all(s.fault_reroutes == 0 for s in selectors)
+    # Asking twice perturbed nothing: the unchecked run is the same run.
+    plain = spec.run_live()
+    assert records_digest(list(plain.records)) == records_digest(list(checked.records))
+    assert plain.sim.events_executed == checked.sim.events_executed
+
+
+def test_local_is_conga_over_a_to_leaf_table_nothing_wrote():
+    sim = Simulator(seed=3)
+    fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=2))
+    fabric.finalize(LocalAwareSelector.factory())
+    leaf = fabric.leaves[0]
+    local, conga = leaf.selector, CongaSelector(leaf)
+    local._rng, conga._rng = np.random.default_rng(17), np.random.default_rng(17)
+    uplinks = list(range(len(leaf.uplinks)))
+    dice = random.Random(29)
+    moved = 0
+    for step in range(400):
+        # Uneven load on the DREs, and enough idle time for flowlets of the
+        # 40 recurring flows to expire with a remembered port.
+        for _ in range(dice.randrange(6)):
+            leaf.uplinks[dice.choice(uplinks)].dre.on_transmit(1500)
+        sim.run(until=sim.now + microseconds(dice.choice([20, 400, 1200])))
+        packet = Packet(
+            src=0, dst=2, size=1500, sport=step % 40, dport=80, flow_id=step % 40
+        )
+        candidates = sorted(dice.sample(uplinks, dice.randint(1, len(uplinks))))
+        previous = local.flowlets.lookup(packet.five_tuple).port
+        choice = local.choose_uplink(packet, 1, candidates)
+        assert choice == conga.choose_uplink(packet, 1, candidates)
+        moved += previous not in (-1, choice)
+    assert local._rng.bit_generator.state == conga._rng.bit_generator.state
+    assert conga.decisions > 100 and moved > 10
+
+
+@pytest.mark.parametrize("seed", [5, 31])
+def test_conga_with_one_uplink_per_leaf_is_ecmp(seed):
+    config = scaled_testbed(num_spines=1, links_per_pair=1)
+    outcomes = []
+    for scheme in ("ecmp", "conga"):
+        live = ExperimentSpec(
+            scheme, "enterprise", load=0.6, seed=seed, num_flows=40,
+            size_scale=0.02, config=config,
+        ).run_live()
+        fabric = live.fabric
+        ports = [host.nic for host in fabric.hosts.values()]
+        for switch in (*fabric.leaves, *fabric.spines):
+            ports.extend(switch.ports)
+        assert live.completed == 40
+        outcomes.append((
+            records_digest(list(live.records)),
+            live.sim.events_executed,
+            [(port.name, port.tx_packets) for port in ports],
+        ))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_counter_and_timeline_count_the_same_fault_reroutes():
+    faults = tuple(
+        parse_fault(f"link_degrade@100us:{link}=0.1") for link in ("s1-c0", "s2-c1")
+    )
+    live = ExperimentSpec(
+        "caft", "enterprise", load=0.8, seed=42, num_flows=150, size_scale=0.03,
+        config=MultiPodConfig(), faults=faults,
+        obs=ObsSpec(categories=(), timeline=TimelineSpec()),
+    ).run_live()
+    by_tier = {CaftSelector: 0, CaftCoreSelector: 0}
+    for selector in live.fabric.selectors():
+        by_tier[type(selector)] += selector.fault_reroutes
+    assert all(count > 0 for count in by_tier.values())  # both tiers rerouted
+    assert live.timeline.samples == len(live.timeline.times)  # nothing decimated
+    total = sum(by_tier.values())
+    assert sum(live.timeline.fault_reroutes) == total
+    assert collect_run_metrics(live).counters["lb.caft.fault_reroutes"] == total
