@@ -158,8 +158,9 @@ class QueueMonitor(_Sampler):
     """Periodically samples byte occupancy of a set of queues (Fig. 11c/16).
 
     Per-port series are bounded :class:`DecimatedSeries` (uniform stride
-    decimation, ``max_samples`` retained per port), so week-long simulated
-    runs keep constant memory while the occupancy CDFs stay faithful.
+    decimation, ``DEFAULT_SERIES_LIMIT`` retained per port), so week-long
+    simulated runs keep constant memory while the occupancy CDFs stay
+    faithful.
     """
 
     def __init__(
@@ -167,13 +168,12 @@ class QueueMonitor(_Sampler):
         sim: "Simulator",
         ports: list[Port],
         interval: int = milliseconds(1),
-        max_samples: int = DEFAULT_SERIES_LIMIT,
     ) -> None:
         if not ports:
             raise ValueError("need at least one port to monitor")
         super().__init__(sim, ports, interval)
         self.samples: dict[str, DecimatedSeries] = {
-            port.name: DecimatedSeries(max_samples) for port in ports
+            port.name: DecimatedSeries(DEFAULT_SERIES_LIMIT) for port in ports
         }
 
     def _sample(self) -> None:

@@ -75,14 +75,6 @@ class SchemeSpec:
     post_setup: Callable[[Simulator, Fabric], object] | None = None
 
 
-def _tcp(params: TcpParams) -> FlowFactory:
-    return tcp_flow_factory(params)
-
-
-def _mptcp(params: TcpParams) -> FlowFactory:
-    return mptcp_flow_factory(params)
-
-
 class UnknownSchemeError(ValueError):
     """Raised when a scheme name is not in the registry."""
 
@@ -122,23 +114,23 @@ def get_scheme(name: str) -> SchemeSpec:
 
 
 for _spec in (
-    SchemeSpec("ecmp", EcmpSelector.factory, _tcp),
-    SchemeSpec("conga", CongaSelector.factory, _tcp),
-    SchemeSpec("conga-flow", CongaFlowSelector.factory, _tcp),
+    SchemeSpec("ecmp", EcmpSelector.factory, tcp_flow_factory),
+    SchemeSpec("conga", CongaSelector.factory, tcp_flow_factory),
+    SchemeSpec("conga-flow", CongaFlowSelector.factory, tcp_flow_factory),
     SchemeSpec(
         "caft",
         CaftSelector.factory,
-        _tcp,
+        tcp_flow_factory,
         post_setup=enable_fault_awareness,
     ),
-    SchemeSpec("mptcp", EcmpSelector.factory, _mptcp),
-    SchemeSpec("local", LocalAwareSelector.factory, _tcp),
-    SchemeSpec("spray", PacketSpraySelector.factory, _tcp),
+    SchemeSpec("mptcp", EcmpSelector.factory, mptcp_flow_factory),
+    SchemeSpec("local", LocalAwareSelector.factory, tcp_flow_factory),
+    SchemeSpec("spray", PacketSpraySelector.factory, tcp_flow_factory),
     SchemeSpec("dctcp", EcmpSelector.factory, dctcp_flow_factory),
     SchemeSpec(
         "hedera",
         lambda: CentralizedSelector,
-        _tcp,
+        tcp_flow_factory,
         post_setup=lambda sim, fabric: CentralizedScheduler(sim, fabric),
     ),
 ):

@@ -326,9 +326,6 @@ def _report_points(sweep):
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import recovery_report, sweep_report
     from repro.runner import TelemetrySink
 
     recovery_cells = None

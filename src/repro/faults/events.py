@@ -85,10 +85,7 @@ class LinkDown(FaultEvent):
     core: int | None = None
 
     def apply(self, injector: "FaultInjector") -> None:
-        if self.core is not None:
-            injector.core_link_port(self.spine, self.core, self.which).fail()
-            return
-        injector.fabric.fail_link(self.leaf, self.spine, self.which)
+        injector.target_port(self).fail()
 
 
 @dataclass(frozen=True)
@@ -101,10 +98,7 @@ class LinkUp(FaultEvent):
     core: int | None = None
 
     def apply(self, injector: "FaultInjector") -> None:
-        if self.core is not None:
-            injector.core_link_port(self.spine, self.core, self.which).restore()
-            return
-        injector.fabric.restore_link(self.leaf, self.spine, self.which)
+        injector.target_port(self).restore()
 
     def restores(self) -> bool:
         return True

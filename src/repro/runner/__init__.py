@@ -7,7 +7,7 @@ Build :class:`repro.apps.ExperimentSpec` points (by hand, with
 * :func:`run_sweep` — the one-call API: cache scan, duplicate dedupe,
   parallel execution, a :class:`SweepResult` of picklable
   :class:`repro.apps.PointResult` values in input order.
-* :class:`Dispatcher` — the streaming form of the same machinery, with a
+* :class:`Dispatcher` — the same machinery as a reusable object, with a
   pluggable execution :class:`Backend`: :class:`LocalBackend` (inline, or
   forked workers) or :class:`SubprocessBackend` (exec'd workers over an
   SSH-shaped stdin/stdout JSON protocol) — one crash-tolerant worker loop

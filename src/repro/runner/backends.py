@@ -61,8 +61,8 @@ class Backend(abc.ABC):
 
     ``execute`` must call ``finish(index, result)`` or
     ``fail(index, failure)`` exactly once for every index in ``misses``
-    before returning.  Callbacks are thread-safe on the dispatcher side;
-    backends may invoke them from worker threads.  ``telemetry``, when
+    before returning, from the thread that called it: the dispatcher's
+    callbacks take no lock.  ``telemetry``, when
     given, is the sweep's health-event sink: backends with their own
     worker lifecycle report it there (``worker_restart`` events).
     """

@@ -54,7 +54,6 @@ from bisect import insort
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.metrics import MetricsRegistry
 from repro.units import SECOND
 
 if TYPE_CHECKING:
@@ -176,63 +175,23 @@ class Simulator:
         #: snapshot-diffed by :meth:`run` to keep ``events_executed``
         #: storage-independent.
         self._rearms = 0
-        #: Per-run metrics registry.  The kernel's own perf counters live
-        #: here under ``kernel.*`` names; components add theirs at snapshot
-        #: time.  Reporting only — metrics never influence the simulation
-        #: itself, so determinism is unaffected.
-        self.metrics = MetricsRegistry()
-        self._events_counter = self.metrics.counter("kernel.events_executed")
-        self._wall_counter = self.metrics.counter("kernel.wall_seconds")
-        self._compact_counter = self.metrics.counter("kernel.heap_compactions")
-        self._rearm_counter = self.metrics.counter("kernel.timer_rearms")
+        # Perf counters, written once per run() call and once per compaction
+        # (never per event); reporting only.  They become the ``kernel.*``
+        # metrics in :func:`repro.obs.metrics.collect_run_metrics`.
+        #: Simulation callbacks executed across all :meth:`run` calls.  Timer
+        #: re-arm bounces are excluded — they execute no simulation work — so
+        #: the count equals what eager cancel-and-repush timers would report.
+        self.events_executed = 0
+        #: Parked-timer re-arm bounces absorbed by lazy reprogramming.
+        self.timer_rearms = 0
+        #: Wall-clock seconds spent inside :meth:`run` so far.
+        self.wall_seconds = 0.0
+        #: Lazy-cancel scheduler compactions performed so far.
+        self.heap_compactions = 0
         #: Structured trace sink (see :mod:`repro.obs`).  ``None`` — the
         #: default — is the zero-overhead disabled state: instrumented hot
         #: paths gate every emission on ``sim.tracer is not None``.
         self.tracer: "Tracer | None" = None
-
-    # -- perf counters (aliases over the kernel.* registry cells) ------------
-
-    @property
-    def events_executed(self) -> int:
-        """Simulation callbacks executed across all :meth:`run` calls.
-
-        Timer re-arm bounces (lazy reprogramming surfacing a parked entry)
-        are excluded — they execute no simulation work — so this count is
-        identical to what an eager cancel-and-repush timer implementation
-        would report for the same run.
-        """
-        return int(self._events_counter.value)
-
-    @events_executed.setter
-    def events_executed(self, value: int) -> None:
-        self._events_counter.value = value
-
-    @property
-    def timer_rearms(self) -> int:
-        """Parked-timer re-arm bounces absorbed by lazy reprogramming."""
-        return int(self._rearm_counter.value)
-
-    @timer_rearms.setter
-    def timer_rearms(self, value: int) -> None:
-        self._rearm_counter.value = value
-
-    @property
-    def wall_seconds(self) -> float:
-        """Wall-clock seconds spent inside :meth:`run` so far."""
-        return float(self._wall_counter.value)
-
-    @wall_seconds.setter
-    def wall_seconds(self, value: float) -> None:
-        self._wall_counter.value = value
-
-    @property
-    def heap_compactions(self) -> int:
-        """Lazy-cancel scheduler compactions performed so far."""
-        return int(self._compact_counter.value)
-
-    @heap_compactions.setter
-    def heap_compactions(self, value: int) -> None:
-        self._compact_counter.value = value
 
     # -- time ---------------------------------------------------------------
 
@@ -240,11 +199,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in integer nanoseconds."""
         return self._now
-
-    @property
-    def now_seconds(self) -> float:
-        """Current simulation time in float seconds (for reporting only)."""
-        return self._now / SECOND
 
     # -- randomness ---------------------------------------------------------
 
@@ -386,7 +340,7 @@ class Simulator:
             self._pending = 0
             for entry in live:
                 self._insert(entry[0], entry)
-            self._compact_counter.value += 1
+            self.heap_compactions += 1
         self._compact_at = max(_COMPACT_FLOOR, 2 * self._pending)
 
     # -- execution -----------------------------------------------------------
@@ -477,9 +431,9 @@ class Simulator:
                     break
         finally:
             rearms = self._rearms - rearms_start
-            self._events_counter.value += executed - rearms
-            self._rearm_counter.value += rearms
-            self._wall_counter.value += perf_counter() - started  # repro-lint: ignore[D101] -- reporting only
+            self.events_executed += executed - rearms
+            self.timer_rearms += rearms
+            self.wall_seconds += perf_counter() - started  # repro-lint: ignore[D101] -- reporting only
             if gc_was_enabled:
                 gc.enable()
         if until is not None and not self._pending and self._now < until:
@@ -668,7 +622,6 @@ class PeriodicTimer:
         callback: Callback,
         *,
         start: bool = True,
-        jitter_stream: str | None = None,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -676,7 +629,6 @@ class PeriodicTimer:
         self.period = period
         self._callback = callback
         self._event: _Event | None = None
-        self._jitter_stream = jitter_stream
         if start:
             self.start()
 
@@ -688,7 +640,7 @@ class PeriodicTimer:
     def start(self) -> None:
         """Start ticking; the first tick occurs one period from now."""
         if self._event is None:
-            self._event = self._sim.schedule(self._next_delay(), self._fire)
+            self._event = self._sim.schedule(self.period, self._fire)
 
     def stop(self) -> None:
         """Stop ticking."""
@@ -696,16 +648,8 @@ class PeriodicTimer:
             Simulator.cancel(self._event)
             self._event = None
 
-    def _next_delay(self) -> int:
-        if self._jitter_stream is None:
-            return self.period
-        rng = self._sim.rng(self._jitter_stream)
-        # +/-5% jitter de-synchronizes the many per-port timers, mirroring
-        # independent hardware clocks.
-        return max(1, round(self.period * rng.uniform(0.95, 1.05)))
-
     def _fire(self) -> None:
-        self._event = self._sim.schedule(self._next_delay(), self._fire)
+        self._event = self._sim.schedule(self.period, self._fire)
         self._callback()
 
 

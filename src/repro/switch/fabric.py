@@ -151,6 +151,13 @@ class Fabric:
         port.restore()
         return port
 
+    def core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
+        """A spine↔core link's port; MultiPodFabric overrides, 2 tiers have none."""
+        raise ValueError(
+            "core-tier fault targets need a multi-pod fabric "
+            "(this fabric has no spine-core links)"
+        )
+
     def switch_ports(self, kind: str, switch_id: int) -> list[Port]:
         """Every port of one switch (``kind`` is ``"leaf"`` or ``"spine"``).
 
@@ -179,6 +186,10 @@ class Fabric:
         """All leaf-side fabric ports (leaf → spine direction)."""
         for leaf in self.leaves:
             yield from leaf.uplinks
+
+    def spine_core_ports(self) -> Iterator[Port]:
+        """All spine-side core-uplink ports: none on a 2-tier fabric."""
+        return iter(())
 
     def spine_ports(self) -> Iterator[Port]:
         """All spine-side fabric ports (spine → leaf direction)."""

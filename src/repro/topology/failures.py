@@ -61,12 +61,11 @@ def fail_random_links(
     if tier == "leaf":
         all_ports = [port for leaf in fabric.leaves for port in leaf.uplinks]
     else:
-        ports_of = getattr(fabric, "spine_core_ports", None)
-        if ports_of is None:
+        all_ports = list(fabric.spine_core_ports())
+        if not all_ports:
             raise ValueError(
                 "tier 'core' needs a multi-pod fabric (no spine-core links here)"
             )
-        all_ports = list(ports_of())
     order = rng.permutation(len(all_ports))
     failed = []
     for index in order:

@@ -1,4 +1,4 @@
-"""Tests for the dispatcher redesign: backends, streaming, the worker.
+"""Tests for the dispatcher redesign: backends, the dispatcher, the worker.
 
 The core guarantee under test is backend interchangeability — a point run
 is a pure function of its spec, so the ``subprocess`` backend must
@@ -138,7 +138,6 @@ class TestDispatcher:
         assert len(result) == 0
         assert result.executed == result.cached == 0
         assert dispatcher.last_result is result
-        assert list(dispatcher.stream([])) == []
 
     def test_string_backend_resolves_via_registry(self):
         dispatcher = Dispatcher("local", cache=None)
@@ -171,33 +170,6 @@ class TestDispatcher:
         assert result.points[0] is result.points[1] is result.points[2]
         assert result.metrics is not None
         assert result.metrics.counters["sweep.duplicates"] == 2
-
-    def test_stream_yields_each_point_once(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        Dispatcher(LocalBackend(workers=0), cache=cache_dir).run([TINY])
-        dispatcher = Dispatcher(LocalBackend(workers=0), cache=cache_dir)
-        specs = [TINY, GRID[1], GRID[1]]  # one hit, one miss, one duplicate
-        seen = dict(dispatcher.stream(specs))
-        assert sorted(seen) == [0, 1, 2]
-        assert all(isinstance(p, PointResult) for p in seen.values())
-        assert seen[1].records == seen[2].records
-        result = dispatcher.last_result
-        assert result is not None
-        assert result.executed == 1 and result.cached == 1
-        assert tuple(seen[i] for i in range(3)) == result.points
-
-    def test_progress_summary_lines_render_from_metrics(self):
-        lines: list[str] = []
-        Dispatcher(
-            LocalBackend(workers=0),
-            cache=None,
-            progress=lines.append,
-            summary_every=1,
-        ).run(list(GRID))
-        summaries = [l for l in lines if l.startswith("[sweep ")]
-        assert summaries, lines
-        assert summaries[-1].startswith(f"[sweep {len(GRID)}/{len(GRID)}]")
-        assert "2 run" in summaries[-1]
 
 
 class TestSubprocessBackend:

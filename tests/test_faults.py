@@ -222,6 +222,25 @@ def test_injector_rejects_non_events_and_bad_links():
         FaultInjector(sim, fabric, (LinkDown(time=0, leaf=0, spine=0, which=9),))
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        LinkDown(time=0, spine=0, core=0),
+        LinkUp(time=0, spine=0, core=0),
+        LinkDegrade(time=0, spine=0, core=0),
+        LinkLoss(time=0, spine=0, core=0),
+        RandomLinkDowns(time=0, count=1, tier="core"),
+        SwitchBlackout(time=0, kind="core"),
+    ],
+    ids=lambda event: type(event).__name__,
+)
+def test_core_tier_faults_need_a_multi_pod_fabric(event):
+    sim, fabric = _fabric()
+    with pytest.raises(ValueError, match="multi-pod"):
+        FaultInjector(sim, fabric, (event,))
+    assert all(port.up for port in fabric.fabric_ports())
+
+
 # ---------------------------------------------------------------------------
 # Grey failures: seeded per-packet loss
 

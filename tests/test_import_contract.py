@@ -126,6 +126,13 @@ def test_building_a_spec_loads_neither_numpy_nor_an_optional_plane():
     assert not loaded & {*OPTIONAL, "subprocess"}
 
 
+def test_the_kernel_imports_nothing_above_it():
+    loaded = loaded_after("import repro.sim")
+    assert {m for m in loaded if m.startswith("repro")} == {
+        "repro", "repro.sim", "repro.sim.kernel", "repro.units",
+    }
+
+
 def test_importing_the_runner_loads_none_of_it():
     loaded = loaded_after("import repro.runner")
     assert not loaded & set(OPTIONAL)

@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro.analysis import EmptySeriesError
-from repro.apps import ExperimentSpec, ObsSpec
+from repro.apps import ExperimentSpec, ObsSpec, PointResult
 from repro.net import Packet
 from repro.obs import (
     CATEGORIES,
@@ -214,13 +214,16 @@ def test_empty_series_error_carries_context():
 
 
 def test_kernel_counters_live_in_registry():
-    sim = Simulator(seed=1)
-    sim.schedule(10, lambda: None)
-    sim.run()
-    assert sim.events_executed == 1
-    assert sim.metrics.counter("kernel.events_executed").value == 1
-    sim.events_executed = 7  # legacy setter writes through to the cell
-    assert sim.metrics.counter("kernel.events_executed").value == 7
+    """The kernel keeps plain attributes; the report is where they get names."""
+    live = TINY.run_live()
+    sim = live.sim
+    assert not hasattr(sim, "metrics")
+    assert sim.events_executed > 0 and sim.wall_seconds > 0.0
+    counters = PointResult.from_live(TINY, live, wall_seconds=0.0).metrics.counters
+    assert counters["kernel.events_executed"] == sim.events_executed
+    assert counters["kernel.timer_rearms"] == sim.timer_rearms
+    assert counters["kernel.heap_compactions"] == sim.heap_compactions
+    assert counters["kernel.wall_seconds"] == sim.wall_seconds
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,16 @@ class TestRunSweep:
         assert len(result) == 0
         assert result.executed == result.cached == 0
 
+    @pytest.mark.parametrize(
+        "argument",
+        [{"workers": 0}, {"timeout": 5.0}, {"retries": 0}, {"retry_backoff": 0.0}],
+        ids=lambda argument: next(iter(argument)),
+    )
+    def test_backend_plus_a_local_backend_argument_is_refused(self, argument):
+        (name,) = argument
+        with pytest.raises(ValueError, match=rf"ignore {name}; set them on the backend"):
+            run_sweep([TINY], cache=None, backend=_ForbiddenBackend(), **argument)
+
     def test_serial_sweep_and_point_lookup(self, tmp_path):
         specs = sweep_grid(TINY, schemes=["ecmp", "conga"], loads=[0.3, 0.5])
         sweep = run_sweep(specs, workers=0, cache=tmp_path / "cache")
