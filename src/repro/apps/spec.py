@@ -122,12 +122,13 @@ class QueueMonitorSpec:
                 else [fabric.spines[self.spine]]
             )
             for spine in spines:
-                if self.leaf is not None:
-                    ports.extend(
-                        spine.ports[i] for i in spine.ports_to_leaf(self.leaf)
-                    )
-                else:
-                    ports.extend(port for port in spine.ports if port.up)
+                facing = (
+                    spine.ports if self.leaf is None else spine.egress_ports(self.leaf)
+                )
+                core_facing = spine.core_uplinks()
+                ports.extend(
+                    port for port in facing if port.up and port not in core_facing
+                )
         else:  # leaf uplinks
             leaves = (
                 fabric.leaves if self.leaf is None else [fabric.leaves[self.leaf]]

@@ -52,7 +52,7 @@ if TYPE_CHECKING:
     from repro.switch.fabric import Fabric
     from repro.switch.leaf import LeafSwitch
     from repro.sim import Simulator
-    from repro.topology.multipod import PodSpineSwitch
+    from repro.switch.spine import SpineSwitch
 
 
 def _account_reroute(
@@ -174,7 +174,7 @@ class CaftCoreSelector:
     feedback loop cannot see it.  Ties draw from ``caft-spine-{id}``.
     """
 
-    def __init__(self, spine: "PodSpineSwitch", params: CongaParams | None = None) -> None:
+    def __init__(self, spine: "SpineSwitch", params: CongaParams | None = None) -> None:
         spine.fabric.require_congestion_plane()
         self.spine = spine
         self.flowlets = FlowletTable(spine.sim, params or spine.params)
@@ -189,9 +189,8 @@ class CaftCoreSelector:
         if entry.valid and entry.port in candidates:
             return entry.port
         spine = self.spine
-        pod = spine.fabric.leaf_pod[dst_leaf]
         metrics = [spine.ports[index].dre.metric() for index in candidates]
-        healths = [spine.core_path_health(index, pod) for index in candidates]
+        healths = [spine.port_health(index, dst_leaf) for index in candidates]
         scores = _weighted(metrics, healths)
         choice = least_congested(candidates, scores, entry.port, self._rng)
         self.flowlets.install(entry, choice)
@@ -202,13 +201,14 @@ class CaftCoreSelector:
 
 
 def enable_fault_awareness(sim: "Simulator", fabric: "Fabric") -> None:
-    """Scheme post-setup hook: a :class:`CaftCoreSelector` on every pod spine.
+    """Scheme post-setup hook: a :class:`CaftCoreSelector` wherever spines climb.
 
-    On a 2-tier fabric there is nothing to install and the leaves'
-    weighting alone carries the scheme.
+    A spine without core uplinks (every spine of a 2-tier fabric) has no
+    core-bound packet to choose for; there the leaves' weighting alone
+    carries the scheme.
     """
     for spine in fabric.spines:
-        if hasattr(spine, "install_core_selector"):
+        if spine.core_uplinks():
             CaftCoreSelector(spine)
 
 

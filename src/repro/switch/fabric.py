@@ -35,6 +35,18 @@ class CongestionPlaneError(RuntimeError):
     """The congestion plane was asked for after unmeasured traffic crossed it."""
 
 
+def _member(members: list, index: int, what: str, where: str):
+    """``members[index]`` — or a ValueError naming what, which and the valid range.
+
+    A negative index never wraps: a fault aimed at ``leaf=-1`` must not
+    silently hit the last leaf.
+    """
+    if not 0 <= index < len(members):
+        valid = f"0..{len(members) - 1}" if members else "none"
+        raise ValueError(f"no {what} {index} {where} (valid: {valid})")
+    return members[index]
+
+
 class Fabric:
     """All nodes of one simulated datacenter fabric."""
 
@@ -47,6 +59,10 @@ class Fabric:
         self.hosts: dict[int, Host] = {}
         self.leaves: list["LeafSwitch"] = []
         self.spines: list["SpineSwitch"] = []
+        #: The core tier joining pods (paper §7); empty on a 2-tier fabric.
+        self.cores: list["SpineSwitch"] = []
+        #: Leaf id -> pod, filled by the topology builder as it wires leaves.
+        self.leaf_pod: list[int] = []
         #: Endpoint directory, host id -> leaf id.  Leaves read it directly
         #: on the per-packet path; fill it through :meth:`register_host`.
         self.host_leaf: dict[int, int] = {}
@@ -118,26 +134,44 @@ class Fabric:
             if leaf.tep is not None:
                 leaf.tep.feedback_loop = True
 
+    # -- pods -------------------------------------------------------------------
+
+    def pod_of_leaf(self, leaf_id: int) -> int:
+        """The pod housing ``leaf_id`` (always 0 on a 2-tier fabric)."""
+        return self.leaf_pod[leaf_id]
+
+    def pod_leaves(self, pod: int) -> list["LeafSwitch"]:
+        """Leaves of ``pod``."""
+        return [leaf for leaf in self.leaves if self.leaf_pod[leaf.leaf_id] == pod]
+
     # -- failure injection -------------------------------------------------------
+
+    def _switch(self, tier: str, index: int) -> "LeafSwitch | SpineSwitch":
+        """The ``index``-th switch of ``tier``; the one check of a tier index."""
+        tiers = {"leaf": self.leaves, "spine": self.spines, "core": self.cores}
+        if tier not in tiers:
+            raise ValueError(f"kind must be 'leaf', 'spine', or 'core', got {tier!r}")
+        where = "in this fabric"
+        if not tiers[tier]:  # only the core tier can be empty
+            where += f", a {tier} tier takes a multi-pod fabric"
+        return _member(tiers[tier], index, tier, where)
 
     def uplink_ports(self, leaf_id: int, spine_id: int) -> list[Port]:
         """The leaf-side ports of all (possibly parallel) links leaf↔spine."""
-        leaf = self.leaves[leaf_id]
+        leaf = self._switch("leaf", leaf_id)
+        target = self._switch("spine", spine_id)
         return [
             port
             for port, spine in zip(leaf.uplinks, leaf.uplink_spine)
-            if spine.spine_id == spine_id
+            if spine is target
         ]
 
     def link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
         """The leaf-side port of the ``which``-th parallel leaf↔spine link."""
-        ports = self.uplink_ports(leaf_id, spine_id)
-        if which >= len(ports):
-            raise ValueError(
-                f"leaf{leaf_id}<->spine{spine_id} has {len(ports)} links, "
-                f"no link {which}"
-            )
-        return ports[which]
+        return _member(
+            self.uplink_ports(leaf_id, spine_id), which, "link",
+            f"between leaf{leaf_id} and spine{spine_id}",
+        )
 
     def fail_link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
         """Fail one leaf↔spine link; returns its port so tests can restore it."""
@@ -145,34 +179,27 @@ class Fabric:
         port.fail()
         return port
 
-    def restore_link(self, leaf_id: int, spine_id: int, which: int = 0) -> Port:
-        """Restore one leaf↔spine link; returns its (leaf-side) port."""
-        port = self.link(leaf_id, spine_id, which)
-        port.restore()
-        return port
+    def core_uplink_ports(self, spine_id: int, core_id: int) -> list[Port]:
+        """Spine-side ports of the (possibly parallel) links spine↔core."""
+        spine = self._switch("spine", spine_id)
+        core = self._switch("core", core_id)
+        return [port for port in spine.core_uplinks() if port.peer.node is core]
 
     def core_link(self, spine_id: int, core_id: int, which: int = 0) -> Port:
-        """A spine↔core link's port; MultiPodFabric overrides, 2 tiers have none."""
-        raise ValueError(
-            "core-tier fault targets need a multi-pod fabric "
-            "(this fabric has no spine-core links)"
+        """The spine-side port of the ``which``-th parallel spine↔core link."""
+        return _member(
+            self.core_uplink_ports(spine_id, core_id), which, "link",
+            f"between spine{spine_id} and core{core_id}",
         )
 
     def switch_ports(self, kind: str, switch_id: int) -> list[Port]:
-        """Every port of one switch (``kind`` is ``"leaf"`` or ``"spine"``).
+        """Every port of one switch (``kind``: ``"leaf"``, ``"spine"``, ``"core"``).
 
         For a leaf this includes host downlinks as well as uplinks — a
         blacked-out leaf takes its rack off the network, not just off the
         fabric.
         """
-        if kind == "leaf":
-            return list(self.leaves[switch_id].ports)
-        if kind == "spine":
-            return list(self.spines[switch_id].ports)
-        if kind == "core":
-            # MultiPodFabric overrides; a 2-tier fabric has no core tier.
-            raise ValueError("kind 'core' needs a multi-pod fabric (no core tier here)")
-        raise ValueError(f"kind must be 'leaf', 'spine', or 'core', got {kind!r}")
+        return list(self._switch(kind, switch_id).ports)
 
     # -- statistics -------------------------------------------------------------
 
@@ -181,6 +208,9 @@ class Fabric:
         for leaf in self.leaves:
             if leaf.selector is not None:
                 yield leaf.selector
+        for spine in self.spines:
+            if spine.core_selector is not None:
+                yield spine.core_selector
 
     def leaf_uplink_ports(self) -> Iterator[Port]:
         """All leaf-side fabric ports (leaf → spine direction)."""
@@ -188,18 +218,21 @@ class Fabric:
             yield from leaf.uplinks
 
     def spine_core_ports(self) -> Iterator[Port]:
-        """All spine-side core-uplink ports: none on a 2-tier fabric."""
-        return iter(())
+        """All spine-side core-uplink ports, in build order (none on two tiers)."""
+        for spine in self.spines:
+            yield from spine.core_uplinks()
 
     def spine_ports(self) -> Iterator[Port]:
-        """All spine-side fabric ports (spine → leaf direction)."""
+        """Every port of every spine: leaf downlinks and, on three tiers, core uplinks."""
         for spine in self.spines:
             yield from spine.ports
 
     def fabric_ports(self) -> Iterator[Port]:
-        """All fabric ports in both directions."""
+        """All fabric ports in both directions, at every tier."""
         yield from self.leaf_uplink_ports()
         yield from self.spine_ports()
+        for core in self.cores:
+            yield from core.ports
 
     def total_fabric_drops(self) -> int:
         """Packets dropped at fabric queues (congestion) and down links."""
@@ -214,22 +247,22 @@ class Fabric:
         link on the path, plus one segment's serialization at each later hop
         and the propagation delays.
         """
-        hops = self._ideal_hops(src, dst)
         segments = max(1, -(-size // mss))
-        # The stream drains at the hop where total wire bytes take longest.
-        stream_time = max(
-            transmission_time(size + segments * overhead, rate)
-            for rate, overhead, _ in hops
-        )
         last_segment = min(size, mss)
-        pipeline = sum(
-            transmission_time(last_segment + overhead, rate)
-            for rate, overhead, _ in hops[1:]
-        )
-        return stream_time + pipeline + sum(delay for _, _, delay in hops)
+        stream_time = pipeline = 0
+        for hop, (port, overhead) in enumerate(self._ideal_hops(src, dst)):
+            rate = port.rate_bps
+            # The stream drains at the hop where total wire bytes take longest.
+            stream_time = max(
+                stream_time, transmission_time(size + segments * overhead, rate)
+            )
+            if hop:
+                pipeline += transmission_time(last_segment + overhead, rate)
+            pipeline += port.propagation_delay
+        return stream_time + pipeline
 
-    def _ideal_hops(self, src: int, dst: int) -> list[tuple[int, int, int]]:
-        """(rate, per-segment overhead, propagation delay) of each hop.
+    def _ideal_hops(self, src: int, dst: int) -> list[tuple[Port, int]]:
+        """(port, per-segment overhead) of each hop an ideal flow crosses.
 
         Access links carry plain TCP/IP framing, fabric links add the VXLAN
         encapsulation; every hop charges the delay of the port it leaves by.
@@ -238,20 +271,24 @@ class Fabric:
         dst_leaf = self.leaf_of(dst)
         ports = [(self.hosts[src].nic, HEADER_BYTES)]
         if src_leaf != dst_leaf:
-            fabric_overhead = HEADER_BYTES + VXLAN_OVERHEAD
-            uplink = max(self.leaves[src_leaf].uplinks, key=attrgetter("rate_bps"))
-            ports.append((uplink, fabric_overhead))
-            downlink = (
-                max(self.spines[0].ports, key=attrgetter("rate_bps"))
-                if self.spines
-                else uplink
-            )
-            ports.append((downlink, fabric_overhead))
+            # Depth by depth, the ports a packet toward dst_leaf could leave
+            # by — two hops within a pod, four through a core; each depth is
+            # charged at its fastest link.
+            last = self.leaves[dst_leaf]
+            depth = self.leaves[src_leaf].uplinks
+            while depth:
+                fastest = max(depth, key=attrgetter("rate_bps"))
+                ports.append((fastest, HEADER_BYTES + VXLAN_OVERHEAD))
+                switches: list = []
+                below: list[Port] = []
+                for port in depth:
+                    switch = port.peer.node
+                    if switch is not last and switch not in switches:
+                        switches.append(switch)
+                        below += switch.egress_ports(dst_leaf)
+                depth = below
         ports.append((self.leaves[dst_leaf].host_port(dst), HEADER_BYTES))
-        return [
-            (port.rate_bps, overhead, port.propagation_delay)
-            for port, overhead in ports
-        ]
+        return ports
 
 
 __all__ = ["CongestionPlaneError", "Fabric"]

@@ -20,6 +20,7 @@ from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.overlay.vxlan import TunnelEndpoint
 from repro.sim.kernel import PeriodicTimer
+from repro.switch.spine import add_fabric_port
 
 if TYPE_CHECKING:
     from repro.core.tables import CongestionFromLeafTable, CongestionToLeafTable
@@ -99,18 +100,13 @@ class LeafSwitch(Node):
     ) -> Port:
         """Create an uplink port toward ``spine``; its index is the LBTag."""
         lbtag = len(self.uplinks)
-        port = self.add_port(
-            rate_bps, queue_capacity, name=f"{self.name}.up{lbtag}->{spine.name}",
-            ecn_threshold=ecn_threshold,
+        port = add_fabric_port(
+            self, f"{self.name}.up{lbtag}->{spine.name}", rate_bps,
+            queue_capacity, ecn_threshold,
         )
-        dre = DRE(self.sim, rate_bps, self.params, name=port.name)
-        # The fabric hooks it into the port when the congestion plane is
-        # switched on; rate changes (Port.set_rate) retarget it either way.
-        port.dre = dre
         self.uplinks.append(port)
         self.uplink_spine.append(spine)
-        self.uplink_dres.append(dre)
-        _port_mod._bump_topology_epoch()
+        self.uplink_dres.append(port.dre)
         return port
 
     def finalize(self, selector_factory: "SelectorFactory") -> None:

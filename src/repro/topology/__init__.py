@@ -12,13 +12,7 @@ from repro.topology.leafspine import (
 
 #: Sibling imported on first access: only a ``MultiPodConfig`` spec builds it.
 _DEFERRED = {
-    "multipod": (
-        "CoreSwitch",
-        "MultiPodConfig",
-        "MultiPodFabric",
-        "PodSpineSwitch",
-        "build_multipod",
-    ),
+    "multipod": ("MultiPodConfig", "build_multipod"),
 }
 
 
@@ -35,11 +29,8 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "CoreSwitch",
     "LeafSpineConfig",
     "MultiPodConfig",
-    "MultiPodFabric",
-    "PodSpineSwitch",
     "build_multipod",
     "TESTBED",
     "build_leaf_spine",

@@ -58,25 +58,20 @@ def fail_random_links(
     rng = np.random.default_rng(
         np.random.SeedSequence((base, stable_string_seed(stream)))
     )
-    if tier == "leaf":
-        all_ports = [port for leaf in fabric.leaves for port in leaf.uplinks]
-    else:
-        all_ports = list(fabric.spine_core_ports())
-        if not all_ports:
-            raise ValueError(
-                "tier 'core' needs a multi-pod fabric (no spine-core links here)"
-            )
+    all_ports = list(
+        fabric.leaf_uplink_ports() if tier == "leaf" else fabric.spine_core_ports()
+    )
+    if not all_ports:
+        raise ValueError(
+            "tier 'core' needs a multi-pod fabric (no spine-core links here)"
+        )
     order = rng.permutation(len(all_ports))
     failed = []
     for index in order:
         if len(failed) >= count:
             break
         port = all_ports[int(index)]
-        owner = port.node
-        if tier == "leaf":
-            up_count = sum(1 for p in owner.uplinks if p.up)
-        else:
-            up_count = len(owner.up_core_ports())
+        up_count = sum(1 for p in all_ports if p.node is port.node and p.up)
         if up_count <= 1 or not port.up:
             continue
         port.fail()

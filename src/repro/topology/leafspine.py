@@ -10,6 +10,7 @@ combinations for the large-scale sweeps of Figure 15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.params import CongaParams, DEFAULT_PARAMS
 from repro.net.node import Host
@@ -17,8 +18,11 @@ from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
 from repro.switch.leaf import LeafSwitch
-from repro.switch.spine import SpineSwitch
+from repro.switch.spine import LEAF_SALT, SpineSwitch
 from repro.units import gbps
+
+if TYPE_CHECKING:
+    from repro.topology.multipod import MultiPodConfig
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,25 @@ def scaled_testbed(
     )
 
 
-def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabric:
-    """Construct a Leaf-Spine fabric; call ``fabric.finalize(...)`` after.
+def wire_pod(
+    sim: Simulator,
+    fabric: Fabric,
+    config: "LeafSpineConfig | MultiPodConfig",
+    pod: int,
+    spines: list[SpineSwitch],
+    num_leaves: int,
+) -> None:
+    """Append one pod's leaves to ``fabric``: hosts below, ``spines`` above.
 
-    Host ids are assigned ``leaf_id * hosts_per_leaf + i`` so tests can
-    address "the k-th server under leaf j" directly.
+    The one pod-wiring loop: the 2-tier fabric is a single pod under
+    spines that have no core uplinks.  Leaf ids continue from the leaves
+    already built and host ids are ``leaf_id * hosts_per_leaf + i``, so
+    tests can address "the k-th server under leaf j" directly.
     """
-    fabric = Fabric(sim)
-    fabric.spines = [
-        SpineSwitch(sim, spine_id, config.params)
-        for spine_id in range(config.num_spines)
-    ]
-    for leaf_id in range(config.num_leaves):
+    for leaf_id in range(len(fabric.leaves), len(fabric.leaves) + num_leaves):
         leaf = LeafSwitch(sim, leaf_id, fabric, config.params)
         fabric.leaves.append(leaf)
+        fabric.leaf_pod.append(pod)
         for i in range(config.hosts_per_leaf):
             host_id = leaf_id * config.hosts_per_leaf + i
             host = Host(
@@ -132,7 +141,7 @@ def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabri
             )
             connect(host.nic, down, config.propagation_delay)
             fabric.register_host(host, leaf_id)
-        for spine in fabric.spines:
+        for spine in spines:
             for _ in range(config.links_per_pair):
                 up = leaf.add_uplink(
                     spine,
@@ -140,13 +149,25 @@ def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabri
                     config.fabric_queue_bytes,
                     ecn_threshold=config.ecn_threshold_bytes,
                 )
-                down = spine.add_leaf_port(
-                    leaf_id,
+                down = spine.add_egress(
+                    f"leaf{leaf_id}",
+                    (leaf_id,),
+                    LEAF_SALT,
                     config.fabric_rate_bps,
                     config.fabric_queue_bytes,
                     ecn_threshold=config.ecn_threshold_bytes,
                 )
                 connect(up, down, config.propagation_delay)
+
+
+def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabric:
+    """Construct a Leaf-Spine fabric; call ``fabric.finalize(...)`` after."""
+    fabric = Fabric(sim)
+    fabric.spines = [
+        SpineSwitch(sim, spine_id, fabric, config.params)
+        for spine_id in range(config.num_spines)
+    ]
+    wire_pod(sim, fabric, config, 0, fabric.spines, config.num_leaves)
     return fabric
 
 

@@ -73,9 +73,9 @@ class TestResidualCapacity:
 
     def test_down_port_residual_is_zero(self):
         fabric = self._fabric()
-        fabric.fail_core_link(1, 0, 0)
+        fabric.core_link(1, 0, 0).fail()
         assert fabric.core_uplink_ports(1, 0)[0].residual_fraction() == 0.0
-        fabric.restore_core_link(1, 0, 0)
+        fabric.core_link(1, 0, 0).restore()
         assert fabric.core_uplink_ports(1, 0)[0].residual_fraction() == 1.0
 
     def test_black_hole_is_invisible_to_liveness_but_not_residual(self):
@@ -98,13 +98,13 @@ class TestTierAwareRandomFailures:
         downs_a = [
             (s, c)
             for s in range(len(a.spines))
-            for c in range(a.config.num_cores)
+            for c in range(len(a.cores))
             if not a.core_uplink_ports(s, c)[0].up
         ]
         downs_b = [
             (s, c)
             for s in range(len(b.spines))
-            for c in range(b.config.num_cores)
+            for c in range(len(b.cores))
             if not b.core_uplink_ports(s, c)[0].up
         ]
         assert downs_a == downs_b

@@ -19,6 +19,11 @@ The ecmp case runs the same point under a selector that reads no
 congestion state: the congestion plane stays off (DESIGN.md "Congestion
 plane on demand"), so ``core`` is what building the fabric costs and
 nothing per packet.
+
+The 3-tier case runs the point on the 2-pod fabric and counts ``topology``
+as a layer too: every switch above the leaves is the one ``SpineSwitch``
+(DESIGN.md "One Clos"), so a pod-spine or core hop costs the same single
+``switch`` frame and ``topology`` is construction only.
 """
 
 import os
@@ -30,6 +35,7 @@ import pytest
 import repro
 from repro.apps import ExperimentSpec, ObsSpec
 from repro.sim import Simulator
+from repro.topology.multipod import MultiPodConfig
 
 #: Frames per kernel event each layer may spend on this point.
 BUDGET = {
@@ -56,6 +62,13 @@ OBS_FRAMES_PER_RECORD = 1
 ECMP_CORE_BUDGET = 0.01
 ECMP_TOTAL_BUDGET = 4.33
 
+#: The same point on ``MultiPodConfig()``, scheme -> ``switch`` frames per
+#: event.  With forwarding forked into ``topology/multipod.py`` the two
+#: layers together spent 0.587 (conga) / 0.645 (caft); caft's extra is the
+#: health weighting of each flowlet decision.
+MULTIPOD_SWITCH_BUDGET = {"conga": 0.43, "caft": 0.47}
+MULTIPOD_TOPOLOGY_BUDGET = 0.01
+
 #: Code compiled from a string: the ``__init__`` dataclasses generate.
 GENERATED = "<string>"
 
@@ -64,16 +77,16 @@ SPEC = ExperimentSpec(
 )
 
 
-def _frames_by_layer(fn):
+def _frames_by_layer(fn, extra_layers=()):
     """Run ``fn`` and count Python calls into each budgeted layer's files.
 
     Also returns the ``obs`` and generated-``__init__`` calls made while
     ``Simulator.run`` was on the stack.
     """
     root = Path(repro.__file__).parent
-    layers = [*BUDGET, "obs"]
+    layers = [*BUDGET, *extra_layers, "obs"]
     prefixes = [(str(root / layer) + os.sep, layer) for layer in layers]
-    counts = dict.fromkeys(BUDGET, 0)
+    counts = dict.fromkeys([*BUDGET, *extra_layers], 0)
     in_run = {"obs": 0, GENERATED: 0}
     layer_of = {}
     run_code = Simulator.run.__code__
@@ -142,6 +155,23 @@ def test_ecmp_pays_for_no_congestion_plane():
     assert core <= ECMP_CORE_BUDGET, f"core: {counts['core']} calls = {core:.3f}/event"
     total = sum(counts.values()) / events
     assert total <= ECMP_TOTAL_BUDGET, f"{total:.3f} frames/event: {counts}"
+
+
+@pytest.mark.parametrize("scheme", sorted(MULTIPOD_SWITCH_BUDGET))
+def test_three_tiers_forward_in_the_switch_layer(scheme):
+    spec = SPEC.with_(scheme=scheme, config=MultiPodConfig())
+    live, counts, _ = _frames_by_layer(spec.run_live, extra_layers=("topology",))
+    events = live.sim.events_executed
+    assert events > 20_000
+    topology = counts["topology"] / events
+    assert topology <= MULTIPOD_TOPOLOGY_BUDGET, (
+        f"topology: {counts['topology']} calls = {topology:.3f}/event — "
+        "per-packet code belongs in repro.switch"
+    )
+    switch = counts["switch"] / events
+    assert switch <= MULTIPOD_SWITCH_BUDGET[scheme], (
+        f"switch: {counts['switch']} calls = {switch:.3f}/event"
+    )
 
 
 def test_tracing_adds_one_frame_per_record_and_builds_no_event(untraced):

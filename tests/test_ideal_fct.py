@@ -12,12 +12,14 @@ import pytest
 from repro.lb import EcmpSelector
 from repro.sim import Simulator, run_until_idle
 from repro.topology import (
+    LeafSpineConfig,
     MultiPodConfig,
     build_leaf_spine,
     build_multipod,
     scaled_testbed,
 )
 from repro.transport import TcpFlow
+from repro.units import gbps
 
 SIZE = 1_000  # one segment: no pipelining, no window growth
 
@@ -61,3 +63,35 @@ def test_inter_leaf_numbers_of_the_issue():
     # Parent: ideal 8 148 ns whatever the delay, excess 1 536 + 8 * 4 500.
     assert _excess(*_leaf_spine(500), 0, 4) == 1_536
     assert _excess(*_leaf_spine(5_000), 0, 4) == 1_536 + 4 * 4_500
+
+
+def test_intra_pod_flow_is_priced_on_the_ports_it_crosses():
+    # A pod spine's ports include its core uplinks; the parent took the
+    # fastest of them all for the spine->leaf hop and said 90 521 ns here.
+    pods = build_multipod(Simulator(seed=1), MultiPodConfig(core_rate_bps=gbps(40)))
+    two_tier = build_leaf_spine(
+        Simulator(seed=1),
+        LeafSpineConfig(
+            num_leaves=2, num_spines=2, hosts_per_leaf=4, links_per_pair=1,
+            fabric_rate_bps=gbps(10),
+        ),
+    )
+    assert pods.ideal_fct(0, 4, 100_000) == two_tier.ideal_fct(0, 4, 100_000) == 91_460
+
+
+@pytest.mark.parametrize(
+    "overrides, src, dst, ideal",
+    [
+        ({}, 0, 12, [8_267, 94_964, 1_723_207]),
+        (
+            {"propagation_delay": 2_000, "links_per_pair": 2, "num_cores": 3},
+            3, 9, [17_267, 103_964, 1_732_207],
+        ),
+    ],
+)
+def test_inter_pod_ideal_on_uniform_rates_is_the_parents(overrides, src, dst, ideal):
+    # Walking the ports must price the six hops as the parent's closed form
+    # from the config did: these feed every committed multipod record digest.
+    fabric = build_multipod(Simulator(seed=1), MultiPodConfig(**overrides))
+    sizes = (1_000, 100_000, 2_000_000)
+    assert [fabric.ideal_fct(src, dst, size) for size in sizes] == ideal

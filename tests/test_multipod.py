@@ -34,13 +34,13 @@ class TestConstruction:
     def test_spines_have_core_uplinks(self):
         _sim, fabric = _fabric()
         for spine in fabric.spines:
-            assert len(spine.up_core_ports()) == 2  # one per core
+            assert len(spine.core_uplinks()) == 2  # one per core
 
     def test_cores_reach_all_pods(self):
         _sim, fabric = _fabric()
         for core in fabric.cores:
-            assert len(core.ports_to_pod(0)) == 2
-            assert len(core.ports_to_pod(1)) == 2
+            assert len(core.ports_to_leaf(0)) == 2  # pod 0
+            assert len(core.ports_to_leaf(2)) == 2  # pod 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,13 +51,14 @@ class TestConstruction:
     def test_core_routes_are_cached_until_the_topology_changes(self):
         _sim, fabric = _fabric()
         core = fabric.cores[0]
-        routes = core.ports_to_pod(1)
-        assert core.ports_to_pod(1) is routes
-        failed = fabric.fail_core_link(2, 0)  # spine 2 is in pod 1
-        assert core.ports_to_pod(1) is not routes
-        assert len(core.ports_to_pod(1)) == len(routes) - 1
+        routes = core.ports_to_leaf(2)  # leaf 2 is in pod 1
+        assert core.ports_to_leaf(2) is routes
+        failed = fabric.core_link(2, 0)  # spine 2 is in pod 1
+        failed.fail()
+        assert core.ports_to_leaf(2) is not routes
+        assert len(core.ports_to_leaf(2)) == len(routes) - 1
         failed.restore()
-        assert core.ports_to_pod(1) == routes
+        assert core.ports_to_leaf(2) == routes
         assert fabric.leaf_pod == [fabric.pod_of_leaf(leaf) for leaf in range(4)]
 
     def test_negative_propagation_delay_fails_at_the_wiring_call(self):
@@ -109,7 +110,7 @@ class TestRouting:
         sim, fabric = _fabric()
         # Fail one spine->core link; ECMP at the spine must use the other.
         spine = fabric.spines[0]
-        spine.ports[spine.up_core_ports()[0]].fail()
+        spine.core_uplinks()[0].fail()
         flows = [
             TcpFlow(sim, fabric.host(i), fabric.host(8 + i), 300_000)
             for i in range(4)
@@ -122,8 +123,8 @@ class TestRouting:
     def test_all_core_links_down_drops(self):
         sim, fabric = _fabric()
         for spine in fabric.spines[:2]:  # pod 0's spines
-            for index in spine.up_core_ports():
-                spine.ports[index].fail()
+            for port in spine.core_uplinks():
+                port.fail()
         sink = UdpSink(fabric.host(9), flow_id=9)
         UdpSource(sim, fabric.host(0), 9, 10_000, gbps(1), flow_id=9).start()
         sim.run(until=seconds(1))
@@ -147,8 +148,7 @@ class TestCongaAcrossPods:
         sim, fabric = _fabric()
         # Saturate the DRE of every spine->core and core->spine port.
         for spine in fabric.spines[:2]:
-            for index in spine.up_core_ports():
-                port = spine.ports[index]
+            for port in spine.core_uplinks():
                 # Reach the attached DRE through its transmit hook.
                 from repro.net import Packet
 

@@ -11,6 +11,9 @@ checks are relations between *different* code paths that must agree exactly:
 * ``local`` against ``conga`` over a To-Leaf table nothing ever wrote;
 * ``conga`` with one uplink per leaf against ``ecmp``: with nothing to
   choose, the records, the event count and every port's packet count match;
+* a one-pod ``MultiPodConfig`` against the ``LeafSpineConfig`` of the same
+  shape and rates: the 2-tier fabric is the one-pod case of the one Clos, so
+  records, event count and every leaf uplink's packet count match;
 * the two readers of ``fault_reroutes`` — the end-of-run counter and the
   timeline series — against each other, on a run where pod spines reroute.
 """
@@ -30,9 +33,9 @@ from repro.lb.conga import least_congested
 from repro.net import Packet
 from repro.obs import TimelineSpec, collect_run_metrics
 from repro.sim import Simulator
-from repro.topology import build_leaf_spine, scaled_testbed
+from repro.topology import LeafSpineConfig, build_leaf_spine, scaled_testbed
 from repro.topology.multipod import MultiPodConfig
-from repro.units import microseconds
+from repro.units import gbps, microseconds
 
 
 def _reference(candidates, scores, previous, rng):
@@ -177,6 +180,33 @@ def test_conga_with_one_uplink_per_leaf_is_ecmp(seed):
             [(port.name, port.tx_packets) for port in ports],
         ))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("scheme", ["ecmp", "conga", "caft"])
+def test_one_pod_multipod_is_the_leaf_spine_fabric(scheme):
+    shape = dict(hosts_per_leaf=4, links_per_pair=2)
+    configs = (
+        MultiPodConfig(
+            num_pods=1, leaves_per_pod=2, spines_per_pod=2, num_cores=1, **shape
+        ),
+        LeafSpineConfig(
+            num_leaves=2, num_spines=2, fabric_rate_bps=gbps(10), **shape
+        ),
+    )
+    outcomes = []
+    for config in configs:
+        live = ExperimentSpec(
+            scheme, "enterprise", load=0.6, seed=5, num_flows=60,
+            size_scale=0.05, config=config,
+        ).run_live()
+        assert live.completed == 60
+        outcomes.append((
+            records_digest(list(live.records)),
+            live.sim.events_executed,
+            [port.tx_packets for port in live.fabric.leaf_uplink_ports()],
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] > 100_000
 
 
 def test_counter_and_timeline_count_the_same_fault_reroutes():

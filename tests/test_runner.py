@@ -31,7 +31,12 @@ from repro.runner import (
 )
 from repro.sim import Simulator
 from repro.sim.kernel import run_until_idle
-from repro.topology import build_leaf_spine, scaled_testbed
+from repro.topology import (
+    MultiPodConfig,
+    build_leaf_spine,
+    build_multipod,
+    scaled_testbed,
+)
 from repro.units import microseconds, seconds
 from repro.workloads import WORKLOADS
 
@@ -183,6 +188,31 @@ class TestExperimentSpec:
             tier="leaf", direction="up", leaf=0
         ).resolve(fabric)
         assert uplinks and all(p.name.startswith("leaf0.") for p in uplinks)
+
+    @pytest.mark.parametrize(
+        "build, config, spine_name",
+        [
+            (build_leaf_spine, scaled_testbed(hosts_per_leaf=2), "spine0"),
+            (build_multipod, MultiPodConfig(), "pod0-spine0"),
+        ],
+        ids=["leaf-spine", "multipod"],
+    )
+    def test_spine_tier_is_the_leaf_facing_ports_only(self, build, config, spine_name):
+        # A pod spine's ports include its core uplinks (pod0-spine0->core0,
+        # ->core1); tier "spine" is documented as the spine->leaf ports.
+        fabric = build(Simulator(seed=1), config)
+        names = [
+            port.name
+            for port in QueueMonitorSpec(tier="spine", direction="down", spine=0).resolve(fabric)
+        ]
+        assert names and all(n.startswith(f"{spine_name}->leaf") for n in names)
+        toward_one = QueueMonitorSpec(tier="spine", direction="down", spine=0, leaf=1)
+        assert {p.name for p in toward_one.resolve(fabric)} == {f"{spine_name}->leaf1"}
+
+    def test_spine_tier_toward_another_pods_leaf_selects_nothing(self):
+        fabric = build_multipod(Simulator(seed=1), MultiPodConfig())
+        with pytest.raises(ValueError, match="selected no live ports"):
+            QueueMonitorSpec(tier="spine", direction="down", spine=0, leaf=2).resolve(fabric)
 
     def test_monitor_resolve_excludes_failed_ports(self):
         sim = Simulator(seed=1)

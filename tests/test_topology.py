@@ -8,8 +8,10 @@ from repro.lb import EcmpSelector
 from repro.sim import Simulator
 from repro.topology import (
     LeafSpineConfig,
+    MultiPodConfig,
     TESTBED,
     build_leaf_spine,
+    build_multipod,
     fail_random_links,
     scaled_testbed,
 )
@@ -151,6 +153,47 @@ class TestFailureInjection:
         _sim, fabric = self._build()
         with pytest.raises(ValueError):
             fabric.fail_link(0, 0, 5)
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    @pytest.mark.parametrize(
+        "lookup, tier",
+        [
+            (lambda fabric, i: fabric.link(i, 0), "leaf"),
+            (lambda fabric, i: fabric.uplink_ports(i, 0), "leaf"),
+            (lambda fabric, i: fabric.switch_ports("leaf", i), "leaf"),
+            (lambda fabric, i: fabric.link(0, i), "spine"),
+            (lambda fabric, i: fabric.core_link(i, 0), "spine"),
+            (lambda fabric, i: fabric.switch_ports("spine", i), "spine"),
+            (lambda fabric, i: fabric.core_link(0, i), "core"),
+            (lambda fabric, i: fabric.switch_ports("core", i), "core"),
+            (lambda fabric, i: fabric.link(0, 0, i), "link"),
+            (lambda fabric, i: fabric.core_link(0, 0, i), "link"),
+        ],
+        ids=[
+            "link-leaf", "uplink_ports-leaf", "switch_ports-leaf", "link-spine",
+            "core_link-spine", "switch_ports-spine", "core_link-core",
+            "switch_ports-core", "link-which", "core_link-which",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build, config",
+        [(build_leaf_spine, scaled_testbed(hosts_per_leaf=2)), (build_multipod, MultiPodConfig())],
+        ids=["leaf-spine", "multipod"],
+    )
+    def test_every_tier_lookup_refuses_an_index_outside_its_tier(
+        self, build, config, lookup, tier, index
+    ):
+        # -1 used to wrap to the last leaf / spine / parallel link, so a
+        # fault built in Python hit a switch other than the one it named;
+        # 9 was a bare IndexError everywhere but the core tier.
+        fabric = build(Simulator(), config)
+        with pytest.raises(ValueError) as refusal:
+            lookup(fabric, index)
+        if fabric.cores or "no core" not in str(refusal.value):
+            assert f"no {tier} {index} " in str(refusal.value)
+            assert "(valid: 0.." in str(refusal.value)
+        else:  # two tiers: whatever else was asked, there is no core to ask it of
+            assert "takes a multi-pod fabric (valid: none)" in str(refusal.value)
 
     def test_fail_random_links_never_disconnects_leaf(self):
         for seed in range(5):
