@@ -12,17 +12,11 @@ web-search workload whose flows are a mix of intra- and inter-pod traffic.
 import numpy as np
 from conftest import report
 
-from repro.apps import get_scheme
-from repro.apps.traffic import CrossRackTraffic
-from repro.sim import Simulator
-from repro.topology import MultiPodConfig, build_multipod
-from repro.transport import TcpParams
-from repro.units import seconds
-from repro.workloads import WEB_SEARCH
+from repro.apps import ExperimentSpec
+from repro.topology import MultiPodConfig
 
 
 def _run_scheme(scheme: str):
-    sim = Simulator(seed=44)
     config = MultiPodConfig(
         num_pods=2,
         leaves_per_pod=2,
@@ -31,23 +25,13 @@ def _run_scheme(scheme: str):
         num_cores=2,
         links_per_pair=2,
     )
-    fabric = build_multipod(sim, config)
-    spec = get_scheme(scheme)
-    fabric.finalize(spec.make_selector())
-    fabric.fail_link(1, 1, 0)  # asymmetry inside pod 0
-    traffic = CrossRackTraffic(
-        sim,
-        fabric,
-        WEB_SEARCH,
-        0.6,
-        flow_factory=spec.make_flow_factory(TcpParams()),
-        num_flows=300,
-        size_scale=0.1,
-        on_all_done=sim.stop,
-    )
-    traffic.start()
-    sim.run(until=seconds(20))
-    records = traffic.stats.records
+    live = ExperimentSpec(
+        scheme, "web-search", 0.6, seed=44, num_flows=300, size_scale=0.1,
+        config=config,
+        failed_links=((1, 1, 0),),  # asymmetry inside pod 0
+    ).run_live()
+    fabric = live.fabric
+    records = live.records
     intra = [
         r.normalized_fct
         for r in records
@@ -61,8 +45,8 @@ def _run_scheme(scheme: str):
         != fabric.pod_of_leaf(fabric.leaf_of(r.dst))
     ]
     return {
-        "completed": traffic.stats.completed,
-        "arrivals": traffic.stats.arrivals,
+        "completed": live.completed,
+        "arrivals": live.arrivals,
         "overall": float(np.mean([r.normalized_fct for r in records])),
         "intra_pod": float(np.mean(intra)) if intra else float("nan"),
         "inter_pod": float(np.mean(inter)) if inter else float("nan"),

@@ -37,7 +37,7 @@ class LeastQueuedSelector(UplinkSelector):
 def main() -> None:
     # Register the custom scheme alongside the built-ins; after this,
     # "least-queued" works anywhere a scheme name does (ExperimentSpec,
-    # the CLI, compare_schemes).
+    # run_sweep, the CLI).
     register_scheme(
         SchemeSpec(
             "least-queued",

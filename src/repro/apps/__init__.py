@@ -7,8 +7,6 @@ from repro.apps.experiment import (
     SCHEMES,
     SchemeSpec,
     UnknownSchemeError,
-    compare_schemes,
-    execute_experiment,
     get_scheme,
     register_scheme,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "UnknownSchemeError",
     "UnknownWorkloadError",
     "bursty_tcp_flow_factory",
-    "compare_schemes",
     "dctcp_flow_factory",
-    "execute_experiment",
     "get_scheme",
     "get_workload",
     "mptcp_flow_factory",

@@ -1,18 +1,18 @@
-"""Declarative experiment specifications (the sweep-able experiment API).
+"""Declarative experiment specifications: the one description of a point.
 
-The original ``run_fct_experiment`` entry point (removed; see
-:func:`repro.apps.execute_experiment` for the low-level path) grew a
-13-kwarg signature whose callable arguments (``monitor_queue_ports``, flow
-factories hidden inside :class:`SchemeSpec`) cannot cross a process
-boundary or be hashed for caching.  This module replaces that surface with
-value objects:
+A point used to be described twice: by this spec and by a keyword-argument
+runner whose callable monitor hook could not cross a process boundary or be
+hashed for caching.  The runner is gone; a point is a value and
+:meth:`ExperimentSpec.run_live` is the one body that executes it:
 
 * :class:`ExperimentSpec` — a frozen, fully picklable description of one
   experiment point.  Schemes and workloads are referenced by registry
-  *name*, topology by :class:`LeafSpineConfig`, and monitors by declarative
-  :class:`QueueMonitorSpec` / :class:`ImbalanceMonitorSpec` values instead
-  of callables.  ``spec.run()`` executes the point; ``spec.content_hash()``
-  is a stable content address used by the :mod:`repro.runner` result cache.
+  *name*, topology by :class:`LeafSpineConfig` / ``MultiPodConfig``, and
+  monitors by declarative :class:`QueueMonitorSpec` /
+  :class:`ImbalanceMonitorSpec` values.  ``spec.run_live()`` executes the
+  point and keeps the simulator and fabric; ``spec.run()`` strips that to a
+  :class:`PointResult`; ``spec.content_hash()`` is a stable content address
+  used by the :mod:`repro.runner` result cache.
 * :class:`PointResult` — everything a benchmark needs from one run, with no
   live ``Simulator``/``Fabric`` attached, so it pickles cleanly back from a
   worker process and into the on-disk cache.
@@ -27,17 +27,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.analysis.fct import FctSummary
-from repro.analysis.monitors import ImbalanceSeries, QueueSeries
-from repro.apps.experiment import ExperimentResult, execute_experiment, get_scheme
+from repro.analysis.monitors import (
+    ImbalanceSeries,
+    QueueMonitor,
+    QueueSeries,
+    ThroughputImbalanceMonitor,
+)
+from repro.apps.experiment import ExperimentResult, get_scheme
+from repro.apps.traffic import CrossRackTraffic
 from repro.obs.config import ObsSpec
 from repro.obs.metrics import MetricsReport, collect_run_metrics
 from repro.obs.trace import TraceLog
-from repro.topology.leafspine import LeafSpineConfig
+from repro.sim import Simulator
+from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine, scaled_testbed
 from repro.transport.tcp import FlowRecord, TcpParams
 from repro.units import milliseconds, seconds
 from repro.workloads import WORKLOADS
@@ -70,22 +78,23 @@ def get_workload(name: str):
 class QueueMonitorSpec:
     """Declarative port selection for queue-occupancy sampling.
 
-    Replaces the old ``monitor_queue_ports`` callable with a value that can
-    be hashed and pickled.  ``tier`` picks which side of the fabric links to
-    sample:
+    A value, so it hashes and pickles with the spec.  ``tier`` picks which
+    side of the fabric links to sample:
 
     * ``"spine"`` — spine→leaf downlink ports (Fig. 11c's hotspot view),
       optionally restricted to one ``spine`` and/or the ports facing one
       ``leaf``;
     * ``"leaf"`` — leaf→spine uplink ports, optionally restricted to one
       ``leaf`` and/or the ports facing one ``spine``;
-    * ``"fabric"`` — every fabric port in both directions (Fig. 16).
+    * ``"fabric"`` — every fabric port in both directions (Fig. 16); it
+      takes no ``leaf`` or ``spine``.
 
     ``direction`` is implied by the tier (spine ports point down, leaf
     uplinks point up) and is validated for readability at call sites, e.g.
     ``QueueMonitorSpec(tier="spine", direction="down", spine=1, leaf=1)``.
     Failed ports are excluded, matching how the figures monitor surviving
-    hotspot links.
+    hotspot links.  An index names a member of its tier (negative ones do
+    not wrap).
     """
 
     tier: str = "spine"
@@ -109,40 +118,30 @@ class QueueMonitorSpec:
             )
         if self.interval <= 0:
             raise ValueError("interval must be positive")
+        if self.tier == "fabric" and (self.leaf, self.spine) != (None, None):
+            raise ValueError("tier 'fabric' samples every port; it takes no leaf or spine")
 
     def resolve(self, fabric: "Fabric") -> list["Port"]:
         """Materialize the selected ports on a built fabric."""
+        leaf = None if self.leaf is None else fabric._switch("leaf", self.leaf)
+        spine = None if self.spine is None else fabric._switch("spine", self.spine)
         ports: list[Port] = []
         if self.tier == "fabric":
             ports = [port for port in fabric.fabric_ports() if port.up]
         elif self.tier == "spine":
-            spines = (
-                fabric.spines
-                if self.spine is None
-                else [fabric.spines[self.spine]]
-            )
-            for spine in spines:
-                facing = (
-                    spine.ports if self.leaf is None else spine.egress_ports(self.leaf)
-                )
-                core_facing = spine.core_uplinks()
+            for switch in fabric.spines if spine is None else [spine]:
+                facing = switch.ports if leaf is None else switch.egress_ports(self.leaf)
+                core_facing = switch.core_uplinks()
                 ports.extend(
                     port for port in facing if port.up and port not in core_facing
                 )
         else:  # leaf uplinks
-            leaves = (
-                fabric.leaves if self.leaf is None else [fabric.leaves[self.leaf]]
-            )
-            for leaf in leaves:
-                for index, port in enumerate(leaf.uplinks):
-                    if not port.up:
-                        continue
-                    if (
-                        self.spine is not None
-                        and leaf.uplink_spine[index].spine_id != self.spine
-                    ):
-                        continue
-                    ports.append(port)
+            for switch in fabric.leaves if leaf is None else [leaf]:
+                ports.extend(
+                    port
+                    for port, above in zip(switch.uplinks, switch.uplink_spine)
+                    if port.up and (spine is None or above is spine)
+                )
         if not ports:
             raise ValueError(f"{self!r} selected no live ports on this fabric")
         return ports
@@ -216,8 +215,10 @@ class ExperimentSpec:
     obs: ObsSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.load <= 0:
-            raise ValueError(f"load must be positive, got {self.load}")
+        for name in ("load", "size_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.num_flows < 1:
             raise ValueError(f"need at least one flow, got {self.num_flows}")
         if self.clients is not None:
@@ -281,36 +282,107 @@ class ExperimentSpec:
     def run_live(self) -> ExperimentResult:
         """Execute and return the live result (simulator, fabric, monitors).
 
-        For callers that need to poke at CONGA tables or port counters
-        afterwards.  Not picklable; use :meth:`run` for anything that
-        crosses a process boundary.
+        The one body that runs a point: build the fabric, finalize it, run
+        the scheme's ``post_setup``, fail ``failed_links``, construct the
+        fault injector, attach the monitors, the traffic and the timeline,
+        run, and always close the tracer.  Not picklable; use :meth:`run`
+        for anything that crosses a process boundary.
         """
-        return execute_experiment(
-            get_scheme(self.scheme),
-            get_workload(self.workload),
-            self.load,
-            config=self.config,
-            seed=self.seed,
-            num_flows=self.num_flows,
-            size_scale=self.size_scale,
-            clients=list(self.clients) if self.clients is not None else None,
-            tcp_params=self.tcp_params,
-            failed_links=[list(link) for link in self.failed_links],
-            faults=self.faults,
-            monitor_imbalance_leaf=(
-                self.imbalance_monitor.leaf if self.imbalance_monitor else None
-            ),
-            imbalance_interval=(
-                self.imbalance_monitor.interval if self.imbalance_monitor else None
-            ),
-            monitor_queue_ports=(
-                self.queue_monitor.resolve if self.queue_monitor else None
-            ),
-            queue_interval=(
-                self.queue_monitor.interval if self.queue_monitor else None
-            ),
-            deadline=self.deadline,
-            obs=self.obs,
+        scheme = get_scheme(self.scheme)
+        workload = get_workload(self.workload)
+        config = self.config if self.config is not None else scaled_testbed()
+        sim = Simulator(seed=self.seed)
+        if self.obs is not None:
+            # Attach before any component is built so construction-time events
+            # (e.g. time-0 fault applications) are captured too.
+            sim.tracer = self.obs.make_tracer()
+        imbalance = queues = timeline = injector = None
+        try:
+            if isinstance(config, LeafSpineConfig):
+                fabric = build_leaf_spine(sim, config)
+            else:
+                from repro.topology.multipod import build_multipod
+
+                fabric = build_multipod(sim, config)
+            fabric.finalize(scheme.make_selector())
+            if scheme.post_setup is not None:
+                scheme.post_setup(sim, fabric)
+            for leaf_id, spine_id, which in self.failed_links:
+                fabric.fail_link(leaf_id, spine_id, which)
+            # Construct the injector before monitors attach: time-0 faults are
+            # initial conditions, and monitor specs (which exclude down ports)
+            # must resolve against the already-degraded fabric.  With an empty
+            # schedule nothing is constructed, keeping fault-free runs
+            # event-for-event identical to the pre-fault-plane kernel stream.
+            if self.faults:
+                from repro.faults.injector import FaultInjector
+
+                injector = FaultInjector(sim, fabric, self.faults)
+            if self.imbalance_monitor is not None:
+                # Scaled-down runs are much shorter than the testbed's, so
+                # sample every 1 ms by default instead of the paper's 10 ms.
+                imbalance = ThroughputImbalanceMonitor(
+                    sim,
+                    list(fabric._switch("leaf", self.imbalance_monitor.leaf).uplinks),
+                    self.imbalance_monitor.interval or milliseconds(1),
+                )
+                imbalance.start()
+            if self.queue_monitor is not None:
+                queues = QueueMonitor(
+                    sim, self.queue_monitor.resolve(fabric), self.queue_monitor.interval
+                )
+                queues.start()
+            traffic = CrossRackTraffic(
+                sim,
+                fabric,
+                workload,
+                self.load,
+                flow_factory=scheme.make_flow_factory(self.tcp_params),
+                num_flows=self.num_flows,
+                size_scale=self.size_scale,
+                clients=self.clients,
+                on_all_done=sim.stop,
+            )
+            traffic.start()
+            if self.obs is not None and self.obs.timeline is not None:
+                # Constructed after traffic so goodput/RTO series can read its
+                # stats; sampling is strictly read-only (see repro.obs.timeline),
+                # so flow records stay bit-identical with the collector on or
+                # off.  start() above only scheduled arrivals: no port has
+                # transmitted, so the collector may still require the
+                # congestion plane.
+                from repro.obs.timeline import TimelineCollector
+
+                timeline = TimelineCollector(
+                    sim, fabric, self.obs.timeline, traffic=traffic, injector=injector
+                )
+                timeline.start()
+            sim.run(until=self.deadline)
+        finally:
+            # Also when construction or a callback raised: the stream handle
+            # opened above must not outlive the run.
+            for monitor in (imbalance, queues, timeline):
+                if monitor is not None:
+                    monitor.stop()
+            if sim.tracer is not None:
+                # Flush/close the optional NDJSON stream sink; the in-memory
+                # ring stays readable for snapshotting.
+                sim.tracer.close()
+        return ExperimentResult(
+            scheme=scheme.name,
+            workload=workload.name,
+            load=self.load,
+            records=traffic.stats.records,
+            arrivals=traffic.stats.arrivals,
+            completed=traffic.stats.completed,
+            sim=sim,
+            fabric=fabric,
+            imbalance=imbalance,
+            queues=queues,
+            injector=injector,
+            retransmissions=traffic.stats.retransmissions,
+            timeouts=traffic.stats.timeouts,
+            timeline=timeline.snapshot() if timeline is not None else None,
         )
 
     def run(self) -> "PointResult":

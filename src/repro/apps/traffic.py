@@ -16,7 +16,7 @@ saturated uplinks (not saturated host NICs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from repro.transport.tcp import FlowRecord, PacedSource, TcpFlow, TcpParams
 from repro.units import microseconds
@@ -173,7 +173,7 @@ class CrossRackTraffic:
         flow_factory: FlowFactory,
         num_flows: int,
         size_scale: float = 1.0,
-        clients: list[int] | None = None,
+        clients: Iterable[int] | None = None,
         stream: str = "traffic",
         on_all_done: Callable[[], None] | None = None,
     ) -> None:

@@ -70,6 +70,8 @@ def _flag_mapping(args: argparse.Namespace, template: dict, grid=None) -> dict:
         size_scale=args.size_scale,
         faults=args.fault or [],
     )
+    if getattr(args, "imbalance_leaf", None) is not None:  # metrics only
+        template["imbalance_monitor"] = {"leaf": args.imbalance_leaf}
     name = f"{args.workload}, {args.flows} flows/point"
     return {"name": name, "template": template, "grid": grid}
 
@@ -278,13 +280,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.apps import ImbalanceMonitorSpec
-
     spec = _resolve_point_spec(args)
-    if args.imbalance_leaf is not None:
-        spec = spec.with_(
-            imbalance_monitor=ImbalanceMonitorSpec(leaf=args.imbalance_leaf)
-        )
     result = spec.run()
     report = result.metrics
     assert report is not None  # fresh runs always carry a report

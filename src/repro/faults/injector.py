@@ -1,6 +1,6 @@
 """Drives a fault schedule against a live simulation.
 
-The injector is constructed by :func:`repro.apps.execute_experiment` right
+The injector is constructed by :meth:`repro.apps.ExperimentSpec.run_live` right
 after the fabric is finalized and *before* monitors attach, with the run's
 ``faults`` tuple:
 

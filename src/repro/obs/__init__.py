@@ -13,10 +13,10 @@ plane off and on):
   ``trace_event`` JSON.  Disabled (the default) it costs one ``is None``
   check per potential event — pinned by the frame budget in
   ``tests/test_frame_budget.py`` (no ``repro.obs`` frame in an untraced run).
-* **Metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges, and
-  decimated histograms under stable dotted names (``kernel.*``,
-  ``port.*``, ``tcp.*``, ``sweep.*``), frozen into a picklable
-  :class:`MetricsReport` on every :class:`~repro.apps.spec.PointResult`.
+* **Metrics report** (:mod:`repro.obs.metrics`) — counters, gauges, and
+  decimated-histogram summaries under stable dotted names (``kernel.*``,
+  ``port.*``, ``tcp.*``, ``sweep.*``): a picklable :class:`MetricsReport`
+  of plain dicts on every :class:`~repro.apps.spec.PointResult`.
 * **Run manifests** (:mod:`repro.obs.manifest`) — a provenance JSON
   (spec hash, seed, faults, git SHA, version, wall/sim time, metrics
   summary) written next to every result-cache entry.
@@ -42,15 +42,7 @@ from repro.obs.events import (
     TraceEvent,
     event_payload,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSummary,
-    MetricsRegistry,
-    MetricsReport,
-    collect_run_metrics,
-)
+from repro.obs.metrics import HistogramSummary, MetricsReport, collect_run_metrics
 from repro.obs.trace import CATEGORIES, DEFAULT_TRACE_LIMIT, TraceLog, Tracer
 
 #: Siblings imported on first access: ``manifest`` drags ``subprocess``, and the
@@ -92,16 +84,12 @@ __all__ = [
     "DEFAULT_TRACE_LIMIT",
     "CongaTableAged",
     "CongaTableUpdated",
-    "Counter",
     "DreSampled",
     "FaultApplied",
     "FaultRestored",
     "FlowletRerouted",
-    "Gauge",
-    "Histogram",
     "HistogramSummary",
     "MANIFEST_SUFFIX",
-    "MetricsRegistry",
     "MetricsReport",
     "ObsSpec",
     "PacketDropped",

@@ -2,7 +2,7 @@
 
 ``ObsSpec`` is the value-object face of the trace plane: frozen, picklable,
 content-hashable — so traced runs sweep and cache like everything else.
-Attaching one to a spec makes ``execute_experiment`` hang a configured
+Attaching one to a spec makes ``ExperimentSpec.run_live`` hang a configured
 :class:`~repro.obs.trace.Tracer` on the simulator before any component is
 built; leaving it ``None`` (the default) keeps the spec's content hash
 bit-identical to pre-observability specs and the hot paths on their

@@ -1,21 +1,21 @@
-"""Metrics registry: counters, gauges, histograms under stable dotted names.
+"""Metrics report: counters, gauges and histogram summaries under dotted names.
 
 Simulation components keep plain attributes; at snapshot time
-:func:`collect_run_metrics` reads them into a registry — kernel perf
-counters (``kernel.*``), per-port throughput/queue totals (``port.*``), TCP
-loss recovery (``tcp.*``), flowlet/feedback activity (``flowlet.*``,
-``feedback.*``) — and freezes it into a picklable :class:`MetricsReport`
-attached to every :class:`~repro.apps.spec.PointResult`.  The sweep runner
-counts into a registry of its own (``sweep.*``).
+:func:`collect_run_metrics` reads them into the three name-sorted dicts of a
+picklable :class:`MetricsReport` — kernel perf counters (``kernel.*``),
+per-port throughput/queue totals (``port.*``), TCP loss recovery
+(``tcp.*``), flowlet/feedback activity (``flowlet.*``, ``feedback.*``) —
+attached to every :class:`~repro.apps.spec.PointResult`.  The sweep
+dispatcher fills a report of its own (``sweep.*``) on every
+``SweepResult``.
 
 Design constraints:
 
-* **Off the hot path.**  No per-event or per-packet code touches a
-  registry; a :class:`Counter` is a named mutable cell written once per
-  run (or once per sweep point).
+* **Off the hot path.**  No per-event or per-packet code writes a metric;
+  each name is filled once per run (or once per sweep).
 * **Deterministic.**  Metrics are reporting-only and never feed back into
-  the simulation; snapshots sort names so reports compare stably.
-* **Bounded.**  :class:`Histogram` is backed by the same
+  the simulation; reports sort names so they compare stably.
+* **Bounded.**  A histogram is summarized from the same
   :class:`~repro.core.series.DecimatedSeries` the queue monitors use, so
   unbounded observation streams keep constant memory.
 """
@@ -23,76 +23,17 @@ Design constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.series import DEFAULT_SERIES_LIMIT, DecimatedSeries
+from repro.core.series import DecimatedSeries
 
 if TYPE_CHECKING:
     from repro.apps.experiment import ExperimentResult
 
 
-class Counter:
-    """A monotonically-increasing (by convention) named value cell."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: int | float = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        """Add ``amount`` (callers on hot paths mutate ``value`` directly)."""
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A named last-write-wins value cell."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
-
-
-class Histogram:
-    """A named bounded sample distribution (decimated, deterministic)."""
-
-    __slots__ = ("name", "series")
-
-    def __init__(self, name: str, limit: int = DEFAULT_SERIES_LIMIT) -> None:
-        self.name = name
-        self.series: DecimatedSeries[float] = DecimatedSeries(limit)
-
-    def observe(self, value: float) -> None:
-        """Offer one sample (retained iff it lands on the decimation stride)."""
-        self.series.append(float(value))
-
-    @property
-    def count(self) -> int:
-        """Total samples offered (including decimated-away ones)."""
-        return self.series.offered
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name}, n={self.count})"
-
-
-Metric = Union[Counter, Gauge, Histogram]
-
-
 @dataclass(frozen=True)
 class HistogramSummary:
-    """Picklable summary statistics of one histogram."""
+    """Picklable summary statistics of one bounded sample series."""
 
     count: int
     minimum: float
@@ -103,24 +44,24 @@ class HistogramSummary:
     p99: float
 
     @staticmethod
-    def of(histogram: Histogram) -> "HistogramSummary":
-        """Summarize ``histogram``'s retained samples."""
+    def of(series: DecimatedSeries) -> "HistogramSummary":
+        """Summarize ``series``' retained samples; ``count`` is all it was offered."""
         # Imported here: the repro.analysis package imports transport and
         # net, which import repro.obs — and with it this module.
         from repro.analysis.stats import series_stats
 
-        values = list(histogram.series)
+        values = [float(value) for value in series]
         if not values:
             return HistogramSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        mean, p50, p90, p99 = series_stats(values, (50, 90, 99), who=histogram.name)
+        mean, p50, p90, p99 = series_stats(values, (50, 90, 99), who="HistogramSummary")
         return HistogramSummary(
-            histogram.count, min(values), max(values), mean, p50, p90, p99
+            series.offered, min(values), max(values), mean, p50, p90, p99
         )
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """A frozen snapshot of a registry — what crosses process boundaries.
+    """A run's (or a sweep's) metrics as plain data — what crosses processes.
 
     Names are sorted within each kind, so two reports over the same run
     compare (and serialize) identically.
@@ -221,82 +162,6 @@ class MetricsReport:
         return [f"{name:<{width}}  {value}" for name, value in rows]
 
 
-class MetricsRegistry:
-    """Create-or-get store of named metrics.
-
-    Re-requesting an existing name returns the same object (so components
-    can cache cells); requesting it as a different kind raises.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
-
-    def _get_or_create(self, name: str, kind: type, *args: object) -> Metric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = kind(name, *args)
-            self._metrics[name] = metric
-        elif type(metric) is not kind:
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {kind.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        """The counter named ``name`` (created on first use)."""
-        metric = self._get_or_create(name, Counter)
-        assert isinstance(metric, Counter)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name`` (created on first use)."""
-        metric = self._get_or_create(name, Gauge)
-        assert isinstance(metric, Gauge)
-        return metric
-
-    def histogram(self, name: str, limit: int = DEFAULT_SERIES_LIMIT) -> Histogram:
-        """The histogram named ``name`` (created on first use)."""
-        metric = self._get_or_create(name, Histogram, limit)
-        assert isinstance(metric, Histogram)
-        return metric
-
-    def get(self, name: str) -> Metric | None:
-        """The metric named ``name``, or None."""
-        return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        """Every registered name, sorted."""
-        return sorted(self._metrics)
-
-    def snapshot(self) -> MetricsReport:
-        """Freeze the registry into a picklable :class:`MetricsReport`."""
-        counters: dict[str, int | float] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, HistogramSummary] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                counters[name] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
-            else:
-                histograms[name] = HistogramSummary.of(metric)
-        return MetricsReport(counters=counters, gauges=gauges, histograms=histograms)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-
-def _sum_into(registry: MetricsRegistry, name: str, values: Iterable[int]) -> None:
-    registry.counter(name).value = sum(values)
-
-
 def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
     """Absorb a finished run's scattered counters into one report.
 
@@ -305,63 +170,47 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
     the attribute its owner keeps.  Runs once at snapshot time — nothing
     here touches a hot path.
     """
-    registry = MetricsRegistry()
     sim = live.sim
-    registry.counter("kernel.events_executed").value = sim.events_executed
-    registry.counter("kernel.timer_rearms").value = sim.timer_rearms
-    registry.counter("kernel.heap_compactions").value = sim.heap_compactions
-    registry.counter("kernel.wall_seconds").value = sim.wall_seconds
     ports = list(live.fabric.fabric_ports())
-    _sum_into(registry, "port.tx_packets", (p.tx_packets for p in ports))
-    _sum_into(registry, "port.tx_bytes", (p.tx_bytes for p in ports))
-    _sum_into(registry, "port.rx_packets", (p.rx_packets for p in ports))
-    _sum_into(registry, "port.rx_bytes", (p.rx_bytes for p in ports))
-    _sum_into(registry, "port.lost_packets", (p.lost_packets for p in ports))
-    _sum_into(
-        registry,
-        "port.queue_dropped_packets",
-        (p.queue.stats.dropped_packets for p in ports),
-    )
-    _sum_into(
-        registry,
-        "port.queue_dropped_bytes",
-        (p.queue.stats.dropped_bytes for p in ports),
-    )
-    _sum_into(
-        registry,
-        "port.queue_ecn_marked",
-        (p.queue.stats.ecn_marked for p in ports),
-    )
-    occupancy = registry.histogram("port.queue_max_bytes")
-    for port in ports:
-        occupancy.observe(port.queue.stats.max_bytes)
-    registry.gauge("port.max_queue_bytes").set(
-        max((p.queue.stats.max_bytes for p in ports), default=0)
-    )
-
-    registry.counter("flows.arrivals").value = live.arrivals
-    registry.counter("flows.completed").value = live.completed
-    registry.counter("tcp.retransmissions").value = live.retransmissions
-    registry.counter("tcp.timeouts").value = live.timeouts
-
+    stats = [port.queue.stats for port in ports]
     teps = [leaf.tep for leaf in live.fabric.leaves if leaf.tep is not None]
-    _sum_into(registry, "feedback.sent", (t.feedback_sent for t in teps))
-    _sum_into(registry, "feedback.received", (t.feedback_received for t in teps))
-    _sum_into(registry, "feedback.lost", (t.feedback_lost for t in teps))
-    _sum_into(registry, "overlay.encapsulated", (t.encapsulated for t in teps))
-    _sum_into(registry, "overlay.decapsulated", (t.decapsulated for t in teps))
+    counters: dict[str, int | float] = {
+        "kernel.events_executed": sim.events_executed,
+        "kernel.timer_rearms": sim.timer_rearms,
+        "kernel.heap_compactions": sim.heap_compactions,
+        "kernel.wall_seconds": sim.wall_seconds,
+        "port.tx_packets": sum(p.tx_packets for p in ports),
+        "port.tx_bytes": sum(p.tx_bytes for p in ports),
+        "port.rx_packets": sum(p.rx_packets for p in ports),
+        "port.rx_bytes": sum(p.rx_bytes for p in ports),
+        "port.lost_packets": sum(p.lost_packets for p in ports),
+        "port.queue_dropped_packets": sum(q.dropped_packets for q in stats),
+        "port.queue_dropped_bytes": sum(q.dropped_bytes for q in stats),
+        "port.queue_ecn_marked": sum(q.ecn_marked for q in stats),
+        "flows.arrivals": live.arrivals,
+        "flows.completed": live.completed,
+        "tcp.retransmissions": live.retransmissions,
+        "tcp.timeouts": live.timeouts,
+        "feedback.sent": sum(t.feedback_sent for t in teps),
+        "feedback.received": sum(t.feedback_received for t in teps),
+        "feedback.lost": sum(t.feedback_lost for t in teps),
+        "overlay.encapsulated": sum(t.encapsulated for t in teps),
+        "overlay.decapsulated": sum(t.decapsulated for t in teps),
+    }
+    gauges = {"port.max_queue_bytes": float(max((q.max_bytes for q in stats), default=0))}
+    histograms = {
+        "port.queue_max_bytes": HistogramSummary.of(
+            DecimatedSeries(values=(q.max_bytes for q in stats))
+        )
+    }
 
     selectors = [leaf.selector for leaf in live.fabric.leaves]
     tables = [getattr(s, "flowlets", None) for s in selectors]
     tables = [t for t in tables if t is not None]
     if tables:
-        _sum_into(registry, "flowlet.created", (t.new_flowlets for t in tables))
-        _sum_into(registry, "flowlet.expired", (t.expired_flowlets for t in tables))
-        _sum_into(
-            registry,
-            "flowlet.decisions",
-            (getattr(s, "decisions", 0) for s in selectors),
-        )
+        counters["flowlet.created"] = sum(t.new_flowlets for t in tables)
+        counters["flowlet.expired"] = sum(t.expired_flowlets for t in tables)
+        counters["flowlet.decisions"] = sum(getattr(s, "decisions", 0) for s in selectors)
 
     reroutes = sum(
         getattr(s, "fault_reroutes", 0) for s in live.fabric.selectors()
@@ -369,35 +218,35 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
     if reroutes:
         # Leaf- plus pod-spine-level decisions where fault awareness (not
         # congestion) steered the flowlet; only caft runs produce these.
-        registry.counter("lb.caft.fault_reroutes").value = reroutes
+        counters["lb.caft.fault_reroutes"] = reroutes
 
     if live.imbalance is not None:
         imbalance = live.imbalance.snapshot()
-        registry.counter("monitor.imbalance.samples").value = len(imbalance.samples)
+        counters["monitor.imbalance.samples"] = len(imbalance.samples)
         if imbalance.samples:  # a short run may never see a loaded window
-            registry.gauge("monitor.imbalance.mean_percent").set(imbalance.mean_percent())
-            registry.gauge("monitor.imbalance.p95_percent").set(imbalance.percentile(95.0))
+            gauges["monitor.imbalance.mean_percent"] = imbalance.mean_percent()
+            gauges["monitor.imbalance.p95_percent"] = imbalance.percentile(95.0)
 
     tracer = sim.tracer
     if tracer is not None:
-        registry.counter("trace.emitted").value = tracer.emitted
-        registry.counter("trace.retained").value = len(tracer)
-        registry.counter("trace.dropped").value = tracer.dropped
+        counters["trace.emitted"] = tracer.emitted
+        counters["trace.retained"] = len(tracer)
+        counters["trace.dropped"] = tracer.dropped
 
     if live.timeline is not None:
-        registry.counter("timeline.samples").value = live.timeline.samples
-        registry.counter("timeline.retained").value = len(live.timeline)
-        registry.counter("timeline.ports").value = len(live.timeline.port_names)
+        counters["timeline.samples"] = live.timeline.samples
+        counters["timeline.retained"] = len(live.timeline)
+        counters["timeline.ports"] = len(live.timeline.port_names)
 
-    return registry.snapshot()
+    return MetricsReport(
+        counters=dict(sorted(counters.items())),
+        gauges=dict(sorted(gauges.items())),
+        histograms=histograms,
+    )
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "HistogramSummary",
-    "MetricsRegistry",
     "MetricsReport",
     "collect_run_metrics",
 ]

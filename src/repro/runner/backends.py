@@ -45,7 +45,6 @@ from time import perf_counter, sleep
 from typing import BinaryIO, Callable, Sequence
 
 from repro.apps.spec import ExperimentSpec, PointResult
-from repro.obs.metrics import MetricsRegistry
 from repro.runner.failures import FAILURE_COUNTERS, PointFailure, _describe
 from repro.runner.telemetry import TelemetrySink
 from repro.workloads import BUILTIN_WORKLOAD_NAMES, WORKLOADS
@@ -62,9 +61,11 @@ class Backend(abc.ABC):
     ``execute`` must call ``finish(index, result)`` or
     ``fail(index, failure)`` exactly once for every index in ``misses``
     before returning, from the thread that called it: the dispatcher's
-    callbacks take no lock.  ``telemetry``, when
-    given, is the sweep's health-event sink: backends with their own
-    worker lifecycle report it there (``worker_restart`` events).
+    callbacks take no lock.  ``metrics``, when given, is the sweep's
+    ``sweep.*`` name → count dict, which a backend's retries, failures and
+    worker restarts add to.  ``telemetry``, when given, is the sweep's
+    health-event sink: backends with their own worker lifecycle report it
+    there (``worker_restart`` events).
     """
 
     #: Registry name (``--backend`` value on the CLI).
@@ -78,7 +79,7 @@ class Backend(abc.ABC):
         *,
         finish: FinishFn,
         fail: FailFn,
-        metrics: MetricsRegistry | None = None,
+        metrics: dict[str, int] | None = None,
         telemetry: TelemetrySink | None = None,
     ) -> None:
         """Run ``specs[i]`` for every ``i`` in ``misses``."""
@@ -230,7 +231,7 @@ class _Execution:
         misses: list[int],
         finish: FinishFn,
         fail: FailFn,
-        metrics: MetricsRegistry | None,
+        metrics: dict[str, int] | None,
         telemetry: TelemetrySink | None,
     ) -> None:
         self.config = config
@@ -252,7 +253,7 @@ class _Execution:
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).value += 1
+            self.metrics[name] = self.metrics.get(name, 0) + 1
 
     def _charge(self, index: int, kind: str, error: str) -> None:
         """Charge one failed attempt: back off and requeue, or give up.
@@ -515,7 +516,7 @@ class LocalBackend(Backend):
         *,
         finish: FinishFn,
         fail: FailFn,
-        metrics: MetricsRegistry | None = None,
+        metrics: dict[str, int] | None = None,
         telemetry: TelemetrySink | None = None,
     ) -> None:
         workers = self.workers if self.workers is not None else os.cpu_count() or 1

@@ -20,7 +20,8 @@ from time import perf_counter
 from typing import Iterable
 
 from repro.apps.spec import ExperimentSpec, PointResult
-from repro.obs.metrics import MetricsRegistry
+from repro.core.series import DecimatedSeries
+from repro.obs.metrics import HistogramSummary, MetricsReport
 from repro.runner.backends import Backend, LocalBackend, get_backend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.failures import PointFailure
@@ -52,7 +53,9 @@ class _Run:
         self.cache = cache
         self.progress = progress
         self.telemetry = telemetry
-        self.registry = MetricsRegistry()
+        #: ``sweep.*`` counts the backend adds to; restarts read 0 on a clean run.
+        self.counts: dict[str, int] = {"sweep.worker_restarts": 0}
+        self.point_walls: DecimatedSeries[float] = DecimatedSeries()
         self.results: list[Outcome | None] = [None] * self.total
         self.misses: list[int] = []
         self.duplicates: dict[int, int] = {}
@@ -93,7 +96,7 @@ class _Run:
                 list(self.misses),
                 finish=self.finish,
                 fail=self.fail,
-                metrics=self.registry,
+                metrics=self.counts,
                 telemetry=self.telemetry,
             )
 
@@ -102,9 +105,7 @@ class _Run:
         self.results[index] = result
         if self.cache is not None and not result.from_cache:
             self.cache.put(self.specs[index], result)
-        self.registry.histogram("sweep.point_wall_seconds").observe(
-            result.wall_seconds
-        )
+        self.point_walls.append(result.wall_seconds)
         if self.telemetry is not None:
             spec = self.specs[index]
             self.telemetry.emit(
@@ -146,17 +147,14 @@ class _Run:
         executed = len(self.misses)
         cached = self.total - executed - len(self.duplicates)
         wall = perf_counter() - self.started  # repro-lint: ignore[D101] -- reporting only
-        registry = self.registry
-        registry.counter("sweep.points").value = self.total
-        registry.counter("sweep.executed").value = executed
-        registry.counter("sweep.cache_hits").value = cached
-        registry.counter("sweep.duplicates").value = len(self.duplicates)
-        registry.counter("sweep.failures").value = sum(
-            1 for point in self.results if isinstance(point, PointFailure)
-        )
-        registry.gauge("sweep.wall_seconds").set(wall)
-        # Stable health names even on clean runs: restarts default to 0.
-        restarts = registry.counter("sweep.worker_restarts").value
+        counts = self.counts
+        counts.update({
+            "sweep.points": self.total,
+            "sweep.executed": executed,
+            "sweep.cache_hits": cached,
+            "sweep.duplicates": len(self.duplicates),
+            "sweep.failures": sum(isinstance(p, PointFailure) for p in self.results),
+        })
         if self.telemetry is not None:
             self.telemetry.emit(
                 "sweep_finished",
@@ -164,8 +162,8 @@ class _Run:
                 executed=executed,
                 cached=cached,
                 duplicates=len(self.duplicates),
-                failures=registry.counter("sweep.failures").value,
-                worker_restarts=restarts,
+                failures=counts["sweep.failures"],
+                worker_restarts=counts["sweep.worker_restarts"],
                 wall_seconds=wall,
             )
         return SweepResult(
@@ -173,7 +171,14 @@ class _Run:
             executed=executed,
             cached=cached,
             wall_seconds=wall,
-            metrics=registry.snapshot(),
+            metrics=MetricsReport(
+                counters=dict(sorted(counts.items())),
+                gauges={"sweep.wall_seconds": wall},
+                histograms=(
+                    {"sweep.point_wall_seconds": HistogramSummary.of(self.point_walls)}
+                    if self.point_walls.offered else {}
+                ),
+            ),
         )
 
 

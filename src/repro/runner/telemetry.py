@@ -13,10 +13,9 @@ Telemetry is reporting-only and advisory: events carry wall-clock
 durations (sweeps are wall-clock creatures; simulations are not), a
 monotonic ``seq``, and spec identity (index, label, content hash), but
 nothing here feeds back into execution and a sink failure never fails a
-sweep.  The companion aggregates land in the run's
-:class:`~repro.obs.metrics.MetricsRegistry` (``sweep.point_wall_seconds``
-histogram, ``sweep.worker_restarts`` counter) and therefore in
-``SweepResult.metrics``.
+sweep.  The companion aggregates land in the sweep's
+:class:`~repro.obs.metrics.MetricsReport` (``sweep.point_wall_seconds``
+histogram, ``sweep.worker_restarts`` counter), ``SweepResult.metrics``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ import pytest
 
 from repro.apps import (
     CrossRackTraffic,
+    ExperimentSpec,
     HdfsWriteJob,
+    ImbalanceMonitorSpec,
     IncastClient,
+    QueueMonitorSpec,
     SCHEMES,
-    compare_schemes,
-    execute_experiment,
     get_scheme,
     tcp_flow_factory,
     mptcp_flow_factory,
@@ -231,20 +232,19 @@ class TestExperimentHarness:
             get_scheme("bogus")
 
     def test_runs_and_summarizes(self):
-        result = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.4,
-            num_flows=40, size_scale=0.02, seed=2,
-        )
+        result = ExperimentSpec(
+            "conga", "web-search", 0.4, num_flows=40, size_scale=0.02, seed=2
+        ).run_live()
         assert result.completed == 40
         assert result.unfinished == 0
         assert result.summary.count == 40
         assert result.summary.mean_normalized >= 1.0 or result.summary.mean_normalized > 0
 
     def test_failed_links_passed_through(self):
-        result = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.3, num_flows=20,
+        result = ExperimentSpec(
+            "conga", "web-search", 0.3, num_flows=20,
             size_scale=0.02, failed_links=[(1, 1, 0)], seed=2,
-        )
+        ).run_live()
         failed = result.fabric.uplink_ports(1, 1)[0]
         assert not failed.up
         assert result.completed == 20
@@ -252,34 +252,24 @@ class TestExperimentHarness:
     def test_monitors_attached(self):
         from repro.units import microseconds
 
-        result = execute_experiment(
-            get_scheme("ecmp"), WEB_SEARCH, 0.5,
+        result = ExperimentSpec(
+            "ecmp", "web-search", 0.5,
             num_flows=40, size_scale=0.02, seed=2,
-            monitor_imbalance_leaf=0,
-            imbalance_interval=microseconds(50),
-            monitor_queue_ports=lambda fabric: [fabric.spines[0].ports[0]],
-        )
+            imbalance_monitor=ImbalanceMonitorSpec(leaf=0, interval=microseconds(50)),
+            queue_monitor=QueueMonitorSpec(tier="spine", spine=0, leaf=0),
+        ).run_live()
         assert result.imbalance is not None
         assert len(result.imbalance.samples) > 0
         assert result.queues is not None
 
-    def test_compare_schemes_shares_scenario(self):
-        results = compare_schemes(
-            ["ecmp", "conga"], WEB_SEARCH, 0.4,
-            num_flows=30, size_scale=0.02, seed=4,
-        )
-        assert set(results) == {"ecmp", "conga"}
+    def test_schemes_share_the_scenario(self):
+        spec = ExperimentSpec("ecmp", "web-search", 0.4, num_flows=30, size_scale=0.02, seed=4)
+        results = {name: spec.with_(scheme=name).run_live() for name in ("ecmp", "conga")}
         sizes_e = [r.size for r in results["ecmp"].records]
         sizes_c = [r.size for r in results["conga"].records]
         assert sorted(sizes_e) == sorted(sizes_c)  # same sampled workload
 
     def test_deterministic_given_seed(self):
-        a = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.5,
-            num_flows=30, size_scale=0.02, seed=9,
-        )
-        b = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.5,
-            num_flows=30, size_scale=0.02, seed=9,
-        )
+        spec = ExperimentSpec("conga", "web-search", 0.5, num_flows=30, size_scale=0.02, seed=9)
+        a, b = spec.run_live(), spec.run_live()
         assert [r.fct for r in a.records] == [r.fct for r in b.records]

@@ -20,13 +20,7 @@ import pytest
 
 from repro.analysis import sweep_report
 from repro.analysis.fct import records_digest
-from repro.apps import (
-    SCHEMES,
-    ExperimentSpec,
-    ObsSpec,
-    execute_experiment,
-    get_scheme,
-)
+from repro.apps import SCHEMES, ExperimentSpec, ObsSpec, get_scheme, register_scheme
 from repro.faults import FeedbackLoss, LinkDegrade
 from repro.lb import CongaSelector, EcmpSelector
 from repro.lb.caft import CaftCoreSelector
@@ -37,7 +31,6 @@ from repro.topology import build_leaf_spine, scaled_testbed
 from repro.topology.multipod import MultiPodConfig, build_multipod
 from repro.transport import UdpSink, UdpSource
 from repro.units import gbps, megabytes, microseconds
-from repro.workloads import ENTERPRISE
 
 OBLIVIOUS = ("dctcp", "ecmp", "hedera", "mptcp", "spray")
 READERS = ("caft", "conga", "conga-flow", "local")
@@ -66,18 +59,22 @@ def _all_ports(fabric):
 
 
 def _run(scheme: str, *, force_plane: bool = False, **kwargs):
-    spec = get_scheme(scheme)
     if force_plane:
+        spec = get_scheme(scheme)
+
         def post_setup(sim, fabric, inner=spec.post_setup):
             fabric.require_congestion_plane()
             if inner is not None:
                 inner(sim, fabric)
 
-        spec = dataclasses.replace(spec, post_setup=post_setup)
+        scheme = f"{scheme}+plane"
+        register_scheme(
+            dataclasses.replace(spec, name=scheme, post_setup=post_setup), replace=True
+        )
     kwargs.setdefault("seed", 7)
     kwargs.setdefault("num_flows", 40)
     kwargs.setdefault("size_scale", 0.03)
-    return execute_experiment(spec, ENTERPRISE, 0.6, **kwargs)
+    return ExperimentSpec(scheme, "enterprise", 0.6, **kwargs).run_live()
 
 
 def _udp_burst(sim, fabric):
@@ -175,9 +172,12 @@ class TestNobodyReadsIt:
             def choose_uplink(self, packet, dst_leaf, candidates):
                 return min(candidates, key=self.leaf.local_metric)
 
-        spec = dataclasses.replace(get_scheme("ecmp"), make_selector=lambda: Sneaky)
+        register_scheme(
+            dataclasses.replace(get_scheme("ecmp"), name="sneaky", make_selector=lambda: Sneaky),
+            replace=True,
+        )
         with pytest.raises(AssertionError, match="reads_congestion"):
-            execute_experiment(spec, ENTERPRISE, 0.6, seed=7, num_flows=5, size_scale=0.03)
+            _run("sneaky", num_flows=5)
         sim, fabric = _ecmp_fabric()
         for read in ("to_leaf_table", "from_leaf_table"):
             with pytest.raises(AssertionError, match="reads_congestion"):

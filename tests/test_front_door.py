@@ -68,6 +68,7 @@ YAML_PROBES = [
         "template.queue_monitor.leaf",
         6,
     ),
+    ("  load: 0.5\n  queue_monitor: {tier: fabric, leaf: 1}\n", "template.queue_monitor", 6),
     ("  load: 0.5\n  imbalance_monitor: {leaf: 2}\n", "template.imbalance_monitor.leaf", 6),
     ("  load: 0.5\n  deadline: -5\n", "template.deadline", 6),
     ("  load: 0.5\n  tcp: {min_rto: -3ms}\n", "template.tcp.min_rto", 6),

@@ -6,13 +6,12 @@ full parameter sweeps live in ``benchmarks/``.
 
 import pytest
 
-from repro.apps import compare_schemes, execute_experiment, get_scheme
+from repro.apps import ExperimentSpec, ImbalanceMonitorSpec, QueueMonitorSpec
 from repro.lb import CongaSelector, EcmpSelector, LocalAwareSelector
 from repro.sim import Simulator, run_until_idle
 from repro.topology import build_leaf_spine, scaled_testbed
 from repro.transport import TcpFlow
 from repro.units import gbps, megabytes, seconds
-from repro.workloads import DATA_MINING, ENTERPRISE, WEB_SEARCH
 
 
 class TestAsymmetryPacketLevel:
@@ -59,23 +58,20 @@ class TestLinkFailureFct:
 
     @pytest.fixture(scope="class")
     def results(self):
-        def hotspot_ports(fabric):
-            spine1 = fabric.spines[1]
-            return [spine1.ports[i] for i in spine1.ports_to_leaf(1)]
-
         # Load the leaf0 -> leaf1 direction (clients under leaf 1), which is
         # the direction crossing the degraded [Spine1 -> Leaf1] link.
-        return compare_schemes(
-            ["ecmp", "conga"],
-            DATA_MINING,
+        spec = ExperimentSpec(
+            "ecmp",
+            "data-mining",
             0.6,
             num_flows=120,
             size_scale=0.05,
             seed=7,
-            clients=list(range(8, 16)),
+            clients=range(8, 16),
             failed_links=[(1, 1, 0)],
-            monitor_queue_ports=hotspot_ports,
+            queue_monitor=QueueMonitorSpec(tier="spine", spine=1, leaf=1),
         )
+        return {name: spec.with_(scheme=name).run_live() for name in ("ecmp", "conga")}
 
     def test_all_flows_complete(self, results):
         for result in results.values():
@@ -104,14 +100,8 @@ class TestBaselineFct:
     """Figure 9/10 shape at one load point."""
 
     def test_conga_at_least_as_good_as_ecmp_datamining(self):
-        results = compare_schemes(
-            ["ecmp", "conga"],
-            DATA_MINING,
-            0.6,
-            num_flows=150,
-            size_scale=0.02,
-            seed=11,
-        )
+        spec = ExperimentSpec("ecmp", "data-mining", 0.6, num_flows=150, size_scale=0.02, seed=11)
+        results = {name: spec.with_(scheme=name).run_live() for name in ("ecmp", "conga")}
         assert (
             results["conga"].summary.mean_normalized
             <= results["ecmp"].summary.mean_normalized * 1.05
@@ -119,14 +109,8 @@ class TestBaselineFct:
 
     def test_mptcp_hurts_small_flows(self):
         """5.2.1: MPTCP degrades small-flow FCT relative to ECMP."""
-        results = compare_schemes(
-            ["ecmp", "mptcp"],
-            ENTERPRISE,
-            0.5,
-            num_flows=150,
-            size_scale=0.02,
-            seed=13,
-        )
+        spec = ExperimentSpec("ecmp", "enterprise", 0.5, num_flows=150, size_scale=0.02, seed=13)
+        results = {name: spec.with_(scheme=name).run_live() for name in ("ecmp", "mptcp")}
         assert (
             results["mptcp"].summary.mean_fct_small
             > results["ecmp"].summary.mean_fct_small
@@ -141,16 +125,15 @@ class TestImbalanceShape:
 
         results = {}
         for scheme in ("ecmp", "conga"):
-            result = execute_experiment(
-                get_scheme(scheme),
-                ENTERPRISE,
+            result = ExperimentSpec(
+                scheme,
+                "enterprise",
                 0.6,
                 num_flows=200,
                 size_scale=0.02,
                 seed=17,
-                monitor_imbalance_leaf=0,
-                imbalance_interval=microseconds(200),
-            )
+                imbalance_monitor=ImbalanceMonitorSpec(leaf=0, interval=microseconds(200)),
+            ).run_live()
             results[scheme] = result.imbalance.snapshot().mean_percent()
         assert results["conga"] < results["ecmp"]
 
@@ -177,10 +160,9 @@ class TestIncrementalDeployment:
 
 class TestFeedbackDynamics:
     def test_metrics_age_out_when_traffic_stops(self):
-        result = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.5,
-            num_flows=50, size_scale=0.02, seed=23,
-        )
+        result = ExperimentSpec(
+            "conga", "web-search", 0.5, num_flows=50, size_scale=0.02, seed=23
+        ).run_live()
         leaf0 = result.fabric.leaves[0]
         sim = result.sim
         # Immediately after the run some remote metric is typically set;
@@ -190,10 +172,9 @@ class TestFeedbackDynamics:
         assert all(m == 0 for m in metrics)
 
     def test_conga_feedback_flows_in_both_directions(self):
-        result = execute_experiment(
-            get_scheme("conga"), WEB_SEARCH, 0.5,
-            num_flows=50, size_scale=0.02, seed=29,
-        )
+        result = ExperimentSpec(
+            "conga", "web-search", 0.5, num_flows=50, size_scale=0.02, seed=29
+        ).run_live()
         for leaf in result.fabric.leaves:
             assert leaf.tep.feedback_received > 0
             assert leaf.tep.feedback_sent > 0

@@ -4,8 +4,7 @@ Three layers:
 
 * tracer mechanics — ring-buffer bounds, category filters, export and
   digest round-trips, ObsSpec canonicalization;
-* metrics registry — create-or-get semantics, kind mismatches, report
-  snapshots and filtering;
+* metrics report — sorted, picklable plain data and filtering;
 * integration — a hand-checked CONGA reroute trace, trace-digest
   determinism across sweep worker counts, content-hash neutrality, and
   the run manifest written next to every cache entry.
@@ -20,13 +19,15 @@ import pytest
 
 from repro.analysis import EmptySeriesError
 from repro.apps import ExperimentSpec, ObsSpec, PointResult
+from repro.core.series import DecimatedSeries
 from repro.net import Packet
 from repro.obs import (
     CATEGORIES,
     MANIFEST_SUFFIX,
     DreSampled,
     FlowletRerouted,
-    MetricsRegistry,
+    HistogramSummary,
+    MetricsReport,
     PacketDropped,
     TraceLog,
     Tracer,
@@ -160,49 +161,36 @@ class TestObsSpec:
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Metrics report
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_create_or_get_returns_same_cell(self):
-        registry = MetricsRegistry()
-        cell = registry.counter("kernel.events_executed")
-        cell.value += 5
-        assert registry.counter("kernel.events_executed").value == 5
-        assert "kernel.events_executed" in registry
-        assert len(registry) == 1
+def _report(**counters) -> MetricsReport:
+    return MetricsReport(counters=counters, gauges={}, histograms={})
 
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("x")
 
-    def test_snapshot_sorts_and_pickles(self):
-        registry = MetricsRegistry()
-        registry.counter("b.count").inc(2)
-        registry.gauge("a.level").set(1.5)
-        hist = registry.histogram("c.sizes")
-        for v in (1.0, 2.0, 3.0):
-            hist.observe(v)
-        report = pickle.loads(pickle.dumps(registry.snapshot()))
-        assert report.names() == ["a.level", "b.count", "c.sizes"]
+class TestMetricsReport:
+    def test_sorts_and_pickles(self):
+        sizes = HistogramSummary.of(DecimatedSeries(values=(1.0, 2.0, 3.0)))
+        report = MetricsReport(
+            counters={"b.count": 2, "z.count": 1},
+            gauges={"a.level": 1.5},
+            histograms={"c.sizes": sizes},
+        )
+        report = pickle.loads(pickle.dumps(report))
+        assert report.names() == ["a.level", "b.count", "c.sizes", "z.count"]
         assert report.value("b.count") == 2
-        assert report.scalars() == {"a.level": 1.5, "b.count": 2}
+        assert report.scalars() == {"a.level": 1.5, "b.count": 2, "z.count": 1}
         assert report.histograms["c.sizes"].count == 3
         assert report.histograms["c.sizes"].p50 == 2.0
 
     def test_lines_filter_by_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("kernel.events").inc()
-        registry.counter("port.tx").inc()
-        lines = registry.snapshot().lines("kernel.")
+        lines = _report(**{"kernel.events": 1, "port.tx": 1}).lines("kernel.")
         assert len(lines) == 1 and lines[0].startswith("kernel.events")
 
     def test_value_raises_on_unknown_name(self):
         with pytest.raises(KeyError):
-            MetricsRegistry().snapshot().value("missing")
+            _report().value("missing")
 
 
 def test_empty_series_error_carries_context():

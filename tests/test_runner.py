@@ -13,7 +13,6 @@ from repro.apps import (
     SchemeSpec,
     UnknownSchemeError,
     UnknownWorkloadError,
-    execute_experiment,
     get_scheme,
     get_workload,
     register_scheme,
@@ -48,6 +47,20 @@ TINY = ExperimentSpec(
     num_flows=12,
     size_scale=0.02,
 )
+
+
+#: A monitor spec naming ``index`` in the tier that is its last word.
+MONITOR_AT = {
+    "imbalance, leaf": lambda i: {"imbalance_monitor": ImbalanceMonitorSpec(leaf=i)},
+    "spine tier, spine": lambda i: {"queue_monitor": QueueMonitorSpec(spine=i)},
+    "spine tier, leaf": lambda i: {"queue_monitor": QueueMonitorSpec(leaf=i)},
+    "leaf tier, leaf": lambda i: {
+        "queue_monitor": QueueMonitorSpec(tier="leaf", direction="up", leaf=i)
+    },
+    "leaf tier, spine": lambda i: {
+        "queue_monitor": QueueMonitorSpec(tier="leaf", direction="up", spine=i)
+    },
+}
 
 
 def assert_summaries_equal(*summaries):
@@ -122,6 +135,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             TINY.with_(num_flows=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("load", math.inf), ("load", math.nan), ("size_scale", 0.0),
+         ("size_scale", -0.5), ("size_scale", math.inf), ("size_scale", math.nan)],
+    )
+    def test_rejects_a_non_finite_load_and_a_non_positive_size_scale(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            TINY.with_(**{name: value})
+
     def test_content_hash_is_stable_across_equal_specs(self):
         a = TINY.with_(failed_links=[(1, 1, 0)])
         b = TINY.with_(failed_links=[(1, 1, 0)])
@@ -160,19 +182,6 @@ class TestExperimentSpec:
         assert clone.fabric_drops == point.fabric_drops
         assert point.events_executed > 0
         assert point.events_per_sec > 0
-
-    def test_run_matches_low_level_kwarg_api(self):
-        point = TINY.run()
-        low_level = execute_experiment(
-            get_scheme(TINY.scheme),
-            WORKLOADS[TINY.workload],
-            TINY.load,
-            seed=TINY.seed,
-            num_flows=TINY.num_flows,
-            size_scale=TINY.size_scale,
-        )
-        assert_summaries_equal(point.summary, low_level.summary)
-        assert point.completed == low_level.completed
 
     def test_monitor_specs_resolve_on_fabric(self):
         sim = Simulator(seed=1)
@@ -231,6 +240,22 @@ class TestExperimentSpec:
             QueueMonitorSpec(tier="spine", direction="up")
         with pytest.raises(ValueError, match="tier"):
             QueueMonitorSpec(tier="core", direction="down")
+
+    def test_fabric_tier_takes_no_leaf_or_spine(self):
+        for index in ({"leaf": 1}, {"spine": 0}):
+            with pytest.raises(ValueError, match="tier 'fabric'.*no leaf or spine"):
+                QueueMonitorSpec(tier="fabric", direction="both", **index)
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    @pytest.mark.parametrize(
+        "config", [scaled_testbed(), MultiPodConfig()], ids=["leaf-spine", "multipod"]
+    )
+    @pytest.mark.parametrize("where", sorted(MONITOR_AT))
+    def test_monitor_indices_are_checked_never_wrapped(self, where, config, index):
+        spec = TINY.with_(config=config, **MONITOR_AT[where](index))
+        kind = where.split()[-1]
+        with pytest.raises(ValueError, match=rf"^no {kind} {index} in this fabric \(valid: 0\.\.\d\)$"):
+            spec.run_live()
 
     def test_queue_monitor_runs_and_snapshots(self):
         point = TINY.with_(

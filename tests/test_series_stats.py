@@ -18,7 +18,8 @@ from repro.analysis import (
     summarize_series,
 )
 from repro.analysis.stats import series_stats
-from repro.obs.metrics import Histogram, HistogramSummary
+from repro.core.series import DecimatedSeries
+from repro.obs.metrics import HistogramSummary
 
 IMBALANCE = (0.0, 0.125, 1.7, 0.3333333333333333, 2.0, 0.9, 0.01)
 OCCUPANCY = (0, 1500, 3000, 291_000, 4500, 77, 1_000_000, 3)
@@ -49,10 +50,7 @@ def test_report_and_histogram_summaries_report_the_former_floats():
         "mean": float(array.mean()), "p50": p50, "p90": p90, "p99": p99,
         "min": 0.0, "max": 1_000_000.0,
     }
-    histogram = Histogram("port.queue_max_bytes")
-    for value in OCCUPANCY:
-        histogram.observe(value)
-    assert HistogramSummary.of(histogram) == HistogramSummary(
+    assert HistogramSummary.of(DecimatedSeries(values=OCCUPANCY)) == HistogramSummary(
         len(OCCUPANCY), 0.0, 1_000_000.0, float(array.mean()), p50, p90, p99
     )
 

@@ -17,12 +17,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import ObsSpec
-from repro.apps.experiment import SCHEMES, execute_experiment
+from repro.apps import SCHEMES, ExperimentSpec, ObsSpec, register_scheme
 from repro.obs import PacketDropped, TraceLog, Tracer, event_payload, events
 from repro.runner import ResultCache, SubprocessBackend, run_sweep
 from repro.units import microseconds
-from repro.workloads import WORKLOADS
 
 from tests.test_golden_traces import GOLDEN_PATH, conga_spec
 
@@ -143,12 +141,16 @@ def test_a_run_that_raises_leaves_a_closed_stream_of_whole_lines(tmp_path):
         sims.append(sim)
         sim.schedule(microseconds(300), boom)
 
-    scheme = dataclasses.replace(SCHEMES["conga"], post_setup=arm)
+    register_scheme(
+        dataclasses.replace(SCHEMES["conga"], name="conga+raise", post_setup=arm),
+        replace=True,
+    )
+    spec = ExperimentSpec(
+        "conga+raise", "enterprise", 0.6, seed=7, num_flows=30, size_scale=0.02,
+        obs=ObsSpec(trace_path=str(path)),
+    )
     with pytest.raises(RuntimeError, match="mid-run"):
-        execute_experiment(
-            scheme, WORKLOADS["enterprise"], 0.6, seed=7, num_flows=30,
-            size_scale=0.02, obs=ObsSpec(trace_path=str(path)),
-        )
+        spec.run_live()
     tracer = sims[0].tracer
     assert tracer._stream is None  # closed, not left to the garbage collector
     text = path.read_text()
