@@ -646,10 +646,10 @@ class HotPathClosureRule(Rule):
         "through core/, sim/, and net/ methods; a lambda or nested def in a "
         "method body allocates a fresh function object (plus a cell per "
         "captured variable) on every invocation — exactly the per-packet "
-        "allocation the calendar-queue kernel and fused transmit path were "
-        "built to avoid.  Hoist the callable to a bound method or "
-        "module-level function; dunder methods (``__init__`` and friends) "
-        "run at setup/reporting time and are exempt."
+        "allocation the kernel's handle-free schedule_fast entries and the "
+        "fused transmit path were built to avoid.  Hoist the callable to a "
+        "bound method or module-level function; dunder methods (``__init__`` "
+        "and friends) run at setup/reporting time and are exempt."
     )
     paper_ref = "repo perf contract (bench/ events_per_s, tests/test_frame_budget.py)"
     scopes = ("core", "sim", "net")

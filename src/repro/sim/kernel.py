@@ -1,33 +1,24 @@
 """Discrete-event simulation kernel.
 
-The scheduler is a two-tier *calendar queue*: a ring of fixed-width time
-buckets covers the near future (where almost every event lives — packet
-serialization boundaries, propagation delays, RTO restarts), and a binary
-heap holds the far-future overflow (long timers, idle-period wakeups).
-Events are callbacks scheduled at an integer-nanosecond timestamp; ties are
-broken by insertion order so that runs are fully deterministic.  Components
-interact with the kernel through :class:`Simulator` (``now``, ``schedule``,
-``run``) and through :class:`Timer` for restartable timeouts
+The scheduler is one binary heap (``heapq``) of ``(time, sequence, ...)``
+entries.  Events are callbacks scheduled at an integer-nanosecond timestamp;
+ties are broken by insertion order so that runs are fully deterministic.
+Components interact with the kernel through :class:`Simulator` (``now``,
+``schedule``, ``run``) and through :class:`Timer` for restartable timeouts
 (retransmission timers, flowlet age scans, ...).
 
 Hot-path design notes (the evaluation needs millions of events per point):
 
-* Entries are ``(time, sequence, ...)`` tuples, so bucket sorts and heap
-  pushes compare integer tuples in C and never call back into Python —
-  ``(time, sequence)`` is unique, so trailing elements are never compared.
-* The bucket ring gives O(1) scheduling for near-future events: an insert
-  is one shift, one subtract, and a ``list.append``.  A bucket is sorted
-  *once*, lazily, when the wheel reaches it (near-sorted input, C timsort);
-  draining it afterwards is an index increment per event instead of a heap
-  sift.  Events landing in the already-active bucket are placed with
-  ``bisect.insort`` so the total ``(time, sequence)`` order is preserved
-  bit-for-bit against the single-heap implementation.
-* The default bucket width (2048 ns, ``bucket_bits=11``) is sized from the
-  serialization-delay distribution of the fabric: an MTU-sized frame at
-  10 Gbps serializes in ~1.2 µs and propagation is 500 ns, so consecutive
-  per-packet events land at most a bucket or two apart and the wheel stays
-  dense.  The ring spans ``2**ring_bits`` buckets (~1 ms by default) which
-  keeps millisecond-scale retransmission timers on the fast path too.
+* Entries are ``(time, sequence, event)`` for cancellable events and
+  ``(time, sequence, None, callback, arg)`` for the no-handle fast path, so
+  heap pushes and pops compare integer tuples in C and never call back into
+  Python — ``(time, sequence)`` is unique, so index 2 is never compared.
+* One heap is the whole calendar.  The mean pending set of every run shape
+  the repo ships is in the hundreds, where a push and a pop are a handful
+  of C-level comparisons each; DESIGN.md "Event kernel" has the
+  measurements and the run shape that would call for a bucketed calendar.
+* Times are integer nanoseconds: a float delay or time is refused with a
+  ``TypeError`` (numpy integers pass), so the clock can never go fractional.
 * Events may carry one ``arg`` delivered to the callback at fire time, so
   per-packet scheduling passes a bound method plus the packet instead of
   allocating a fresh closure per hop.
@@ -49,8 +40,8 @@ Hot-path design notes (the evaluation needs millions of events per point):
 from __future__ import annotations
 
 import gc
-import heapq
-from bisect import insort
+from heapq import heapify, heappop, heappush
+from operator import index
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -74,7 +65,7 @@ class SimulationError(RuntimeError):
 
 
 class _Event:
-    """A calendar entry and cancellation handle.
+    """A heap entry's cancellation handle.
 
     The scheduler orders ``(time, sequence)`` tuples, not these objects; the
     object rides along as the tuple's third element so cancellation stays an
@@ -93,11 +84,6 @@ class _Event:
         self.arg = arg
         self.cancelled = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"_Event(t={self.time}, seq={self.sequence}{state})"
@@ -106,19 +92,24 @@ class _Event:
 #: Pending sets smaller than this are never worth compacting.
 _COMPACT_FLOOR = 64
 
-#: Default calendar bucket width, as a power of two of nanoseconds.  2048 ns
-#: covers the common per-packet event gaps (serialization ~1.2 µs at 10 Gbps,
-#: propagation 500 ns) so trains of back-to-back packets stay within one or
-#: two buckets.
-_BUCKET_BITS = 11
-
-#: Default ring size, as a power of two of buckets.  512 buckets at 2048 ns
-#: give a ~1 ms fast-path horizon — wide enough that minimum-RTO
-#: retransmission timers schedule O(1) instead of through the overflow heap.
-_RING_BITS = 9
-
-#: Sentinel "no deadline" horizon for :meth:`Simulator.run`'s ``until``.
+#: Sentinel "no limit" for :meth:`Simulator.run`'s deadline and event budget.
 _FAR = 1 << 62
+
+
+def _refuse(value: Any, now: int, *, delay: bool = True, action: str = "schedule event at") -> None:
+    """Raise for a non-integral ``value`` or for a time before ``now``.
+
+    The cold path of every call whose delay or time is not a plain ``int``
+    at or after ``now``; an integral value of another type (a numpy
+    integer, a bool) passes.
+    """
+    try:
+        index(value)
+    except TypeError:
+        raise TypeError(f"simulation time is integer nanoseconds, got {value!r}") from None
+    time = now + value if delay else value
+    if time < now:
+        raise SimulationError(f"cannot {action} {time} before current time {now}")
 
 
 class Simulator:
@@ -130,41 +121,12 @@ class Simulator:
         Master seed for the experiment.  Every component obtains its own
         independent, named substream via :meth:`rng`, so adding a new
         stochastic component never perturbs the draws of existing ones.
-    bucket_bits:
-        log2 of the calendar bucket width in nanoseconds.
-    ring_bits:
-        log2 of the number of calendar buckets; the fast-path horizon is
-        ``2 ** (bucket_bits + ring_bits)`` nanoseconds.
     """
 
-    def __init__(
-        self, seed: int = 1, *, bucket_bits: int = _BUCKET_BITS, ring_bits: int = _RING_BITS
-    ) -> None:
-        if bucket_bits < 0 or ring_bits <= 0:
-            raise ValueError(
-                f"bucket_bits/ring_bits must be sane, got {bucket_bits}/{ring_bits}"
-            )
-        # Calendar state.  Entries are (time, sequence, event) for
-        # cancellable events and (time, sequence, None, callback, arg) for
-        # the no-handle fast path; (time, sequence) is unique so tuple
-        # comparisons never reach index 2.  A bucket holds every pending
-        # entry whose time lands in its window; the overflow heap holds
-        # entries beyond the ring horizon.
-        self._shift = bucket_bits
-        self._ring_size = 1 << ring_bits
-        self._mask = self._ring_size - 1
-        self._ring: list[list[tuple[Any, ...]]] = [[] for _ in range(self._ring_size)]
-        self._overflow: list[tuple[Any, ...]] = []
-        self._cur_tick = 0
-        #: Consumed prefix length of the active (current-tick) bucket.
-        self._bucket_pos = 0
-        #: Whether the active bucket has been activated (overflow adopted
-        #: and sorted).  Inserts into an activated bucket use insort so the
-        #: (time, sequence) total order survives mid-bucket scheduling.
-        self._bucket_sorted = False
-        #: Total queued entries (ring + overflow), including lazily
-        #: cancelled ones not yet discarded.
-        self._pending = 0
+    def __init__(self, seed: int = 1) -> None:
+        #: The pending set, a ``heapq`` min-heap of ``(time, sequence, ...)``
+        #: entries, lazily cancelled ones included.
+        self._heap: list[tuple[Any, ...]] = []
         self._now = 0
         self._sequence = 0
         self._seed = seed
@@ -226,52 +188,27 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _insert(self, time: int, entry: tuple[Any, ...]) -> None:
-        """Place ``entry`` (whose [0] is ``time``) into the calendar."""
-        tick = time >> self._shift
-        cur = self._cur_tick
-        if tick - cur < self._ring_size:
-            bucket = self._ring[tick & self._mask]
-            if tick == cur and self._bucket_sorted:
-                # Sequences are globally increasing, so a new entry sorts
-                # after every queued entry at the same time: it belongs at
-                # the tail unless an entry at a strictly later time exists.
-                if bucket and time < bucket[-1][0]:
-                    insort(bucket, entry, lo=self._bucket_pos)
-                else:
-                    bucket.append(entry)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._overflow, entry)
-        self._pending += 1
-
     def schedule(self, delay: int, callback: _AnyCallback, arg: Any = None) -> _Event:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
         When ``arg`` is not None the callback is invoked as ``callback(arg)``
         — the allocation-free alternative to binding the value in a closure.
         """
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule event at {self._now + delay} "
-                f"before current time {self._now}"
-            )
+        if type(delay) is not int or delay < 0:
+            _refuse(delay, self._now)
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
         event = _Event(time, sequence, callback, arg)
-        if self._pending >= self._compact_at:
+        if len(self._heap) >= self._compact_at:
             self._compact()
-        self._insert(time, (time, sequence, event))
+        heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_at(self, time: int, callback: _AnyCallback, arg: Any = None) -> _Event:
         """Schedule ``callback`` to run at absolute time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
+        if type(time) is not int or time < self._now:
+            _refuse(time, self._now, delay=False)
         return self.schedule(time - self._now, callback, arg)
 
     def schedule_fast(self, delay: int, callback: Callable[[Any], None], arg: Any) -> None:
@@ -279,30 +216,16 @@ class Simulator:
 
         The per-packet path schedules two events per hop, none of which is
         ever cancelled; this variant skips the :class:`_Event` allocation
-        entirely and places a bare ``(time, sequence, None, callback, arg)``
+        entirely and pushes a bare ``(time, sequence, None, callback, arg)``
         entry.  It consumes one sequence number exactly like
         :meth:`schedule`, so mixing the two paths cannot perturb event
         tie-breaking.  Use only when the event will never be cancelled.
         """
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule event at {self._now + delay} "
-                f"before current time {self._now}"
-            )
-        time = self._now + delay
+        if type(delay) is not int or delay < 0:
+            _refuse(delay, self._now)
         sequence = self._sequence
         self._sequence = sequence + 1
-        tick = time >> self._shift
-        cur = self._cur_tick
-        if tick - cur < self._ring_size:
-            bucket = self._ring[tick & self._mask]
-            if tick == cur and self._bucket_sorted and bucket and time < bucket[-1][0]:
-                insort(bucket, (time, sequence, None, callback, arg), lo=self._bucket_pos)
-            else:
-                bucket.append((time, sequence, None, callback, arg))
-        else:
-            heapq.heappush(self._overflow, (time, sequence, None, callback, arg))
-        self._pending += 1
+        heappush(self._heap, (self._now + delay, sequence, None, callback, arg))
 
     @staticmethod
     def cancel(event: _Event) -> None:
@@ -314,53 +237,44 @@ class Simulator:
 
         Called from :meth:`schedule` at geometrically spaced pending-set
         sizes, so the scan amortizes to O(1) per insert; the rebuild itself
-        only happens when at least half the calendar is dead weight.
+        only happens when at least half the heap is dead weight.  The list
+        is rebuilt in place: the run loop holds an alias to it.
         """
-        total = self._pending
-        live: list[tuple[Any, ...]] = []
-        pos = self._bucket_pos
-        cur_bucket = self._ring[self._cur_tick & self._mask]
-        for bucket in self._ring:
-            start = pos if bucket is cur_bucket else 0
-            for i in range(start, len(bucket)):
-                entry = bucket[i]
-                event = entry[2]
-                if event is None or not event.cancelled:
-                    live.append(entry)
-        for entry in self._overflow:
-            event = entry[2]
-            if event is None or not event.cancelled:
-                live.append(entry)
-        if len(live) * 2 <= total:
-            for bucket in self._ring:
-                bucket.clear()
-            self._overflow.clear()
-            self._bucket_pos = 0
-            self._bucket_sorted = False
-            self._pending = 0
-            for entry in live:
-                self._insert(entry[0], entry)
+        heap = self._heap
+        live = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]
+        if len(live) * 2 <= len(heap):
+            heap[:] = live
+            heapify(heap)
             self.heap_compactions += 1
-        self._compact_at = max(_COMPACT_FLOOR, 2 * self._pending)
+        self._compact_at = max(_COMPACT_FLOOR, 2 * len(heap))
 
     # -- execution -----------------------------------------------------------
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        """Run until the calendar drains, ``until`` is reached, or stopped.
+        """Run until the heap drains, ``until`` is reached, or stopped.
 
-        Returns the simulation time at exit.  ``until`` is an absolute time;
-        when it is hit the clock is advanced exactly to it so that subsequent
-        ``run`` calls resume cleanly.
+        Returns the simulation time at exit.  ``until`` is an absolute time
+        no earlier than ``now``; when it is hit the clock is advanced exactly
+        to it so that subsequent ``run`` calls resume cleanly.  ``max_events``
+        bounds the callbacks run, timer re-arm bounces included; 0 runs
+        nothing.
         """
+        if until is None:
+            limit = _FAR
+        else:
+            if type(until) is not int or until < self._now:
+                _refuse(until, self._now, delay=False, action="run until")
+            limit = until
+        if max_events is None:
+            budget = _FAR
+        elif max_events < 0:
+            raise ValueError(f"max_events must be non-negative, got {max_events}")
+        else:
+            budget = max_events
         self._stopped = False
         executed = 0
         rearms_start = self._rearms
-        limit = _FAR if until is None else until
-        shift = self._shift
-        mask = self._mask
-        ring = self._ring
-        overflow = self._overflow
-        pop = heapq.heappop
+        heap = self._heap
         # The event loop allocates container objects (entry tuples, packets,
         # headers) at a rate that makes CPython's gen-0 collector fire
         # thousands of times per simulated second, yet nearly everything is
@@ -372,47 +286,13 @@ class Simulator:
             gc.disable()
         started = perf_counter()  # repro-lint: ignore[D101] -- feeds wall_seconds, reporting only
         try:
-            while self._pending and not self._stopped:
-                tick = self._cur_tick
-                bucket = ring[tick & mask]
-                if not self._bucket_sorted:
-                    # Activate: adopt due overflow entries, then order the
-                    # bucket once so draining is an index walk.
-                    if overflow and (overflow[0][0] >> shift) <= tick:
-                        bound = (tick + 1) << shift
-                        while overflow and overflow[0][0] < bound:
-                            bucket.append(pop(overflow))
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self._bucket_sorted = True
-                pos = self._bucket_pos
-                if pos >= len(bucket):
-                    # Bucket drained: advance the wheel (jumping straight to
-                    # the overflow head when the whole ring is empty).
-                    if pos:
-                        bucket.clear()
-                        self._bucket_pos = 0
-                    self._bucket_sorted = False
-                    if self._pending == len(overflow):
-                        self._cur_tick = overflow[0][0] >> shift
-                    else:
-                        self._cur_tick = tick + 1
-                    continue
-                entry = bucket[pos]
+            while heap and executed < budget and not self._stopped:
+                entry = heappop(heap)
                 time = entry[0]
                 if time > limit:
-                    self._now = until  # type: ignore[assignment]
-                    # Rewind the wheel so events scheduled between runs at
-                    # times before this (future) bucket still land ahead of
-                    # the scan position.  pos > 0 implies the deadline falls
-                    # inside the active bucket, where no rewind is needed.
-                    new_tick = limit >> shift
-                    if new_tick != tick:
-                        self._cur_tick = new_tick
-                        self._bucket_sorted = False
-                    return self._now
-                self._bucket_pos = pos + 1
-                self._pending -= 1
+                    heappush(heap, entry)
+                    self._now = limit
+                    return limit
                 event = entry[2]
                 if event is None:  # bare (time, seq, None, callback, arg)
                     self._now = time
@@ -427,8 +307,6 @@ class Simulator:
                     else:
                         event.callback(arg)
                 executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
         finally:
             rearms = self._rearms - rearms_start
             self.events_executed += executed - rearms
@@ -436,7 +314,7 @@ class Simulator:
             self.wall_seconds += perf_counter() - started  # repro-lint: ignore[D101] -- reporting only
             if gc_was_enabled:
                 gc.enable()
-        if until is not None and not self._pending and self._now < until:
+        if until is not None and not heap:
             self._now = until
         return self._now
 
@@ -447,43 +325,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of scheduled (possibly cancelled) events still queued."""
-        return self._pending
-
-    def _next_pending(self) -> tuple[list[tuple[Any, ...]] | None, int, tuple[Any, ...] | None]:
-        """Locate the globally next pending entry without moving the wheel.
-
-        Returns ``(container, index, entry)`` where ``container`` is the
-        ring bucket holding the entry (``None`` when it lives at the head of
-        the overflow heap).  Cold path — used only by bookkeeping such as
-        :attr:`pending_live_events`.
-        """
-        overflow = self._overflow
-        best: tuple[Any, ...] | None = overflow[0] if overflow else None
-        cur = self._cur_tick
-        for offset in range(self._ring_size):
-            bucket = self._ring[(cur + offset) & self._mask]
-            start = self._bucket_pos if offset == 0 else 0
-            if start >= len(bucket):
-                continue
-            if offset == 0 and self._bucket_sorted:
-                candidate = bucket[start]
-                index = start
-            else:
-                index = min(range(start, len(bucket)), key=bucket.__getitem__)
-                candidate = bucket[index]
-            if best is None or candidate < best:  # type: ignore[operator]
-                return self._ring[(cur + offset) & self._mask], index, candidate
-            break  # earlier ring entries cannot exist in later buckets
-        if best is not None:
-            return None, 0, best
-        return None, 0, None
+        return len(self._heap)
 
     @property
     def pending_live_events(self) -> int:
         """Number of queued events that are not lazily cancelled, seen from
         the front of the schedule.
 
-        Prunes cancelled events off the schedule front first, so a calendar
+        Prunes cancelled events off the heap's head first, so a heap
         holding *only* cancelled entries reports zero (and frees them)
         instead of making idle-detection loops spin until their timestamps
         pass.  Cancelled events buried under live ones are still counted —
@@ -491,23 +340,13 @@ class Simulator:
         :class:`Timer` event whose soft deadline moved counts as one live
         event, exactly like the eager event it replaces.
         """
-        while self._pending:
-            container, index, entry = self._next_pending()
-            if entry is None:  # pragma: no cover - pending implies an entry
-                break
-            event = entry[2]
+        heap = self._heap
+        while heap:
+            event = heap[0][2]
             if event is None or not event.cancelled:
                 break
-            if container is None:
-                heapq.heappop(self._overflow)
-            elif index == self._bucket_pos and container is self._ring[
-                self._cur_tick & self._mask
-            ]:
-                self._bucket_pos = index + 1
-            else:
-                del container[index]
-            self._pending -= 1
-        return self._pending
+            heappop(heap)
+        return len(heap)
 
     @property
     def events_per_sec(self) -> float:
@@ -530,7 +369,7 @@ class Timer:
     it surfaces.  Each restart still consumes exactly one kernel sequence
     number — the same count the eager cancel-and-repush implementation
     consumed — so event tie-breaking, and with it whole-run determinism, is
-    unchanged while per-ACK RTO restarts stop touching the calendar at all.
+    unchanged while per-ACK RTO restarts stop touching the heap at all.
     Only a restart that pulls the expiry *earlier* than the queued entry
     (e.g. an RTT collapse shrinking the RTO) pays for a cancel and re-push.
     Re-arm bounces increment ``Simulator.timer_rearms`` instead of
@@ -556,9 +395,9 @@ class Timer:
 
     def start(self, delay: int) -> None:
         """(Re)arm the timer to fire ``delay`` ticks from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot start a timer {-delay} ticks in the past")
         sim = self._sim
+        if type(delay) is not int or delay < 0:
+            _refuse(delay, sim._now)
         deadline = sim._now + delay
         sequence = sim._sequence
         sim._sequence = sequence + 1
@@ -571,7 +410,7 @@ class Timer:
             event.cancelled = True  # pulled earlier: the entry is useless
         event = _Event(deadline, sequence, self._fire)
         self._event = event
-        sim._insert(deadline, (deadline, sequence, event))
+        heappush(sim._heap, (deadline, sequence, event))
 
     def stop(self) -> None:
         """Disarm the timer if it is running."""
@@ -601,7 +440,7 @@ class Timer:
             event.time = deadline
             event.sequence = sequence
             sim._rearms += 1
-            sim._insert(deadline, (deadline, sequence, event))
+            heappush(sim._heap, (deadline, sequence, event))
             return
         self._event = None
         self.expires_at = None
@@ -658,7 +497,7 @@ def run_until_idle(sim: Simulator, quantum: int = SECOND, max_quanta: int = 10_0
 
     Convenience for tests and examples that want "run to completion" without
     picking a horizon in advance.  Uses :attr:`Simulator.pending_live_events`
-    so a calendar holding only cancelled timers (e.g. a disarmed 60 s RTO)
+    so a heap holding only cancelled timers (e.g. a disarmed 60 s RTO)
     counts as idle immediately instead of burning one quantum per tick until
     the stale timestamps pass.
     """

@@ -1,7 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+import heapq
+from functools import partial
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     PeriodicTimer,
@@ -134,6 +137,60 @@ class TestRunControl:
         run_until_idle(sim)
         assert seen == ["done"]
         assert sim.pending_events == 0
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"until": 500}, SimulationError, r"500 before current time 2000"),
+            ({"until": 2500.5}, TypeError, r"2500\.5"),
+            ({"max_events": -1}, ValueError, r"-1"),
+            ({"max_events": 0}, None, None),
+        ],
+    )
+    def test_the_clock_never_runs_backwards(self, kwargs, error, match):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1000, fired.append, 1000)
+        sim.schedule(3000, fired.append, 3000)
+        assert sim.run(until=2000) == 2000
+        if error is None:
+            assert sim.run(**kwargs) == 2000  # runs nothing
+        else:
+            with pytest.raises(error, match=match):
+                sim.run(**kwargs)
+        assert sim.now == 2000
+        assert fired == [1000]
+        assert sim.pending_events == 1
+        with pytest.raises(SimulationError):
+            sim.schedule_at(600, fired.append, 600)
+        sim.run()
+        assert fired == [1000, 3000]
+
+
+class TestIntegerTime:
+    def test_non_integral_delays_and_times_are_refused(self):
+        import numpy as np
+
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        refused = [
+            (lambda value: sim.schedule(value, print), 1.5),
+            (lambda value: sim.schedule_at(value, print), 600.25),
+            (lambda value: sim.schedule_fast(value, print, "x"), 2.0),
+            (timer.start, 0.5),
+        ]
+        for call, value in refused:
+            with pytest.raises(TypeError, match=repr(value)):
+                call(value)
+        assert sim.pending_events == 0
+        fired = []
+        sim.schedule(np.int64(5), fired.append, "numpy delay")
+        sim.schedule_at(np.int32(7), fired.append, "numpy time")
+        sim.schedule_fast(True, fired.append, "bool delay")
+        Timer(sim, lambda: fired.append("numpy timer")).start(np.uint16(9))
+        sim.run()
+        assert fired == ["bool delay", "numpy delay", "numpy time", "numpy timer"]
+        assert sim.now == 9
 
 
 class TestRandomStreams:
@@ -437,24 +494,18 @@ class TestEventArg:
 
 
 class TestCalendarQueue:
-    """Edge cases of the two-tier bucketed calendar queue (ring + overflow).
-
-    The ring/bucket geometry is shrunk (tiny buckets, 4-slot ring) so a few
-    hundred nanoseconds of simulated time exercises bucket rollover, ring
-    wrap-around, and overflow adoption many times over.
-    """
+    """Orderings a bucketed calendar must handle case by case — bucket
+    rollover, runs that stop short of a queued event, timers moving far out
+    and back — kept as regression cases for whatever stores the schedule
+    (DESIGN.md "Event kernel")."""
 
     @given(
         delays=st.lists(
             st.integers(min_value=0, max_value=3_000_000), min_size=1, max_size=80
         ),
-        bucket_bits=st.integers(min_value=2, max_value=12),
-        ring_bits=st.integers(min_value=1, max_value=6),
     )
-    def test_pop_order_matches_heap_reference(self, delays, bucket_bits, ring_bits):
-        import heapq
-
-        sim = Simulator(bucket_bits=bucket_bits, ring_bits=ring_bits)
+    def test_pop_order_matches_heap_reference(self, delays):
+        sim = Simulator()
         reference = []
         for seq, delay in enumerate(delays):
             heapq.heappush(reference, (delay, seq))
@@ -479,14 +530,11 @@ class TestCalendarQueue:
         ),
     )
     def test_reentrant_schedules_match_heap_reference(self, jobs):
-        # Events scheduled from inside callbacks land in the *active* bucket
-        # (or ahead of it) while the wheel is mid-drain — the insort-behind-
-        # the-scan-position path a plain pre-loaded run never touches.  The
+        # Events scheduled from inside callbacks land ahead of (or tied
+        # with) entries already queued while the run loop is mid-drain.  The
         # reference model allocates sequence numbers in the same order the
         # kernel does: initial jobs first, then one per fired job.
-        import heapq
-
-        sim = Simulator(bucket_bits=6, ring_bits=3)
+        sim = Simulator()
         popped = []
 
         def follow():
@@ -517,24 +565,23 @@ class TestCalendarQueue:
         assert popped == expected
 
     def test_until_exit_inside_future_bucket_preserves_order(self):
-        sim = Simulator(bucket_bits=4, ring_bits=2)
+        sim = Simulator()
         order = []
         sim.schedule(1000, lambda: order.append("far"))
         assert sim.run(until=500) == 500
         assert order == []
-        # The wheel had scanned ahead to the far event's bucket before the
-        # deadline exit; an event scheduled between runs at an earlier time
-        # must still run first (cur_tick rewind on until-exit).
+        # The run stopped short of a queued event; an event scheduled between
+        # runs at an earlier time must still run first.
         sim.schedule(10, lambda: order.append("near"))  # fires at t=510
         sim.run()
         assert order == ["near", "far"]
         assert sim.now == 1000
 
     def test_repeated_until_steps_across_bucket_rollover(self):
-        # Drive the run deadline through every bucket boundary and several
-        # full ring wraps; each exit parks the wheel mid-calendar and the
-        # next run must resume without skipping or reordering anything.
-        sim = Simulator(bucket_bits=4, ring_bits=2)
+        # Step the run deadline across a stream of events at a stride that
+        # never lines up with it; each exit parks the clock between events
+        # and the next run must resume without skipping or reordering.
+        sim = Simulator()
         fired = []
         for t in range(0, 400, 7):
             sim.schedule_at(t, fired.append, t)
@@ -544,28 +591,28 @@ class TestCalendarQueue:
         assert fired == list(range(0, 400, 7))
 
     def test_timer_restart_into_overflow_region(self):
-        sim = Simulator(bucket_bits=4, ring_bits=2)  # horizon: 4 * 16 ns
+        sim = Simulator()
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(5)  # entry lands in the ring
-        timer.start(1_000_000)  # deadline far beyond the ring horizon
+        timer.start(5)  # a near entry
+        timer.start(1_000_000)  # soft move far out: the entry re-arms there
         sim.run()
         assert fired == [1_000_000]
 
     def test_timer_restart_from_overflow_back_into_ring(self):
-        sim = Simulator(bucket_bits=4, ring_bits=2)
+        sim = Simulator()
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(1_000_000)  # parked in the overflow heap
+        timer.start(1_000_000)  # a far entry
         timer.start(3)  # earlier deadline must take effect immediately
         sim.run()
         assert fired == [3]
 
     def test_timer_lazy_restart_interleaved_with_run(self):
         # Keepalive pattern: periodic traffic keeps pushing the deadline
-        # out, so the stale ring entry bounces (re-arms) several times
+        # out, so the stale entry bounces (re-arms) several times
         # before the timer finally fires once, 40 ns after the last poke.
-        sim = Simulator(bucket_bits=4, ring_bits=2)
+        sim = Simulator()
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))
         timer.start(20)
@@ -577,3 +624,233 @@ class TestCalendarQueue:
         # executed-event count must see 20 pokes + 1 firing, nothing more.
         assert sim.events_executed == 21
         assert sim.timer_rearms > 0
+
+
+class _World:
+    """What the kernel and the reference share: a fired event logs
+    ``(label, now)`` and then performs its action through the world's own
+    scheduling calls, so callbacks schedule, restart timers and stop runs."""
+
+    PERIODS = (23, 41)
+
+    def __init__(self):
+        self.fired = []
+
+    def act(self, payload):
+        label, (kind, *args) = payload
+        self.fired.append((label, self.now))
+        if kind == "stop":
+            self.stop()
+        elif kind == "spawn":
+            self.schedule("schedule_fast", args[0], (label + "+", ("none",)))
+        elif kind == "timer":
+            self.timer_start(*args)
+        elif kind == "untimer":
+            self.timer_stop(*args)
+
+    def flood(self, delay):
+        """Schedule 80 events and cancel three in four: enough dead weight
+        for the kernel to compact with live entries scattered through it."""
+        for i in range(80):
+            self.schedule("schedule", (delay + 37 * i) % 64, (f"flood{i}", ("none",)))
+            if i % 4:
+                self.cancel(-1)
+
+
+class _Kernel(_World):
+    def __init__(self):
+        super().__init__()
+        sim = self.sim = Simulator()
+        self.handles = []
+        self.timers = [Timer(sim, partial(self.act, (f"timer{i}", ("none",)))) for i in (0, 1)]
+        self.periodics = [
+            PeriodicTimer(sim, period, partial(self.act, (f"tick{i}", ("none",))), start=False)
+            for i, period in enumerate(self.PERIODS)
+        ]
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def schedule(self, kind, delay, payload):
+        if kind == "schedule_fast":
+            self.sim.schedule_fast(delay, self.act, payload)
+        elif kind == "schedule":
+            self.handles.append(self.sim.schedule(delay, self.act, payload))
+        else:
+            self.handles.append(self.sim.schedule_at(self.sim.now + delay, self.act, payload))
+
+    def cancel(self, k):
+        if self.handles:
+            Simulator.cancel(self.handles[k % len(self.handles)])
+
+    def timer_start(self, i, delay):
+        self.timers[i].start(delay)
+
+    def timer_stop(self, i):
+        self.timers[i].stop()
+
+    def periodic(self, i, on):
+        (self.periodics[i].start if on else self.periodics[i].stop)()
+
+    def stop(self):
+        self.sim.stop()
+
+
+class _Reference(_World):
+    """The kernel's contract with nothing lazy: one heapq of ``(time, seq,
+    fire)`` entries, a set of cancelled sequence numbers, and timers that
+    cancel and re-push on every restart."""
+
+    def __init__(self):
+        super().__init__()
+        self.heap, self.cancelled, self.handles = [], set(), []
+        self.now = self.seq = self.executed = 0
+        self.timers, self.periodics = [None, None], [None, None]
+        self.stopped = self.moved_later = False
+
+    def push(self, delay, fire):
+        entry = (self.now + delay, self.seq, fire)
+        self.seq += 1
+        heapq.heappush(self.heap, entry)
+        return entry
+
+    def schedule(self, kind, delay, payload):
+        entry = self.push(delay, partial(self.act, payload))
+        if kind != "schedule_fast":
+            self.handles.append(entry[1])
+
+    def cancel(self, k):
+        if self.handles:
+            self.cancelled.add(self.handles[k % len(self.handles)])
+
+    def timer_start(self, i, delay):
+        if self.timers[i] is not None:
+            self.moved_later |= self.timers[i][0] <= self.now + delay
+            self.cancelled.add(self.timers[i][1])
+        self.timers[i] = self.push(delay, partial(self.timer_fire, i))
+
+    def timer_stop(self, i):
+        if self.timers[i] is not None:
+            self.cancelled.add(self.timers[i][1])
+            self.timers[i] = None
+
+    def timer_fire(self, i):
+        self.timers[i] = None
+        self.act((f"timer{i}", ("none",)))
+
+    def periodic(self, i, on):
+        if on and self.periodics[i] is None:
+            self.periodics[i] = self.push(self.PERIODS[i], partial(self.tick, i))[1]
+        elif not on and self.periodics[i] is not None:
+            self.cancelled.add(self.periodics[i])
+            self.periodics[i] = None
+
+    def tick(self, i):
+        self.periodics[i] = self.push(self.PERIODS[i], partial(self.tick, i))[1]
+        self.act((f"tick{i}", ("none",)))
+
+    def stop(self):
+        self.stopped = True
+
+    def live(self):
+        return [time for time, seq, _ in self.heap if seq not in self.cancelled]
+
+    def run(self, until=None, max_events=None):
+        self.stopped, executed = False, 0
+        while self.heap and executed != max_events and not self.stopped:
+            time, seq, fire = self.heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(self.heap)
+            if seq not in self.cancelled:
+                self.now, executed = time, executed + 1
+                fire()
+        self.executed += executed
+
+
+_DELAYS = st.integers(min_value=0, max_value=60)
+_ACTIONS = st.one_of(
+    st.just(("none",)),
+    st.just(("stop",)),
+    st.tuples(st.just("spawn"), _DELAYS),
+    st.tuples(st.just("timer"), st.integers(0, 1), _DELAYS),
+    st.tuples(st.just("untimer"), st.integers(0, 1)),
+)
+_OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["schedule", "schedule_fast", "schedule_at"]), _DELAYS, _ACTIONS
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("flood"), _DELAYS),
+    st.tuples(st.just("timer_start"), st.integers(0, 1), _DELAYS),
+    st.tuples(st.just("timer_stop"), st.integers(0, 1)),
+    st.tuples(st.just("periodic"), st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("until"), st.integers(0, 80)),
+    st.tuples(st.just("max_events"), st.integers(1, 6)),
+)
+
+
+def _run_both(kernel, ref, until=None, max_events=None):
+    """One ``run`` in each world; the clock and the fired log must agree."""
+    sim = kernel.sim
+    executed, rearms = sim.events_executed, sim.timer_rearms
+    sim.run(until=until, max_events=max_events)
+    done, bounced = sim.events_executed - executed, sim.timer_rearms - rearms
+    if max_events is None:
+        ref.run(until=until)
+    else:
+        # A re-arm bounce is a callback the budget counts; the reference
+        # runs the events that really ran, and the kernel's clock may rest
+        # on a trailing bounce, never past a live event.
+        assert done + bounced <= max_events
+        ref.run(max_events=done)
+        if done + bounced < max_events:
+            assert ref.stopped or not ref.live()
+        if bounced:
+            assert ref.now <= sim.now <= min(ref.live(), default=sim.now)
+            ref.now = sim.now
+    # A stopped run leaves the clock at the stopping event unless nothing at
+    # all is queued; every other exit with a deadline lands on it.
+    if until is not None and (not ref.stopped or not sim.pending_events):
+        ref.now = until
+    assert kernel.fired == ref.fired
+    assert sim.now == ref.now
+    assert sim.events_executed == ref.executed
+
+
+class TestReferenceModel:
+    """Random programs against a ~30-line eager heap: any storage the kernel
+    uses must reproduce its fire order, fire times, clock and counts."""
+
+    # The two programs the removed bucketed calendar failed (DESIGN.md "Event
+    # kernel"): a head-of-schedule probe that skipped a later-scheduled
+    # earlier event, and a re-arm at its old time queued behind a rival
+    # holding a newer sequence number.
+    @example(program=[("schedule", 1, ("none",)), ("cancel", 0), ("schedule", 0, ("none",))])
+    @example(program=[("timer_start", 1, 0), ("timer_start", 1, 0), ("timer_start", 0, 0)])
+    @settings(max_examples=300, deadline=None)
+    @given(program=st.lists(_OPS, max_size=40))
+    def test_kernel_matches_reference_model(self, program):
+        kernel, ref = _Kernel(), _Reference()
+        for index, (op, *args) in enumerate(program):
+            if op == "until":
+                _run_both(kernel, ref, until=kernel.sim.now + args[0])
+            elif op == "max_events":
+                _run_both(kernel, ref, max_events=args[0])
+            else:
+                if op.startswith("schedule"):
+                    args = [op, args[0], (f"e{index}", args[1])]
+                    op = "schedule"
+                getattr(kernel, op)(*args)
+                getattr(ref, op)(*args)
+            live = kernel.sim.pending_live_events
+            assert len(ref.live()) <= live <= kernel.sim.pending_events
+            assert (live == 0) == (not ref.live())
+        for world in (kernel, ref):
+            world.periodic(0, False)
+            world.periodic(1, False)
+        while kernel.sim.pending_live_events:
+            _run_both(kernel, ref)
+        assert not ref.live()
+        assert kernel.sim.timer_rearms == 0 or ref.moved_later
