@@ -648,10 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     poa = sub.add_parser("poa", help="evaluate the Theorem 1 PoA gadget")
     poa.set_defaults(func=_cmd_poa)
 
-    from repro.lint.cli import add_callgraph_parser, add_lint_parser
+    from repro.lint.cli import add_lint_parser
 
     add_lint_parser(sub)
-    add_callgraph_parser(sub)
     return parser
 
 

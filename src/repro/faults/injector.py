@@ -9,8 +9,8 @@ after the fabric is finalized and *before* monitors attach, with the run's
   selection excludes down links) and route caches see the degraded fabric
   from the first event on;
 * later events are scheduled on the kernel as bound-method + arg-slot
-  events (the E303-clean picklable form), one per fault, and fire in
-  schedule order at equal times.
+  events, one per fault (each bound to its own event, never to a loop
+  variable), and fire in schedule order at equal times.
 
 An empty schedule constructs nothing and touches no RNG stream, so runs
 with ``faults=()`` are event-for-event identical to runs predating the
@@ -115,7 +115,7 @@ class FaultInjector:
                 rng = self.sim.rng(f"feedback-loss:leaf{target.leaf_id}")
             target.tep.set_feedback_loss(probability, rng)
 
-    # -- scheduled restore callbacks (bound method + arg slot, E303-clean) ----
+    # -- scheduled restore callbacks (bound method + arg slot) ----------------
 
     def _clear_feedback_loss(self, leaf: int | None = None) -> None:
         # The default matters: the kernel calls arg=None events with *no*

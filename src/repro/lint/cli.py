@@ -1,21 +1,16 @@
-"""Argument handling for ``conga-repro lint`` and ``conga-repro callgraph``.
+"""Argument handling for ``conga-repro lint``.
 
 Exit-code semantics (stable contract for CI and pre-commit hooks):
 
 * ``0`` — analysis ran and found nothing (clean tree).
 * ``1`` — analysis ran and at least one violation survived suppression
-  (per-file D/S/R rules, whole-program E3xx findings, or stale-waiver
-  E304 reports).
+  (a rule's finding, or a stale waiver reported as E304).
 * ``2`` — the analysis itself could not run: unknown ``--select`` token,
   unknown flag, or unreadable path.
 
 Every ``lint`` call is the same one pass — each file parsed once, every
-rule run once, the call graph linked and E301–E304 evaluated; ``--select``
-narrows what is reported, never what is computed.
-
-``conga-repro callgraph`` is informational: it exits ``0`` after dumping
-witness chains (``2`` on usage errors), never ``1`` — gating belongs to
-``lint``.
+rule run once, every waiver audited; ``--select`` narrows what is
+reported, never what is computed.
 """
 
 from __future__ import annotations
@@ -24,10 +19,8 @@ import argparse
 import json
 import sys
 
-from repro.lint.callgraph import EFFECT_KINDS
-from repro.lint.effects import EFFECT_RULE_CATALOG, analyze_effects, dump_callgraph
-from repro.lint.engine import LintReport
-from repro.lint.rules import ALL_RULES, UnknownRuleError, resolve_select
+from repro.lint.engine import lint_paths
+from repro.lint.rules import ALL_RULES, CATALOG, UnknownRuleError, resolve_select
 
 
 def add_lint_parser(
@@ -38,12 +31,11 @@ def add_lint_parser(
         "lint",
         help="run the determinism / simulation-invariant static analyzer",
         description=(
-            "AST-based static analysis enforcing the repo's determinism "
-            "contract (D1xx rules), simulator invariants (S2xx rules), "
-            "reporting discipline (R3xx), and the whole-program E3xx "
-            "contracts over the interprocedural call graph, in one pass.  "
-            "See DESIGN.md for the rule catalog.  Exit codes: "
-            "0 clean, 1 findings, 2 usage/internal error."
+            "AST-based static analysis enforcing the contracts no test or "
+            "golden guards: determinism (D1xx), simulator and sweep-runner "
+            "invariants (S2xx), reporting discipline (R3xx) and waiver "
+            "hygiene (E304), in one pass.  See DESIGN.md for the rule "
+            "catalog.  Exit codes: 0 clean, 1 findings, 2 usage/internal error."
         ),
     )
     parser.add_argument(
@@ -65,7 +57,7 @@ def add_lint_parser(
         metavar="RULES",
         help=(
             "comma-separated rule ids or family prefixes to report "
-            "(e.g. 'D101', 'E3', 'D,S2'); every rule still runs, so a "
+            "(e.g. 'D101', 'S2', 'D,E304'); every rule still runs, so a "
             "selected E304 judges waivers of unselected rules too"
         ),
     )
@@ -83,59 +75,8 @@ def add_lint_parser(
     return parser
 
 
-def add_callgraph_parser(
-    subparsers: "argparse._SubParsersAction[argparse.ArgumentParser]",
-) -> argparse.ArgumentParser:
-    """Register the ``callgraph`` subcommand (witness-chain explorer)."""
-    parser = subparsers.add_parser(
-        "callgraph",
-        help="dump reachable-effect witness chains from kernel entry points",
-        description=(
-            "Links the whole-program call graph and prints, for each entry "
-            "point (kernel loop, per-packet train path, scheme callbacks, "
-            "scheduled callbacks and hooks), every effect it can reach with "
-            "the full witness chain: entry -> call -> ... -> effect site, "
-            "file:line per hop.  Informational: exits 0 (2 on errors)."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--entry",
-        action="append",
-        default=None,
-        metavar="PATTERN",
-        help=(
-            "fnmatch pattern over function qnames to use as entry points "
-            "(repeatable; default: the E301/E302 entry set plus every "
-            "registered callback)"
-        ),
-    )
-    parser.add_argument(
-        "--kind",
-        action="append",
-        default=None,
-        metavar="KIND",
-        choices=EFFECT_KINDS,
-        help="only show these effect kinds (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="output_format",
-        help="output format (default: text)",
-    )
-    parser.set_defaults(func=cmd_callgraph)
-    return parser
-
-
 def _print_rules() -> None:
-    for rule in ALL_RULES + EFFECT_RULE_CATALOG:
+    for rule in CATALOG:
         print(f"{rule.rule_id}  {rule.title}")
         print(f"      scope: {rule.patrols}")
         print(f"      guards: {rule.rationale}")
@@ -147,29 +88,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         _print_rules()
         return 0
-    selected = None
     try:
-        if args.select is not None:
-            file_rules, effect_ids = resolve_select(args.select)
-            selected = [rule.rule_id for rule in file_rules] + list(effect_ids)
-        effects_report = analyze_effects(args.paths)
+        selected = None if args.select is None else resolve_select(args.select)
+        report = lint_paths(args.paths, ALL_RULES).selected(selected)
     except (UnknownRuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = LintReport(
-        violations=effects_report.violations(selected),
-        files_checked=effects_report.files_checked,
-    )
 
     if args.output_format == "json":
-        document = report.to_json()
-        document["effects"] = effects_report.to_json()
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         for violation in report.violations:
             print(violation.format())
         if args.show_suppressed:
-            for status in effects_report.suppressions:
+            for status in report.suppressions:
                 where = f"{status.path}:{status.line}" if status.line else status.path
                 form = "ignore" if status.line else "ignore-file"
                 verdict = (
@@ -186,31 +118,4 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_callgraph(args: argparse.Namespace) -> int:
-    """Entry point for ``conga-repro callgraph``."""
-    try:
-        report = analyze_effects(args.paths)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    records = dump_callgraph(report, entries=args.entry, kinds=args.kind)
-    if args.output_format == "json":
-        print(json.dumps({"version": 1, "chains": records}, indent=2, sort_keys=True))
-        return 0
-    for record in records:
-        deferred = " (deferred)" if record["deferred"] else ""
-        chain = " -> ".join(
-            f"{hop['function']} ({hop['path']}:{hop['line']})"
-            for hop in record["chain"]
-        )
-        site = record["site"]
-        print(
-            f"{record['entry']}: {record['kind']}{deferred} "
-            f"{record['detail']} at {site['path']}:{site['line']}"
-        )
-        print(f"    {chain}")
-    print(f"{len(records)} reachable effect(s) from {report.files_checked} file(s)")
-    return 0
-
-
-__all__ = ["add_callgraph_parser", "add_lint_parser", "cmd_callgraph", "cmd_lint"]
+__all__ = ["add_lint_parser", "cmd_lint"]

@@ -2,12 +2,13 @@
 
 The engine is deliberately small: :func:`parse_module` reads one file —
 parsed once with the stdlib :mod:`ast`, tokenised once for suppression
-comments — into the :class:`ModuleContext` that both rule families
-consume: the per-file rules of :mod:`repro.lint.rules` check its tree,
-and :mod:`repro.lint.callgraph` lowers the same tree into the summary the
-whole-program E3xx pass links.  Each rule encodes a determinism or
-simulation invariant of this reproduction (see DESIGN.md for the catalog
-and the paper sections the invariants derive from).
+comments — into the :class:`ModuleContext` that every rule of
+:mod:`repro.lint.rules` checks, and :func:`lint_paths` is the one pass:
+each file parsed once, every rule run once, its findings *before*
+suppression both the report (minus the waived ones) and the evidence
+the stale-waiver audit (E304) judges each waiver against.  Each rule
+encodes a determinism or simulation invariant that no test, golden or
+CI step guards (see DESIGN.md for the catalog and the audit behind it).
 
 Suppression comments
 --------------------
@@ -23,7 +24,8 @@ work anywhere a comment does:
 
 A violation is matched against the physical line of the AST node that
 raised it (``node.lineno``), so on a multi-line statement the suppression
-comment belongs on the statement's first line.
+comment belongs on the statement's first line.  A waiver that no longer
+matches any finding is itself a finding (E304), which no waiver hides.
 
 Scoping
 -------
@@ -40,9 +42,9 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Directories never descended into when expanding directory arguments.
 _SKIP_DIRS = {
@@ -128,9 +130,33 @@ class Rule:
         )
 
 
+class StaleWaiverRule(Rule):
+    """E304 — every waiver still suppresses something.
+
+    Not an AST check: :func:`audit_waivers` judges a file's waivers against
+    every other rule's findings in it, before suppression.
+    """
+
+    rule_id = "E304"
+    title = "no stale suppression comments"
+    rationale = (
+        "An ignore[...] comment whose rules no longer match any finding "
+        "hides future regressions at that site; stale waivers must be "
+        "removed (ruff unused-noqa analogue)."
+    )
+    paper_ref = "repo lint policy (DESIGN.md)"
+
+    @property
+    def patrols(self) -> str:
+        return "every waiver in the analyzed paths"
+
+
+STALE_WAIVERS = StaleWaiverRule()
+
+
 @dataclass
 class ModuleContext:
-    """One file, parsed and tokenised once, for every rule family."""
+    """One file, parsed and tokenised once, for every rule."""
 
     path: Path
     display_path: str
@@ -158,6 +184,26 @@ class Suppressions:
             if "*" in pool or violation.rule in pool:
                 return True
         return False
+
+
+@dataclass
+class SuppressionStatus:
+    """One suppression comment with its staleness verdict (E304)."""
+
+    path: str
+    line: int  # 0 for whole-file suppressions
+    rules: list[str]
+    used: list[str]
+    stale: list[str]
+
+    def to_json(self) -> dict[str, object]:
+        return {
+            "path": self.path,
+            "line": self.line,
+            "rules": self.rules,
+            "used": self.used,
+            "stale": self.stale,
+        }
 
 
 def scope_of(path: Path) -> tuple[str, ...] | None:
@@ -246,13 +292,51 @@ def run_rules(module: ModuleContext, rules: Sequence[Rule]) -> list[Violation]:
     ]
 
 
+def audit_waivers(
+    module: ModuleContext, findings: Sequence[Violation]
+) -> tuple[list[Violation], list[SuppressionStatus]]:
+    """E304: judge every waiver of ``module`` against its pre-suppression findings.
+
+    A line waiver is used by the rules that fire on its line (``*`` by
+    any); a whole-file waiver by the rules that fire anywhere in the file.
+    """
+    path = module.display_path
+    at_line: dict[int, set[str]] = {}
+    for found in findings:
+        at_line.setdefault(found.line, set()).add(found.rule)
+    anywhere = {rule for rules in at_line.values() for rule in rules}
+    stale_found: list[Violation] = []
+    statuses: list[SuppressionStatus] = []
+    waivers = [
+        (line, sorted(rules)) for line, rules in sorted(module.suppressions.by_line.items())
+    ]
+    if module.suppressions.whole_file:
+        waivers.append((0, sorted(module.suppressions.whole_file)))
+    for line, rules in waivers:
+        fired = at_line.get(line, set()) if line else anywhere
+        used = sorted(rule for rule in rules if rule in fired or (rule == "*" and fired))
+        stale = [rule for rule in rules if rule not in used]
+        statuses.append(SuppressionStatus(path, line, rules, used, stale))
+        if stale:
+            listed = ",".join(stale)
+            message = (
+                f"suppression ignore[{listed}] matches no finding at this "
+                "line — stale waiver, remove it"
+                if line
+                else f"whole-file suppression ignore-file[{listed}] matches no "
+                "finding in this file — stale waiver"
+            )
+            stale_found.append(Violation("E304", path, line or 1, 1, message))
+    return stale_found, statuses
+
+
 def lint_source(
     source: str,
     rules: Sequence[Rule],
     *,
     path: Path | str = "<string>",
 ) -> list[Violation]:
-    """Run per-file ``rules`` over one in-memory module."""
+    """Run per-file ``rules`` over one in-memory module (no waiver audit)."""
     module = parse_module(source, path)
     found = run_rules(module, rules)
     found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
@@ -265,11 +349,28 @@ class LintReport:
 
     violations: list[Violation]
     files_checked: int
+    #: Every suppression comment with its E304 verdict.
+    suppressions: list[SuppressionStatus] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """True when no violations survived suppression."""
         return not self.violations
+
+    def selected(self, rule_ids: Iterable[str] | None) -> "LintReport":
+        """The same report narrowed to ``rule_ids`` (E001 always stays).
+
+        Nothing can be said about a file that does not parse, whatever was
+        selected.
+        """
+        if rule_ids is None:
+            return self
+        wanted = {"E001", *rule_ids}
+        return LintReport(
+            [v for v in self.violations if v.rule in wanted],
+            self.files_checked,
+            self.suppressions,
+        )
 
     def counts(self) -> dict[str, int]:
         """Violation tallies per rule id, sorted by rule id."""
@@ -295,25 +396,40 @@ class LintReport:
                 }
                 for v in self.violations
             ],
+            "suppressions": [status.to_json() for status in self.suppressions],
         }
 
 
 def lint_paths(paths: Sequence[Path | str], rules: Sequence[Rule]) -> LintReport:
-    """Per-file ``rules`` only, over ``paths``; the CLI reports via ``analyze_effects``."""
+    """The one pass over ``paths``: each file parsed once, every rule run once.
+
+    Waivers are audited (E304) against ``rules``' findings, so pass every
+    rule and narrow the report with :meth:`LintReport.selected`.
+    """
     files = list(iter_python_files(paths))
     violations: list[Violation] = []
+    statuses: list[SuppressionStatus] = []
     for path in files:
-        violations.extend(lint_source(path.read_text(encoding="utf-8"), rules, path=path))
+        module = parse_module(path.read_text(encoding="utf-8"), path)
+        found = run_rules(module, rules)
+        violations.extend(v for v in found if not module.suppressions.suppressed(v))
+        stale, audited = audit_waivers(module, found)
+        violations.extend(stale)
+        statuses.extend(audited)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return LintReport(violations=violations, files_checked=len(files))
+    return LintReport(violations, len(files), statuses)
 
 
 __all__ = [
     "LintReport",
     "ModuleContext",
     "Rule",
+    "STALE_WAIVERS",
+    "StaleWaiverRule",
+    "SuppressionStatus",
     "Suppressions",
     "Violation",
+    "audit_waivers",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -2,16 +2,18 @@
 and reporting discipline (R3xx).
 
 Each rule turns one of this reproduction's correctness contracts into a
-machine-checked property.  The D-class rules guard the bit-exact
-determinism contract established by the golden digest fixtures
-(tests/golden/): the simulation must be a pure function of the
-:class:`~repro.apps.spec.ExperimentSpec`, so nothing on a simulated code
-path may read wall clocks, process-seeded hashes, or unordered
-collections whose order can leak into tie-breaking.  The S-class rules
-guard structural invariants of the simulator and the sweep runner.
+machine-checked property, and each is here because no test, golden or CI
+step fails on the regression it catches.  The golden digests
+(tests/golden/) already fail on a draw from ambient random state, a
+``hash(str)`` reaching a decision or a re-ordered float sum; what they
+cannot see is a dependence that does not move today's digests — a
+wall-clock read behind a branch a quiet machine never takes (D101), an
+iteration order that only a future insertion order would change (D104).
+The S-class rules guard structural invariants of the simulator and the
+sweep runner that no digest covers.
 
-DESIGN.md documents every rule with the invariant it guards and the
-paper section it derives from; keep the two lists in sync.
+DESIGN.md documents every rule with the regression it catches and the
+audit that kept it; keep the two lists in sync.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Violation
+from repro.lint.engine import STALE_WAIVERS, ModuleContext, Rule, Violation
 
 #: Wall-clock functions of :mod:`time` that break run reproducibility.
 _WALL_CLOCK_TIME_FUNCS = frozenset(
@@ -38,34 +40,8 @@ _WALL_CLOCK_TIME_FUNCS = frozenset(
 #: Wall-clock constructors of :class:`datetime.datetime`.
 _WALL_CLOCK_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
-#: Legacy global-state numpy.random functions (the seeded, per-simulator
-#: ``Generator`` streams from ``Simulator.rng`` are the sanctioned API).
-_NUMPY_GLOBAL_RANDOM = frozenset(
-    {
-        "seed",
-        "random",
-        "rand",
-        "randn",
-        "randint",
-        "random_sample",
-        "shuffle",
-        "permutation",
-        "choice",
-        "uniform",
-        "normal",
-        "exponential",
-    }
-)
-
-#: Accumulation helpers exempt from the float-accumulation rule.
-_APPROVED_ACCUMULATORS = frozenset({"fsum", "isum", "kahan_add"})
-
 #: Registry dicts that must be written through their registration API.
 _REGISTRIES = frozenset({"SCHEMES", "WORKLOADS"})
-
-#: ``Simulator`` scheduling methods whose callback lands on the event heap
-#: (the schedule slots of the E303 contract, see :mod:`repro.lint.callgraph`).
-_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "schedule_fast"})
 
 
 def _dotted_name(node: ast.expr) -> str | None:
@@ -166,109 +142,6 @@ class WallClockRule(Rule):
                 )
 
 
-class RandomModuleRule(Rule):
-    """D102 — randomness must come from named, seeded simulator streams."""
-
-    rule_id = "D102"
-    title = "no random module / numpy global random state"
-    rationale = (
-        "All stochastic draws must come from Simulator.rng(name) substreams "
-        "so adding a component never perturbs existing draws; the stdlib "
-        "random module and numpy's global state are unseeded ambient state."
-    )
-    paper_ref = "repo determinism contract; paper §4 (deterministic mechanism)"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        tree = module.tree
-        numpy_aliases = _import_aliases(tree, "numpy")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield self.violation(
-                            module,
-                            node,
-                            "import of the stdlib random module; draw from "
-                            "Simulator.rng(<stream>) instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    yield self.violation(
-                        module,
-                        node,
-                        "import from the stdlib random module; draw from "
-                        "Simulator.rng(<stream>) instead",
-                    )
-                elif node.module == "numpy" and any(
-                    alias.name == "random" for alias in node.names
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        "import of numpy.random global state; draw from "
-                        "Simulator.rng(<stream>) instead",
-                    )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                if dotted is None or "." not in dotted:
-                    continue
-                parts = dotted.split(".")
-                if (
-                    len(parts) == 3
-                    and parts[0] in numpy_aliases
-                    and parts[1] == "random"
-                    and parts[2] in _NUMPY_GLOBAL_RANDOM
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"{dotted}() uses numpy's global random state; draw "
-                        "from Simulator.rng(<stream>) instead",
-                    )
-
-
-class UnstableHashRule(Rule):
-    """D103 — no process-dependent id()/hash() on simulated code paths."""
-
-    rule_id = "D103"
-    title = "no builtin id() / hash() calls"
-    rationale = (
-        "hash() of a str is randomized per process (PYTHONHASHSEED) and id() "
-        "is an allocation address; either reaching a forwarding or "
-        "tie-breaking decision makes runs differ between processes.  Use "
-        "repro.net.hashing.stable_hash, which emulates the ASIC's packed-"
-        "header hashing."
-    )
-    paper_ref = "paper §3.4 (flowlet hashing), §5.2.3"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        tree = module.tree
-        shadowed = {
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        shadowed.add(target.id)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in {"id", "hash"}
-                and node.func.id not in shadowed
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    f"builtin {node.func.id}() is process-dependent; use "
-                    "repro.net.hashing.stable_hash for anything that reaches "
-                    "forwarding or tie-breaking",
-                )
-
-
 class UnorderedIterationRule(Rule):
     """D104 — no iteration over sets or unsorted dict views in hot packages."""
 
@@ -321,57 +194,6 @@ class UnorderedIterationRule(Rule):
                     "wrap in sorted(...)"
                 )
         return None
-
-
-class FloatAccumulationRule(Rule):
-    """D105 — no bare float += accumulation in loops of DRE/flowlet code."""
-
-    rule_id = "D105"
-    title = "no unguarded += accumulation inside loops in core/"
-    scopes = ("core",)
-    rationale = (
-        "Repeated float += in a loop accumulates rounding error whose "
-        "magnitude depends on iteration order; the DRE register update rule "
-        "must stay bit-exact (the decay table is asserted bit-identical to "
-        "the closed form).  Accumulate integers, use math.fsum, or an "
-        "approved compensated helper."
-    )
-    paper_ref = "paper §3.2 (DRE update rule X += bytes; X ← X·(1−α))"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        yield from self._walk(module, module.tree, loop_depth=0)
-
-    def _walk(
-        self, module: ModuleContext, node: ast.AST, loop_depth: int
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            child_depth = loop_depth
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                child_depth += 1
-            elif isinstance(child, ast.AugAssign) and loop_depth > 0:
-                if isinstance(child.op, (ast.Add, ast.Sub)) and not self._exempt(
-                    child.value
-                ):
-                    yield self.violation(
-                        module,
-                        child,
-                        "+= accumulation inside a loop body; rounding error "
-                        "depends on iteration order — accumulate integers, "
-                        "use math.fsum, or an approved helper",
-                    )
-            yield from self._walk(module, child, child_depth)
-
-    @staticmethod
-    def _exempt(value: ast.expr) -> bool:
-        if isinstance(value, ast.Constant) and type(value.value) is int:
-            return True
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            return name in _APPROVED_ACCUMULATORS or name == "len"
-        return False
 
 
 class FrozenSpecRule(Rule):
@@ -509,14 +331,18 @@ class AdHocOutputRule(Rule):
 
     rule_id = "R301"
     title = "no print() / logging on simulator code paths"
-    scopes = ("core", "lb", "sim", "switch", "transport")
+    #: Every package whose code the event kernel calls into.
+    scopes = (
+        "apps", "core", "faults", "lb", "net", "obs", "overlay", "sim",
+        "switch", "topology", "transport", "workloads",
+    )
     rationale = (
         "The observability contract routes every hot-path signal through "
-        "repro.obs: trace events for per-decision records, registry metrics "
-        "for counters.  A print() or logging call in simulator packages is "
+        "repro.obs: trace events for per-decision records, plain counters "
+        "for counts.  A print() or logging call in simulator packages is "
         "unstructured, unconditionally paid for, and invisible to the trace "
         "digest — so it rots into debugging residue.  Emit a TraceEvent or "
-        "bump a metric instead."
+        "bump a counter instead."
     )
     paper_ref = "repro.obs plane (DESIGN.md observability chapter)"
 
@@ -636,154 +462,61 @@ class AdHocGridRule(Rule):
         return None
 
 
-class HotPathClosureRule(Rule):
-    """S205 — per-packet hot paths must not allocate closures or lambdas."""
-
-    rule_id = "S205"
-    title = "no closure/lambda allocation in core/sim/net method bodies"
-    rationale = (
-        "the kernel dispatches hundreds of thousands of events per second "
-        "through core/, sim/, and net/ methods; a lambda or nested def in a "
-        "method body allocates a fresh function object (plus a cell per "
-        "captured variable) on every invocation — exactly the per-packet "
-        "allocation the kernel's handle-free schedule_fast entries and the "
-        "fused transmit path were built to avoid.  Hoist the callable to a "
-        "bound method or module-level function; dunder methods (``__init__`` "
-        "and friends) run at setup/reporting time and are exempt."
-    )
-    paper_ref = "repo perf contract (bench/ events_per_s, tests/test_frame_budget.py)"
-    scopes = ("core", "sim", "net")
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for method in cls.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                name = method.name
-                if name.startswith("__") and name.endswith("__"):
-                    continue  # setup/reporting dunders, never per-packet
-                yield from self._check_method(module, cls.name, method)
-
-    def _check_method(
-        self,
-        module: ModuleContext,
-        class_name: str,
-        method: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Violation]:
-        where = f"{class_name}.{method.name}"
-        for node in ast.walk(method):
-            if isinstance(node, ast.Lambda):
-                yield self.violation(
-                    module,
-                    node,
-                    f"lambda allocated inside hot-path method {where}; "
-                    "every call builds a fresh function object — hoist it "
-                    "to a bound method or module-level function",
-                )
-            elif (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not method
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    f"nested function {node.name!r} defined inside hot-path "
-                    f"method {where}; every call allocates the closure — "
-                    "hoist it to a bound method or module-level function",
-                )
-
-
-#: Every shipped rule, in catalog order.
+#: Every per-file rule, in catalog order.
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
-    RandomModuleRule(),
-    UnstableHashRule(),
     UnorderedIterationRule(),
-    FloatAccumulationRule(),
     AdHocOutputRule(),
     FrozenSpecRule(),
     RegistryWriteRule(),
     AdHocGridRule(),
-    HotPathClosureRule(),
 )
+
+#: What ``--list-rules`` prints and ``--select`` chooses from.
+CATALOG: tuple[Rule, ...] = (*ALL_RULES, STALE_WAIVERS)
 
 
 class UnknownRuleError(ValueError):
     """Raised when ``--select`` names a rule id that does not exist."""
 
 
-def resolve_select(
-    select: str | None,
-) -> tuple[tuple[Rule, ...], tuple[str, ...]]:
-    """Split a ``--select`` expression into (per-file rules, effect ids).
+def resolve_select(select: str | None) -> tuple[str, ...]:
+    """The rule ids a ``--select`` expression names, in catalog order.
 
-    Tokens are comma-separated and may be exact rule ids (``D101``,
-    ``E302``) or family prefixes (``D`` → D101–D105, ``S2`` → S202–S205,
-    ``E3`` → the whole-program effect rules).  A token that matches
-    nothing in either catalog raises :class:`UnknownRuleError`.  With
-    ``select=None`` every per-file rule and every effect rule is
-    selected.  Selection only narrows what is *reported*: the analyzer
-    always runs every rule, which is what keeps E304 evidence complete.
+    Tokens are comma-separated and may be exact rule ids (``D101``) or
+    family prefixes (``D`` → D101 and D104, ``S2`` → S202–S204, ``E3`` →
+    E304).  A token that matches nothing raises :class:`UnknownRuleError`.
+    With ``select=None`` every rule is selected.  Selection only narrows
+    what is *reported*: the analyzer always runs every rule, which is what
+    keeps E304 evidence complete.
     """
-    from repro.lint.effects import EFFECT_RULE_IDS  # deferred: avoids a cycle
-
+    ids = [rule.rule_id for rule in CATALOG]
     if select is None:
-        return ALL_RULES, EFFECT_RULE_IDS
+        return tuple(ids)
     tokens = [part.strip() for part in select.split(",") if part.strip()]
-    file_ids: list[str] = []
-    effect_ids: list[str] = []
-    unknown: list[str] = []
-    for token in tokens:
-        file_hits = [
-            rule.rule_id
-            for rule in ALL_RULES
-            if rule.rule_id == token or rule.rule_id.startswith(token)
-        ]
-        effect_hits = [
-            rule_id
-            for rule_id in EFFECT_RULE_IDS
-            if rule_id == token or rule_id.startswith(token)
-        ]
-        if not file_hits and not effect_hits:
-            unknown.append(token)
-            continue
-        file_ids.extend(hit for hit in file_hits if hit not in file_ids)
-        effect_ids.extend(hit for hit in effect_hits if hit not in effect_ids)
+    unknown = [token for token in tokens if not any(i.startswith(token) for i in ids)]
     if unknown:
-        known = ", ".join(
-            sorted({rule.rule_id for rule in ALL_RULES} | set(EFFECT_RULE_IDS))
-        )
         raise UnknownRuleError(
-            f"unknown rule id(s) {', '.join(unknown)}; known rules: {known}"
+            f"unknown rule id(s) {', '.join(unknown)}; known rules: {', '.join(ids)}"
         )
-    by_id = {rule.rule_id: rule for rule in ALL_RULES}
-    return tuple(by_id[rule_id] for rule_id in file_ids), tuple(effect_ids)
+    return tuple(i for i in ids if any(i.startswith(token) for token in tokens))
 
 
 def get_rules(select: str | None = None) -> tuple[Rule, ...]:
-    """The per-file rule set to run; ``select`` accepts ids and prefixes.
-
-    Effect-rule selectors (``E3``, ``E301``…) are valid tokens but
-    contribute no per-file rules — use
-    :func:`repro.lint.effects.analyze_effects` for those.
-    """
-    return resolve_select(select)[0]
+    """The per-file rule set to run; ``select`` accepts ids and prefixes."""
+    chosen = resolve_select(select)
+    return tuple(rule for rule in ALL_RULES if rule.rule_id in chosen)
 
 
 __all__ = [
     "ALL_RULES",
     "AdHocGridRule",
     "AdHocOutputRule",
-    "FloatAccumulationRule",
+    "CATALOG",
     "FrozenSpecRule",
-    "HotPathClosureRule",
-    "RandomModuleRule",
     "RegistryWriteRule",
     "UnknownRuleError",
     "UnorderedIterationRule",
-    "UnstableHashRule",
     "WallClockRule",
     "get_rules",
     "resolve_select",

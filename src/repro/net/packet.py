@@ -82,7 +82,6 @@ class Packet:
     ecn_ce: bool = False
     ecn_echo: bool = False
     packet_id: int = field(default_factory=_packet_ids.__next__)
-    hops: int = 0
     # Cached 5-tuple: hashed at every switch hop (ECMP, flowlet slot), and
     # the address fields never change after construction.
     _five_tuple: tuple | None = field(

@@ -384,7 +384,6 @@ class Port:
     def _arrive(self, packet: Packet) -> None:
         self.rx_packets += 1
         self.rx_bytes += packet.size
-        packet.hops += 1
         self._receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

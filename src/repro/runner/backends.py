@@ -246,6 +246,7 @@ class _Execution:
         self.spent = dict.fromkeys(misses, 0.0)
         self.children: list[_Child] = []
         self.lost = 0
+        self.last_loss = ""
         #: Consecutive children lost before acknowledging ``init``.
         self.stillborn = 0
 
@@ -313,7 +314,11 @@ class _Execution:
         ``command`` is what to exec per child, or None to fork.  One
         ``selectors`` loop keeps a child per unresolved point, hands an
         idle child the next queued point and reads replies as they become
-        readable; its ``select`` timeout is the nearest deadline.  A child
+        readable; its ``select`` timeout is the nearest deadline.  With a
+        ``timeout`` set, a new child must also acknowledge ``init`` within
+        ``timeout`` seconds of launch or be retired as lost before the ack;
+        with ``timeout=None`` the handshake is waited for indefinitely, as
+        a point is.  A child
         lost while running a point is charged to that point (whose retry
         budget bounds it); ``max_worker_restarts`` bounds only what no
         point can be charged for — consecutive children lost before
@@ -327,12 +332,17 @@ class _Execution:
                 self._dispatch(command, width)
                 if not self.children:
                     break  # launch budget spent
+                now = perf_counter()  # repro-lint: ignore[D101] -- runner wall-clock accounting
+                if self.config.timeout is not None:
+                    for child in self.children:
+                        if child.deadline is None and not child.ready:
+                            # Until its ack, a new child's deadline bounds init.
+                            child.deadline = now + self.config.timeout
                 deadlines = [
                     c.deadline for c in self.children if c.deadline is not None
                 ]
                 events = self.selector.select(
-                    max(0.0, min(deadlines) - perf_counter())  # repro-lint: ignore[D101] -- runner wall-clock accounting
-                    if deadlines else None
+                    max(0.0, min(deadlines) - now) if deadlines else None
                 )
                 for key, _ in events:
                     self._read(key.data)
@@ -341,13 +351,26 @@ class _Execution:
                     c for c in self.children
                     if c.deadline is not None and c.deadline <= now
                 ]:
-                    self._lose(
-                        child,
-                        "timeout",
-                        f"exceeded the {self.config.timeout:g}s per-point timeout",
-                    )
+                    if child.ready:
+                        self._lose(
+                            child,
+                            "timeout",
+                            f"exceeded the {self.config.timeout:g}s per-point timeout",
+                        )
+                    else:
+                        self._lose(
+                            child,
+                            "crash",
+                            "did not acknowledge the init handshake within the "
+                            f"{self.config.timeout:g}s timeout",
+                        )
             for index in self.queue:
-                self._give_up(index, "crash", "no worker process could be started")
+                self._give_up(
+                    index,
+                    "crash",
+                    "no worker process could be started"
+                    + (f" (last lost: {self.last_loss})" if self.last_loss else ""),
+                )
         finally:
             for child in self.children:
                 child.hang_up(kill=child.index is not None or not child.ready)
@@ -422,6 +445,7 @@ class _Execution:
             self._resolve(child, reply)
         elif not child.ready and reply.get("ok") and reply.get("op") == "init":
             child.ready = True
+            child.deadline = None
             self.stillborn = 0
             self._assign(child)
         else:
@@ -469,6 +493,7 @@ class _Execution:
         self, reason: str, pid: int | None = None, index: int | None = None
     ) -> None:
         self.lost += 1
+        self.last_loss = reason
         self._count("sweep.worker_restarts")
         if self.telemetry is not None:
             self.telemetry.emit(

@@ -126,18 +126,15 @@ def _yaml():
     return yaml
 
 
-def _line_map(yaml_module, text: str) -> dict[_KeyPath, int]:
+def _line_map(yaml_module, root) -> dict[_KeyPath, int]:
     """Map every YAML key path to its 1-based source line.
 
     Built from the composed node tree (which keeps source marks), keyed
     by dotted paths with sequence indices stringified — the same paths
-    the loader reports in errors.
+    the loader reports in errors.  Walked before the tree is constructed:
+    construction flattens merge keys in place.
     """
     lines: dict[_KeyPath, int] = {}
-    try:
-        root = yaml_module.compose(text)
-    except yaml_module.YAMLError:
-        return lines
     if root is None:
         return lines
 
@@ -693,8 +690,13 @@ def load_scenario(path: Path_) -> Scenario:
         raise ScenarioError(
             f"cannot read scenario file: {exc}", source=str(path)
         ) from exc
+    # One parse: compose the node tree once, read the line marks off it,
+    # then construct the data from the same tree (what safe_load does).
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
+        root = loader.get_single_node()
+        lines = _line_map(yaml, root)
+        data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
@@ -703,9 +705,9 @@ def load_scenario(path: Path_) -> Scenario:
         raise ScenarioError(
             f"invalid YAML: {exc}", source=str(path), line=line
         ) from exc
-    return scenario_from_mapping(
-        data, source=str(path), lines=_line_map(yaml, text)
-    )
+    finally:
+        loader.dispose()
+    return scenario_from_mapping(data, source=str(path), lines=lines)
 
 
 __all__ = ["ScenarioError", "load_scenario", "scenario_from_mapping"]

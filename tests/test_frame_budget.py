@@ -15,6 +15,11 @@ per recorded event (``Tracer.record``) and not one generated dataclass
 ``__init__`` (file ``<string>``) — an emit site passes fields, it never
 builds an event.
 
+A dataclass's generated ``__init__`` is a frame in no layer, so the
+budgets cannot see an object built per hop; the count of those frames per
+event can, and holds the packet path to the packets, headers and records
+a run must build.
+
 The ecmp case runs the same point under a selector that reads no
 congestion state: the congestion plane stays off (DESIGN.md "Congestion
 plane on demand"), so ``core`` is what building the fabric costs and
@@ -71,6 +76,11 @@ MULTIPOD_TOPOLOGY_BUDGET = 0.01
 
 #: Code compiled from a string: the ``__init__`` dataclasses generate.
 GENERATED = "<string>"
+
+#: Generated ``__init__`` frames per event inside ``Simulator.run``: the
+#: packets, overlay headers and flow records a run must build (0.253).  An
+#: object built per hop on the train path adds about 0.4.
+GENERATED_PER_EVENT = 0.26
 
 SPEC = ExperimentSpec(
     "conga", "enterprise", load=0.7, seed=11, num_flows=80, size_scale=0.05
@@ -145,6 +155,16 @@ def test_packet_path_stays_within_its_frame_budget(untraced):
     live, counts, in_run = untraced
     _assert_within_budget(live, counts)
     assert in_run["obs"] == 0
+
+
+def test_the_packet_path_builds_no_object_per_hop(untraced):
+    # A dataclass's generated __init__ is no layer's frame, so the budgets
+    # above cannot see one built per packet; this count can.
+    live, _, in_run = untraced
+    built = in_run[GENERATED] / live.sim.events_executed
+    assert built <= GENERATED_PER_EVENT, (
+        f"{in_run[GENERATED]} generated __init__ calls = {built:.3f}/event"
+    )
 
 
 def test_ecmp_pays_for_no_congestion_plane():

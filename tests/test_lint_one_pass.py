@@ -1,13 +1,13 @@
-"""The one-pass contract of ``conga-repro lint`` (PR 16).
+"""The one-pass contract of ``conga-repro lint``.
 
 * the answer — ``tests/golden/lint_answers.json`` holds what the
-  two-pass analyzer of the parent commit (``lint --effects --no-cache
-  --show-suppressed``) said about ``src/`` and about every fixture tree
-  and snippet of ``tests/test_lint.py`` / ``tests/test_effects.py``; the
-  one-pass analyzer must say the same, with the two differences the PR
-  made on purpose spelled out below (fixture trees line-exact; ``src/``
-  compared without the line column since PR 23, so code above a waiver
-  can be deleted);
+  analyzer said about ``src/`` and about every fixture tree and snippet
+  of the kept rules' tests (``tests/test_lint.py`` /
+  ``tests/test_effects.py``); the analyzer must say the same — fixture
+  trees line-exact, ``src/`` without the line column, so code above a
+  waiver can be deleted.  A removed rule's case whose recorded answer
+  named that rule was deleted from the golden, never re-recorded; its
+  clean snippets stay, and no kept rule may fire on them;
 * the cost — one ``lint`` call parses each file's source exactly once;
 * the surface — the flags and the subcommand that only chose between
   ways of computing that answer are gone, and ``--list-rules`` prints
@@ -46,20 +46,15 @@ def _answer(document: dict, base: Path) -> dict:
         ),
         "suppressions": sorted(
             [rel(s["path"]), s["line"], s["rules"], s["used"], s["stale"]]
-            for s in document["effects"]["suppressions"]
+            for s in document["suppressions"]
         ),
     }
 
 
 def _expected(recorded: dict) -> dict:
-    """The parent's answer with this PR's two deliberate differences applied."""
+    """The parent's answer with the legacy perf module's waiver gone with it."""
     return {
-        # S201 was folded into E303: same site, new id.
-        "findings": sorted(
-            ["E303" if rule == "S201" else rule, path, line]
-            for rule, path, line in recorded["findings"]
-        ),
-        # The legacy perf module was deleted, and its ignore-file[D101] with it.
+        "findings": sorted(recorded["findings"]),
         "suppressions": [
             row for row in recorded["suppressions"] if row[0] != "src/repro/perf.py"
         ],
@@ -103,7 +98,9 @@ def test_one_lint_call_parses_each_file_once(tmp_path, monkeypatch, capsys):
             "    def run(self):\n"
             "        stamp('tick')\n"
         ),
-        "repro/util/helpers.py": "def stamp(label):\n    print(label)\n",
+        "repro/util/helpers.py": (
+            "import time\n\n\ndef stamp(label):\n    return time.time()\n"
+        ),
         "repro/util/broken.py": "def broken(:\n",
     }
     for rel, source in files.items():
@@ -122,7 +119,7 @@ def test_one_lint_call_parses_each_file_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ast, "parse", counting_parse)
     assert main(["lint", str(tmp_path), "--show-suppressed"]) == 1
     out = capsys.readouterr().out
-    assert "E301" in out and "E001" in out
+    assert "D101" in out and "E001" in out
     assert sorted(parsed) == sorted(str(tmp_path / rel) for rel in files)
 
 
@@ -138,6 +135,7 @@ def test_one_lint_call_parses_each_file_once(tmp_path, monkeypatch, capsys):
         ["callgraph", "src", "--cache", "x.json"],
         ["callgraph", "src", "--no-cache"],
         ["callgraph", "src", "--kind", "hash"],
+        ["callgraph", "src"],
         ["bench", "--quick"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -146,6 +144,35 @@ def test_removed_surface_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
+
+
+#: Rules deleted because another gate fails on their regression (DESIGN.md
+#: "Lint rule catalog"); S201 went into E303 before that.
+REMOVED_RULES = ("D102", "D103", "D105", "S205", "E301", "E302", "E303")
+
+
+@pytest.mark.parametrize("rule", REMOVED_RULES)
+def test_a_removed_rule_is_an_unknown_rule_id(rule, capsys):
+    assert main(["lint", "src", "--select", rule]) == 2
+    assert f"unknown rule id(s) {rule}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["ignore", "ignore-file"])
+@pytest.mark.parametrize("rule", REMOVED_RULES)
+def test_a_waiver_naming_a_removed_rule_is_stale(rule, form, tmp_path, capsys):
+    # The waiver excuses nothing any more, so the audit asks for its removal.
+    source = (
+        f"# repro-lint: {form}[{rule}] -- excused a removed rule\nx = 1\n"
+        if form == "ignore-file"
+        else f"x = 1  # repro-lint: {form}[{rule}] -- excused a removed rule\n"
+    )
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    answer = _answer(_lint_json(tmp_path, capsys), tmp_path)
+    waiver_line = 0 if form == "ignore-file" else 1  # 0: the whole file
+    assert answer == {
+        "findings": [["E304", "mod.py", 1]],
+        "suppressions": [["mod.py", waiver_line, [rule], [], [rule]]],
+    }
 
 
 def test_list_rules_prints_the_scope_each_rule_declares(capsys):
@@ -157,10 +184,13 @@ def test_list_rules_prints_the_scope_each_rule_declares(capsys):
         if line[:1].isalpha()
     }
     assert scope_of["S204"] == "scope: files under a benchmarks/ directory"
-    assert scope_of["S205"] == "scope: core, sim, net"
+    assert scope_of["R301"] == (
+        "scope: apps, core, faults, lb, net, obs, overlay, sim, switch, "
+        "topology, transport, workloads"
+    )
     assert scope_of["D101"] == "scope: src/repro (all)"
-    assert scope_of["E302"].startswith("scope: whole program")
-    assert "S201" not in scope_of
+    assert scope_of["E304"] == "scope: every waiver in the analyzed paths"
+    assert not {"S201", "S205", "D102", "E301", "E302", "E303"} & set(scope_of)
 
 
 STALE_S204_BENCHMARK = """\

@@ -246,13 +246,6 @@ class TestPortAndLink:
         assert pa.tx_packets == 1 and pa.tx_bytes == 1500
         assert pb.rx_packets == 1 and pb.rx_bytes == 1500
 
-    def test_hop_count_increments(self):
-        sim, _a, b, pa, _pb = self._pair()
-        packet = Packet(src=0, dst=1, size=100)
-        pa.send(packet)
-        sim.run()
-        assert packet.hops == 1
-
     def test_rejects_bad_rate(self):
         sim = Simulator()
         node = _Sink(sim)

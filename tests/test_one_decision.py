@@ -15,9 +15,13 @@ checks are relations between *different* code paths that must agree exactly:
   shape and rates: the 2-tier fabric is the one-pod case of the one Clos, so
   records, event count and every leaf uplink's packet count match;
 * the two readers of ``fault_reroutes`` — the end-of-run counter and the
-  timeline series — against each other, on a run where pod spines reroute.
+  timeline series — against each other, on a run where pod spines reroute;
+* a fault that changes nothing (degrade to full rate, zero loss, down and
+  up at one instant, down after the last completion) against the fault-free
+  run: the same records and port counts, one more event per applied fault.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -26,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.fct import records_digest
 from repro.apps import ExperimentSpec, ObsSpec
-from repro.faults import parse_fault
+from repro.faults import LinkDegrade, LinkDown, LinkLoss, LinkUp, parse_fault
 from repro.lb import CaftSelector, CongaSelector, LocalAwareSelector
 from repro.lb.caft import CaftCoreSelector
 from repro.lb.conga import least_congested
@@ -207,6 +211,74 @@ def test_one_pod_multipod_is_the_leaf_spine_fabric(scheme):
         ))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] > 100_000
+
+
+def _outcome(live):
+    """Records digest, event count and every port's packet count of one run."""
+    fabric = live.fabric
+    ports = [host.nic for host in fabric.hosts.values()]
+    for switch in (*fabric.leaves, *fabric.spines, *fabric.cores):
+        ports.extend(switch.ports)
+    return (
+        records_digest(list(live.records)),
+        live.sim.events_executed,
+        [(port.name, port.tx_packets) for port in ports],
+    )
+
+
+#: Each fabric case: its scheme, its config and the link a fault names there.
+_DEGENERATE_CASES = {
+    "ecmp": ("ecmp", None, {}),
+    "conga": ("conga", None, {}),
+    "caft": ("caft", None, {}),
+    "caft-multipod-core": ("caft", MultiPodConfig(), {"spine": 1, "core": 0}),
+}
+
+
+def _degenerate_fault(kind, during, after, **target):
+    """A fault schedule that changes nothing, with how many events it applies."""
+    return {
+        "degrade-to-full-rate": ((LinkDegrade(during, fraction=1.0, **target),), 1),
+        "loss-of-zero": ((LinkLoss(during, probability=0.0, **target),), 1),
+        "down-and-up-at-once": (
+            (LinkDown(during, **target), LinkUp(during, **target)), 2
+        ),
+        "down-after-the-last-completion": ((LinkDown(after, **target),), 0),
+    }[kind]
+
+
+@functools.cache
+def _fault_free(case):
+    """The case's spec, its fault-free run's end time, completions and outcome."""
+    scheme, config, _ = _DEGENERATE_CASES[case]
+    spec = ExperimentSpec(
+        scheme, "enterprise", load=0.6, seed=5, num_flows=40, size_scale=0.02,
+        config=config,
+    )
+    clean = spec.run_live()
+    return spec, clean.sim.now, clean.completed, _outcome(clean)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "degrade-to-full-rate",
+        "loss-of-zero",
+        "down-and-up-at-once",
+        "down-after-the-last-completion",
+    ],
+)
+@pytest.mark.parametrize("case", list(_DEGENERATE_CASES))
+def test_a_degenerate_fault_is_the_fault_free_run(case, kind):
+    spec, end, completed, (digest, events, ports) = _fault_free(case)
+    assert completed == 40
+    faults, applied = _degenerate_fault(
+        kind, microseconds(100), end + 1, **_DEGENERATE_CASES[case][2]
+    )
+    live = spec.with_(faults=faults).run_live()
+    assert len(live.injector.applied) == applied
+    # A fault event that fires is one kernel event, and nothing else moves.
+    assert _outcome(live) == (digest, events + applied, ports)
 
 
 def test_counter_and_timeline_count_the_same_fault_reroutes():

@@ -290,6 +290,21 @@ def test_timeout_kills_only_the_overdue_worker(tmp_path, monkeypatch):
     assert sweep.metrics.counters["sweep.timeouts"] == 1
 
 
+def test_a_worker_that_never_acknowledges_init_is_retired_at_the_timeout():
+    # A child that neither acks nor exits: only the init deadline ends it.
+    deaf = [sys.executable, "-c", "import time; time.sleep(15)"]
+    backend = SubprocessBackend(
+        workers=1, command=deaf, timeout=1.0, max_worker_restarts=0
+    )
+    started = time.perf_counter()
+    sweep = run_sweep([_tiny("ecmp")], backend=backend, cache=None)
+    assert time.perf_counter() - started < 5.0
+    [failure] = sweep.failures
+    assert failure.kind == "crash"
+    assert "init handshake within the 1s timeout" in failure.error
+    assert sweep.metrics.counters["sweep.worker_restarts"] == 1
+
+
 def test_printing_point_cannot_corrupt_the_reply_stream(monkeypatch):
     blob = base64.b64encode(pickle.dumps(_tiny("chaos-print"))).decode()
     requests = [{"op": "init"}, {"op": "run", "id": 7, "spec": blob}, {"op": "exit"}]

@@ -215,6 +215,41 @@ class TestYamlLoader:
             load_text(tmp_path, "name: [unclosed\n")
         assert info.value.source is not None
 
+    def test_a_scenario_file_is_composed_once(self, tmp_path, monkeypatch):
+        composed = []
+        compose_document = yaml.composer.Composer.compose_document
+
+        def counting(loader):
+            composed.append(loader)
+            return compose_document(loader)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", counting)
+        scenario = load_text(
+            tmp_path,
+            "name: once\n"
+            "template: {scheme: ecmp, workload: enterprise, load: 0.5}\n"
+            "grid: {loads: [0.3, 0.5]}\n",
+        )
+        assert scenario.point_count() == 2
+        assert len(composed) == 1  # the data and the line marks share one tree
+
+    def test_a_key_beside_a_merge_key_keeps_its_line(self, tmp_path):
+        # The line marks are read before construction flattens ``<<`` in place.
+        with pytest.raises(ScenarioError) as info:
+            load_text(
+                tmp_path,
+                "name: merged\n"
+                "template:\n"
+                "  scheme: ecmp\n"
+                "  workload: enterprise\n"
+                "  load: 0.5\n"
+                "  topology:\n"
+                "    <<: {hosts_per_leaf: 32}\n"
+                "    host_queue_bytez: 8MB\n",
+            )
+        assert "host_queue_bytez" in str(info.value)
+        assert info.value.line == 8
+
     def test_missing_file_is_scenario_error(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "nope.yaml")
