@@ -10,91 +10,40 @@ compose: with ECN marking enabled and DCTCP at the hosts,
   DRE signal;
 * the Incast scenario that breaks plain TCP at low buffer depth stops
   timing out, because DCTCP's graded backoff keeps drops away.
+
+``conga-dctcp`` is a built-in scheme that marks at K = 100 KB; the grids
+come from ``scenarios/ablation_dctcp_fct.yaml`` and
+``scenarios/ablation_dctcp_incast.yaml``.
 """
 
-import numpy as np
+from pathlib import Path
+
+import pytest
 from conftest import report
 
-from repro.apps import (
-    ExperimentSpec,
-    IncastClient,
-    SchemeSpec,
-    dctcp_flow_factory,
-    register_scheme,
-    tcp_flow_factory,
-)
-from repro.lb import CongaSelector
-from repro.sim import Simulator
-from repro.topology import build_leaf_spine, scaled_testbed
-from repro.transport import TcpParams
-from repro.units import kilobytes, megabytes, seconds
+from repro.apps import incast_throughput_percent
+from repro.runner import run_sweep
 
-K = kilobytes(100)
+pytest.importorskip("yaml", reason="scenario files need PyYAML")
+from repro.scenarios import load_scenario  # noqa: E402  (after the gate)
 
-
-def _register_dctcp_scheme() -> None:
-    register_scheme(
-        SchemeSpec(
-            "conga-dctcp",
-            CongaSelector.factory,
-            lambda params: dctcp_flow_factory(params),
-        ),
-        replace=True,
-    )
-
-
-def _fct_comparison():
-    _register_dctcp_scheme()
-    results = {}
-    for scheme, ecn in (("conga", None), ("conga-dctcp", K)):
-        # conga-dctcp is registered only in this process: run serially.
-        point = ExperimentSpec(  # repro-lint: ignore[S204] -- dynamic scheme exists only in-process; pool workers and the cache cannot resolve it
-            scheme=scheme,
-            workload="enterprise",
-            load=0.6,
-            config=scaled_testbed(ecn_threshold_bytes=ecn),
-            num_flows=250,
-            size_scale=0.05,
-            seed=31,
-        ).run()
-        results[scheme] = {
-            "fct": point.summary.mean_normalized,
-            "max_fabric_queue": point.fabric_max_queue_bytes,
-        }
-    return results
-
-
-def _incast(transport_factory, ecn):
-    sim = Simulator(seed=1)
-    fabric = build_leaf_spine(
-        sim,
-        scaled_testbed(
-            hosts_per_leaf=16,
-            host_queue_bytes=1_000_000,  # shallow edge buffer
-            ecn_threshold_bytes=ecn,
-        ),
-    )
-    fabric.finalize(CongaSelector.factory())
-    servers = [h for h in sorted(fabric.hosts) if h != 0][:31]
-    client = IncastClient(
-        sim, fabric, client=0, servers=servers,
-        flow_factory=transport_factory,
-        request_bytes=megabytes(10), repeats=3,
-    )
-    client.start()
-    sim.run(until=seconds(60))
-    if not client.finished:
-        return 0.0
-    return client.result.throughput_percent(fabric.host(0).nic.rate_bps)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FCT = load_scenario(SCENARIOS / "ablation_dctcp_fct.yaml")
+INCAST = load_scenario(SCENARIOS / "ablation_dctcp_incast.yaml")
+INCAST_LABELS = {"conga": "tcp (1MB buffer)", "conga-dctcp": "dctcp (1MB buffer, K=100KB)"}
 
 
 def _run():
-    fct = _fct_comparison()
+    fct = {
+        point.scheme: {
+            "fct": point.summary.mean_normalized,
+            "max_fabric_queue": point.fabric_max_queue_bytes,
+        }
+        for point in run_sweep(FCT.compile(), cache=None)
+    }
     incast = {
-        "tcp (1MB buffer)": _incast(tcp_flow_factory(TcpParams()), None),
-        "dctcp (1MB buffer, K=100KB)": _incast(
-            dctcp_flow_factory(TcpParams()), K
-        ),
+        INCAST_LABELS[point.scheme]: incast_throughput_percent(point)
+        for point in run_sweep(INCAST.compile(), cache=None)
     }
     return fct, incast
 

@@ -10,62 +10,32 @@ Methodology notes for the scaled runs: the senders are *bursty* (application
 measurements) — continuously-backlogged senders have no flowlet gaps, which
 would reduce CONGA to per-flow decisions; windows are 1 ms instead of 10 ms
 and only windows during the loaded phase count (the drain tail is idle).
+The grid comes from ``scenarios/fig12_imbalance.yaml``.
 """
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from conftest import report
 
-from repro.analysis import ThroughputImbalanceMonitor
-from repro.apps import get_scheme
-from repro.apps.traffic import (
-    CrossRackTraffic,
-    bursty_tcp_flow_factory,
-    mptcp_flow_factory,
+from repro.runner import run_sweep
+
+pytest.importorskip("yaml", reason="scenario files need PyYAML")
+from repro.scenarios import load_scenario  # noqa: E402  (after the gate)
+
+SCENARIO = load_scenario(
+    Path(__file__).resolve().parent.parent / "scenarios" / "fig12_imbalance.yaml"
 )
-from repro.sim import Simulator
-from repro.topology import build_leaf_spine, scaled_testbed
-from repro.transport import TcpParams
-from repro.units import milliseconds, seconds
-from repro.workloads import ENTERPRISE
-
-SCHEMES = ["ecmp", "conga-flow", "conga", "mptcp"]
-
-
-def _run_scheme(scheme: str, seed: int) -> np.ndarray:
-    sim = Simulator(seed=seed)
-    fabric = build_leaf_spine(sim, scaled_testbed())
-    spec = get_scheme(scheme)
-    fabric.finalize(spec.make_selector())
-    if scheme == "mptcp":
-        factory = mptcp_flow_factory(TcpParams())
-    else:
-        factory = bursty_tcp_flow_factory(TcpParams())
-    monitor = ThroughputImbalanceMonitor(
-        sim, list(fabric.leaves[0].uplinks), milliseconds(1)
-    )
-    monitor.start()
-    traffic = CrossRackTraffic(
-        sim,
-        fabric,
-        ENTERPRISE,
-        0.8,
-        flow_factory=factory,
-        num_flows=1000,
-        size_scale=0.1,
-        on_all_done=sim.stop,
-    )
-    traffic.start()
-    sim.run(until=seconds(30))
-    monitor.stop()
-    last_arrival = max(r.start_time for r in traffic.stats.records)
-    return np.array(monitor.snapshot().samples_before(last_arrival)) * 100.0
+SCHEMES = list(SCENARIO.schemes)
 
 
 def _run():
     stats = {}
-    for scheme in SCHEMES:
-        samples = _run_scheme(scheme, 31)
-        stats[scheme] = {
+    for point in run_sweep(SCENARIO.compile(), cache=None):
+        last_arrival = max(r.start_time for r in point.records)
+        samples = np.array(point.imbalance_series.samples_before(last_arrival)) * 100.0
+        stats[point.scheme] = {
             "mean": float(samples.mean()),
             "p50": float(np.percentile(samples, 50)),
             "p90": float(np.percentile(samples, 90)),

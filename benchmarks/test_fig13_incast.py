@@ -14,7 +14,8 @@ This experiment does not stress fabric load balancing (the bottleneck is
 the client's access link); the transport is the variable.  In our model the
 1500 B / 200 ms configuration survives at the simulated buffer depth (the
 collapse threshold shifts with MTU); the jumbo-frame collapse and the
-minRTO interplay reproduce clearly.
+minRTO interplay reproduce clearly.  The grid comes from
+``scenarios/fig13_incast.yaml``.
 """
 
 from pathlib import Path
@@ -22,12 +23,9 @@ from pathlib import Path
 import pytest
 from conftest import report
 
-from repro.apps import IncastClient, mptcp_flow_factory, tcp_flow_factory
-from repro.lb import CongaSelector, EcmpSelector
-from repro.sim import Simulator
-from repro.topology import build_leaf_spine
-from repro.transport import TcpParams
-from repro.units import megabytes, milliseconds, seconds
+from repro.apps import incast_throughput_percent
+from repro.runner import run_sweep
+from repro.units import milliseconds
 
 pytest.importorskip("yaml", reason="scenario files need PyYAML")
 from repro.scenarios import load_scenario  # noqa: E402  (after the gate)
@@ -35,63 +33,26 @@ from repro.scenarios import load_scenario  # noqa: E402  (after the gate)
 SCENARIO = load_scenario(
     Path(__file__).resolve().parent.parent / "scenarios" / "fig13_incast.yaml"
 )
-PARAMS = SCENARIO.params
-FAN_INS = PARAMS["fan_ins"]
-
-
-def _one(transport: str, fan_in: int, min_rto_ms: int, mtu: int) -> float:
-    sim = Simulator(seed=SCENARIO.template.seed)
-    fabric = build_leaf_spine(sim, SCENARIO.template.config)
-    if transport == "tcp":
-        fabric.finalize(CongaSelector.factory())
-    else:
-        fabric.finalize(EcmpSelector.factory())
-    params = TcpParams(
-        min_rto=milliseconds(min_rto_ms),
-        initial_rto=milliseconds(max(min_rto_ms, 1)),
-        mss=mtu - 40,
-    )
-    factory = (
-        tcp_flow_factory(params)
-        if transport == "tcp"
-        else mptcp_flow_factory(params)
-    )
-    servers = [h for h in sorted(fabric.hosts) if h != 0][:fan_in]
-    client = IncastClient(
-        sim,
-        fabric,
-        client=0,
-        servers=servers,
-        flow_factory=factory,
-        request_bytes=megabytes(PARAMS["request_mb"]),
-        repeats=PARAMS["repeats"],
-    )
-    client.start()
-    sim.run(until=seconds(PARAMS["deadline_s"]))
-    if not client.finished:
-        return 0.0
-    return client.result.throughput_percent(fabric.host(0).nic.rate_bps)
+FAN_INS = [incast.fan_in for incast in dict(SCENARIO.axes)["traffic"]]
 
 
 def _run():
     table = {}
-    for mtu in PARAMS["mtus"]:
-        for min_rto in PARAMS["min_rtos_ms"]:
-            for transport in PARAMS["transports"]:
-                table[(mtu, min_rto, transport)] = [
-                    _one(transport, fan_in, min_rto, mtu) for fan_in in FAN_INS
-                ]
+    for point in run_sweep(SCENARIO.compile(), cache=None):
+        tcp = point.spec.tcp_params
+        key = (tcp.mss + 40, tcp.min_rto // milliseconds(1), point.scheme)
+        table.setdefault(key, []).append(incast_throughput_percent(point))
     return table
 
 
 def test_figure13_incast():
     table = _run()
-    for mtu in PARAMS["mtus"]:
+    for mtu in (1500, 9000):
         report(
             f"Figure 13: Incast effective throughput %, MTU={mtu}",
             ["config"] + [f"N={n}" for n in FAN_INS],
             [
-                [f"CONGA+TCP ({rto}ms)"] + table[(mtu, rto, "tcp")]
+                [f"CONGA+TCP ({rto}ms)"] + table[(mtu, rto, "conga")]
                 for rto in (200, 1)
             ]
             + [
@@ -101,7 +62,7 @@ def test_figure13_incast():
         )
     # Jumbo frames + default minRTO: MPTCP collapses (paper: ~5%), while
     # CONGA+TCP stays high — far beyond the paper's 2-8x claim.
-    tcp_9000 = table[(9000, 200, "tcp")]
+    tcp_9000 = table[(9000, 200, "conga")]
     mptcp_9000 = table[(9000, 200, "mptcp")]
     assert min(tcp_9000[-2:]) > 80.0
     assert max(mptcp_9000[-2:]) < 30.0
@@ -110,8 +71,8 @@ def test_figure13_incast():
     # it (CONGA+TCP remains ahead).
     mptcp_9000_fast = table[(9000, 1, "mptcp")]
     assert mptcp_9000_fast[-1] > mptcp_9000[-1]
-    assert table[(9000, 1, "tcp")][-1] > mptcp_9000_fast[-1]
+    assert table[(9000, 1, "conga")][-1] > mptcp_9000_fast[-1]
     # CONGA+TCP never collapses at any tested configuration.
     for rto in (200, 1):
         for mtu in (1500, 9000):
-            assert min(table[(mtu, rto, "tcp")]) > 50.0
+            assert min(table[(mtu, rto, "conga")]) > 50.0

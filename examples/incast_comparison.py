@@ -10,10 +10,8 @@ jumbo frames with the default 200 ms minRTO.
 Run:  python examples/incast_comparison.py
 """
 
-from repro.apps import IncastClient, mptcp_flow_factory, tcp_flow_factory
-from repro.lb import CongaSelector, EcmpSelector
-from repro.sim import Simulator
-from repro.topology import build_leaf_spine, scaled_testbed
+from repro.apps import ExperimentSpec, IncastTraffic, incast_throughput_percent
+from repro.topology import scaled_testbed
 from repro.transport import TcpParams
 from repro.units import megabytes, milliseconds, seconds
 
@@ -22,35 +20,18 @@ FAN_INS = [1, 7, 15, 31]
 
 def run_incast(transport: str, fan_in: int, mtu: int) -> float:
     """Effective client throughput (percent of line rate) for one config."""
-    sim = Simulator(seed=1)
-    fabric = build_leaf_spine(
-        sim, scaled_testbed(hosts_per_leaf=16, host_queue_bytes=8_000_000)
+    spec = ExperimentSpec(
+        # CONGA+TCP, or MPTCP over ECMP; incast reads no workload or load.
+        "conga" if transport == "tcp" else "mptcp", "enterprise", 0.5,
+        seed=1,
+        config=scaled_testbed(hosts_per_leaf=16, host_queue_bytes=8_000_000),
+        tcp_params=TcpParams(
+            min_rto=milliseconds(200), initial_rto=milliseconds(200), mss=mtu - 40
+        ),
+        traffic=IncastTraffic(fan_in=fan_in, request_bytes=megabytes(10), requests=3),
+        deadline=seconds(60),
     )
-    selector = CongaSelector if transport == "tcp" else EcmpSelector
-    fabric.finalize(selector.factory())
-    params = TcpParams(
-        min_rto=milliseconds(200), initial_rto=milliseconds(200), mss=mtu - 40
-    )
-    factory = (
-        tcp_flow_factory(params)
-        if transport == "tcp"
-        else mptcp_flow_factory(params)
-    )
-    servers = [h for h in sorted(fabric.hosts) if h != 0][:fan_in]
-    client = IncastClient(
-        sim,
-        fabric,
-        client=0,
-        servers=servers,
-        flow_factory=factory,
-        request_bytes=megabytes(10),
-        repeats=3,
-    )
-    client.start()
-    sim.run(until=seconds(60))
-    if not client.finished:
-        return 0.0
-    return client.result.throughput_percent(fabric.host(0).nic.rate_bps)
+    return incast_throughput_percent(spec.run())
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Applications and experiment harness: traffic generators, Incast, HDFS."""
+"""Applications and experiment harness: traffic descriptions and generators."""
 
 from importlib import import_module
 
@@ -21,9 +21,11 @@ from repro.apps.spec import (
 from repro.obs.config import ObsSpec
 from repro.apps.traffic import (
     CrossRackTraffic,
-    bursty_tcp_flow_factory,
     dctcp_flow_factory,
     FlowFactory,
+    HdfsTraffic,
+    IncastTraffic,
+    PoissonTraffic,
     TrafficStats,
     mptcp_flow_factory,
     tcp_flow_factory,
@@ -32,7 +34,7 @@ from repro.apps.traffic import (
 #: Siblings imported on first access: models no ``ExperimentSpec`` run enters.
 _DEFERRED = {
     "hdfs": ("HdfsJobResult", "HdfsWriteJob"),
-    "incast": ("IncastClient", "IncastResult"),
+    "incast": ("IncastClient", "IncastResult", "incast_throughput_percent"),
 }
 
 
@@ -54,22 +56,25 @@ __all__ = [
     "ExperimentSpec",
     "FlowFactory",
     "HdfsJobResult",
+    "HdfsTraffic",
     "HdfsWriteJob",
     "ImbalanceMonitorSpec",
     "IncastClient",
     "IncastResult",
+    "IncastTraffic",
     "ObsSpec",
     "PointResult",
+    "PoissonTraffic",
     "QueueMonitorSpec",
     "SCHEMES",
     "SchemeSpec",
     "TrafficStats",
     "UnknownSchemeError",
     "UnknownWorkloadError",
-    "bursty_tcp_flow_factory",
     "dctcp_flow_factory",
     "get_scheme",
     "get_workload",
+    "incast_throughput_percent",
     "mptcp_flow_factory",
     "register_scheme",
     "tcp_flow_factory",

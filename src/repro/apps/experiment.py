@@ -16,7 +16,10 @@ scheme definitions mirror §5's comparison set:
 * ``spray`` — per-packet round-robin spraying;
 * ``dctcp`` — ECMP in the fabric, DCTCP at the hosts (pair with a config
   that sets ``ecn_threshold_bytes``, or the ECN-proportional backoff never
-  engages and it degenerates to plain Reno).
+  engages and it degenerates to plain Reno);
+* ``conga-dctcp`` — CONGA in the fabric, DCTCP at the hosts, switches
+  CE-marking at K = 100 KB unless the topology sets its own threshold (the
+  DCTCP ablation).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.lb.base import SelectorFactory
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
 from repro.transport.tcp import FlowRecord, TcpParams
+from repro.units import kilobytes
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -57,15 +61,20 @@ if TYPE_CHECKING:
 class SchemeSpec:
     """A named (fabric selector, host transport) combination.
 
+    ``make_flow_factory(params)`` builds the hosts' flows; for paced
+    traffic it is called as ``make_flow_factory(params, pacing=...)``.
     ``post_setup`` (optional) is invoked with (sim, fabric) after the
     fabric is finalized — used by schemes that need a control-plane agent,
-    like the Hedera-style centralized scheduler.
+    like the Hedera-style centralized scheduler.  ``ecn_threshold_bytes``
+    (optional) is the queue depth at which the scheme's switches CE-mark
+    when the topology sets no threshold of its own.
     """
 
     name: str
     make_selector: Callable[[], SelectorFactory]
-    make_flow_factory: Callable[[TcpParams], FlowFactory]
+    make_flow_factory: Callable[..., FlowFactory]
     post_setup: Callable[[Simulator, Fabric], object] | None = None
+    ecn_threshold_bytes: int | None = None
 
 
 class UnknownSchemeError(ValueError):
@@ -106,6 +115,13 @@ def get_scheme(name: str) -> SchemeSpec:
     return spec
 
 
+def _unpaced_mptcp_flow_factory(
+    params: TcpParams, pacing: object = None
+) -> FlowFactory:
+    """MPTCP flows; ``pacing`` is ignored, as its subflows share one buffer."""
+    return mptcp_flow_factory(params)
+
+
 for _spec in (
     SchemeSpec("ecmp", EcmpSelector.factory, tcp_flow_factory),
     SchemeSpec("conga", CongaSelector.factory, tcp_flow_factory),
@@ -116,10 +132,16 @@ for _spec in (
         tcp_flow_factory,
         post_setup=enable_fault_awareness,
     ),
-    SchemeSpec("mptcp", EcmpSelector.factory, mptcp_flow_factory),
+    SchemeSpec("mptcp", EcmpSelector.factory, _unpaced_mptcp_flow_factory),
     SchemeSpec("local", LocalAwareSelector.factory, tcp_flow_factory),
     SchemeSpec("spray", PacketSpraySelector.factory, tcp_flow_factory),
     SchemeSpec("dctcp", EcmpSelector.factory, dctcp_flow_factory),
+    SchemeSpec(
+        "conga-dctcp",
+        CongaSelector.factory,
+        dctcp_flow_factory,
+        ecn_threshold_bytes=kilobytes(100),
+    ),
     SchemeSpec(
         "hedera",
         lambda: CentralizedSelector,

@@ -14,7 +14,8 @@ cross-rack transfer to a random replica and an in-rack transfer onward run
 concurrently (approximating HDFS's cut-through pipelining).  Job completion
 time is when every replica transfer finishes.  The paper notes TestDFSIO is
 disk-bound on their servers and adds enterprise background traffic; the
-harness in :mod:`repro.apps.experiment` does the same.
+scaled job is network-bound, so none is added.  A spec runs it through
+:class:`repro.apps.traffic.HdfsTraffic`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.apps.traffic import FlowFactory
+from repro.apps.traffic import FlowFactory, TrafficStats
 from repro.units import megabytes
 
 if TYPE_CHECKING:
@@ -41,7 +42,10 @@ class HdfsJobResult:
 
 
 class HdfsWriteJob:
-    """A 3-way-replicated distributed write job across all fabric hosts."""
+    """A 3-way-replicated distributed write job across all fabric hosts.
+
+    Each replica transfer is one flow in ``stats``.
+    """
 
     def __init__(
         self,
@@ -63,6 +67,7 @@ class HdfsWriteJob:
         self.blocks_per_writer = blocks_per_writer
         self.on_done = on_done
         self._rng = sim.rng(stream)
+        self.stats = TrafficStats()
         writers = sorted(fabric.hosts)
         self.result = HdfsJobResult(
             writers=len(writers),
@@ -86,13 +91,10 @@ class HdfsWriteJob:
         # Writer keeps the local copy "free"; two network transfers follow.
         for src, dst in ((writer, replica1), (replica1, replica2)):
             self._outstanding += 1
-            flow = self.flow_factory(
-                self.fabric.host(src),
-                self.fabric.host(dst),
-                self.block_bytes,
-                lambda f: self._transfer_done(),
+            self.stats.start_flow(
+                self.fabric, self.flow_factory, src, dst, self.block_bytes,
+                self._transfer_done,
             )
-            flow.start()
 
     def _pick_off_rack(self, writer: int) -> int:
         writer_leaf = self.fabric.leaf_of(writer)

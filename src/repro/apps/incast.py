@@ -11,19 +11,23 @@ contending windows at the edge, collapsing throughput (to as little as 5%
 with jumbo frames and 200 ms minRTO), while CONGA+TCP stays high because it
 leaves TCP untouched.  The experiment "does not stress fabric load
 balancing" — the bottleneck is the edge — so the transport is the variable.
+A spec runs it through :class:`repro.apps.traffic.IncastTraffic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.apps.traffic import FlowFactory
+from repro.apps.traffic import FlowFactory, TrafficStats
+from repro.topology.leafspine import scaled_testbed
 from repro.units import megabytes, to_seconds
 
 if TYPE_CHECKING:
+    from repro.apps.spec import PointResult
     from repro.sim import Simulator
     from repro.switch.fabric import Fabric
+    from repro.transport.tcp import FlowRecord
 
 
 @dataclass
@@ -49,9 +53,36 @@ class IncastResult:
         """Mean goodput as a percent of the client access line rate."""
         return 100.0 * self.effective_throughput_bps() / line_rate_bps
 
+    @classmethod
+    def from_records(
+        cls, fan_in: int, request_bytes: int, records: Iterable["FlowRecord"]
+    ) -> "IncastResult":
+        """The requests whose ``fan_in`` stripes all completed, in order.
+
+        A request's stripes start together, so its start time names it and
+        its duration runs to its slowest stripe's end.
+        """
+        ends: dict[int, int] = {}
+        stripes: dict[int, int] = {}
+        for record in records:
+            start = record.start_time
+            ends[start] = max(ends.get(start, start), start + record.fct)
+            stripes[start] = stripes.get(start, 0) + 1
+        return cls(
+            fan_in=fan_in,
+            request_bytes=request_bytes,
+            request_durations=[
+                ends[start] - start for start in sorted(ends) if stripes[start] == fan_in
+            ],
+        )
+
 
 class IncastClient:
-    """Issues synchronized striped requests (the classic Incast pattern)."""
+    """Issues synchronized striped requests (the classic Incast pattern).
+
+    Each stripe is one flow in ``stats``; :attr:`result` is derived from
+    those records.
+    """
 
     def __init__(
         self,
@@ -77,42 +108,58 @@ class IncastClient:
         self.request_bytes = request_bytes
         self.repeats = repeats
         self.on_done = on_done
-        self.result = IncastResult(fan_in=len(servers), request_bytes=request_bytes)
+        self.stats = TrafficStats()
         self._outstanding = 0
-        self._request_started_at = 0
+        self._requests_done = 0
 
     def start(self) -> None:
         """Issue the first request."""
         self._issue_request()
 
     def _issue_request(self) -> None:
-        self._request_started_at = self.sim.now
         stripe = max(1, self.request_bytes // len(self.servers))
         self._outstanding = len(self.servers)
-        client_host = self.fabric.host(self.client)
         for server in self.servers:
-            flow = self.flow_factory(
-                self.fabric.host(server),
-                client_host,
-                stripe,
-                lambda f: self._stripe_done(),
+            self.stats.start_flow(
+                self.fabric, self.flow_factory, server, self.client, stripe,
+                self._stripe_done,
             )
-            flow.start()
 
     def _stripe_done(self) -> None:
         self._outstanding -= 1
         if self._outstanding > 0:
             return
-        self.result.request_durations.append(self.sim.now - self._request_started_at)
-        if len(self.result.request_durations) < self.repeats:
+        self._requests_done += 1
+        if self._requests_done < self.repeats:
             self._issue_request()
         elif self.on_done is not None:
             self.on_done(self.result)
 
     @property
+    def result(self) -> IncastResult:
+        """The completed requests so far."""
+        return IncastResult.from_records(
+            len(self.servers), self.request_bytes, self.stats.records
+        )
+
+    @property
     def finished(self) -> bool:
         """All requests completed."""
-        return len(self.result.request_durations) >= self.repeats
+        return self._requests_done >= self.repeats
 
 
-__all__ = ["IncastClient", "IncastResult"]
+def incast_throughput_percent(point: "PointResult") -> float:
+    """An incast point's effective throughput, % of the client's line rate.
+
+    0.0 when a request did not finish before the deadline (the collapse the
+    figures plot at zero).
+    """
+    if point.unfinished:
+        return 0.0
+    incast = point.spec.traffic
+    config = point.spec.config if point.spec.config is not None else scaled_testbed()
+    result = IncastResult.from_records(incast.fan_in, incast.request_bytes, point.records)
+    return result.throughput_percent(config.host_rate_bps)
+
+
+__all__ = ["IncastClient", "IncastResult", "incast_throughput_percent"]

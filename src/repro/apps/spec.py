@@ -9,7 +9,8 @@ hashed for caching.  The runner is gone; a point is a value and
   experiment point.  Schemes and workloads are referenced by registry
   *name*, topology by :class:`LeafSpineConfig` / ``MultiPodConfig``, and
   monitors by declarative :class:`QueueMonitorSpec` /
-  :class:`ImbalanceMonitorSpec` values.  ``spec.run_live()`` executes the
+  :class:`ImbalanceMonitorSpec` values, and traffic by a
+  :mod:`repro.apps.traffic` description.  ``spec.run_live()`` executes the
   point and keeps the simulator and fabric; ``spec.run()`` strips that to a
   :class:`PointResult`; ``spec.content_hash()`` is a stable content address
   used by the :mod:`repro.runner` result cache.
@@ -30,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_args
 
 from repro.analysis.fct import FctSummary
 from repro.analysis.monitors import (
@@ -40,7 +41,7 @@ from repro.analysis.monitors import (
     ThroughputImbalanceMonitor,
 )
 from repro.apps.experiment import ExperimentResult, get_scheme
-from repro.apps.traffic import CrossRackTraffic
+from repro.apps.traffic import PoissonTraffic, Traffic
 from repro.obs.config import ObsSpec
 from repro.obs.metrics import MetricsReport, collect_run_metrics
 from repro.obs.trace import TraceLog
@@ -163,11 +164,21 @@ class ImbalanceMonitorSpec:
             raise ValueError("interval must be positive")
 
 
+#: Field metadata of a field added after hashes were pinned: at its default
+#: it is left out of :func:`_canonical`, so older hashes stay reachable.
+HASH_NEUTRAL_DEFAULT = {"hash_neutral_default": True}
+
+
 def _canonical(value):
     """Reduce a spec value to plain JSON-able data, stably."""
     if is_dataclass(value) and not isinstance(value, type):
         payload = {
-            f.name: _canonical(getattr(value, f.name)) for f in fields(value)
+            f.name: _canonical(getattr(value, f.name))
+            for f in fields(value)
+            if not (
+                f.metadata.get("hash_neutral_default")
+                and getattr(value, f.name) == f.default
+            )
         }
         payload["__type__"] = type(value).__name__
         return payload
@@ -213,6 +224,10 @@ class ExperimentSpec:
     #: ``obs`` hashes identically to one predating the field, so existing
     #: caches stay valid and tracing can never change what gets computed.
     obs: ObsSpec | None = None
+    #: How the hosts generate flows (see :mod:`repro.apps.traffic`).  The
+    #: default — Poisson arrivals over ``workload`` — is content-hash-neutral
+    #: like ``obs``: a spec carrying it hashes as if the field did not exist.
+    traffic: Traffic = field(default=PoissonTraffic(), metadata=HASH_NEUTRAL_DEFAULT)
 
     def __post_init__(self) -> None:
         for name in ("load", "size_scale"):
@@ -229,6 +244,10 @@ class ExperimentSpec:
             tuple(tuple(link) for link in self.failed_links),
         )
         object.__setattr__(self, "faults", tuple(self.faults))
+        if not isinstance(self.traffic, get_args(Traffic)):
+            raise TypeError(
+                f"traffic must be a repro.apps.traffic description, got {self.traffic!r}"
+            )
         if self.faults:
             from repro.faults.events import FaultEvent
 
@@ -268,7 +287,13 @@ class ExperimentSpec:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def label(self) -> str:
-        """Short human-readable point label for progress lines and tables."""
+        """Short human-readable point label for progress lines and tables.
+
+        Incast and HDFS traffic read no workload or load, so their points
+        are labelled by the traffic description instead.
+        """
+        if not isinstance(self.traffic, PoissonTraffic):
+            return f"{self.scheme} {self.traffic!r} seed={self.seed}"
         return (
             f"{self.scheme} {self.workload} load={self.load:g} seed={self.seed}"
         )
@@ -282,15 +307,18 @@ class ExperimentSpec:
     def run_live(self) -> ExperimentResult:
         """Execute and return the live result (simulator, fabric, monitors).
 
-        The one body that runs a point: build the fabric, finalize it, run
-        the scheme's ``post_setup``, fail ``failed_links``, construct the
-        fault injector, attach the monitors, the traffic and the timeline,
-        run, and always close the tracer.  Not picklable; use :meth:`run`
-        for anything that crosses a process boundary.
+        The one body that runs a point: build the fabric (marking at the
+        scheme's ECN threshold when the topology sets none), finalize it,
+        run the scheme's ``post_setup``, fail ``failed_links``, construct
+        the fault injector, attach the monitors, the traffic and the
+        timeline, run, and always close the tracer.  Not picklable; use
+        :meth:`run` for anything that crosses a process boundary.
         """
         scheme = get_scheme(self.scheme)
         workload = get_workload(self.workload)
         config = self.config if self.config is not None else scaled_testbed()
+        if config.ecn_threshold_bytes is None and scheme.ecn_threshold_bytes is not None:
+            config = replace(config, ecn_threshold_bytes=scheme.ecn_threshold_bytes)
         sim = Simulator(seed=self.seed)
         if self.obs is not None:
             # Attach before any component is built so construction-time events
@@ -332,17 +360,7 @@ class ExperimentSpec:
                     sim, self.queue_monitor.resolve(fabric), self.queue_monitor.interval
                 )
                 queues.start()
-            traffic = CrossRackTraffic(
-                sim,
-                fabric,
-                workload,
-                self.load,
-                flow_factory=scheme.make_flow_factory(self.tcp_params),
-                num_flows=self.num_flows,
-                size_scale=self.size_scale,
-                clients=self.clients,
-                on_all_done=sim.stop,
-            )
+            traffic = self.traffic.attach(sim, fabric, self, scheme, workload)
             traffic.start()
             if self.obs is not None and self.obs.timeline is not None:
                 # Constructed after traffic so goodput/RTO series can read its

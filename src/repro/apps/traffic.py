@@ -1,28 +1,40 @@
-"""Open-loop empirical traffic generation (paper §5.2).
+"""Traffic: the value a spec names and the generators that drive a run.
 
-Reproduces the paper's client-server traffic generator: every host runs a
-client that requests flows according to a Poisson process from randomly
-chosen servers under *other* leaves (so all generated traffic crosses the
-spine, stressing fabric load balancing), with flow sizes sampled from an
-empirical distribution.  Data flows from the chosen server back to the
-requesting client.
+A run's traffic is data.  :class:`~repro.apps.spec.ExperimentSpec` carries
+one frozen, hashable description in its ``traffic`` field, and
+``run_live`` attaches it through the description's :meth:`attach`:
 
-Load is defined relative to the fabric bisection: at load 1.0 each leaf's
-uplink capacity is fully utilized in expectation.  With the testbed's 2:1
-oversubscription this matches the paper's axis, where 100% load means
-saturated uplinks (not saturated host NICs).
+* :class:`PoissonTraffic` — the default and the paper's client-server
+  generator (§5.2): every host runs a client that requests flows according
+  to a Poisson process from randomly chosen servers under *other* leaves
+  (so all generated traffic crosses the spine, stressing fabric load
+  balancing), with flow sizes sampled from the spec's workload CDF.  Data
+  flows from the chosen server back to the requesting client.  Load is
+  defined relative to the fabric bisection: at load 1.0 each leaf's uplink
+  capacity is fully utilized in expectation.  With the testbed's 2:1
+  oversubscription this matches the paper's axis, where 100% load means
+  saturated uplinks (not saturated host NICs).  With ``burst_bytes`` set,
+  each sender's application releases its bytes in paced bursts (Fig. 12).
+* :class:`IncastTraffic` — one client's striped requests (§5.3, Fig. 13).
+* :class:`HdfsTraffic` — a replicated HDFS write job (§5.4, Fig. 14).
+
+Whatever the shape, every flow is launched and accounted by one
+:class:`TrafficStats` ledger, so records, arrivals, completions and the
+loss-recovery totals mean the same thing for every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
 from repro.transport.tcp import FlowRecord, PacedSource, TcpFlow, TcpParams
-from repro.units import microseconds
+from repro.units import megabytes, microseconds
 from repro.workloads.distributions import FlowSizeDistribution
 
 if TYPE_CHECKING:
+    from repro.apps.experiment import SchemeSpec
+    from repro.apps.spec import ExperimentSpec
     from repro.net.node import Host
     from repro.sim import Simulator
     from repro.switch.fabric import Fabric
@@ -40,53 +52,45 @@ class Flow(Protocol):
 FlowFactory = Callable[["Host", "Host", int, Callable[[Flow], None]], Flow]
 
 
-def tcp_flow_factory(params: TcpParams = TcpParams()) -> FlowFactory:
-    """Flows carried by a single TCP connection."""
-
-    def factory(src: "Host", dst: "Host", size: int, done: Callable) -> TcpFlow:
-        return TcpFlow(src.sim, src, dst, size, params=params, on_complete=done)
-
-    return factory
-
-
-def bursty_tcp_flow_factory(
-    params: TcpParams = TcpParams(),
-    *,
-    burst_bytes: int = 65_536,
-    mean_gap: int = microseconds(600),
+def tcp_flow_factory(
+    params: TcpParams = TcpParams(), pacing: PoissonTraffic | None = None
 ) -> FlowFactory:
-    """TCP flows whose application releases data in paced bursts.
+    """Flows carried by a single TCP connection.
 
-    Models the burstiness of production datacenter senders (paper 2.6.1):
-    inter-burst gaps straddle the flowlet timeout, so flowlet-granular
-    schemes get mid-flow rebalancing opportunities.  Used by the Figure 12
-    load-balancing-efficiency experiment.
+    With a ``pacing`` description whose ``burst_bytes`` is set, each flow's
+    application releases its bytes in those bursts (a
+    :class:`~repro.transport.tcp.PacedSource`).
     """
-
-    def factory(src: "Host", dst: "Host", size: int, done: Callable) -> TcpFlow:
-        source = PacedSource(
-            src.sim, size, burst_bytes=burst_bytes, mean_gap=mean_gap
-        )
-        return TcpFlow(
-            src.sim, src, dst, size, params=params, source=source,
-            on_complete=done,
-        )
-
-    return factory
+    return _tcp_factory(params, pacing, cc=None)
 
 
-def dctcp_flow_factory(params: TcpParams = TcpParams()) -> FlowFactory:
+def dctcp_flow_factory(
+    params: TcpParams = TcpParams(), pacing: PoissonTraffic | None = None
+) -> FlowFactory:
     """Flows carried by DCTCP connections.
 
-    Requires a fabric built with ``ecn_threshold_bytes`` set so switches
-    CE-mark; without marking this degenerates to plain NewReno.
+    Requires switches that CE-mark (a scheme or topology with an ECN
+    threshold); without marking this degenerates to plain NewReno.
+    ``pacing`` is as for :func:`tcp_flow_factory`.
     """
     from repro.transport.dctcp import DctcpCC
 
+    return _tcp_factory(params, pacing, cc=DctcpCC)
+
+
+def _tcp_factory(
+    params: TcpParams, pacing: PoissonTraffic | None, cc: Callable[[], Any] | None
+) -> FlowFactory:
+    """One TCP connection per flow; ``cc`` builds its congestion control."""
+    burst = None if pacing is None else pacing.burst_bytes
+
     def factory(src: "Host", dst: "Host", size: int, done: Callable) -> TcpFlow:
+        source = None
+        if burst is not None:
+            source = PacedSource(src.sim, size, burst_bytes=burst, mean_gap=pacing.mean_gap)
         return TcpFlow(
-            src.sim, src, dst, size, params=params, cc=DctcpCC(),
-            on_complete=done,
+            src.sim, src, dst, size, params=params, source=source,
+            cc=None if cc is None else cc(), on_complete=done,
         )
 
     return factory
@@ -117,7 +121,7 @@ def mptcp_flow_factory(
 
 @dataclass
 class TrafficStats:
-    """Aggregate outcome of a traffic run.
+    """The one ledger of a run's flows, whatever generated them.
 
     ``retransmissions`` / ``fast_retransmits`` / ``timeouts`` sum the
     sender-side loss-recovery counters of *completed* flows — the
@@ -137,6 +141,45 @@ class TrafficStats:
     def unfinished(self) -> int:
         """Flows that had arrived but did not finish before the deadline."""
         return self.arrivals - self.completed
+
+    def start_flow(
+        self,
+        fabric: "Fabric",
+        flow_factory: FlowFactory,
+        src: int,
+        dst: int,
+        size: int,
+        done: Callable[[], None],
+    ) -> None:
+        """Launch one ``src`` → ``dst`` flow now and account for it.
+
+        Its :class:`FlowRecord` lands in ``records`` when it completes,
+        before ``done`` is called.
+        """
+        record = FlowRecord(
+            flow_id=0,
+            src=src,
+            dst=dst,
+            size=size,
+            start_time=fabric.sim.now,
+            fct=0,
+            ideal_fct=fabric.ideal_fct(src, dst, size),
+        )
+
+        def complete(flow: Flow) -> None:
+            record.fct = flow.fct
+            self.records.append(record)
+            self.completed += 1
+            for sender in _flow_senders(flow):
+                stats = sender.stats
+                self.retransmissions += stats.retransmissions
+                self.fast_retransmits += stats.fast_retransmits
+                self.timeouts += stats.timeouts
+            done()
+
+        flow = flow_factory(fabric.host(src), fabric.host(dst), size, complete)
+        self.arrivals += 1
+        flow.start()
 
 
 def _flow_senders(flow: Flow):
@@ -194,7 +237,6 @@ class CrossRackTraffic:
         self._rng = sim.rng(stream)
         self.stats = TrafficStats()
         self._remaining = num_flows
-        self._active = 0
 
         # Per-client arrival rate from the load definition: at load 1.0 the
         # expected server->client traffic into each leaf equals its uplink
@@ -232,24 +274,9 @@ class CrossRackTraffic:
         self._remaining -= 1
         server = self._pick_server(client)
         size = max(1, round(self.workload.sample(self._rng) * self.size_scale))
-        src_host = self.fabric.host(server)
-        dst_host = self.fabric.host(client)
-        started_at = self.sim.now
-        record = FlowRecord(
-            flow_id=0,
-            src=server,
-            dst=client,
-            size=size,
-            start_time=started_at,
-            fct=0,
-            ideal_fct=self.fabric.ideal_fct(server, client, size),
+        self.stats.start_flow(
+            self.fabric, self.flow_factory, server, client, size, self._flow_done
         )
-        flow = self.flow_factory(
-            src_host, dst_host, size, lambda f, r=record: self._complete(f, r)
-        )
-        self._active += 1
-        self.stats.arrivals += 1
-        flow.start()
         if self._remaining > 0:
             self._schedule_arrival(client)
 
@@ -264,30 +291,157 @@ class CrossRackTraffic:
         servers = self.fabric.hosts_under(leaf_id)
         return servers[int(self._rng.integers(len(servers)))]
 
-    def _complete(self, flow: Flow, record: FlowRecord) -> None:
-        record.fct = flow.fct
-        self.stats.records.append(record)
-        self.stats.completed += 1
-        for sender in _flow_senders(flow):
-            stats = sender.stats
-            self.stats.retransmissions += stats.retransmissions
-            self.stats.fast_retransmits += stats.fast_retransmits
-            self.stats.timeouts += stats.timeouts
-        self._active -= 1
+    def _flow_done(self) -> None:
         if self.finished and self.on_all_done is not None:
             self.on_all_done()
 
     @property
     def finished(self) -> bool:
         """All arrivals generated and all flows completed."""
-        return self._remaining <= 0 and self._active == 0
+        return self._remaining <= 0 and self.stats.unfinished == 0
+
+
+# -- the traffic descriptions a spec carries ------------------------------------------
+#
+# Each is a frozen value (it hashes and pickles with the spec) whose
+# ``attach`` builds the run's generator and returns it unstarted.  Every
+# generator stops the simulator once its last flow completes.
+
+
+@dataclass(frozen=True)
+class PoissonTraffic:
+    """Open-loop Poisson arrivals over the spec's workload CDF — the default.
+
+    Reads the spec's ``workload``, ``load``, ``num_flows``, ``size_scale``
+    and ``clients``.  A spec carrying the default hashes as if the
+    ``traffic`` field did not exist.
+
+    With ``burst_bytes`` set the senders are paced (Fig. 12): each flow's
+    application releases ``burst_bytes`` every gap drawn uniformly from
+    ``[0.5, 1.5] × mean_gap``; continuously backlogged senders have no
+    flowlet gaps, which would reduce CONGA to per-flow decisions.  The
+    scheme's transport does the pacing (``make_flow_factory(params,
+    pacing=...)``); MPTCP's subflows share one connection buffer, so its
+    connections run unpaced (DESIGN.md "Key modelling conventions").
+    """
+
+    burst_bytes: int | None = None
+    mean_gap: int = microseconds(600)
+
+    def __post_init__(self) -> None:
+        if (self.burst_bytes is not None and self.burst_bytes < 1) or self.mean_gap < 1:
+            raise ValueError("burst_bytes and mean_gap must be positive")
+
+    def attach(
+        self,
+        sim: "Simulator",
+        fabric: "Fabric",
+        spec: "ExperimentSpec",
+        scheme: "SchemeSpec",
+        workload: FlowSizeDistribution,
+    ) -> CrossRackTraffic:
+        """The run's unstarted generator."""
+        return CrossRackTraffic(
+            sim,
+            fabric,
+            workload,
+            spec.load,
+            flow_factory=(
+                scheme.make_flow_factory(spec.tcp_params)
+                if self.burst_bytes is None
+                else scheme.make_flow_factory(spec.tcp_params, pacing=self)
+            ),
+            num_flows=spec.num_flows,
+            size_scale=spec.size_scale,
+            clients=spec.clients,
+            on_all_done=sim.stop,
+        )
+
+
+@dataclass(frozen=True)
+class IncastTraffic:
+    """Striped requests from host 0 to ``fan_in`` servers (Fig. 13).
+
+    The servers are hosts 1..``fan_in``; each of the ``requests`` requests
+    (issued back to back) asks every server for ``request_bytes / fan_in``.
+    The spec's workload, load, flow count, size scale and clients play no
+    part.
+    """
+
+    fan_in: int
+    request_bytes: int = megabytes(10)
+    requests: int = 3
+
+    def __post_init__(self) -> None:
+        for name in ("fan_in", "request_bytes", "requests"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+    def attach(self, sim, fabric, spec, scheme, workload):
+        """The run's unstarted :class:`~repro.apps.incast.IncastClient`."""
+        from repro.apps.incast import IncastClient
+
+        servers = sorted(fabric.hosts)[1:]
+        if len(servers) < self.fan_in:
+            raise ValueError(
+                f"fan_in {self.fan_in} needs more hosts than this fabric's "
+                f"{len(servers)} besides the client"
+            )
+        return IncastClient(
+            sim,
+            fabric,
+            client=0,
+            servers=servers[: self.fan_in],
+            flow_factory=scheme.make_flow_factory(spec.tcp_params),
+            request_bytes=self.request_bytes,
+            repeats=self.requests,
+            on_done=lambda result: sim.stop(),
+        )
+
+
+@dataclass(frozen=True)
+class HdfsTraffic:
+    """A 3-way-replicated write job from every host (Fig. 14).
+
+    Each host writes ``blocks_per_writer`` blocks of ``block_bytes``.  The
+    spec's workload, load, flow count, size scale and clients play no part.
+    """
+
+    block_bytes: int = megabytes(8)
+    blocks_per_writer: int = 1
+
+    def __post_init__(self) -> None:
+        if self.block_bytes < 1 or self.blocks_per_writer < 1:
+            raise ValueError("block_bytes and blocks_per_writer must be at least 1")
+
+    def attach(self, sim, fabric, spec, scheme, workload):
+        """The run's unstarted :class:`~repro.apps.hdfs.HdfsWriteJob`."""
+        from repro.apps.hdfs import HdfsWriteJob
+
+        return HdfsWriteJob(
+            sim,
+            fabric,
+            flow_factory=scheme.make_flow_factory(spec.tcp_params),
+            block_bytes=self.block_bytes,
+            blocks_per_writer=self.blocks_per_writer,
+            on_done=lambda result: sim.stop(),
+        )
+
+
+#: What ``ExperimentSpec.traffic`` may hold.
+Traffic = PoissonTraffic | IncastTraffic | HdfsTraffic
 
 
 __all__ = [
     "CrossRackTraffic",
     "Flow",
     "FlowFactory",
+    "HdfsTraffic",
+    "IncastTraffic",
+    "PoissonTraffic",
+    "Traffic",
     "TrafficStats",
+    "dctcp_flow_factory",
     "mptcp_flow_factory",
     "tcp_flow_factory",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.units import megabytes, milliseconds, seconds, to_milliseconds
+from repro.units import to_milliseconds
 from repro.workloads import WORKLOADS
 
 
@@ -655,41 +655,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_incast(args: argparse.Namespace) -> int:
-    from repro.apps import IncastClient, mptcp_flow_factory, tcp_flow_factory
-    from repro.lb import CongaSelector, EcmpSelector
-    from repro.sim import Simulator
-    from repro.topology import build_leaf_spine, scaled_testbed
-    from repro.transport import TcpParams
+    from repro.apps import incast_throughput_percent
 
-    sim = Simulator(seed=args.seed)
-    fabric = build_leaf_spine(
-        sim, scaled_testbed(hosts_per_leaf=32, host_queue_bytes=8_000_000)
-    )
-    if args.transport == "tcp":
-        fabric.finalize(CongaSelector.factory())
-    else:
-        fabric.finalize(EcmpSelector.factory())
-    params = TcpParams(
-        min_rto=milliseconds(args.min_rto_ms),
-        initial_rto=milliseconds(max(args.min_rto_ms, 1)),
-        mss=args.mtu - 40,
-    )
-    factory = (
-        tcp_flow_factory(params)
-        if args.transport == "tcp"
-        else mptcp_flow_factory(params)
-    )
-    servers = [h for h in sorted(fabric.hosts) if h != 0][: args.fan_in]
-    client = IncastClient(
-        sim, fabric, client=0, servers=servers, flow_factory=factory,
-        request_bytes=megabytes(10), repeats=args.repeats,
-    )
-    client.start()
-    sim.run(until=seconds(120))
-    if not client.finished:
+    # Fig. 13's fabric and transports as the mapping a scenario file would
+    # hold: CONGA+TCP or MPTCP (over ECMP); incast reads no workload or load.
+    template = {
+        "scheme": "conga" if args.transport == "tcp" else "mptcp",
+        "workload": "enterprise",
+        "load": 0.5,
+        "seed": args.seed,
+        "deadline": "120s",
+        "topology": {"hosts_per_leaf": 32, "host_queue_bytes": "8MB"},
+        "tcp": {
+            "min_rto": f"{args.min_rto_ms}ms",
+            "initial_rto": f"{max(args.min_rto_ms, 1)}ms",
+            "mss": args.mtu - 40,
+        },
+        "traffic": {
+            "incast": {
+                "fan_in": args.fan_in,
+                "request_bytes": "10MB",
+                "requests": args.repeats,
+            }
+        },
+    }
+    (spec,) = _load_scenario(None, {"name": "incast", "template": template}).compile()
+    point = spec.run()
+    if point.unfinished:
         print("incast did not finish within the deadline (collapsed)")
         return 1
-    percent = client.result.throughput_percent(fabric.host(0).nic.rate_bps)
+    percent = incast_throughput_percent(point)
     print(f"transport={args.transport} fan_in={args.fan_in} "
           f"minRTO={args.min_rto_ms}ms MTU={args.mtu}")
     print(f"  effective throughput: {percent:.1f}% of line rate")

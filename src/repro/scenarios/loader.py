@@ -16,10 +16,12 @@ The schema mirrors the value objects one-to-one (see EXPERIMENTS.md,
       tcp: {min_rto: 200ms}
       topology: {hosts_per_leaf: 32, host_queue_bytes: 8MB}
       faults: ["link_down@0.1s:l1-s1"]
+      traffic: {poisson: {burst_bytes: 64KB}}   # paced senders; or incast / hdfs
     grid:
       schemes: [ecmp, conga-flow, conga, mptcp]
       loads: [0.3, 0.5, 0.7, 0.9]
       seeds: {base: 31, count: 5}   # or an explicit list: [1, 2, 3]
+      tcp: [{min_rto: 200ms}, {min_rto: 1ms}]   # an axis over a template key
     workloads:                # inline CDFs, registered on validate()
       my-mix:
         points: [[1000, 0.5], [1000000, 1.0]]
@@ -37,7 +39,11 @@ exists once.  A ``topology`` section containing any multipod-only key
 (``num_pods``, ``leaves_per_pod``, ``spines_per_pod``, ``num_cores``,
 ``core_rate_bps``) compiles a 3-tier
 :class:`~repro.topology.multipod.MultiPodConfig` instead of a
-:class:`LeafSpineConfig`.
+:class:`LeafSpineConfig`.  ``traffic`` names one shape of
+:mod:`repro.apps.traffic` by its only key.  Besides the four classic axes a
+grid may sweep ``failed_links``, ``tcp`` and ``traffic``: each entry is
+parsed and range-checked as that template key would be, against the rest
+of the template.
 
 Every loader error is a :class:`ScenarioError` carrying the dotted key
 path, the source file and the YAML line of the offending key — unknown
@@ -64,6 +70,7 @@ from repro.apps.spec import (
     QueueMonitorSpec,
     get_workload,
 )
+from repro.apps.traffic import HdfsTraffic, IncastTraffic, PoissonTraffic
 from repro.faults.events import (
     FaultEvent,
     FeedbackLoss,
@@ -443,6 +450,36 @@ def _timeline(value: Any) -> Any:
     return _build_section(_TIMELINE, {} if value is True else value)
 
 
+_POISSON = _Section(
+    PoissonTraffic, {"burst_bytes": _size, "mean_gap": _duration(minimum=1)}
+)
+_INCAST = _Section(
+    IncastTraffic,
+    {
+        "fan_in": _int(minimum=1),
+        "request_bytes": _size,
+        "requests": _int(minimum=1),
+    },
+    required=("fan_in",),
+)
+_HDFS = _Section(
+    HdfsTraffic, {"block_bytes": _size, "blocks_per_writer": _int(minimum=1)}
+)
+_TRAFFIC = {"poisson": _POISSON, "incast": _INCAST, "hdfs": _HDFS}
+
+
+def _traffic(value: Any) -> Any:
+    """``{<shape>: {keys}}``: the mapping's one key names the shape."""
+    mapping = _mapping(value)
+    shapes = ", ".join(_TRAFFIC)
+    if len(mapping) != 1:
+        raise ValueError(f"expected exactly one of {shapes} as the key, got {value!r}")
+    ((shape, body),) = mapping.items()
+    if shape not in _TRAFFIC:
+        raise _Refused(f"unknown traffic {shape!r}; one of: {shapes}", (str(shape),))
+    return _at((shape,), _section(_TRAFFIC[shape]), {} if body is None else body)
+
+
 _OBS = _Section(
     ObsSpec,
     {
@@ -512,6 +549,13 @@ def _validate_targets(spec: ExperimentSpec) -> None:
         "core": cores,
         "parallel link": config.links_per_pair,
     }
+    traffic = spec.traffic
+    if isinstance(traffic, IncastTraffic) and traffic.fan_in >= limits["host"]:
+        raise _Refused(
+            f"fan_in {traffic.fan_in} needs more hosts besides the client than "
+            f"this topology's {limits['host'] - 1}",
+            ("traffic", "incast", "fan_in"),
+        )
     for kind, index, where, suffix in _named_indices(spec):
         if kind == "core" and cores == 0:
             raise _Refused(
@@ -555,9 +599,14 @@ _TEMPLATE = _Section(
         "queue_monitor": _or_none(_section(_QUEUE_MONITOR)),
         "imbalance_monitor": _or_none(_section(_IMBALANCE_MONITOR)),
         "obs": _or_none(_section(_OBS)),
+        "traffic": _or_none(_traffic),
     },
     required=("scheme", "workload", "load"),
 )
+
+#: Template keys a grid may also sweep, and the spec field each one sets.
+_AXIS_FIELDS = {"failed_links": "failed_links", "tcp": "tcp_params", "traffic": "traffic"}
+
 _SEED_PLAN = _Section(
     SeedPlan,
     {"base": _int(), "count": _int(), "stream": _str},
@@ -572,6 +621,13 @@ def _seeds(value: Any) -> tuple[int, ...] | SeedPlan:
     return _ints(value)
 
 
+def _entries(value: Any) -> list:
+    """A template-key axis, kept raw until :func:`_axis` parses it."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a non-empty list, got {value!r}")
+    return value
+
+
 _GRID = _Section(
     dict,
     {
@@ -579,8 +635,30 @@ _GRID = _Section(
         "workloads": _strings,
         "loads": _tuple_of(_number(positive=True)),
         "seeds": _seeds,
+        **dict.fromkeys(_AXIS_FIELDS, _entries),
     },
 )
+
+
+def _axis(template: dict, key: str, entries: list) -> tuple[str, tuple]:
+    """``(spec field, values)`` of one template-key axis.
+
+    Each entry is built as the template with that key replaced, so it is
+    parsed and range-checked exactly as the key would be, against the rest
+    of the template; a refusal is located at ``grid.<key>.<i>``.
+    """
+    values = []
+    for i, entry in enumerate(entries):
+        where = ("grid", key, str(i))
+        try:
+            spec = _at((), _section(_TEMPLATE), {**template, key: entry})
+        except _Refused as exc:
+            inside = exc.path[1:] if exc.path[:1] == (key,) else ()
+            raise _Refused(str(exc), where + inside) from exc
+        values.append(getattr(spec, _AXIS_FIELDS[key]))
+    return _AXIS_FIELDS[key], tuple(values)
+
+
 _WORKLOAD = _Section(dict, {"points": _cdf}, required=("points",))
 
 
@@ -624,6 +702,11 @@ def _scenario(data: Any, source: str | None) -> Scenario:
             f"the grid has {points} points; the limit is {_MAX_GRID_POINTS}",
             ("grid",),
         )
+    extra = tuple(
+        _axis(data["template"], key, axes.pop(key))
+        for key in list(axes)
+        if key in _AXIS_FIELDS
+    )
 
     # Resolve every scheme and workload name the grid will reference now,
     # with precise locations, rather than letting compile() fail without one.
@@ -644,6 +727,7 @@ def _scenario(data: Any, source: str | None) -> Scenario:
         defined_workloads=defined,
         params_json=top.get("params", "{}"),
         source=source,
+        axes=extra,
         **axes,
     )
     scenario.validate()

@@ -2,7 +2,8 @@
 
 A :class:`Scenario` is the value-object face of "one figure's worth of
 experiments": a template :class:`~repro.apps.spec.ExperimentSpec` plus the
-grid axes swept over it (schemes, workloads, loads, seeds) and any inline
+grid axes swept over it (schemes, workloads, loads, seeds, and any further
+template fields such as the TCP parameters or the traffic) and any inline
 workload CDFs the scenario defines for itself.  It compiles to the exact
 :func:`repro.runner.sweep_grid` product a hand-written benchmark would
 build — same specs, same content hashes — so a scenario never invalidates
@@ -21,10 +22,12 @@ every other spec value in the repo.  The YAML front end lives in
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.apps.spec import ExperimentSpec, _canonical, get_workload
+from repro.apps.spec import HASH_NEUTRAL_DEFAULT, ExperimentSpec, _canonical, get_workload
 from repro.runner.sweep import derive_seeds, sweep_grid
 from repro.workloads import FlowSizeDistribution, register_workload
 
@@ -65,6 +68,12 @@ class Scenario:
     not map onto :class:`ExperimentSpec` fields; it rides along in the
     scenario hash but never reaches the compiled specs.
 
+    ``axes`` are further grid axes over other template fields, outermost
+    first, as ``(spec field, values)`` pairs — e.g. ``("tcp_params",
+    (TcpParams(mss=1460), TcpParams(mss=8960)))``; each value replaces the
+    template's field for one slice of the grid.  Empty ``axes`` hash as if
+    the field did not exist.
+
     ``source`` records where the scenario was loaded from (for error
     messages and provenance) and is excluded from equality and
     :meth:`content_hash` — the same scenario hashes identically wherever
@@ -80,6 +89,9 @@ class Scenario:
     seeds: tuple[int, ...] | SeedPlan | None = None
     defined_workloads: tuple[FlowSizeDistribution, ...] = ()
     params_json: str = "{}"
+    axes: tuple[tuple[str, tuple[Any, ...]], ...] = field(
+        default=(), metadata=HASH_NEUTRAL_DEFAULT
+    )
     source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -99,6 +111,9 @@ class Scenario:
             )
         object.__setattr__(
             self, "defined_workloads", tuple(self.defined_workloads)
+        )
+        object.__setattr__(
+            self, "axes", tuple((name, tuple(values)) for name, values in self.axes)
         )
         json.loads(self.params_json)  # must be valid JSON
 
@@ -128,6 +143,8 @@ class Scenario:
         count = 1
         for axis in axes:
             count *= len(axis) if axis is not None else 1
+        for _name, values in self.axes:
+            count *= len(values)
         return count
 
     def validate(self) -> None:
@@ -152,23 +169,31 @@ class Scenario:
             axis = getattr(self, axis_name)
             if axis is not None and not axis:
                 raise ValueError(f"the {axis_name} axis must not be empty")
+        for name, values in self.axes:
+            if not values:
+                raise ValueError(f"the {name} axis must not be empty")
 
     def compile(self) -> list[ExperimentSpec]:
         """The scenario's spec grid — bit-identical to a hand-built sweep.
 
         Delegates to :func:`repro.runner.sweep_grid` over the same
-        template, so a scenario compiles to *exactly* the specs (and
-        content hashes) the equivalent Python benchmark builds; existing
-        cache entries stay reachable.
+        template (once per combination of ``axes``, the outermost loops),
+        so a scenario compiles to *exactly* the specs (and content hashes)
+        the equivalent Python benchmark builds; existing cache entries stay
+        reachable.
         """
         self.validate()
-        return sweep_grid(
-            self.template,
-            schemes=self.schemes,
-            loads=self.loads,
-            seeds=self.seed_list(),
-            workloads=self.workloads,
-        )
+        names = [name for name, _values in self.axes]
+        specs = []
+        for values in itertools.product(*(values for _name, values in self.axes)):
+            specs += sweep_grid(
+                self.template.with_(**dict(zip(names, values))),
+                schemes=self.schemes,
+                loads=self.loads,
+                seeds=self.seed_list(),
+                workloads=self.workloads,
+            )
+        return specs
 
     def grid_hashes(self) -> tuple[str, ...]:
         """Content hash of every compiled spec, in grid order."""

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.analysis.fct import records_digest
 from repro.apps import (
     CrossRackTraffic,
     ExperimentSpec,
+    HdfsTraffic,
     HdfsWriteJob,
     ImbalanceMonitorSpec,
     IncastClient,
+    IncastResult,
+    IncastTraffic,
+    PoissonTraffic,
     QueueMonitorSpec,
     SCHEMES,
     get_scheme,
@@ -18,7 +23,7 @@ from repro.lb import CongaSelector, EcmpSelector
 from repro.sim import Simulator, run_until_idle
 from repro.topology import build_leaf_spine, scaled_testbed
 from repro.transport import TcpParams
-from repro.units import megabytes, milliseconds, seconds
+from repro.units import kilobytes, megabytes, milliseconds, seconds
 from repro.workloads import ENTERPRISE, WEB_SEARCH
 
 
@@ -273,3 +278,116 @@ class TestExperimentHarness:
         spec = ExperimentSpec("conga", "web-search", 0.5, num_flows=30, size_scale=0.02, seed=9)
         a, b = spec.run_live(), spec.run_live()
         assert [r.fct for r in a.records] == [r.fct for r in b.records]
+
+
+class TestTrafficIsData:
+    """A traffic description run through a spec is the run built by hand."""
+
+    PARAMS = TcpParams(min_rto=milliseconds(1), initial_rto=milliseconds(1))
+    PACED = PoissonTraffic(burst_bytes=65_536)
+
+    def _spec(self, scheme, traffic, **kwargs):
+        return ExperimentSpec(
+            scheme, "enterprise", 0.5, seed=1,
+            config=scaled_testbed(hosts_per_leaf=8), tcp_params=self.PARAMS,
+            traffic=traffic, **kwargs,
+        )
+
+    @pytest.mark.parametrize("scheme", ["conga", "mptcp"])
+    def test_incast_spec_is_the_hand_built_client(self, scheme):
+        sim, fabric = _fabric(hosts_per_leaf=8, selector=get_scheme(scheme).make_selector())
+        done_at = []
+        client = IncastClient(
+            sim, fabric, client=0, servers=[1, 2, 3, 4, 5],
+            flow_factory=get_scheme(scheme).make_flow_factory(self.PARAMS),
+            request_bytes=megabytes(1), repeats=2,
+            on_done=lambda result: done_at.append(sim.now),
+        )
+        client.start()
+        run_until_idle(sim)
+        traffic = IncastTraffic(fan_in=5, request_bytes=megabytes(1), requests=2)
+        point = self._spec(scheme, traffic).run()
+        assert records_digest(list(point.records)) == records_digest(client.stats.records)
+        from_spec = IncastResult.from_records(5, megabytes(1), point.records)
+        assert from_spec == client.result
+        # Requests run back to back from time 0: the last ends when the job does.
+        assert [sum(from_spec.request_durations)] == done_at == [point.end_time]
+
+    def test_hdfs_spec_is_the_hand_built_job(self):
+        sim, fabric = _fabric(hosts_per_leaf=8, selector=CongaSelector.factory())
+        job = HdfsWriteJob(
+            sim, fabric, flow_factory=tcp_flow_factory(self.PARAMS),
+            block_bytes=200_000, blocks_per_writer=2,
+        )
+        job.start()
+        run_until_idle(sim)
+        point = self._spec("conga", HdfsTraffic(block_bytes=200_000, blocks_per_writer=2)).run()
+        assert records_digest(list(point.records)) == records_digest(job.stats.records)
+        assert max(r.start_time + r.fct for r in point.records) == job.result.completion_time
+        assert point.arrivals == point.completed == 2 * job.result.blocks
+
+    def test_paced_spec_is_the_hand_built_generator(self):
+        sim, fabric = _fabric(hosts_per_leaf=8, selector=CongaSelector.factory())
+        traffic = CrossRackTraffic(
+            sim, fabric, ENTERPRISE, 0.5, num_flows=30, size_scale=0.05,
+            flow_factory=tcp_flow_factory(self.PARAMS, pacing=self.PACED),
+            on_all_done=sim.stop,
+        )
+        traffic.start()
+        sim.run(until=seconds(20))
+        spec = self._spec("conga", self.PACED, num_flows=30, size_scale=0.05)
+        point = spec.run()
+        assert records_digest(list(point.records)) == records_digest(traffic.stats.records)
+        unpaced = spec.with_(traffic=PoissonTraffic()).run()
+        assert records_digest(list(unpaced.records)) != records_digest(list(point.records))
+
+    def test_mptcp_connections_run_unpaced(self):
+        spec = self._spec("mptcp", self.PACED, num_flows=20, size_scale=0.05)
+        paced, plain = spec.run(), spec.with_(traffic=PoissonTraffic()).run()
+        assert records_digest(list(paced.records)) == records_digest(list(plain.records))
+
+    def test_default_traffic_is_hash_neutral(self):
+        spec = ExperimentSpec("conga", "enterprise", 0.5)
+        assert spec.traffic == PoissonTraffic()
+        assert spec.with_(traffic=PoissonTraffic()).content_hash() == spec.content_hash()
+        assert spec.with_(traffic=self.PACED).content_hash() != spec.content_hash()
+
+    def test_label_names_traffic_that_reads_no_workload(self):
+        spec = ExperimentSpec("conga", "enterprise", 0.5, seed=4)
+        assert spec.label() == "conga enterprise load=0.5 seed=4"
+        assert spec.with_(traffic=self.PACED).label() == spec.label()
+        incast = spec.with_(traffic=IncastTraffic(fan_in=7, requests=1))
+        assert incast.label() == (
+            "conga IncastTraffic(fan_in=7, request_bytes=10000000, requests=1) seed=4"
+        )
+        assert "enterprise" not in spec.with_(traffic=HdfsTraffic()).label()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ExperimentSpec("conga", "enterprise", 0.5, traffic="incast"),
+            lambda: IncastTraffic(fan_in=0),
+            lambda: IncastTraffic(fan_in=2, requests=0),
+            lambda: PoissonTraffic(burst_bytes=1, mean_gap=0),
+            lambda: HdfsTraffic(blocks_per_writer=0),
+        ],
+        ids=["not-a-description", "fan_in", "requests", "mean_gap", "blocks"],
+    )
+    def test_garbage_traffic_is_refused(self, make):
+        with pytest.raises((TypeError, ValueError)):
+            make()
+
+    def test_conga_dctcp_marks_at_its_threshold_unless_the_topology_sets_one(self):
+        spec = ExperimentSpec(
+            "conga-dctcp", "enterprise", 0.6, seed=3, num_flows=40, size_scale=0.05
+        )
+        own = spec.run_live()
+        assert {p.queue.ecn_threshold_bytes for p in own.fabric.fabric_ports()} == {
+            kilobytes(100)
+        }
+        explicit = spec.with_(config=scaled_testbed(ecn_threshold_bytes=kilobytes(100)))
+        assert records_digest(own.records) == records_digest(explicit.run_live().records)
+        shallower = spec.with_(config=scaled_testbed(ecn_threshold_bytes=kilobytes(50)))
+        assert {
+            p.queue.ecn_threshold_bytes for p in shallower.run_live().fabric.fabric_ports()
+        } == {kilobytes(50)}

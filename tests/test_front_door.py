@@ -80,6 +80,16 @@ YAML_PROBES = [
     ("  load: 0.5\n  queue_monitor: {interval: 0}\n", "template.queue_monitor.interval", 6),
     ("  load: 0.5\n  obs:\n    timeline: {interval: 0us}\n", "template.obs.timeline.interval", 7),
     ("  load: 0.5\ngrid:\n  seeds: {base: 1, count: 1000000000}\n", "grid", 6),
+    ("  load: 0.5\n  traffic: {burst: {}}\n", "template.traffic.burst", 6),
+    ("  load: 0.5\n  traffic: {incast: {fan_in: 16}}\n", "template.traffic.incast.fan_in", 6),
+    ("  load: 0.5\n  traffic: {poisson: {mean_gap: 0us}}\n", "template.traffic.poisson.mean_gap", 6),
+    (
+        "  load: 0.5\ngrid:\n  traffic:\n    - {hdfs: {}}\n    - {incast: {fan_in: 99}}\n",
+        "grid.traffic.1.incast.fan_in",
+        9,
+    ),
+    ("  load: 0.5\ngrid:\n  failed_links: [[], [[9, 0, 0]]]\n", "grid.failed_links.1.0.0", 7),
+    ("  load: 0.5\ngrid:\n  tcp: []\n", "grid.tcp", 7),
     (
         "  load: 0.5\nworkloads:\n  mix:\n    points: [[1000, .nan], [2000, 1.0]]\n",
         "workloads.mix.points.0.1",
@@ -170,11 +180,13 @@ VALID = {
         "queue_monitor": {"tier": "spine", "leaf": 1, "interval": "10us"},
         "imbalance_monitor": {"leaf": 0},
         "obs": {"categories": ["flowlet"], "timeline": {"interval": "100us"}},
+        "traffic": {"poisson": {"burst_bytes": "64KB", "mean_gap": "500us"}},
     },
     "grid": {
         "schemes": ["ecmp", "conga"],
         "loads": [0.3, 0.6],
         "seeds": {"base": 7, "count": 2},
+        "traffic": [{"poisson": None}, {"incast": {"fan_in": 3, "requests": 1}}],
     },
     "workloads": {"fuzz-mix": {"points": [[1000, 0.5], [100000, 1.0]]}},
     "params": {"cells": [1, 2]},
@@ -232,7 +244,7 @@ FUZZ = settings(
 
 def test_the_fuzz_base_mapping_is_valid():
     _accepts_or_refuses(VALID)
-    assert scenario_from_mapping(VALID).point_count() == 8
+    assert scenario_from_mapping(VALID).point_count() == 16
     WORKLOADS.pop("fuzz-mix", None)
 
 
@@ -269,6 +281,9 @@ DOCUMENTED_AS = {
     "template.imbalance_monitor": loader._IMBALANCE_MONITOR,
     "template.obs": loader._OBS,
     "template.obs.timeline": loader._TIMELINE,
+    "template.traffic.poisson": loader._POISSON,
+    "template.traffic.incast": loader._INCAST,
+    "template.traffic.hdfs": loader._HDFS,
     "grid": loader._GRID,
     "grid.seeds": loader._SEED_PLAN,
     "workloads.<name>": loader._WORKLOAD,

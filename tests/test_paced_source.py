@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.traffic import bursty_tcp_flow_factory
+from repro.apps.traffic import PoissonTraffic, tcp_flow_factory
 from repro.lb import CongaSelector
 from repro.net import Host, connect
 from repro.sim import Simulator, run_until_idle
@@ -103,7 +103,7 @@ class TestBurstyTransfer:
         fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=2))
         fabric.finalize(CongaSelector.factory())
         done = []
-        factory = bursty_tcp_flow_factory(TcpParams())
+        factory = tcp_flow_factory(TcpParams(), pacing=PoissonTraffic(burst_bytes=65_536))
         flow = factory(
             fabric.host(0), fabric.host(2), 400_000, lambda f: done.append(f)
         )

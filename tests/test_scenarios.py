@@ -89,6 +89,33 @@ class TestScenarioValues:
         )
         assert scenario.point_count() == 6 == len(scenario.compile())
 
+    def test_template_field_axes_are_the_outer_loops(self):
+        fast = TcpParams(min_rto=milliseconds(1))
+        failed = ((), ((1, 1, 0),))
+        mapping = {
+            "name": "axes",
+            "template": {"scheme": "ecmp", "workload": "enterprise", "load": 0.5,
+                         "seed": 31, "num_flows": 250, "size_scale": 0.05},
+            "grid": {
+                "schemes": ["ecmp", "conga"],
+                "tcp": [None, {"min_rto": "1ms"}],
+                "failed_links": [[], [[1, 1, 0]]],
+            },
+        }
+        scenario = scenario_from_mapping(mapping)
+        hand = [
+            spec
+            for tcp in (TcpParams(), fast)
+            for links in failed
+            for spec in sweep_grid(
+                TEMPLATE.with_(tcp_params=tcp, failed_links=links),
+                schemes=["ecmp", "conga"],
+            )
+        ]
+        assert scenario.point_count() == 8
+        assert scenario.compile() == hand
+        assert scenario.axes == (("tcp_params", (TcpParams(), fast)), ("failed_links", failed))
+
     def test_unknown_scheme_fails_validation(self):
         scenario = Scenario(
             name="bad", template=TEMPLATE, schemes=("ecmp", "bogus")
