@@ -20,10 +20,14 @@ finished per second".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.transport.tcp import FlowRecord
 from repro.units import milliseconds
+
+if TYPE_CHECKING:
+    from repro.apps.spec import PointResult
+    from repro.faults.events import FaultEvent
 
 
 def _phase_goodput(
@@ -166,4 +170,57 @@ class DegradationSummary:
         return dict(self.tier_asymmetry).get(tier, 0.0)
 
 
-__all__ = ["DegradationSummary", "window_goodput"]
+#: A fault cell's kind, by the type of its onset events.
+_KINDS = {"LinkDegrade": "brownout", "LinkLoss": "blackhole"}
+
+
+def fault_cell(faults: Sequence["FaultEvent"]) -> tuple[str, str, int]:
+    """A fault schedule's (tier, kind, density), read off its events.
+
+    The kind names the onset (non-restoring) events' type — a
+    ``LinkDegrade`` is a brownout, a ``LinkLoss`` a black hole, anything
+    else its class name; the tier is ``core`` when they target a spine-core
+    link, ``leaf`` otherwise; the density is how many there are.
+    """
+    onsets = [event for event in faults if not event.restores()]
+    name = type(onsets[0]).__name__
+    tier = "leaf" if getattr(onsets[0], "core", None) is None else "core"
+    return tier, _KINDS.get(name, name), len(onsets)
+
+
+def recovery_matrix(
+    points: Iterable["PointResult"],
+) -> dict[tuple["FaultEvent", ...], dict[str, dict[str, list[float]]]]:
+    """A fault sweep scored against its own healthy baseline.
+
+    ``points`` is one sweep whose fault-free points are the baseline.  Per
+    fault schedule and scheme, over the seeds: ``retained`` — in-window
+    goodput over the same scheme+seed's healthy goodput across the
+    identical window (which sidesteps the ramp-up noise of a run's own
+    pre-fault phase); ``fct`` — mean normalized FCT; ``timeouts`` — RTOs;
+    ``asym`` — peak capacity asymmetry of the schedule's tier.  A point
+    whose baseline is missing (it failed) is skipped.
+    """
+    points = list(points)
+    healthy = {(p.scheme, p.spec.seed): p.records for p in points if not p.spec.faults}
+    matrix: dict = {}
+    for point in points:
+        records = healthy.get((point.scheme, point.spec.seed))
+        if not point.spec.faults or records is None:
+            continue
+        d = point.degradation()
+        end = d.window_end if d.window_end is not None else d.end_time
+        base = window_goodput(records, d.window_start, end)
+        stats = matrix.setdefault(point.spec.faults, {}).setdefault(
+            point.scheme, {"retained": [], "fct": [], "timeouts": [], "asym": []}
+        )
+        if base > 0:
+            stats["retained"].append(d.goodput_during_bps / base)
+        if point.summary is not None:
+            stats["fct"].append(point.summary.mean_normalized)
+        stats["timeouts"].append(point.timeouts)
+        stats["asym"].append(d.asymmetry_of(fault_cell(point.spec.faults)[0]))
+    return matrix
+
+
+__all__ = ["DegradationSummary", "fault_cell", "recovery_matrix", "window_goodput"]

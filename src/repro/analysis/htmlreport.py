@@ -23,7 +23,7 @@ from __future__ import annotations
 import html
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.degradation import window_goodput
+from repro.analysis.degradation import fault_cell, recovery_matrix
 from repro.analysis.report import format_value
 from repro.faults.events import fault_window
 from repro.units import to_milliseconds
@@ -679,21 +679,21 @@ def sweep_report(
 def recovery_report(
     *,
     title: str,
-    baseline: Sequence["PointResult"],
-    cells: Sequence[tuple[dict, Sequence["PointResult"]]],
+    points: Sequence["PointResult"],
     subtitle: str = "",
     timelines: bool = True,
 ) -> str:
     """The recovery-matrix page (``caft_recovery.yaml`` as one report).
 
-    ``baseline`` is the scenario's own fault-free sweep; each cell pairs
-    its scenario ``params.cells`` entry with the faulted sweep's points.
-    Every cell gets a scored table (in-window goodput vs the same
-    scheme+seed's *healthy* goodput over the identical window — the same
-    normalization the recovery-matrix benchmark uses) and a goodput
-    timeline with the fault window shaded.
+    ``points`` is one sweep over a ``faults`` axis: its fault-free points
+    are the healthy baseline, and every other fault schedule is a cell,
+    named by :func:`~repro.analysis.degradation.fault_cell`.  Every cell
+    gets a scored table (in-window goodput vs the same scheme+seed's
+    *healthy* goodput over the identical window — the normalization the
+    recovery-matrix claims use) and a goodput timeline with the fault
+    window shaded.
     """
-    healthy = {(p.scheme, p.spec.seed): p.records for p in baseline}
+    baseline = [p for p in points if not p.spec.faults]
     sections: list[tuple[str, str]] = [
         (
             "Healthy baseline",
@@ -703,42 +703,16 @@ def recovery_report(
             ),
         )
     ]
-    for cell, points in cells:
-        cell_name = (
-            f"{cell.get('tier', '?')}-{cell.get('kind', '?')} "
-            f"×{cell.get('density', '?')}"
-        )
-        groups = group_by_scheme(points)
-        rows = []
-        for scheme, group in groups.items():
-            retained: list[float] = []
-            fcts: list[float] = []
-            rtos: list[int] = []
-            for point in group:
-                deg = point.degradation()
-                window_end = (
-                    deg.window_end
-                    if deg.window_end is not None
-                    else deg.end_time
-                )
-                records = healthy.get((point.scheme, point.spec.seed))
-                if records is None:  # baseline point failed; skip the score
-                    continue
-                base = window_goodput(records, deg.window_start, window_end)
-                if base > 0:
-                    retained.append(deg.goodput_during_bps / base)
-                if point.summary is not None:
-                    fcts.append(point.summary.mean_normalized)
-                rtos.append(point.timeouts)
-            rows.append(
-                (
-                    scheme,
-                    sum(retained) / len(retained) if retained else
-                    float("nan"),
-                    sum(fcts) / len(fcts) if fcts else float("nan"),
-                    sum(rtos) / len(rtos) if rtos else float("nan"),
-                )
-            )
+    for faults, schemes in recovery_matrix(points).items():
+        tier, kind, density = fault_cell(faults)
+        cell_name = f"{tier}-{kind} ×{density}"
+        rows = [
+            (scheme, *(
+                sum(values) / len(values) if values else float("nan")
+                for values in (stats["retained"], stats["fct"], stats["timeouts"])
+            ))
+            for scheme, stats in schemes.items()
+        ]
         table = html_table(
             ["scheme", "goodput retained", "mean FCT (norm)",
              "RTO timeouts"],
@@ -746,6 +720,7 @@ def recovery_report(
             caption="goodput scored against the healthy baseline over "
                     "the same window",
         )
+        groups = group_by_scheme(p for p in points if p.spec.faults == faults)
         body = table + goodput_section(
             groups, title=f"goodput — {cell_name}"
         )

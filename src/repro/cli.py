@@ -322,84 +322,27 @@ def _report_points(sweep):
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.runner import TelemetrySink
-
-    recovery_cells = None
-    scenario = None
-    if args.scenario:
-        scenario = _load_scenario(args.scenario)
-        recovery_cells = scenario.params.get("cells")
-
-    # One sink across every sweep this report runs (a recovery matrix is
-    # baseline + one sweep per cell; a fresh path per call would truncate).
-    sink = TelemetrySink(args.telemetry) if args.telemetry else None
-    try:
-        return _render_report(args, scenario, recovery_cells, sink)
-    finally:
-        if sink is not None:
-            sink.close()
-
-
-def _render_report(args, scenario, recovery_cells, sink) -> int:
     from pathlib import Path
 
     from repro.analysis import recovery_report, sweep_report
 
-    failures = []
-    if recovery_cells:
-        # Recovery-matrix page: the scenario's own grid is the healthy
-        # baseline; each params.cells entry reruns it under that fault
-        # set (the same protocol as the caft recovery benchmark).
-        from repro.faults import parse_fault
-        from repro.runner import sweep_grid
-
-        assert scenario is not None
-        title = args.title or f"{scenario.name} — recovery matrix"
-        specs = scenario.compile()
-        if args.timeline:
-            specs = [_with_timeline(s) for s in specs]
-        baseline, failed = _report_points(_run_sweep_from_args(
-            specs, args, telemetry=sink
-        ))
-        failures += failed
-        cells = []
-        for cell in recovery_cells:
-            try:
-                faults = tuple(parse_fault(text) for text in cell["faults"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _CliError(
-                    f"bad recovery cell {cell!r} in scenario params: {exc}"
-                ) from exc
-            cell_specs = sweep_grid(
-                scenario.template.with_(faults=faults),
-                schemes=scenario.schemes,
-                seeds=scenario.seed_list(),
-            )
-            if args.timeline:
-                cell_specs = [_with_timeline(s) for s in cell_specs]
-            points, failed = _report_points(_run_sweep_from_args(
-                cell_specs, args, telemetry=sink
-            ))
-            failures += failed
-            cells.append((cell, points))
+    title, specs = _resolve_sweep_specs(args)
+    if args.timeline:
+        specs = [_with_timeline(s) for s in specs]
+    sweep = _run_sweep_from_args(specs, args, telemetry=args.telemetry)
+    points, failures = _report_points(sweep)
+    if not points:
+        raise _CliError("every point failed; nothing to report", code=1)
+    schedules = {spec.faults for spec in specs}
+    if () in schedules and len(schedules) > 1:
+        # A faults axis with its healthy baseline: the recovery-matrix page.
         html = recovery_report(
-            title=title,
-            baseline=baseline,
-            cells=cells,
-            subtitle=f"scenario {scenario.name}; "
-                     f"{len(cells)} fault cells × "
-                     f"{len(scenario.schemes or (scenario.template.scheme,))} "
-                     f"schemes",
+            title=args.title or f"{title} — recovery matrix",
+            points=points,
+            subtitle=f"{len(schedules) - 1} fault cells; {len(points)} points",
             timelines=args.timeline,
         )
     else:
-        title, specs = _resolve_sweep_specs(args)
-        if args.timeline:
-            specs = [_with_timeline(s) for s in specs]
-        sweep = _run_sweep_from_args(specs, args, telemetry=sink)
-        points, failures = _report_points(sweep)
-        if not points:
-            raise _CliError("every point failed; nothing to report", code=1)
         html = sweep_report(
             points,
             title=args.title or f"sweep: {title}",

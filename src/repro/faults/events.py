@@ -315,6 +315,18 @@ def _parse_link(target: str, kind: str) -> dict[str, int]:
     )
 
 
+#: The ``=VALUE`` / ``~PROB`` / ``+DURATION`` parts each fault kind takes.
+_PARTS = {
+    "link_down": "",
+    "link_up": "",
+    "link_degrade": "=",
+    "link_loss": "~",
+    "feedback_loss": "~+",
+    "blackout": "+",
+    "random_downs": "=",
+}
+
+
 def parse_fault(text: str) -> FaultEvent:
     """Parse one CLI fault expression into a :class:`FaultEvent`.
 
@@ -334,19 +346,22 @@ def parse_fault(text: str) -> FaultEvent:
     kind, sep, rest = text.partition("@")
     if not sep or not kind:
         raise ValueError(f"fault {text!r} must look like kind@time[...]")
+    if kind not in _PARTS:
+        raise ValueError(
+            f"unknown fault kind {kind!r}; known kinds: {', '.join(_PARTS)}"
+        )
 
-    duration = None
-    if "+" in rest:
-        rest, _, dur_text = rest.rpartition("+")
-        duration = _parse_duration(dur_text)
-    prob = None
-    if "~" in rest:
-        rest, _, prob_text = rest.partition("~")
-        prob = float(prob_text)
-    value = None
-    if "=" in rest:
-        rest, _, value_text = rest.partition("=")
-        value = float(value_text)
+    parts: dict[str, str] = {}
+    for mark, split in (("+", str.rpartition), ("~", str.partition), ("=", str.partition)):
+        if mark in rest:
+            rest, _, parts[mark] = split(rest, mark)
+            if mark not in _PARTS[kind]:
+                raise ValueError(
+                    f"{kind} takes no '{mark}{parts[mark]}' part (in {text!r})"
+                )
+    duration = _parse_duration(parts["+"]) if "+" in parts else None
+    prob = float(parts["~"]) if "~" in parts else None
+    value = float(parts["="]) if "=" in parts else None
     time_text, _, target = rest.partition(":")
     time = _parse_duration(time_text)
 
@@ -389,16 +404,12 @@ def parse_fault(text: str) -> FaultEvent:
             switch=int(match.group(2)),
             duration=duration,
         )
-    if kind == "random_downs":
-        if value is None:
-            raise ValueError("random_downs needs '=<count>'")
-        if not value.is_integer():  # also refuses nan and inf
-            raise ValueError(f"random_downs count must be an integer, got {value}")
-        return RandomLinkDowns(time=time, count=int(value), tier=target or "leaf")
-    raise ValueError(
-        f"unknown fault kind {kind!r}; known kinds: link_down, link_up, "
-        "link_degrade, link_loss, feedback_loss, blackout, random_downs"
-    )
+    # random_downs, the last kind _PARTS knows
+    if value is None:
+        raise ValueError("random_downs needs '=<count>'")
+    if not value.is_integer():  # also refuses nan and inf
+        raise ValueError(f"random_downs count must be an integer, got {value}")
+    return RandomLinkDowns(time=time, count=int(value), tier=target or "leaf")
 
 
 __all__ = [

@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.flowlet import FlowletTable
-from repro.core.params import CongaParams, DEFAULT_PARAMS
+from repro.core.params import CongaParams
 from repro.lb.conga import CongaSelector, least_congested
 from repro.net.packet import Packet
 from repro.obs.events import FaultRerouted
@@ -104,15 +104,15 @@ class CaftSelector(CongaSelector):
     name = "caft"
     stream = "caft"
 
-    def __init__(self, leaf: "LeafSwitch", params: CongaParams = DEFAULT_PARAMS) -> None:
+    def __init__(self, leaf: "LeafSwitch", params: CongaParams | None = None) -> None:
         super().__init__(leaf, params)
         #: Decisions where liveness weighting overrode the congestion choice.
         self.fault_reroutes = 0
         # Feedback older than this is stale: 2 × metric_age_time is when
         # §3.3's linear decay bottoms out at the optimistic zero.
-        self._stale_after = 2 * params.metric_age_time
+        self._stale_after = 2 * self.params.metric_age_time
         # One re-probe flowlet per stale path per interval.
-        self._probe_interval = 4 * params.metric_age_time
+        self._probe_interval = 4 * self.params.metric_age_time
         self._last_probe: dict[tuple[int, int], int] = {}
 
     def path_weight(self, dst_leaf: int, uplink: int) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.flowlet import FlowletTable
-from repro.core.params import CONGA_FLOW_PARAMS, CongaParams, DEFAULT_PARAMS
+from repro.core.params import CONGA_FLOW_PARAMS, CongaParams
 from repro.lb.base import UplinkSelector
 from repro.net.packet import Packet
 from repro.obs.events import FlowletRerouted
@@ -56,10 +56,12 @@ class CongaSelector(UplinkSelector):
     name = "conga"
     stream = "conga"  # tie-breaks draw from the RNG stream "{stream}-{leaf}"
 
-    def __init__(self, leaf: "LeafSwitch", params: CongaParams = DEFAULT_PARAMS) -> None:
+    def __init__(self, leaf: "LeafSwitch", params: CongaParams | None = None) -> None:
         super().__init__(leaf)
-        self.params = params
-        self.flowlets = FlowletTable(leaf.sim, params)
+        # The leaf's own block unless given one: the topology config sets
+        # Q, tau and T_fl for the fabric and its selectors in one place.
+        self.params = params or leaf.params
+        self.flowlets = FlowletTable(leaf.sim, self.params)
         self._rng = leaf.sim.rng(f"{self.stream}-{leaf.leaf_id}")
         self.decisions = 0
 
@@ -113,10 +115,10 @@ class LocalAwareSelector(UplinkSelector):
 
     name = "local"
 
-    def __init__(self, leaf: "LeafSwitch", params: CongaParams = DEFAULT_PARAMS) -> None:
+    def __init__(self, leaf: "LeafSwitch", params: CongaParams | None = None) -> None:
         super().__init__(leaf)
-        self.params = params
-        self.flowlets = FlowletTable(leaf.sim, params)
+        self.params = params or leaf.params
+        self.flowlets = FlowletTable(leaf.sim, self.params)
         self._rng = leaf.sim.rng(f"local-{leaf.leaf_id}")
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:

@@ -11,8 +11,7 @@ Rule classes:
 
 * ``D1xx`` (determinism): wall-clock reads, unordered iteration.
 * ``S2xx`` (simulation invariants): frozen experiment specs, registry
-  writes through the registration API, benchmark grids through the sweep
-  runner.
+  writes through the registration API.
 * ``R3xx`` (reporting discipline): no print()/logging on simulator code
   paths — signals go through the :mod:`repro.obs` plane.
 * ``E001`` (a file that does not parse) and ``E304`` (a waiver that no

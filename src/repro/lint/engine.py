@@ -84,8 +84,6 @@ class Rule:
     ``scopes`` restricts a rule to top-level subpackages of ``repro``
     (``None`` means the whole tree); files outside any ``repro`` package
     are always in scope so fixtures and scripts can be checked too.
-    ``directory`` restricts it to files under a directory of that name
-    instead (the benchmark suite lives outside the package tree).
     """
 
     rule_id: str = ""
@@ -96,19 +94,14 @@ class Rule:
     #: Paper section the invariant derives from ("" when repo-internal).
     paper_ref: str = ""
     scopes: tuple[str, ...] | None = None
-    directory: str | None = None
 
     @property
     def patrols(self) -> str:
         """Where the rule applies, as ``--list-rules`` prints it."""
-        if self.directory is not None:
-            return f"files under a {self.directory}/ directory"
         return ", ".join(self.scopes) if self.scopes else "src/repro (all)"
 
     def applies(self, module: "ModuleContext") -> bool:
         """Whether this rule patrols ``module`` (scope check)."""
-        if self.directory is not None:
-            return self.directory in module.path.parts
         if self.scopes is None or module.scope is None:
             return True
         return bool(module.scope) and module.scope[0] in self.scopes

@@ -395,73 +395,6 @@ class AdHocOutputRule(Rule):
                 )
 
 
-class AdHocGridRule(Rule):
-    """S204 — benchmark spec grids go through Scenario / sweep_grid."""
-
-    rule_id = "S204"
-    title = "no ad-hoc ExperimentSpec loops in benchmark files"
-    rationale = (
-        "A benchmark that builds or runs ExperimentSpecs inside a hand-"
-        "rolled loop bypasses the sweep runner: its points are invisible to "
-        "the result cache, cannot be dispatched to a backend, and drift "
-        "from the committed scenarios/*.yaml grids.  Declare the grid with "
-        "a Scenario (or sweep_grid) and hand it to run_sweep."
-    )
-    paper_ref = "repro.scenarios (EXPERIMENTS.md, Authoring scenarios)"
-    # Path-scoped rather than package-scoped: this rule patrols the
-    # benchmark suite, which lives outside the repro package tree.
-    directory = "benchmarks"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        yield from self._walk(module, module.tree, loop_depth=0)
-
-    def _walk(
-        self, module: ModuleContext, node: ast.AST, loop_depth: int
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            child_depth = loop_depth
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                child_depth += 1
-            elif isinstance(
-                child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                child_depth += 1
-            elif loop_depth > 0 and isinstance(child, ast.Call):
-                message = self._diagnose(child)
-                if message is not None:
-                    yield self.violation(module, child, message)
-            yield from self._walk(module, child, child_depth)
-
-    @staticmethod
-    def _is_spec_constructor(expr: ast.expr) -> bool:
-        if not isinstance(expr, ast.Call):
-            return False
-        dotted = _dotted_name(expr.func)
-        return dotted is not None and dotted.rsplit(".", 1)[-1] == "ExperimentSpec"
-
-    def _diagnose(self, call: ast.Call) -> str | None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr == "run" and self._is_spec_constructor(func.value):
-            return (
-                "ExperimentSpec(...).run() inside a loop; declare the grid "
-                "with a Scenario (or sweep_grid) and execute it through "
-                "run_sweep so points hit the result cache"
-            )
-        if (
-            func.attr == "append"
-            and call.args
-            and self._is_spec_constructor(call.args[0])
-        ):
-            return (
-                ".append(ExperimentSpec(...)) inside a loop; build the grid "
-                "with a Scenario (or sweep_grid) instead of accumulating "
-                "specs by hand"
-            )
-        return None
-
-
 #: Every per-file rule, in catalog order.
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
@@ -469,7 +402,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AdHocOutputRule(),
     FrozenSpecRule(),
     RegistryWriteRule(),
-    AdHocGridRule(),
 )
 
 #: What ``--list-rules`` prints and ``--select`` chooses from.
@@ -484,7 +416,7 @@ def resolve_select(select: str | None) -> tuple[str, ...]:
     """The rule ids a ``--select`` expression names, in catalog order.
 
     Tokens are comma-separated and may be exact rule ids (``D101``) or
-    family prefixes (``D`` → D101 and D104, ``S2`` → S202–S204, ``E3`` →
+    family prefixes (``D`` → D101 and D104, ``S2`` → S202 and S203, ``E3`` →
     E304).  A token that matches nothing raises :class:`UnknownRuleError`.
     With ``select=None`` every rule is selected.  Selection only narrows
     what is *reported*: the analyzer always runs every rule, which is what
@@ -510,7 +442,6 @@ def get_rules(select: str | None = None) -> tuple[Rule, ...]:
 
 __all__ = [
     "ALL_RULES",
-    "AdHocGridRule",
     "AdHocOutputRule",
     "CATALOG",
     "FrozenSpecRule",

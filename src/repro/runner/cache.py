@@ -8,8 +8,12 @@ bit-identical to a fresh execution; a version bump or any spec change
 misses by construction.
 
 Writes are atomic (tmp file + ``os.replace``) so a crashed or interrupted
-sweep never leaves a half-written entry behind; unreadable entries are
-treated as misses and deleted.
+sweep never leaves a half-written entry behind.  Each entry starts with a
+fixed header holding the sha256 of the pickle bytes after it; an entry
+whose checksum fails, whose bytes do not unpickle, or which unpickles to
+anything but a :class:`PointResult` is deleted and reported as a miss.
+Headerless entries (written before the checksum) still load, under the
+same type check.
 
 Every stored entry gets a sibling ``<hash>.manifest.json`` provenance
 record (see :mod:`repro.obs.manifest`): spec hash, seed, faults, git SHA,
@@ -20,6 +24,8 @@ best-effort: a failure writing one never fails the sweep.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import pickle
 from dataclasses import replace
@@ -31,6 +37,10 @@ if TYPE_CHECKING:
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: An entry's first bytes: this tag, then the sha256 digest of the pickle.
+_HEADER = b"repro-sha256\n"
+_DIGEST_BYTES = 32
 
 
 class ResultCache:
@@ -47,19 +57,29 @@ class ResultCache:
         """The cached result for ``spec``, or None on a miss.
 
         Hits come back flagged ``from_cache=True``.  A corrupt or
-        unreadable entry (interrupted write, format drift) is deleted and
-        reported as a miss rather than poisoning the sweep.
+        unreadable entry (flipped bits, interrupted write, format drift) is
+        deleted and reported as a miss rather than poisoning the sweep.
         """
+        from repro.apps.spec import PointResult
+
         path = self.path(spec)
         try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
+        body = data
+        if data.startswith(_HEADER):
+            digest = data[len(_HEADER):len(_HEADER) + _DIGEST_BYTES]
+            body = data[len(_HEADER) + _DIGEST_BYTES:]
+            if hashlib.sha256(body).digest() != digest:
+                body = b""
+        try:
+            result = pickle.loads(body)
         except Exception:
-            # Unpickling arbitrary corrupt bytes can raise nearly anything
-            # (UnpicklingError, EOFError, ValueError, AttributeError, ...);
-            # whatever it was, the entry is unusable — drop it and miss.
+            # Unpickling arbitrary bytes can raise nearly anything
+            # (UnpicklingError, EOFError, ValueError, AttributeError, ...).
+            result = None
+        if not isinstance(result, PointResult):
             path.unlink(missing_ok=True)
             return None
         return replace(result, from_cache=True)
@@ -70,12 +90,12 @@ class ResultCache:
         path = self.path(spec)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            with tmp.open("wb") as handle:
-                pickle.dump(
-                    replace(result, from_cache=False),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+            buffer = io.BytesIO()
+            pickle.dump(
+                replace(result, from_cache=False), buffer, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            body = buffer.getvalue()
+            tmp.write_bytes(_HEADER + hashlib.sha256(body).digest() + body)
             os.replace(tmp, path)
         except BaseException:
             # A failed serialization (or a kill mid-write) must not leave a

@@ -22,11 +22,10 @@ The schema mirrors the value objects one-to-one (see EXPERIMENTS.md,
       loads: [0.3, 0.5, 0.7, 0.9]
       seeds: {base: 31, count: 5}   # or an explicit list: [1, 2, 3]
       tcp: [{min_rto: 200ms}, {min_rto: 1ms}]   # an axis over a template key
+      faults: [[], ["link_down@1ms:l1-s1"]]       # healthy, then faulted
     workloads:                # inline CDFs, registered on validate()
       my-mix:
         points: [[1000, 0.5], [1000000, 1.0]]
-    params:                   # free-form knobs for benchmark code
-      fan_ins: [1, 7, 15]
 
 The schema is a set of tables, one :class:`_Section` per mapping of the
 document; each table's ``{key: parser}`` dict is the only list of that
@@ -41,7 +40,7 @@ exists once.  A ``topology`` section containing any multipod-only key
 :class:`~repro.topology.multipod.MultiPodConfig` instead of a
 :class:`LeafSpineConfig`.  ``traffic`` names one shape of
 :mod:`repro.apps.traffic` by its only key.  Besides the four classic axes a
-grid may sweep ``failed_links``, ``tcp`` and ``traffic``: each entry is
+grid may sweep ``failed_links``, ``faults``, ``tcp`` and ``traffic``: each entry is
 parsed and range-checked as that template key would be, against the rest
 of the template.
 
@@ -56,7 +55,6 @@ PyYAML is an optional dependency, needed by :func:`load_scenario` only.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -308,13 +306,6 @@ _points = _tuple_of(_tuple_of(_number(), ("size_bytes", "cdf")))
 def _cdf(value: Any) -> FlowSizeDistribution:
     """Inline CDF points, validated here so that errors name ``points``."""
     return FlowSizeDistribution("inline", _points(value))
-
-
-def _params(value: Any) -> str:
-    try:
-        return json.dumps(_mapping(value), sort_keys=True)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"params must be JSON-serializable: {exc}") from exc
 
 
 # -- the schema: one table per section ----------------------------------------
@@ -605,7 +596,12 @@ _TEMPLATE = _Section(
 )
 
 #: Template keys a grid may also sweep, and the spec field each one sets.
-_AXIS_FIELDS = {"failed_links": "failed_links", "tcp": "tcp_params", "traffic": "traffic"}
+_AXIS_FIELDS = {
+    "failed_links": "failed_links",
+    "faults": "faults",
+    "tcp": "tcp_params",
+    "traffic": "traffic",
+}
 
 _SEED_PLAN = _Section(
     SeedPlan,
@@ -677,7 +673,6 @@ _SCENARIO = _Section(
         "description": _str,
         "template": _section(_TEMPLATE),
         "grid": _or_none(_section(_GRID)),
-        "params": _or_none(_params),
         "workloads": _or_none(_workloads),
     },
     required=("name", "template"),
@@ -725,7 +720,6 @@ def _scenario(data: Any, source: str | None) -> Scenario:
         template=template,
         description=top.get("description", ""),
         defined_workloads=defined,
-        params_json=top.get("params", "{}"),
         source=source,
         axes=extra,
         **axes,

@@ -63,16 +63,13 @@ class Scenario:
     :func:`repro.runner.sweep_grid`, which :meth:`compile` delegates to).
     ``defined_workloads`` carries inline CDFs the scenario introduces;
     :meth:`validate` registers them so the compiled specs can resolve
-    their workload names.  ``params`` is a free-form JSON mapping for
-    benchmark-specific knobs (Incast fan-ins, probe sizes, ...) that do
-    not map onto :class:`ExperimentSpec` fields; it rides along in the
-    scenario hash but never reaches the compiled specs.
+    their workload names.
 
     ``axes`` are further grid axes over other template fields, outermost
     first, as ``(spec field, values)`` pairs — e.g. ``("tcp_params",
-    (TcpParams(mss=1460), TcpParams(mss=8960)))``; each value replaces the
-    template's field for one slice of the grid.  Empty ``axes`` hash as if
-    the field did not exist.
+    (TcpParams(mss=1460), TcpParams(mss=8960)))`` or ``("faults", ((),
+    (LinkDown(...),)))``; each value replaces the template's field for one
+    slice of the grid.  Empty ``axes`` hash as if the field did not exist.
 
     ``source`` records where the scenario was loaded from (for error
     messages and provenance) and is excluded from equality and
@@ -88,7 +85,6 @@ class Scenario:
     loads: tuple[float, ...] | None = None
     seeds: tuple[int, ...] | SeedPlan | None = None
     defined_workloads: tuple[FlowSizeDistribution, ...] = ()
-    params_json: str = "{}"
     axes: tuple[tuple[str, tuple[Any, ...]], ...] = field(
         default=(), metadata=HASH_NEUTRAL_DEFAULT
     )
@@ -115,14 +111,6 @@ class Scenario:
         object.__setattr__(
             self, "axes", tuple((name, tuple(values)) for name, values in self.axes)
         )
-        json.loads(self.params_json)  # must be valid JSON
-
-    # -- free-form knobs ------------------------------------------------------
-
-    @property
-    def params(self) -> dict:
-        """The scenario's free-form benchmark parameters, as a dict."""
-        return json.loads(self.params_json)
 
     # -- grid -----------------------------------------------------------------
 
@@ -221,6 +209,9 @@ class Scenario:
         """
         payload = _canonical(self)
         payload.pop("source")
+        # The retired free-form ``params`` block, always empty now: pinned
+        # scenario hashes stay those of the files that never had one.
+        payload["params_json"] = "{}"
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

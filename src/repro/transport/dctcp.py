@@ -14,7 +14,7 @@ ECN marking it needs.  This module adds DCTCP on top of the NewReno engine:
 
 DCTCP keeps fabric queues near K, which sharpens CONGA's DRE signal (less
 standing-queue noise) and largely removes Incast losses.  The combination
-is exercised by ``benchmarks/test_ablation_dctcp.py``.
+is checked by the ``dctcp.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from __future__ import annotations

@@ -122,6 +122,25 @@ def test_parse_fault_errors():
             parse_fault(bad)
 
 
+UNTAKEN_PARTS = [
+    # (expression, the part its kind does not take)
+    ("link_degrade@1ms:l0-s1=0.25+2ms", "+2ms"),  # was a permanent brownout
+    ("link_loss@1ms:l0-s1~1.0+2ms", "+2ms"),
+    ("link_down@1ms:l0-s1~0.3", "~0.3"),
+    ("link_down@1ms:l0-s1=0.5", "=0.5"),
+    ("blackout@1ms:core1=3", "=3"),
+    ("feedback_loss@1ms:leaf1=0.5~0.2", "=0.5"),
+    ("random_downs@0s:core=3~0.5+1ms", "+1ms"),
+]
+
+
+@pytest.mark.parametrize("text, part", UNTAKEN_PARTS, ids=[t for t, _ in UNTAKEN_PARTS])
+def test_parse_fault_refuses_parts_its_kind_does_not_take(text, part):
+    kind = text.partition("@")[0]
+    with pytest.raises(ValueError, match=rf"{kind} takes no '\{part}' part"):
+        parse_fault(text)
+
+
 def test_fault_window():
     down = LinkDown(time=100, leaf=1, spine=1)
     up = LinkUp(time=900, leaf=1, spine=1)

@@ -187,9 +187,9 @@ VALID = {
         "loads": [0.3, 0.6],
         "seeds": {"base": 7, "count": 2},
         "traffic": [{"poisson": None}, {"incast": {"fan_in": 3, "requests": 1}}],
+        "faults": [[], ["link_loss@1ms:l1-s1~1.0"]],
     },
     "workloads": {"fuzz-mix": {"points": [[1000, 0.5], [100000, 1.0]]}},
-    "params": {"cells": [1, 2]},
 }
 
 SCALARS = (
@@ -244,7 +244,7 @@ FUZZ = settings(
 
 def test_the_fuzz_base_mapping_is_valid():
     _accepts_or_refuses(VALID)
-    assert scenario_from_mapping(VALID).point_count() == 16
+    assert scenario_from_mapping(VALID).point_count() == 32
     WORKLOADS.pop("fuzz-mix", None)
 
 

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.degradation import fault_cell
 from repro.apps import ExperimentSpec, IncastClient, ObsSpec, tcp_flow_factory
 from repro.core.params import CongaParams
-from repro.faults import parse_fault
 from repro.lb import CongaSelector
 from repro.obs import Timeline, TimelineSpec, TraceLog, Tracer
 from repro.scenarios import load_scenario
@@ -64,11 +64,10 @@ def ecmp_spec(obs: ObsSpec) -> ExperimentSpec:
 
 def caft_spec() -> ExperimentSpec:
     scenario = load_scenario(SCENARIOS / "caft_recovery.yaml")
-    cell = scenario.params["cells"][0]
-    assert (cell["tier"], cell["kind"], cell["density"]) == ("leaf", "brownout", 1)
+    faults = next(value for value in dict(scenario.axes)["faults"] if value)
+    assert fault_cell(faults) == ("leaf", "brownout", 1)
     return scenario.template.with_(
-        scheme="caft", seed=21, num_flows=250,
-        faults=tuple(parse_fault(text) for text in cell["faults"]),
+        scheme="caft", seed=21, num_flows=250, faults=faults,
         # 250 flows run past the 6 ms restore and emit ~82 k events: a ring
         # that holds them all keeps the 600 us FaultApplied in the digest.
         obs=ObsSpec(buffer_limit=100_000),

@@ -43,6 +43,7 @@ PARENT_ENTRY = Path(__file__).parent / "golden" / "parent_cache_entry.pkl"
 #: repro.runner``: numpy and the planes a spec has to name first.
 OPTIONAL = (
     "numpy",
+    "repro.analysis.claims",
     "repro.analysis.htmlreport",
     "repro.analysis.report",
     "repro.topology.multipod",

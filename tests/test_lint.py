@@ -168,58 +168,6 @@ def test_s203_allows_register_scheme():
 
 
 # ---------------------------------------------------------------------------
-# S204 — ad-hoc spec grids in benchmark files
-# ---------------------------------------------------------------------------
-
-
-def test_s204_flags_spec_run_in_loop():
-    violations = lint_snippet(
-        "from repro.apps import ExperimentSpec\n"
-        "def sweep():\n"
-        "    for load in (0.3, 0.5):\n"
-        "        ExperimentSpec('ecmp', 'enterprise', load).run()\n",
-        path="benchmarks/test_fake.py",
-    )
-    assert rule_ids(violations) == ["S204"]
-    assert violations[0].line == 4
-
-
-def test_s204_flags_append_in_loop_and_comprehension():
-    violations = lint_snippet(
-        "from repro.apps import ExperimentSpec\n"
-        "def grids():\n"
-        "    specs = []\n"
-        "    for load in (0.3, 0.5):\n"
-        "        specs.append(ExperimentSpec('ecmp', 'enterprise', load))\n"
-        "    return [ExperimentSpec('ecmp', 'enterprise', l).run()\n"
-        "            for l in (0.7, 0.9)]\n",
-        path="benchmarks/test_fake.py",
-    )
-    assert rule_ids(violations) == ["S204", "S204"]
-
-
-def test_s204_only_patrols_benchmark_paths():
-    source = (
-        "from repro.apps import ExperimentSpec\n"
-        "def sweep():\n"
-        "    for load in (0.3, 0.5):\n"
-        "        ExperimentSpec('ecmp', 'enterprise', load).run()\n"
-    )
-    assert lint_snippet(source, path="tests/test_fake.py") == []
-
-
-def test_s204_allows_sweep_grid_idiom():
-    assert lint_snippet(
-        "from repro.runner import run_sweep, sweep_grid\n"
-        "def sweep(template):\n"
-        "    return run_sweep(\n"
-        "        sweep_grid(template, schemes=['ecmp'], loads=[0.3, 0.5])\n"
-        "    )\n",
-        path="benchmarks/test_fake.py",
-    ) == []
-
-
-# ---------------------------------------------------------------------------
 # R301 — print / logging on simulator code paths
 # ---------------------------------------------------------------------------
 
@@ -340,7 +288,7 @@ def test_get_rules_select_and_unknown():
 
 def test_rule_catalog_metadata_complete():
     ids = [rule.rule_id for rule in ALL_RULES]
-    assert ids == sorted(ids) == ["D101", "D104", "R301", "S202", "S203", "S204"]
+    assert ids == sorted(ids) == ["D101", "D104", "R301", "S202", "S203"]
     assert [rule.rule_id for rule in CATALOG] == [*ids, "E304"]
     for rule in CATALOG:
         assert rule.title and rule.rationale and rule.paper_ref

@@ -183,33 +183,10 @@ def test_list_rules_prints_the_scope_each_rule_declares(capsys):
         for index, line in enumerate(lines)
         if line[:1].isalpha()
     }
-    assert scope_of["S204"] == "scope: files under a benchmarks/ directory"
     assert scope_of["R301"] == (
         "scope: apps, core, faults, lb, net, obs, overlay, sim, switch, "
         "topology, transport, workloads"
     )
     assert scope_of["D101"] == "scope: src/repro (all)"
     assert scope_of["E304"] == "scope: every waiver in the analyzed paths"
-    assert not {"S201", "S205", "D102", "E301", "E302", "E303"} & set(scope_of)
-
-
-STALE_S204_BENCHMARK = """\
-from repro.runner import run_sweep, sweep_grid
-
-
-def sweep(template):
-    return run_sweep(  # repro-lint: ignore[S204] -- the loop this excused is gone
-        sweep_grid(template, schemes=['ecmp'], loads=[0.3, 0.5])
-    )
-"""
-
-
-def test_benchmark_hygiene_selection_audits_its_own_waiver(tmp_path, capsys):
-    bench = tmp_path / "benchmarks"
-    bench.mkdir()
-    (bench / "test_grid.py").write_text(STALE_S204_BENCHMARK, encoding="utf-8")
-    assert main(["lint", str(bench), "--select", "S204,E304"]) == 1
-    out = capsys.readouterr().out
-    assert "E304" in out and "ignore[S204]" in out
-    # The waiver's own rule alone does not see it — which is why CI selects both.
-    assert main(["lint", str(bench), "--select", "S204"]) == 0
+    assert not {"S201", "S204", "S205", "D102", "E301", "E302", "E303"} & set(scope_of)

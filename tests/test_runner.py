@@ -393,6 +393,37 @@ class TestRunSweep:
         assert again.executed == 1  # re-ran instead of crashing
         assert cache.get(TINY) is not None  # and repopulated the entry
 
+    def test_flipped_bits_are_an_identical_hit_or_a_deleting_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.put(TINY, TINY.run())
+        pristine = path.read_bytes()
+        reference = pickle.dumps(cache.get(TINY))
+        bits = len(pristine) * 8
+        # Every bit of the header and the pickle's opening, then a stride
+        # through the rest of the entry.
+        flips = [*range(512), *range(512, bits, max(1, bits // 600))]
+        outcomes = {"hit": 0, "miss": 0}
+        for bit in flips:
+            corrupt = bytearray(pristine)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(corrupt)
+            hit = cache.get(TINY)
+            if hit is None:
+                assert not path.exists(), f"bit {bit}: a miss must delete the entry"
+                outcomes["miss"] += 1
+            else:
+                assert pickle.dumps(hit) == reference, f"bit {bit}: a different hit"
+                outcomes["hit"] += 1
+        assert outcomes["miss"] == len(flips)  # the checksum covers every byte
+
+    def test_an_entry_that_is_not_a_point_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        # A headerless entry, as entries were written before the checksum.
+        cache.root.mkdir(parents=True)
+        cache.path(TINY).write_bytes(pickle.dumps({"spec": None}))
+        assert cache.get(TINY) is None
+        assert not cache.path(TINY).exists()
+
     def test_cache_disabled(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         sweep = run_sweep([TINY, TINY.with_(seed=2)], workers=0, cache=None)

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ExperimentSpec
+from repro.faults import LinkDown
 from repro.runner import derive_seeds, sweep_grid
 from repro.scenarios import Scenario, ScenarioError, SeedPlan, scenario_from_mapping
 from repro.topology import LeafSpineConfig
@@ -129,13 +130,13 @@ class TestScenarioValues:
         assert a == b
         assert a.content_hash() == b.content_hash()
 
-    def test_params_round_trip(self):
+    def test_faults_axis_runs_healthy_then_each_schedule(self):
+        down = (LinkDown(time=0, leaf=1, spine=1),)
         scenario = Scenario(
-            name="p", template=TEMPLATE, params_json='{"fan_ins": [1, 7]}'
+            name="f", template=TEMPLATE, schemes=("ecmp", "conga"),
+            axes=(("faults", ((), down)),),
         )
-        assert scenario.params == {"fan_ins": [1, 7]}
-        with pytest.raises(ValueError):
-            Scenario(name="p", template=TEMPLATE, params_json="not json")
+        assert [spec.faults for spec in scenario.compile()] == [(), (), down, down]
 
 
 class TestYamlLoader:

@@ -230,15 +230,11 @@ class TestHtmlReports:
         assert "fabric port utilization" in html  # the timeline heatmap
 
     def test_recovery_report_scores_against_baseline(self, tmp_path):
-        baseline = self._points(tmp_path)
-        faulted = self._points(tmp_path, faulted=True)
-        cell = {"tier": "leaf", "kind": "blackhole", "density": 1}
         html = recovery_report(
             title="recovery smoke",
-            baseline=baseline,
-            cells=[(cell, faulted)],
+            points=self._points(tmp_path) + self._points(tmp_path, faulted=True),
         )
         assert "Healthy baseline" in html
-        assert "Cell: leaf-blackhole" in html
+        assert "Cell: leaf-LinkDown ×1" in html  # read off the fault events
         assert "goodput retained" in html
         assert "<script" not in html
