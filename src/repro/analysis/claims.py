@@ -919,27 +919,10 @@ def _print_hotspot(points) -> None:
     )
 
 
-def _print_imbalance(points) -> None:
-    print_table(
-        "Figure 12: enterprise uplink throughput imbalance @ high load (%)",
-        ["scheme", "mean", "median", "p90", "windows"],
-        [[s, *row.values()] for s, row in _imbalance(points).items()],
-    )
-
-
-def _print_fig2(table) -> None:
-    print_table(
-        "Figure 2: asymmetric scenario throughput (Gbps)",
-        ["scheme", "paper", "measured", "via S0", "via S1"],
-        [[name, *row.values()] for name, row in table.items()],
-    )
-
-
-def _print_fig3(table) -> None:
-    print_table(
-        "Figure 3: L1->L2 split through S0 vs traffic matrix (Gbps)",
-        ["L0->L2 traffic", "via S0", "via S1", "bottleneck util", "delivered"],
-        [[key, *row.values()] for key, row in table.items()],
+def _rows_of(title: str, header: list[str], view: Callable = lambda r: r) -> Callable:
+    """A printer of ``view(result)``: one row per key, the key then its values."""
+    return lambda result: print_table(
+        title, header, [[key, *row.values()] for key, row in view(result).items()]
     )
 
 
@@ -961,13 +944,22 @@ FIGURES: dict[tuple[str, ...], Callable[[Any], None]] = {
     ("fig10_datamining.yaml",): lambda points: _fct_panels(points, "10", "ab"),
     ("fig11_enterprise.yaml", "fig11_datamining.yaml"): _print_fig11,
     ("fig11_hotspot.yaml",): _print_hotspot,
-    ("fig12_imbalance.yaml",): _print_imbalance,
+    ("fig12_imbalance.yaml",): _rows_of(
+        "Figure 12: enterprise uplink throughput imbalance @ high load (%)",
+        ["scheme", "mean", "median", "p90", "windows"], _imbalance,
+    ),
     ("fig13_incast.yaml",): _print_fig13,
     ("fig14_hdfs.yaml",): _print_fig14,
     ("fig15_access_2g5.yaml", "fig15_access_10g.yaml"): _print_fig15,
     ("fig16_multi_failure.yaml",): _print_fig16,
-    ("fig2",): _print_fig2,
-    ("fig3",): _print_fig3,
+    ("fig2",): _rows_of(
+        "Figure 2: asymmetric scenario throughput (Gbps)",
+        ["scheme", "paper", "measured", "via S0", "via S1"],
+    ),
+    ("fig3",): _rows_of(
+        "Figure 3: L1->L2 split through S0 vs traffic matrix (Gbps)",
+        ["L0->L2 traffic", "via S0", "via S1", "bottleneck util", "delivered"],
+    ),
     ("fig5",): _print_fig5,
     ("fig8",): _print_fig8,
     ("fig9_enterprise.yaml",): lambda points: _fct_panels(points, "9", "abc"),
