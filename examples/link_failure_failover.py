@@ -15,8 +15,6 @@ delivers the full demand.
 Run:  python examples/link_failure_failover.py
 """
 
-import numpy as np
-
 from repro.apps import ExperimentSpec, QueueMonitorSpec
 from repro.fluid import (
     conga_split,
@@ -63,8 +61,8 @@ def packet_level_failure() -> None:
     )
     sweep = run_sweep(sweep_grid(template, schemes=SCHEMES), cache=None)
     for point in sweep:
-        hotspot = point.queue_series.port_names[0]
-        queue_kb = np.mean(point.queue_series.series(hotspot)) / 1e3
+        queues = point.queue_series
+        queue_kb = queues.mean(queues.port_names[0]) / 1e3
         print(
             f"{point.scheme:12s} {point.summary.mean_normalized:15.1f} "
             f"{queue_kb:12.1f} KB"

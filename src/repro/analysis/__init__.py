@@ -1,4 +1,4 @@
-"""Evaluation metrics: FCT statistics, throughput imbalance, queue monitors."""
+"""Evaluation metrics: FCT statistics and the imbalance and queue views."""
 
 from importlib import import_module
 
@@ -8,12 +8,7 @@ from repro.analysis.fct import (
     SMALL_FLOW_BYTES,
     relative_to,
 )
-from repro.analysis.monitors import (
-    ImbalanceSeries,
-    QueueMonitor,
-    QueueSeries,
-    ThroughputImbalanceMonitor,
-)
+from repro.analysis.monitors import ImbalanceSeries, QueueSeries
 from repro.analysis.stats import EmptySeriesError
 
 #: Siblings imported on first access: no run reads the window analysis or renderers.
@@ -49,10 +44,8 @@ __all__ = [
     "FctSummary",
     "ImbalanceSeries",
     "LARGE_FLOW_BYTES",
-    "QueueMonitor",
     "QueueSeries",
     "SMALL_FLOW_BYTES",
-    "ThroughputImbalanceMonitor",
     "cdf_points",
     "html_document",
     "print_table",

@@ -1,11 +1,13 @@
-"""Runtime monitors: uplink throughput imbalance and queue occupancy.
+"""Monitor views: uplink throughput imbalance and queue occupancy.
 
 Figure 12 measures load balancing efficiency directly as the *throughput
-imbalance* across a leaf's uplinks: synchronized 10 ms samples of per-uplink
+imbalance* across a leaf's uplinks: synchronized samples of per-uplink
 throughput, reporting ``(MAX − MIN) / AVG`` per sample.  Figure 11(c) and
-Figure 16 report queue-occupancy distributions at fabric ports.  Both
-monitors here sample on a periodic timer; ``snapshot()`` freezes what they
-recorded into a picklable series, and the statistics live on that snapshot
+Figure 16 report queue-occupancy distributions at fabric ports.  Neither
+samples anything itself: the run's one sampler is the
+:class:`~repro.obs.timeline.TimelineCollector`, and ``from_timeline`` cuts a
+picklable series for the monitored ports out of its
+:class:`~repro.obs.timeline.Timeline`.  The statistics live on that series
 (each through :func:`repro.analysis.stats.series_stats`), so a live run and
 a cached result answer through the same code.
 """
@@ -16,32 +18,47 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.stats import series_stats
-from repro.core.series import DEFAULT_SERIES_LIMIT, DecimatedSeries
-from repro.net.port import Port
-from repro.sim.kernel import PeriodicTimer
-from repro.units import milliseconds
 
 if TYPE_CHECKING:
-    from repro.sim import Simulator
+    from repro.obs.timeline import Timeline
 
 
 def _port_name(port) -> str:
-    """Accept either a live :class:`Port` or its name string."""
-    return port.name if isinstance(port, Port) else port
+    """Accept either a live :class:`~repro.net.port.Port` or its name string."""
+    return getattr(port, "name", port)
 
 
 @dataclass(frozen=True)
 class ImbalanceSeries:
-    """Picklable snapshot of a :class:`ThroughputImbalanceMonitor`.
+    """Per-window uplink throughput imbalance (Fig. 12).
 
     Carries the raw per-window samples (fractions, not percent) so results
     can cross a process boundary or live in an on-disk cache without
-    dragging the live monitor, simulator, or ports along.
+    dragging the live run, simulator, or ports along.
     """
 
     interval: int
     samples: tuple[float, ...]
     sample_times: tuple[int, ...]
+
+    @classmethod
+    def from_timeline(cls, timeline: "Timeline", port_names) -> "ImbalanceSeries":
+        """``(MAX − MIN) / AVG`` of the ports' utilization in each window.
+
+        Utilization is the timeline's busy-time estimate (charged at packet
+        start, clamped to 1).  Idle windows are skipped: there is no traffic
+        to be imbalanced about.
+        """
+        samples: list[float] = []
+        sample_times: list[int] = []
+        columns = [timeline.utilization[name] for name in port_names]
+        for when, *window in zip(timeline.times, *columns):
+            total = sum(window)
+            if total <= 0:
+                continue
+            samples.append((max(window) - min(window)) / (total / len(window)))
+            sample_times.append(when)
+        return cls(timeline.interval, tuple(samples), tuple(sample_times))
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of recorded imbalance samples (percent)."""
@@ -68,10 +85,10 @@ class ImbalanceSeries:
 
 @dataclass(frozen=True)
 class QueueSeries:
-    """Picklable snapshot of a :class:`QueueMonitor`.
+    """Byte-occupancy series of a set of fabric ports (Fig. 11c/16).
 
     ``samples`` maps port name → occupancy series; ``port_names`` preserves
-    the monitor's port order so callers can address "the first hotspot
+    the monitored port order so callers can address "the first hotspot
     port" without a live fabric.  Lookup methods accept a ``Port`` or a
     name string.
     """
@@ -79,6 +96,15 @@ class QueueSeries:
     interval: int
     samples: dict[str, tuple[int, ...]]
     port_names: tuple[str, ...]
+
+    @classmethod
+    def from_timeline(cls, timeline: "Timeline", port_names) -> "QueueSeries":
+        """The timeline's occupancy series of ``port_names``, in that order."""
+        return cls(
+            timeline.interval,
+            {name: timeline.occupancy[name] for name in port_names},
+            tuple(port_names),
+        )
 
     def series(self, port) -> tuple[int, ...]:
         """The recorded occupancy series for ``port``."""
@@ -97,101 +123,4 @@ class QueueSeries:
         return self._stats(port)[0]
 
 
-class _Sampler:
-    """A periodic kernel timer driving a subclass's ``_sample`` over ``ports``."""
-
-    def __init__(self, sim: "Simulator", ports: list[Port], interval: int) -> None:
-        self.sim = sim
-        self.ports = ports
-        self.interval = interval
-        self._timer = PeriodicTimer(sim, interval, self._sample, start=False)
-
-    def start(self) -> None:
-        """Begin sampling."""
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Stop sampling."""
-        self._timer.stop()
-
-
-class ThroughputImbalanceMonitor(_Sampler):
-    """Samples (MAX−MIN)/AVG throughput across a port group (Fig. 12)."""
-
-    def __init__(
-        self, sim: "Simulator", ports: list[Port], interval: int = milliseconds(10)
-    ) -> None:
-        if len(ports) < 2:
-            raise ValueError("imbalance needs at least two ports")
-        super().__init__(sim, ports, interval)
-        self.samples: list[float] = []
-        self.sample_times: list[int] = []
-        self._last_bytes = [port.tx_bytes for port in ports]
-
-    def start(self) -> None:
-        """Begin sampling."""
-        self._last_bytes = [port.tx_bytes for port in self.ports]
-        super().start()
-
-    def _sample(self) -> None:
-        current = [port.tx_bytes for port in self.ports]
-        deltas = [now - last for now, last in zip(current, self._last_bytes)]
-        self._last_bytes = current
-        total = sum(deltas)
-        if total <= 0:
-            return  # idle interval: no traffic to be imbalanced about
-        average = total / len(deltas)
-        imbalance = (max(deltas) - min(deltas)) / average
-        self.samples.append(imbalance)
-        self.sample_times.append(self.sim.now)
-
-    def snapshot(self) -> ImbalanceSeries:
-        """Freeze the recorded series into a picklable value object."""
-        return ImbalanceSeries(
-            interval=self.interval,
-            samples=tuple(self.samples),
-            sample_times=tuple(self.sample_times),
-        )
-
-
-class QueueMonitor(_Sampler):
-    """Periodically samples byte occupancy of a set of queues (Fig. 11c/16).
-
-    Per-port series are bounded :class:`DecimatedSeries` (uniform stride
-    decimation, ``DEFAULT_SERIES_LIMIT`` retained per port), so week-long
-    simulated runs keep constant memory while the occupancy CDFs stay
-    faithful.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        ports: list[Port],
-        interval: int = milliseconds(1),
-    ) -> None:
-        if not ports:
-            raise ValueError("need at least one port to monitor")
-        super().__init__(sim, ports, interval)
-        self.samples: dict[str, DecimatedSeries] = {
-            port.name: DecimatedSeries(DEFAULT_SERIES_LIMIT) for port in ports
-        }
-
-    def _sample(self) -> None:
-        for port in self.ports:
-            self.samples[port.name].append(port.queue.byte_occupancy)
-
-    def snapshot(self) -> QueueSeries:
-        """Freeze the recorded series into a picklable value object."""
-        return QueueSeries(
-            interval=self.interval,
-            samples={name: tuple(s) for name, s in self.samples.items()},
-            port_names=tuple(port.name for port in self.ports),
-        )
-
-
-__all__ = [
-    "ImbalanceSeries",
-    "QueueMonitor",
-    "QueueSeries",
-    "ThroughputImbalanceMonitor",
-]
+__all__ = ["ImbalanceSeries", "QueueSeries"]

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.fct import FctSummary
-from repro.analysis.monitors import QueueMonitor, ThroughputImbalanceMonitor
 from repro.apps.traffic import (
     FlowFactory,
     dctcp_flow_factory,
@@ -53,6 +52,7 @@ from repro.transport.tcp import FlowRecord, TcpParams
 from repro.units import kilobytes
 
 if TYPE_CHECKING:
+    from repro.analysis.monitors import ImbalanceSeries, QueueSeries
     from repro.faults.injector import FaultInjector
     from repro.obs.timeline import Timeline
 
@@ -165,8 +165,9 @@ class ExperimentResult:
     completed: int
     sim: Simulator
     fabric: Fabric
-    imbalance: ThroughputImbalanceMonitor | None = None
-    queues: QueueMonitor | None = None
+    #: Monitor views cut from the run's timeline (None without a monitor).
+    imbalance_series: ImbalanceSeries | None = None
+    queue_series: QueueSeries | None = None
     #: The fault injector driving this run's fault schedule (None when the
     #: spec had no faults); ``injector.applied`` logs what fired and when.
     injector: FaultInjector | None = None

@@ -34,14 +34,10 @@ from time import perf_counter
 from typing import TYPE_CHECKING, get_args
 
 from repro.analysis.fct import FctSummary
-from repro.analysis.monitors import (
-    ImbalanceSeries,
-    QueueMonitor,
-    QueueSeries,
-    ThroughputImbalanceMonitor,
-)
+from repro.analysis.monitors import ImbalanceSeries, QueueSeries
 from repro.apps.experiment import ExperimentResult, get_scheme
 from repro.apps.traffic import PoissonTraffic, Traffic
+from repro.core.series import DEFAULT_SERIES_LIMIT
 from repro.obs.config import ObsSpec
 from repro.obs.metrics import MetricsReport, collect_run_metrics
 from repro.obs.trace import TraceLog
@@ -55,7 +51,7 @@ if TYPE_CHECKING:
     from repro.analysis.degradation import DegradationSummary
     from repro.faults.events import FaultEvent
     from repro.net.port import Port
-    from repro.obs.timeline import Timeline
+    from repro.obs.timeline import Timeline, TimelineCollector, TimelineSpec
     from repro.switch.fabric import Fabric
     from repro.topology.multipod import MultiPodConfig
 
@@ -147,13 +143,19 @@ class QueueMonitorSpec:
             raise ValueError(f"{self!r} selected no live ports on this fabric")
         return ports
 
+    @property
+    def sampler(self) -> "TimelineSpec":
+        """The timeline this monitor's :class:`QueueSeries` is cut from."""
+        return _sampler(self.interval)
+
 
 @dataclass(frozen=True)
 class ImbalanceMonitorSpec:
     """Declarative Fig.-12-style throughput-imbalance monitor on one leaf.
 
     ``interval`` of ``None`` keeps the scaled-run default (1 ms windows
-    instead of the paper's 10 ms).
+    instead of the paper's 10 ms, as scaled-down runs are much shorter
+    than the testbed's).
     """
 
     leaf: int = 0
@@ -162,6 +164,25 @@ class ImbalanceMonitorSpec:
     def __post_init__(self) -> None:
         if self.interval is not None and self.interval <= 0:
             raise ValueError("interval must be positive")
+
+    def resolve(self, fabric: "Fabric") -> list["Port"]:
+        """The monitored leaf's uplinks, failed ones included."""
+        ports = list(fabric._switch("leaf", self.leaf).uplinks)
+        if len(ports) < 2:
+            raise ValueError("imbalance needs at least two ports")
+        return ports
+
+    @property
+    def sampler(self) -> "TimelineSpec":
+        """The timeline this monitor's :class:`ImbalanceSeries` is cut from."""
+        return _sampler(self.interval or milliseconds(1))
+
+
+def _sampler(interval: int) -> "TimelineSpec":
+    """A monitor's timeline: its cadence, ``DEFAULT_SERIES_LIMIT`` samples kept."""
+    from repro.obs.timeline import TimelineSpec
+
+    return TimelineSpec(interval=interval, limit=DEFAULT_SERIES_LIMIT)
 
 
 #: Field metadata of a field added after hashes were pinned: at its default
@@ -305,14 +326,16 @@ class ExperimentSpec:
     # -- execution ----------------------------------------------------------
 
     def run_live(self) -> ExperimentResult:
-        """Execute and return the live result (simulator, fabric, monitors).
+        """Execute and return the live result (simulator, fabric, views).
 
         The one body that runs a point: build the fabric (marking at the
         scheme's ECN threshold when the topology sets none), finalize it,
         run the scheme's ``post_setup``, fail ``failed_links``, construct
-        the fault injector, attach the monitors, the traffic and the
-        timeline, run, and always close the tracer.  Not picklable; use
-        :meth:`run` for anything that crosses a process boundary.
+        the fault injector, resolve the monitored ports, attach the traffic
+        and one timeline collector per distinct sampler (the ``obs``
+        timeline's and the monitors'), run, cut the monitor views from the
+        collectors' timelines, and always close the tracer.  Not picklable;
+        use :meth:`run` for anything that crosses a process boundary.
         """
         scheme = get_scheme(self.scheme)
         workload = get_workload(self.workload)
@@ -324,7 +347,13 @@ class ExperimentSpec:
             # Attach before any component is built so construction-time events
             # (e.g. time-0 fault applications) are captured too.
             sim.tracer = self.obs.make_tracer()
-        imbalance = queues = timeline = injector = None
+        monitors = (self.imbalance_monitor, self.queue_monitor)
+        samplers = [m.sampler for m in monitors if m is not None]
+        timeline = self.obs.timeline if self.obs is not None else None
+        if timeline is not None:
+            samplers.append(timeline)
+        collectors: dict[TimelineSpec, TimelineCollector] = {}
+        injector = None
         try:
             if isinstance(config, LeafSpineConfig):
                 fabric = build_leaf_spine(sim, config)
@@ -337,7 +366,7 @@ class ExperimentSpec:
                 scheme.post_setup(sim, fabric)
             for leaf_id, spine_id, which in self.failed_links:
                 fabric.fail_link(leaf_id, spine_id, which)
-            # Construct the injector before monitors attach: time-0 faults are
+            # Construct the injector before monitors resolve: time-0 faults are
             # initial conditions, and monitor specs (which exclude down ports)
             # must resolve against the already-degraded fabric.  With an empty
             # schedule nothing is constructed, keeping fault-free runs
@@ -346,46 +375,46 @@ class ExperimentSpec:
                 from repro.faults.injector import FaultInjector
 
                 injector = FaultInjector(sim, fabric, self.faults)
-            if self.imbalance_monitor is not None:
-                # Scaled-down runs are much shorter than the testbed's, so
-                # sample every 1 ms by default instead of the paper's 10 ms.
-                imbalance = ThroughputImbalanceMonitor(
-                    sim,
-                    list(fabric._switch("leaf", self.imbalance_monitor.leaf).uplinks),
-                    self.imbalance_monitor.interval or milliseconds(1),
-                )
-                imbalance.start()
-            if self.queue_monitor is not None:
-                queues = QueueMonitor(
-                    sim, self.queue_monitor.resolve(fabric), self.queue_monitor.interval
-                )
-                queues.start()
+            imbalance_ports, queue_ports = (
+                None if m is None else [port.name for port in m.resolve(fabric)]
+                for m in monitors
+            )
             traffic = self.traffic.attach(sim, fabric, self, scheme, workload)
             traffic.start()
-            if self.obs is not None and self.obs.timeline is not None:
+            if samplers:
                 # Constructed after traffic so goodput/RTO series can read its
                 # stats; sampling is strictly read-only (see repro.obs.timeline),
-                # so flow records stay bit-identical with the collector on or
+                # so flow records stay bit-identical with a collector on or
                 # off.  start() above only scheduled arrivals: no port has
-                # transmitted, so the collector may still require the
+                # transmitted, so a collector may still require the
                 # congestion plane.
                 from repro.obs.timeline import TimelineCollector
 
-                timeline = TimelineCollector(
-                    sim, fabric, self.obs.timeline, traffic=traffic, injector=injector
-                )
-                timeline.start()
+                for sampler in dict.fromkeys(samplers):
+                    collectors[sampler] = TimelineCollector(
+                        sim, fabric, sampler, traffic=traffic, injector=injector
+                    )
+                    collectors[sampler].start()
             sim.run(until=self.deadline)
         finally:
             # Also when construction or a callback raised: the stream handle
             # opened above must not outlive the run.
-            for monitor in (imbalance, queues, timeline):
-                if monitor is not None:
-                    monitor.stop()
+            for collector in collectors.values():
+                collector.stop()
             if sim.tracer is not None:
                 # Flush/close the optional NDJSON stream sink; the in-memory
                 # ring stays readable for snapshotting.
                 sim.tracer.close()
+        timelines = {sampler: c.snapshot() for sampler, c in collectors.items()}
+        imbalance_series = queue_series = None
+        if imbalance_ports is not None:
+            imbalance_series = ImbalanceSeries.from_timeline(
+                timelines[self.imbalance_monitor.sampler], imbalance_ports
+            )
+        if queue_ports is not None:
+            queue_series = QueueSeries.from_timeline(
+                timelines[self.queue_monitor.sampler], queue_ports
+            )
         return ExperimentResult(
             scheme=scheme.name,
             workload=workload.name,
@@ -395,12 +424,12 @@ class ExperimentSpec:
             completed=traffic.stats.completed,
             sim=sim,
             fabric=fabric,
-            imbalance=imbalance,
-            queues=queues,
+            imbalance_series=imbalance_series,
+            queue_series=queue_series,
             injector=injector,
             retransmissions=traffic.stats.retransmissions,
             timeouts=traffic.stats.timeouts,
-            timeline=timeline.snapshot() if timeline is not None else None,
+            timeline=timelines.get(timeline),
         )
 
     def run(self) -> "PointResult":
@@ -417,7 +446,7 @@ class PointResult:
 
     Unlike :class:`ExperimentResult` this carries no ``Simulator`` or
     ``Fabric``, so it crosses the worker pipe and lives in the on-disk
-    cache.  Monitor outputs come as frozen series snapshots; fabric-side
+    cache.  Monitor outputs come as frozen timeline views; fabric-side
     aggregates that benchmarks read (drops, peak queue depth) are captured
     as scalars before the fabric is dropped.
     """
@@ -475,8 +504,8 @@ class PointResult:
             end_time=live.sim.now,
             events_executed=live.sim.events_executed,
             wall_seconds=wall_seconds,
-            queue_series=live.queues.snapshot() if live.queues else None,
-            imbalance_series=live.imbalance.snapshot() if live.imbalance else None,
+            queue_series=live.queue_series,
+            imbalance_series=live.imbalance_series,
             retransmissions=live.retransmissions,
             timeouts=live.timeouts,
             tier_asymmetry=(

@@ -220,8 +220,8 @@ def collect_run_metrics(live: "ExperimentResult") -> MetricsReport:
         # congestion) steered the flowlet; only caft runs produce these.
         counters["lb.caft.fault_reroutes"] = reroutes
 
-    if live.imbalance is not None:
-        imbalance = live.imbalance.snapshot()
+    imbalance = live.imbalance_series
+    if imbalance is not None:
         counters["monitor.imbalance.samples"] = len(imbalance.samples)
         if imbalance.samples:  # a short run may never see a loaded window
             gauges["monitor.imbalance.mean_percent"] = imbalance.mean_percent()

@@ -14,7 +14,10 @@ plane that rides the simulation clock itself:
   simulated runs keep constant memory while the curves stay faithful;
 * :meth:`TimelineCollector.snapshot` freezes everything into a picklable
   :class:`Timeline` with a sha256 :meth:`~Timeline.digest`, which rides
-  ``PointResult.timeline`` across process pools and the on-disk cache.
+  ``PointResult.timeline`` across process pools and the on-disk cache;
+* it is the run's only sampler: a spec's queue and imbalance monitors are
+  views cut from a collector's :class:`Timeline`
+  (:mod:`repro.analysis.monitors`).
 
 Determinism contract: sampling must never perturb the run.  The collector
 draws no randomness (its timer takes no jitter stream), emits no trace

@@ -106,6 +106,16 @@ def scaled_testbed(
     )
 
 
+def parallel_label(peer: str, which: int) -> str:
+    """A spine or core port's label toward ``peer`` over parallel link ``which``.
+
+    Link ``k > 0`` appends ``#k``, so parallel links never share a port name
+    (per-port series and ``link-loss:<port name>`` RNG streams are keyed by
+    it); link 0 keeps the bare peer name, as on a one-link fabric.
+    """
+    return f"{peer}#{which}" if which else peer
+
+
 def wire_pod(
     sim: Simulator,
     fabric: Fabric,
@@ -142,7 +152,7 @@ def wire_pod(
             connect(host.nic, down, config.propagation_delay)
             fabric.register_host(host, leaf_id)
         for spine in spines:
-            for _ in range(config.links_per_pair):
+            for which in range(config.links_per_pair):
                 up = leaf.add_uplink(
                     spine,
                     config.fabric_rate_bps,
@@ -150,7 +160,7 @@ def wire_pod(
                     ecn_threshold=config.ecn_threshold_bytes,
                 )
                 down = spine.add_egress(
-                    f"leaf{leaf_id}",
+                    parallel_label(f"leaf{leaf_id}", which),
                     (leaf_id,),
                     LEAF_SALT,
                     config.fabric_rate_bps,
@@ -181,5 +191,6 @@ __all__ = [
     "TESTBED",
     "build_leaf_spine",
     "fail_random_links",
+    "parallel_label",
     "scaled_testbed",
 ]

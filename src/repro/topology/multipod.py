@@ -37,7 +37,7 @@ from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
 from repro.switch.spine import CORE_SALT, POD_SALT, SpineSwitch
-from repro.topology.leafspine import wire_pod
+from repro.topology.leafspine import parallel_label, wire_pod
 from repro.units import gbps
 
 
@@ -98,14 +98,14 @@ def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> Fabr
         fabric.spines.extend(spines)
         for spine in spines:
             for core in fabric.cores:
-                for _ in range(config.links_per_pair):
+                for which in range(config.links_per_pair):
                     up = spine.add_egress(
-                        core.name, remote, CORE_SALT,
+                        parallel_label(core.name, which), remote, CORE_SALT,
                         config.core_rate_bps, config.fabric_queue_bytes,
                         ecn_threshold=config.ecn_threshold_bytes, via=core,
                     )
                     down = core.add_egress(
-                        f"pod{pod}", local, POD_SALT,
+                        parallel_label(spine.name, which), local, POD_SALT,
                         config.core_rate_bps, config.fabric_queue_bytes,
                         ecn_threshold=config.ecn_threshold_bytes,
                     )

@@ -1,21 +1,27 @@
-"""Tests for FCT statistics and runtime monitors."""
+"""Tests for FCT statistics and the monitor views cut from a timeline."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.analysis import (
+    EmptySeriesError,
     FctSummary,
+    ImbalanceSeries,
     LARGE_FLOW_BYTES,
-    QueueMonitor,
+    QueueSeries,
     SMALL_FLOW_BYTES,
-    ThroughputImbalanceMonitor,
     relative_to,
 )
-from repro.net import Host, Packet, connect
-from repro.sim import Simulator, run_until_idle
+from repro.apps import ExperimentSpec, ImbalanceMonitorSpec, ObsSpec, QueueMonitorSpec
+from repro.core.series import DEFAULT_SERIES_LIMIT
+from repro.faults import LinkDown
+from repro.obs import Timeline, TimelineSpec
+from repro.topology import scaled_testbed
 from repro.transport.tcp import FlowRecord
-from repro.units import gbps, microseconds
+from repro.units import microseconds
 
 
 def _record(size, fct, ideal=100):
@@ -76,110 +82,139 @@ class TestRelativeTo:
             relative_to(1.0, 0.0)
 
 
-class _Sender:
-    """Drives known byte counts through two ports for monitor tests."""
+def _timeline(column: str, series: dict, interval: int = 100) -> Timeline:
+    """A hand-written timeline: ``series`` per port under ``column``."""
+    windows = len(next(iter(series.values())))
+    zeros = (0,) * windows
+    columns = {"utilization": {}, "occupancy": {}, column: series}
+    return Timeline(
+        interval=interval,
+        times=tuple(interval * (i + 1) for i in range(windows)),
+        port_names=tuple(series),
+        residual={},
+        dre={},
+        drops=zeros,
+        flowlet_decisions=zeros,
+        fault_reroutes=zeros,
+        timeouts=zeros,
+        retransmissions=zeros,
+        goodput_bytes=zeros,
+        completed=zeros,
+        arrivals=zeros,
+        samples=windows,
+        **columns,
+    )
 
-    def __init__(self):
-        self.sim = Simulator()
-        self.h = [Host(self.sim, i, gbps(10)) for i in range(4)]
-        connect(self.h[0].nic, self.h[1].nic)
-        connect(self.h[2].nic, self.h[3].nic)
-        self.ports = [self.h[0].nic, self.h[2].nic]
 
-    def send(self, port_index, size):
-        src = self.h[0] if port_index == 0 else self.h[2]
-        src.nic.send(Packet(src=src.host_id, dst=99, size=size, flow_id=1))
+#: A small hotspot point: traffic into leaf 1, whose link 0 to spine 1 is
+#: down from t=0, so the spine-1 view holds the one surviving parallel link.
+HOTSPOT = ExperimentSpec(
+    "ecmp", "enterprise", load=0.6, seed=3, num_flows=40, size_scale=0.05,
+    clients=range(8, 16),
+    faults=(LinkDown(time=0, leaf=1, spine=1),),
+    queue_monitor=QueueMonitorSpec(tier="spine", spine=1, leaf=1, interval=microseconds(10)),
+)
+
+#: sha256 of HOTSPOT's occupancy series as the former QueueMonitor sampled
+#: it (JSON list of per-port lists), recorded before the monitors became
+#: timeline views.
+HOTSPOT_OCCUPANCY_SHA256 = "cc04edd03935be679a76a2a0a86af17e22ef8f671013b59baa533cc756fa4bd7"
 
 
-class TestThroughputImbalanceMonitor:
+class TestImbalanceView:
     def test_balanced_traffic_reads_zero(self):
-        env = _Sender()
-        monitor = ThroughputImbalanceMonitor(
-            env.sim, env.ports, interval=microseconds(100)
+        view = ImbalanceSeries.from_timeline(
+            _timeline("utilization", {"a": (0.5, 0.9), "b": (0.5, 0.9)}), ["a", "b"]
         )
-        monitor.start()
-        for _ in range(50):
-            env.send(0, 1000)
-            env.send(1, 1000)
-        env.sim.run(until=microseconds(150))
-        monitor.stop()
-        run_until_idle(env.sim)
-        assert monitor.samples
-        assert monitor.samples[0] == pytest.approx(0.0)
+        assert view.samples == (0.0, 0.0)
 
     def test_fully_skewed_traffic_reads_two(self):
         # (MAX - MIN) / AVG with one idle port = (x - 0) / (x/2) = 2.
-        env = _Sender()
-        monitor = ThroughputImbalanceMonitor(
-            env.sim, env.ports, interval=microseconds(100)
+        view = ImbalanceSeries.from_timeline(
+            _timeline("utilization", {"a": (0.4,), "b": (0.0,)}), ["a", "b"]
         )
-        monitor.start()
-        for _ in range(50):
-            env.send(0, 1000)
-        env.sim.run(until=microseconds(150))
-        monitor.stop()
-        run_until_idle(env.sim)
-        assert monitor.samples[0] == pytest.approx(2.0)
+        assert view.samples == pytest.approx((2.0,))
 
-    def test_idle_intervals_skipped(self):
-        env = _Sender()
-        monitor = ThroughputImbalanceMonitor(
-            env.sim, env.ports, interval=microseconds(10)
+    def test_idle_windows_skipped(self):
+        timeline = _timeline(
+            "utilization", {"a": (0.0, 0.6, 0.0, 0.2), "b": (0.0, 0.2, 0.0, 0.2)}
         )
-        monitor.start()
-        env.sim.run(until=microseconds(100))
-        monitor.stop()
-        assert monitor.samples == []
+        view = ImbalanceSeries.from_timeline(timeline, ["a", "b"])
+        assert view.samples == pytest.approx((1.0, 0.0))
+        assert view.sample_times == (200, 400)
+        assert view.interval == timeline.interval
+
+    def test_samples_before_keeps_the_loaded_phase(self):
+        view = ImbalanceSeries.from_timeline(
+            _timeline("utilization", {"a": (0.6, 0.2, 1.0), "b": (0.2, 0.2, 0.0)}),
+            ["a", "b"],
+        )
+        assert view.samples_before(200) == pytest.approx([1.0, 0.0])
+        assert view.samples_before(99) == []
 
     def test_percentile_and_mean(self):
-        env = _Sender()
-        monitor = ThroughputImbalanceMonitor(
-            env.sim, env.ports, interval=microseconds(100)
+        view = ImbalanceSeries(100, (0.0, 1.0, 2.0), (100, 200, 300))
+        assert view.mean_percent() == pytest.approx(100.0)
+        assert view.percentile(50) == pytest.approx(100.0)
+
+    def test_an_idle_run_has_no_statistics(self):
+        view = ImbalanceSeries.from_timeline(
+            _timeline("utilization", {"a": (0.0,) * 3, "b": (0.0,) * 3}), ["a", "b"]
         )
-        monitor.samples = [0.0, 1.0, 2.0]
-        assert monitor.snapshot().mean_percent() == pytest.approx(100.0)
-        assert monitor.snapshot().percentile(50) == pytest.approx(100.0)
+        with pytest.raises(EmptySeriesError):
+            view.mean_percent()
 
-    def test_needs_two_ports(self):
-        env = _Sender()
-        with pytest.raises(ValueError):
-            ThroughputImbalanceMonitor(env.sim, env.ports[:1])
+    def test_a_leaf_with_one_uplink_is_refused(self):
+        spec = ExperimentSpec(
+            "ecmp", "enterprise", 0.5, num_flows=5, size_scale=0.02,
+            config=scaled_testbed(num_spines=1, links_per_pair=1),
+            imbalance_monitor=ImbalanceMonitorSpec(leaf=0),
+        )
+        with pytest.raises(ValueError, match="at least two ports"):
+            spec.run_live()
 
-    def test_no_samples_raises(self):
-        env = _Sender()
-        monitor = ThroughputImbalanceMonitor(env.sim, env.ports)
-        with pytest.raises(ValueError):
-            monitor.snapshot().mean_percent()
+    def test_a_run_cuts_its_leaf_uplinks(self):
+        result = ExperimentSpec(
+            "ecmp", "enterprise", 0.6, num_flows=40, size_scale=0.02, seed=2,
+            imbalance_monitor=ImbalanceMonitorSpec(leaf=0, interval=microseconds(50)),
+        ).run_live()
+        view = result.imbalance_series
+        assert view.interval == microseconds(50) and view.samples
+        assert all(0.0 <= sample <= 4.0 for sample in view.samples)  # 4 uplinks
+        assert result.timeline is None  # no obs timeline was asked for
 
 
-class TestQueueMonitor:
-    def test_samples_occupancy(self):
-        env = _Sender()
-        monitor = QueueMonitor(env.sim, [env.ports[0]], interval=microseconds(1))
-        monitor.start()
-        # Queue 100 x 1500B packets; they drain at 10 Gbps (1.2 us each).
-        for _ in range(100):
-            env.send(0, 1500)
-        env.sim.run(until=microseconds(20))
-        monitor.stop()
-        series = list(monitor.snapshot().series(env.ports[0]))
-        assert len(series) >= 10
-        assert max(series) > 0
-        assert series == sorted(series, reverse=True)  # draining monotone
+class TestQueueView:
+    def test_keeps_the_monitored_ports_in_order(self):
+        timeline = _timeline("occupancy", {"a": (1, 2), "b": (3, 4), "c": (5, 6)})
+        view = QueueSeries.from_timeline(timeline, ["c", "a"])
+        assert view.port_names == ("c", "a")
+        assert view.samples == {"c": (5, 6), "a": (1, 2)}
 
     def test_statistics(self):
-        env = _Sender()
-        monitor = QueueMonitor(env.sim, [env.ports[0]])
-        monitor.samples[env.ports[0].name] = [0, 100, 200, 300]
-        assert monitor.snapshot().mean(env.ports[0]) == pytest.approx(150.0)
-        assert monitor.snapshot().percentile(env.ports[0], 100) == pytest.approx(300.0)
-
-    def test_requires_ports(self):
-        with pytest.raises(ValueError):
-            QueueMonitor(Simulator(), [])
+        view = QueueSeries.from_timeline(_timeline("occupancy", {"p": (0, 100, 200, 300)}), ["p"])
+        assert view.mean("p") == pytest.approx(150.0)
+        assert view.percentile("p", 100) == pytest.approx(300.0)
 
     def test_no_samples_raises(self):
-        env = _Sender()
-        monitor = QueueMonitor(env.sim, [env.ports[0]])
-        with pytest.raises(ValueError):
-            monitor.snapshot().mean(env.ports[0])
+        with pytest.raises(EmptySeriesError):
+            QueueSeries(10, {"p": ()}, ("p",)).mean("p")
+
+    def test_reproduces_the_former_monitor_series(self):
+        point = HOTSPOT.run()
+        view = point.queue_series
+        assert view.port_names == ("spine1->leaf1#1",)  # link 0 is down
+        series = [list(view.series(name)) for name in view.port_names]
+        digest = hashlib.sha256(json.dumps(series).encode()).hexdigest()
+        assert digest == HOTSPOT_OCCUPANCY_SHA256
+
+    def test_equals_the_obs_timeline_at_its_cadence(self):
+        sampler = TimelineSpec(interval=microseconds(10), limit=DEFAULT_SERIES_LIMIT)
+        point = HOTSPOT.with_(obs=ObsSpec(categories=(), timeline=sampler)).run()
+        name = point.queue_series.port_names[0]
+        assert point.queue_series.series(name) == point.timeline.occupancy[name]
+
+    def test_no_live_port_is_refused(self):
+        spec = HOTSPOT.with_(faults=HOTSPOT.faults + (LinkDown(time=0, leaf=1, spine=1, which=1),))
+        with pytest.raises(ValueError, match="selected no live ports"):
+            spec.run_live()

@@ -263,9 +263,9 @@ class TestExperimentHarness:
             imbalance_monitor=ImbalanceMonitorSpec(leaf=0, interval=microseconds(50)),
             queue_monitor=QueueMonitorSpec(tier="spine", spine=0, leaf=0),
         ).run_live()
-        assert result.imbalance is not None
-        assert len(result.imbalance.samples) > 0
-        assert result.queues is not None
+        assert result.imbalance_series is not None
+        assert len(result.imbalance_series.samples) > 0
+        assert result.queue_series is not None
 
     def test_schemes_share_the_scenario(self):
         spec = ExperimentSpec("ecmp", "web-search", 0.4, num_flows=30, size_scale=0.02, seed=4)

@@ -21,8 +21,11 @@ would record zeros, not fail.
 
 The first three entries were recorded on the commit *before* the ring
 switched from event objects to rows, the two ``ecmp`` ones on the commit
-before the congestion plane became demand-driven.  Regenerate (only when
-the trace vocabulary is changed on purpose)::
+before the congestion plane became demand-driven.  All five were
+regenerated when parallel links stopped sharing a port name: the traces
+differ from their predecessors only in the renamed ports, and the timeline
+gained the four series its duplicate names had hidden.  Regenerate (only
+when the trace vocabulary or port naming is changed on purpose)::
 
     PYTHONPATH=src python tests/test_golden_traces.py --update
 """

@@ -92,7 +92,7 @@ class TestLinkFailureFct:
         for scheme, result in results.items():
             spine1 = result.fabric.spines[1]
             port = spine1.ports[spine1.ports_to_leaf(1)[0]]
-            means[scheme] = float(np.mean(result.queues.snapshot().series(port)))
+            means[scheme] = float(np.mean(result.queue_series.series(port)))
         assert means["conga"] < 0.5 * means["ecmp"]
 
 
@@ -134,7 +134,7 @@ class TestImbalanceShape:
                 seed=17,
                 imbalance_monitor=ImbalanceMonitorSpec(leaf=0, interval=microseconds(200)),
             ).run_live()
-            results[scheme] = result.imbalance.snapshot().mean_percent()
+            results[scheme] = result.imbalance_series.mean_percent()
         assert results["conga"] < results["ecmp"]
 
 

@@ -36,6 +36,7 @@ from repro.topology import (
     build_multipod,
     scaled_testbed,
 )
+from repro.topology.leafspine import parallel_label
 from repro.units import microseconds, seconds
 from repro.workloads import WORKLOADS
 
@@ -216,7 +217,10 @@ class TestExperimentSpec:
         ]
         assert names and all(n.startswith(f"{spine_name}->leaf") for n in names)
         toward_one = QueueMonitorSpec(tier="spine", direction="down", spine=0, leaf=1)
-        assert {p.name for p in toward_one.resolve(fabric)} == {f"{spine_name}->leaf1"}
+        assert [p.name for p in toward_one.resolve(fabric)] == [
+            f"{spine_name}->{parallel_label('leaf1', which)}"
+            for which in range(config.links_per_pair)
+        ]
 
     def test_spine_tier_toward_another_pods_leaf_selects_nothing(self):
         fabric = build_multipod(Simulator(seed=1), MultiPodConfig())

@@ -1,9 +1,10 @@
 """Series statistics have one home and one "empty" error.
 
 Every percentile and mean ``repro.analysis`` / ``repro.obs`` report goes
-through ``repro.analysis.stats.series_stats``; these tests pin the floats the
-former per-class numpy calls produced on fixed series (bit for bit, not
-approximately) and the single error an empty series raises everywhere.
+through ``repro.analysis.stats.series_stats``, the monitor views cut from a
+timeline included; these tests pin the floats the former per-class numpy
+calls produced on fixed series (bit for bit, not approximately) and the
+single error an empty series raises everywhere.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.analysis.stats import series_stats
 from repro.core.series import DecimatedSeries
 from repro.obs.metrics import HistogramSummary
 
+from tests.test_analysis import _timeline
+
 IMBALANCE = (0.0, 0.125, 1.7, 0.3333333333333333, 2.0, 0.9, 0.01)
 OCCUPANCY = (0, 1500, 3000, 291_000, 4500, 77, 1_000_000, 3)
 
@@ -34,7 +37,7 @@ def test_imbalance_snapshot_reports_the_former_floats():
 
 
 def test_queue_snapshot_reports_the_former_floats():
-    series = QueueSeries(1000, {"l0->s0": OCCUPANCY}, ("l0->s0",))
+    series = QueueSeries.from_timeline(_timeline("occupancy", {"l0->s0": OCCUPANCY}), ["l0->s0"])
     for q in (0, 25, 50, 99, 100):
         assert series.percentile("l0->s0", q) == float(np.percentile(OCCUPANCY, q))
     assert series.mean("l0->s0") == float(np.mean(OCCUPANCY))
@@ -63,7 +66,10 @@ def test_report_and_histogram_summaries_report_the_former_floats():
         (lambda: FctSummary.from_records([]), "FctSummary.from_records"),
         (lambda: ImbalanceSeries(10, (), ()).mean_percent(), "ImbalanceSeries"),
         (lambda: ImbalanceSeries(10, (), ()).percentile(50), "ImbalanceSeries"),
-        (lambda: QueueSeries(10, {"p": ()}, ("p",)).mean("p"), "QueueSeries[p]"),
+        (
+            lambda: QueueSeries.from_timeline(_timeline("occupancy", {"p": ()}), ["p"]).mean("p"),
+            "QueueSeries[p]",
+        ),
         (lambda: series_stats(np.array([]), (50,), who="anything"), "anything"),
     ],
 )

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.lb import EcmpSelector
+from repro.obs import TimelineCollector, TimelineSpec
 from repro.sim import Simulator
 from repro.topology import (
     LeafSpineConfig,
@@ -15,7 +16,7 @@ from repro.topology import (
     fail_random_links,
     scaled_testbed,
 )
-from repro.units import gbps
+from repro.units import gbps, microseconds
 
 
 class TestLeafSpineConfig:
@@ -120,6 +121,60 @@ class TestBuilder:
         assert len(fabric.leaves) == 6
         assert len(fabric.spines) == 4
         assert all(len(leaf.uplinks) == 4 for leaf in fabric.leaves)
+
+
+#: Every fabric shape with parallel links the figures build, and one-link ones.
+FABRICS = {
+    **{
+        f"leaf-spine-x{links}": (build_leaf_spine, scaled_testbed(2, links_per_pair=links))
+        for links in (1, 2, 3)
+    },
+    **{
+        f"multipod-x{links}": (build_multipod, MultiPodConfig(hosts_per_leaf=2, links_per_pair=links))
+        for links in (1, 2)
+    },
+}
+
+
+class TestPortNames:
+    """Parallel links never share a port name, so per-port series never merge."""
+
+    @pytest.mark.parametrize("shape", sorted(FABRICS))
+    def test_fabric_port_names_are_unique(self, shape):
+        build, config = FABRICS[shape]
+        names = [port.name for port in build(Simulator(seed=1), config).fabric_ports()]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("shape", sorted(FABRICS))
+    def test_a_timeline_has_one_series_per_port(self, shape):
+        build, config = FABRICS[shape]
+        sim = Simulator(seed=1)
+        fabric = build(sim, config)
+        fabric.finalize(EcmpSelector.factory())
+        collector = TimelineCollector(sim, fabric, TimelineSpec(interval=microseconds(10)))
+        collector.start()
+        sim.run(until=microseconds(30))
+        timeline = collector.snapshot()
+        ports = len(list(fabric.fabric_ports()))
+        assert len(timeline.port_names) == ports
+        for series in (timeline.utilization, timeline.residual, timeline.occupancy, timeline.dre):
+            assert len(series) == ports
+
+    def test_one_link_leaf_spine_names_are_unchanged(self):
+        fabric = build_leaf_spine(Simulator(seed=1), scaled_testbed(2, links_per_pair=1))
+        assert [port.name for port in fabric.fabric_ports()] == [
+            "leaf0.up0->spine0", "leaf0.up1->spine1", "leaf1.up0->spine0", "leaf1.up1->spine1",
+            "spine0->leaf0", "spine0->leaf1", "spine1->leaf0", "spine1->leaf1",
+        ]
+
+    def test_tiers_stay_readable_from_the_name(self):
+        build, config = FABRICS["leaf-spine-x3"]
+        fabric = build(Simulator(seed=1), config)
+        assert all(".up" in port.name for port in fabric.leaf_uplink_ports())
+        assert all(port.name.startswith("spine") for port in fabric.spine_ports())
+        assert [port.name for port in fabric.spines[1].ports[:3]] == [
+            "spine1->leaf0", "spine1->leaf0#1", "spine1->leaf0#2",
+        ]
 
 
 class TestFailureInjection:
