@@ -30,6 +30,8 @@ port's estimator on ``port.dre`` either way so rate changes can retarget it.
 
 from __future__ import annotations
 
+from heapq import heappush
+from operator import index
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.packet import Packet
@@ -101,7 +103,7 @@ class Port:
         "on_transmit",
         "_ns_per_byte",
         "_serialization_ns",
-        "_schedule_fast",
+        "_heap",
         "_advance_ref",
         "_arrive_ref",
         "_receive",
@@ -154,9 +156,15 @@ class Port:
         bits_ns = 8 * SECOND
         self._ns_per_byte = bits_ns // rate_bps if bits_ns % rate_bps == 0 else 0
         self._serialization_ns: dict[int, int] = {}
-        # Port events are never cancelled, so both per-hop events go through
-        # the kernel's allocation-free fast path with prebound methods.
-        self._schedule_fast = sim.schedule_fast
+        # Port events are never cancelled, so the port pushes both per-hop
+        # events onto the kernel's heap itself, in the handle-free
+        # ``(time, seq, None, callback, packet)`` shape with prebound
+        # methods, taking one sequence number per push exactly as
+        # ``Simulator.schedule_fast`` does (DESIGN.md "One heap, two entry
+        # shapes").  The alias stays valid: the kernel rebuilds its heap
+        # list in place.  Times stay integral because sizes and propagation
+        # delays are checked where they enter (``send``, ``connect``).
+        self._heap = sim._heap
         self._advance_ref = self._advance
         self._arrive_ref = self._arrive
         self._receive = node.receive
@@ -261,16 +269,18 @@ class Port:
         every fabric hop passes through here, and the method-call round trip
         was measurable.
         """
+        size = packet.size
+        if type(size) is not int or size < 0:
+            _refuse(size, f"packet size at {self.name}")
         if not self.up or self.peer is None:
             # A down link drops silently; upper layers recover via timeouts.
             self.queue.stats.dropped_packets += 1
-            self.queue.stats.dropped_bytes += packet.size
+            self.queue.stats.dropped_bytes += size
             tracer = self.sim.tracer
             if tracer is not None and tracer.drop:
                 self._drop_event(tracer, packet, "link-down")
             return False
         queue = self.queue
-        size = packet.size
         occupancy = queue._bytes
         if (
             queue.capacity_bytes is not None
@@ -304,7 +314,13 @@ class Port:
                     serialization = transmission_time(size, self.rate_bps)
                     self._serialization_ns[size] = serialization
             self.busy_time += serialization
-            self._schedule_fast(serialization, self._advance_ref, packet)
+            sim = self.sim
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            heappush(
+                self._heap,
+                (sim._now + serialization, sequence, None, self._advance_ref, packet),
+            )
             return True
         if (
             queue.ecn_threshold_bytes is not None
@@ -345,6 +361,8 @@ class Port:
         """
         self.tx_packets += 1
         self.tx_bytes += packet.size
+        sim = self.sim
+        now = sim._now
         # The loss draw precedes the link check so a cut mid-wire does not
         # shift the seeded loss stream.
         if self._loss_probability > 0.0 and (
@@ -353,7 +371,12 @@ class Port:
         ):
             self._lose(packet, "loss")
         elif self.up:
-            self._schedule_fast(self.propagation_delay, self.peer._arrive_ref, packet)
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            heappush(
+                self._heap,
+                (now + self.propagation_delay, sequence, None, self.peer._arrive_ref, packet),
+            )
         else:
             self._lose(packet, "link-down")
         # Continue the train: inline head dequeue (mirror of poll()).
@@ -377,7 +400,9 @@ class Port:
                 serialization = transmission_time(size, self.rate_bps)
                 self._serialization_ns[size] = serialization
         self.busy_time += serialization
-        self._schedule_fast(serialization, self._advance_ref, packet)
+        sequence = sim._sequence
+        sim._sequence = sequence + 1
+        heappush(self._heap, (now + serialization, sequence, None, self._advance_ref, packet))
 
     # -- ingress --------------------------------------------------------------
 
@@ -388,6 +413,24 @@ class Port:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Port({self.name}, {self.rate_bps / 1e9:g}Gbps, up={self.up})"
+
+
+def _refuse(value, where: str) -> None:
+    """Raise for a ``value`` that is not a non-negative integer.
+
+    The cold path of the two checks that stand in for the kernel's per-push
+    one, since a port pushes its events itself: a packet's size in
+    :meth:`Port.send` and a cable's delay in :func:`connect`.  An integral
+    value of another type (a numpy integer) passes.
+    """
+    try:
+        index(value)
+    except TypeError:
+        raise TypeError(
+            f"{where}: simulation time is integer nanoseconds, got {value!r}"
+        ) from None
+    if value < 0:
+        raise ValueError(f"{where} must be non-negative, got {value}")
 
 
 def residual_capacity(ports) -> float:
@@ -414,11 +457,8 @@ def connect(
     """Join two ports with a full-duplex cable."""
     if a.peer is not None or b.peer is not None:
         raise ValueError(f"port already connected: {a if a.peer else b}")
-    if propagation_delay < 0:
-        raise ValueError(
-            f"propagation delay between {a.name} and {b.name} must be "
-            f"non-negative, got {propagation_delay}"
-        )
+    if type(propagation_delay) is not int or propagation_delay < 0:
+        _refuse(propagation_delay, f"propagation delay between {a.name} and {b.name}")
     a.peer = b
     b.peer = a
     a.propagation_delay = propagation_delay

@@ -13,6 +13,14 @@ Hot-path design notes (the evaluation needs millions of events per point):
   ``(time, sequence, None, callback, arg)`` for the no-handle fast path, so
   heap pushes and pops compare integer tuples in C and never call back into
   Python — ``(time, sequence)`` is unique, so index 2 is never compared.
+* Exactly two places push the bare shape: :meth:`Simulator.schedule_fast`
+  for cold callers, and ``repro.net.port.Port`` for the two events of every
+  packet hop (the train boundary and the arrival at the peer), which it
+  pushes itself to save a Python frame per event.  Each such push takes
+  one number from ``_sequence`` and appends to ``_heap``, an alias the port
+  binds once: the list is only ever mutated in place, never replaced.  A
+  port push refuses nothing, so the port checks the values its times are
+  built from where they enter (packet size, propagation delay).
 * One heap is the whole calendar.  The mean pending set of every run shape
   the repo ships is in the hundreds, where a push and a pop are a handful
   of C-level comparisons each; DESIGN.md "Event kernel" has the
@@ -214,12 +222,13 @@ class Simulator:
     def schedule_fast(self, delay: int, callback: Callable[[Any], None], arg: Any) -> None:
         """Schedule a *non-cancellable* ``callback(arg)`` with no handle.
 
-        The per-packet path schedules two events per hop, none of which is
-        ever cancelled; this variant skips the :class:`_Event` allocation
-        entirely and pushes a bare ``(time, sequence, None, callback, arg)``
-        entry.  It consumes one sequence number exactly like
-        :meth:`schedule`, so mixing the two paths cannot perturb event
-        tie-breaking.  Use only when the event will never be cancelled.
+        Skips the :class:`_Event` allocation entirely and pushes a bare
+        ``(time, sequence, None, callback, arg)`` entry.  It consumes one
+        sequence number exactly like :meth:`schedule`, so mixing the two
+        paths cannot perturb event tie-breaking.  Use only when the event
+        will never be cancelled.  The per-packet path does not come through
+        here: ``Port`` pushes the same entry shape itself, one sequence
+        number per push (see the module docstring).
         """
         if type(delay) is not int or delay < 0:
             _refuse(delay, self._now)
@@ -238,7 +247,8 @@ class Simulator:
         Called from :meth:`schedule` at geometrically spaced pending-set
         sizes, so the scan amortizes to O(1) per insert; the rebuild itself
         only happens when at least half the heap is dead weight.  The list
-        is rebuilt in place: the run loop holds an alias to it.
+        is rebuilt in place: the run loop and every ``Port`` hold an alias
+        to it.
         """
         heap = self._heap
         live = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]

@@ -1,5 +1,7 @@
 """Tests for the network substrate: packets, queues, ports, links, hosts."""
 
+import heapq
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -198,6 +200,76 @@ class TestPortAndLink:
         assert not pa.connected and not pb.connected
         connect(pa, pb, 0)  # zero is a legal (back-to-back) cable
 
+    def test_connect_rejects_fractional_delay_naming_both_ports(self):
+        import numpy as np
+
+        sim = Simulator()
+        a, b = _Sink(sim, "a"), _Sink(sim, "b")
+        pa, pb = a.add_port(gbps(10)), b.add_port(gbps(10))
+        with pytest.raises(TypeError, match="integer nanoseconds, got 500.0") as excinfo:
+            connect(pa, pb, 500.0)
+        assert pa.name in str(excinfo.value) and pb.name in str(excinfo.value)
+        assert not pa.connected and not pb.connected
+        connect(pa, pb, np.int64(500))  # numpy integers pass, as in the kernel
+        pa.send(Packet(src=0, dst=1, size=1500))
+        sim.run()
+        assert b.received[0][2] == transmission_time(1500, gbps(10)) + 500
+
+    def test_fractional_propagation_delay_fails_before_the_run(self, monkeypatch):
+        import dataclasses
+
+        from repro.apps import ExperimentSpec
+        from repro.topology.leafspine import scaled_testbed
+
+        runs = []
+        monkeypatch.setattr(Simulator, "run", lambda self, *a, **k: runs.append(a))
+        config = dataclasses.replace(scaled_testbed(), propagation_delay=500.0)
+        spec = ExperimentSpec(
+            "conga", "enterprise", load=0.5, seed=1, num_flows=5, size_scale=0.02,
+            config=config,
+        )
+        with pytest.raises(TypeError, match="propagation delay between .*got 500.0"):
+            spec.run()
+        assert runs == []
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_send_refuses_a_fractional_size_and_changes_nothing(self, busy):
+        sim, _a, _b, pa, _pb = self._pair()
+        if busy:
+            pa.send(Packet(src=0, dst=1, size=1500))
+            pa.send(Packet(src=0, dst=1, size=700))
+
+        def state():
+            stats = pa.queue.stats
+            return (
+                pa._transmitting, pa.busy_time, pa.queue.byte_occupancy, len(pa.queue),
+                stats.dropped_packets, stats.dropped_bytes, stats.max_bytes,
+                sim.pending_events, sim._sequence,
+            )
+
+        before = state()
+        with pytest.raises(TypeError, match="packet size at .*got 1500.5"):
+            pa.send(Packet(src=0, dst=1, size=1500.5))
+        assert state() == before
+        with pytest.raises(ValueError, match="non-negative"):
+            pa.send(Packet(src=0, dst=1, size=-1))
+        assert state() == before
+
+    def test_port_heap_alias_survives_compaction(self):
+        sim, _a, b, pa, _pb = self._pair()
+        heap = sim._heap
+        events = [sim.schedule(1_000_000 + i, lambda: None) for i in range(200)]
+        for event in events:
+            Simulator.cancel(event)
+        while not sim.heap_compactions:  # the next checkpoint is at 256 entries
+            sim.schedule(1_000_000, lambda: None)
+        assert sim._heap is heap and sim.pending_events < 100
+        assert pa._heap is sim._heap
+        pa.send(Packet(src=0, dst=1, size=1500))
+        sim.run()
+        delivered = [time for *_, time in b.received]
+        assert delivered == [transmission_time(1500, gbps(10)) + 500]
+
     def test_send_without_peer_drops(self):
         sim = Simulator()
         a = _Sink(sim, "a")
@@ -383,6 +455,226 @@ class TestPortMatchesQueueModel:
         stats = port.queue.stats
         assert (stats.dropped_packets, stats.dropped_bytes, stats.max_bytes) == (1, 3001, 3000)
         assert len(sink.received) == 1
+
+
+class _TimedReferencePort:
+    """An eager per-packet FIFO server, from DESIGN.md "The port's timing contract".
+
+    Each accepted packet's serialization start and finish are fixed when it
+    is sent and re-timed if the rate changes before it starts; its fate
+    (loss, cut cable or arrival) is settled at its finish.  The kernel side
+    is a plain ``heapq`` of ``(time, seq, kind, packet)``: a packet's
+    boundary is pushed when it starts, its arrival at its finish before the
+    next packet's boundary, and an independent chain ticks every ``period``
+    until ``horizon``.  Every push takes the next sequence number.
+    """
+
+    def __init__(self, rate, capacity, delay, period, horizon):
+        self.rate, self.capacity, self.delay = rate, capacity, delay
+        self.period, self.horizon = period, horizon
+        self.now = self.seq = self.fired = 0
+        self.heap = []
+        self.log = []
+        self.up, self.lossy = True, False
+        self.waiting = []  # accepted, not yet serializing: [ident, size, start, finish]
+        self.wire_finish = 0  # finish of the last packet that started
+        self.busy = self.tx_packets = self.tx_bytes = 0
+        self.rx_packets = self.rx_bytes = self.lost = self.dropped = 0
+        self._push(0, "tick", None)
+
+    def _push(self, time, kind, packet):
+        heapq.heappush(self.heap, (time, self.seq, kind, packet))
+        self.seq += 1
+
+    def _retime(self):
+        """Lay the waiting packets back to back behind the wire, from now on."""
+        finish = max(self.wire_finish, self.now)
+        for packet in self.waiting:
+            packet[2] = finish
+            finish = packet[3] = finish + transmission_time(packet[1], self.rate)
+
+    def send(self, ident, size):
+        if not self.up:
+            return self._drop(ident, "link-down")
+        waiting = sum(packet[1] for packet in self.waiting)
+        if self.capacity is not None and waiting + size > self.capacity:
+            return self._drop(ident, "queue-full")
+        self.waiting.append([ident, size, 0, 0])
+        self._retime()
+        if self.wire_finish <= self.now:  # the transmitter was idle
+            self._start()
+        return True
+
+    def _drop(self, ident, reason):
+        self.dropped += 1
+        self.log.append(("drop", ident, reason, self.now))
+        return False
+
+    def _start(self):
+        ident, size, start, finish = packet = self.waiting.pop(0)
+        assert start == self.now
+        self.log.append(("start", ident, self.now))
+        self.busy += finish - start
+        self.wire_finish = finish
+        self._push(finish, "finish", packet)
+
+    def set_rate(self, rate):
+        self.rate = rate
+        self._retime()
+
+    def run(self, until=None):
+        while self.heap and (until is None or self.heap[0][0] <= until):
+            time, _, kind, packet = heapq.heappop(self.heap)
+            self.now = time
+            self.fired += 1
+            if kind == "tick":
+                self.log.append((
+                    "tick", time, self.tx_packets, self.tx_bytes, self.rx_packets,
+                    self.lost, self.busy,
+                ))
+                if time + self.period < self.horizon:
+                    self._push(time + self.period, "tick", None)
+            elif kind == "arrive":
+                self.rx_packets += 1
+                self.rx_bytes += packet[1]
+                self.log.append(("arrive", packet[0], time))
+            else:
+                self._finish(packet)
+        if until is not None:
+            self.now = until
+
+    def _finish(self, packet):
+        ident, size = packet[:2]
+        self.tx_packets += 1
+        self.tx_bytes += size
+        if self.lossy or not self.up:
+            self.lost += 1
+            self.log.append(("drop", ident, "loss" if self.lossy else "link-down", self.now))
+        else:
+            self._push(self.now + self.delay, "arrive", packet)
+        if self.waiting:
+            self._start()
+
+
+class _DropLog:
+    """A tracer stand-in that puts every port drop into the shared log."""
+
+    drop = True
+
+    def __init__(self, log):
+        self.log = log
+
+    def record(self, _kind, time, _port, flow_id, _size, reason):
+        self.log.append(("drop", flow_id, reason, time))
+
+
+#: Rates whose serialization delay is a whole number of ns per byte (1, 2
+#: Gbit/s) and rates that take the memoized ceiling (5, 10 Gbit/s).  125
+#: bytes is 100, 200, 500 or 1000 ns on them, so round sizes put port
+#: events on the chain's 100 ns grid and the tie-breaking is exercised.
+_RATES = [gbps(10), gbps(5), gbps(2), gbps(1)]
+_PERIOD, _HORIZON = 100, 30_000
+_timed_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("send"),
+            st.one_of(st.sampled_from([125, 250, 500, 1000, 1500]), st.integers(1, 1600)),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from([50, 100, 250, 400, 1000, 3000])),
+        st.tuples(st.sampled_from(["fail", "restore"])),
+        st.tuples(st.just("loss"), st.sampled_from([0.0, 1.0])),
+        st.tuples(st.just("rate"), st.sampled_from(_RATES)),
+    ),
+    max_size=40,
+)
+
+
+class TestPortMatchesTimedModel:
+    @given(
+        rate=st.sampled_from(_RATES),
+        capacity=st.sampled_from([None, 1500, 3000]),
+        delay=st.sampled_from([0, 100, 500, 1000]),
+        ops=_timed_ops,
+    )
+    # 125 bytes is 100 ns: boundaries tie with the chain, and an arrival ties
+    # with the next boundary (the arrival was pushed first, so it fires first).
+    @example(
+        rate=gbps(10), capacity=None, delay=100,
+        ops=[("send", 125), ("send", 125), ("send", 125)],
+    )
+    # A cut while the first packet is on the wire, restored before the second ends.
+    @example(
+        rate=gbps(10), capacity=None, delay=500,
+        ops=[("send", 1500), ("send", 1500), ("fail",), ("advance", 1300), ("restore",)],
+    )
+    # Loss and a cut together: the loss is named, the draw comes first.
+    @example(
+        rate=gbps(10), capacity=None, delay=500,
+        ops=[("send", 1500), ("loss", 1.0), ("fail",), ("advance", 1300), ("loss", 0.0)],
+    )
+    # A rate change mid-train: the packet on the wire keeps the old rate, the
+    # next one takes the new (5 Gbit/s is memoized, so a stale memo shows).
+    @example(
+        rate=gbps(10), capacity=None, delay=0,
+        ops=[("send", 1500), ("send", 1500), ("advance", 400), ("rate", gbps(5))],
+    )
+    def test_times_fates_counters_and_sequence_match(self, rate, capacity, delay, ops):
+        sim = Simulator()
+        log = []
+        sim.tracer = _DropLog(log)
+        node, sink = _Sink(sim, "a"), _Sink(sim, "b")
+        sink.receive = lambda packet, _port: log.append(("arrive", packet.flow_id, sim.now))
+        port = node.add_port(rate, capacity)
+        peer = sink.add_port(rate)  # binds sink.receive, so after the override
+        connect(port, peer, delay)
+        port.on_transmit.append(lambda packet: log.append(("start", packet.flow_id, sim.now)))
+        model = _TimedReferencePort(rate, capacity, delay, _PERIOD, _HORIZON)
+
+        def tick(_):
+            log.append((
+                "tick", sim.now, port.tx_packets, port.tx_bytes, peer.rx_packets,
+                port.lost_packets, port.busy_time,
+            ))
+            if sim.now + _PERIOD < _HORIZON:
+                sim.schedule_fast(_PERIOD, tick, None)
+
+        sim.schedule_fast(0, tick, None)
+
+        def check():
+            assert log == model.log
+            assert (port.tx_packets, port.tx_bytes, port.busy_time, port.lost_packets) == (
+                model.tx_packets, model.tx_bytes, model.busy, model.lost
+            )
+            assert (peer.rx_packets, peer.rx_bytes) == (model.rx_packets, model.rx_bytes)
+            assert port.queue.stats.dropped_packets == model.dropped
+            assert len(port.queue) == len(model.waiting)
+            assert (sim.now, sim._sequence, sim.events_executed) == (
+                model.now, model.seq, model.fired
+            )
+
+        for ident, (op, *args) in enumerate(ops):
+            if op == "send":
+                packet = Packet(src=0, dst=1, size=args[0], flow_id=ident)
+                assert port.send(packet) == model.send(ident, args[0])
+            elif op == "advance":
+                sim.run(until=sim.now + args[0])
+                model.run(until=model.now + args[0])
+            elif op == "fail":
+                port.fail()
+                model.up = False
+            elif op == "restore":
+                port.restore()
+                model.up = True
+            elif op == "loss":
+                port.set_loss(args[0])
+                model.lossy = args[0] == 1.0
+            else:
+                port.set_rate(args[0])
+                model.set_rate(args[0])
+            check()
+        sim.run()
+        model.run()
+        check()
 
 
 def _pb_of(node):

@@ -129,9 +129,9 @@ def plant_nested_def_in_port_send(monkeypatch):
     """S205: a nested ``def`` in ``Port.send``."""
     _plant(
         monkeypatch, Port, "send",
-        "        size = packet.size\n        occupancy = queue._bytes\n",
+        "        size = packet.size\n        if type(size)",
         "        def size_of(p):\n            return p.size\n"
-        "        size = size_of(packet)\n        occupancy = queue._bytes\n",
+        "        size = size_of(packet)\n        if type(size)",
     )
 
 
