@@ -103,9 +103,9 @@ class HdfsWriteJob:
             for leaf in self.fabric.leaves
             if leaf.leaf_id != writer_leaf
         ]
-        leaf_id = other_leaves[int(self._rng.integers(len(other_leaves)))]
+        leaf_id = other_leaves[self._rng.integers(len(other_leaves))]
         hosts = self.fabric.hosts_under(leaf_id)
-        return hosts[int(self._rng.integers(len(hosts)))]
+        return hosts[self._rng.integers(len(hosts))]
 
     def _pick_same_rack(self, replica1: int) -> int:
         peers = [
@@ -115,7 +115,7 @@ class HdfsWriteJob:
         ]
         if not peers:
             return replica1  # single-host rack: degenerate but legal
-        return peers[int(self._rng.integers(len(peers)))]
+        return peers[self._rng.integers(len(peers))]
 
     def _transfer_done(self) -> None:
         self._outstanding -= 1

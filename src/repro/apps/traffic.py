@@ -287,9 +287,9 @@ class CrossRackTraffic:
             for leaf in self.fabric.leaves
             if leaf.leaf_id != client_leaf
         ]
-        leaf_id = other_leaves[int(self._rng.integers(len(other_leaves)))]
+        leaf_id = other_leaves[self._rng.integers(len(other_leaves))]
         servers = self.fabric.hosts_under(leaf_id)
-        return servers[int(self._rng.integers(len(servers)))]
+        return servers[self._rng.integers(len(servers))]
 
     def _flow_done(self) -> None:
         if self.finished and self.on_all_done is not None:

@@ -28,13 +28,12 @@ from repro.net.packet import Packet
 from repro.obs.events import FlowletRerouted
 
 if TYPE_CHECKING:
-    from numpy.random import Generator
-
+    from repro.sim.pcg64 import PCG64Stream
     from repro.switch.leaf import LeafSwitch
 
 
 def least_congested(
-    candidates: list[int], scores: list, previous: int, rng: "Generator"
+    candidates: list[int], scores: list, previous: int, rng: "PCG64Stream"
 ) -> int:
     """§3.5's choice — the one copy every congestion-aware scheme calls.
 
@@ -47,7 +46,7 @@ def least_congested(
     ties = [c for c, s in zip(candidates, scores) if s == best]
     if previous in ties:
         return previous
-    return ties[int(rng.integers(len(ties)))]
+    return ties[rng.integers(len(ties))]
 
 
 class CongaSelector(UplinkSelector):

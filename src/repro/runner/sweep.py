@@ -44,11 +44,10 @@ def derive_seeds(base_seed: int, count: int, stream: str = "sweep-seeds") -> lis
     """
     if count < 1:
         raise ValueError(f"need at least one seed, got {count}")
-    import numpy as np
+    from repro.sim.pcg64 import generate_state
 
-    sequence = np.random.SeedSequence((base_seed, stable_string_seed(stream)))
-    state = sequence.generate_state(count, dtype=np.uint64)
-    return [int(value % (1 << 31)) or 1 for value in state]
+    state = generate_state((base_seed, stable_string_seed(stream)), count)
+    return [value % (1 << 31) or 1 for value in state]
 
 
 def sweep_grid(

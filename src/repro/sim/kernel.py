@@ -56,9 +56,8 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.units import SECOND
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.obs.trace import Tracer
+    from repro.sim.pcg64 import PCG64Stream
 
 Callback = Callable[[], None]
 
@@ -138,7 +137,7 @@ class Simulator:
         self._now = 0
         self._sequence = 0
         self._seed = seed
-        self._rngs: dict[str, np.random.Generator] = {}
+        self._rngs: dict[str, PCG64Stream] = {}
         self._stopped = False
         self._compact_at = _COMPACT_FLOOR
         #: Timer re-arm bounces since construction (see :class:`Timer`);
@@ -177,20 +176,21 @@ class Simulator:
         """The master seed this simulator was constructed with."""
         return self._seed
 
-    def rng(self, stream: str) -> np.random.Generator:
+    def rng(self, stream: str) -> PCG64Stream:
         """Return the named deterministic random stream for ``stream``.
 
         Repeated calls with the same name return the same generator, so a
-        component can call ``sim.rng("ecmp")`` wherever convenient.
+        component can call ``sim.rng("ecmp")`` wherever convenient.  The
+        stream is seeded by ``(seed, stable_string_seed(stream))`` and draws
+        what numpy's ``default_rng`` would from that entropy (see
+        :mod:`repro.sim.pcg64`).
         """
         generator = self._rngs.get(stream)
         if generator is None:
-            import numpy as np
-
             from repro.net.hashing import stable_string_seed
+            from repro.sim.pcg64 import PCG64Stream
 
-            seed_seq = np.random.SeedSequence((self._seed, stable_string_seed(stream)))
-            generator = np.random.default_rng(seed_seq)
+            generator = PCG64Stream(self._seed, stable_string_seed(stream))
             self._rngs[stream] = generator
         return generator
 

@@ -48,16 +48,13 @@ def fail_random_links(
     other components may have taken from a same-named ``sim.rng`` stream
     earlier in setup.
     """
-    import numpy as np
-
     from repro.net.hashing import stable_string_seed
+    from repro.sim.pcg64 import PCG64Stream
 
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
     base = fabric.sim.seed if seed is None else seed
-    rng = np.random.default_rng(
-        np.random.SeedSequence((base, stable_string_seed(stream)))
-    )
+    rng = PCG64Stream(base, stable_string_seed(stream))
     all_ports = list(
         fabric.leaf_uplink_ports() if tier == "leaf" else fabric.spine_core_ports()
     )
@@ -70,7 +67,7 @@ def fail_random_links(
     for index in order:
         if len(failed) >= count:
             break
-        port = all_ports[int(index)]
+        port = all_ports[index]
         up_count = sum(1 for p in all_ports if p.node is port.node and p.up)
         if up_count <= 1 or not port.up:
             continue

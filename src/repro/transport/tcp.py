@@ -181,7 +181,7 @@ class PacedSource(DataSource):
         return self._released >= self._size
 
     def _next_gap(self) -> int:
-        return max(1, round(float(self._rng.uniform(0.5, 1.5)) * self.mean_gap))
+        return max(1, round(self._rng.uniform(0.5, 1.5) * self.mean_gap))
 
     def _release(self) -> None:
         self._released = min(self._released + self.burst_bytes, self._size)

@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.sim.pcg64 import PCG64Stream
+
 
 @dataclass(frozen=True)
 class FlowSizeDistribution:
@@ -56,9 +58,9 @@ class FlowSizeDistribution:
 
     # -- sampling -------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: PCG64Stream) -> int:
         """Draw one flow size in bytes by inverse-transform sampling."""
-        return int(self.quantile(float(rng.uniform())))
+        return int(self.quantile(rng.uniform()))
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` flow sizes as an integer array (vectorized)."""

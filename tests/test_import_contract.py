@@ -1,11 +1,13 @@
 """The import contract: a fresh process loads what it runs and nothing else.
 
-DESIGN.md "Import layering" makes three promises — numpy is imported where
-it is first called, a package ``__init__`` resolves its heavy siblings on
-first access, and a worker child loads none of the parent-side runner until
-a spec arrives.  ``sys.modules`` of the test process is no witness (pytest
-and the other tests have loaded everything), so every check here runs in a
-child interpreter and reads back what that child loaded.
+DESIGN.md "Import layering" makes three promises — building, running,
+collecting or caching a packet point imports no numpy (only the numpy
+programs do: ``fluid``, ``theory``, ``traces``, the claim table), a package
+``__init__`` resolves its heavy siblings on first access, and a worker child
+loads none of the parent-side runner until a spec arrives.  ``sys.modules``
+of the test process is no witness (pytest and the other tests have loaded
+everything), so every check here runs in a child interpreter and reads back
+what that child loaded.
 
 The second half pins what deferral must not change: the random streams, and
 that the planes now loaded on demand (multipod, faults, timeline, trace,
@@ -30,7 +32,7 @@ import pytest
 import repro
 from repro.analysis.fct import records_digest
 from repro.apps import ExperimentSpec, ObsSpec
-from repro.faults import LinkDegrade
+from repro.faults import LinkDegrade, RandomLinkDowns
 from repro.obs import TimelineSpec
 from repro.runner import ResultCache
 from repro.topology import MultiPodConfig
@@ -39,8 +41,8 @@ from repro.units import microseconds
 SRC = str(Path(repro.__file__).parents[1])
 PARENT_ENTRY = Path(__file__).parent / "golden" / "parent_cache_entry.pkl"
 
-#: Never loaded by ``from repro.apps import ExperimentSpec`` or ``import
-#: repro.runner``: numpy and the planes a spec has to name first.
+#: Never loaded by ``from repro.apps import ExperimentSpec``, ``import
+#: repro.runner`` or a plain run: numpy and the planes a spec has to name first.
 OPTIONAL = (
     "numpy",
     "repro.analysis.claims",
@@ -171,15 +173,68 @@ def test_a_worker_child_answers_ping_without_the_parent_side_runner():
     assert not loaded & {"numpy", "repro.apps", "repro.sim.kernel"}
 
 
-def test_a_plain_run_loads_numpy_and_still_no_optional_plane():
+def test_a_plain_run_loads_no_numpy_and_no_optional_plane():
     loaded = loaded_after(
         "from repro.apps import ExperimentSpec\n"
         "ExperimentSpec('conga', 'enterprise', load=0.5, num_flows=5,"
         " size_scale=0.02).run()"
     )
-    assert "numpy" in loaded
-    assert not loaded & (set(OPTIONAL) - {"numpy"})
+    assert "repro.sim.pcg64" in loaded
+    assert not loaded & set(OPTIONAL)
     assert not loaded & {"repro.faults", "repro.obs.timeline", "subprocess"}
+
+
+def _loaded_running(spec: ExperimentSpec) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``spec.run()``."""
+    code = (
+        "import base64, json, pickle, sys\n"
+        "pickle.loads(base64.b64decode(sys.stdin.read())).run()\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    blob = base64.b64encode(pickle.dumps(spec)).decode()
+    return set(json.loads(cold("-c", code, stdin=blob).stdout.splitlines()[-1]))
+
+
+def test_no_plane_loads_numpy():
+    # Multipod, faults, timeline and trace all at once ...
+    assert "numpy" not in _loaded_running(planes_spec())
+    # ... and the failed-link set drawn from a seeded stream.
+    random_links = ExperimentSpec(
+        "conga", "enterprise", load=0.5, seed=3, num_flows=6, size_scale=0.02,
+        faults=(RandomLinkDowns(time=0, count=2),),
+    )
+    loaded = _loaded_running(random_links)
+    assert "repro.topology.failures" in loaded and "numpy" not in loaded
+
+
+def test_a_worker_s_first_run_loads_no_numpy():
+    request = {
+        "op": "run", "id": 1,
+        "spec": base64.b64encode(pickle.dumps(ExperimentSpec(
+            "conga", "enterprise", load=0.5, num_flows=5, size_scale=0.02
+        ))).decode(),
+    }
+    code = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('repro.runner.worker', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    lines = cold("-c", code, stdin=json.dumps(request) + '\n{"op":"exit"}\n').stdout.splitlines()
+    assert json.loads(lines[0])["ok"]
+    loaded = set(json.loads(lines[-1]))
+    assert "repro.apps.spec" in loaded and "numpy" not in loaded
+
+
+def test_compiling_a_seed_plan_loads_no_numpy():
+    scenario = Path(SRC).parent / "scenarios" / "caft_recovery.yaml"
+    loaded = loaded_after(
+        "from repro.scenarios import load_scenario\n"
+        f"assert len(load_scenario({str(scenario)!r}).compile()) == 105"
+    )
+    assert "repro.scenarios.loader" in loaded and "numpy" not in loaded
 
 
 # -- a lazified package still looks like a package ---------------------------------

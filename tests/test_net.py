@@ -17,6 +17,7 @@ from repro.net import (
     connect,
 )
 from repro.sim import Simulator
+from repro.sim.pcg64 import PCG64Stream
 from repro.units import gbps, transmission_time
 
 
@@ -475,7 +476,8 @@ class _TimedReferencePort:
         self.now = self.seq = self.fired = 0
         self.heap = []
         self.log = []
-        self.up, self.lossy = True, False
+        self.up = True
+        self.loss, self.loss_rng = 0.0, PCG64Stream(_LOSS_SEED)
         self.waiting = []  # accepted, not yet serializing: [ident, size, start, finish]
         self.wire_finish = 0  # finish of the last packet that started
         self.busy = self.tx_packets = self.tx_bytes = 0
@@ -547,9 +549,11 @@ class _TimedReferencePort:
         ident, size = packet[:2]
         self.tx_packets += 1
         self.tx_bytes += size
-        if self.lossy or not self.up:
+        # The draw comes first, cable cut or not, and only for 0 < loss < 1.
+        lost = self.loss >= 1.0 or (self.loss > 0.0 and self.loss_rng.random() < self.loss)
+        if lost or not self.up:
             self.lost += 1
-            self.log.append(("drop", ident, "loss" if self.lossy else "link-down", self.now))
+            self.log.append(("drop", ident, "loss" if lost else "link-down", self.now))
         else:
             self._push(self.now + self.delay, "arrive", packet)
         if self.waiting:
@@ -574,6 +578,8 @@ class _DropLog:
 #: events on the chain's 100 ns grid and the tie-breaking is exercised.
 _RATES = [gbps(10), gbps(5), gbps(2), gbps(1)]
 _PERIOD, _HORIZON = 100, 30_000
+#: Entropy of the port's and the model's loss streams.
+_LOSS_SEED = 7
 _timed_ops = st.lists(
     st.one_of(
         st.tuples(
@@ -582,7 +588,7 @@ _timed_ops = st.lists(
         ),
         st.tuples(st.just("advance"), st.sampled_from([50, 100, 250, 400, 1000, 3000])),
         st.tuples(st.sampled_from(["fail", "restore"])),
-        st.tuples(st.just("loss"), st.sampled_from([0.0, 1.0])),
+        st.tuples(st.just("loss"), st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.9])),
         st.tuples(st.just("rate"), st.sampled_from(_RATES)),
     ),
     max_size=40,
@@ -612,6 +618,12 @@ class TestPortMatchesTimedModel:
         rate=gbps(10), capacity=None, delay=500,
         ops=[("send", 1500), ("loss", 1.0), ("fail",), ("advance", 1300), ("loss", 0.0)],
     )
+    # Probabilistic loss across a cut: every finish draws, down or up.
+    @example(
+        rate=gbps(10), capacity=None, delay=500,
+        ops=[("loss", 0.5), ("send", 1500), ("send", 1500), ("send", 1500), ("fail",),
+             ("advance", 2500), ("restore",), ("send", 1500), ("send", 1500)],
+    )
     # A rate change mid-train: the packet on the wire keeps the old rate, the
     # next one takes the new (5 Gbit/s is memoized, so a stale memo shows).
     @example(
@@ -629,6 +641,8 @@ class TestPortMatchesTimedModel:
         connect(port, peer, delay)
         port.on_transmit.append(lambda packet: log.append(("start", packet.flow_id, sim.now)))
         model = _TimedReferencePort(rate, capacity, delay, _PERIOD, _HORIZON)
+        # The port's loss stream and the model's: two streams, one entropy.
+        loss_rng = PCG64Stream(_LOSS_SEED)
 
         def tick(_):
             log.append((
@@ -666,8 +680,8 @@ class TestPortMatchesTimedModel:
                 port.restore()
                 model.up = True
             elif op == "loss":
-                port.set_loss(args[0])
-                model.lossy = args[0] == 1.0
+                port.set_loss(args[0], loss_rng)
+                model.loss = args[0]
             else:
                 port.set_rate(args[0])
                 model.set_rate(args[0])

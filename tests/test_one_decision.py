@@ -24,7 +24,6 @@ checks are relations between *different* code paths that must agree exactly:
 import functools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +36,7 @@ from repro.lb.conga import least_congested
 from repro.net import Packet
 from repro.obs import TimelineSpec, collect_run_metrics
 from repro.sim import Simulator
+from repro.sim.pcg64 import PCG64Stream
 from repro.topology import LeafSpineConfig, build_leaf_spine, scaled_testbed
 from repro.topology.multipod import MultiPodConfig
 from repro.units import gbps, microseconds
@@ -76,17 +76,17 @@ def test_shared_choice_matches_the_reference(scores, previous, seed, data):
             st.integers(0, 9), min_size=len(scores), max_size=len(scores), unique=True
         )
     )
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, theirs = PCG64Stream(seed), PCG64Stream(seed)
     assert least_congested(candidates, scores, previous, ours) == _reference(
         candidates, scores, previous, theirs
     )
     # Same number of draws: the generators are in the same state ...
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.state == theirs.state
     # ... and none at all when the minimum is unique or ``previous`` holds it.
     ties = [c for c, s in zip(candidates, scores) if s == min(scores)]
     if previous in ties:
-        untouched = np.random.default_rng(seed).bit_generator.state
-        assert ours.bit_generator.state == untouched
+        untouched = PCG64Stream(seed).state
+        assert ours.state == untouched
 
 
 TOPOLOGIES = {"leaf-spine": None, "multipod": MultiPodConfig()}
@@ -112,7 +112,7 @@ def test_healthy_caft_decides_as_conga_from_the_same_generator_state(
         table, stale_after = self.leaf.to_leaf_table, self._stale_after
         assert all(self.path_weight(dst_leaf, u) == 1.0 for u in candidates)
         assert all((table.age_of(dst_leaf, u) or 0) <= stale_after for u in candidates)
-        rng = self._rng.bit_generator
+        rng = self._rng
         before = rng.state
         conga = CongaSelector._decide(self, dst_leaf, candidates, previous, flow_id)
         after_conga = rng.state
@@ -142,7 +142,7 @@ def test_local_is_conga_over_a_to_leaf_table_nothing_wrote():
     fabric.finalize(LocalAwareSelector.factory())
     leaf = fabric.leaves[0]
     local, conga = leaf.selector, CongaSelector(leaf)
-    local._rng, conga._rng = np.random.default_rng(17), np.random.default_rng(17)
+    local._rng, conga._rng = PCG64Stream(17), PCG64Stream(17)
     uplinks = list(range(len(leaf.uplinks)))
     dice = random.Random(29)
     moved = 0
@@ -160,7 +160,7 @@ def test_local_is_conga_over_a_to_leaf_table_nothing_wrote():
         choice = local.choose_uplink(packet, 1, candidates)
         assert choice == conga.choose_uplink(packet, 1, candidates)
         moved += previous not in (-1, choice)
-    assert local._rng.bit_generator.state == conga._rng.bit_generator.state
+    assert local._rng.state == conga._rng.state
     assert conga.decisions > 100 and moved > 10
 
 

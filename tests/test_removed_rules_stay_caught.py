@@ -71,7 +71,7 @@ def _plant(monkeypatch, owner, name, old, new):
 
 # -- the plants: one typical regression per deleted rule --------------------------
 
-TIE_BREAK = "    return ties[int(rng.integers(len(ties)))]\n"
+TIE_BREAK = "    return ties[rng.integers(len(ties))]\n"
 TRAIN_COUNTERS = "        self.tx_packets += 1\n        self.tx_bytes += packet.size\n"
 
 

@@ -208,8 +208,9 @@ class TestRandomStreams:
         assert first == second
 
     def test_different_seeds_differ(self):
-        draws1 = Simulator(seed=1).rng("x").integers(2**30, size=8)
-        draws2 = Simulator(seed=2).rng("x").integers(2**30, size=8)
+        rng1, rng2 = Simulator(seed=1).rng("x"), Simulator(seed=2).rng("x")
+        draws1 = [rng1.integers(2**30) for _ in range(8)]
+        draws2 = [rng2.integers(2**30) for _ in range(8)]
         assert list(draws1) != list(draws2)
 
     def test_seed_property(self):
@@ -302,7 +303,7 @@ class TestDeterminism:
             def tick():
                 trace.append((sim.now, int(rng.integers(100))))
                 if sim.now < 1000:
-                    sim.schedule(int(rng.integers(1, 50)), tick)
+                    sim.schedule(1 + rng.integers(49), tick)
 
             sim.schedule(1, tick)
             sim.run()
