@@ -22,17 +22,22 @@ runs in seconds.  Scheme behaviour at this level:
 
 The FCT of a flow is its completion time under the evolving max-min
 allocation, normalized against the idle-network transfer time.
+
+Every draw — arrival gaps, sizes, endpoints, CONGA's tie order — comes
+from one :class:`~repro.sim.pcg64.PCG64Stream`, numpy's
+``default_rng(seed)`` stream in plain Python, so a flow-level run loads
+no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.fluid.model import water_fill
 from repro.net.hashing import stable_hash
+from repro.sim.pcg64 import PCG64Stream
 from repro.topology.leafspine import LeafSpineConfig
 from repro.workloads.distributions import FlowSizeDistribution
 
@@ -180,6 +185,12 @@ class FlowLevelSimulation:
             raise ValueError(f"unknown flow-level scheme {scheme!r}")
         if not 0 < load:
             raise ValueError(f"load must be positive, got {load}")
+        try:
+            num_flows = operator.index(num_flows)
+        except TypeError:
+            raise TypeError(f"num_flows must be an integer, got {num_flows!r}") from None
+        if num_flows < 0:
+            raise ValueError(f"num_flows must be non-negative, got {num_flows}")
         self.fabric = FlowLevelFabric(config)
         for leaf, spine, which in failed_links or []:
             self.fabric.fail_link(leaf, spine, which)
@@ -187,7 +198,7 @@ class FlowLevelSimulation:
         self.load = load
         self.scheme = scheme
         self.num_flows = num_flows
-        self.rng = np.random.default_rng(seed)
+        self.rng = PCG64Stream(seed)
         hosts = config.num_leaves * config.hosts_per_leaf
         self.clients = sorted(clients) if clients is not None else list(range(hosts))
         self.completed: list[CompletedFlow] = []
@@ -239,13 +250,27 @@ class FlowLevelSimulation:
 
     # -- main loop -------------------------------------------------------------------
 
+    def draw_arrivals_and_sizes(self) -> tuple[list[float], list[int]]:
+        """Every flow's arrival time, then every flow's size, from :attr:`rng`.
+
+        One draw at a time, summed and rounded as numpy's
+        ``cumsum(exponential(size=n))`` and
+        :meth:`~repro.workloads.FlowSizeDistribution.sample_many` do.
+        """
+        mean_gap = 1.0 / self.arrival_rate
+        arrivals = list(itertools.accumulate(
+            self.rng.exponential(mean_gap) for _ in range(self.num_flows)
+        ))
+        interp = self.workload.interp
+        sizes = [
+            max(1, int(interp(self.rng.uniform())))
+            for _ in range(self.num_flows)
+        ]
+        return arrivals, sizes
+
     def run(self) -> list[CompletedFlow]:
         """Run to completion of all flows; returns the completion records."""
-        arrivals = np.cumsum(
-            self.rng.exponential(1.0 / self.arrival_rate, size=self.num_flows)
-        )
-        hosts = self.fabric.config.num_leaves * self.fabric.config.hosts_per_leaf
-        sizes = self.workload.sample_many(self.rng, self.num_flows)
+        arrivals, sizes = self.draw_arrivals_and_sizes()
         active: list[ActiveFlow] = []
         now = 0.0
         next_arrival = 0
@@ -292,7 +317,7 @@ class FlowLevelSimulation:
         return self.completed
 
     def _spawn(
-        self, index: int, sizes: np.ndarray, now: float,
+        self, index: int, sizes: list[int], now: float,
         active: list[ActiveFlow],
     ) -> ActiveFlow:
         client = self.clients[int(self.rng.integers(len(self.clients)))]
@@ -305,7 +330,7 @@ class FlowLevelSimulation:
         server_leaf = other[int(self.rng.integers(len(other)))]
         per_leaf = self.fabric.config.hosts_per_leaf
         server = server_leaf * per_leaf + int(self.rng.integers(per_leaf))
-        size = int(sizes[index])
+        size = sizes[index]
         flow_id = next(self._ids)
         # Data flows server -> client, as in the paper's traffic generator.
         links = self._place(server, client, flow_id, active)

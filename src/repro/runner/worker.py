@@ -41,7 +41,10 @@ def _reply(out: IO[str], payload: dict[str, Any]) -> None:
 
 def _handle_init(message: dict[str, Any], out: IO[str]) -> None:
     try:
-        for item in message.get("workloads") or []:
+        workloads = message.get("workloads", [])
+        if not isinstance(workloads, list):
+            raise TypeError(f"workloads must be a list, got {workloads!r}")
+        for item in workloads:
             register_workload(
                 FlowSizeDistribution(
                     str(item["name"]),
@@ -82,9 +85,11 @@ def _handle_run(message: dict[str, Any], out: IO[str]) -> None:
 def serve(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
     """Process protocol messages until ``exit`` or EOF; returns exit code.
 
-    Malformed lines get a structured ``kind: "protocol"`` error reply
-    rather than killing the worker — the backend decides whether to keep
-    using it.
+    Every non-blank line gets exactly one reply.  A line that is not a JSON
+    object (nested too deep to parse included) or names no known ``op``
+    gets a ``kind: "protocol"`` error reply, and an ``init`` or ``run`` that
+    cannot be decoded or fails gets ``kind: "exception"``, rather than
+    killing the worker — the backend decides whether to keep using it.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -96,7 +101,7 @@ def serve(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
             message = json.loads(line)
             if not isinstance(message, dict):
                 raise ValueError(f"expected an object, got {message!r}")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             _reply(
                 stdout,
                 {"ok": False, "kind": "protocol",

@@ -1,5 +1,8 @@
 """Tests for the dynamic flow-level simulator."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,13 @@ from repro.fluid import (
     run_flow_level,
 )
 from repro.topology import TESTBED, scaled_testbed
-from repro.workloads import DATA_MINING, WEB_SEARCH
+from repro.workloads import (
+    DATA_MINING,
+    ENTERPRISE,
+    WEB_SEARCH,
+    WORKLOADS,
+    FlowSizeDistribution,
+)
 
 
 class TestFlowLevelFabric:
@@ -151,3 +160,102 @@ class TestSimulation:
             )
             results[scheme] = float(np.mean([c.normalized_fct for c in done]))
         assert results["conga"] == pytest.approx(results["ecmp"], rel=0.1)
+
+
+class TestNumFlows:
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "200", None])
+    def test_refuses_a_non_integer_count(self, bad):
+        with pytest.raises(TypeError, match="num_flows"):
+            FlowLevelSimulation(TESTBED, WEB_SEARCH, 0.5, num_flows=bad)
+
+    def test_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="num_flows"):
+            FlowLevelSimulation(TESTBED, WEB_SEARCH, 0.5, num_flows=-1)
+
+    def test_zero_flows_is_an_empty_run(self):
+        assert run_flow_level(TESTBED, WEB_SEARCH, 0.5, num_flows=0) == []
+
+
+def _records_digest(done) -> str:
+    h = hashlib.sha256()
+    for c in done:
+        h.update(repr((
+            c.flow_id, c.src, c.dst, c.size, c.fct.hex(), c.ideal_fct.hex()
+        )).encode())
+    return h.hexdigest()
+
+
+#: ``run_flow_level(scaled_testbed(), ENTERPRISE, 0.6, num_flows=150,
+#: seed=7, ...)``, recorded when the simulator drew from
+#: ``numpy.random.default_rng``.
+PARENT_DIGESTS = {
+    ("ecmp", False): "0f65009dcdb4835b43399f0e87a2de70ae483466d2f230402f902806f5c1a2fc",
+    ("ecmp", True): "429a5144c6e13bb97d978722bb18321bb3b3af76926947a5e671e3fc52c05fe2",
+    ("conga", False): "ccd389065f7673d4396d4e786c8b419985bc6eaf175b361cbf55efdc0b268681",
+    ("conga", True): "14b69e3e3b9759606f969c1c22d1aeb7257f931e0ce4c8d529a1779762646278",
+}
+
+
+class TestNumpyParity:
+    """The simulator draws from ``PCG64Stream`` what numpy's generator drew.
+
+    Arrivals and sizes against numpy's own vector calls, the size rounding
+    against ``np.interp``, a whole run against the same run on a numpy
+    ``Generator``, and the records against digests numpy's stream wrote.
+    """
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("seed", [0, 1, 3, 42, 2024])
+    def test_arrivals_and_sizes_are_numpy_s(self, name, seed):
+        workload = WORKLOADS[name]
+        sim = FlowLevelSimulation(
+            scaled_testbed(), workload, 0.6, num_flows=300, seed=seed
+        )
+        arrivals, sizes = sim.draw_arrivals_and_sizes()
+        rng = np.random.default_rng(seed)
+        expected_arrivals = np.cumsum(
+            rng.exponential(1.0 / sim.arrival_rate, size=300)
+        )
+        expected_sizes = workload.sample_many(rng, 300)
+        assert arrivals == expected_arrivals.tolist()
+        assert sizes == expected_sizes.tolist()
+        assert all(type(size) is int for size in sizes)
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            *(WORKLOADS[name] for name in sorted(WORKLOADS)),
+            # A flat CDF step and a first knot at 0: numpy keeps the last
+            # of equal knots.
+            FlowSizeDistribution(
+                "steps", ((0.5, 0.0), (10.0, 0.25), (20.0, 0.5), (30.0, 0.5), (45.0, 1.0))
+            ),
+        ],
+        ids=lambda workload: workload.name,
+    )
+    def test_interp_is_np_interp(self, workload):
+        knots = [cdf for _, cdf in workload.points]
+        probes = [
+            u
+            for knot in knots
+            for u in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 2.0))
+            if 0.0 <= u <= 1.0
+        ]
+        probes += np.random.default_rng(11).uniform(size=100_000).tolist()
+        expected = np.interp(probes, knots, [size for size, _ in workload.points])
+        assert [workload.interp(u) for u in probes] == expected.tolist()
+
+    @pytest.mark.parametrize("failed", [False, True])
+    @pytest.mark.parametrize("scheme", ["ecmp", "conga"])
+    def test_a_numpy_generator_runs_the_same_flows(self, scheme, failed):
+        kwargs = dict(
+            scheme=scheme, num_flows=150, seed=7,
+            failed_links=[(1, 1, 0)] if failed else None,
+        )
+        ours = run_flow_level(scaled_testbed(), ENTERPRISE, 0.6, **kwargs)
+        sim = FlowLevelSimulation(scaled_testbed(), ENTERPRISE, 0.6, **kwargs)
+        sim.rng = np.random.default_rng(7)
+        theirs = sim.run()
+        assert len(ours) == 150
+        assert ours == theirs
+        assert _records_digest(ours) == PARENT_DIGESTS[scheme, failed]

@@ -1,9 +1,10 @@
 """The import contract: a fresh process loads what it runs and nothing else.
 
 DESIGN.md "Import layering" makes three promises — building, running,
-collecting or caching a packet point imports no numpy (only the numpy
-programs do: ``fluid``, ``theory``, ``traces``, the claim table), a package
-``__init__`` resolves its heavy siblings on first access, and a worker child
+collecting or caching a packet point, or running a flow-level one, imports
+no numpy (only the numpy programs do: ``theory``, ``traces``, the claim
+table), a package ``__init__`` resolves its heavy siblings on first
+access, and a worker child
 loads none of the parent-side runner until a spec arrives.  ``sys.modules``
 of the test process is no witness (pytest and the other tests have loaded
 everything), so every check here runs in a child interpreter and reads back
@@ -226,6 +227,18 @@ def test_a_worker_s_first_run_loads_no_numpy():
     assert json.loads(lines[0])["ok"]
     loaded = set(json.loads(lines[-1]))
     assert "repro.apps.spec" in loaded and "numpy" not in loaded
+
+
+def test_a_flow_level_run_loads_no_numpy():
+    loaded = loaded_after(
+        "from repro.fluid import run_flow_level\n"
+        "from repro.topology import scaled_testbed\n"
+        "from repro.workloads import ENTERPRISE\n"
+        "done = run_flow_level(scaled_testbed(), ENTERPRISE, 0.6, num_flows=40)\n"
+        "assert len(done) == 40"
+    )
+    assert "repro.fluid.flowsim" in loaded and "repro.sim.pcg64" in loaded
+    assert "numpy" not in loaded
 
 
 def test_compiling_a_seed_plan_loads_no_numpy():

@@ -18,11 +18,15 @@ checks are relations between *different* code paths that must agree exactly:
   timeline series — against each other, on a run where pod spines reroute;
 * a fault that changes nothing (degrade to full rate, zero loss, down and
   up at one instant, down after the last completion) against the fault-free
-  run: the same records and port counts, one more event per applied fault.
+  run: the same records and port counts, one more event per applied fault;
+* ``dctcp`` and ``conga-dctcp`` with the ECN threshold K above every queue
+  against ``ecmp`` and ``conga``: with no CE mark ever set, DCTCP's window
+  is Reno's, on the leaf-spine and the 2-pod fabric.
 """
 
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,3 +302,28 @@ def test_counter_and_timeline_count_the_same_fault_reroutes():
     total = sum(by_tier.values())
     assert sum(live.timeline.fault_reroutes) == total
     assert collect_run_metrics(live).counters["lb.caft.fault_reroutes"] == total
+
+
+#: The fabrics of the degenerate-DCTCP oracle, by test id.
+_ECN_FABRICS = {"leaf-spine": scaled_testbed(), "multipod": MultiPodConfig()}
+
+
+def _ecn_outcome(scheme, fabric, threshold):
+    """``_outcome`` of one point with every port's ECN threshold at ``threshold``."""
+    config = replace(_ECN_FABRICS[fabric], ecn_threshold_bytes=threshold)
+    live = ExperimentSpec(
+        scheme, "enterprise", load=0.7, seed=5, num_flows=40, size_scale=0.05,
+        config=config,
+    ).run_live()
+    assert live.completed == 40
+    return _outcome(live)
+
+
+@pytest.mark.parametrize("fabric", list(_ECN_FABRICS))
+@pytest.mark.parametrize("dctcp, plain", [("dctcp", "ecmp"), ("conga-dctcp", "conga")])
+def test_dctcp_with_k_above_every_queue_is_its_reno_scheme(dctcp, plain, fabric):
+    unmarked = _ecn_outcome(plain, fabric, 10**12)
+    assert _ecn_outcome(dctcp, fabric, 10**12) == unmarked
+    # The same point with a K the queues reach: DCTCP reacts, so the
+    # relation above compares two transports, not one.
+    assert _ecn_outcome(dctcp, fabric, 10_000)[0] != unmarked[0]
