@@ -3,11 +3,10 @@
 Each row names
 
 * ``grid`` — what it reads: ``scenarios/*.yaml`` files compiled and run as
-  one :func:`repro.runner.run_sweep`, or one named function of
-  :data:`GRIDS`.  A function that returns a list returns specs, which run
-  the same way (it may register a scheme first: forked sweep workers
-  inherit it); any other return value is the result itself (the fluid,
-  theory and trace checks, which simulate no packets);
+  one :func:`repro.runner.run_sweep` (every packet grid, on built-in schemes
+  only, so any backend runs it), or one named function of :data:`GRIDS`,
+  whose result is read as is (the fluid, theory and trace checks, which
+  simulate no packets);
 * ``metric`` — an extractor of :data:`EXTRACTORS`, turning that result
   into a table ``{cell: {side: value}}``: one cell per load, fault cell or
   setting the claim holds at;
@@ -28,7 +27,7 @@ against earlier runs.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -38,12 +37,8 @@ import numpy as np
 from repro.analysis.degradation import fault_cell, recovery_matrix
 from repro.analysis.fct import relative_to
 from repro.analysis.report import print_table
-from repro.apps import ExperimentSpec, SchemeSpec, incast_throughput_percent, register_scheme
-from repro.apps.traffic import tcp_flow_factory
-from repro.core import CongaParams
-from repro.lb import CentralizedScheduler, CentralizedSelector, CongaSelector
-from repro.topology import scaled_testbed
-from repro.units import microseconds, milliseconds, to_milliseconds
+from repro.apps import incast_throughput_percent
+from repro.units import milliseconds, to_microseconds, to_milliseconds
 
 #: The committed scenario files a claim's ``grid`` names.
 SCENARIOS = Path(__file__).resolve().parents[3] / "scenarios"
@@ -98,18 +93,13 @@ class Claim:
 
 
 def run_grid(grid: tuple[str, ...]) -> Any:
-    """What a claim reads: a named function's result, or the grid's points."""
-    from repro.runner import run_sweep
-
+    """What a claim reads: a named function's result, or the files' points."""
     if grid[0] in GRIDS:
-        result = GRIDS[grid[0]]()
-        if not isinstance(result, list):
-            return result
-        specs = result
-    else:
-        from repro.scenarios import load_scenario
+        return GRIDS[grid[0]]()
+    from repro.runner import run_sweep
+    from repro.scenarios import load_scenario
 
-        specs = [s for name in grid for s in load_scenario(SCENARIOS / name).compile()]
+    specs = [s for name in grid for s in load_scenario(SCENARIOS / name).compile()]
     sweep = run_sweep(specs, cache=None)
     if sweep.failures:
         failure = sweep.failures[0]
@@ -189,94 +179,42 @@ def _unfinished(points) -> Table:
 
 # -- §3.6 / §7 ablation and §2.2 design space ---------------------------------
 
-#: The link-failure point both studies run on (clients under leaf 1).
-_FAILED_LINK = dict(
-    workload="data-mining", load=0.6, num_flows=150, size_scale=0.05, seed=7,
-    clients=range(8, 16), failed_links=[(1, 1, 0)],
-)
-
-#: §3.6's settings of Q, tau and T_fl, by the label the ablation prints.
-VARIANTS = {
-    "default (Q=3, tau=160us, Tfl=500us)": CongaParams(),
-    "Q=1": CongaParams(quantization_bits=1),
-    "Q=6": CongaParams(quantization_bits=6),
-    "tau=100us": CongaParams(dre_time_constant=microseconds(100), dre_period=microseconds(20)),
-    "tau=500us": CongaParams(dre_time_constant=microseconds(500), dre_period=microseconds(20)),
-    "Tfl=300us": CongaParams(flowlet_timeout=microseconds(300)),
-    "Tfl=1ms": CongaParams(flowlet_timeout=milliseconds(1)),
-    "Tfl=13ms (CONGA-Flow)": CongaParams(flowlet_timeout=milliseconds(13)),
-    # Figure 1's per-packet branch: a 1 us "flowlet" gap.
-    "Tfl=1us (per-packet)": CongaParams(flowlet_timeout=microseconds(1)),
-}
-_OTHER_VARIANTS = {"conga-sum": "sum path metric (7)", "ecmp": "ecmp (reference)"}
-
-#: Controller periods of the Hedera-style centralized scheduler (§2.2).
-HEDERA_PERIODS_MS = (1, 10, 100)
+#: CongaParams fields that count something; the other integers are durations.
+_COUNTS = ("quantization_bits", "flowlet_table_size")
 
 
-class SumMetricCongaSelector(CongaSelector):
-    """§7 variant: path metric is local + remote instead of max."""
+def _variant(p) -> str:
+    """A point's row label, read off its spec.
 
-    name = "conga-sum"
-
-    def path_metric(self, dst_leaf: int, uplink: int) -> int:
-        local = self.leaf.local_metric(uplink)
-        remote = self.leaf.to_leaf_table.metric(dst_leaf, uplink)
-        return local + remote
-
-
-def ablation_parameters() -> list[ExperimentSpec]:
-    """§3.6: the stock ``conga`` scheme under each parameter block, + §7."""
-    register_scheme(
-        SchemeSpec("conga-sum", lambda: SumMetricCongaSelector, tcp_flow_factory),
-        replace=True,
-    )
-    template = ExperimentSpec("conga", **_FAILED_LINK)
-    return [template.with_(config=scaled_testbed(params=p)) for p in VARIANTS.values()] + [
-        template.with_(scheme=scheme) for scheme in _OTHER_VARIANTS
-    ]
-
-
-def design_space() -> list[ExperimentSpec]:
-    """§2.2: static, local, centralized at three periods, and CONGA."""
-    for ms in HEDERA_PERIODS_MS:
-        register_scheme(
-            SchemeSpec(
-                f"hedera-{ms}ms",
-                lambda: CentralizedSelector,
-                tcp_flow_factory,
-                post_setup=lambda sim, fabric, ms=ms: CentralizedScheduler(
-                    sim, fabric, interval=milliseconds(ms)
-                ),
-            ),
-            replace=True,
-        )
-    template = ExperimentSpec("ecmp", **_FAILED_LINK)
-    return [
-        template.with_(scheme=scheme)
-        for scheme in ("ecmp", "local", "conga", *(f"hedera-{ms}ms" for ms in HEDERA_PERIODS_MS))
-    ]
-
-
-def _ablation_label(p) -> str:
+    ``hedera-10ms`` for ``hedera``; for ``conga``, the params fields set off
+    §3.6's defaults (``flowlet_timeout=300us``), or ``conga`` if none; else
+    the scheme.
+    """
+    config = p.spec.config
+    if p.scheme == "hedera":
+        return f"hedera-{to_milliseconds(config.controller_period):g}ms"
     if p.scheme != "conga":
-        return _OTHER_VARIANTS[p.scheme]
-    return next(label for label, params in VARIANTS.items() if params == p.spec.config.params)
+        return p.scheme
+    changed = []
+    for f in fields(config.params):
+        value = getattr(config.params, f.name)
+        if value != f.default:
+            if isinstance(value, int) and f.name not in _COUNTS:
+                value = f"{to_microseconds(value):g}us"
+            changed.append(f"{f.name}={value}")
+    return ", ".join(changed) or "conga"
 
 
-def _fct_by(label: Callable) -> Callable:
-    """``{label: {"fct": its FCT, <every label>: that label's FCT}}``."""
-
-    def extract(points) -> Table:
-        fct = {label(p): _mean_fct(p) for p in points}
-        return {name: {"fct": value, **fct} for name, value in fct.items()}
-
-    return extract
+def _variant_fct(points) -> Table:
+    """``{variant: {"fct": its FCT, <every variant>: that variant's FCT}}``."""
+    fct = {_variant(p): _mean_fct(p) for p in points}
+    return {name: {"fct": value, **fct} for name, value in fct.items()}
 
 
-def _print_vs(points, label: Callable, title: str, header: list[str], reference: str) -> None:
-    fct = {label(p): _mean_fct(p) for p in points}
-    print_table(title, header, [[k, v, v / fct[reference]] for k, v in fct.items()])
+def _print_vs(points, title: str, header: list[str]) -> None:
+    """One row per variant: its FCT, and that relative to default ``conga``."""
+    fct = {_variant(p): _mean_fct(p) for p in points}
+    print_table(title, header, [[k, v, v / fct["conga"]] for k, v in fct.items()])
 
 
 # -- CAFT recovery matrix -----------------------------------------------------
@@ -820,8 +758,6 @@ def _print_thm2(result) -> None:
 
 #: The named grid functions a claim's ``grid`` may name.
 GRIDS: dict[str, Callable[[], Any]] = {
-    "ablation_parameters": ablation_parameters,
-    "design_space": design_space,
     "fig2": fig2,
     "fig3": fig3,
     "fig5": fig5,
@@ -843,8 +779,7 @@ EXTRACTORS: dict[str, Callable[[Any], Table]] = {
     "incast_percent": lambda points: {"throughput %": {
         p.scheme: incast_throughput_percent(p) for p in points
     }},
-    "ablation_fct": _fct_by(_ablation_label),
-    "design_fct": _fct_by(lambda p: p.scheme),
+    "variant_fct": _variant_fct,
     "recovery_fct": _recovery_stat("fct"),
     "recovery_retained": _recovery_stat("retained"),
     "recovery_timeouts": _recovery_stat("timeouts"),
@@ -930,16 +865,14 @@ def _rows_of(title: str, header: list[str], view: Callable = lambda r: r) -> Cal
 FIGURES: dict[tuple[str, ...], Callable[[Any], None]] = {
     ("ablation_dctcp_fct.yaml",): _print_dctcp_fct,
     ("ablation_dctcp_incast.yaml",): _print_dctcp_incast,
-    ("ablation_parameters",): lambda points: _print_vs(
-        points, _ablation_label,
-        "Ablation (3.6/7): CONGA variants, data-mining @60%, failed link",
-        ["variant", "avg FCT (norm)", "vs default"], "default (Q=3, tau=160us, Tfl=500us)",
+    ("ablation_parameters.yaml", "design_space.yaml"): lambda points: _print_vs(
+        points, "Ablation (3.6/7): CONGA variants, data-mining @60%, failed link",
+        ["variant", "avg FCT (norm)", "vs default"],
     ),
     ("caft_recovery.yaml",): _print_recovery,
-    ("design_space",): lambda points: _print_vs(
-        points, lambda p: p.scheme,
-        "Design space (2.2): data-mining @60%, failed link — avg FCT (norm)",
-        ["scheme", "avg FCT", "vs conga"], "conga",
+    ("design_space.yaml", "design_hedera.yaml"): lambda points: _print_vs(
+        points, "Design space (2.2): data-mining @60%, failed link — avg FCT (norm)",
+        ["scheme", "avg FCT", "vs conga"],
     ),
     ("fig10_datamining.yaml",): lambda points: _fct_panels(points, "10", "ab"),
     ("fig11_enterprise.yaml", "fig11_datamining.yaml"): _print_fig11,
@@ -976,9 +909,11 @@ def _figure(anchor: str, *grid: str) -> Callable[..., Claim]:
 
 _on_dctcp = _figure("§5 + DCTCP [4]: fabric queue and FCT", "ablation_dctcp_fct.yaml")
 _on_dctcp_incast = _figure("§5 + DCTCP [4]: incast at a 1 MB buffer", "ablation_dctcp_incast.yaml")
-_on_ablation = _figure("§3.6 parameter robustness, §7 path metric", "ablation_parameters")
+_on_ablation = _figure(
+    "§3.6 parameter robustness, §7 path metric", "ablation_parameters.yaml", "design_space.yaml"
+)
 _on_caft = _figure("CAFT (PAPERS.md) on the 3-tier Clos", "caft_recovery.yaml")
-_on_design = _figure("§2.2 Fig. 1 design space", "design_space")
+_on_design = _figure("§2.2 Fig. 1 design space", "design_space.yaml", "design_hedera.yaml")
 _on_fig10 = _figure("§5.2 Fig. 10a", "fig10_datamining.yaml")
 _on_fig11 = _figure("§5.3 Fig. 11a/b", "fig11_enterprise.yaml", "fig11_datamining.yaml")
 _on_fig11c = _figure("§5.3 Fig. 11c", "fig11_hotspot.yaml")
@@ -999,9 +934,11 @@ _on_thm2 = _figure("§6.2 Thm. 2", "thm2")
 
 _BROWNOUTS = ("leaf-brownout/x1", "leaf-brownout/x2", "core-brownout/x1", "core-brownout/x2")
 _HOLES = ("core-blackhole/x1", "core-blackhole/x2")
-_DEFAULT = "default (Q=3, tau=160us, Tfl=500us)"
-_RECOMMENDED = ("Q=6", "tau=100us", "tau=500us", "Tfl=300us", "Tfl=1ms")
-_HEDERA = tuple(f"hedera-{ms}ms" for ms in HEDERA_PERIODS_MS)
+_RECOMMENDED = (
+    "quantization_bits=6", "dre_time_constant=100us", "dre_time_constant=500us",
+    "flowlet_timeout=300us", "flowlet_timeout=1000us",
+)
+_HEDERA = ("hedera-1ms", "hedera-10ms", "hedera-100ms")
 
 #: Every claim, grouped by grid in a fixed order (module doc).
 CLAIMS: tuple[Claim, ...] = (
@@ -1013,14 +950,14 @@ CLAIMS: tuple[Claim, ...] = (
     _on_dctcp_incast("dctcp.incast-beats-tcp", "incast_percent", ("conga-dctcp", "conga"), ">"),
     _on_dctcp_incast("dctcp.incast-above-80", "incast_percent", ("conga-dctcp", 80.0), ">"),
     # §3.6: "fairly robust" over Q = 3-6, tau = 100-500 us, T_fl = 300 us-1 ms.
-    _on_ablation("ablation.recommended-within-1.3x", "ablation_fct", ("fct", _DEFAULT), "<", 1.3,
+    _on_ablation("ablation.recommended-within-1.3x", "variant_fct", ("fct", "conga"), "<", 1.3,
               cells=_RECOMMENDED),
-    _on_ablation("ablation.recommended-beat-ecmp", "ablation_fct", ("fct", "ecmp (reference)"),
+    _on_ablation("ablation.recommended-beat-ecmp", "variant_fct", ("fct", "ecmp"),
               cells=_RECOMMENDED),
-    _on_ablation("ablation.sum-metric-beats-ecmp", "ablation_fct", ("fct", "ecmp (reference)"),
-              cells=("sum path metric (7)",)),
-    _on_ablation("ablation.per-packet-beats-ecmp", "ablation_fct", ("fct", "ecmp (reference)"),
-              cells=("Tfl=1us (per-packet)",)),
+    _on_ablation("ablation.sum-metric-beats-ecmp", "variant_fct", ("fct", "ecmp"),
+              cells=("path_metric=sum",)),
+    _on_ablation("ablation.per-packet-beats-ecmp", "variant_fct", ("fct", "ecmp"),
+              cells=("flowlet_timeout=1us",)),
     # CAFT: a brownout is asymmetry feedback can see (caft >= conga >= ecmp);
     # a black hole drains its own congestion signal (caft > ecmp > conga).
     _on_caft("caft.brownout-fct-order", "recovery_fct", ("caft", "conga", "ecmp"),
@@ -1036,11 +973,11 @@ CLAIMS: tuple[Claim, ...] = (
           cells=_HOLES),
     _on_caft("caft.faults-localized-to-tier", "recovery_asym", ("asym", 0.0), ">"),
     # §2.2: a centralized scheduler's pins arrive late at any period.
-    _on_design("design.conga-ahead", "design_fct", ("fct", "conga"), ">", 1.1,
+    _on_design("design.conga-ahead", "variant_fct", ("fct", "conga"), ">", 1.1,
             cells=("ecmp", "local", *_HEDERA)),
-    _on_design("design.hedera-no-better-than-ecmp", "design_fct", ("fct", "ecmp"), "<=", 1.1,
+    _on_design("design.hedera-no-better-than-ecmp", "variant_fct", ("fct", "ecmp"), "<=", 1.1,
             cells=_HEDERA),
-    _on_design("design.hedera-behind-conga", "design_fct", ("fct", "conga"), ">=", cells=_HEDERA),
+    _on_design("design.hedera-behind-conga", "variant_fct", ("fct", "conga"), ">=", cells=_HEDERA),
     _on_fig10("fig10.conga-beats-ecmp-high-load", "mean_fct", ("conga", "ecmp"),
            cells=("data-mining @0.7", "data-mining @0.9")),
     _on_fig10("fig10.conga-15pct-better-at-90", "mean_fct", ("conga", "ecmp"), "<", 0.85,

@@ -19,7 +19,9 @@ scheme definitions mirror §5's comparison set:
   engages and it degenerates to plain Reno);
 * ``conga-dctcp`` — CONGA in the fabric, DCTCP at the hosts, switches
   CE-marking at K = 100 KB unless the topology sets its own threshold (the
-  DCTCP ablation).
+  DCTCP ablation);
+* ``hedera`` — §2.2's centralized foil: ECMP plus elephant pins a
+  controller re-plans every ``controller_period`` of the topology config.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def register_scheme(spec: SchemeSpec, *, replace: bool = False) -> SchemeSpec:
     """Add ``spec`` to the scheme registry under ``spec.name``.
 
     Registering a name that already exists raises unless ``replace=True``
-    (benchmarks that re-register parameterized variants pass it).  Returns
+    (tests that re-register a variant pass it).  Returns
     the spec so registration can be used inline.
     """
     if not replace and spec.name in SCHEMES:
@@ -146,7 +148,9 @@ for _spec in (
         "hedera",
         lambda: CentralizedSelector,
         tcp_flow_factory,
-        post_setup=lambda sim, fabric: CentralizedScheduler(sim, fabric),
+        post_setup=lambda sim, fabric: CentralizedScheduler(
+            sim, fabric, interval=fabric.config.controller_period
+        ),
     ),
 ):
     register_scheme(_spec)

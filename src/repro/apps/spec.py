@@ -37,6 +37,7 @@ from repro.analysis.fct import FctSummary
 from repro.analysis.monitors import ImbalanceSeries, QueueSeries
 from repro.apps.experiment import ExperimentResult, get_scheme
 from repro.apps.traffic import PoissonTraffic, Traffic
+from repro.core.params import HASH_NEUTRAL_DEFAULT
 from repro.core.series import DEFAULT_SERIES_LIMIT
 from repro.obs.config import ObsSpec
 from repro.obs.metrics import MetricsReport, collect_run_metrics
@@ -183,11 +184,6 @@ def _sampler(interval: int) -> "TimelineSpec":
     from repro.obs.timeline import TimelineSpec
 
     return TimelineSpec(interval=interval, limit=DEFAULT_SERIES_LIMIT)
-
-
-#: Field metadata of a field added after hashes were pinned: at its default
-#: it is left out of :func:`_canonical`, so older hashes stay reachable.
-HASH_NEUTRAL_DEFAULT = {"hash_neutral_default": True}
 
 
 def _canonical(value):

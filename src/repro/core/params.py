@@ -8,9 +8,18 @@ one decision per flow while still using congestion metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.units import microseconds, milliseconds
+
+#: Field metadata of a value field added after spec hashes were pinned: at
+#: its default it is left out of the content hash (``repro.apps.spec``), so
+#: older hashes stay reachable.
+HASH_NEUTRAL_DEFAULT = {"hash_neutral_default": True}
+
+#: The ``hedera`` scheme's controller period (``lb/centralized.py``) unless the
+#: topology config sets its ``controller_period``.
+DEFAULT_CONTROLLER_PERIOD = milliseconds(10)
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,9 @@ class CongaParams:
     metric_age_time:
         A Congestion-To-Leaf entry not refreshed for this long decays toward
         zero so stale congestion is eventually re-probed (§3.3).
+    path_metric:
+        A path's score from its local and remote metrics: ``"max"`` (§3.5)
+        or ``"sum"`` (§7's alternative, PoA 4/3 against max's 2).
     """
 
     quantization_bits: int = 3
@@ -41,6 +53,7 @@ class CongaParams:
     flowlet_timeout: int = microseconds(500)
     flowlet_table_size: int = 65_536
     metric_age_time: int = milliseconds(10)
+    path_metric: str = field(default="max", metadata=HASH_NEUTRAL_DEFAULT)
 
     def __post_init__(self) -> None:
         if not 1 <= self.quantization_bits <= 8:
@@ -53,6 +66,8 @@ class CongaParams:
             raise ValueError("flowlet timeout must be positive")
         if self.flowlet_table_size <= 0:
             raise ValueError("flowlet table size must be positive")
+        if self.path_metric not in ("max", "sum"):
+            raise ValueError(f"path_metric must be 'max' or 'sum', got {self.path_metric!r}")
 
     @property
     def alpha(self) -> float:
@@ -81,4 +96,5 @@ DEFAULT_PARAMS = CongaParams()
 CONGA_FLOW_PARAMS = CongaParams(flowlet_timeout=milliseconds(13))
 
 
-__all__ = ["CONGA_FLOW_PARAMS", "CongaParams", "DEFAULT_PARAMS"]
+__all__ = ["CONGA_FLOW_PARAMS", "CongaParams", "DEFAULT_CONTROLLER_PERIOD", "DEFAULT_PARAMS",
+           "HASH_NEUTRAL_DEFAULT"]

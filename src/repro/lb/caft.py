@@ -11,7 +11,8 @@ balancing needs an explicit fault-awareness signal in three tiers.
 
 :class:`CaftSelector` implements that as a CONGA extension:
 
-* the §3.5 rule ``min over uplinks of max(local, remote)`` is weighted by
+* the §3.5 rule, the least path score (CONGA's combiner, see
+  :meth:`~repro.lb.conga.CongaSelector.path_scores`), is weighted by
   each path's *residual capacity* — the product of the uplink's own
   liveness/loss/rate residual and the downstream switch's
   :meth:`~repro.switch.spine.SpineSwitch.path_health` toward the
@@ -133,11 +134,10 @@ class CaftSelector(CongaSelector):
         self, dst_leaf: int, candidates: list[int], previous: int, flow_id: int = -1
     ) -> int:
         leaf = self.leaf
-        table = leaf.to_leaf_table
         now = leaf.sim._now
-        local_metrics = [leaf.local_metric(uplink) for uplink in candidates]
-        remote_metrics = [table.metric(dst_leaf, uplink) for uplink in candidates]
-        metrics = [max(lo, rm) for lo, rm in zip(local_metrics, remote_metrics)]
+        _local, _remote, metrics = self.path_scores(dst_leaf, candidates)
+        # The table path_scores just read through the checked property.
+        table = leaf.tep.to_leaf_table
         healths = [self.path_weight(dst_leaf, uplink) for uplink in candidates]
         scores = _weighted(metrics, healths)
         probes = set()

@@ -17,20 +17,21 @@ point faithfully enough to measure its reaction-time sensitivity:
   uplink whose 2-hop path (leaf uplink + spine's downlinks toward the
   destination leaf) has the most spare estimated capacity.
 
-The ablation benchmark sweeps ``interval`` to reproduce the argument: a
-controller at 100 ms is no better than ECMP for flows that live less than
-its period, while millisecond-scale rescheduling approaches CONGA.
+The design-space claims sweep the period (the topology config's
+``controller_period``) to reproduce the argument: a controller at 100 ms is
+no better than ECMP for flows that live less than its period, while
+millisecond-scale rescheduling approaches CONGA.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.params import DEFAULT_CONTROLLER_PERIOD
 from repro.lb.base import UplinkSelector
 from repro.lb.ecmp import ecmp_hash
 from repro.net.packet import Packet
 from repro.sim.kernel import PeriodicTimer
-from repro.units import milliseconds
 
 if TYPE_CHECKING:
     from repro.sim import Simulator
@@ -89,7 +90,7 @@ class CentralizedScheduler:
         sim: "Simulator",
         fabric: "Fabric",
         *,
-        interval: int = milliseconds(10),
+        interval: int = DEFAULT_CONTROLLER_PERIOD,
         elephant_fraction: float = 0.1,
     ) -> None:
         if interval <= 0:

@@ -1,11 +1,12 @@
 """CONGA and related congestion-aware uplink selectors.
 
 :class:`CongaSelector` is the paper's mechanism (§3.5): on the first packet
-of each flowlet, pick the uplink minimizing ``max(local DRE metric,
-remote Congestion-To-Leaf metric)``; among ties prefer the uplink cached in
-the (expired) flowlet entry so a flow only moves when a strictly better path
-exists, otherwise pick uniformly at random.  Subsequent packets of an active
-flowlet reuse the cached uplink.  The choice itself is :func:`least_congested`.
+of each flowlet, pick the uplink minimizing ``max(local DRE metric, remote
+Congestion-To-Leaf metric)`` (§7's sum under ``CongaParams.path_metric``);
+among ties prefer the uplink cached in the (expired) flowlet entry so a flow
+only moves when a strictly better path exists, otherwise pick uniformly at
+random.  Subsequent packets of an active flowlet reuse the cached uplink.
+The choice itself is :func:`least_congested`.
 
 :class:`CongaFlowSelector` is CONGA-Flow from §5: identical logic with a
 flowlet timeout larger than any path latency, i.e. one congestion-aware
@@ -19,7 +20,8 @@ the slow path look idle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import operator
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.flowlet import FlowletTable
 from repro.core.params import CONGA_FLOW_PARAMS, CongaParams
@@ -63,12 +65,18 @@ class CongaSelector(UplinkSelector):
         self.flowlets = FlowletTable(leaf.sim, self.params)
         self._rng = leaf.sim.rng(f"{self.stream}-{leaf.leaf_id}")
         self.decisions = 0
+        #: The path score of one (local, remote) metric pair.
+        self._combine: Callable[[int, int], int] = (
+            max if self.params.path_metric == "max" else operator.add
+        )
 
-    def path_metric(self, dst_leaf: int, uplink: int) -> int:
-        """max(local congestion on ``uplink``, remote metric of its paths)."""
-        local = self.leaf.local_metric(uplink)
-        remote = self.leaf.to_leaf_table.metric(dst_leaf, uplink)
-        return max(local, remote)
+    def path_scores(self, dst_leaf: int, candidates: list[int]) -> tuple[list, list, list]:
+        """Per candidate: the local metric, the remote metric and their score."""
+        leaf = self.leaf
+        table = leaf.to_leaf_table
+        local = [leaf.local_metric(uplink) for uplink in candidates]
+        remote = [table.metric(dst_leaf, uplink) for uplink in candidates]
+        return local, remote, list(map(self._combine, local, remote))
 
     def choose_uplink(self, packet: Packet, dst_leaf: int, candidates: list[int]) -> int:
         entry = self.flowlets.lookup(packet._five_tuple or packet.five_tuple)
@@ -85,10 +93,7 @@ class CongaSelector(UplinkSelector):
         self, dst_leaf: int, candidates: list[int], previous: int, flow_id: int = -1
     ) -> int:
         leaf = self.leaf
-        table = leaf.to_leaf_table
-        local_metrics = [leaf.local_metric(uplink) for uplink in candidates]
-        remote_metrics = [table.metric(dst_leaf, uplink) for uplink in candidates]
-        metrics = [max(lo, rm) for lo, rm in zip(local_metrics, remote_metrics)]
+        local_metrics, remote_metrics, metrics = self.path_scores(dst_leaf, candidates)
         choice = least_congested(candidates, metrics, previous, self._rng)
         tracer = leaf.sim.tracer
         if tracer is not None and tracer.flowlet:

@@ -14,7 +14,7 @@ The schema mirrors the value objects one-to-one (see EXPERIMENTS.md,
       size_scale: 0.05
       deadline: 20s           # durations take ns/us/ms/s suffixes
       tcp: {min_rto: 200ms}
-      topology: {hosts_per_leaf: 32, host_queue_bytes: 8MB}
+      topology: {hosts_per_leaf: 32, params: {flowlet_timeout: 300us}}
       faults: ["link_down@0.1s:l1-s1"]
       traffic: {poisson: {burst_bytes: 64KB}}   # paced senders; or incast / hdfs
     grid:
@@ -23,6 +23,7 @@ The schema mirrors the value objects one-to-one (see EXPERIMENTS.md,
       seeds: {base: 31, count: 5}   # or an explicit list: [1, 2, 3]
       tcp: [{min_rto: 200ms}, {min_rto: 1ms}]   # an axis over a template key
       faults: [[], ["link_down@1ms:l1-s1"]]       # healthy, then faulted
+      topology: [{controller_period: 1ms}, {controller_period: 100ms}]
     workloads:                # inline CDFs, registered on validate()
       my-mix:
         points: [[1000, 0.5], [1000000, 1.0]]
@@ -38,9 +39,11 @@ exists once.  A ``topology`` section containing any multipod-only key
 (``num_pods``, ``leaves_per_pod``, ``spines_per_pod``, ``num_cores``,
 ``core_rate_bps``) compiles a 3-tier
 :class:`~repro.topology.multipod.MultiPodConfig` instead of a
-:class:`LeafSpineConfig`.  ``traffic`` names one shape of
+:class:`LeafSpineConfig`; its ``params`` mapping is the fabric's
+:class:`~repro.core.params.CongaParams`.  ``traffic`` names one shape of
 :mod:`repro.apps.traffic` by its only key.  Besides the four classic axes a
-grid may sweep ``failed_links``, ``faults``, ``tcp`` and ``traffic``: each entry is
+grid may sweep ``failed_links``, ``faults``, ``tcp``, ``traffic`` and
+``topology``: each entry is
 parsed and range-checked as that template key would be, against the rest
 of the template.
 
@@ -69,6 +72,7 @@ from repro.apps.spec import (
     get_workload,
 )
 from repro.apps.traffic import HdfsTraffic, IncastTraffic, PoissonTraffic
+from repro.core.params import CongaParams
 from repro.faults.events import (
     FaultEvent,
     FeedbackLoss,
@@ -347,6 +351,19 @@ def _section(section: _Section) -> _Parser:
     return partial(_build_section, section)
 
 
+_PARAMS = _Section(
+    CongaParams,
+    {
+        "quantization_bits": _int(),
+        "dre_time_constant": _duration(),
+        "dre_period": _duration(),
+        "flowlet_timeout": _duration(),
+        "flowlet_table_size": _int(),
+        "metric_age_time": _duration(),
+        "path_metric": _str,
+    },
+)
+
 _FABRIC_KEYS: dict[str, _Parser] = {  # shared by both topology tables
     "hosts_per_leaf": _int(),
     "links_per_pair": _int(),
@@ -356,6 +373,8 @@ _FABRIC_KEYS: dict[str, _Parser] = {  # shared by both topology tables
     "fabric_queue_bytes": _or_none(_size, keep=True),
     "ecn_threshold_bytes": _or_none(_size, keep=True),
     "propagation_delay": _duration(),
+    "params": _section(_PARAMS),
+    "controller_period": _duration(minimum=1),
 }
 _LEAF_SPINE = _Section(
     LeafSpineConfig,
@@ -601,6 +620,7 @@ _AXIS_FIELDS = {
     "faults": "faults",
     "tcp": "tcp_params",
     "traffic": "traffic",
+    "topology": "config",
 }
 
 _SEED_PLAN = _Section(

@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.apps.spec import HASH_NEUTRAL_DEFAULT, ExperimentSpec, _canonical, get_workload
+from repro.apps.spec import ExperimentSpec, _canonical, get_workload
+from repro.core.params import HASH_NEUTRAL_DEFAULT
 from repro.runner.sweep import derive_seeds, sweep_grid
 from repro.workloads import FlowSizeDistribution, register_workload
 

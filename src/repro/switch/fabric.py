@@ -50,8 +50,11 @@ def _member(members: list, index: int, what: str, where: str):
 class Fabric:
     """All nodes of one simulated datacenter fabric."""
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self, sim: "Simulator", config=None) -> None:
         self.sim = sim
+        #: The topology config the builder wired this fabric from (None when
+        #: wired by hand); ``hedera``'s scheduler reads its period from it.
+        self.config = config
         #: Whether fabric ports run their DRE (and so stamp CE) and the TEPs
         #: run the feedback loop.  Off until a reader of that state appears;
         #: switch it on with :meth:`require_congestion_plane`, never directly.

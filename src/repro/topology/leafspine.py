@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.params import CongaParams, DEFAULT_PARAMS
+from repro.core.params import (
+    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS, HASH_NEUTRAL_DEFAULT,
+)
 from repro.net.node import Host
 from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
 from repro.sim import Simulator
@@ -46,6 +48,8 @@ class LeafSpineConfig:
     ecn_threshold_bytes: int | None = None
     propagation_delay: int = DEFAULT_PROPAGATION_DELAY
     params: CongaParams = DEFAULT_PARAMS
+    #: The ``hedera`` scheme's controller period; other schemes ignore it.
+    controller_period: int = field(default=DEFAULT_CONTROLLER_PERIOD, metadata=HASH_NEUTRAL_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.num_leaves < 1 or self.num_spines < 1:
@@ -54,6 +58,8 @@ class LeafSpineConfig:
             raise ValueError("need at least one host per leaf")
         if self.links_per_pair < 1:
             raise ValueError("need at least one link per leaf-spine pair")
+        if self.controller_period <= 0:
+            raise ValueError(f"controller_period must be positive, got {self.controller_period}")
 
     @property
     def uplinks_per_leaf(self) -> int:
@@ -172,7 +178,7 @@ def wire_pod(
 
 def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabric:
     """Construct a Leaf-Spine fabric; call ``fabric.finalize(...)`` after."""
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, config)
     fabric.spines = [
         SpineSwitch(sim, spine_id, fabric, config.params)
         for spine_id in range(config.num_spines)

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.params import CongaParams, DEFAULT_PARAMS
+from repro.core.params import (
+    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS, HASH_NEUTRAL_DEFAULT,
+)
 from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
 from repro.sim import Simulator
 from repro.switch.fabric import Fabric
@@ -59,12 +61,16 @@ class MultiPodConfig:
     ecn_threshold_bytes: int | None = None
     propagation_delay: int = DEFAULT_PROPAGATION_DELAY
     params: CongaParams = DEFAULT_PARAMS
+    #: The ``hedera`` scheme's controller period; other schemes ignore it.
+    controller_period: int = field(default=DEFAULT_CONTROLLER_PERIOD, metadata=HASH_NEUTRAL_DEFAULT)
 
     def __post_init__(self) -> None:
         if min(self.num_pods, self.leaves_per_pod, self.spines_per_pod) < 1:
             raise ValueError("need at least one pod, leaf, and spine")
         if self.hosts_per_leaf < 1 or self.num_cores < 1:
             raise ValueError("need at least one host per leaf and one core")
+        if self.controller_period <= 0:
+            raise ValueError(f"controller_period must be positive, got {self.controller_period}")
 
 
 def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> Fabric:
@@ -77,7 +83,7 @@ def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> Fabr
     """
     if config is None:
         config = MultiPodConfig()
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, config)
     fabric.cores = [
         SpineSwitch(sim, core_id, fabric, config.params, name=f"core{core_id}")
         for core_id in range(config.num_cores)

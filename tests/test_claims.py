@@ -1,20 +1,30 @@
 """The claim table cannot rot while ``benchmarks/`` sits outside tier-1.
 
 ``benchmarks/test_claims.py`` runs every row of
-:data:`repro.analysis.claims.CLAIMS` (minutes); this file checks, in well
-under a second, that every name a row holds resolves: its grid (scenario
-files that load and compile, or a named grid function), its extractor, its
-relation and the tables it prints.  It also pins how a row reads its
-margins.
+:data:`repro.analysis.claims.CLAIMS` (minutes); this file checks, mostly in
+well under a second, that every name a row holds resolves: its grid
+(scenario files that load and compile, or a named grid function), its
+extractor, its relation, the tables it prints and the cells it names.  It
+also pins how a row reads its margins, that every packet grid runs on
+built-in schemes only, and that one point of each such grid gives the same
+records through ``SubprocessBackend`` as inline.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.claims import (
-    CLAIMS, EXTRACTORS, FIGURES, GRIDS, RELATIONS, SCENARIOS, Claim,
+    CLAIMS, EXTRACTORS, FIGURES, GRIDS, RELATIONS, SCENARIOS, Claim, _variant,
 )
+from repro.runner import run_sweep
+from repro.runner.backends import SubprocessBackend
 
 yaml = pytest.importorskip("yaml", reason="scenario files need PyYAML")
 
@@ -65,3 +75,69 @@ def test_margins_read_each_neighbouring_pair_and_nan_never_holds():
     assert scaled.holds(scaled.margins({"edge": {"a": 4.0, "b": 2.0}}))
     band = Claim("band", "m", ("a", 1.0), "~", 0.5, anchor="x", grid=("g",))
     assert band.margins({"c": {"a": 1.25}}) == {"c": 0.25}
+
+
+# -- every packet grid is data any backend can run ------------------------------------
+
+#: Run in a fresh interpreter, so no other test's registration is in SCHEMES.
+_SCHEME_PROBE = """
+import json
+from repro.apps import SCHEMES
+built_in = sorted(SCHEMES)
+from repro.analysis.claims import CLAIMS, GRIDS, SCENARIOS
+from repro.scenarios import load_scenario
+used = sorted({
+    spec.scheme
+    for name in {name for claim in CLAIMS for name in claim.grid if name not in GRIDS}
+    for spec in load_scenario(SCENARIOS / name).compile()
+})
+print(json.dumps({"built_in": built_in, "after": sorted(SCHEMES), "used": used}))
+"""
+
+
+@pytest.fixture(scope="module")
+def schemes() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _SCHEME_PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return json.loads(child.stdout)
+
+
+def test_importing_claims_and_compiling_every_grid_registers_no_scheme(schemes):
+    assert schemes["after"] == schemes["built_in"]
+
+
+def test_every_packet_grid_uses_built_in_schemes_only(schemes):
+    assert set(schemes["used"]) <= set(schemes["built_in"])
+    assert {"hedera", "conga"} <= set(schemes["used"])
+
+
+@pytest.mark.parametrize(
+    "grid", sorted({claim.grid for claim in CLAIMS if claim.metric == "variant_fct"})
+)
+def test_every_cell_and_side_a_variant_row_names_is_a_point_of_its_grid(grid):
+    claims = [claim for claim in CLAIMS if claim.grid == grid]
+    specs = [s for name in grid for s in load_scenario(SCENARIOS / name).compile()]
+    labels = {_variant(SimpleNamespace(scheme=spec.scheme, spec=spec)) for spec in specs}
+    named = {cell for claim in claims for cell in claim.cells}
+    named |= {side for claim in claims for side in claim.sides if side != "fct"}
+    assert named <= labels
+    assert len(labels) == len(specs)  # no two points share a row
+
+def test_one_point_of_each_new_grid_runs_through_subprocess_workers():
+    wanted = {
+        "ablation_parameters.yaml": lambda s: s.config.params.path_metric == "sum",
+        "design_space.yaml": lambda s: s.scheme == "local",
+        "design_hedera.yaml": lambda s: s.config.controller_period == 1_000_000,
+    }
+    specs = [
+        next(s for s in load_scenario(SCENARIOS / name).compile() if pick(s))
+        for name, pick in wanted.items()
+    ]
+    inline = run_sweep(specs, workers=1, cache=None)
+    workers = run_sweep(specs, backend=SubprocessBackend(workers=1), cache=None)
+    assert not inline.failures and not workers.failures
+    assert workers.digest() == inline.digest()
+    assert [p.events_executed for p in workers] == [p.events_executed for p in inline]

@@ -175,7 +175,10 @@ VALID = {
         "failed_links": [[1, 1, 0]],
         "faults": ["link_degrade@1ms:l0-s0=0.5", "blackout@2ms:spine1+1ms"],
         "deadline": "2s",
-        "topology": {"num_leaves": 2, "hosts_per_leaf": 4, "host_queue_bytes": "1MB"},
+        "topology": {
+            "num_leaves": 2, "hosts_per_leaf": 4, "host_queue_bytes": "1MB",
+            "controller_period": "5ms", "params": {"flowlet_timeout": "300us"},
+        },
         "tcp": {"min_rto": "1ms", "mss": 1460},
         "queue_monitor": {"tier": "spine", "leaf": 1, "interval": "10us"},
         "imbalance_monitor": {"leaf": 0},
@@ -276,6 +279,7 @@ DOCUMENTED_AS = {
     "template": loader._TEMPLATE,
     "template.topology (2-tier)": loader._LEAF_SPINE,
     "template.topology (multipod)": loader._MULTIPOD,
+    "template.topology.params": loader._PARAMS,
     "template.tcp": loader._TCP,
     "template.queue_monitor": loader._QUEUE_MONITOR,
     "template.imbalance_monitor": loader._IMBALANCE_MONITOR,

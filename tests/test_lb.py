@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import DEFAULT_PARAMS
+from repro.core import DEFAULT_PARAMS, CongaParams
 from repro.lb import (
+    CaftSelector,
     CongaFlowSelector,
     CongaSelector,
     EcmpSelector,
@@ -116,7 +117,7 @@ class TestCongaSelector:
         _sim, _fabric, leaf = _leaf(CongaSelector.factory())
         leaf.to_leaf_table.update(1, 0, 3)
         leaf.uplink_dres[0].on_transmit(10_000_000)  # local saturated
-        assert leaf.selector.path_metric(1, 0) == 7
+        assert leaf.selector.path_scores(1, [0]) == ([7], [3], [7])
 
     def test_flowlet_stickiness(self):
         _sim, _fabric, leaf = _leaf(CongaSelector.factory())
@@ -161,6 +162,36 @@ class TestCongaSelector:
         leaf.selector.choose_uplink(_packet(sport=2), 1, [0, 1])
         leaf.selector.choose_uplink(_packet(sport=1), 1, [0, 1])  # cached
         assert leaf.selector.decisions == 2
+
+
+class TestPathScore:
+    """§3.5 scores a path by the max, §7 by the sum: one combiner, from the params."""
+
+    LOCAL, REMOTE = [3, 0], [3, 5]
+
+    @pytest.mark.parametrize("selector", [CongaSelector, CaftSelector])
+    @pytest.mark.parametrize("metric, scores, choice", [("max", [3, 5], 0), ("sum", [6, 5], 1)])
+    def test_max_and_sum_pick_different_uplinks(self, selector, metric, scores, choice):
+        _sim, _fabric, leaf = _leaf(selector.factory(CongaParams(path_metric=metric)))
+        leaf.local_metric = self.LOCAL.__getitem__
+        for uplink, remote in enumerate(self.REMOTE):
+            leaf.to_leaf_table.update(1, uplink, remote)
+        assert leaf.selector.path_scores(1, [0, 1]) == (self.LOCAL, self.REMOTE, scores)
+        assert leaf.selector.choose_uplink(_packet(), 1, [0, 1]) == choice
+
+    def test_the_leaf_params_pick_the_combiner(self):
+        sim = Simulator(seed=1)
+        config = scaled_testbed(hosts_per_leaf=2, params=CongaParams(path_metric="sum"))
+        fabric = build_leaf_spine(sim, config)
+        fabric.finalize(CongaSelector.factory())
+        leaf = fabric.leaves[0]
+        leaf.to_leaf_table.update(1, 0, 3)
+        leaf.uplink_dres[0].on_transmit(10_000_000)  # local saturated
+        assert leaf.selector.path_scores(1, [0]) == ([7], [3], [10])
+
+    def test_an_unknown_metric_is_refused(self):
+        with pytest.raises(ValueError, match="path_metric"):
+            CongaParams(path_metric="avg")
 
 
 class TestCongaFlowSelector:

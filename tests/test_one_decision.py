@@ -21,7 +21,10 @@ checks are relations between *different* code paths that must agree exactly:
   run: the same records and port counts, one more event per applied fault;
 * ``dctcp`` and ``conga-dctcp`` with the ECN threshold K above every queue
   against ``ecmp`` and ``conga``: with no CE mark ever set, DCTCP's window
-  is Reno's, on the leaf-spine and the 2-pod fabric.
+  is Reno's, on the leaf-spine and the 2-pod fabric;
+* ``hedera`` with a controller period past the deadline against ``ecmp``:
+  a controller that never wakes pins nothing, and an unpinned
+  ``CentralizedSelector`` hashes as ECMP does, on both fabrics.
 """
 
 import functools
@@ -327,3 +330,23 @@ def test_dctcp_with_k_above_every_queue_is_its_reno_scheme(dctcp, plain, fabric)
     # The same point with a K the queues reach: DCTCP reacts, so the
     # relation above compares two transports, not one.
     assert _ecn_outcome(dctcp, fabric, 10_000)[0] != unmarked[0]
+
+
+@pytest.mark.parametrize("fabric", list(_ECN_FABRICS))
+def test_hedera_whose_controller_never_wakes_is_ecmp(fabric):
+    spec = ExperimentSpec(
+        "ecmp", "enterprise", load=0.7, seed=5, num_flows=40, size_scale=0.05
+    )
+
+    def outcome(scheme, period):
+        config = replace(_ECN_FABRICS[fabric], controller_period=period)
+        live = spec.with_(scheme=scheme, config=config).run_live()
+        assert live.completed == 40
+        return _outcome(live)
+
+    never = spec.deadline + 1
+    ecmp = outcome("ecmp", never)
+    assert outcome("hedera", never) == ecmp
+    # The same point with a controller that wakes every 100 us pins
+    # elephants, so the relation above compares two schemes, not one.
+    assert outcome("hedera", microseconds(100))[0] != ecmp[0]

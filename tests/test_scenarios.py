@@ -22,12 +22,13 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ExperimentSpec
+from repro.core import CongaParams
 from repro.faults import LinkDown
 from repro.runner import derive_seeds, sweep_grid
 from repro.scenarios import Scenario, ScenarioError, SeedPlan, scenario_from_mapping
 from repro.topology import LeafSpineConfig
 from repro.transport import TcpParams
-from repro.units import megabytes, milliseconds
+from repro.units import megabytes, microseconds, milliseconds
 from repro.workloads import BUILTIN_WORKLOAD_NAMES, WORKLOADS
 
 yaml = pytest.importorskip("yaml", reason="scenario files need PyYAML")
@@ -316,6 +317,71 @@ class TestYamlLoader:
             }
         )
         assert scenario.point_count() == 2
+
+
+class TestTopologyParams:
+    """``topology.params`` is the fabric's CongaParams, ``controller_period`` hedera's."""
+
+    HEAD = "name: params\ntemplate:\n  scheme: hedera\n  workload: enterprise\n  load: 0.5\n"
+
+    def test_params_and_period_compile_into_the_config_and_sweep(self, tmp_path):
+        scenario = load_text(
+            tmp_path,
+            self.HEAD
+            + "  topology: &base {controller_period: 1ms, params: {path_metric: sum}}\n"
+            "grid:\n"
+            "  topology:\n"
+            "    - *base\n"
+            "    - {<<: *base, params: {flowlet_timeout: 300us}}\n",
+        )
+        first, second = (spec.config for spec in scenario.compile())
+        assert first == LeafSpineConfig(
+            controller_period=milliseconds(1), params=CongaParams(path_metric="sum")
+        )
+        # An axis entry replaces the whole topology, and ``params`` whole.
+        assert second == LeafSpineConfig(
+            controller_period=milliseconds(1),
+            params=CongaParams(flowlet_timeout=microseconds(300)),
+        )
+
+    def test_the_defaults_hash_as_if_the_fields_did_not_exist(self):
+        # Recorded on the parent commit, before either field existed.
+        spec = ExperimentSpec("hedera", "enterprise", 0.5, config=LeafSpineConfig())
+        explicit = spec.with_(config=LeafSpineConfig(
+            params=CongaParams(path_metric="max"), controller_period=milliseconds(10)
+        ))
+        assert spec.content_hash() == explicit.content_hash() == (
+            "19a677fe95323376428bbf80c7731ff9e7a392942a71c9c3b372a9a444c8ffd9"
+        )
+
+    @pytest.mark.parametrize(
+        "body, key, line, words",
+        [
+            ("  topology:\n    params: {path_metric: avg}\n",
+             "template.topology.params", 7, "path_metric must be 'max' or 'sum'"),
+            ("  topology:\n    controller_period: 0ms\n",
+             "template.topology.controller_period", 7, "at least 1 ns"),
+            ("  topology:\n    controller_period: -5ms\n",
+             "template.topology.controller_period", 7, "-5ms"),
+            ("  topology:\n    params:\n      flowlet_timout: 1ms\n",
+             "template.topology.params.flowlet_timout", 8, "unknown key"),
+            ("grid:\n  topology:\n    - {hosts_per_leaf: 8}\n"
+             "    - {params: {quantization_bits: 9}}\n",
+             "grid.topology.1.params", 9, "Q out of range"),
+        ],
+        ids=["path-metric", "zero-period", "negative-period", "unknown-param", "grid-entry"],
+    )
+    def test_refusals_name_file_line_and_key(self, tmp_path, body, key, line, words):
+        with pytest.raises(ScenarioError) as info:
+            load_text(tmp_path, self.HEAD + body)
+        assert (info.value.key, info.value.line) == (key, line)
+        assert f"scenario.yaml:{line}: " in str(info.value)
+        assert words in str(info.value)
+
+    def test_the_config_refuses_a_period_that_is_not_positive(self):
+        for period in (0, -1):
+            with pytest.raises(ValueError, match="controller_period must be positive"):
+                LeafSpineConfig(controller_period=period)
 
 
 class TestMultipodScenarios:
