@@ -2,14 +2,6 @@
 
 from importlib import import_module
 
-from repro.apps.experiment import (
-    ExperimentResult,
-    SCHEMES,
-    SchemeSpec,
-    UnknownSchemeError,
-    get_scheme,
-    register_scheme,
-)
 from repro.apps.spec import (
     ExperimentSpec,
     ImbalanceMonitorSpec,
@@ -31,8 +23,18 @@ from repro.apps.traffic import (
     tcp_flow_factory,
 )
 
-#: Siblings imported on first access: models no ``ExperimentSpec`` run enters.
+#: Siblings imported on first access: the scheme registry loads the engine a
+#: run executes, which describing a point never needs; ``hdfs`` and ``incast``
+#: are models no ``ExperimentSpec`` run enters.
 _DEFERRED = {
+    "experiment": (
+        "ExperimentResult",
+        "SCHEMES",
+        "SchemeSpec",
+        "UnknownSchemeError",
+        "get_scheme",
+        "register_scheme",
+    ),
     "hdfs": ("HdfsJobResult", "HdfsWriteJob"),
     "incast": ("IncastClient", "IncastResult", "incast_throughput_percent"),
 }

@@ -30,31 +30,49 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from importlib import import_module
 from time import perf_counter
 from typing import TYPE_CHECKING, get_args
 
-from repro.analysis.fct import FctSummary
-from repro.analysis.monitors import ImbalanceSeries, QueueSeries
-from repro.apps.experiment import ExperimentResult, get_scheme
 from repro.apps.traffic import PoissonTraffic, Traffic
 from repro.core.params import HASH_NEUTRAL_DEFAULT
-from repro.core.series import DEFAULT_SERIES_LIMIT
 from repro.obs.config import ObsSpec
-from repro.obs.metrics import MetricsReport, collect_run_metrics
-from repro.obs.trace import TraceLog
-from repro.sim import Simulator
-from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine, scaled_testbed
-from repro.transport.tcp import FlowRecord, TcpParams
+from repro.transport.tcp import TcpParams
 from repro.units import milliseconds, seconds
 from repro.workloads import WORKLOADS
 
 if TYPE_CHECKING:
     from repro.analysis.degradation import DegradationSummary
+    from repro.analysis.fct import FctSummary
+    from repro.analysis.monitors import ImbalanceSeries, QueueSeries
+    from repro.apps.experiment import ExperimentResult
     from repro.faults.events import FaultEvent
     from repro.net.port import Port
+    from repro.obs.metrics import MetricsReport
     from repro.obs.timeline import Timeline, TimelineCollector, TimelineSpec
+    from repro.obs.trace import TraceLog
     from repro.switch.fabric import Fabric
+    from repro.topology.leafspine import LeafSpineConfig
     from repro.topology.multipod import MultiPodConfig
+    from repro.transport.tcp import FlowRecord
+
+#: What a run executes and a description never needs (DESIGN.md "Import
+#: layering", move 4): the scheme registry, and through it the kernel, nodes,
+#: switches, selectors and congestion state; the topology builder; the
+#: metrics collector.
+_ENGINE = ("repro.apps.experiment", "repro.topology.leafspine", "repro.obs.metrics")
+
+
+def load_engine() -> None:
+    """Import the modules a run executes; a no-op once they are loaded.
+
+    Building, hashing, pickling or dispatching a spec loads no engine
+    module.  :meth:`ExperimentSpec.run` calls this before it starts its
+    clock, so ``wall_seconds`` times the run and not a cold import, and a
+    forking backend calls it before ``fork`` so its workers start warm.
+    """
+    for name in _ENGINE:
+        import_module(name)
 
 
 class UnknownWorkloadError(ValueError):
@@ -181,6 +199,7 @@ class ImbalanceMonitorSpec:
 
 def _sampler(interval: int) -> "TimelineSpec":
     """A monitor's timeline: its cadence, ``DEFAULT_SERIES_LIMIT`` samples kept."""
+    from repro.core.series import DEFAULT_SERIES_LIMIT
     from repro.obs.timeline import TimelineSpec
 
     return TimelineSpec(interval=interval, limit=DEFAULT_SERIES_LIMIT)
@@ -333,6 +352,11 @@ class ExperimentSpec:
         collectors' timelines, and always close the tracer.  Not picklable;
         use :meth:`run` for anything that crosses a process boundary.
         """
+        from repro.analysis.monitors import ImbalanceSeries, QueueSeries
+        from repro.apps.experiment import ExperimentResult, get_scheme
+        from repro.sim import Simulator
+        from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine, scaled_testbed
+
         scheme = get_scheme(self.scheme)
         workload = get_workload(self.workload)
         config = self.config if self.config is not None else scaled_testbed()
@@ -430,6 +454,7 @@ class ExperimentSpec:
 
     def run(self) -> "PointResult":
         """Execute this point and return a picklable :class:`PointResult`."""
+        load_engine()
         started = perf_counter()  # repro-lint: ignore[D101] -- wall_seconds is reporting only
         live = self.run_live()
         wall = perf_counter() - started  # repro-lint: ignore[D101] -- reporting only
@@ -485,6 +510,9 @@ class PointResult:
         wall_seconds: float,
     ) -> "PointResult":
         """Strip a live :class:`ExperimentResult` down to picklable values."""
+        from repro.analysis.fct import FctSummary
+        from repro.obs.metrics import collect_run_metrics
+
         max_queue = max(
             (p.queue.stats.max_bytes for p in live.fabric.fabric_ports()),
             default=0,
@@ -588,4 +616,5 @@ __all__ = [
     "QueueMonitorSpec",
     "UnknownWorkloadError",
     "get_workload",
+    "load_engine",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.events import FaultEvent
+from repro.faults.events import FaultEvent, FeedbackLoss, RandomLinkDowns, SwitchBlackout
 from repro.obs.events import FaultApplied, FaultRestored
 
 if TYPE_CHECKING:
@@ -53,10 +53,32 @@ class FaultInjector:
                 raise TypeError(
                     f"faults must be FaultEvent instances, got {event!r}"
                 )
+            try:
+                self._resolve(event)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in fault {event!r}") from None
+        for event in self.faults:
             if event.time <= sim.now:
                 self._apply(event)
             else:
                 sim.schedule_at(event.time, self._apply, event)
+
+    def _resolve(self, event: FaultEvent) -> None:
+        """Raise ValueError unless every target ``event`` names is in the fabric.
+
+        Run before anything is applied or scheduled, so a bad target fails
+        the point up front, not mid-run or never (after the deadline).
+        """
+        if isinstance(event, FeedbackLoss):
+            if event.leaf is not None:
+                self.fabric._switch("leaf", event.leaf)
+        elif isinstance(event, SwitchBlackout):
+            self.fabric._switch(event.kind, event.switch)
+        elif isinstance(event, RandomLinkDowns):
+            if event.tier == "core" and not self.fabric.cores:
+                raise ValueError("tier 'core' needs a multi-pod fabric")
+        else:  # the Link* family
+            self.target_port(event)
 
     def _apply(self, event: FaultEvent) -> None:
         event.apply(self)
@@ -103,7 +125,7 @@ class FaultInjector:
     def set_feedback_loss(self, leaf: int | None, probability: float) -> None:
         """Configure feedback stripping at one leaf's TEP (or all TEPs)."""
         leaves = (
-            self.fabric.leaves if leaf is None else [self.fabric.leaves[leaf]]
+            self.fabric.leaves if leaf is None else [self.fabric._switch("leaf", leaf)]
         )
         for target in leaves:
             if target.tep is None:

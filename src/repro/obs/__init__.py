@@ -29,25 +29,26 @@ Import discipline: this package depends only on the standard library and
 from importlib import import_module
 
 from repro.obs.config import ObsSpec
-from repro.obs.events import (
-    CongaTableAged,
-    CongaTableUpdated,
-    DreSampled,
-    FaultApplied,
-    FaultRestored,
-    FlowletRerouted,
-    PacketDropped,
-    RtoFired,
-    TcpStateChanged,
-    TraceEvent,
-    event_payload,
-)
-from repro.obs.metrics import HistogramSummary, MetricsReport, collect_run_metrics
 from repro.obs.trace import CATEGORIES, DEFAULT_TRACE_LIMIT, TraceLog, Tracer
 
-#: Siblings imported on first access: ``manifest`` drags ``subprocess``, and the
-#: timeline collector is an opt-in plane.
+#: Siblings imported on first access: an untraced run builds no event, the
+#: metrics report is collected after a run, ``manifest`` drags ``subprocess``,
+#: and the timeline collector is an opt-in plane.
 _DEFERRED = {
+    "events": (
+        "CongaTableAged",
+        "CongaTableUpdated",
+        "DreSampled",
+        "FaultApplied",
+        "FaultRestored",
+        "FlowletRerouted",
+        "PacketDropped",
+        "RtoFired",
+        "TcpStateChanged",
+        "TraceEvent",
+        "event_payload",
+    ),
+    "metrics": ("HistogramSummary", "MetricsReport", "collect_run_metrics"),
     "manifest": (
         "MANIFEST_SUFFIX",
         "build_manifest",

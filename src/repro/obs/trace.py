@@ -42,9 +42,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.events import TraceEvent, event_payload
+if TYPE_CHECKING:
+    from repro.obs.events import TraceEvent
 
 #: Every trace category, in canonical (sorted) order.
 CATEGORIES: tuple[str, ...] = ("dre", "drop", "fault", "flowlet", "table", "tcp")
@@ -78,6 +79,8 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _payload(entry) -> dict:
     """:func:`event_payload` of a ring entry, without building the event."""
     if type(entry) is not tuple:
+        from repro.obs.events import event_payload
+
         return event_payload(entry)
     cls = entry[0]
     payload = {"name": cls.name, "cat": cls.category}

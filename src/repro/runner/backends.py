@@ -44,7 +44,7 @@ from pathlib import Path
 from time import perf_counter, sleep
 from typing import BinaryIO, Callable, Sequence
 
-from repro.apps.spec import ExperimentSpec, PointResult
+from repro.apps.spec import ExperimentSpec, PointResult, load_engine
 from repro.runner.failures import FAILURE_COUNTERS, PointFailure, _describe
 from repro.runner.telemetry import TelemetrySink
 from repro.workloads import BUILTIN_WORKLOAD_NAMES, WORKLOADS
@@ -170,11 +170,14 @@ def _fork_child(siblings: Sequence[_Child]) -> _Child:
     The child inherits this process as it is — import-time and runtime
     scheme/workload registrations included — and closes its copies of the
     ``siblings``' pipe ends, so that a pipe has exactly the two holders
-    whose exit must read as EOF on it.
+    whose exit must read as EOF on it.  The engine is loaded here first, so
+    every child starts with it warm instead of importing it on its own.
     """
     # Imported here: at module level it would pre-import the module that
     # ``python -m repro.runner.worker`` is about to execute as __main__.
     from repro.runner.worker import serve
+
+    load_engine()
 
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()

@@ -9,11 +9,13 @@ misses by construction.
 
 Writes are atomic (tmp file + ``os.replace``) so a crashed or interrupted
 sweep never leaves a half-written entry behind.  Each entry starts with a
-fixed header holding the sha256 of the pickle bytes after it; an entry
-whose checksum fails, whose bytes do not unpickle, or which unpickles to
-anything but a :class:`PointResult` is deleted and reported as a miss.
-Headerless entries (written before the checksum) still load, under the
-same type check.
+fixed header holding the sha256 of the entry's name (its spec's content
+hash) followed by the pickle bytes after it, so an entry copied or renamed
+onto another spec's path fails its checksum.  An entry whose checksum
+fails, whose bytes do not unpickle, or which unpickles to anything but a
+:class:`PointResult` is deleted and reported as a miss.  Headerless entries
+(written before the checksum) still load, under the same type check and
+only when their result's spec hashes to the entry's name.
 
 Every stored entry gets a sibling ``<hash>.manifest.json`` provenance
 record (see :mod:`repro.obs.manifest`): spec hash, seed, faults, git SHA,
@@ -38,9 +40,16 @@ if TYPE_CHECKING:
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: An entry's first bytes: this tag, then the sha256 digest of the pickle.
+#: An entry's first bytes: this tag, then :func:`_digest` of the entry.
 _HEADER = b"repro-sha256\n"
 _DIGEST_BYTES = 32
+
+
+def _digest(name: str, body: bytes) -> bytes:
+    """sha256 of an entry's name, then its pickle: binds the two together."""
+    digest = hashlib.sha256(name.encode())
+    digest.update(body)
+    return digest.digest()
 
 
 class ResultCache:
@@ -57,8 +66,9 @@ class ResultCache:
         """The cached result for ``spec``, or None on a miss.
 
         Hits come back flagged ``from_cache=True``.  A corrupt or
-        unreadable entry (flipped bits, interrupted write, format drift) is
-        deleted and reported as a miss rather than poisoning the sweep.
+        unreadable entry (flipped bits, interrupted write, format drift, or
+        an entry filed under another spec's name) is deleted and reported
+        as a miss rather than poisoning the sweep.
         """
         from repro.apps.spec import PointResult
 
@@ -68,10 +78,11 @@ class ResultCache:
         except FileNotFoundError:
             return None
         body = data
-        if data.startswith(_HEADER):
+        headed = data.startswith(_HEADER)
+        if headed:
             digest = data[len(_HEADER):len(_HEADER) + _DIGEST_BYTES]
             body = data[len(_HEADER) + _DIGEST_BYTES:]
-            if hashlib.sha256(body).digest() != digest:
+            if _digest(path.stem, body) != digest:
                 body = b""
         try:
             result = pickle.loads(body)
@@ -79,7 +90,10 @@ class ResultCache:
             # Unpickling arbitrary bytes can raise nearly anything
             # (UnpicklingError, EOFError, ValueError, AttributeError, ...).
             result = None
-        if not isinstance(result, PointResult):
+        if not isinstance(result, PointResult) or (
+            # A headerless entry carries no name; its spec is the only witness.
+            not headed and result.spec.content_hash() != path.stem
+        ):
             path.unlink(missing_ok=True)
             return None
         return replace(result, from_cache=True)
@@ -95,7 +109,7 @@ class ResultCache:
                 replace(result, from_cache=False), buffer, protocol=pickle.HIGHEST_PROTOCOL
             )
             body = buffer.getvalue()
-            tmp.write_bytes(_HEADER + hashlib.sha256(body).digest() + body)
+            tmp.write_bytes(_HEADER + _digest(path.stem, body) + body)
             os.replace(tmp, path)
         except BaseException:
             # A failed serialization (or a kill mid-write) must not leave a

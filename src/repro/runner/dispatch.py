@@ -21,7 +21,6 @@ from typing import Iterable
 
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.core.series import DecimatedSeries
-from repro.obs.metrics import HistogramSummary, MetricsReport
 from repro.runner.backends import Backend, LocalBackend, get_backend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.failures import PointFailure
@@ -140,6 +139,8 @@ class _Run:
 
     def finalize(self) -> SweepResult:
         """Resolve duplicates and freeze the accounting into a result."""
+        from repro.obs.metrics import HistogramSummary, MetricsReport
+
         if self.total == 0:  # the empty sweep: nothing scanned, nothing counted
             return SweepResult(points=(), executed=0, cached=0, wall_seconds=0.0)
         for index, first in self.duplicates.items():

@@ -24,12 +24,14 @@ Sweep construction helpers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.net.hashing import stable_string_seed
-from repro.obs.metrics import MetricsReport
 from repro.runner.failures import PointFailure
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsReport
 
 ProgressFn = Callable[[str], None]
 

@@ -30,13 +30,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.net.node import Host
 from repro.net.packet import ACK_BYTES, HEADER_BYTES, Packet
-from repro.obs.events import RtoFired, TcpStateChanged
-from repro.sim.kernel import Timer
 from repro.units import microseconds, milliseconds, seconds
 
 if TYPE_CHECKING:
+    from repro.net.node import Host
     from repro.sim import Simulator
 
 #: Floor on the variance term of the RTO (clock granularity), ticks.
@@ -256,6 +254,8 @@ class TcpSender:
         self._rttvar = 0.0
         self.rto = params.initial_rto
         self._backoff = 1
+        from repro.sim.kernel import Timer
+
         self._rto_timer = Timer(sim, self._on_timeout)
 
         self.started_at = sim.now
@@ -394,6 +394,8 @@ class TcpSender:
                 self.dup_acks = 0
                 tracer = self.sim.tracer
                 if tracer is not None and tracer.tcp:
+                    from repro.obs.events import TcpStateChanged
+
                     tracer.record(
                         TcpStateChanged, self.sim._now, self.flow_id,
                         RECOVERY, OPEN, self.cwnd, self.ssthresh,
@@ -427,6 +429,8 @@ class TcpSender:
         self.stats.fast_retransmits += 1
         tracer = self.sim.tracer
         if tracer is not None and tracer.tcp:
+            from repro.obs.events import TcpStateChanged
+
             tracer.record(
                 TcpStateChanged, self.sim._now, self.flow_id,
                 OPEN, RECOVERY, self.cwnd, self.ssthresh,
@@ -452,6 +456,8 @@ class TcpSender:
         self.cc.on_loss(self)
         tracer = self.sim.tracer
         if tracer is not None and tracer.tcp:
+            from repro.obs.events import RtoFired, TcpStateChanged
+
             tracer.record(
                 RtoFired, self.sim._now, self.flow_id, self.rto, self._backoff, inflight
             )

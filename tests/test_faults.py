@@ -31,7 +31,7 @@ from repro.lb import EcmpSelector
 from repro.sim import Simulator
 from repro.topology import build_leaf_spine, scaled_testbed
 from repro.transport.tcp import FlowRecord
-from repro.units import microseconds, milliseconds
+from repro.units import microseconds, milliseconds, seconds
 
 
 def _fabric(seed=1, **overrides):
@@ -258,6 +258,36 @@ def test_core_tier_faults_need_a_multi_pod_fabric(event):
     with pytest.raises(ValueError, match="multi-pod"):
         FaultInjector(sim, fabric, (event,))
     assert all(port.up for port in fabric.fabric_ports())
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        # Used to hit the last leaf: a negative index wrapped.
+        (FeedbackLoss(time=0, leaf=-1, probability=0.5), "no leaf -1"),
+        # Used to raise a bare IndexError once the run reached 1 ms.
+        (FeedbackLoss(time=milliseconds(1), leaf=9), "no leaf 9"),
+        # Used to run clean: the event was scheduled past the deadline.
+        (LinkDown(time=seconds(10), leaf=99), "no leaf 99"),
+    ],
+    ids=["negative-leaf", "mid-run-leaf", "after-deadline-link"],
+)
+def test_a_spec_refuses_a_bad_fault_target_before_its_run(event, message):
+    spec = ExperimentSpec(
+        "conga", "enterprise", load=0.5, num_flows=5, size_scale=0.02,
+        deadline=seconds(1), faults=(event,),
+    )
+    with pytest.raises(ValueError, match=f"{message} .* in fault {type(event).__name__}"):
+        spec.run()
+
+
+def test_a_bad_later_target_refuses_before_a_time_zero_fault_applies():
+    sim, fabric = _fabric()
+    good, bad = LinkDown(time=0), FeedbackLoss(time=milliseconds(1), leaf=-1)
+    with pytest.raises(ValueError, match="no leaf -1"):
+        FaultInjector(sim, fabric, (good, bad))
+    assert all(port.up for port in fabric.fabric_ports())
+    assert sim.pending_live_events == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The import contract: a fresh process loads what it runs and nothing else.
 
-DESIGN.md "Import layering" makes three promises — building, running,
+DESIGN.md "Import layering" makes four promises — building, running,
 collecting or caching a packet point, or running a flow-level one, imports
 no numpy (only the numpy programs do: ``theory``, ``traces``, the claim
 table), a package ``__init__`` resolves its heavy siblings on first
-access, and a worker child
-loads none of the parent-side runner until a spec arrives.  ``sys.modules``
+access, a worker child
+loads none of the parent-side runner until a spec arrives, and describing a
+point loads none of the engine that runs it until it runs.  ``sys.modules``
 of the test process is no witness (pytest and the other tests have loaded
 everything), so every check here runs in a child interpreter and reads back
 what that child loaded.
@@ -57,9 +58,34 @@ OPTIONAL = (
     "repro.apps.incast",
 )
 
+#: What a run executes: kernel, nodes, ports, queues, switches, selectors,
+#: congestion state, the scheme registry, trace events and the metrics
+#: collector.  Describing, hashing, pickling or dispatching a point loads none
+#: of it; the first run does.
+ENGINE = (
+    "repro.apps.experiment",
+    "repro.core.dre",
+    "repro.core.flowlet",
+    "repro.core.tables",
+    "repro.lb.conga",
+    "repro.lb.ecmp",
+    "repro.net.node",
+    "repro.net.port",
+    "repro.net.queue",
+    "repro.obs.events",
+    "repro.obs.metrics",
+    "repro.sim.kernel",
+    "repro.switch.fabric",
+    "repro.switch.leaf",
+    "repro.switch.spine",
+    "repro.topology.leafspine",
+)
+
 LAZIFIED = (
     "repro.analysis",
     "repro.apps",
+    "repro.core",
+    "repro.net",
     "repro.obs",
     "repro.runner",
     "repro.topology",
@@ -137,6 +163,41 @@ def test_building_a_spec_loads_neither_numpy_nor_an_optional_plane():
     )
     assert "repro.apps.spec" in loaded
     assert not loaded & {*OPTIONAL, "subprocess"}
+
+
+def test_describing_a_point_loads_no_engine_and_running_it_does():
+    code = (
+        "import json, pickle, sys\n"
+        "from repro.apps import ExperimentSpec\n"
+        "spec = ExperimentSpec('conga', 'enterprise', load=0.5, num_flows=5,"
+        " size_scale=0.02)\n"
+        "spec = pickle.loads(pickle.dumps(spec.with_(seed=2)))\n"
+        "spec.content_hash()\n"
+        "described = sorted(sys.modules)\n"
+        "spec.run()\n"
+        "print(json.dumps([described, sorted(sys.modules)]))"
+    )
+    described, ran = map(set, json.loads(cold("-c", code).stdout.splitlines()[-1]))
+    assert not described & set(ENGINE)
+    assert set(ENGINE) <= ran
+
+
+def test_a_forking_sweep_loads_the_engine_in_the_parent_before_its_workers():
+    # The parent runs no point itself; its children inherit what it loaded.
+    code = (
+        "import json, sys\n"
+        "from repro.apps import ExperimentSpec\n"
+        "from repro.runner import LocalBackend, run_sweep\n"
+        "specs = [ExperimentSpec('ecmp', 'enterprise', load=0.5, seed=s, num_flows=4,"
+        " size_scale=0.02) for s in (1, 2)]\n"
+        "before = sorted(sys.modules)\n"
+        "done = run_sweep(specs, backend=LocalBackend(workers=2), cache=None)\n"
+        "assert done.executed == 2 and not done.failures\n"
+        "print(json.dumps([before, sorted(sys.modules)]))"
+    )
+    before, after = map(set, json.loads(cold("-c", code).stdout.splitlines()[-1]))
+    assert not before & set(ENGINE)
+    assert set(ENGINE) <= after
 
 
 def test_the_kernel_imports_nothing_above_it():

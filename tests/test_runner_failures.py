@@ -17,6 +17,7 @@ import io
 import json
 import os
 import pickle
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -366,3 +367,19 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     path.write_bytes(pickle.dumps(object())[:10])  # truncated garbage
     assert cache.get(spec) is None
     assert not path.exists()  # corrupt entry dropped, not left to re-fail
+
+
+@pytest.mark.parametrize("headed", [True, False], ids=["checksummed", "headerless"])
+def test_another_spec_s_entry_is_a_miss(tmp_path, headed):
+    # A well-formed entry copied onto another spec's path: serving it would
+    # pass ecmp's numbers off as conga's.
+    cache = ResultCache(tmp_path / "cache")
+    ecmp, conga = _tiny("ecmp"), _tiny("conga")
+    result = ecmp.run()
+    entry = cache.put(ecmp, result)
+    if not headed:  # the format written before the checksum
+        entry.write_bytes(pickle.dumps(result))
+    shutil.copy(entry, cache.path(conga))
+    assert cache.get(conga) is None
+    assert not cache.path(conga).exists()
+    assert cache.get(ecmp).spec == ecmp  # the right name still hits
