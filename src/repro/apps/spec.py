@@ -57,10 +57,19 @@ if TYPE_CHECKING:
     from repro.transport.tcp import FlowRecord
 
 #: What a run executes and a description never needs (DESIGN.md "Import
-#: layering", move 4): the scheme registry, and through it the kernel, nodes,
-#: switches, selectors and congestion state; the topology builder; the
-#: metrics collector.
-_ENGINE = ("repro.apps.experiment", "repro.topology.leafspine", "repro.obs.metrics")
+#: layering", move 4): the scheme registry, and through it the kernel,
+#: selectors and congestion state; the topology builder and the nodes and
+#: switches it imports when it builds; the metrics collector; the seeded
+#: streams.
+_ENGINE = (
+    "repro.apps.experiment",
+    "repro.topology.leafspine",
+    "repro.net.node",
+    "repro.switch.leaf",
+    "repro.switch.spine",
+    "repro.obs.metrics",
+    "repro.sim.pcg64",
+)
 
 
 def load_engine() -> None:
@@ -259,7 +268,7 @@ class ExperimentSpec:
     #: disables tracing and is *content-hash-neutral*: a spec without
     #: ``obs`` hashes identically to one predating the field, so existing
     #: caches stay valid and tracing can never change what gets computed.
-    obs: ObsSpec | None = None
+    obs: ObsSpec | None = field(default=None, metadata=HASH_NEUTRAL_DEFAULT)
     #: How the hosts generate flows (see :mod:`repro.apps.traffic`).  The
     #: default — Poisson arrivals over ``workload`` — is content-hash-neutral
     #: like ``obs``: a spec carrying it hashes as if the field did not exist.
@@ -307,17 +316,10 @@ class ExperimentSpec:
         from repro import __version__
 
         payload = _canonical(self)
-        if self.obs is None:
-            # Hash-neutrality: tracing off must hash like the field never
-            # existed, so pre-obs cache keys stay reachable.
-            payload.pop("obs")
-        else:
-            # Same convention one level down: an unset timeline hashes like
-            # the field never existed, and trace_path never participates —
-            # it is an output sink, not an input (see ObsSpec docstring).
+        if "obs" in payload:
+            # trace_path never participates: it is an output sink, not an
+            # input (see ObsSpec docstring).
             payload["obs"].pop("trace_path")
-            if self.obs.timeline is None:
-                payload["obs"].pop("timeline")
         payload["__repro_version__"] = __version__
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

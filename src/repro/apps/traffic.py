@@ -246,6 +246,12 @@ class CrossRackTraffic:
         self._clients = sorted(clients) if clients is not None else sorted(fabric.hosts)
         if not self._clients:
             raise ValueError("need at least one client host")
+        for client in self._clients:
+            if client not in fabric.hosts:
+                raise ValueError(
+                    f"client host {client} out of range for this topology "
+                    f"(0..{len(fabric.hosts) - 1})"
+                )
         leaf0 = fabric.leaves[0]
         uplink_capacity = sum(port.rate_bps for port in leaf0.uplinks)
         clients_per_leaf = max(

@@ -21,6 +21,10 @@ HASH_NEUTRAL_DEFAULT = {"hash_neutral_default": True}
 #: topology config sets its ``controller_period``.
 DEFAULT_CONTROLLER_PERIOD = milliseconds(10)
 
+#: Default one-way propagation delay for intra-datacenter cables (~100 m): a
+#: topology config default (``repro.net.port`` re-exports it for links).
+DEFAULT_PROPAGATION_DELAY = 500  # nanoseconds
+
 
 @dataclass(frozen=True)
 class CongaParams:

@@ -34,6 +34,7 @@ from heapq import heappush
 from operator import index
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.params import DEFAULT_PROPAGATION_DELAY
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.events import PacketDropped
@@ -45,9 +46,6 @@ if TYPE_CHECKING:
 
 #: Default per-port buffering: shallow datacenter switch buffers (§2.1).
 DEFAULT_QUEUE_CAPACITY = 10_000_000
-
-#: Default one-way propagation delay for intra-datacenter cables (~100 m).
-DEFAULT_PROPAGATION_DELAY = 500  # nanoseconds
 
 #: Generation counter for link up/down state across *all* ports.  Switch
 #: routing caches (spine ports-to-leaf, leaf candidate uplinks) are keyed on

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.params import HASH_NEUTRAL_DEFAULT
 from repro.obs.trace import (
     CATEGORIES,
     DEFAULT_TRACE_LIMIT,
@@ -41,7 +42,8 @@ class ObsSpec:
 
     Hash semantics: ``timeline`` participates in the experiment content
     hash when set (a cached point without timeline data must not satisfy
-    a spec that asks for it) and is stripped when ``None``, keeping
+    a spec that asks for it) and is stripped when ``None`` (its field
+    metadata is ``HASH_NEUTRAL_DEFAULT``), keeping
     pre-timeline hashes intact.  ``trace_path`` is *always* stripped —
     it is a side-channel output sink that affects neither the simulation
     nor the :class:`~repro.apps.spec.PointResult` payload, so pointing
@@ -51,7 +53,7 @@ class ObsSpec:
 
     categories: tuple[str, ...] = field(default=CATEGORIES)
     buffer_limit: int = DEFAULT_TRACE_LIMIT
-    timeline: TimelineSpec | None = None
+    timeline: TimelineSpec | None = field(default=None, metadata=HASH_NEUTRAL_DEFAULT)
     trace_path: str | None = None
 
     def __post_init__(self) -> None:

@@ -1,17 +1,17 @@
-"""Parallel sweep runner: dispatchers, backends, caching, determinism.
+"""Parallel sweep runner: one door, pluggable backends, caching, determinism.
 
 Build :class:`repro.apps.ExperimentSpec` points (by hand, with
 :func:`sweep_grid` / :func:`derive_seeds`, or by compiling a
-:class:`repro.scenarios.Scenario`), then run them:
-
-* :func:`run_sweep` — the one-call API: cache scan, duplicate dedupe,
-  parallel execution, a :class:`SweepResult` of picklable
-  :class:`repro.apps.PointResult` values in input order.
-* :class:`Dispatcher` — the same machinery as a reusable object, with a
-  pluggable execution :class:`Backend`: :class:`LocalBackend` (inline, or
-  forked workers) or :class:`SubprocessBackend` (exec'd workers over an
-  SSH-shaped stdin/stdout JSON protocol) — one crash-tolerant worker loop
-  either way.
+:class:`repro.scenarios.Scenario`), then run them through
+:func:`run_sweep`, the one door: cache scan, duplicate dedupe, execution
+on a pluggable :class:`Backend` — :class:`LocalBackend` (inline, or forked
+workers) or :class:`SubprocessBackend` (exec'd workers over an SSH-shaped
+stdin/stdout JSON protocol), one crash-tolerant worker loop either way —
+and a :class:`SweepResult` of picklable :class:`repro.apps.PointResult`
+values in input order.  A backend reports through one callback; the
+sweep folds that one event stream into its results, the cache, the
+``sweep.*`` counters, the :class:`TelemetrySink` stream and the
+``progress`` lines.
 
 Results are bit-identical across all backends and worker counts — a
 point run is a pure function of its spec — which
@@ -33,7 +33,7 @@ _DEFERRED = {
         "get_backend",
     ),
     "cache": ("DEFAULT_CACHE_DIR", "ResultCache"),
-    "dispatch": ("Dispatcher", "run_sweep"),
+    "dispatch": ("run_sweep",),
     "sweep": ("SweepResult", "derive_seeds", "sweep_grid"),
     "telemetry": ("TelemetrySink",),
 }
@@ -55,7 +55,6 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "DEFAULT_CACHE_DIR",
-    "Dispatcher",
     "FAILURE_KINDS",
     "LocalBackend",
     "PointFailure",

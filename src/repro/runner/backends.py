@@ -1,8 +1,10 @@
 """Execution backends: where a dispatched sweep's misses actually run.
 
 A :class:`Backend` receives the sweep's spec list plus the indexes the
-cache could not serve, and resolves every one of them through the
-``finish``/``fail`` callbacks — exactly once per index.  Because a point
+cache could not serve, and tells the sweep what happens to them through one
+``report`` callback: exactly one terminal event (``point_completed`` or
+``point_failed``) per index, and on the way ``attempt_failed`` per charged
+attempt and ``worker_restart`` per lost child.  Because a point
 run is a pure function of its spec, backends are interchangeable: the
 same misses yield bit-identical results on any of them (that is what
 :meth:`SweepResult.digest` checks).
@@ -44,13 +46,12 @@ from pathlib import Path
 from time import perf_counter, sleep
 from typing import BinaryIO, Callable, Sequence
 
-from repro.apps.spec import ExperimentSpec, PointResult, load_engine
-from repro.runner.failures import FAILURE_COUNTERS, PointFailure, _describe
-from repro.runner.telemetry import TelemetrySink
+from repro.apps.spec import ExperimentSpec, load_engine
+from repro.runner.failures import PointFailure, _describe
 from repro.workloads import BUILTIN_WORKLOAD_NAMES, WORKLOADS
 
-FinishFn = Callable[[int, PointResult], None]
-FailFn = Callable[[int, PointFailure], None]
+#: ``report(event, index=None, **fields)``: the one way a backend speaks.
+ReportFn = Callable[..., None]
 
 _DIED = "worker process died while running this point"
 
@@ -58,14 +59,16 @@ _DIED = "worker process died while running this point"
 class Backend(abc.ABC):
     """Executes a sweep's cache misses; the pluggable half of dispatch.
 
-    ``execute`` must call ``finish(index, result)`` or
-    ``fail(index, failure)`` exactly once for every index in ``misses``
-    before returning, from the thread that called it: the dispatcher's
-    callbacks take no lock.  ``metrics``, when given, is the sweep's
-    ``sweep.*`` name → count dict, which a backend's retries, failures and
-    worker restarts add to.  ``telemetry``, when given, is the sweep's
-    health-event sink: backends with their own worker lifecycle report it
-    there (``worker_restart`` events).
+    ``execute`` reports, from the thread that called it, exactly one of
+    ``report("point_completed", index, result=...)`` or
+    ``report("point_failed", index, failure=...)`` for every index in
+    ``misses`` before returning.  A backend that retries reports each
+    charged attempt as ``report("attempt_failed", index, kind=...,
+    error=..., retry=...)``, and one with a worker lifecycle each lost child
+    as ``report("worker_restart", index, worker=..., restarts=...,
+    reason=...)`` (``index`` None when no point was in flight).  The sweep
+    folds that one stream into its results, cache, counters, telemetry and
+    progress lines.
     """
 
     #: Registry name (``--backend`` value on the CLI).
@@ -76,11 +79,7 @@ class Backend(abc.ABC):
         self,
         specs: Sequence[ExperimentSpec],
         misses: list[int],
-        *,
-        finish: FinishFn,
-        fail: FailFn,
-        metrics: dict[str, int] | None = None,
-        telemetry: TelemetrySink | None = None,
+        report: ReportFn,
     ) -> None:
         """Run ``specs[i]`` for every ``i`` in ``misses``."""
 
@@ -232,18 +231,12 @@ class _Execution:
         config: LocalBackend,
         specs: Sequence[ExperimentSpec],
         misses: list[int],
-        finish: FinishFn,
-        fail: FailFn,
-        metrics: dict[str, int] | None,
-        telemetry: TelemetrySink | None,
+        report: ReportFn,
     ) -> None:
         self.config = config
         self.specs = specs
         self.queue: deque[int] = deque(misses)
-        self.finish = finish
-        self.fail = fail
-        self.metrics = metrics
-        self.telemetry = telemetry
+        self.report = report
         #: Per point: failed attempts charged, wall seconds spent executing.
         self.failed = dict.fromkeys(misses, 0)
         self.spent = dict.fromkeys(misses, 0.0)
@@ -255,10 +248,6 @@ class _Execution:
 
     # -- the attempt ledger ---------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics[name] = self.metrics.get(name, 0) + 1
-
     def _charge(self, index: int, kind: str, error: str) -> None:
         """Charge one failed attempt: back off and requeue, or give up.
 
@@ -267,20 +256,21 @@ class _Execution:
         caller, as it always has.
         """
         self.failed[index] += 1
-        self._count(FAILURE_COUNTERS[kind])
-        if self.failed[index] > self.config.retries:
+        retry = self.failed[index] <= self.config.retries
+        self.report("attempt_failed", index, kind=kind, error=error, retry=retry)
+        if not retry:
             self._give_up(index, kind, error)
             return
-        self._count("sweep.retries")
         if self.config.retry_backoff > 0.0:
             sleep(self.config.retry_backoff * 2.0 ** (self.failed[index] - 1))
         self.queue.append(index)
 
     def _give_up(self, index: int, kind: str, error: str) -> None:
         """Resolve ``index`` as a terminal failure."""
-        self.fail(
+        self.report(
+            "point_failed",
             index,
-            PointFailure(
+            failure=PointFailure(
                 spec=self.specs[index],
                 error=error,
                 kind=kind,
@@ -307,7 +297,7 @@ class _Execution:
                 self.spent[index] += perf_counter() - started  # repro-lint: ignore[D101] -- reporting only
                 self._charge(index, "exception", _describe(exc))
             else:
-                self.finish(index, result)
+                self.report("point_completed", index, result=result)
 
     # -- on worker children ---------------------------------------------------
 
@@ -472,7 +462,7 @@ class _Execution:
             except Exception as exc:
                 error = f"could not decode worker result: {_describe(exc)}"
             else:
-                self.finish(index, result)
+                self.report("point_completed", index, result=result)
                 return
         else:
             error = reply.get("error", "worker reported an error")
@@ -492,20 +482,10 @@ class _Execution:
         elif not child.ready:
             self.stillborn += 1
 
-    def _note_lost(
-        self, reason: str, pid: int | None = None, index: int | None = None
-    ) -> None:
+    def _note_lost(self, reason: str, pid: int | None = None, index: int | None = None) -> None:
         self.lost += 1
         self.last_loss = reason
-        self._count("sweep.worker_restarts")
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "worker_restart",
-                worker=pid,
-                restarts=self.lost,
-                index=index,
-                reason=reason,
-            )
+        self.report("worker_restart", index, worker=pid, restarts=self.lost, reason=reason)
 
 
 @dataclass
@@ -541,16 +521,10 @@ class LocalBackend(Backend):
         self,
         specs: Sequence[ExperimentSpec],
         misses: list[int],
-        *,
-        finish: FinishFn,
-        fail: FailFn,
-        metrics: dict[str, int] | None = None,
-        telemetry: TelemetrySink | None = None,
+        report: ReportFn,
     ) -> None:
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
-        execution = _Execution(
-            self, specs, misses, finish, fail, metrics, telemetry
-        )
+        execution = _Execution(self, specs, misses, report)
         command = self.command
         if command is None:
             if workers <= 1:

@@ -1,40 +1,65 @@
-"""Sweep dispatch: cache scan, backend fan-out, accounting.
+"""Sweep dispatch: cache scan, backend fan-out, one event stream.
 
-The public runner API.  A :class:`Dispatcher` pairs a result cache with
-an execution :class:`~repro.runner.backends.Backend` and runs spec grids
-through both, in the calling thread: cache hits are served first,
-duplicate specs are computed once, misses go to the backend, and every
-resolution is reported as it happens — one ``progress`` line and one
-``telemetry`` event per point.  Manifests ride along for free: every
-fresh result lands in the cache via :meth:`ResultCache.put`, which writes
-the provenance manifest.
-
-:func:`run_sweep` is the one-call face of the same machinery (a
-:class:`LocalBackend` dispatcher unless a backend is passed).
+The public runner API is :func:`run_sweep`.  It runs a spec grid through a
+result cache and an execution :class:`~repro.runner.backends.Backend`, in
+the calling thread: cache hits are served first, duplicate specs are
+computed once, misses go to the backend.  Every transition — a cache hit,
+a charged attempt, a lost worker, a resolved point, the sweep's start and
+end — is one event reported to :meth:`_Run.report`, the one sink, which
+folds it into the results, the cache, the ``sweep.*`` counters, the
+telemetry stream and the ``progress`` lines.  Manifests ride along for
+free: every fresh result lands in the cache via :meth:`ResultCache.put`,
+which writes the provenance manifest.
 """
 
 from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.core.series import DecimatedSeries
-from repro.runner.backends import Backend, LocalBackend, get_backend
+from repro.runner.backends import Backend, LocalBackend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.failures import PointFailure
-from repro.runner.sweep import (
-    ProgressFn,
-    SweepResult,
-    _failure_line,
-    _point_line,
-)
-from repro.runner.telemetry import TelemetrySink, as_sink
+from repro.runner.failures import FAILURE_COUNTERS, PointFailure
+from repro.runner.sweep import ProgressFn, SweepResult
+from repro.runner.telemetry import TelemetrySink
 
 Outcome = PointResult | PointFailure
 
-TelemetryArg = TelemetrySink | str | os.PathLike | None
+TelemetryArg = TelemetrySink | str | os.PathLike | Callable[[dict[str, Any]], None] | None
+
+#: The ``sweep.*`` counter one event of each kind adds one to.
+#: ``attempt_failed`` adds to its kind's :data:`FAILURE_COUNTERS` entry and,
+#: when it will be retried, to ``sweep.retries``.
+EVENT_COUNTERS = {
+    "cache_hit": "sweep.cache_hits",
+    "worker_restart": "sweep.worker_restarts",
+}
+
+#: The ``sweep_finished`` fields that are slot counts, and their counters.
+SLOT_COUNTERS = {
+    "total": "sweep.points",
+    "executed": "sweep.executed",
+    "duplicates": "sweep.duplicates",
+    "failures": "sweep.failures",
+}
+
+
+def _progress_line(event: str, payload: dict[str, Any], total: int) -> str | None:
+    """The human line for a resolved point, rendered from its event payload."""
+    head = f"[{payload['index'] + 1}/{total}] {payload['label']}: "
+    if event == "cache_hit":
+        return head + "cached"
+    if event == "point_completed":
+        wall, events = payload["wall_seconds"], payload["events_executed"]
+        per_sec = events / wall if wall > 0.0 else 0.0
+        return f"{head}{wall:.2f}s wall, {events} events, {per_sec / 1e3:.0f}k ev/s"
+    if event == "point_failed":
+        kind, attempts = payload["kind"], payload["attempts"]
+        return f"{head}FAILED ({kind}, attempt {attempts}): {payload['error']}"
+    return None
 
 
 class _Run:
@@ -52,34 +77,83 @@ class _Run:
         self.cache = cache
         self.progress = progress
         self.telemetry = telemetry
-        #: ``sweep.*`` counts the backend adds to; restarts read 0 on a clean run.
-        self.counts: dict[str, int] = {"sweep.worker_restarts": 0}
+        #: With neither sink, :meth:`report` formats nothing.
+        self.quiet = progress is None and telemetry is None
+        #: Hits and restarts read 0 on a sweep that had none.
+        self.counts: dict[str, int] = dict.fromkeys(EVENT_COUNTERS.values(), 0)
         self.point_walls: DecimatedSeries[float] = DecimatedSeries()
         self.results: list[Outcome | None] = [None] * self.total
         self.misses: list[int] = []
         self.duplicates: dict[int, int] = {}
         self.started = perf_counter()  # repro-lint: ignore[D101] -- sweep wall time, reporting only
 
+    def report(self, event: str, index: int | None = None, **fields: Any) -> None:
+        """The one sink: store, cache, count, then telemetry and progress.
+
+        A ``point_completed`` carries its ``result`` and a ``point_failed``
+        its ``failure``; both are stored in the point's slot and flattened
+        into the payload's fields.  Sweep-level events (``sweep_*``) carry
+        no index; every other event carries ``index``, and a set index
+        brings the point's ``label`` and ``spec_hash``.
+        """
+        counts = self.counts
+        if event == "point_completed":
+            result = fields.pop("result")
+            self.results[index] = result  # type: ignore[index]
+            if self.cache is not None and not result.from_cache:
+                self.cache.put(self.specs[index], result)  # type: ignore[index]
+            self.point_walls.append(result.wall_seconds)
+            fields.update(wall_seconds=result.wall_seconds,
+                          events_executed=result.events_executed, completed=result.completed)
+        elif event == "point_failed":
+            failure = fields.pop("failure")
+            self.results[index] = failure  # type: ignore[index]
+            fields.update(kind=failure.kind, error=failure.error,
+                          attempts=failure.attempts, wall_seconds=failure.wall_seconds)
+        elif event == "attempt_failed":
+            name = FAILURE_COUNTERS[fields["kind"]]
+            counts[name] = counts.get(name, 0) + 1
+            if fields["retry"]:
+                counts["sweep.retries"] = counts.get("sweep.retries", 0) + 1
+        elif event == "sweep_finished":
+            for key, name in SLOT_COUNTERS.items():
+                counts[name] = fields[key]
+        else:
+            name = EVENT_COUNTERS.get(event)
+            if name is not None:
+                counts[name] += 1
+        if self.quiet:
+            return
+        if event.startswith("sweep_"):
+            payload = fields
+        elif index is None:
+            payload = {"index": None, **fields}
+        else:
+            spec = self.specs[index]
+            payload = {
+                "index": index,
+                "label": spec.label(),
+                "spec_hash": spec.content_hash(),
+                **fields,
+            }
+        if self.telemetry is not None:
+            self.telemetry.emit(event, **payload)
+        if self.progress is not None and index is not None:
+            line = _progress_line(event, payload, self.total)
+            if line is not None:
+                self.progress(line)
+
     # -- phases ---------------------------------------------------------------
 
     def scan(self) -> None:
         """Serve cache hits and split the rest into misses + duplicates."""
-        if self.telemetry is not None:
-            self.telemetry.emit("sweep_started", total=self.total)
+        self.report("sweep_started", total=self.total)
         seen: dict[str, int] = {}
         for index, spec in enumerate(self.specs):
             cached = self.cache.get(spec) if self.cache is not None else None
             if cached is not None:
                 self.results[index] = cached
-                if self.telemetry is not None:
-                    self.telemetry.emit(
-                        "cache_hit",
-                        index=index,
-                        label=spec.label(),
-                        spec_hash=spec.content_hash(),
-                    )
-                if self.progress is not None:
-                    self.progress(_point_line(index, self.total, cached))
+                self.report("cache_hit", index)
                 continue
             first = seen.setdefault(spec.content_hash(), index)
             if first != index:
@@ -87,58 +161,8 @@ class _Run:
             else:
                 self.misses.append(index)
 
-    def execute(self, backend: Backend) -> None:
-        """Hand the misses :meth:`scan` found to ``backend``."""
-        if self.misses:
-            backend.execute(
-                self.specs,
-                list(self.misses),
-                finish=self.finish,
-                fail=self.fail,
-                metrics=self.counts,
-                telemetry=self.telemetry,
-            )
-
-    def finish(self, index: int, result: PointResult) -> None:
-        """Backend callback: one miss computed successfully."""
-        self.results[index] = result
-        if self.cache is not None and not result.from_cache:
-            self.cache.put(self.specs[index], result)
-        self.point_walls.append(result.wall_seconds)
-        if self.telemetry is not None:
-            spec = self.specs[index]
-            self.telemetry.emit(
-                "point_completed",
-                index=index,
-                label=spec.label(),
-                spec_hash=spec.content_hash(),
-                wall_seconds=result.wall_seconds,
-                events_executed=result.events_executed,
-                completed=result.completed,
-            )
-        if self.progress is not None:
-            self.progress(_point_line(index, self.total, result))
-
-    def fail(self, index: int, failure: PointFailure) -> None:
-        """Backend callback: one miss exhausted its attempts."""
-        self.results[index] = failure
-        if self.telemetry is not None:
-            spec = self.specs[index]
-            self.telemetry.emit(
-                "point_failed",
-                index=index,
-                label=spec.label(),
-                spec_hash=spec.content_hash(),
-                kind=failure.kind,
-                error=failure.error,
-                attempts=failure.attempts,
-                wall_seconds=failure.wall_seconds,
-            )
-        if self.progress is not None:
-            self.progress(_failure_line(index, self.total, failure))
-
     def finalize(self) -> SweepResult:
-        """Resolve duplicates and freeze the accounting into a result."""
+        """Resolve duplicates, report the totals, freeze them into a result."""
         from repro.obs.metrics import HistogramSummary, MetricsReport
 
         if self.total == 0:  # the empty sweep: nothing scanned, nothing counted
@@ -148,32 +172,23 @@ class _Run:
         executed = len(self.misses)
         cached = self.total - executed - len(self.duplicates)
         wall = perf_counter() - self.started  # repro-lint: ignore[D101] -- reporting only
-        counts = self.counts
-        counts.update({
-            "sweep.points": self.total,
-            "sweep.executed": executed,
-            "sweep.cache_hits": cached,
-            "sweep.duplicates": len(self.duplicates),
-            "sweep.failures": sum(isinstance(p, PointFailure) for p in self.results),
-        })
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "sweep_finished",
-                total=self.total,
-                executed=executed,
-                cached=cached,
-                duplicates=len(self.duplicates),
-                failures=counts["sweep.failures"],
-                worker_restarts=counts["sweep.worker_restarts"],
-                wall_seconds=wall,
-            )
+        self.report(
+            "sweep_finished",
+            total=self.total,
+            executed=executed,
+            cached=cached,
+            duplicates=len(self.duplicates),
+            failures=sum(isinstance(p, PointFailure) for p in self.results),
+            worker_restarts=self.counts["sweep.worker_restarts"],
+            wall_seconds=wall,
+        )
         return SweepResult(
             points=tuple(self.results),  # type: ignore[arg-type]
             executed=executed,
             cached=cached,
             wall_seconds=wall,
             metrics=MetricsReport(
-                counters=dict(sorted(counts.items())),
+                counters=dict(sorted(self.counts.items())),
                 gauges={"sweep.wall_seconds": wall},
                 histograms=(
                     {"sweep.point_wall_seconds": HistogramSummary.of(self.point_walls)}
@@ -181,51 +196,6 @@ class _Run:
                 ),
             ),
         )
-
-
-class Dispatcher:
-    """Runs spec grids through a cache and a pluggable execution backend.
-
-    ``backend`` is a :class:`Backend` instance or a registry name
-    (``"local"``, ``"subprocess"``) for a default-configured one.
-    ``progress`` receives one line per resolved point.
-    ``telemetry`` is an NDJSON health-event sink — a
-    :class:`~repro.runner.telemetry.TelemetrySink`, a file path for one,
-    or a callable receiving each event dict; the dispatcher emits
-    lifecycle events (``sweep_started``, ``cache_hit``,
-    ``point_completed``, ``point_failed``, ``sweep_finished``) and the
-    backend adds its own (``worker_restart``, one per lost worker child).
-    The caller owns closing a sink it constructed; path-created sinks are
-    line-buffered, so the stream is tailable while the sweep runs.
-    """
-
-    def __init__(
-        self,
-        backend: Backend | str = "local",
-        *,
-        cache: ResultCache | str | os.PathLike | None = DEFAULT_CACHE_DIR,
-        progress: ProgressFn | None = None,
-        telemetry: TelemetryArg = None,
-    ) -> None:
-        if isinstance(backend, str):
-            backend = get_backend(backend)()
-        self.backend = backend
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
-        self.progress = progress
-        self.telemetry = as_sink(telemetry)
-        #: The :class:`SweepResult` of the most recent :meth:`run`.
-        self.last_result: SweepResult | None = None
-
-    def run(self, specs: Iterable[ExperimentSpec]) -> SweepResult:
-        """Resolve every spec (cache, dedupe, backend) into a result."""
-        run = _Run(list(specs), self.cache, self.progress, self.telemetry)
-        if run.total:
-            run.scan()
-            run.execute(self.backend)
-        self.last_result = run.finalize()
-        return self.last_result
 
 
 def run_sweep(
@@ -242,11 +212,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run every spec, in parallel, through the result cache.
 
-    The one-call face of :class:`Dispatcher`.  With ``backend=None``,
-    ``workers``/``timeout``/``retries``/``retry_backoff`` configure a
-    :class:`LocalBackend` (left at ``None``, each keeps that class's
-    default); passing a backend instance (e.g. a configured
-    :class:`~repro.runner.backends.SubprocessBackend`) dispatches over it
+    With ``backend=None``, ``workers``/``timeout``/``retries``/
+    ``retry_backoff`` configure a :class:`LocalBackend` (left at ``None``,
+    each keeps that class's default); passing a backend instance (e.g. a
+    configured :class:`~repro.runner.backends.SubprocessBackend`, or
+    ``get_backend(name)()`` for a registry name) dispatches over it
     instead, and giving any of those four as well is a ``ValueError`` — set
     them on the backend.
 
@@ -261,9 +231,9 @@ def run_sweep(
         A :class:`ResultCache`, a directory path for one, or ``None`` to
         disable caching entirely.  Failures are never cached.
     progress:
-        Optional callable receiving one human-readable line per completed
-        point (wall clock, events executed, events/sec, cache hits,
-        failures).
+        Optional callable receiving one human-readable line per resolved
+        point (cached; wall clock, events executed, events/sec; or the
+        failure).
     timeout:
         Per-point wall-clock budget in seconds (parallel modes only; the
         clock starts when the point is handed to its worker).  An overdue
@@ -285,9 +255,10 @@ def run_sweep(
     telemetry:
         Structured NDJSON health stream: a
         :class:`~repro.runner.telemetry.TelemetrySink`, a path to write
-        one event per line to, or a callable receiving each event dict.
-        A path-created sink is closed before returning; a sink instance
-        stays open (the caller owns it).
+        one event per line to (line-buffered, so tailable while the sweep
+        runs), or a callable receiving each event dict.  A sink built
+        here is closed before returning; a sink instance stays open (the
+        caller owns it).
     """
     local = dict(
         workers=workers, timeout=timeout, retries=retries, retry_backoff=retry_backoff
@@ -300,14 +271,22 @@ def run_sweep(
             f"run_sweep(backend=...) would ignore {', '.join(given)}; "
             f"set them on the backend instead"
         )
-    sink = as_sink(telemetry)
+    if cache is not None and not isinstance(cache, ResultCache):
+        cache = ResultCache(cache)
+    sink = (
+        telemetry if telemetry is None or isinstance(telemetry, TelemetrySink)
+        else TelemetrySink(telemetry)
+    )
     try:
-        return Dispatcher(
-            backend, cache=cache, progress=progress, telemetry=sink
-        ).run(specs)
+        run = _Run(list(specs), cache, progress, sink)
+        if run.total:
+            run.scan()
+            if run.misses:
+                backend.execute(run.specs, list(run.misses), run.report)
+        return run.finalize()
     finally:
-        if sink is not None and not isinstance(telemetry, TelemetrySink):
+        if sink is not None and sink is not telemetry:
             sink.close()
 
 
-__all__ = ["Dispatcher", "TelemetrySink", "run_sweep"]
+__all__ = ["TelemetrySink", "run_sweep"]

@@ -2,10 +2,9 @@
 
 Every figure in the paper is a sweep — N schemes × M loads × seeds — and
 each point is an independent, deterministic function of its
-:class:`ExperimentSpec`.  The entry points live in
-:mod:`repro.runner.dispatch` (:func:`run_sweep` and the
-:class:`Dispatcher`), and execution — inline or over worker processes,
-with its retries, timeouts and crash blame — in
+:class:`ExperimentSpec`.  The entry point lives in
+:mod:`repro.runner.dispatch` (:func:`run_sweep`), and execution — inline
+or over worker processes, with its retries, timeouts and crash blame — in
 :mod:`repro.runner.backends`; this module holds what both build on: the
 grid helpers and the :class:`SweepResult` a sweep comes back as, in input
 order and bit-identical regardless of worker count because every random
@@ -168,23 +167,6 @@ class SweepResult:
             else:
                 hasher.update(records_digest(list(point.records)).encode())
         return hasher.hexdigest()
-
-
-def _point_line(index: int, total: int, result: PointResult) -> str:
-    if result.from_cache:
-        return f"[{index + 1}/{total}] {result.spec.label()}: cached"
-    return (
-        f"[{index + 1}/{total}] {result.spec.label()}: "
-        f"{result.wall_seconds:.2f}s wall, {result.events_executed} events, "
-        f"{result.events_per_sec / 1e3:.0f}k ev/s"
-    )
-
-
-def _failure_line(index: int, total: int, failure: PointFailure) -> str:
-    return (
-        f"[{index + 1}/{total}] {failure.spec.label()}: "
-        f"FAILED ({failure.kind}, attempt {failure.attempts}): {failure.error}"
-    )
 
 
 __all__ = [

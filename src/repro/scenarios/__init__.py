@@ -9,7 +9,8 @@ a :class:`ScenarioError` with file/line context.
 
 The committed exemplars live in ``scenarios/*.yaml`` at the repo root;
 run them with ``conga-repro scenario run`` or hand the compiled grid to
-:class:`repro.runner.Dispatcher` / :func:`repro.runner.run_sweep`.
+:func:`repro.runner.run_sweep`, the one door to a sweep (any backend:
+``run_sweep(scenario.compile(), backend=get_backend(name)())``).
 """
 
 from repro.scenarios.loader import (

@@ -210,6 +210,11 @@ class Scenario:
         """
         payload = _canonical(self)
         payload.pop("source")
+        # The template's ``obs`` and its ``timeline`` turned hash-neutral
+        # after scenario hashes were pinned; this hash keeps them unset.
+        obs = payload["template"].setdefault("obs", None)
+        if obs is not None:
+            obs.setdefault("timeline", None)
         # The retired free-form ``params`` block, always empty now: pinned
         # scenario hashes stay those of the files that never had one.
         payload["params_json"] = "{}"

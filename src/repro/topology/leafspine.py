@@ -5,6 +5,10 @@ Figure 7 (2 leaves × 2 spines, 32×10 Gbps hosts per leaf, 2×40 Gbps parallel
 uplinks per leaf-spine pair, 2:1 oversubscription), the 6-leaf × 4-spine
 288-port fabric of Figure 16, and arbitrary (leaves, spines, hosts, rates)
 combinations for the large-scale sweeps of Figure 15.
+
+A config is part of a spec's description, so this module loads no engine:
+the nodes, ports, switches and kernel are imported by the builders, when a
+run builds a fabric (DESIGN.md "Import layering").
 """
 
 from __future__ import annotations
@@ -13,17 +17,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.params import (
-    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS, HASH_NEUTRAL_DEFAULT,
+    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS,
+    DEFAULT_PROPAGATION_DELAY, HASH_NEUTRAL_DEFAULT,
 )
-from repro.net.node import Host
-from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
-from repro.sim import Simulator
-from repro.switch.fabric import Fabric
-from repro.switch.leaf import LeafSwitch
-from repro.switch.spine import LEAF_SALT, SpineSwitch
 from repro.units import gbps
 
 if TYPE_CHECKING:
+    from repro.sim import Simulator
+    from repro.switch.fabric import Fabric
+    from repro.switch.spine import SpineSwitch
     from repro.topology.multipod import MultiPodConfig
 
 
@@ -137,6 +139,11 @@ def wire_pod(
     already built and host ids are ``leaf_id * hosts_per_leaf + i``, so
     tests can address "the k-th server under leaf j" directly.
     """
+    from repro.net.node import Host
+    from repro.net.port import connect
+    from repro.switch.leaf import LeafSwitch
+    from repro.switch.spine import LEAF_SALT
+
     for leaf_id in range(len(fabric.leaves), len(fabric.leaves) + num_leaves):
         leaf = LeafSwitch(sim, leaf_id, fabric, config.params)
         fabric.leaves.append(leaf)
@@ -178,6 +185,9 @@ def wire_pod(
 
 def build_leaf_spine(sim: Simulator, config: LeafSpineConfig = TESTBED) -> Fabric:
     """Construct a Leaf-Spine fabric; call ``fabric.finalize(...)`` after."""
+    from repro.switch.fabric import Fabric
+    from repro.switch.spine import SpineSwitch
+
     fabric = Fabric(sim, config)
     fabric.spines = [
         SpineSwitch(sim, spine_id, fabric, config.params)

@@ -25,22 +25,25 @@ The model here follows that exactly:
 
 This module is the configuration and the builder only; the fabric it
 returns is the same :class:`~repro.switch.fabric.Fabric` with a non-empty
-core tier.
+core tier.  As for the 2-tier config, the builder imports the engine, so
+a spec carrying a :class:`MultiPodConfig` describes a point without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.params import (
-    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS, HASH_NEUTRAL_DEFAULT,
+    CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS,
+    DEFAULT_PROPAGATION_DELAY, HASH_NEUTRAL_DEFAULT,
 )
-from repro.net.port import DEFAULT_PROPAGATION_DELAY, connect
-from repro.sim import Simulator
-from repro.switch.fabric import Fabric
-from repro.switch.spine import CORE_SALT, POD_SALT, SpineSwitch
 from repro.topology.leafspine import parallel_label, wire_pod
 from repro.units import gbps
+
+if TYPE_CHECKING:
+    from repro.sim import Simulator
+    from repro.switch.fabric import Fabric
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,10 @@ def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> Fabr
     ``links_per_pair`` parallel links, wired before the pod's leaves so a
     pod spine's core uplinks precede its leaf downlinks.
     """
+    from repro.net.port import connect
+    from repro.switch.fabric import Fabric
+    from repro.switch.spine import CORE_SALT, POD_SALT, SpineSwitch
+
     if config is None:
         config = MultiPodConfig()
     fabric = Fabric(sim, config)

@@ -161,7 +161,7 @@ class TestCaftSmokeScenario:
         from pathlib import Path
 
         from repro.analysis.fct import records_digest
-        from repro.runner import Dispatcher, SubprocessBackend, run_sweep
+        from repro.runner import SubprocessBackend, run_sweep
         from repro.scenarios import load_scenario
 
         scenario = load_scenario(
@@ -169,7 +169,7 @@ class TestCaftSmokeScenario:
         )
         specs = scenario.compile()
         inline = run_sweep(specs, cache=None)
-        dispatched = Dispatcher(SubprocessBackend(workers=2), cache=None).run(specs)
+        dispatched = run_sweep(specs, backend=SubprocessBackend(workers=2), cache=None)
         assert len(inline.points) == len(dispatched.points) == 2
         for mine, theirs in zip(inline.points, dispatched.points):
             assert mine.spec.content_hash() == theirs.spec.content_hash()

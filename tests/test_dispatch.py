@@ -1,4 +1,4 @@
-"""Tests for the dispatcher redesign: backends, the dispatcher, the worker.
+"""Tests for dispatch: backends, the one door (``run_sweep``), the worker.
 
 The core guarantee under test is backend interchangeability — a point run
 is a pure function of its spec, so the ``subprocess`` backend must
@@ -21,11 +21,11 @@ from repro.apps import ExperimentSpec, PointResult
 from repro.runner import (
     BACKENDS,
     Backend,
-    Dispatcher,
     LocalBackend,
     PointFailure,
     SubprocessBackend,
     get_backend,
+    run_sweep,
 )
 from repro.runner.worker import serve
 
@@ -131,45 +131,54 @@ class TestWorkerProtocol:
         assert out.getvalue() == ""
 
 
-class TestDispatcher:
+class TestRunSweepDispatch:
     def test_empty_grid_short_circuits(self):
-        dispatcher = Dispatcher(LocalBackend(workers=0), cache=None)
-        result = dispatcher.run([])
+        result = run_sweep([], backend=LocalBackend(workers=0), cache=None)
         assert len(result) == 0
         assert result.executed == result.cached == 0
-        assert dispatcher.last_result is result
 
     def test_string_backend_resolves_via_registry(self):
-        dispatcher = Dispatcher("local", cache=None)
-        assert isinstance(dispatcher.backend, LocalBackend)
+        result = run_sweep([TINY], backend=get_backend("local")(workers=0), cache=None)
+        assert result.executed == 1 and not result.failures
 
     def test_cache_hits_skip_the_backend(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = Dispatcher(LocalBackend(workers=0), cache=cache_dir).run(
-            [TINY]
-        )
+        first = run_sweep([TINY], backend=LocalBackend(workers=0), cache=cache_dir)
         assert first.executed == 1 and first.cached == 0
 
         class ExplodingBackend(Backend):
             name = "exploding"
 
-            def execute(self, specs, misses, *, finish, fail,
-                        metrics=None, telemetry=None):
+            def execute(self, specs, misses, report):
                 raise AssertionError("backend should not be reached")
 
-        second = Dispatcher(ExplodingBackend(), cache=cache_dir).run([TINY])
+        second = run_sweep([TINY], backend=ExplodingBackend(), cache=cache_dir)
         assert second.executed == 0 and second.cached == 1
         assert second.digest() == first.digest()
 
     def test_duplicate_specs_computed_once(self):
-        result = Dispatcher(LocalBackend(workers=0), cache=None).run(
-            [TINY, TINY, TINY]
+        result = run_sweep(
+            [TINY, TINY, TINY], backend=LocalBackend(workers=0), cache=None
         )
         assert result.executed == 1
         assert len(result) == 3
         assert result.points[0] is result.points[1] is result.points[2]
         assert result.metrics is not None
         assert result.metrics.counters["sweep.duplicates"] == 2
+
+
+def _failures_of(backend: Backend, specs, misses) -> dict[int, PointFailure]:
+    """Drive ``backend.execute`` directly; every terminal event must be a failure."""
+    failures: dict[int, PointFailure] = {}
+
+    def report(event, index=None, **fields):
+        assert event != "point_completed", "point should not succeed"
+        if event == "point_failed":
+            assert index not in failures
+            failures[index] = fields["failure"]
+
+    backend.execute(specs, misses, report)
+    return failures
 
 
 class TestSubprocessBackend:
@@ -188,13 +197,7 @@ class TestSubprocessBackend:
             retry_backoff=0.0,
             max_worker_restarts=2,
         )
-        failures: dict[int, PointFailure] = {}
-        backend.execute(
-            [TINY],
-            [0],
-            finish=lambda i, r: pytest.fail("point should not succeed"),
-            fail=failures.__setitem__,
-        )
+        failures = _failures_of(backend, [TINY], [0])
         assert set(failures) == {0}
         assert failures[0].kind == "crash"
         assert failures[0].attempts >= 1
@@ -207,13 +210,7 @@ class TestSubprocessBackend:
             retry_backoff=0.0,
             max_worker_restarts=0,
         )
-        failures: dict[int, PointFailure] = {}
-        backend.execute(
-            list(GRID),
-            [0, 1],
-            finish=lambda i, r: pytest.fail("point should not succeed"),
-            fail=failures.__setitem__,
-        )
+        failures = _failures_of(backend, list(GRID), [0, 1])
         assert set(failures) == {0, 1}
         assert all(f.kind == "crash" for f in failures.values())
 
@@ -222,12 +219,10 @@ class TestSubprocessBackend:
         # The acceptance check for backend interchangeability: the same
         # grid through two subprocess workers and through the in-process
         # path must agree bit-for-bit on what was computed.
-        local = Dispatcher(LocalBackend(workers=0), cache=None).run(
-            list(GRID)
+        local = run_sweep(list(GRID), backend=LocalBackend(workers=0), cache=None)
+        remote = run_sweep(
+            list(GRID), backend=SubprocessBackend(workers=2, retries=0), cache=None
         )
-        remote = Dispatcher(
-            SubprocessBackend(workers=2, retries=0), cache=None
-        ).run(list(GRID))
         assert remote.executed == len(GRID)
         assert not remote.failures
         assert remote.digest() == local.digest()

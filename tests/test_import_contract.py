@@ -37,7 +37,7 @@ from repro.apps import ExperimentSpec, ObsSpec
 from repro.faults import LinkDegrade, RandomLinkDowns
 from repro.obs import TimelineSpec
 from repro.runner import ResultCache
-from repro.topology import MultiPodConfig
+from repro.topology import MultiPodConfig, scaled_testbed
 from repro.units import microseconds
 
 SRC = str(Path(repro.__file__).parents[1])
@@ -78,7 +78,6 @@ ENGINE = (
     "repro.switch.fabric",
     "repro.switch.leaf",
     "repro.switch.spine",
-    "repro.topology.leafspine",
 )
 
 LAZIFIED = (
@@ -180,6 +179,45 @@ def test_describing_a_point_loads_no_engine_and_running_it_does():
     described, ran = map(set, json.loads(cold("-c", code).stdout.splitlines()[-1]))
     assert not described & set(ENGINE)
     assert set(ENGINE) <= ran
+
+
+def test_a_topology_config_loads_no_engine():
+    # A config is part of a spec's description: building one, or unpickling
+    # a spec (or a cached PointResult) that carries one, loads no engine.
+    specs = [
+        ExperimentSpec("conga", "enterprise", load=0.5, config=config)
+        for config in (scaled_testbed(), MultiPodConfig(hosts_per_leaf=2))
+    ]
+    blob = base64.b64encode(pickle.dumps(specs)).decode()
+    code = (
+        "import base64, json, pickle, sys\n"
+        "from repro.topology import scaled_testbed\n"
+        "scaled_testbed()\n"
+        "built = sorted(sys.modules)\n"
+        "specs = pickle.loads(base64.b64decode(sys.stdin.read()))\n"
+        "print(json.dumps([built, sorted(sys.modules)]))"
+    )
+    built, unpickled = map(
+        set, json.loads(cold("-c", code, stdin=blob).stdout.splitlines()[-1])
+    )
+    assert "repro.topology.leafspine" in built
+    assert "repro.topology.multipod" in unpickled
+    assert not unpickled & set(ENGINE)
+
+
+def test_load_engine_warms_everything_a_run_imports():
+    code = (
+        "import json, sys\n"
+        "from repro.apps import ExperimentSpec\n"
+        "from repro.apps.spec import load_engine\n"
+        "load_engine()\n"
+        "warm = set(sys.modules)\n"
+        "ExperimentSpec('conga', 'enterprise', load=0.5, num_flows=5,"
+        " size_scale=0.02).run()\n"
+        "print(json.dumps(sorted(set(sys.modules) - warm)))"
+    )
+    new = json.loads(cold("-c", code).stdout.splitlines()[-1])
+    assert [m for m in new if m.startswith("repro")] == []
 
 
 def test_a_forking_sweep_loads_the_engine_in_the_parent_before_its_workers():

@@ -23,6 +23,7 @@ from repro.lb import EcmpSelector
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     Backend,
+    PointFailure,
     ResultCache,
     derive_seeds,
     run_sweep,
@@ -129,6 +130,16 @@ class TestExperimentSpec:
         spec = TINY.with_(clients=range(8, 16), failed_links=[(1, 1, 0)])
         assert spec.clients == tuple(range(8, 16))
         assert spec.failed_links == ((1, 1, 0),)
+
+    @pytest.mark.parametrize("host", [999, -1])
+    def test_an_out_of_range_client_is_refused_typed(self, host):
+        # The scaled testbed has 16 hosts; a bad one used to surface as a
+        # bare KeyError from the traffic generator's leaf lookup.
+        spec = ExperimentSpec("ecmp", "enterprise", 0.5, num_flows=5, clients=(host,))
+        with pytest.raises(
+            ValueError, match=rf"client host {host} out of range .*\(0\.\.15\)"
+        ):
+            spec.run()
 
     def test_rejects_bad_load_and_flows(self):
         with pytest.raises(ValueError):
@@ -312,7 +323,7 @@ class TestSweepHelpers:
 class _ForbiddenBackend(Backend):
     name = "forbidden"
 
-    def execute(self, specs, misses, *, finish, fail, metrics=None, telemetry=None):
+    def execute(self, specs, misses, report):
         raise AssertionError("backend must not be reached on a full cache hit")
 
 
@@ -351,6 +362,34 @@ class TestRunSweep:
         )
         assert len(lines) == 1
         assert "ecmp web-search" in lines[0] and "events" in lines[0]
+
+    def test_progress_lines_are_pinned(self, tmp_path):
+        # A scripted backend fixes the wall clock; the strings were recorded
+        # on the four-channel runner these lines are now rendered without.
+        point = dataclasses.replace(TINY.run(), wall_seconds=0.25)
+        failed = TINY.with_(seed=2)
+        failure = PointFailure(
+            failed, "RuntimeError: boom", kind="exception", attempts=2,
+            wall_seconds=0.125,
+        )
+
+        class Scripted(Backend):
+            name = "scripted"
+
+            def execute(self, specs, misses, report):
+                report("point_completed", misses[0], result=point)
+                report("point_failed", misses[1], failure=failure)
+
+        lines = []
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep([TINY, failed], cache=cache, backend=Scripted(), progress=lines.append)
+        run_sweep([TINY], cache=cache, progress=lines.append)
+        assert lines == [
+            "[1/2] ecmp web-search load=0.4 seed=1: 0.25s wall, 3466 events, 14k ev/s",
+            "[2/2] ecmp web-search load=0.4 seed=2: FAILED (exception, attempt 2): "
+            "RuntimeError: boom",
+            "[1/1] ecmp web-search load=0.4 seed=1: cached",
+        ]
 
     def test_identical_specs_in_one_sweep_run_once(self, tmp_path):
         sweep = run_sweep([TINY, TINY], workers=0, cache=tmp_path / "cache")

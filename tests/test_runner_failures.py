@@ -3,7 +3,10 @@
 The fault plane's second half: ``run_sweep`` must survive points that
 raise, hang, or kill their worker process, return a structured
 :class:`PointFailure` in the failing point's input-order slot, and keep
-the result cache uncorrupted throughout.
+the result cache uncorrupted throughout.  Every chaos sweep here also
+collects its event stream (:func:`observed_sweep`): the ``sweep.*``
+counters must be exactly the fold of those events, and each miss must get
+exactly one terminal event.
 
 The chaos schemes here misbehave *inside* ``make_selector`` so the damage
 happens in the worker that executes the point, not at spec construction.
@@ -20,6 +23,7 @@ import pickle
 import shutil
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,6 +107,56 @@ def make_backend(request, monkeypatch):
     return functools.partial(SubprocessBackend, command=_CHAOS_WORKER)
 
 
+#: Independent of the runner's own table: what each event adds to ``sweep.*``.
+_KIND_COUNTERS = {
+    "exception": "sweep.exceptions",
+    "timeout": "sweep.timeouts",
+    "crash": "sweep.crashes",
+}
+_SLOT_COUNTERS = {
+    "total": "sweep.points",
+    "executed": "sweep.executed",
+    "duplicates": "sweep.duplicates",
+    "failures": "sweep.failures",
+}
+
+
+def fold(events: list[dict]) -> dict[str, int]:
+    """The ``sweep.*`` counters a sweep's telemetry events add up to."""
+    counts = {"sweep.cache_hits": 0, "sweep.worker_restarts": 0}
+
+    def add(name: str) -> None:
+        counts[name] = counts.get(name, 0) + 1
+
+    for event in events:
+        name = event["event"]
+        if name == "cache_hit":
+            add("sweep.cache_hits")
+        elif name == "worker_restart":
+            add("sweep.worker_restarts")
+        elif name == "attempt_failed":
+            add(_KIND_COUNTERS[event["kind"]])
+            if event["retry"]:
+                add("sweep.retries")
+        elif name == "sweep_finished":
+            counts.update({c: event[f] for f, c in _SLOT_COUNTERS.items()})
+    return counts
+
+
+def observed_sweep(specs, **kwargs):
+    """``run_sweep`` with a callable sink; checks the stream against the result."""
+    events: list[dict] = []
+    sweep = run_sweep(specs, telemetry=events.append, **kwargs)
+    assert sweep.metrics.counters == fold(events)
+    terminal = Counter(
+        e["index"] for e in events if e["event"] in ("point_completed", "point_failed")
+    )
+    hits = {e["index"] for e in events if e["event"] == "cache_hit"}
+    assert terminal == Counter(i for i in range(len(specs)) if i not in hits)
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    return sweep, events
+
+
 def _tiny(scheme, seed=1):
     return ExperimentSpec(
         scheme, "enterprise", 0.4, seed=seed, num_flows=12, size_scale=0.02
@@ -134,7 +188,7 @@ def test_point_failure_validation():
 def test_inline_exception_becomes_point_failure(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     specs = [_tiny("ecmp"), _tiny("chaos-error")]
-    sweep = run_sweep(specs, workers=0, cache=cache, retries=1, retry_backoff=0.0)
+    sweep, _ = observed_sweep(specs, workers=0, cache=cache, retries=1, retry_backoff=0.0)
     assert len(sweep.points) == 2  # one entry per spec, in input order
     good, bad = sweep.points
     assert good.spec.scheme == "ecmp" and good.completed == good.arrivals
@@ -163,7 +217,7 @@ def test_inline_retry_can_succeed(monkeypatch):
     register_scheme(
         SchemeSpec("chaos-flaky", flaky, tcp_flow_factory), replace=True
     )
-    sweep = run_sweep(
+    sweep, _ = observed_sweep(
         [_tiny("chaos-flaky")], workers=0, cache=None, retries=1, retry_backoff=0.0
     )
     assert sweep.failures == []
@@ -183,7 +237,7 @@ def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path, make_backend)
         _tiny("ecmp", seed=2),
         _tiny("conga", seed=1),
     ]
-    sweep = run_sweep(
+    sweep, _ = observed_sweep(
         specs,
         cache=cache,
         backend=make_backend(workers=2, retries=1, retry_backoff=0.0),
@@ -211,7 +265,7 @@ def test_worker_crash_yields_one_failure_and_clean_cache(tmp_path, make_backend)
 def test_point_timeout_is_killed_and_reported(tmp_path, make_backend):
     cache = ResultCache(tmp_path / "cache")
     specs = [_tiny("chaos-sleep"), _tiny("ecmp", seed=3), _tiny("ecmp", seed=4)]
-    sweep = run_sweep(
+    sweep, _ = observed_sweep(
         specs,
         cache=cache,
         backend=make_backend(
@@ -231,11 +285,17 @@ def test_point_timeout_is_killed_and_reported(tmp_path, make_backend):
 @pytest.mark.chaos_smoke
 def test_worker_exception_is_retried_and_reported(make_backend):
     specs = [_tiny("ecmp"), _tiny("chaos-error")]
-    sweep = run_sweep(
+    sweep, events = observed_sweep(
         specs,
         cache=None,
         backend=make_backend(workers=2, retries=1, retry_backoff=0.0),
     )
+    attempts = [e for e in events if e["event"] == "attempt_failed"]
+    assert [(e["index"], e["kind"], e["retry"]) for e in attempts] == [
+        (1, "exception", True),
+        (1, "exception", False),
+    ]
+    assert all(e["label"] == specs[1].label() for e in attempts)
     good, bad = sweep.points
     assert good.completed == good.arrivals
     assert isinstance(bad, PointFailure)
@@ -256,7 +316,7 @@ def test_hanging_points_time_out_however_many_there_are():
     specs = [_tiny("chaos-sleep", seed=seed) for seed in range(1, 6)]
     specs.insert(2, _tiny("ecmp"))
     started = time.perf_counter()
-    sweep = run_sweep(
+    sweep, _ = observed_sweep(
         specs,
         workers=workers,
         cache=None,
@@ -281,7 +341,7 @@ def test_timeout_kills_only_the_overdue_worker(tmp_path, monkeypatch):
     log = tmp_path / "executions.log"
     monkeypatch.setenv("REPRO_CHAOS_LOG", str(log))
     specs = [_tiny("chaos-nap-1.0"), _tiny("chaos-sleep"), _tiny("chaos-nap-1.5")]
-    sweep = run_sweep(
+    sweep, _ = observed_sweep(
         specs, workers=2, cache=None, timeout=2.0, retries=0, retry_backoff=0.0
     )
     assert [f.spec.scheme for f in sweep.failures] == ["chaos-sleep"]
@@ -298,7 +358,7 @@ def test_a_worker_that_never_acknowledges_init_is_retired_at_the_timeout():
         workers=1, command=deaf, timeout=1.0, max_worker_restarts=0
     )
     started = time.perf_counter()
-    sweep = run_sweep([_tiny("ecmp")], backend=backend, cache=None)
+    sweep, _ = observed_sweep([_tiny("ecmp")], backend=backend, cache=None)
     assert time.perf_counter() - started < 5.0
     [failure] = sweep.failures
     assert failure.kind == "crash"
