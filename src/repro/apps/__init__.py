@@ -23,9 +23,9 @@ from repro.apps.traffic import (
     tcp_flow_factory,
 )
 
-#: Siblings imported on first access: the scheme registry loads the engine a
-#: run executes, which describing a point never needs; ``hdfs`` and ``incast``
-#: are models no ``ExperimentSpec`` run enters.
+#: Siblings imported on first access: the scheme registry is read only to
+#: resolve a name (its entries import the engine when a run calls them);
+#: ``hdfs`` and ``incast`` are models no ``ExperimentSpec`` run enters.
 _DEFERRED = {
     "experiment": (
         "ExperimentResult",

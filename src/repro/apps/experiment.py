@@ -27,36 +27,26 @@ scheme definitions mirror §5's comparison set:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
-from repro.analysis.fct import FctSummary
 from repro.apps.traffic import (
     FlowFactory,
     dctcp_flow_factory,
     mptcp_flow_factory,
     tcp_flow_factory,
 )
-from repro.lb import (
-    CaftSelector,
-    CentralizedScheduler,
-    CentralizedSelector,
-    CongaFlowSelector,
-    CongaSelector,
-    EcmpSelector,
-    LocalAwareSelector,
-    PacketSpraySelector,
-)
-from repro.lb.caft import enable_fault_awareness
-from repro.lb.base import SelectorFactory
-from repro.sim import Simulator
-from repro.switch.fabric import Fabric
 from repro.transport.tcp import FlowRecord, TcpParams
 from repro.units import kilobytes
 
 if TYPE_CHECKING:
+    from repro.analysis.fct import FctSummary
     from repro.analysis.monitors import ImbalanceSeries, QueueSeries
     from repro.faults.injector import FaultInjector
+    from repro.lb.base import SelectorFactory
     from repro.obs.timeline import Timeline
+    from repro.sim import Simulator
+    from repro.switch.fabric import Fabric
 
 
 @dataclass(frozen=True)
@@ -124,33 +114,60 @@ def _unpaced_mptcp_flow_factory(
     return mptcp_flow_factory(params)
 
 
+def _selector(name: str) -> Callable[[], SelectorFactory]:
+    """``repro.lb.<name>.factory()``, imported when a run builds its fabric."""
+
+    def make_selector() -> SelectorFactory:
+        return getattr(import_module("repro.lb"), name).factory()
+
+    return make_selector
+
+
+def _enable_fault_awareness(sim: Simulator, fabric: Fabric) -> None:
+    from repro.lb.caft import enable_fault_awareness
+
+    enable_fault_awareness(sim, fabric)
+
+
+def _centralized_selector() -> SelectorFactory:
+    from repro.lb.centralized import CentralizedSelector
+
+    return CentralizedSelector
+
+
+def _centralized_scheduler(sim: Simulator, fabric: Fabric) -> object:
+    from repro.lb.centralized import CentralizedScheduler
+
+    return CentralizedScheduler(sim, fabric, interval=fabric.config.controller_period)
+
+
+# A scheme's name is part of a point's description; what the scheme builds is
+# engine, so each entry imports its selector and hook when a run calls them.
 for _spec in (
-    SchemeSpec("ecmp", EcmpSelector.factory, tcp_flow_factory),
-    SchemeSpec("conga", CongaSelector.factory, tcp_flow_factory),
-    SchemeSpec("conga-flow", CongaFlowSelector.factory, tcp_flow_factory),
+    SchemeSpec("ecmp", _selector("EcmpSelector"), tcp_flow_factory),
+    SchemeSpec("conga", _selector("CongaSelector"), tcp_flow_factory),
+    SchemeSpec("conga-flow", _selector("CongaFlowSelector"), tcp_flow_factory),
     SchemeSpec(
         "caft",
-        CaftSelector.factory,
+        _selector("CaftSelector"),
         tcp_flow_factory,
-        post_setup=enable_fault_awareness,
+        post_setup=_enable_fault_awareness,
     ),
-    SchemeSpec("mptcp", EcmpSelector.factory, _unpaced_mptcp_flow_factory),
-    SchemeSpec("local", LocalAwareSelector.factory, tcp_flow_factory),
-    SchemeSpec("spray", PacketSpraySelector.factory, tcp_flow_factory),
-    SchemeSpec("dctcp", EcmpSelector.factory, dctcp_flow_factory),
+    SchemeSpec("mptcp", _selector("EcmpSelector"), _unpaced_mptcp_flow_factory),
+    SchemeSpec("local", _selector("LocalAwareSelector"), tcp_flow_factory),
+    SchemeSpec("spray", _selector("PacketSpraySelector"), tcp_flow_factory),
+    SchemeSpec("dctcp", _selector("EcmpSelector"), dctcp_flow_factory),
     SchemeSpec(
         "conga-dctcp",
-        CongaSelector.factory,
+        _selector("CongaSelector"),
         dctcp_flow_factory,
         ecn_threshold_bytes=kilobytes(100),
     ),
     SchemeSpec(
         "hedera",
-        lambda: CentralizedSelector,
+        _centralized_selector,
         tcp_flow_factory,
-        post_setup=lambda sim, fabric: CentralizedScheduler(
-            sim, fabric, interval=fabric.config.controller_period
-        ),
+        post_setup=_centralized_scheduler,
     ),
 ):
     register_scheme(_spec)
@@ -188,6 +205,8 @@ class ExperimentResult:
     def summary(self) -> FctSummary:
         """Lazily computed FCT summary over completed flows."""
         if self._summary is None:
+            from repro.analysis.fct import FctSummary
+
             self._summary = FctSummary.from_records(self.records)
         return self._summary
 

@@ -57,16 +57,20 @@ if TYPE_CHECKING:
     from repro.transport.tcp import FlowRecord
 
 #: What a run executes and a description never needs (DESIGN.md "Import
-#: layering", move 4): the scheme registry, and through it the kernel,
-#: selectors and congestion state; the topology builder and the nodes and
-#: switches it imports when it builds; the metrics collector; the seeded
-#: streams.
+#: layering", moves 4 and 5): the selectors and through them the kernel and
+#: congestion state (a scheme's name is description; its registry entry
+#: imports them only when called); the topology builder and the nodes and
+#: switches it imports when it builds; the FCT summary, the monitor views and
+#: the metrics collector; the seeded streams.
 _ENGINE = (
     "repro.apps.experiment",
+    "repro.lb",
     "repro.topology.leafspine",
     "repro.net.node",
     "repro.switch.leaf",
     "repro.switch.spine",
+    "repro.analysis.fct",
+    "repro.analysis.monitors",
     "repro.obs.metrics",
     "repro.sim.pcg64",
 )

@@ -16,6 +16,8 @@ order — so the same spec + seed yields bit-identical results at any worker
 count, and an empty schedule leaves the simulation untouched.
 """
 
+from importlib import import_module
+
 from repro.faults.events import (
     FaultEvent,
     FeedbackLoss,
@@ -28,7 +30,25 @@ from repro.faults.events import (
     fault_window,
     parse_fault,
 )
-from repro.faults.injector import FaultInjector
+
+#: Sibling imported on first access: naming a fault is part of a point's
+#: description; the injector that applies it is engine.
+_DEFERRED = {
+    "injector": ("FaultInjector",),
+}
+
+
+def __getattr__(name: str):
+    for module, names in sorted(_DEFERRED.items()):
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "FaultEvent",

@@ -360,8 +360,18 @@ def parse_fault(text: str) -> FaultEvent:
                     f"{kind} takes no '{mark}{parts[mark]}' part (in {text!r})"
                 )
     duration = _parse_duration(parts["+"]) if "+" in parts else None
-    prob = float(parts["~"]) if "~" in parts else None
-    value = float(parts["="]) if "=" in parts else None
+
+    def number(mark: str) -> float | None:
+        if mark not in parts:
+            return None
+        try:
+            return float(parts[mark])
+        except ValueError:
+            raise ValueError(
+                f"{kind} part '{mark}{parts[mark]}' is not a number (in {text!r})"
+            ) from None
+
+    prob, value = number("~"), number("=")
     time_text, _, target = rest.partition(":")
     time = _parse_duration(time_text)
 

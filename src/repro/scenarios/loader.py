@@ -63,7 +63,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.apps.spec import (
     ExperimentSpec,
@@ -73,20 +73,16 @@ from repro.apps.spec import (
 )
 from repro.apps.traffic import HdfsTraffic, IncastTraffic, PoissonTraffic
 from repro.core.params import CongaParams
-from repro.faults.events import (
-    FaultEvent,
-    FeedbackLoss,
-    RandomLinkDowns,
-    SwitchBlackout,
-    parse_fault,
-)
 from repro.obs.config import ObsSpec
 from repro.scenarios.scenario import Scenario, SeedPlan
 from repro.topology.leafspine import LeafSpineConfig, scaled_testbed
-from repro.topology.multipod import MultiPodConfig
 from repro.transport.tcp import TcpParams
 from repro.units import _parse_duration, gbps, gigabytes, kilobytes, mbps, megabytes
 from repro.workloads import FlowSizeDistribution, register_workload
+
+if TYPE_CHECKING:
+    from repro.faults.events import FaultEvent
+    from repro.topology.multipod import MultiPodConfig
 
 Path_ = str | Path
 
@@ -296,6 +292,10 @@ def _or_none(parser: _Parser, keep: bool = False) -> _Parser:
 
 
 def _fault(value: Any) -> FaultEvent:
+    # The fault vocabulary loads when a scenario names a fault (DESIGN.md
+    # "Import layering", move 2), as does the 3-tier config below.
+    from repro.faults.events import parse_fault
+
     return parse_fault(_str(value))
 
 
@@ -380,8 +380,16 @@ _LEAF_SPINE = _Section(
     LeafSpineConfig,
     {"num_leaves": _int(), "num_spines": _int(), **_FABRIC_KEYS},
 )
+
+
+def _multipod(**kwargs: Any) -> MultiPodConfig:
+    from repro.topology.multipod import MultiPodConfig
+
+    return MultiPodConfig(**kwargs)
+
+
 _MULTIPOD = _Section(
-    MultiPodConfig,
+    _multipod,
     {
         "num_pods": _int(),
         "leaves_per_pod": _int(),
@@ -519,6 +527,8 @@ def _named_indices(
         yield "spine", spec.queue_monitor.spine, ("queue_monitor", "spine"), ""
     if spec.imbalance_monitor is not None:
         yield "leaf", spec.imbalance_monitor.leaf, ("imbalance_monitor", "leaf"), ""
+    if spec.faults:
+        from repro.faults.events import FeedbackLoss, RandomLinkDowns, SwitchBlackout
     for i, event in enumerate(spec.faults):
         where, suffix = ("faults", str(i)), f" in fault {event!r}"
         if isinstance(event, RandomLinkDowns):
@@ -546,7 +556,7 @@ def _validate_targets(spec: ExperimentSpec) -> None:
     an ``IndexError`` mid-sweep.
     """
     config = spec.config if spec.config is not None else scaled_testbed()
-    if isinstance(config, MultiPodConfig):
+    if not isinstance(config, LeafSpineConfig):  # a MultiPodConfig
         leaves = config.num_pods * config.leaves_per_pod
         spines = config.num_pods * config.spines_per_pod
         cores = config.num_cores

@@ -136,6 +136,16 @@ def test_parse_fault_refuses_unrepresentable_times():
         assert not isinstance(info.value, OverflowError)
 
 
+def test_parse_fault_names_a_non_numeric_part_and_its_fault():
+    for text, part in (
+        ("link_degrade@1ms:l0-s1=abc", "'=abc'"),
+        ("link_loss@1ms:l0-s1~abc", "'~abc'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_fault(text)
+        assert part in str(info.value) and repr(text) in str(info.value)
+
+
 def test_flags_resolve_to_the_spec_the_constructor_built():
     args = build_parser().parse_args(
         "fct --scheme conga --load 0.6 --flows 20 --size-scale 0.02 --seed 3 "

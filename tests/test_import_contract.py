@@ -1,12 +1,14 @@
 """The import contract: a fresh process loads what it runs and nothing else.
 
-DESIGN.md "Import layering" makes four promises — building, running,
+DESIGN.md "Import layering" makes five promises — building, running,
 collecting or caching a packet point, or running a flow-level one, imports
 no numpy (only the numpy programs do: ``theory``, ``traces``, the claim
 table), a package ``__init__`` resolves its heavy siblings on first
 access, a worker child
-loads none of the parent-side runner until a spec arrives, and describing a
-point loads none of the engine that runs it until it runs.  ``sys.modules``
+loads none of the parent-side runner until a spec arrives, describing a
+point loads none of the engine that runs it until it runs, and naming a
+scheme, a fault or a seed plan (a scenario file, a CLI parser, a fully
+cached sweep) is describing.  ``sys.modules``
 of the test process is no witness (pytest and the other tests have loaded
 everything), so every check here runs in a child interpreter and reads back
 what that child loaded.
@@ -41,6 +43,9 @@ from repro.topology import MultiPodConfig, scaled_testbed
 from repro.units import microseconds
 
 SRC = str(Path(repro.__file__).parents[1])
+ROOT = Path(SRC).parent
+SCENARIOS = sorted(ROOT.glob("scenarios/*.yaml")) + sorted(ROOT.glob("bench/scenarios/*.yaml"))
+TINY = str(ROOT / "scenarios" / "tiny_smoke.yaml")
 PARENT_ENTRY = Path(__file__).parent / "golden" / "parent_cache_entry.pkl"
 
 #: Never loaded by ``from repro.apps import ExperimentSpec``, ``import
@@ -59,14 +64,16 @@ OPTIONAL = (
 )
 
 #: What a run executes: kernel, nodes, ports, queues, switches, selectors,
-#: congestion state, the scheme registry, trace events and the metrics
-#: collector.  Describing, hashing, pickling or dispatching a point loads none
-#: of it; the first run does.
+#: congestion state, trace events and the metrics collector.  Describing,
+#: hashing, pickling or dispatching a point loads none of it; the first run
+#: does.  The scheme registry (``apps.experiment``) is not here: a scheme's
+#: name is part of a description, and its entry imports the selector it
+#: builds when a run calls it.
 ENGINE = (
-    "repro.apps.experiment",
     "repro.core.dre",
     "repro.core.flowlet",
     "repro.core.tables",
+    "repro.lb",
     "repro.lb.conga",
     "repro.lb.ecmp",
     "repro.net.node",
@@ -84,9 +91,11 @@ LAZIFIED = (
     "repro.analysis",
     "repro.apps",
     "repro.core",
+    "repro.faults",
     "repro.net",
     "repro.obs",
     "repro.runner",
+    "repro.sim",
     "repro.topology",
     "repro.transport",
 )
@@ -239,7 +248,7 @@ def test_a_forking_sweep_loads_the_engine_in_the_parent_before_its_workers():
 
 
 def test_the_kernel_imports_nothing_above_it():
-    loaded = loaded_after("import repro.sim")
+    loaded = loaded_after("from repro.sim import Simulator")
     assert {m for m in loaded if m.startswith("repro")} == {
         "repro", "repro.sim", "repro.sim.kernel", "repro.units",
     }
@@ -347,6 +356,120 @@ def test_compiling_a_seed_plan_loads_no_numpy():
         f"assert len(load_scenario({str(scenario)!r}).compile()) == 105"
     )
     assert "repro.scenarios.loader" in loaded and "numpy" not in loaded
+
+
+# -- naming a scheme, a fault or a seed plan loads no engine ------------------------
+
+#: A scenario names faults, so loading one may load ``faults.events``; the
+#: injector that applies them is engine, and optional besides.
+NOT_DESCRIPTION = {*ENGINE, "repro.faults.injector"}
+
+
+def test_compiling_a_committed_scenario_loads_no_engine():
+    # One child compiles every file in turn and reports, after each, which
+    # refused module is loaded so far: the first non-empty entry names it.
+    code = (
+        "import json, sys\n"
+        "from repro.runner import run_sweep\n"
+        "from repro.scenarios import load_scenario\n"
+        "refused = set(json.loads(sys.argv[1]))\n"
+        "loaded = {}\n"
+        "for path in sys.argv[2:]:\n"
+        "    assert load_scenario(path).compile()\n"
+        "    loaded[path] = sorted(refused.intersection(sys.modules))\n"
+        "print(json.dumps(loaded))"
+    )
+    done = cold("-c", code, json.dumps(sorted(NOT_DESCRIPTION)), *map(str, SCENARIOS))
+    assert json.loads(done.stdout) == {str(path): [] for path in SCENARIOS}
+
+
+def _loaded_by_cli(*argv: str) -> set[str]:
+    """``sys.modules`` of a fresh ``python -m repro.cli *argv`` that exited 0."""
+    code = (
+        "import json, runpy, sys\n"
+        "sys.argv = ['conga-repro', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('repro.cli', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    assert not done.code, done.code\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    return set(json.loads(cold("-c", code, *argv).stdout.splitlines()[-1]))
+
+
+def test_listing_lint_rules_loads_no_engine():
+    loaded = _loaded_by_cli("lint", "--list-rules")
+    assert "repro.lint.cli" in loaded
+    assert not loaded & NOT_DESCRIPTION
+
+
+def test_validating_scenarios_from_the_cli_loads_no_engine():
+    loaded = _loaded_by_cli("scenario", "validate", *map(str, SCENARIOS))
+    assert "repro.scenarios.loader" in loaded
+    assert not loaded & NOT_DESCRIPTION
+
+
+def test_a_fully_cached_sweep_loads_no_engine(tmp_path):
+    from repro.runner import run_sweep
+    from repro.scenarios import load_scenario
+
+    first = run_sweep(load_scenario(TINY).compile(), workers=0, cache=tmp_path)
+    assert first.executed == 2 and not first.failures
+    loaded = loaded_after(
+        "from repro.runner import run_sweep\n"
+        "from repro.scenarios import load_scenario\n"
+        f"done = run_sweep(load_scenario({TINY!r}).compile(), workers=0,"
+        f" cache={str(tmp_path)!r})\n"
+        "assert (done.executed, done.cached, done.failures) == (0, 2, [])"
+    )
+    # A cache entry's pickle names ``MetricsReport``, which lives beside the
+    # collector in ``obs.metrics`` (a pickled class does not move); the module
+    # itself imports only ``core.series``.
+    assert "repro.obs.metrics" in loaded
+    assert not loaded & (NOT_DESCRIPTION - {"repro.obs.metrics"})
+
+
+def test_an_unknown_scheme_in_a_grid_is_refused_with_its_place_cold(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text(
+        "name: typo\n"
+        "template: {scheme: ecmp, workload: enterprise, load: 0.5}\n"
+        "grid:\n"
+        "  schemes: [ecmp, bogus]\n"
+    )
+    code = (
+        "import json, sys\n"
+        "from repro.scenarios import ScenarioError, load_scenario\n"
+        "try:\n"
+        "    load_scenario(sys.argv[1])\n"
+        "except ScenarioError as exc:\n"
+        "    print(json.dumps([str(exc), exc.key, sorted(sys.modules)]))"
+    )
+    message, key, loaded = json.loads(cold("-c", code, str(path)).stdout)
+    assert key == "grid.schemes.1"
+    assert message.startswith(
+        f"{path}:4: unknown scheme 'bogus'; registered schemes: caft, conga, "
+        "conga-dctcp, conga-flow, dctcp, ecmp, hedera, local, mptcp, spray."
+    )
+    assert not set(loaded) & NOT_DESCRIPTION
+
+
+def test_a_scheme_registered_in_process_validates_without_the_engine():
+    code = (
+        "import dataclasses, json, sys\n"
+        "from repro.apps import get_scheme, register_scheme\n"
+        "from repro.scenarios import scenario_from_mapping\n"
+        "register_scheme(dataclasses.replace(get_scheme('conga'), name='conga-copy'))\n"
+        "scenario = scenario_from_mapping({\n"
+        "    'name': 'copy',\n"
+        "    'template': {'scheme': 'ecmp', 'workload': 'enterprise', 'load': 0.5},\n"
+        "    'grid': {'schemes': ['ecmp', 'conga-copy']},\n"
+        "})\n"
+        "print(json.dumps([[s.scheme for s in scenario.compile()], sorted(sys.modules)]))"
+    )
+    schemes, loaded = json.loads(cold("-c", code).stdout)
+    assert schemes == ["ecmp", "conga-copy"]
+    assert not set(loaded) & NOT_DESCRIPTION
 
 
 # -- a lazified package still looks like a package ---------------------------------

@@ -24,7 +24,10 @@ checks are relations between *different* code paths that must agree exactly:
   is Reno's, on the leaf-spine and the 2-pod fabric;
 * ``hedera`` with a controller period past the deadline against ``ecmp``:
   a controller that never wakes pins nothing, and an unpinned
-  ``CentralizedSelector`` hashes as ECMP does, on both fabrics.
+  ``CentralizedSelector`` hashes as ECMP does, on both fabrics;
+* ``conga-flow`` against ``conga`` on a fabric whose ``params`` are
+  ``CONGA_FLOW_PARAMS``: the same records, event count and flowlet
+  decisions on both fabrics.
 """
 
 import functools
@@ -36,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.fct import records_digest
 from repro.apps import ExperimentSpec, ObsSpec
+from repro.core import CONGA_FLOW_PARAMS
 from repro.faults import LinkDegrade, LinkDown, LinkLoss, LinkUp, parse_fault
 from repro.lb import CaftSelector, CongaSelector, LocalAwareSelector
 from repro.lb.caft import CaftCoreSelector
@@ -307,7 +311,7 @@ def test_counter_and_timeline_count_the_same_fault_reroutes():
     assert collect_run_metrics(live).counters["lb.caft.fault_reroutes"] == total
 
 
-#: The fabrics of the degenerate-DCTCP oracle, by test id.
+#: The fabrics of the degenerate-DCTCP, Hedera and CONGA-Flow oracles, by test id.
 _ECN_FABRICS = {"leaf-spine": scaled_testbed(), "multipod": MultiPodConfig()}
 
 
@@ -350,3 +354,30 @@ def test_hedera_whose_controller_never_wakes_is_ecmp(fabric):
     # The same point with a controller that wakes every 100 us pins
     # elephants, so the relation above compares two schemes, not one.
     assert outcome("hedera", microseconds(100))[0] != ecmp[0]
+
+
+def _flowlet_outcome(scheme, config):
+    """Records digest, event count and flowlet decisions of one point."""
+    live = ExperimentSpec(
+        scheme, "enterprise", load=0.6, seed=3, num_flows=60, size_scale=0.1,
+        config=config,
+    ).run_live()
+    assert live.completed == 60
+    return (
+        records_digest(list(live.records)),
+        live.sim.events_executed,
+        collect_run_metrics(live).counters["flowlet.decisions"],
+    )
+
+
+@pytest.mark.parametrize("fabric", list(_ECN_FABRICS))
+def test_conga_flow_is_conga_on_the_conga_flow_params(fabric):
+    # conga-flow hands its selector CONGA_FLOW_PARAMS and leaves the fabric's
+    # block alone; only the flowlet table reads flowlet_timeout, so giving
+    # the block to the whole fabric under plain conga changes nothing.
+    config = _ECN_FABRICS[fabric]
+    flow = _flowlet_outcome("conga-flow", config)
+    assert _flowlet_outcome("conga", replace(config, params=CONGA_FLOW_PARAMS)) == flow
+    # Plain conga on the default block splits flows into more flowlets, so
+    # the relation above compares two timeouts, not one.
+    assert _flowlet_outcome("conga", config)[2] > flow[2]
