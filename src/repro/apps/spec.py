@@ -29,12 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import import_module
 from time import perf_counter
-from typing import TYPE_CHECKING, get_args
+from typing import TYPE_CHECKING, Any, Callable, Iterator, get_args
 
-from repro.apps.traffic import PoissonTraffic, Traffic
+from repro.apps.traffic import IncastTraffic, PoissonTraffic, Traffic
 from repro.core.params import HASH_NEUTRAL_DEFAULT
 from repro.obs.config import ObsSpec
 from repro.transport.tcp import TcpParams
@@ -101,6 +102,132 @@ def get_workload(name: str):
             f"unknown workload {name!r}; available workloads: {known}"
         )
     return dist
+
+
+#: Dotted location of a refused value, e.g. ("failed_links", "0", "2").
+_KeyPath = tuple[str, ...]
+
+
+class _Refused(ValueError):
+    """A refused value and its key path below whoever catches this."""
+
+    def __init__(self, message: str, path: _KeyPath) -> None:
+        super().__init__(message)
+        self.path = path
+
+
+def _at(path: _KeyPath, parse: Callable[[Any], Any], value: Any) -> Any:
+    """``parse(value)``, with any refusal located under ``path``."""
+    try:
+        return parse(value)
+    except _Refused as exc:
+        raise _Refused(str(exc), path + exc.path) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _Refused(str(exc), path) from exc
+
+
+def _named_indices(
+    spec: "ExperimentSpec",
+) -> Iterator[tuple[str, int | None, _KeyPath, str]]:
+    """Every (kind, index, field path, message suffix) a spec names.
+
+    A ``None`` index names the tier without a member of it (a random core
+    failure set) or an unset optional field.
+    """
+    for i, host in enumerate(spec.clients or ()):
+        yield "client host", host, ("clients", str(i)), ""
+    for i, link in enumerate(spec.failed_links):
+        for j, kind in enumerate(("leaf", "spine", "parallel link")):
+            yield kind, link[j], ("failed_links", str(i), str(j)), ""
+    if spec.queue_monitor is not None:
+        yield "leaf", spec.queue_monitor.leaf, ("queue_monitor", "leaf"), ""
+        yield "spine", spec.queue_monitor.spine, ("queue_monitor", "spine"), ""
+    if spec.imbalance_monitor is not None:
+        yield "leaf", spec.imbalance_monitor.leaf, ("imbalance_monitor", "leaf"), ""
+    if spec.faults:
+        from repro.faults.events import FeedbackLoss, RandomLinkDowns, SwitchBlackout
+    for i, event in enumerate(spec.faults):
+        where, suffix = ("faults", str(i)), f" in fault {event!r}"
+        if isinstance(event, RandomLinkDowns):
+            if event.tier == "core":
+                yield "core", None, where, suffix
+        elif isinstance(event, SwitchBlackout):
+            yield event.kind, event.switch, where, suffix
+        elif isinstance(event, FeedbackLoss):
+            yield "leaf", event.leaf, where, suffix
+        else:  # the Link* family: leaf↔spine or (when .core is set) spine↔core
+            if event.core is not None:
+                yield "core", event.core, where, suffix
+            else:
+                yield "leaf", event.leaf, where, suffix
+            yield "spine", event.spine, where, suffix
+            yield "parallel link", event.which, where, suffix
+
+
+def _check_targets(spec: "ExperimentSpec") -> None:
+    """Refuse, at construction, every fabric member the spec's topology lacks.
+
+    Also a core-tier target on 2 tiers, an incast ``fan_in`` without enough
+    hosts and a ``random_downs`` count its tier cannot lose.
+    """
+    from repro.topology.leafspine import LeafSpineConfig, scaled_testbed
+
+    config = spec.config if spec.config is not None else scaled_testbed()
+    if isinstance(config, LeafSpineConfig):
+        leaves, spines, cores = config.num_leaves, config.num_spines, 0
+        uplinks = config.uplinks_per_leaf
+    else:  # a MultiPodConfig: a leaf's uplinks reach its own pod's spines
+        leaves = config.num_pods * config.leaves_per_pod
+        spines = config.num_pods * config.spines_per_pod
+        cores = config.num_cores
+        uplinks = config.spines_per_pod * config.links_per_pair
+    limits = {
+        "client host": leaves * config.hosts_per_leaf,
+        "leaf": leaves,
+        "spine": spines,
+        "core": cores,
+        "parallel link": config.links_per_pair,
+    }
+    traffic = spec.traffic
+    if isinstance(traffic, IncastTraffic) and traffic.fan_in >= limits["client host"]:
+        raise _Refused(
+            f"fan_in {traffic.fan_in} needs more hosts besides the client than "
+            f"this topology's {limits['client host'] - 1}",
+            ("traffic", "incast", "fan_in"),
+        )
+    for kind, index, where, suffix in _named_indices(spec):
+        if kind == "core" and cores == 0:
+            raise _Refused(
+                "core-tier fault targets need a multipod topology "
+                f"(this scenario compiles a 2-tier fabric){suffix}",
+                where,
+            )
+        if index is not None and not 0 <= index < limits[kind]:
+            raise _Refused(
+                f"{kind} {index} out of range for this topology "
+                f"(0..{limits[kind] - 1}){suffix}",
+                where,
+            )
+    if not spec.faults:
+        return
+    from repro.faults.events import RandomLinkDowns
+
+    # fail_random_links keeps one up link on each near-side switch (a
+    # leaf's spine uplinks, a pod spine's core uplinks).  Links a fault
+    # earlier in the schedule takes down are the run's to refuse.
+    down = Counter(leaf for leaf, _spine, _which in set(spec.failed_links))
+    spare = {
+        "leaf": sum(max(0, uplinks - down[leaf] - 1) for leaf in range(leaves)),
+        "core": spines * (cores * config.links_per_pair - 1),
+    }
+    for i, event in enumerate(spec.faults):
+        if isinstance(event, RandomLinkDowns) and event.count > spare[event.tier]:
+            raise _Refused(
+                f"count {event.count} exceeds the {spare[event.tier]} "
+                f"{event.tier}-tier links this topology can fail without "
+                f"disconnecting a switch from its uplink tier in fault {event!r}",
+                ("faults", str(i)),
+            )
 
 
 @dataclass(frozen=True)
@@ -306,6 +433,12 @@ class ExperimentSpec:
                         f"faults must be FaultEvent values, got {event!r}; "
                         "parse CLI strings with repro.faults.parse_fault first"
                     )
+        named = (
+            self.clients, self.failed_links, self.faults,
+            self.queue_monitor, self.imbalance_monitor,
+        )
+        if any(named) or isinstance(self.traffic, IncastTraffic):
+            _check_targets(self)
 
     # -- identity -----------------------------------------------------------
 

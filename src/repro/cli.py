@@ -32,7 +32,6 @@ import argparse
 import sys
 
 from repro.units import to_milliseconds
-from repro.workloads import WORKLOADS
 
 
 class _CliError(Exception):
@@ -137,12 +136,14 @@ def _make_backend(args: argparse.Namespace):
     """The ``--backend`` choice, configured from the shared execution flags."""
     from repro.runner import get_backend
 
+    try:
+        backend = get_backend(args.backend)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     workers = args.workers
     if args.backend == "subprocess" and not workers:
         workers = 2
-    return get_backend(args.backend)(
-        workers=workers, timeout=args.timeout, retries=args.retries
-    )
+    return backend(workers=workers, timeout=args.timeout, retries=args.retries)
 
 
 def _cmd_fct(args: argparse.Namespace) -> int:
@@ -407,16 +408,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 def _add_point_arguments(
     cmd: argparse.ArgumentParser, *, positional_scheme: bool = False
 ) -> None:
-    """The shared single-point argument set (fct/trace/metrics)."""
-    from repro.apps.experiment import SCHEMES
-
+    """The shared single-point argument set (fct/trace/metrics); the schema resolves names."""
     if positional_scheme:
-        cmd.add_argument("scheme", nargs="?", default="conga",
-                         choices=sorted(SCHEMES))
+        cmd.add_argument("scheme", nargs="?", default="conga")
     else:
-        cmd.add_argument("--scheme", default="conga", choices=sorted(SCHEMES))
-    cmd.add_argument("--workload", default="enterprise",
-                     choices=sorted(WORKLOADS))
+        cmd.add_argument("--scheme", default="conga")
+    cmd.add_argument("--workload", default="enterprise")
     cmd.add_argument("--load", type=float, default=0.6)
     cmd.add_argument("--flows", type=int, default=200)
     cmd.add_argument("--size-scale", type=float, default=0.05)
@@ -439,8 +436,7 @@ def _add_sweep_grid_arguments(cmd: argparse.ArgumentParser) -> None:
     """The shared grid definition flags (``sweep`` and ``report``)."""
     cmd.add_argument("--schemes", default="ecmp,conga",
                      help="comma-separated scheme names")
-    cmd.add_argument("--workload", default="enterprise",
-                     choices=sorted(WORKLOADS))
+    cmd.add_argument("--workload", default="enterprise")
     cmd.add_argument("--loads", default="0.3,0.5,0.7",
                      help="comma-separated offered loads")
     cmd.add_argument("--seeds", default="1",
@@ -457,15 +453,16 @@ def _add_sweep_grid_arguments(cmd: argparse.ArgumentParser) -> None:
 
 def _add_sweep_run_arguments(cmd: argparse.ArgumentParser) -> None:
     """Execution knobs shared by ``sweep`` and ``scenario run``."""
-    from repro.runner import BACKENDS, DEFAULT_CACHE_DIR
+    from repro.runner import DEFAULT_CACHE_DIR
 
     cmd.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: one per CPU for the "
                           "local backend, 2 for subprocess; 0 = serial)")
-    cmd.add_argument("--backend", default="local", choices=sorted(BACKENDS),
-                     help="how parallel workers are launched: forked from "
-                          "this process, or fresh interpreters speaking "
-                          "the stdin/stdout JSON protocol")
+    cmd.add_argument("--backend", default="local",
+                     help="how parallel workers are launched: 'local' "
+                          "forks them from this process, 'subprocess' "
+                          "starts fresh interpreters speaking the "
+                          "stdin/stdout JSON protocol")
     cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     cmd.add_argument("--no-cache", action="store_true",
                      help="always execute, never read or write the cache")

@@ -1,26 +1,22 @@
 """Drop-tail output queues with occupancy accounting.
 
 Datacenter switches have shallow buffers (paper §2.1), so queue capacity is
-expressed in bytes.  The queue records drop and occupancy statistics that the
-evaluation harness uses for Fig. 11(c) and Fig. 16 (queue-length CDFs).
+expressed in bytes.  The queue counts drops, ECN marks and its peak
+occupancy; the queue-length CDFs of Fig. 11(c) and Fig. 16 are cut from the
+timeline (:mod:`repro.obs.timeline`), which reads ``byte_occupancy``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.series import DecimatedSeries
 from repro.net.packet import Packet
 
 
 @dataclass(slots=True)
 class QueueStats:
     """Counters accumulated over a queue's lifetime.
-
-    ``samples`` is a bounded :class:`~repro.core.series.DecimatedSeries`
-    rather than a raw list, so arbitrarily long runs record occupancy
-    without unbounded memory growth; it behaves like a list for reads.
 
     Enqueue/dequeue totals are derived on read, not stored (DESIGN.md
     "Per-hop budget"): a port has dequeued ``tx_packets`` plus the packet on
@@ -31,7 +27,6 @@ class QueueStats:
     dropped_bytes: int = 0
     ecn_marked: int = 0
     max_bytes: int = 0
-    samples: DecimatedSeries = field(default_factory=DecimatedSeries)
 
 
 class DropTailQueue:
@@ -108,10 +103,6 @@ class DropTailQueue:
         packet = self._queue.popleft()
         self._bytes -= packet.size
         return packet
-
-    def sample_occupancy(self) -> None:
-        """Record the instantaneous byte occupancy for later CDF analysis."""
-        self.stats.samples.append(self._bytes)
 
 
 __all__ = ["DropTailQueue", "QueueStats"]

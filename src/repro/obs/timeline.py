@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.core.series import DecimatedSeries
@@ -123,25 +123,7 @@ class Timeline:
         Bit-identical across worker processes and platforms for the same
         run; the golden timeline tests pin workers=0 against workers=2.
         """
-        payload = {
-            "interval": self.interval,
-            "times": self.times,
-            "port_names": self.port_names,
-            "utilization": self.utilization,
-            "residual": self.residual,
-            "occupancy": self.occupancy,
-            "dre": self.dre,
-            "drops": self.drops,
-            "flowlet_decisions": self.flowlet_decisions,
-            "fault_reroutes": self.fault_reroutes,
-            "timeouts": self.timeouts,
-            "retransmissions": self.retransmissions,
-            "goodput_bytes": self.goodput_bytes,
-            "completed": self.completed,
-            "arrivals": self.arrivals,
-            "fault_events": self.fault_events,
-            "samples": self.samples,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(encoded.encode()).hexdigest()
 

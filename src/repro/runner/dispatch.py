@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.apps.spec import ExperimentSpec, PointResult
 from repro.core.series import DecimatedSeries
-from repro.runner.backends import Backend, LocalBackend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.failures import FAILURE_COUNTERS, PointFailure
 from repro.runner.sweep import ProgressFn, SweepResult
 from repro.runner.telemetry import TelemetrySink
+
+if TYPE_CHECKING:
+    from repro.runner.backends import Backend
 
 Outcome = PointResult | PointFailure
 
@@ -265,6 +267,10 @@ def run_sweep(
     )
     given = {name: value for name, value in local.items() if value is not None}
     if backend is None:
+        # The backends (and their subprocess/selectors plumbing) load when
+        # a sweep builds one, not when the runner is imported.
+        from repro.runner.backends import LocalBackend
+
         backend = LocalBackend(**given)
     elif given:
         raise ValueError(

@@ -34,10 +34,12 @@ section's keys, and one generic :func:`_build_section` does the unknown-key
 check, the per-key parse and the construction for all of them.  The CLI's
 flags come through the same door (:func:`scenario_from_mapping` over an
 in-memory mapping), so every rule — finite numbers, non-negative
-durations, indices the compiled topology actually has, a bounded grid —
-exists once.  A ``topology`` section containing any multipod-only key
-(``num_pods``, ``leaves_per_pod``, ``spines_per_pod``, ``num_cores``,
-``core_rate_bps``) compiles a 3-tier
+durations, a bounded grid — exists once.  Rules a value states about
+itself stay with it: the spec refuses the fabric indices its topology
+lacks, :meth:`Scenario.validate` the scheme and workload names no registry
+holds; the loader only locates their refusals.  A ``topology`` section
+containing any multipod-only key (``num_pods``, ``leaves_per_pod``,
+``spines_per_pod``, ``num_cores``, ``core_rate_bps``) compiles a 3-tier
 :class:`~repro.topology.multipod.MultiPodConfig` instead of a
 :class:`LeafSpineConfig`; its ``params`` mapping is the fabric's
 :class:`~repro.core.params.CongaParams`.  ``traffic`` names one shape of
@@ -63,32 +65,30 @@ import re
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.apps.spec import (
     ExperimentSpec,
     ImbalanceMonitorSpec,
     QueueMonitorSpec,
-    get_workload,
+    _at,
+    _KeyPath,
+    _Refused,
 )
 from repro.apps.traffic import HdfsTraffic, IncastTraffic, PoissonTraffic
 from repro.core.params import CongaParams
 from repro.obs.config import ObsSpec
 from repro.scenarios.scenario import Scenario, SeedPlan
-from repro.topology.leafspine import LeafSpineConfig, scaled_testbed
+from repro.topology.leafspine import LeafSpineConfig
 from repro.transport.tcp import TcpParams
 from repro.units import _parse_duration, gbps, gigabytes, kilobytes, mbps, megabytes
-from repro.workloads import FlowSizeDistribution, register_workload
+from repro.workloads import FlowSizeDistribution
 
 if TYPE_CHECKING:
     from repro.faults.events import FaultEvent
     from repro.topology.multipod import MultiPodConfig
 
 Path_ = str | Path
-
-#: Dotted location inside the YAML document, e.g. ("grid", "schemes", "1").
-_KeyPath = tuple[str, ...]
-
 
 class ScenarioError(ValueError):
     """A scenario file failed to load, with file/line context attached.
@@ -172,24 +172,6 @@ _SKIP = object()
 
 #: Grids larger than this are refused before any seed is derived.
 _MAX_GRID_POINTS = 1_000_000
-
-
-class _Refused(ValueError):
-    """A refused value and its key path below whoever catches this."""
-
-    def __init__(self, message: str, path: _KeyPath) -> None:
-        super().__init__(message)
-        self.path = path
-
-
-def _at(path: _KeyPath, parse: _Parser, value: Any) -> Any:
-    """``parse(value)``, with any refusal located under ``path``."""
-    try:
-        return parse(value)
-    except _Refused as exc:
-        raise _Refused(str(exc), path + exc.path) from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _Refused(str(exc), path) from exc
 
 
 def _int(minimum: int | None = None) -> _Parser:
@@ -509,96 +491,12 @@ _OBS = _Section(
 )
 
 
-def _named_indices(
-    spec: ExperimentSpec,
-) -> Iterator[tuple[str, int | None, _KeyPath, str]]:
-    """Every (kind, index, key path, message suffix) a template names.
-
-    A ``None`` index names the tier without a member of it (a random core
-    failure set) or an unset optional field.
-    """
-    for i, host in enumerate(spec.clients or ()):
-        yield "host", host, ("clients", str(i)), ""
-    for i, link in enumerate(spec.failed_links):
-        for j, kind in enumerate(("leaf", "spine", "parallel link")):
-            yield kind, link[j], ("failed_links", str(i), str(j)), ""
-    if spec.queue_monitor is not None:
-        yield "leaf", spec.queue_monitor.leaf, ("queue_monitor", "leaf"), ""
-        yield "spine", spec.queue_monitor.spine, ("queue_monitor", "spine"), ""
-    if spec.imbalance_monitor is not None:
-        yield "leaf", spec.imbalance_monitor.leaf, ("imbalance_monitor", "leaf"), ""
-    if spec.faults:
-        from repro.faults.events import FeedbackLoss, RandomLinkDowns, SwitchBlackout
-    for i, event in enumerate(spec.faults):
-        where, suffix = ("faults", str(i)), f" in fault {event!r}"
-        if isinstance(event, RandomLinkDowns):
-            if event.tier == "core":
-                yield "core", None, where, suffix
-        elif isinstance(event, SwitchBlackout):
-            yield event.kind, event.switch, where, suffix
-        elif isinstance(event, FeedbackLoss):
-            yield "leaf", event.leaf, where, suffix
-        else:  # the Link* family: leaf↔spine or (when .core is set) spine↔core
-            if event.core is not None:
-                yield "core", event.core, where, suffix
-            else:
-                yield "leaf", event.leaf, where, suffix
-            yield "spine", event.spine, where, suffix
-            yield "parallel link", event.which, where, suffix
-
-
-def _validate_targets(spec: ExperimentSpec) -> None:
-    """Range-check every index the template names against its topology.
-
-    Resolves the template's topology (or the default scaled testbed) and
-    rejects out-of-range host/leaf/spine/core/link indices — and core-tier
-    targets aimed at a 2-tier fabric — at load time, located, instead of
-    an ``IndexError`` mid-sweep.
-    """
-    config = spec.config if spec.config is not None else scaled_testbed()
-    if not isinstance(config, LeafSpineConfig):  # a MultiPodConfig
-        leaves = config.num_pods * config.leaves_per_pod
-        spines = config.num_pods * config.spines_per_pod
-        cores = config.num_cores
-    else:
-        leaves, spines, cores = config.num_leaves, config.num_spines, 0
-    limits = {
-        "host": leaves * config.hosts_per_leaf,
-        "leaf": leaves,
-        "spine": spines,
-        "core": cores,
-        "parallel link": config.links_per_pair,
-    }
-    traffic = spec.traffic
-    if isinstance(traffic, IncastTraffic) and traffic.fan_in >= limits["host"]:
-        raise _Refused(
-            f"fan_in {traffic.fan_in} needs more hosts besides the client than "
-            f"this topology's {limits['host'] - 1}",
-            ("traffic", "incast", "fan_in"),
-        )
-    for kind, index, where, suffix in _named_indices(spec):
-        if kind == "core" and cores == 0:
-            raise _Refused(
-                "core-tier fault targets need a multipod topology "
-                f"(this scenario compiles a 2-tier fabric){suffix}",
-                where,
-            )
-        if index is not None and not 0 <= index < limits[kind]:
-            raise _Refused(
-                f"{kind} {index} out of range for this topology "
-                f"(0..{limits[kind] - 1}){suffix}",
-                where,
-            )
-
-
 def _experiment_spec(
     topology: Any = None, tcp: TcpParams | None = None, **kwargs: Any
 ) -> ExperimentSpec:
     if tcp is not None:
         kwargs["tcp_params"] = tcp
-    spec = ExperimentSpec(config=topology, **kwargs)
-    _validate_targets(spec)
-    return spec
+    return ExperimentSpec(config=topology, **kwargs)
 
 
 _TEMPLATE = _Section(
@@ -710,14 +608,7 @@ _SCENARIO = _Section(
 
 
 def _scenario(data: Any, source: str | None) -> Scenario:
-    from repro.apps.experiment import get_scheme
-
     top = _build_section(_SCENARIO, data)
-    template: ExperimentSpec = top["template"]
-    defined = top.get("workloads", ())
-    for dist in defined:
-        _at(("workloads", dist.name), register_workload, dist)
-
     axes: dict[str, Any] = top.get("grid", {})
     points = 1
     for axis in axes.values():
@@ -732,28 +623,17 @@ def _scenario(data: Any, source: str | None) -> Scenario:
         for key in list(axes)
         if key in _AXIS_FIELDS
     )
-
-    # Resolve every scheme and workload name the grid will reference now,
-    # with precise locations, rather than letting compile() fail without one.
-    for axis, field, lookup in (
-        ("schemes", "scheme", get_scheme),
-        ("workloads", "workload", get_workload),
-    ):
-        if axis in axes:
-            for i, name in enumerate(axes[axis]):
-                _at(("grid", axis, str(i)), lookup, name)
-        else:
-            _at(("template", field), lookup, getattr(template, field))
-
     scenario = Scenario(
         name=top["name"],
-        template=template,
+        template=top["template"],
         description=top.get("description", ""),
-        defined_workloads=defined,
+        defined_workloads=top.get("workloads", ()),
         source=source,
         axes=extra,
         **axes,
     )
+    # Registers the inline CDFs and resolves every name, each refusal
+    # located at its key.
     scenario.validate()
     return scenario
 

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.apps.spec import ExperimentSpec, _canonical, get_workload
+from repro.apps.spec import ExperimentSpec, _at, _canonical, get_workload
 from repro.core.params import HASH_NEUTRAL_DEFAULT
 from repro.runner.sweep import derive_seeds, sweep_grid
 from repro.workloads import FlowSizeDistribution, register_workload
@@ -139,18 +139,23 @@ class Scenario:
     def validate(self) -> None:
         """Check the scenario resolves: workloads registered, names known.
 
-        Registers ``defined_workloads`` (idempotently — re-validating is
-        free) and resolves every scheme and workload name the grid will
-        reference, so a bad scenario fails here instead of mid-sweep.
+        The one place inline CDFs are registered (idempotently) and names
+        resolved, so a bad scenario fails here, not mid-sweep, located at
+        its key (``workloads.<name>``, ``template.scheme``, ``grid.schemes.<i>``).
         """
         from repro.apps.experiment import get_scheme
 
         for dist in self.defined_workloads:
-            register_workload(dist)
-        for scheme in self.schemes or (self.template.scheme,):
-            get_scheme(scheme)
-        for workload in self.workloads or (self.template.workload,):
-            get_workload(workload)
+            _at(("workloads", dist.name), register_workload, dist)
+        for axis, field_, lookup in (
+            ("schemes", "scheme", get_scheme),
+            ("workloads", "workload", get_workload),
+        ):
+            names = getattr(self, axis)
+            if names is None:
+                _at(("template", field_), lookup, getattr(self.template, field_))
+            for i, name in enumerate(names or ()):
+                _at(("grid", axis, str(i)), lookup, name)
         seeds = self.seed_list()
         if seeds is not None and not seeds:
             raise ValueError("the seeds axis must not be empty")

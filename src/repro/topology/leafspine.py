@@ -62,6 +62,7 @@ class LeafSpineConfig:
             raise ValueError("need at least one link per leaf-spine pair")
         if self.controller_period <= 0:
             raise ValueError(f"controller_period must be positive, got {self.controller_period}")
+        refuse_non_positive(self, "host_rate_bps", "fabric_rate_bps")
 
     @property
     def uplinks_per_leaf(self) -> int:
@@ -79,6 +80,17 @@ class LeafSpineConfig:
         return (
             self.hosts_per_leaf * self.host_rate_bps / self.leaf_uplink_capacity_bps
         )
+
+
+def refuse_non_positive(config, *rates: str) -> None:
+    """Refuse what the ports and queues would, before any fabric is built.
+
+    ``None`` keeps meaning unbounded (a queue) or off (ECN marking).
+    """
+    for name in (*rates, "host_queue_bytes", "fabric_queue_bytes", "ecn_threshold_bytes"):
+        value = getattr(config, name)
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 #: The paper's hardware testbed (Figure 7(a)): 64 servers, 2:1 oversubscribed.

@@ -38,7 +38,7 @@ from repro.core.params import (
     CongaParams, DEFAULT_CONTROLLER_PERIOD, DEFAULT_PARAMS,
     DEFAULT_PROPAGATION_DELAY, HASH_NEUTRAL_DEFAULT,
 )
-from repro.topology.leafspine import parallel_label, wire_pod
+from repro.topology.leafspine import parallel_label, refuse_non_positive, wire_pod
 from repro.units import gbps
 
 if TYPE_CHECKING:
@@ -74,6 +74,7 @@ class MultiPodConfig:
             raise ValueError("need at least one host per leaf and one core")
         if self.controller_period <= 0:
             raise ValueError(f"controller_period must be positive, got {self.controller_period}")
+        refuse_non_positive(self, "host_rate_bps", "fabric_rate_bps", "core_rate_bps")
 
 
 def build_multipod(sim: Simulator, config: MultiPodConfig | None = None) -> Fabric:

@@ -19,7 +19,7 @@ from repro.transport.tcp import (
 #: Siblings imported on first access: every run needs ``tcp``, the rest load
 #: with the scheme that names them.
 _DEFERRED = {
-    "dctcp": ("DEFAULT_K_BYTES", "DctcpCC", "dctcp_cc_factory"),
+    "dctcp": ("DEFAULT_K_BYTES", "DctcpCC"),
     "mptcp": ("DEFAULT_SUBFLOWS", "LinkedIncreasesCC", "MptcpConnection"),
     "udp": ("UdpSink", "UdpSource"),
 }
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_K_BYTES",
     "DEFAULT_SUBFLOWS",
     "DctcpCC",
-    "dctcp_cc_factory",
     "DataSource",
     "FlowRecord",
     "INCAST_RECOMMENDED",

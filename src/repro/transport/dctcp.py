@@ -86,9 +86,4 @@ class DctcpCC(CongestionControl):
             state.marked_bytes = 0
 
 
-def dctcp_cc_factory(g: float = DEFAULT_G):
-    """Factory producing a fresh DCTCP controller per flow."""
-    return lambda: DctcpCC(g)
-
-
-__all__ = ["DEFAULT_G", "DEFAULT_K_BYTES", "DctcpCC", "DctcpState", "dctcp_cc_factory"]
+__all__ = ["DEFAULT_G", "DEFAULT_K_BYTES", "DctcpCC", "DctcpState"]

@@ -82,6 +82,10 @@ class TcpParams:
             raise ValueError("invalid RTO bounds")
         if self.ack_every < 1:
             raise ValueError("ack_every must be >= 1")
+        # Either at 0 sends nothing: every flow would wait out the deadline.
+        for name in ("initial_cwnd_segments", "receive_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def initial_cwnd(self) -> int:

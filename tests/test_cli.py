@@ -16,9 +16,16 @@ class TestParser:
         assert args.workload == "enterprise"
         assert args.load == 0.6
 
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fct", "--scheme", "bogus"])
+    def test_rejects_unknown_scheme(self, capsys):
+        # The parser keeps no copy of the registry: the schema refuses the
+        # name, located at its key, before anything runs.
+        assert main(["fct", "--scheme", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "conga-repro: template.scheme: unknown scheme 'bogus'; registered schemes: "
+        )
+        assert len(captured.err.splitlines()) == 1
 
     def test_fail_link_repeatable(self):
         args = build_parser().parse_args(

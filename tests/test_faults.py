@@ -29,7 +29,14 @@ from repro.faults import (
 )
 from repro.lb import EcmpSelector
 from repro.sim import Simulator
-from repro.topology import build_leaf_spine, scaled_testbed
+from repro.topology import (
+    LeafSpineConfig,
+    MultiPodConfig,
+    build_leaf_spine,
+    build_multipod,
+    fail_random_links,
+    scaled_testbed,
+)
 from repro.transport.tcp import FlowRecord
 from repro.units import microseconds, milliseconds, seconds
 
@@ -264,21 +271,25 @@ def test_core_tier_faults_need_a_multi_pod_fabric(event):
     "event, message",
     [
         # Used to hit the last leaf: a negative index wrapped.
-        (FeedbackLoss(time=0, leaf=-1, probability=0.5), "no leaf -1"),
+        (FeedbackLoss(time=0, leaf=-1, probability=0.5), "leaf -1"),
         # Used to raise a bare IndexError once the run reached 1 ms.
-        (FeedbackLoss(time=milliseconds(1), leaf=9), "no leaf 9"),
+        (FeedbackLoss(time=milliseconds(1), leaf=9), "leaf 9"),
         # Used to run clean: the event was scheduled past the deadline.
-        (LinkDown(time=seconds(10), leaf=99), "no leaf 99"),
+        (LinkDown(time=seconds(10), leaf=99), "leaf 99"),
     ],
     ids=["negative-leaf", "mid-run-leaf", "after-deadline-link"],
 )
 def test_a_spec_refuses_a_bad_fault_target_before_its_run(event, message):
-    spec = ExperimentSpec(
-        "conga", "enterprise", load=0.5, num_flows=5, size_scale=0.02,
-        deadline=seconds(1), faults=(event,),
-    )
-    with pytest.raises(ValueError, match=f"{message} .* in fault {type(event).__name__}"):
-        spec.run()
+    # Refused when the spec is constructed, long before any run.
+    with pytest.raises(
+        ValueError,
+        match=rf"^{message} out of range for this topology \(0\.\.1\) "
+        rf"in fault {type(event).__name__}\(",
+    ):
+        ExperimentSpec(
+            "conga", "enterprise", load=0.5, num_flows=5, size_scale=0.02,
+            deadline=seconds(1), faults=(event,),
+        )
 
 
 def test_a_bad_later_target_refuses_before_a_time_zero_fault_applies():
@@ -489,3 +500,53 @@ def test_faults_change_content_hash():
     # Same fault tuple → same hash (cacheable).
     again = base.with_(faults=(LinkDown(time=0, leaf=1, spine=1),))
     assert faulted.content_hash() == again.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# A random failure set the spec accepts is one the run can draw
+
+
+@pytest.mark.parametrize(
+    "config, failed_links, tier",
+    [
+        (scaled_testbed(hosts_per_leaf=2), (), "leaf"),
+        (scaled_testbed(hosts_per_leaf=2), ((0, 1, 0), (0, 1, 0), (0, 0, 1)), "leaf"),
+        (scaled_testbed(hosts_per_leaf=2, num_leaves=3, num_spines=3), ((2, 0, 1),), "leaf"),
+        (MultiPodConfig(), (), "leaf"),
+        (MultiPodConfig(links_per_pair=2), ((1, 1, 1),), "leaf"),
+        (MultiPodConfig(), (), "core"),
+        (MultiPodConfig(num_cores=3, links_per_pair=2), (), "core"),
+    ],
+    ids=["testbed", "testbed-failed", "3x3-failed", "multipod", "multipod-failed",
+         "multipod-core", "3-core"],
+)
+def test_the_spec_accepts_exactly_the_random_downs_counts_a_run_can_fail(
+    config, failed_links, tier
+):
+    # fail_random_links keeps one up link on each near-side switch; the
+    # spec's bound must be that same number, so a count it accepts never
+    # fails mid-run and one it refuses could never have run.
+    build = build_leaf_spine if isinstance(config, LeafSpineConfig) else build_multipod
+    for count in range(1, 40):
+        def spec():
+            return ExperimentSpec(
+                "ecmp", "enterprise", load=0.5, config=config,
+                failed_links=failed_links,
+                faults=(RandomLinkDowns(time=0, count=count, tier=tier),),
+            )
+
+        sim = Simulator(seed=count)
+        fabric = build(sim, config)
+        fabric.finalize(EcmpSelector.factory())
+        for link in failed_links:
+            fabric.fail_link(*link)
+        try:
+            fail_random_links(fabric, count, tier=tier)
+        except ValueError:
+            with pytest.raises(ValueError, match=rf"^count {count} exceeds the \d+ {tier}-tier"):
+                spec()
+            assert count > 1  # every case here can lose at least one link
+            break
+        spec()
+    else:
+        pytest.fail("the tier never ran out of links to fail")

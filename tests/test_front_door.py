@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.apps import ExperimentSpec
+from repro.apps import ExperimentSpec, ImbalanceMonitorSpec, QueueMonitorSpec
+from repro.apps.traffic import IncastTraffic
 from repro.cli import _resolve_point_spec, build_parser, main
 from repro.faults import parse_fault
 from repro.scenarios import Scenario, ScenarioError, loader, scenario_from_mapping
@@ -90,6 +91,15 @@ YAML_PROBES = [
     ),
     ("  load: 0.5\ngrid:\n  failed_links: [[], [[9, 0, 0]]]\n", "grid.failed_links.1.0.0", 7),
     ("  load: 0.5\ngrid:\n  tcp: []\n", "grid.tcp", 7),
+    ("  load: 0.5\n  faults: [random_downs@0s=7]\n", "template.faults.0", 6),
+    ("  load: 0.5\n  topology: {host_rate_bps: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  topology: {fabric_rate_bps: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  topology: {num_pods: 2, core_rate_bps: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  topology: {host_queue_bytes: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  topology: {fabric_queue_bytes: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  topology: {ecn_threshold_bytes: 0}\n", "template.topology", 6),
+    ("  load: 0.5\n  tcp: {initial_cwnd_segments: 0}\n", "template.tcp", 6),
+    ("  load: 0.5\n  tcp: {receive_window: 0}\n", "template.tcp", 6),
     (
         "  load: 0.5\nworkloads:\n  mix:\n    points: [[1000, .nan], [2000, 1.0]]\n",
         "workloads.mix.points.0.1",
@@ -127,6 +137,50 @@ def test_cli_garbage_exits_2_with_one_line(capsys, argv):
     assert "Traceback" not in captured.err
     (line,) = captured.err.splitlines()
     assert re.match(r"conga-repro: (template|grid)\.[\w.]+: \S", line)
+
+
+def test_an_unknown_backend_exits_2_with_one_line(capsys):
+    assert main(["sweep", "--backend", "bogus", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert captured.err.splitlines() == [
+        "conga-repro: unknown backend 'bogus'; available: local, subprocess"
+    ]
+
+
+# -- a bad target is one rule: the file and the constructor refuse it alike ---------
+
+#: Every target row of YAML_PROBES as the spec a Python caller would build.
+PYTHON_TWINS = {
+    "template.clients.0": {"clients": (999,)},
+    "template.failed_links.0.0": {"failed_links": [(9, 9, 9)]},
+    "template.failed_links.0.2": {"failed_links": [(1, 1, 2)]},
+    "template.queue_monitor.leaf": {"queue_monitor": QueueMonitorSpec(tier="spine", leaf=99)},
+    "template.imbalance_monitor.leaf": {"imbalance_monitor": ImbalanceMonitorSpec(leaf=2)},
+    "template.traffic.incast.fan_in": {"traffic": IncastTraffic(fan_in=16)},
+    "grid.traffic.1.incast.fan_in": {"traffic": IncastTraffic(fan_in=99)},
+    "grid.failed_links.1.0.0": {"failed_links": [(9, 0, 0)]},
+    "template.faults.0": {"faults": (parse_fault("random_downs@0s=7"),)},
+}
+
+
+def test_every_target_row_has_a_python_twin():
+    targets = re.compile(r"clients|failed_links|monitor\.(leaf|spine)|fan_in|faults")
+    assert {key for _body, key, _line in YAML_PROBES if targets.search(key)} == set(
+        PYTHON_TWINS
+    )
+
+
+@pytest.mark.parametrize("key", sorted(PYTHON_TWINS))
+def test_a_bad_target_is_refused_alike_by_the_file_and_the_constructor(tmp_path, key):
+    (body,) = [body for body, row, _line in YAML_PROBES if row == key]
+    path = tmp_path / "probe.yaml"
+    path.write_text(HEAD + body, encoding="utf-8")
+    with pytest.raises(ScenarioError) as from_file:
+        load_scenario(path)
+    with pytest.raises(ValueError) as from_python:  # at construction, before any run
+        ExperimentSpec("ecmp", "enterprise", 0.5, **PYTHON_TWINS[key])
+    assert str(from_python.value) == from_file.value.message
 
 
 def test_parse_fault_refuses_unrepresentable_times():

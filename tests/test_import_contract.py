@@ -403,6 +403,21 @@ def test_listing_lint_rules_loads_no_engine():
     assert not loaded & NOT_DESCRIPTION
 
 
+def test_the_cli_parser_keeps_no_copy_of_a_registry():
+    # Scheme, workload and backend names are resolved by the schema and
+    # get_backend, not by parser choices=, so a command that names none of
+    # them loads none of the registries.
+    loaded = _loaded_by_cli("lint", "--list-rules")
+    assert not loaded & {"repro.apps", "repro.workloads", "repro.runner.backends"}
+
+
+def test_importing_run_sweep_loads_no_backend():
+    # The backends and their process plumbing load when a sweep builds one.
+    loaded = loaded_after("from repro.runner import run_sweep")
+    assert "repro.runner.dispatch" in loaded
+    assert not loaded & {"repro.runner.backends", "subprocess", "selectors"}
+
+
 def test_validating_scenarios_from_the_cli_loads_no_engine():
     loaded = _loaded_by_cli("scenario", "validate", *map(str, SCENARIOS))
     assert "repro.scenarios.loader" in loaded

@@ -121,14 +121,6 @@ class TestDropTailQueue:
         with pytest.raises(ValueError):
             DropTailQueue(0)
 
-    def test_sample_occupancy(self):
-        queue = DropTailQueue(10_000)
-        queue.offer(self._packet(500))
-        queue.sample_occupancy()
-        queue.poll()
-        queue.sample_occupancy()
-        assert queue.stats.samples == [500, 0]
-
     @given(sizes=st.lists(st.integers(min_value=1, max_value=2000), max_size=60))
     def test_byte_conservation(self, sizes):
         queue = DropTailQueue(5000)

@@ -388,3 +388,10 @@ class TestFabricTransfers:
             return flow.fct
 
         assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("field", ["initial_cwnd_segments", "receive_window"])
+def test_params_refuse_a_window_that_sends_nothing(field):
+    # At 0 every flow waited out the deadline: 0 of N complete, no error.
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got 0$"):
+        TcpParams(**{field: 0})

@@ -303,3 +303,26 @@ class TestIdealFct:
         fct = fabric.ideal_fct(0, 4, size)
         # Must be at least the plain payload serialization at 10 Gbps.
         assert fct >= size * 8 / 10  # ns at 10 Gbps = bits/10
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (LeafSpineConfig, "host_rate_bps"),
+        (LeafSpineConfig, "fabric_rate_bps"),
+        (LeafSpineConfig, "host_queue_bytes"),
+        (LeafSpineConfig, "fabric_queue_bytes"),
+        (LeafSpineConfig, "ecn_threshold_bytes"),
+        (MultiPodConfig, "core_rate_bps"),
+        (MultiPodConfig, "host_queue_bytes"),
+        (MultiPodConfig, "ecn_threshold_bytes"),
+    ],
+)
+def test_a_config_refuses_what_its_fabric_would_refuse(config, field):
+    # A zero rate, buffer or threshold used to pass and fail while the
+    # fabric was built; None keeps meaning unbounded or off.
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=rf"^{field} must be positive, got {value}$"):
+            config(**{field: value})
+    if field.endswith("_bytes"):
+        assert getattr(config(**{field: None}), field) is None
