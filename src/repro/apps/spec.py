@@ -164,6 +164,26 @@ def _named_indices(
             yield "parallel link", event.which, where, suffix
 
 
+def _leaf_spine_pairs(
+    spec: "ExperimentSpec",
+) -> Iterator[tuple[int, int, _KeyPath, str]]:
+    """Every (leaf, spine, field path, message suffix) pair a spec names.
+
+    The path locates the spine: on a multipod fabric it is the spine that
+    can lie outside the leaf's pod.
+    """
+    for i, (leaf, spine, _which) in enumerate(spec.failed_links):
+        yield leaf, spine, ("failed_links", str(i), "1"), ""
+    monitor = spec.queue_monitor
+    if monitor is not None and monitor.leaf is not None and monitor.spine is not None:
+        yield monitor.leaf, monitor.spine, ("queue_monitor", "spine"), ""
+    if spec.faults:
+        from repro.faults.events import LinkDegrade, LinkDown, LinkLoss, LinkUp
+    for i, event in enumerate(spec.faults):
+        if isinstance(event, (LinkDown, LinkUp, LinkDegrade, LinkLoss)) and event.core is None:
+            yield event.leaf, event.spine, ("faults", str(i)), f" in fault {event!r}"
+
+
 def _check_targets(spec: "ExperimentSpec") -> None:
     """Refuse, at construction, every fabric member the spec's topology lacks.
 
@@ -208,6 +228,16 @@ def _check_targets(spec: "ExperimentSpec") -> None:
                 f"(0..{limits[kind] - 1}){suffix}",
                 where,
             )
+    if cores:  # a leaf's uplinks reach its own pod's spines only
+        per_pod = config.spines_per_pod
+        for leaf, spine, where, suffix in _leaf_spine_pairs(spec):
+            first = leaf // config.leaves_per_pod * per_pod
+            if not first <= spine < first + per_pod:
+                raise _Refused(
+                    f"spine {spine} is not in leaf {leaf}'s pod on this topology "
+                    f"(its spines are {first}..{first + per_pod - 1}){suffix}",
+                    where,
+                )
     if not spec.faults:
         return
     from repro.faults.events import RandomLinkDowns
@@ -414,6 +444,11 @@ class ExperimentSpec:
             raise ValueError(f"need at least one flow, got {self.num_flows}")
         if self.clients is not None:
             object.__setattr__(self, "clients", tuple(self.clients))
+            if not self.clients:
+                raise _Refused(
+                    "clients must name at least one host (omit it for every host)",
+                    ("clients",),
+                )
         object.__setattr__(
             self,
             "failed_links",

@@ -115,6 +115,24 @@ def _resolve_point_spec(args: argparse.Namespace):
     return specs[0]
 
 
+def _run_point(args: argparse.Namespace, spec):
+    """``spec.run()``, with a run-time refusal as one CLI line.
+
+    The door cannot see everything a run can refuse: a ``random_downs``
+    count may exceed what an earlier fault left up.  Such a fault is
+    located at its schedule entry, like a refusal at the door.
+    """
+    from repro.faults import FaultError
+
+    try:
+        return spec.run()
+    except FaultError as exc:
+        where = f"{args.scenario}: " if args.scenario else "template."
+        raise _CliError(f"{where}faults.{exc.index}: {exc}") from exc
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+
+
 def _resolve_sweep_specs(args: argparse.Namespace):
     """The shared grid loader behind sweep/report: flags or a scenario file.
 
@@ -150,7 +168,7 @@ def _cmd_fct(args: argparse.Namespace) -> int:
     from repro.faults import fault_window
 
     spec = _resolve_point_spec(args)
-    result = spec.run()
+    result = _run_point(args, spec)
     summary = result.summary
     print(f"scheme={spec.scheme} workload={spec.workload} load={spec.load:g}")
     print(f"  flows completed:        {result.completed}/{result.arrivals}")
@@ -259,7 +277,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             spec = spec.with_(obs=ObsSpec(**obs_kwargs))
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
-    result = spec.run()
+    result = _run_point(args, spec)
     trace = result.trace
     assert trace is not None  # the spec carried an ObsSpec
     chrome = args.format == "chrome"
@@ -282,7 +300,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     spec = _resolve_point_spec(args)
-    result = spec.run()
+    result = _run_point(args, spec)
     report = result.metrics
     assert report is not None  # fresh runs always carry a report
     print(f"metrics: {spec.label()}")

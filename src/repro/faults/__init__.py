@@ -19,6 +19,7 @@ count, and an empty schedule leaves the simulation untouched.
 from importlib import import_module
 
 from repro.faults.events import (
+    FaultError,
     FaultEvent,
     FeedbackLoss,
     LinkDegrade,
@@ -51,6 +52,7 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
+    "FaultError",
     "FaultEvent",
     "FaultInjector",
     "FeedbackLoss",

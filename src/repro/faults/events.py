@@ -40,6 +40,18 @@ _CORE_LINK_TARGET = re.compile(r"^s(\d+)-c(\d+)(?:\.(\d+))?$")
 _SWITCH_TARGET = re.compile(r"^(leaf|spine|core)(\d+)$")
 
 
+class FaultError(ValueError):
+    """A fault the fabric refuses, located by its position in the schedule.
+
+    ``index`` is the event's place in the ``faults`` tuple the injector was
+    given (an :class:`~repro.apps.ExperimentSpec`'s ``faults``).
+    """
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """Base class: one change to the fabric at simulated time ``time`` (ns)."""
@@ -423,6 +435,7 @@ def parse_fault(text: str) -> FaultEvent:
 
 
 __all__ = [
+    "FaultError",
     "FaultEvent",
     "FeedbackLoss",
     "LinkDegrade",

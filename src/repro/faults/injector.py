@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.events import FaultEvent, FeedbackLoss, RandomLinkDowns, SwitchBlackout
+from repro.faults.events import (
+    FaultError,
+    FaultEvent,
+    FeedbackLoss,
+    RandomLinkDowns,
+    SwitchBlackout,
+)
 from repro.obs.events import FaultApplied, FaultRestored
 
 if TYPE_CHECKING:
@@ -48,7 +54,7 @@ class FaultInjector:
         #: tier name -> max over fault applications of the fraction of that
         #: tier's nominal capacity unusable right after the event fired.
         self.peak_tier_asymmetry: dict[str, float] = {}
-        for event in self.faults:
+        for index, event in enumerate(self.faults):
             if not isinstance(event, FaultEvent):
                 raise TypeError(
                     f"faults must be FaultEvent instances, got {event!r}"
@@ -56,7 +62,7 @@ class FaultInjector:
             try:
                 self._resolve(event)
             except ValueError as exc:
-                raise ValueError(f"{exc} in fault {event!r}") from None
+                raise FaultError(f"{exc} in fault {event!r}", index) from None
         for event in self.faults:
             if event.time <= sim.now:
                 self._apply(event)
@@ -81,7 +87,13 @@ class FaultInjector:
             self.target_port(event)
 
     def _apply(self, event: FaultEvent) -> None:
-        event.apply(self)
+        try:
+            event.apply(self)
+        except ValueError as exc:
+            # What the spec cannot rule out before the run: a random failure
+            # set the links still up at this instant cannot supply.
+            index = next(i for i, other in enumerate(self.faults) if other is event)
+            raise FaultError(f"{exc} in fault {event!r}", index) from exc
         self.applied.append((self.sim.now, event))
         self._snapshot_asymmetry()
         tracer = self.sim.tracer

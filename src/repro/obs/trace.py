@@ -17,8 +17,8 @@ per potential event — the "zero overhead when disabled" contract that
 tracer with a narrow filter skips uninteresting categories without any
 set lookup.
 
-Tracing *observes* and never perturbs: recording appends to a bounded
-``deque`` (oldest entries fall off when ``limit`` is exceeded), consumes no
+Tracing *observes* and never perturbs: recording appends to a bounded ring
+(the oldest rows fall off once ``limit`` newer ones are kept), consumes no
 RNG stream, and schedules nothing — the golden digests in ``tests/golden``
 are bit-identical with tracing off and on.
 
@@ -30,6 +30,12 @@ Chrome records and digests come from the rows directly.  An already-built
 event handed to :meth:`Tracer.emit` is stored as it is, so every reader
 takes either kind of entry.
 
+The ring keeps its rows as *sealed chunks* (DESIGN.md "Trace ring"): new
+rows go to a plain pending list, and every :data:`CHUNK_ROWS` of them are
+pickled into one ``bytes`` — about 28 B a row instead of about 164 B as
+live tuples.  A reader decodes one chunk at a time, so reading a full log
+never holds more than one chunk of tuples.
+
 Exports: NDJSON (one JSON object per line, stable field order) and the
 Chrome ``trace_event`` JSON format, loadable in ``chrome://tracing`` /
 Perfetto as instant events on per-category tracks.
@@ -40,7 +46,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -50,9 +58,17 @@ if TYPE_CHECKING:
 #: Every trace category, in canonical (sorted) order.
 CATEGORIES: tuple[str, ...] = ("dre", "drop", "fault", "flowlet", "table", "tcp")
 
-#: Default ring-buffer bound: plenty for a scaled run's decision events
-#: while keeping a worst-case all-categories trace to tens of MB.
+#: Default ring-buffer bound.  A ``conga`` run's rows (mostly ``DreSampled``
+#: and ``CongaTableUpdated``) seal to about 28 B each against about 164 B as
+#: live tuples, so a full ring retains about 2.3 MiB instead of about
+#: 11 MiB (tests/test_trace_rows.py pins the bound).
 DEFAULT_TRACE_LIMIT = 65536
+
+#: Rows per sealed chunk: the largest size at which sealed bytes and
+#: decoding time per row are still flat (DESIGN.md "Trace ring"); the
+#: pending tail of live rows and the one chunk a reader decodes stay
+#: under about 0.7 MiB.
+CHUNK_ROWS = 4096
 
 
 def _normalize_categories(categories: object) -> tuple[str, ...]:
@@ -115,50 +131,92 @@ def _chrome_record(entry) -> dict:
     }
 
 
-@dataclass(frozen=True)
+def _pickled(seal, entries: list) -> bytes | tuple:
+    """``entries`` pickled by ``seal``, or as a tuple if pickle refuses one."""
+    try:
+        return seal(entries)
+    except Exception:
+        # pickle raises PicklingError, TypeError or AttributeError depending
+        # on the object; a trace keeps the entry rather than fail the run.
+        return tuple(entries)
+
+
+def _decode(data: bytes | tuple) -> list | tuple:
+    import pickle
+
+    return pickle.loads(data) if type(data) is bytes else data
+
+
+@dataclass(frozen=True, eq=False)
 class TraceLog:
     """A frozen, picklable snapshot of a tracer's buffer.
 
-    ``rows`` holds the retained ring-buffer entries in emission order (see
-    the module docstring; read them through ``events``/``select``);
-    ``emitted`` counts everything ever offered, so ``dropped`` is how many
-    old events the ring evicted.  All export/digest helpers live here so a
+    ``chunks`` holds the retained ring entries (see the module docstring) in
+    emission order as ``(n_rows, data)`` pairs, ``data`` being the pickled
+    entry list (or, for entries pickle refuses, the entries themselves);
+    the first ``skip`` rows of the first chunk fell out of the ring.  Read
+    the rows through ``rows``, ``events`` or ``select``; every reader
+    decodes one chunk at a time.  ``emitted`` counts everything ever
+    offered, so ``dropped`` is how many old events the ring evicted.  All
+    export/digest helpers live here so a
     :class:`~repro.apps.spec.PointResult` carries them across process and
-    cache boundaries.
+    cache boundaries.  Two logs are equal when their rows are, however
+    they are chunked.
     """
 
-    rows: tuple
+    chunks: tuple = field(repr=False)
+    skip: int
     categories: tuple[str, ...]
     limit: int
     emitted: int
 
     def __setstate__(self, state: dict) -> None:
-        # Pickles from before the row format (old ``.repro-cache`` entries)
-        # carry built events under ``events``; those are legal entries.
-        if "events" in state:
-            state["rows"] = state.pop("events")
+        # Old ``.repro-cache`` entries carry one tuple of entries, under
+        # ``rows`` or (before the row format, built events) ``events``.
+        if "chunks" not in state:
+            old = state.pop("rows") if "rows" in state else state.pop("events")
+            state.update(chunks=((len(old), old),) if old else (), skip=0)
         self.__dict__.update(state)
+
+    def _row_chunks(self) -> Iterator[list | tuple]:
+        # Yields each decoded chunk without keeping a reference to it, so
+        # ``chain`` below holds one chunk of tuples at a time.
+        skip = self.skip
+        for _, data in self.chunks:
+            if skip:
+                yield _decode(data)[skip:]
+                skip = 0
+            else:
+                yield _decode(data)
+
+    def _rows(self) -> Iterator[tuple]:
+        return chain.from_iterable(self._row_chunks())
+
+    @property
+    def rows(self) -> tuple:
+        """The retained rows, decoded on every read."""
+        return tuple(self._rows())
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The retained events, typed — built from the rows on every read."""
-        return tuple(map(_event, self.rows))
+        return tuple(map(_event, self._rows()))
 
     @property
     def dropped(self) -> int:
         """Events evicted from the ring buffer (emitted − retained)."""
-        return max(0, self.emitted - len(self.rows))
+        return max(0, self.emitted - len(self))
 
     def select(self, *categories: str) -> tuple[TraceEvent, ...]:
         """Retained events restricted to the given categories (all if none)."""
         if not categories:
             return self.events
         wanted = set(_normalize_categories(list(categories)))
-        return tuple(_event(row) for row in self.rows if _category(row) in wanted)
+        return tuple(_event(row) for row in self._rows() if _category(row) in wanted)
 
     def ndjson_lines(self) -> Iterator[str]:
         """One compact JSON object per retained event, in emission order."""
-        return map(_ndjson_line, self.rows)
+        return map(_ndjson_line, self._rows())
 
     def write_ndjson(self, path: str | Path) -> Path:
         """Write the NDJSON export to ``path``; returns the path."""
@@ -171,7 +229,7 @@ class TraceLog:
     def chrome_trace(self) -> dict:
         """The Chrome ``trace_event`` JSON document (JSON Object Format)."""
         return {
-            "traceEvents": [_chrome_record(row) for row in self.rows],
+            "traceEvents": [_chrome_record(row) for row in self._rows()],
             "displayTimeUnit": "ns",
             "metadata": {
                 "categories": list(self.categories),
@@ -198,8 +256,21 @@ class TraceLog:
             hasher.update(b"\n")
         return hasher.hexdigest()
 
+    def _header(self) -> tuple:
+        return (self.categories, self.limit, self.emitted, len(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceLog):
+            return NotImplemented
+        return self._header() == other._header() and all(
+            mine == theirs for mine, theirs in zip(self._rows(), other._rows())
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._header())
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(n for n, _ in self.chunks) - self.skip
 
 
 class Tracer:
@@ -227,7 +298,10 @@ class Tracer:
         "limit",
         "emitted",
         "stream_path",
-        "_buffer",
+        "_pending",
+        "_chunks",
+        "_sealed",
+        "_seal",
         "_stream",
     ) + CATEGORIES
 
@@ -239,11 +313,18 @@ class Tracer:
     ) -> None:
         if limit < 1:
             raise ValueError(f"trace buffer limit must be positive, got {limit}")
+        # Bound here, not at module level: describing or running an
+        # untraced point never loads pickle.
+        import pickle
+
         self.categories = _normalize_categories(categories)
         self.limit = limit
         self.emitted = 0
         self.stream_path = Path(stream_path) if stream_path is not None else None
-        self._buffer: deque = deque(maxlen=limit)
+        self._pending: list = []  # newest entries, live
+        self._chunks: deque = deque()  # sealed (CHUNK_ROWS, data), oldest first
+        self._sealed = 0  # rows in _chunks
+        self._seal = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
         self._stream = (
             # Opt-in observability sink, opened once per run, never on a
             # hot path without an explicit trace_path knob.
@@ -266,18 +347,48 @@ class Tracer:
 
         Callers gate on the category flag first and pass the values in
         dataclass field order; the argument tuple itself is what is stored.
+        Every :data:`CHUNK_ROWS`-th call seals the pending rows: the body
+        of :meth:`_seal_pending`, inlined so that a record costs exactly
+        one ``repro.obs`` frame.
         """
         self.emitted += 1
-        self._buffer.append(row)
+        pending = self._pending
+        pending.append(row)
+        if len(pending) == CHUNK_ROWS:
+            data: bytes | tuple
+            try:
+                data = self._seal(pending)
+            except Exception:
+                # As in _pickled: an entry pickle refuses stays live.
+                data = tuple(pending)
+            chunks = self._chunks
+            chunks.append((CHUNK_ROWS, data))
+            sealed = self._sealed + CHUNK_ROWS
+            while sealed - chunks[0][0] >= self.limit:
+                sealed -= chunks.popleft()[0]
+            self._sealed = sealed
+            self._pending = []
         if self._stream is not None:
             self._stream.write(_ndjson_line(row) + "\n")
 
     def emit(self, event: TraceEvent) -> None:
         """Record an already-built event (emit sites use :meth:`record`)."""
         self.emitted += 1
-        self._buffer.append(event)
+        self._pending.append(event)
+        if len(self._pending) == CHUNK_ROWS:
+            self._seal_pending()
         if self._stream is not None:
             self._stream.write(_ndjson_line(event) + "\n")
+
+    def _seal_pending(self) -> None:
+        """Seal the full pending list into a chunk, then evict whole chunks
+        while the newer ones alone still hold ``limit`` rows."""
+        chunks = self._chunks
+        chunks.append((CHUNK_ROWS, _pickled(self._seal, self._pending)))
+        self._sealed += CHUNK_ROWS
+        while self._sealed - chunks[0][0] >= self.limit:
+            self._sealed -= chunks.popleft()[0]
+        self._pending = []
 
     def close(self) -> None:
         """Flush and close the streaming sink, if one is open.  Idempotent."""
@@ -288,33 +399,45 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events evicted by the ring buffer so far."""
-        return max(0, self.emitted - len(self._buffer))
+        return self.emitted - len(self)
 
     def events(self, *categories: str) -> list[TraceEvent]:
         """Retained events, typed, optionally restricted to some categories."""
         return list(self.snapshot().select(*categories))
 
     def snapshot(self) -> TraceLog:
-        """Freeze the buffer into a picklable :class:`TraceLog`."""
+        """Freeze the buffer into a picklable :class:`TraceLog`.
+
+        The pending rows are sealed into the snapshot's last chunk; the
+        tracer itself is left as it was.
+        """
+        chunks = list(self._chunks)
+        if self._pending:
+            chunks.append((len(self._pending), _pickled(self._seal, self._pending)))
+        skip = self._sealed + len(self._pending) - len(self)
+        while chunks and skip >= chunks[0][0]:
+            skip -= chunks.pop(0)[0]
         return TraceLog(
-            rows=tuple(self._buffer),
+            chunks=tuple(chunks),
+            skip=skip,
             categories=self.categories,
             limit=self.limit,
             emitted=self.emitted,
         )
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return min(self._sealed + len(self._pending), self.limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tracer(categories={','.join(self.categories)}, "
-            f"{len(self._buffer)}/{self.limit} retained, {self.emitted} emitted)"
+            f"{len(self)}/{self.limit} retained, {self.emitted} emitted)"
         )
 
 
 __all__ = [
     "CATEGORIES",
+    "CHUNK_ROWS",
     "DEFAULT_TRACE_LIMIT",
     "TraceLog",
     "Tracer",

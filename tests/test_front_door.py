@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps import ExperimentSpec, ImbalanceMonitorSpec, QueueMonitorSpec
 from repro.apps.traffic import IncastTraffic
 from repro.cli import _resolve_point_spec, build_parser, main
-from repro.faults import parse_fault
+from repro.faults import LinkDegrade, parse_fault
 from repro.scenarios import Scenario, ScenarioError, loader, scenario_from_mapping
+from repro.topology import MultiPodConfig
 from repro.workloads import WORKLOADS
 
 yaml = pytest.importorskip("yaml", reason="scenario files need PyYAML")
@@ -64,6 +65,12 @@ YAML_PROBES = [
     ("  load: 0.5\n  clients: [999]\n", "template.clients.0", 6),
     ("  load: 0.5\n  failed_links: [[9, 9, 9]]\n", "template.failed_links.0.0", 6),
     ("  load: 0.5\n  failed_links: [[1, 1, 2]]\n", "template.failed_links.0.2", 6),
+    (
+        "  load: 0.5\n  topology: {num_pods: 2}\n  failed_links: [[0, 3, 0]]\n",
+        "template.failed_links.0.1",
+        7,
+    ),
+    ("  load: 0.5\n  clients: []\n", "template.clients", 6),
     (
         "  load: 0.5\n  queue_monitor: {tier: spine, leaf: 99}\n",
         "template.queue_monitor.leaf",
@@ -139,6 +146,21 @@ def test_cli_garbage_exits_2_with_one_line(capsys, argv):
     assert re.match(r"conga-repro: (template|grid)\.[\w.]+: \S", line)
 
 
+def test_a_fault_the_run_refuses_is_one_line_from_a_file_too(tmp_path, capsys):
+    # The flag form is a row of the probe table; a file names itself instead.
+    path = tmp_path / "probe.yaml"
+    path.write_text(
+        HEAD + "  load: 0.6\n  num_flows: 5\n  size_scale: 0.02\n  faults: "
+        "[link_down@0s:l0-s0, link_down@0s:l0-s1, random_downs@1us=5]\n",
+        encoding="utf-8",
+    )
+    assert main(["fct", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"conga-repro: {path}: faults.2: could only fail 4 of 5 ")
+
+
 def test_an_unknown_backend_exits_2_with_one_line(capsys):
     assert main(["sweep", "--backend", "bogus", "--no-cache"]) == 2
     captured = capsys.readouterr()
@@ -155,6 +177,8 @@ PYTHON_TWINS = {
     "template.clients.0": {"clients": (999,)},
     "template.failed_links.0.0": {"failed_links": [(9, 9, 9)]},
     "template.failed_links.0.2": {"failed_links": [(1, 1, 2)]},
+    "template.failed_links.0.1": {"config": MultiPodConfig(), "failed_links": [(0, 3, 0)]},
+    "template.clients": {"clients": ()},
     "template.queue_monitor.leaf": {"queue_monitor": QueueMonitorSpec(tier="spine", leaf=99)},
     "template.imbalance_monitor.leaf": {"imbalance_monitor": ImbalanceMonitorSpec(leaf=2)},
     "template.traffic.incast.fan_in": {"traffic": IncastTraffic(fan_in=16)},
@@ -181,6 +205,33 @@ def test_a_bad_target_is_refused_alike_by_the_file_and_the_constructor(tmp_path,
     with pytest.raises(ValueError) as from_python:  # at construction, before any run
         ExperimentSpec("ecmp", "enterprise", 0.5, **PYTHON_TWINS[key])
     assert str(from_python.value) == from_file.value.message
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"failed_links": [(3, 0, 0)]}, ("failed_links", "0", "1")),
+        (
+            {"queue_monitor": QueueMonitorSpec(tier="spine", spine=3, leaf=0)},
+            ("queue_monitor", "spine"),
+        ),
+        ({"faults": (LinkDegrade(time=0, leaf=0, spine=2),)}, ("faults", "0")),
+    ],
+    ids=["failed_link", "queue_monitor", "fault"],
+)
+def test_a_leaf_spine_pair_across_pods_is_refused_at_construction(fields, path):
+    # Each used to construct and then die mid-build ("no link 0 between
+    # leaf0 and spine3", "selected no live ports on this fabric").
+    with pytest.raises(ValueError, match=r"^spine \d is not in leaf \d's pod") as info:
+        ExperimentSpec("ecmp", "enterprise", 0.5, config=MultiPodConfig(), **fields)
+    assert info.value.path == path
+
+
+def test_a_leaf_spine_pair_within_a_pod_constructs():
+    ExperimentSpec(
+        "ecmp", "enterprise", 0.5, config=MultiPodConfig(), failed_links=[(3, 3, 0)],
+        faults=(LinkDegrade(time=0, leaf=2, spine=2),),
+    )
 
 
 def test_parse_fault_refuses_unrepresentable_times():
