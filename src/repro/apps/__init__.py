@@ -35,7 +35,7 @@ _DEFERRED = {
         "get_scheme",
         "register_scheme",
     ),
-    "hdfs": ("HdfsJobResult", "HdfsWriteJob"),
+    "hdfs": ("HdfsWriteJob",),
     "incast": ("IncastClient", "IncastResult", "incast_throughput_percent"),
 }
 
@@ -57,7 +57,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "FlowFactory",
-    "HdfsJobResult",
     "HdfsTraffic",
     "HdfsWriteJob",
     "ImbalanceMonitorSpec",

@@ -12,7 +12,8 @@ This model reproduces that traffic pattern directly: each writer host
 writes ``blocks_per_writer`` blocks of ``block_bytes``; per block, a
 cross-rack transfer to a random replica and an in-rack transfer onward run
 concurrently (approximating HDFS's cut-through pipelining).  Job completion
-time is when every replica transfer finishes.  The paper notes TestDFSIO is
+time is when every replica transfer finishes: the last record's end, since
+every transfer starts when the job does.  The paper notes TestDFSIO is
 disk-bound on their servers and adds enterprise background traffic; the
 scaled job is network-bound, so none is added.  A spec runs it through
 :class:`repro.apps.traffic.HdfsTraffic`.
@@ -20,8 +21,7 @@ scaled job is network-bound, so none is added.  A spec runs it through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.apps.traffic import FlowFactory, TrafficStats
 from repro.units import megabytes
@@ -31,20 +31,11 @@ if TYPE_CHECKING:
     from repro.switch.fabric import Fabric
 
 
-@dataclass
-class HdfsJobResult:
-    """Outcome of one TestDFSIO-style write job."""
-
-    writers: int
-    blocks: int
-    block_bytes: int
-    completion_time: int = 0
-
-
 class HdfsWriteJob:
     """A 3-way-replicated distributed write job across all fabric hosts.
 
-    Each replica transfer is one flow in ``stats``.
+    Each replica transfer is one flow in ``stats``, which :meth:`start`
+    closes once every pipeline is launched.
     """
 
     def __init__(
@@ -56,7 +47,6 @@ class HdfsWriteJob:
         block_bytes: int = megabytes(8),
         blocks_per_writer: int = 1,
         stream: str = "hdfs",
-        on_done: Callable[[HdfsJobResult], None] | None = None,
     ) -> None:
         if len(fabric.leaves) < 2:
             raise ValueError("HDFS placement model needs at least two racks")
@@ -65,36 +55,23 @@ class HdfsWriteJob:
         self.flow_factory = flow_factory
         self.block_bytes = block_bytes
         self.blocks_per_writer = blocks_per_writer
-        self.on_done = on_done
         self._rng = sim.rng(stream)
         self.stats = TrafficStats()
-        writers = sorted(fabric.hosts)
-        self.result = HdfsJobResult(
-            writers=len(writers),
-            blocks=len(writers) * blocks_per_writer,
-            block_bytes=block_bytes,
-        )
-        self._writers = writers
-        self._outstanding = 0
-        self._started_at = 0
+        self._writers = sorted(fabric.hosts)
 
     def start(self) -> None:
         """Launch every writer's block pipelines simultaneously."""
-        self._started_at = self.sim.now
         for writer in self._writers:
             for _ in range(self.blocks_per_writer):
                 self._write_block(writer)
+        self.stats.close()
 
     def _write_block(self, writer: int) -> None:
         replica1 = self._pick_off_rack(writer)
         replica2 = self._pick_same_rack(replica1)
         # Writer keeps the local copy "free"; two network transfers follow.
         for src, dst in ((writer, replica1), (replica1, replica2)):
-            self._outstanding += 1
-            self.stats.start_flow(
-                self.fabric, self.flow_factory, src, dst, self.block_bytes,
-                self._transfer_done,
-            )
+            self.stats.start_flow(self.fabric, self.flow_factory, src, dst, self.block_bytes)
 
     def _pick_off_rack(self, writer: int) -> int:
         writer_leaf = self.fabric.leaf_of(writer)
@@ -117,17 +94,5 @@ class HdfsWriteJob:
             return replica1  # single-host rack: degenerate but legal
         return peers[self._rng.integers(len(peers))]
 
-    def _transfer_done(self) -> None:
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self.result.completion_time = self.sim.now - self._started_at
-            if self.on_done is not None:
-                self.on_done(self.result)
 
-    @property
-    def finished(self) -> bool:
-        """Whether every replica transfer completed."""
-        return self.result.completion_time > 0
-
-
-__all__ = ["HdfsJobResult", "HdfsWriteJob"]
+__all__ = ["HdfsWriteJob"]

@@ -17,7 +17,7 @@ A spec runs it through :class:`repro.apps.traffic.IncastTraffic`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.apps.traffic import FlowFactory, TrafficStats
 from repro.topology.leafspine import scaled_testbed
@@ -81,7 +81,8 @@ class IncastClient:
     """Issues synchronized striped requests (the classic Incast pattern).
 
     Each stripe is one flow in ``stats``; :attr:`result` is derived from
-    those records.
+    those records.  A request is issued once the previous one's stripes
+    all completed, and ``stats`` is closed as the last one is issued.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class IncastClient:
         flow_factory: FlowFactory,
         request_bytes: int = megabytes(10),
         repeats: int = 5,
-        on_done: Callable[[IncastResult], None] | None = None,
     ) -> None:
         if not servers:
             raise ValueError("need at least one server")
@@ -107,10 +107,7 @@ class IncastClient:
         self.flow_factory = flow_factory
         self.request_bytes = request_bytes
         self.repeats = repeats
-        self.on_done = on_done
         self.stats = TrafficStats()
-        self._outstanding = 0
-        self._requests_done = 0
 
     def start(self) -> None:
         """Issue the first request."""
@@ -118,22 +115,17 @@ class IncastClient:
 
     def _issue_request(self) -> None:
         stripe = max(1, self.request_bytes // len(self.servers))
-        self._outstanding = len(self.servers)
         for server in self.servers:
             self.stats.start_flow(
                 self.fabric, self.flow_factory, server, self.client, stripe,
                 self._stripe_done,
             )
+        if self.stats.arrivals >= self.repeats * len(self.servers):
+            self.stats.close()
 
     def _stripe_done(self) -> None:
-        self._outstanding -= 1
-        if self._outstanding > 0:
-            return
-        self._requests_done += 1
-        if self._requests_done < self.repeats:
+        if not self.stats.closed and self.stats.unfinished == 0:
             self._issue_request()
-        elif self.on_done is not None:
-            self.on_done(self.result)
 
     @property
     def result(self) -> IncastResult:
@@ -141,11 +133,6 @@ class IncastClient:
         return IncastResult.from_records(
             len(self.servers), self.request_bytes, self.stats.records
         )
-
-    @property
-    def finished(self) -> bool:
-        """All requests completed."""
-        return self._requests_done >= self.repeats
 
 
 def incast_throughput_percent(point: "PointResult") -> float:

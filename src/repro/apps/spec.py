@@ -574,10 +574,11 @@ class ExperimentSpec:
                 for m in monitors
             )
             traffic = self.traffic.attach(sim, fabric, self, scheme, workload)
+            traffic.stats.on_drained = sim.stop
             traffic.start()
             if samplers:
                 # Constructed after traffic so goodput/RTO series can read its
-                # stats; sampling is strictly read-only (see repro.obs.timeline),
+                # ledger; sampling is strictly read-only (see repro.obs.timeline),
                 # so flow records stay bit-identical with a collector on or
                 # off.  start() above only scheduled arrivals: no port has
                 # transmitted, so a collector may still require the
@@ -586,7 +587,7 @@ class ExperimentSpec:
 
                 for sampler in dict.fromkeys(samplers):
                     collectors[sampler] = TimelineCollector(
-                        sim, fabric, sampler, traffic=traffic, injector=injector
+                        sim, fabric, sampler, stats=traffic.stats, injector=injector
                     )
                     collectors[sampler].start()
             sim.run(until=self.deadline)

@@ -20,7 +20,8 @@ one frozen, hashable description in its ``traffic`` field, and
 
 Whatever the shape, every flow is launched and accounted by one
 :class:`TrafficStats` ledger, so records, arrivals, completions and the
-loss-recovery totals mean the same thing for every run.
+loss-recovery totals mean the same thing for every run, and one drain rule
+(:attr:`TrafficStats.drained`) says when the traffic is over.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ class TrafficStats:
     degradation signal the fault-plane analysis reports alongside goodput
     (flows still in recovery at the deadline show up in ``unfinished``
     instead).
+
+    The traffic is over once the ledger is ``drained``: its generator has
+    closed it and every flow it started has completed.  At that moment
+    the ledger calls ``on_drained`` once, after the last flow's own
+    ``done`` callback.  ``ExperimentSpec.run_live`` alone sets the hook, to
+    stop the simulator; a generator run without a hook runs until idle.
     """
 
     records: list[FlowRecord] = field(default_factory=list)
@@ -136,11 +143,24 @@ class TrafficStats:
     retransmissions: int = 0
     fast_retransmits: int = 0
     timeouts: int = 0
+    closed: bool = False
+    on_drained: Callable[[], None] | None = field(default=None, repr=False, compare=False)
 
     @property
     def unfinished(self) -> int:
         """Flows that had arrived but did not finish before the deadline."""
         return self.arrivals - self.completed
+
+    @property
+    def drained(self) -> bool:
+        """Closed, and every flow started has completed."""
+        return self.closed and self.completed == self.arrivals
+
+    def close(self) -> None:
+        """Mark injection over: the generator starts no more flows."""
+        # Every generator closes right after starting a flow, so the drain
+        # is always reached on a completion, never here.
+        self.closed = True
 
     def start_flow(
         self,
@@ -149,7 +169,7 @@ class TrafficStats:
         src: int,
         dst: int,
         size: int,
-        done: Callable[[], None],
+        done: Callable[[], None] | None = None,
     ) -> None:
         """Launch one ``src`` → ``dst`` flow now and account for it.
 
@@ -175,7 +195,10 @@ class TrafficStats:
                 self.retransmissions += stats.retransmissions
                 self.fast_retransmits += stats.fast_retransmits
                 self.timeouts += stats.timeouts
-            done()
+            if done is not None:
+                done()
+            if self.on_drained is not None and self.drained:
+                self.on_drained()
 
         flow = flow_factory(fabric.host(src), fabric.host(dst), size, complete)
         self.arrivals += 1
@@ -218,7 +241,6 @@ class CrossRackTraffic:
         size_scale: float = 1.0,
         clients: Iterable[int] | None = None,
         stream: str = "traffic",
-        on_all_done: Callable[[], None] | None = None,
     ) -> None:
         if not 0.0 < load:
             raise ValueError(f"load must be positive, got {load}")
@@ -233,7 +255,6 @@ class CrossRackTraffic:
         self.flow_factory = flow_factory
         self.num_flows = num_flows
         self.size_scale = size_scale
-        self.on_all_done = on_all_done
         self._rng = sim.rng(stream)
         self.stats = TrafficStats()
         self._remaining = num_flows
@@ -274,11 +295,11 @@ class CrossRackTraffic:
         self._remaining -= 1
         server = self._pick_server(client)
         size = max(1, round(self.workload.sample(self._rng) * self.size_scale))
-        self.stats.start_flow(
-            self.fabric, self.flow_factory, server, client, size, self._flow_done
-        )
+        self.stats.start_flow(self.fabric, self.flow_factory, server, client, size)
         if self._remaining > 0:
             self._schedule_arrival(client)
+        else:
+            self.stats.close()
 
     def _pick_server(self, client: int) -> int:
         client_leaf = self.fabric.leaf_of(client)
@@ -291,21 +312,12 @@ class CrossRackTraffic:
         servers = self.fabric.hosts_under(leaf_id)
         return servers[self._rng.integers(len(servers))]
 
-    def _flow_done(self) -> None:
-        if self.finished and self.on_all_done is not None:
-            self.on_all_done()
-
-    @property
-    def finished(self) -> bool:
-        """All arrivals generated and all flows completed."""
-        return self._remaining <= 0 and self.stats.unfinished == 0
-
 
 # -- the traffic descriptions a spec carries ------------------------------------------
 #
 # Each is a frozen value (it hashes and pickles with the spec) whose
-# ``attach`` builds the run's generator and returns it unstarted.  Every
-# generator stops the simulator once its last flow completes.
+# ``attach`` builds the run's generator and returns it unstarted; the
+# generator closes its ``stats`` ledger once it starts no more flows.
 
 
 @dataclass(frozen=True)
@@ -354,7 +366,6 @@ class PoissonTraffic:
             num_flows=spec.num_flows,
             size_scale=spec.size_scale,
             clients=spec.clients,
-            on_all_done=sim.stop,
         )
 
 
@@ -389,7 +400,6 @@ class IncastTraffic:
             flow_factory=scheme.make_flow_factory(spec.tcp_params),
             request_bytes=self.request_bytes,
             repeats=self.requests,
-            on_done=lambda result: sim.stop(),
         )
 
 
@@ -418,7 +428,6 @@ class HdfsTraffic:
             flow_factory=scheme.make_flow_factory(spec.tcp_params),
             block_bytes=self.block_bytes,
             blocks_per_writer=self.blocks_per_writer,
-            on_done=lambda result: sim.stop(),
         )
 
 

@@ -23,7 +23,8 @@ spec loader: every one of them accepts either flags or ``--scenario
 file.yaml``, and both go through :mod:`repro.scenarios`' schema (flags as an
 in-memory mapping), so a bad value is refused the same way at either door:
 one ``conga-repro: <key or file:line>: <message>`` line on stderr and exit
-code 2.  The single-point commands require exactly one compiled point.
+code 2; so is a point or grid flag given beside ``--scenario``.  The
+single-point commands require exactly one compiled point.
 """
 
 from __future__ import annotations
@@ -61,15 +62,59 @@ def _scalars(text: str) -> list:
     return items
 
 
-def _flag_mapping(args: argparse.Namespace, template: dict, grid=None) -> dict:
-    """The flags of a point or sweep command as the mapping a file would hold."""
-    template.update(
-        workload=args.workload,
-        num_flows=args.flows,
-        size_scale=args.size_scale,
+#: Every flag that describes a point or a grid: argparse dest -> (default,
+#: the scenario key it fills).  Their argparse default is None, so a value
+#: that is not None is one the command line gave.
+_DESCRIPTION_FLAGS = {
+    "scheme": ("conga", "template.scheme"),
+    "schemes": ("ecmp,conga", "grid.schemes"),
+    "workload": ("enterprise", "template.workload"),
+    "load": (0.6, "template.load"),
+    "loads": ("0.3,0.5,0.7", "grid.loads"),
+    "seed": (1, "template.seed"),
+    "seeds": ("1", "grid.seeds"),
+    "flows": (200, "template.num_flows"),
+    "size_scale": (0.05, "template.size_scale"),
+    "fail_link": (None, "template.failed_links"),
+    "fault": (None, "template.faults"),
+    "imbalance_leaf": (None, "template.imbalance_monitor.leaf"),
+}
+
+
+def _flag_mapping(args: argparse.Namespace) -> dict:
+    """The flags of a point or sweep command as the mapping a file would hold.
+
+    Flags left out take their defaults.  A file is the whole description,
+    so a flag given beside ``--scenario`` is refused, not silently dropped.
+    """
+    for dest, (default, key) in _DESCRIPTION_FLAGS.items():
+        if getattr(args, dest, default) is None:
+            setattr(args, dest, default)
+        elif args.scenario and hasattr(args, dest):
+            positional = dest == "scheme" and args.command != "fct"
+            flag = "the scheme argument" if positional else "--" + dest.replace("_", "-")
+            raise _CliError(
+                f"{key}: {flag} cannot be combined with --scenario; "
+                f"edit {key} in {args.scenario} instead"
+            )
+    template = dict(
+        workload=args.workload, num_flows=args.flows, size_scale=args.size_scale,
         faults=args.fault or [],
     )
-    if getattr(args, "imbalance_leaf", None) is not None:  # metrics only
+    grid = None
+    if hasattr(args, "scheme"):  # fct / trace / metrics
+        failed_links = [_scalars(text) for text in args.fail_link or []]
+        template.update(
+            scheme=args.scheme, load=args.load, seed=args.seed, failed_links=failed_links
+        )
+    else:  # sweep / report: the grid overwrites the template's scheme and load
+        template.update(scheme="ecmp", load=0.6)
+        grid = {
+            "schemes": [name.strip() for name in args.schemes.split(",")],
+            "loads": _scalars(args.loads),
+            "seeds": _scalars(args.seeds),
+        }
+    if args.imbalance_leaf is not None:  # metrics only
         template["imbalance_monitor"] = {"leaf": args.imbalance_leaf}
     name = f"{args.workload}, {args.flows} flows/point"
     return {"name": name, "template": template, "grid": grid}
@@ -98,13 +143,7 @@ def _resolve_point_spec(args: argparse.Namespace):
     ``--scenario`` is given — from the scenario file, which must then
     describe exactly one point.
     """
-    template = {
-        "scheme": args.scheme,
-        "load": args.load,
-        "seed": args.seed,
-        "failed_links": [_scalars(text) for text in args.fail_link or []],
-    }
-    scenario = _load_scenario(args.scenario, _flag_mapping(args, template))
+    scenario = _load_scenario(args.scenario, _flag_mapping(args))
     specs = scenario.compile()
     if len(specs) != 1:
         raise _CliError(
@@ -139,14 +178,7 @@ def _resolve_sweep_specs(args: argparse.Namespace):
     Returns ``(title, specs)``; every name and value is checked before any
     point executes, so typos fail fast.
     """
-    grid = {
-        "schemes": [name.strip() for name in args.schemes.split(",")],
-        "loads": _scalars(args.loads),
-        "seeds": _scalars(args.seeds),
-    }
-    # The template's scheme and load are placeholders the grid overwrites.
-    flags = _flag_mapping(args, {"scheme": "ecmp", "load": 0.6}, grid)
-    scenario = _load_scenario(args.scenario, flags)
+    scenario = _load_scenario(args.scenario, _flag_mapping(args))
     return scenario.name, scenario.compile()
 
 
@@ -161,7 +193,10 @@ def _make_backend(args: argparse.Namespace):
     workers = args.workers
     if args.backend == "subprocess" and not workers:
         workers = 2
-    return backend(workers=workers, timeout=args.timeout, retries=args.retries)
+    try:
+        return backend(workers=workers, timeout=args.timeout, retries=args.retries)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _cmd_fct(args: argparse.Namespace) -> int:
@@ -428,14 +463,14 @@ def _add_point_arguments(
 ) -> None:
     """The shared single-point argument set (fct/trace/metrics); the schema resolves names."""
     if positional_scheme:
-        cmd.add_argument("scheme", nargs="?", default="conga")
+        cmd.add_argument("scheme", nargs="?")
     else:
-        cmd.add_argument("--scheme", default="conga")
-    cmd.add_argument("--workload", default="enterprise")
-    cmd.add_argument("--load", type=float, default=0.6)
-    cmd.add_argument("--flows", type=int, default=200)
-    cmd.add_argument("--size-scale", type=float, default=0.05)
-    cmd.add_argument("--seed", type=int, default=1)
+        cmd.add_argument("--scheme")
+    cmd.add_argument("--workload")
+    cmd.add_argument("--load", type=float)
+    cmd.add_argument("--flows", type=int)
+    cmd.add_argument("--size-scale", type=float)
+    cmd.add_argument("--seed", type=int)
     cmd.add_argument("--fail-link", action="append",
                      metavar="LEAF,SPINE,WHICH",
                      help="fail a leaf-spine link (repeatable)")
@@ -447,26 +482,27 @@ def _add_point_arguments(
                           "(repeatable; see repro.faults.parse_fault)")
     cmd.add_argument("--scenario", default=None, metavar="FILE",
                      help="load the point from a scenario YAML instead of "
-                          "flags (must compile to exactly one point)")
+                          "the flags above, which it refuses (must compile "
+                          "to exactly one point)")
 
 
 def _add_sweep_grid_arguments(cmd: argparse.ArgumentParser) -> None:
     """The shared grid definition flags (``sweep`` and ``report``)."""
-    cmd.add_argument("--schemes", default="ecmp,conga",
-                     help="comma-separated scheme names")
-    cmd.add_argument("--workload", default="enterprise")
-    cmd.add_argument("--loads", default="0.3,0.5,0.7",
-                     help="comma-separated offered loads")
-    cmd.add_argument("--seeds", default="1",
-                     help="comma-separated seeds (one point per seed)")
-    cmd.add_argument("--flows", type=int, default=200)
-    cmd.add_argument("--size-scale", type=float, default=0.05)
+    cmd.add_argument("--schemes",
+                     help="comma-separated scheme names (default ecmp,conga)")
+    cmd.add_argument("--workload")
+    cmd.add_argument("--loads",
+                     help="comma-separated offered loads (default 0.3,0.5,0.7)")
+    cmd.add_argument("--seeds",
+                     help="comma-separated seeds, one point per seed (default 1)")
+    cmd.add_argument("--flows", type=int)
+    cmd.add_argument("--size-scale", type=float)
     cmd.add_argument("--fault", action="append", metavar="FAULT",
                      help="schedule a fault event on every point "
                           "(repeatable; same grammar as fct --fault)")
     cmd.add_argument("--scenario", default=None, metavar="FILE",
-                     help="compile the grid from a scenario YAML "
-                          "(overrides the template/grid flags above)")
+                     help="compile the grid from a scenario YAML instead "
+                          "of the flags above, which it refuses")
 
 
 def _add_sweep_run_arguments(cmd: argparse.ArgumentParser) -> None:
@@ -592,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="run one experiment point and print its metrics report"
     )
     _add_point_arguments(metrics, positional_scheme=True)
-    metrics.add_argument("--imbalance-leaf", type=int, default=None,
+    metrics.add_argument("--imbalance-leaf", type=int,
                          metavar="LEAF",
                          help="attach a throughput-imbalance monitor to this "
                               "leaf (adds monitor.imbalance.* metrics)")

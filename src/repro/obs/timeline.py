@@ -46,7 +46,7 @@ from repro.sim.kernel import PeriodicTimer
 from repro.units import microseconds
 
 if TYPE_CHECKING:
-    from repro.apps.traffic import CrossRackTraffic
+    from repro.apps.traffic import TrafficStats
     from repro.faults.injector import FaultInjector
     from repro.sim import Simulator
     from repro.switch.fabric import Fabric
@@ -135,7 +135,7 @@ class TimelineCollector:
     """Samples fabric/traffic state on a fixed sim-time cadence.
 
     Construct after the fabric is finalized (port set and selectors are
-    stable), pass the traffic generator and injector if present, and call
+    stable), pass the run's flow ledger and injector if present, and call
     :meth:`start` before ``sim.run``.  The sample callback is a bound
     method (picklable-safe, closure-free) and performs reads only — see
     the module docstring for the full determinism contract.  The DRE
@@ -152,13 +152,13 @@ class TimelineCollector:
         fabric: "Fabric",
         spec: TimelineSpec,
         *,
-        traffic: "CrossRackTraffic | None" = None,
+        stats: "TrafficStats | None" = None,
         injector: "FaultInjector | None" = None,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
         self.spec = spec
-        self.traffic = traffic
+        self.stats = stats
         self.injector = injector
         fabric.require_congestion_plane()
         self._ports = list(fabric.fabric_ports())
@@ -236,8 +236,8 @@ class TimelineCollector:
         self._last_decisions = decisions
         self._reroutes.append(reroutes - self._last_reroutes)
         self._last_reroutes = reroutes
-        if self.traffic is not None:
-            stats = self.traffic.stats
+        stats = self.stats
+        if stats is not None:
             self._timeouts.append(stats.timeouts - self._last_timeouts)
             self._last_timeouts = stats.timeouts
             self._retx.append(

@@ -27,8 +27,8 @@ their layout: a row is :meth:`Tracer.record`'s own argument tuple,
 ``(EventClass, time, *fields)`` in dataclass field order.  A typed event
 is built only where one is read (``events``/``select``); NDJSON lines,
 Chrome records and digests come from the rows directly.  An already-built
-event handed to :meth:`Tracer.emit` is stored as it is, so every reader
-takes either kind of entry.
+event handed to :meth:`Tracer.emit` is recorded as its row, so every entry
+has the one row format.
 
 The ring keeps its rows as *sealed chunks* (DESIGN.md "Trace ring"): new
 rows go to a plain pending list, and every :data:`CHUNK_ROWS` of them are
@@ -92,33 +92,30 @@ def _normalize_categories(categories: object) -> tuple[str, ...]:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _payload(entry) -> dict:
-    """:func:`event_payload` of a ring entry, without building the event."""
-    if type(entry) is not tuple:
-        from repro.obs.events import event_payload
+def _row(event: TraceEvent) -> tuple:
+    """The row of a built event: its class, then its fields in order."""
+    return (type(event), *(getattr(event, name) for name in event.__match_args__))
 
-        return event_payload(entry)
-    cls = entry[0]
+
+def _payload(row: tuple) -> dict:
+    """:func:`~repro.obs.events.event_payload` of a row, without building the event."""
+    cls = row[0]
     payload = {"name": cls.name, "cat": cls.category}
-    for name, value in zip(cls.__match_args__, entry[1:]):
+    for name, value in zip(cls.__match_args__, row[1:]):
         payload[name] = list(value) if type(value) is tuple else value
     return payload
 
 
-def _event(entry) -> TraceEvent:
-    return entry[0](*entry[1:]) if type(entry) is tuple else entry
+def _event(row: tuple) -> TraceEvent:
+    return row[0](*row[1:])
 
 
-def _category(entry) -> str:
-    return (entry[0] if type(entry) is tuple else entry).category
+def _ndjson_line(row: tuple) -> str:
+    return _encode(_payload(row))
 
 
-def _ndjson_line(entry) -> str:
-    return _encode(_payload(entry))
-
-
-def _chrome_record(entry) -> dict:
-    payload = _payload(entry)
+def _chrome_record(row: tuple) -> dict:
+    payload = _payload(row)
     return {
         "name": payload.pop("name"),
         "cat": payload.pop("cat"),
@@ -126,19 +123,19 @@ def _chrome_record(entry) -> dict:
         "s": "g",  # global scope
         "ts": payload["time"] / 1000.0,  # trace_event wants microseconds
         "pid": 1,
-        "tid": CATEGORIES.index(_category(entry)) + 1,
+        "tid": CATEGORIES.index(row[0].category) + 1,
         "args": payload,
     }
 
 
-def _pickled(seal, entries: list) -> bytes | tuple:
-    """``entries`` pickled by ``seal``, or as a tuple if pickle refuses one."""
+def _pickled(seal, rows: list) -> bytes | tuple:
+    """``rows`` pickled by ``seal``, or as a tuple if pickle refuses one."""
     try:
-        return seal(entries)
+        return seal(rows)
     except Exception:
         # pickle raises PicklingError, TypeError or AttributeError depending
-        # on the object; a trace keeps the entry rather than fail the run.
-        return tuple(entries)
+        # on the object; a trace keeps the row rather than fail the run.
+        return tuple(rows)
 
 
 def _decode(data: bytes | tuple) -> list | tuple:
@@ -151,9 +148,9 @@ def _decode(data: bytes | tuple) -> list | tuple:
 class TraceLog:
     """A frozen, picklable snapshot of a tracer's buffer.
 
-    ``chunks`` holds the retained ring entries (see the module docstring) in
+    ``chunks`` holds the retained rows (see the module docstring) in
     emission order as ``(n_rows, data)`` pairs, ``data`` being the pickled
-    entry list (or, for entries pickle refuses, the entries themselves);
+    row list (or, for rows pickle refuses, the rows themselves);
     the first ``skip`` rows of the first chunk fell out of the ring.  Read
     the rows through ``rows``, ``events`` or ``select``; every reader
     decodes one chunk at a time.  ``emitted`` counts everything ever
@@ -171,10 +168,10 @@ class TraceLog:
     emitted: int
 
     def __setstate__(self, state: dict) -> None:
-        # Old ``.repro-cache`` entries carry one tuple of entries, under
-        # ``rows`` or (before the row format, built events) ``events``.
+        # Old ``.repro-cache`` entries carry one tuple of rows under ``rows``
+        # or, before the row format, of built events under ``events``.
         if "chunks" not in state:
-            old = state.pop("rows") if "rows" in state else state.pop("events")
+            old = state.pop("rows") if "rows" in state else tuple(map(_row, state.pop("events")))
             state.update(chunks=((len(old), old),) if old else (), skip=0)
         self.__dict__.update(state)
 
@@ -212,7 +209,7 @@ class TraceLog:
         if not categories:
             return self.events
         wanted = set(_normalize_categories(list(categories)))
-        return tuple(_event(row) for row in self._rows() if _category(row) in wanted)
+        return tuple(_event(row) for row in self._rows() if row[0].category in wanted)
 
     def ndjson_lines(self) -> Iterator[str]:
         """One compact JSON object per retained event, in emission order."""
@@ -321,7 +318,7 @@ class Tracer:
         self.limit = limit
         self.emitted = 0
         self.stream_path = Path(stream_path) if stream_path is not None else None
-        self._pending: list = []  # newest entries, live
+        self._pending: list = []  # newest rows, live
         self._chunks: deque = deque()  # sealed (CHUNK_ROWS, data), oldest first
         self._sealed = 0  # rows in _chunks
         self._seal = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
@@ -347,9 +344,10 @@ class Tracer:
 
         Callers gate on the category flag first and pass the values in
         dataclass field order; the argument tuple itself is what is stored.
-        Every :data:`CHUNK_ROWS`-th call seals the pending rows: the body
-        of :meth:`_seal_pending`, inlined so that a record costs exactly
-        one ``repro.obs`` frame.
+        Every :data:`CHUNK_ROWS`-th call seals the pending rows into a
+        chunk and evicts whole chunks while the newer ones alone still hold
+        ``limit`` rows, inline, so that a record costs exactly one
+        ``repro.obs`` frame.
         """
         self.emitted += 1
         pending = self._pending
@@ -359,7 +357,7 @@ class Tracer:
             try:
                 data = self._seal(pending)
             except Exception:
-                # As in _pickled: an entry pickle refuses stays live.
+                # As in _pickled: a row pickle refuses stays live.
                 data = tuple(pending)
             chunks = self._chunks
             chunks.append((CHUNK_ROWS, data))
@@ -372,23 +370,8 @@ class Tracer:
             self._stream.write(_ndjson_line(row) + "\n")
 
     def emit(self, event: TraceEvent) -> None:
-        """Record an already-built event (emit sites use :meth:`record`)."""
-        self.emitted += 1
-        self._pending.append(event)
-        if len(self._pending) == CHUNK_ROWS:
-            self._seal_pending()
-        if self._stream is not None:
-            self._stream.write(_ndjson_line(event) + "\n")
-
-    def _seal_pending(self) -> None:
-        """Seal the full pending list into a chunk, then evict whole chunks
-        while the newer ones alone still hold ``limit`` rows."""
-        chunks = self._chunks
-        chunks.append((CHUNK_ROWS, _pickled(self._seal, self._pending)))
-        self._sealed += CHUNK_ROWS
-        while self._sealed - chunks[0][0] >= self.limit:
-            self._sealed -= chunks.popleft()[0]
-        self._pending = []
+        """Record an already-built event as its row (emit sites use :meth:`record`)."""
+        self.record(*_row(event))
 
     def close(self) -> None:
         """Flush and close the streaming sink, if one is open.  Idempotent."""

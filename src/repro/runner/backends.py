@@ -512,10 +512,15 @@ class LocalBackend(Backend):
     name = "local"
 
     def __post_init__(self) -> None:
+        # The one home of these rules: the CLI's --workers/--timeout/--retries
+        # reach them as they are.  A NaN deadline never expires, so a
+        # non-finite timeout would silently switch the timeout off.
+        if self.workers is not None and self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
     def execute(
         self,

@@ -21,7 +21,7 @@ from repro.apps import (
 )
 from repro.lb import CongaSelector, EcmpSelector
 from repro.sim import Simulator, run_until_idle
-from repro.topology import build_leaf_spine, scaled_testbed
+from repro.topology import MultiPodConfig, build_leaf_spine, scaled_testbed
 from repro.transport import TcpParams
 from repro.units import kilobytes, megabytes, milliseconds, seconds
 from repro.workloads import ENTERPRISE, WEB_SEARCH
@@ -54,7 +54,7 @@ class TestCrossRackTraffic:
         sim.run(until=seconds(10))
         assert traffic.stats.arrivals == 30
         assert traffic.stats.completed == 30
-        assert traffic.finished
+        assert traffic.stats.drained
 
     def test_all_flows_cross_racks(self):
         sim, fabric = _fabric()
@@ -74,10 +74,11 @@ class TestCrossRackTraffic:
             assert record.fct >= 0
             assert record.normalized_fct >= 0.5
 
-    def test_on_all_done_fires(self):
+    def test_on_drained_fires_once(self):
         sim, fabric = _fabric()
         done = []
-        traffic = self._traffic(sim, fabric, on_all_done=lambda: done.append(sim.now))
+        traffic = self._traffic(sim, fabric)
+        traffic.stats.on_drained = lambda: done.append(sim.now)
         traffic.start()
         sim.run(until=seconds(10))
         assert len(done) == 1
@@ -131,7 +132,7 @@ class TestIncast:
         )
         client.start()
         run_until_idle(sim)
-        assert client.finished
+        assert client.stats.drained
         assert len(client.result.request_durations) == 3
 
     def test_effective_throughput_bounded_by_line_rate(self):
@@ -190,9 +191,9 @@ class TestHdfs:
         )
         job.start()
         run_until_idle(sim)
-        assert job.finished
-        assert job.result.completion_time > 0
-        assert job.result.blocks == 8
+        assert job.stats.drained
+        assert max(r.start_time + r.fct for r in job.stats.records) > 0
+        assert job.stats.arrivals == 16
 
     def test_replication_traffic_pattern(self):
         """Each block creates one cross-rack and one intra-rack transfer."""
@@ -280,6 +281,75 @@ class TestExperimentHarness:
         assert [r.fct for r in a.records] == [r.fct for r in b.records]
 
 
+_RTO_1MS = TcpParams(min_rto=milliseconds(1), initial_rto=milliseconds(1))
+
+#: One spec per traffic shape, on the scaled leaf-spine and the multi-pod Clos.
+DRAIN_SPECS = {
+    "poisson": ExperimentSpec(
+        "conga", "enterprise", 0.5, seed=3, num_flows=40, size_scale=0.05
+    ),
+    "paced": ExperimentSpec(
+        "conga", "enterprise", 0.5, seed=3, num_flows=30, size_scale=0.05,
+        traffic=PoissonTraffic(burst_bytes=65_536), tcp_params=_RTO_1MS,
+    ),
+    "incast": ExperimentSpec(
+        "ecmp", "enterprise", 0.5, seed=3, tcp_params=_RTO_1MS,
+        traffic=IncastTraffic(fan_in=5, request_bytes=megabytes(1), requests=2),
+    ),
+    "hdfs": ExperimentSpec(
+        "conga", "enterprise", 0.5, seed=3, tcp_params=_RTO_1MS,
+        traffic=HdfsTraffic(block_bytes=200_000, blocks_per_writer=2),
+    ),
+    "multipod": ExperimentSpec(
+        "conga", "enterprise", 0.5, seed=3, num_flows=30, size_scale=0.05,
+        config=MultiPodConfig(),
+    ),
+}
+
+#: ``(records_digest, events_executed)`` of each spec, recorded while each
+#: generator still stopped the run through its own completion callback.
+DRAIN_PINS = {
+    "poisson": ("a3b67c5a7f0c0437d90eb40646466a562847048124839d734c9d8fe8ce28c3a9", 38407),
+    "paced": ("5a3c5cc54e08ebecc4972479a4153d89e3d05badfd746c8a97eb52712944d12c", 35048),
+    "incast": ("0e544392be9955bfe42051d8f9d11858945024dede41aea421cb45fe20eeb3ef", 10960),
+    "hdfs": ("08ac6bbf315faec185ceec4fca5d1e102d24de52344de6a47023c38f16ad9fb8", 105216),
+    "multipod": ("78bb22ec81b650df03e360f20b55948f6b9149c3d4543928c2382ade463f35d2", 27943),
+}
+
+
+class TestDrainRule:
+    """The flow ledger ends the run: closed, and every started flow done."""
+
+    @pytest.mark.parametrize("name", sorted(DRAIN_SPECS))
+    def test_the_run_stops_on_the_last_completion(self, name):
+        point = DRAIN_SPECS[name].run()
+        assert point.arrivals == point.completed > 0
+        assert point.end_time == max(r.start_time + r.fct for r in point.records)
+        pin = (records_digest(list(point.records)), point.events_executed)
+        assert pin == DRAIN_PINS[name]
+
+    def test_a_generator_without_a_hook_runs_until_idle(self):
+        # DRAIN_SPECS["incast"] built by hand, as the incast_rto bench
+        # workload builds its client.
+        sim, fabric = _fabric(
+            seed=3, hosts_per_leaf=scaled_testbed().hosts_per_leaf,
+            selector=get_scheme("ecmp").make_selector(),
+        )
+        client = IncastClient(
+            sim, fabric, client=0, servers=[1, 2, 3, 4, 5],
+            flow_factory=tcp_flow_factory(_RTO_1MS),
+            request_bytes=megabytes(1), repeats=2,
+        )
+        client.start()
+        # Nothing stops the run: it reaches its horizon with the heap empty.
+        assert sim.run(until=seconds(120)) == seconds(120)
+        assert client.stats.on_drained is None and client.stats.drained
+        assert not sim.pending_live_events
+        # No live event outlasts the last completion, so the hooked spec run
+        # executed the very same events.
+        assert (records_digest(client.stats.records), sim.events_executed) == DRAIN_PINS["incast"]
+
+
 class TestTrafficIsData:
     """A traffic description run through a spec is the run built by hand."""
 
@@ -301,8 +371,8 @@ class TestTrafficIsData:
             sim, fabric, client=0, servers=[1, 2, 3, 4, 5],
             flow_factory=get_scheme(scheme).make_flow_factory(self.PARAMS),
             request_bytes=megabytes(1), repeats=2,
-            on_done=lambda result: done_at.append(sim.now),
         )
+        client.stats.on_drained = lambda: done_at.append(sim.now)
         client.start()
         run_until_idle(sim)
         traffic = IncastTraffic(fan_in=5, request_bytes=megabytes(1), requests=2)
@@ -323,16 +393,20 @@ class TestTrafficIsData:
         run_until_idle(sim)
         point = self._spec("conga", HdfsTraffic(block_bytes=200_000, blocks_per_writer=2)).run()
         assert records_digest(list(point.records)) == records_digest(job.stats.records)
-        assert max(r.start_time + r.fct for r in point.records) == job.result.completion_time
-        assert point.arrivals == point.completed == 2 * job.result.blocks
+        # Every transfer starts at time 0, so the job ends with its last record.
+        completion_time = max(r.start_time + r.fct for r in job.stats.records)
+        assert max(r.start_time + r.fct for r in point.records) == completion_time
+        assert completion_time == point.end_time
+        # 16 writers x 2 blocks, two replica transfers per block.
+        assert point.arrivals == point.completed == job.stats.arrivals == 2 * 32
 
     def test_paced_spec_is_the_hand_built_generator(self):
         sim, fabric = _fabric(hosts_per_leaf=8, selector=CongaSelector.factory())
         traffic = CrossRackTraffic(
             sim, fabric, ENTERPRISE, 0.5, num_flows=30, size_scale=0.05,
             flow_factory=tcp_flow_factory(self.PARAMS, pacing=self.PACED),
-            on_all_done=sim.stop,
         )
+        traffic.stats.on_drained = sim.stop
         traffic.start()
         sim.run(until=seconds(20))
         spec = self._spec("conga", self.PACED, num_flows=30, size_scale=0.05)

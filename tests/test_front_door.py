@@ -143,7 +143,10 @@ def test_cli_garbage_exits_2_with_one_line(capsys, argv):
     assert captured.out == ""  # nothing ran
     assert "Traceback" not in captured.err
     (line,) = captured.err.splitlines()
-    assert re.match(r"conga-repro: (template|grid)\.[\w.]+: \S", line)
+    key = re.match(r"conga-repro: (template|grid)\.[\w.]+: \S", line)
+    # An execution flag fills no scenario key; its line names that flag.
+    flag = re.match(r"conga-repro: (workers|timeout|retries) must be \S", line)
+    assert key or (flag and f"--{flag[1]}" in argv.split())
 
 
 def test_a_fault_the_run_refuses_is_one_line_from_a_file_too(tmp_path, capsys):

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import pickle
+import re
 import shutil
 import sys
 import time
@@ -179,6 +180,24 @@ def test_point_failure_validation():
     assert failure.load == 0.4
     assert not failure.from_cache
     assert set(FAILURE_KINDS) == {"exception", "timeout", "crash"}
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"workers": -3}, "workers must be >= 0, got -3"),
+        ({"retries": -1}, "retries must be >= 0, got -1"),
+        ({"timeout": 0.0}, "timeout must be positive and finite, got 0.0"),
+        ({"timeout": float("nan")}, "timeout must be positive and finite, got nan"),
+        ({"timeout": float("inf")}, "timeout must be positive and finite, got inf"),
+    ],
+)
+@pytest.mark.parametrize("backend", [LocalBackend, SubprocessBackend])
+def test_garbage_execution_settings_are_refused_at_construction(backend, kwargs, message):
+    # A NaN deadline never expires and negative workers would run inline:
+    # both would quietly do something other than what was asked.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        backend(**kwargs)
 
 
 # ---------------------------------------------------------------------------

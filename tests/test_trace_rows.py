@@ -125,11 +125,8 @@ def _assert_matches_model(log: TraceLog, model: deque, emitted: int) -> None:
         len(model), emitted, emitted - len(model)
     )
     reference = Tracer(limit=max(1, len(model)))
-    for entry in model:
-        if type(entry) is tuple:
-            reference.record(*entry)
-        else:
-            reference.emit(entry)
+    for row in model:
+        reference.record(*row)
     assert log.digest() == reference.snapshot().digest()
     copy = pickle.loads(pickle.dumps(log))
     assert copy == log and hash(copy) == hash(log)
@@ -145,11 +142,11 @@ def test_the_chunked_ring_keeps_what_a_deque_keeps(stream):
         for _ in range(count):
             row = _drop(t)
             t += 1
+            # emit records a built event as its row.
+            model.append(row)
             if via_emit:
-                model.append(PacketDropped(*row[1:]))
-                tracer.emit(model[-1])
+                tracer.emit(PacketDropped(*row[1:]))
             else:
-                model.append(row)
                 tracer.record(*row)
         assert (len(tracer), tracer.emitted, tracer.dropped) == (
             len(model), t, t - len(model)
