@@ -22,7 +22,7 @@ _DEFERRED = {
         "sweep_report",
         "timeline_sections",
     ),
-    "report": ("cdf_points", "print_table", "render_table", "summarize_series"),
+    "report": ("print_table", "render_table"),
 }
 
 
@@ -46,13 +46,11 @@ __all__ = [
     "LARGE_FLOW_BYTES",
     "QueueSeries",
     "SMALL_FLOW_BYTES",
-    "cdf_points",
     "html_document",
     "print_table",
     "recovery_report",
     "relative_to",
     "render_table",
-    "summarize_series",
     "svg_heatmap",
     "svg_line_chart",
     "sweep_report",

@@ -1,4 +1,4 @@
-"""Plain-text result tables and CDF summaries.
+"""Plain-text result tables.
 
 The evaluation harnesses print the same series the paper plots; this module
 provides the rendering so benchmarks, examples, and the CLI share one
@@ -9,8 +9,6 @@ and diffs well.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from repro.analysis.stats import series_stats
 
 
 def format_value(value) -> str:
@@ -53,30 +51,8 @@ def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> 
     print("\n" + render_table(title, header, rows))
 
 
-def cdf_points(
-    samples: Sequence[float], quantiles: Sequence[float] = (10, 25, 50, 75, 90, 99)
-) -> list[tuple[float, float]]:
-    """(quantile, value) pairs summarizing a sample set's CDF."""
-    return list(zip(quantiles, series_stats(samples, quantiles, who="cdf_points")[1:]))
-
-
-def summarize_series(samples: Sequence[float]) -> dict[str, float]:
-    """Mean/median/p90/p99/min/max of a series, as a plain dict."""
-    mean, p50, p90, p99 = series_stats(samples, (50, 90, 99), who="summarize_series")
-    return {
-        "mean": mean,
-        "p50": p50,
-        "p90": p90,
-        "p99": p99,
-        "min": float(min(samples)),
-        "max": float(max(samples)),
-    }
-
-
 __all__ = [
-    "cdf_points",
     "format_value",
     "print_table",
     "render_table",
-    "summarize_series",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.apps.traffic import FlowFactory, TrafficStats
+from repro.apps.traffic import FlowFactory, TrafficStats, pick_off_rack
 from repro.units import megabytes
 
 if TYPE_CHECKING:
@@ -67,22 +67,11 @@ class HdfsWriteJob:
         self.stats.close()
 
     def _write_block(self, writer: int) -> None:
-        replica1 = self._pick_off_rack(writer)
+        replica1 = pick_off_rack(self.fabric, self._rng, writer)
         replica2 = self._pick_same_rack(replica1)
         # Writer keeps the local copy "free"; two network transfers follow.
         for src, dst in ((writer, replica1), (replica1, replica2)):
             self.stats.start_flow(self.fabric, self.flow_factory, src, dst, self.block_bytes)
-
-    def _pick_off_rack(self, writer: int) -> int:
-        writer_leaf = self.fabric.leaf_of(writer)
-        other_leaves = [
-            leaf.leaf_id
-            for leaf in self.fabric.leaves
-            if leaf.leaf_id != writer_leaf
-        ]
-        leaf_id = other_leaves[self._rng.integers(len(other_leaves))]
-        hosts = self.fabric.hosts_under(leaf_id)
-        return hosts[self._rng.integers(len(hosts))]
 
     def _pick_same_rack(self, replica1: int) -> int:
         peers = [

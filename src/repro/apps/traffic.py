@@ -38,6 +38,7 @@ if TYPE_CHECKING:
     from repro.apps.spec import ExperimentSpec
     from repro.net.node import Host
     from repro.sim import Simulator
+    from repro.sim.pcg64 import PCG64Stream
     from repro.switch.fabric import Fabric
 
 
@@ -293,7 +294,7 @@ class CrossRackTraffic:
         if self._remaining <= 0:
             return
         self._remaining -= 1
-        server = self._pick_server(client)
+        server = pick_off_rack(self.fabric, self._rng, client)
         size = max(1, round(self.workload.sample(self._rng) * self.size_scale))
         self.stats.start_flow(self.fabric, self.flow_factory, server, client, size)
         if self._remaining > 0:
@@ -301,16 +302,17 @@ class CrossRackTraffic:
         else:
             self.stats.close()
 
-    def _pick_server(self, client: int) -> int:
-        client_leaf = self.fabric.leaf_of(client)
-        other_leaves = [
-            leaf.leaf_id
-            for leaf in self.fabric.leaves
-            if leaf.leaf_id != client_leaf
-        ]
-        leaf_id = other_leaves[self._rng.integers(len(other_leaves))]
-        servers = self.fabric.hosts_under(leaf_id)
-        return servers[self._rng.integers(len(servers))]
+
+def pick_off_rack(fabric: "Fabric", rng: "PCG64Stream", host: int) -> int:
+    """A random host under a random leaf other than ``host``'s.
+
+    Two ``rng.integers`` draws, the leaf first.  Poisson servers and HDFS
+    first replicas are both drawn here, in this order.
+    """
+    host_leaf = fabric.leaf_of(host)
+    other_leaves = [leaf.leaf_id for leaf in fabric.leaves if leaf.leaf_id != host_leaf]
+    hosts = fabric.hosts_under(other_leaves[rng.integers(len(other_leaves))])
+    return hosts[rng.integers(len(hosts))]
 
 
 # -- the traffic descriptions a spec carries ------------------------------------------

@@ -11,7 +11,6 @@ Examples::
     conga-repro sweep --scenario scenarios/tiny_smoke.yaml --telemetry sweep.ndjson
     conga-repro report --scenario scenarios/caft_recovery.yaml --timeline
     conga-repro scenario validate scenarios/*.yaml
-    conga-repro scenario run scenarios/tiny_smoke.yaml --backend subprocess
     conga-repro incast --transport mptcp --fan-in 31 --mtu 9000
     conga-repro lint src --format json
     conga-repro poa
@@ -148,8 +147,8 @@ def _resolve_point_spec(args: argparse.Namespace):
     if len(specs) != 1:
         raise _CliError(
             f"scenario {scenario.name!r} compiles to {len(specs)} points; "
-            "this command needs exactly one (use 'sweep --scenario' or "
-            "'scenario run' for grids)"
+            "this command needs exactly one (use 'sweep --scenario' "
+            "for grids)"
         )
     return specs[0]
 
@@ -453,11 +452,6 @@ def _cmd_scenario_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.file)
-    return _run_and_report(scenario.name, scenario.compile(), args)
-
-
 def _add_point_arguments(
     cmd: argparse.ArgumentParser, *, positional_scheme: bool = False
 ) -> None:
@@ -506,7 +500,7 @@ def _add_sweep_grid_arguments(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_run_arguments(cmd: argparse.ArgumentParser) -> None:
-    """Execution knobs shared by ``sweep`` and ``scenario run``."""
+    """Execution knobs shared by ``sweep`` and ``report``."""
     from repro.runner import DEFAULT_CACHE_DIR
 
     cmd.add_argument("--workers", type=int, default=None,
@@ -577,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     scenario = sub.add_parser(
-        "scenario", help="validate, compile, and run scenario YAML files"
+        "scenario", help="validate and compile scenario YAML files "
+                         "(run one with 'sweep --scenario')"
     )
     scen_sub = scenario.add_subparsers(dest="scenario_command", required=True)
     validate = scen_sub.add_parser(
@@ -590,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_.add_argument("file", metavar="FILE")
     compile_.set_defaults(func=_cmd_scenario_compile)
-    scen_run = scen_sub.add_parser(
-        "run", help="compile a scenario and run its grid as a sweep"
-    )
-    scen_run.add_argument("file", metavar="FILE")
-    _add_sweep_run_arguments(scen_run)
-    scen_run.set_defaults(func=_cmd_scenario_run)
 
     incast = sub.add_parser("incast", help="run an Incast micro-benchmark")
     incast.add_argument("--transport", default="tcp", choices=["tcp", "mptcp"])

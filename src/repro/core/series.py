@@ -17,7 +17,7 @@ subsample (no reservoir randomness, no recency bias).
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, TypeVar, overload
+from typing import Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -28,11 +28,10 @@ DEFAULT_SERIES_LIMIT = 8192
 
 
 class DecimatedSeries(Generic[T]):
-    """A list-like, bounded, stride-decimated series of samples.
+    """A bounded, stride-decimated series of samples.
 
-    Supports ``append``, iteration, indexing, ``len``, and equality against
-    plain lists/tuples, so existing consumers that treated the raw sample
-    list as a sequence keep working unchanged.
+    ``append`` offers a sample; iteration and ``len`` see the retained
+    ones, oldest first, and ``offered`` counts every sample offered.
     """
 
     __slots__ = ("limit", "stride", "offered", "_next_keep", "_values")
@@ -64,35 +63,11 @@ class DecimatedSeries(Generic[T]):
             self.stride *= 2
             self._next_keep = len(values) * self.stride
 
-    @property
-    def values(self) -> list[T]:
-        """A copy of the retained samples, oldest first."""
-        return list(self._values)
-
     def __len__(self) -> int:
         return len(self._values)
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._values)
-
-    @overload
-    def __getitem__(self, index: int) -> T: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[T]: ...
-
-    def __getitem__(self, index: int | slice) -> T | list[T]:
-        return self._values[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DecimatedSeries):
-            return self._values == other._values
-        if isinstance(other, (list, tuple)):
-            return self._values == list(other)
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,7 +23,7 @@ Design constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.series import DecimatedSeries
 
@@ -90,56 +90,26 @@ class MetricsReport:
             merged[name] = self.counters.get(name, self.gauges.get(name, 0))
         return merged
 
-    def resolve_select(self, select: str | Iterable[str]) -> list[str]:
-        """Resolve a selection of names and dotted prefixes to metric names.
-
-        ``select`` is a comma-separated string (or iterable) of tokens;
-        each token matches exactly or as a name prefix, so whole families
-        select naturally (``lb.caft.``, ``kernel.``) — the same semantics
-        as the lint CLI's ``resolve_select``.  Matches are deduplicated
-        preserving selection order; tokens matching nothing raise with the
-        known names listed, so a typo never silently selects nothing.
-        """
-        if isinstance(select, str):
-            tokens = select.split(",")
-        else:
-            tokens = list(select)
-        tokens = [token.strip() for token in tokens]
-        tokens = [token for token in tokens if token]
-        names = self.names()
-        resolved: list[str] = []
-        seen: set[str] = set()
-        unknown: list[str] = []
-        for token in tokens:
-            matched = [
-                name
-                for name in names
-                if name == token or name.startswith(token)
-            ]
-            if not matched:
-                unknown.append(token)
-                continue
-            for name in matched:
-                if name not in seen:
-                    seen.add(name)
-                    resolved.append(name)
-        if unknown:
-            raise KeyError(
-                f"unknown metric selection {', '.join(sorted(unknown))!s}; "
-                f"known names: {', '.join(names)}"
-            )
-        return resolved
-
     def lines(self, select: str = "") -> list[str]:
         """Human-readable aligned report lines, optionally name-filtered.
 
-        ``select`` accepts comma-separated exact names or dotted-prefix
-        families (see :meth:`resolve_select`); empty selects everything.
+        ``select`` is comma-separated tokens, each an exact name or a
+        dotted-prefix family (``lb.caft.``, ``kernel.``) — the lint CLI's
+        ``--select`` semantics; empty selects everything.  A token that
+        matches nothing raises with the known names listed, so a typo
+        never silently selects nothing.
         """
+        names = self.names()
+        wanted = set(names)
         if select:
-            wanted = set(self.resolve_select(select))
-        else:
-            wanted = set(self.names())
+            tokens = [token.strip() for token in select.split(",") if token.strip()]
+            unknown = [t for t in tokens if not any(n.startswith(t) for n in names)]
+            if unknown:
+                raise KeyError(
+                    f"unknown metric selection {', '.join(sorted(unknown))}; "
+                    f"known names: {', '.join(names)}"
+                )
+            wanted = {n for n in names if any(n.startswith(t) for t in tokens)}
         rows: list[tuple[str, str]] = []
         for name in sorted(self.counters):
             if name in wanted:

@@ -10,8 +10,9 @@ plane that rides the simulation clock itself:
   on every tick, reads — *without mutating* — per-port utilization,
   residual capacity, queue occupancy, per-uplink DRE estimates, flowlet
   decision / fault-reroute / loss-recovery rates, and goodput;
-* every series lives in a bounded :class:`DecimatedSeries`, so week-long
-  simulated runs keep constant memory while the curves stay faithful;
+* each tick appends one row to one bounded :class:`DecimatedSeries`, so
+  week-long simulated runs keep constant memory while the curves stay
+  faithful;
 * :meth:`TimelineCollector.snapshot` freezes everything into a picklable
   :class:`Timeline` with a sha256 :meth:`~Timeline.digest`, which rides
   ``PointResult.timeline`` across process pools and the on-disk cache;
@@ -29,9 +30,12 @@ kernel's monotonic sequence numbers keep the relative order of all other
 events unchanged, so flow records are bit-identical with the collector on
 or off (``tests/test_timeline.py`` pins this against the golden fixtures).
 
-Every series is appended exactly once per tick ("lockstep"), so all
-:class:`DecimatedSeries` decimate in the same pattern and share the
-``times`` axis sample-for-sample.
+A row is the tick's time; per-port utilization, residual and occupancy;
+per-DRE-port utilization; the drop, decision, reroute, RTO,
+retransmission and goodput deltas; then cumulative completions and
+arrivals.  Decimation keeps or drops whole rows, so every series
+:meth:`~TimelineCollector.snapshot` transposes out of them shares the
+``times`` axis sample-for-sample by construction.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.series import DecimatedSeries
@@ -56,7 +61,7 @@ if TYPE_CHECKING:
 #: cheap enough to leave on.
 DEFAULT_TIMELINE_INTERVAL = microseconds(50)
 
-#: Default per-series retention.  1024 points outlives any committed
+#: Default row retention.  1024 rows outlive any committed
 #: scenario without decimation; longer runs decimate gracefully.
 DEFAULT_TIMELINE_LIMIT = 1024
 
@@ -66,8 +71,8 @@ class TimelineSpec:
     """Declarative knob that turns the timeline collector on.
 
     ``interval`` is the sampling period in simulated nanoseconds;
-    ``limit`` bounds every retained series (uniform stride decimation via
-    :class:`DecimatedSeries` once a series fills).  The spec nests inside
+    ``limit`` bounds the retained rows (uniform stride decimation via
+    :class:`DecimatedSeries` once they fill).  The spec nests inside
     :class:`repro.obs.config.ObsSpec` and therefore inside the experiment
     content hash — *when set*.  A ``None`` timeline is stripped from the
     hash payload, so pre-timeline cache entries and golden hashes are
@@ -135,7 +140,7 @@ class TimelineCollector:
     """Samples fabric/traffic state on a fixed sim-time cadence.
 
     Construct after the fabric is finalized (port set and selectors are
-    stable), pass the run's flow ledger and injector if present, and call
+    stable), pass the run's flow ledger (and its injector, if any), and call
     :meth:`start` before ``sim.run``.  The sample callback is a bound
     method (picklable-safe, closure-free) and performs reads only — see
     the module docstring for the full determinism contract.  The DRE
@@ -152,7 +157,7 @@ class TimelineCollector:
         fabric: "Fabric",
         spec: TimelineSpec,
         *,
-        stats: "TrafficStats | None" = None,
+        stats: "TrafficStats",
         injector: "FaultInjector | None" = None,
     ) -> None:
         self.sim = sim
@@ -163,102 +168,73 @@ class TimelineCollector:
         fabric.require_congestion_plane()
         self._ports = list(fabric.fabric_ports())
         self._dre_ports = [p for p in self._ports if p.dre is not None]
-        limit = spec.limit
-        # Every series is created up front and appended in lockstep, so
-        # their DecimatedSeries strides stay identical and the shared
-        # `times` axis aligns with every value series sample-for-sample.
-        self._times = DecimatedSeries(limit)
-        self._util = [DecimatedSeries(limit) for _ in self._ports]
-        self._residual = [DecimatedSeries(limit) for _ in self._ports]
-        self._occupancy = [DecimatedSeries(limit) for _ in self._ports]
-        self._dre = [DecimatedSeries(limit) for _ in self._dre_ports]
-        self._drops = DecimatedSeries(limit)
-        self._decisions = DecimatedSeries(limit)
-        self._reroutes = DecimatedSeries(limit)
-        self._timeouts = DecimatedSeries(limit)
-        self._retx = DecimatedSeries(limit)
-        self._goodput = DecimatedSeries(limit)
-        self._completed = DecimatedSeries(limit)
-        self._arrivals = DecimatedSeries(limit)
-        self._last_busy = [port.busy_time for port in self._ports]
-        self._last_drops = 0
-        self._last_decisions = 0
-        self._last_reroutes = 0
-        self._last_timeouts = 0
-        self._last_retx = 0
-        self._records_seen = 0
-        self.samples = 0
+        self._rows: DecimatedSeries[tuple] = DecimatedSeries(spec.limit)
+        self._previous: tuple = ()  # _totals() at the last tick (or start)
         # Kernel timers draw nothing from the run's RNG, so sampling cannot
         # desynchronize any random choice.
         self._timer = PeriodicTimer(sim, spec.interval, self._sample, start=False)
 
     def start(self) -> None:
         """Arm the sampling timer (first sample one interval from now)."""
-        self._last_busy = [port.busy_time for port in self._ports]
+        self._previous = self._totals((0, 0))
         self._timer.start()
 
     def stop(self) -> None:
         """Disarm the sampling timer."""
         self._timer.stop()
 
-    def _selector_totals(self) -> tuple[int, int]:
-        """Cumulative (flowlet decisions, fault reroutes) across the fabric."""
-        decisions = 0
-        reroutes = 0
+    def _totals(self, previous: tuple) -> tuple:
+        """Every cumulative counter a tick differences, in row order.
+
+        Per-port busy times, then drops, flowlet decisions, fault
+        reroutes, RTOs, retransmissions and delivered bytes, and last the
+        number of flow records read.  Delivered bytes are ``previous``'s
+        plus the sizes of the records it had not read yet.
+        """
+        stats = self.stats
+        records = stats.records
+        delivered, seen = previous[-2:]
+        delivered += sum(record.size for record in records[seen:])
+        drops = decisions = reroutes = 0
+        for port in self._ports:
+            drops += port.queue.stats.dropped_packets
         for selector in self.fabric.selectors():
             decisions += getattr(selector, "decisions", 0)
             reroutes += getattr(selector, "fault_reroutes", 0)
-        return decisions, reroutes
+        return (
+            *(port.busy_time for port in self._ports),
+            drops,
+            decisions,
+            reroutes,
+            stats.timeouts,
+            stats.retransmissions,
+            delivered,
+            len(records),
+        )
 
     def _sample(self) -> None:
         interval = self.spec.interval
-        self.samples += 1
-        self._times.append(self.sim.now)
-        drops = 0
-        for i, port in enumerate(self._ports):
-            busy = port.busy_time
+        ports = self._ports
+        previous = self._previous
+        totals = self._previous = self._totals(previous)
+        n = len(ports)
+        self._rows.append((
+            self.sim.now,
             # busy_time is charged at packet *start*, so a packet whose
             # serialization spans the sample boundary lands entirely in
             # this window — clamp the ≤ one-packet overshoot to 1.0.
-            self._util[i].append(
-                min(1.0, (busy - self._last_busy[i]) / interval)
-            )
-            self._last_busy[i] = busy
-            self._residual[i].append(port.residual_fraction())
-            self._occupancy[i].append(port.queue.byte_occupancy)
-            drops += port.queue.stats.dropped_packets
-        for i, port in enumerate(self._dre_ports):
-            self._dre[i].append(port.dre.peek_utilization())
-        self._drops.append(drops - self._last_drops)
-        self._last_drops = drops
-        decisions, reroutes = self._selector_totals()
-        self._decisions.append(decisions - self._last_decisions)
-        self._last_decisions = decisions
-        self._reroutes.append(reroutes - self._last_reroutes)
-        self._last_reroutes = reroutes
-        stats = self.stats
-        if stats is not None:
-            self._timeouts.append(stats.timeouts - self._last_timeouts)
-            self._last_timeouts = stats.timeouts
-            self._retx.append(
-                stats.retransmissions - self._last_retx
-            )
-            self._last_retx = stats.retransmissions
-            records = stats.records
-            fresh = records[self._records_seen :]
-            self._records_seen = len(records)
-            self._goodput.append(sum(record.size for record in fresh))
-            self._completed.append(stats.completed)
-            self._arrivals.append(stats.arrivals)
-        else:
-            self._timeouts.append(0)
-            self._retx.append(0)
-            self._goodput.append(0)
-            self._completed.append(0)
-            self._arrivals.append(0)
+            *(min(1.0, (now - then) / interval)
+              for now, then in zip(totals[:n], previous)),
+            *(port.residual_fraction() for port in ports),
+            *(port.queue.byte_occupancy for port in ports),
+            *(port.dre.peek_utilization() for port in self._dre_ports),
+            *(now - then for now, then in zip(totals[n:-1], previous[n:-1])),
+            self.stats.completed,
+            self.stats.arrivals,
+        ))
 
     def snapshot(self) -> Timeline:
-        """Freeze the recorded series into a picklable :class:`Timeline`."""
+        """Freeze the recorded rows, transposed, into a :class:`Timeline`."""
         names = tuple(port.name for port in self._ports)
         dre_names = tuple(port.name for port in self._dre_ports)
         fault_events: tuple[tuple[int, str, bool], ...] = ()
@@ -267,36 +243,30 @@ class TimelineCollector:
                 (when, type(event).__name__, event.restores())
                 for when, event in self.injector.applied
             )
+        # One column per row field, taken in row order.
+        columns = iter(zip(*self._rows)) if self._rows else repeat(())
+
+        def by_port(names: tuple[str, ...]) -> dict[str, tuple]:
+            return {name: next(columns) for name in names}
+
         return Timeline(
             interval=self.spec.interval,
-            times=tuple(self._times),
+            times=next(columns),
             port_names=names,
-            utilization={
-                name: tuple(series)
-                for name, series in zip(names, self._util)
-            },
-            residual={
-                name: tuple(series)
-                for name, series in zip(names, self._residual)
-            },
-            occupancy={
-                name: tuple(series)
-                for name, series in zip(names, self._occupancy)
-            },
-            dre={
-                name: tuple(series)
-                for name, series in zip(dre_names, self._dre)
-            },
-            drops=tuple(self._drops),
-            flowlet_decisions=tuple(self._decisions),
-            fault_reroutes=tuple(self._reroutes),
-            timeouts=tuple(self._timeouts),
-            retransmissions=tuple(self._retx),
-            goodput_bytes=tuple(self._goodput),
-            completed=tuple(self._completed),
-            arrivals=tuple(self._arrivals),
+            utilization=by_port(names),
+            residual=by_port(names),
+            occupancy=by_port(names),
+            dre=by_port(dre_names),
+            drops=next(columns),
+            flowlet_decisions=next(columns),
+            fault_reroutes=next(columns),
+            timeouts=next(columns),
+            retransmissions=next(columns),
+            goodput_bytes=next(columns),
+            completed=next(columns),
+            arrivals=next(columns),
             fault_events=fault_events,
-            samples=self.samples,
+            samples=self._rows.offered,
         )
 
 

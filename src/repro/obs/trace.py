@@ -335,10 +335,6 @@ class Tracer:
         for name in CATEGORIES:
             setattr(self, name, name in enabled)
 
-    def wants(self, category: str) -> bool:
-        """Whether ``category`` is being recorded."""
-        return category in self.categories
-
     def record(self, *row) -> None:
         """Record one event as ``(EventClass, time, *fields)``, unbuilt.
 

@@ -8,8 +8,8 @@ load from YAML via :func:`load_scenario`, which reports every problem as
 a :class:`ScenarioError` with file/line context.
 
 The committed exemplars live in ``scenarios/*.yaml`` at the repo root;
-run them with ``conga-repro scenario run`` or hand the compiled grid to
-:func:`repro.runner.run_sweep`, the one door to a sweep (any backend:
+run them with ``conga-repro sweep --scenario FILE`` or hand the compiled
+grid to :func:`repro.runner.run_sweep`, the one door to a sweep (any backend:
 ``run_sweep(scenario.compile(), backend=get_backend(name)())``).
 """
 

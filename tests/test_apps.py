@@ -20,7 +20,9 @@ from repro.apps import (
     mptcp_flow_factory,
 )
 from repro.lb import CongaSelector, EcmpSelector
+from repro.apps.traffic import pick_off_rack
 from repro.sim import Simulator, run_until_idle
+from repro.sim.pcg64 import PCG64Stream
 from repro.topology import MultiPodConfig, build_leaf_spine, scaled_testbed
 from repro.transport import TcpParams
 from repro.units import kilobytes, megabytes, milliseconds, seconds
@@ -32,6 +34,19 @@ def _fabric(seed=1, hosts_per_leaf=4, selector=None, **cfg):
     fabric = build_leaf_spine(sim, scaled_testbed(hosts_per_leaf=hosts_per_leaf, **cfg))
     fabric.finalize(selector or EcmpSelector.factory())
     return sim, fabric
+
+
+def test_pick_off_rack_is_two_draws_off_the_hosts_leaf():
+    """The leaf among the other leaves first, then a host under it."""
+    _sim, fabric = _fabric(hosts_per_leaf=3)
+    rng, twin = PCG64Stream(7), PCG64Stream(7)
+    for host in sorted(fabric.hosts):
+        for _ in range(50):
+            picked = pick_off_rack(fabric, rng, host)
+            others = [l.leaf_id for l in fabric.leaves if l.leaf_id != fabric.leaf_of(host)]
+            under = fabric.hosts_under(others[twin.integers(len(others))])
+            assert picked == under[twin.integers(len(under))]
+            assert fabric.leaf_of(picked) != fabric.leaf_of(host)
 
 
 class TestCrossRackTraffic:

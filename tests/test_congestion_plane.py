@@ -20,7 +20,14 @@ import pytest
 
 from repro.analysis import sweep_report
 from repro.analysis.fct import records_digest
-from repro.apps import SCHEMES, ExperimentSpec, ObsSpec, get_scheme, register_scheme
+from repro.apps import (
+    SCHEMES,
+    ExperimentSpec,
+    ObsSpec,
+    TrafficStats,
+    get_scheme,
+    register_scheme,
+)
 from repro.faults import FeedbackLoss, LinkDegrade
 from repro.lb import CongaSelector, EcmpSelector
 from repro.lb.caft import CaftCoreSelector
@@ -202,11 +209,11 @@ class TestLateReadersAreRefused:
         sim, fabric = _ecmp_fabric()
         _udp_burst(sim, fabric)
         with pytest.raises(CongestionPlaneError):
-            TimelineCollector(sim, fabric, TimelineSpec())
+            TimelineCollector(sim, fabric, TimelineSpec(), stats=TrafficStats())
 
     def test_timeline_collector_before_traffic_switches_it_on(self):
         sim, fabric = _ecmp_fabric()
-        collector = TimelineCollector(sim, fabric, TimelineSpec())
+        collector = TimelineCollector(sim, fabric, TimelineSpec(), stats=TrafficStats())
         assert fabric.congestion_plane
         collector.start()
         _udp_burst(sim, fabric)

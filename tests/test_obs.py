@@ -74,7 +74,6 @@ class TestTracer:
         tracer = Tracer(categories="flowlet,table")
         assert tracer.flowlet is True and tracer.table is True
         assert tracer.dre is False and tracer.tcp is False
-        assert tracer.wants("flowlet") and not tracer.wants("drop")
 
     def test_default_records_every_category(self):
         tracer = Tracer()
@@ -185,8 +184,18 @@ class TestMetricsReport:
         assert report.histograms["c.sizes"].p50 == 2.0
 
     def test_lines_filter_by_prefix(self):
-        lines = _report(**{"kernel.events": 1, "port.tx": 1}).lines("kernel.")
-        assert len(lines) == 1 and lines[0].startswith("kernel.events")
+        report = _report(**{"kernel.events": 1, "kernel.wall": 2, "port.tx": 3})
+        lines = report.lines("kernel.")
+        assert [line.split()[0] for line in lines] == ["kernel.events", "kernel.wall"]
+        lines = report.lines(" port.tx , kernel.,kernel.events,")
+        assert [line.split()[0] for line in lines] == ["kernel.events", "kernel.wall", "port.tx"]
+
+    def test_lines_refuse_an_unknown_selection_listing_known_names(self):
+        with pytest.raises(KeyError) as caught:
+            _report(**{"kernel.events": 1}).lines("zz,bogus,kernel.")
+        assert caught.value.args[0] == (
+            "unknown metric selection bogus, zz; known names: kernel.events"
+        )
 
     def test_value_raises_on_unknown_name(self):
         with pytest.raises(KeyError):

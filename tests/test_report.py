@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.analysis import cdf_points, render_table, summarize_series
+from repro.analysis import render_table
+from repro.analysis.stats import series_stats
+from repro.core.series import DecimatedSeries
+from repro.obs.metrics import HistogramSummary
 
 
 class TestRenderTable:
@@ -29,19 +32,23 @@ class TestRenderTable:
 
 
 class TestSeriesSummaries:
+    """A report's summaries come from ``HistogramSummary.of`` and ``series_stats``."""
+
     def test_summarize(self):
-        summary = summarize_series([1.0, 2.0, 3.0, 4.0])
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
+        summary = HistogramSummary.of(DecimatedSeries(values=[1.0, 2.0, 3.0, 4.0]))
+        assert summary.mean == pytest.approx(2.5)
+        assert summary.minimum == 1.0
+        assert summary.maximum == 4.0
+        assert summary.count == 4
 
     def test_cdf_points_monotone(self):
-        points = cdf_points(list(range(100)))
-        values = [v for _q, v in points]
+        quantiles = (10, 25, 50, 75, 90, 99)
+        values = series_stats(list(range(100)), quantiles, who="cdf")[1:]
+        assert len(values) == len(quantiles)
         assert values == sorted(values)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize_series([])
+            series_stats([], who="summary")
         with pytest.raises(ValueError):
-            cdf_points([])
+            series_stats([], (10, 50, 90), who="cdf")

@@ -16,20 +16,15 @@ class TestBasics:
         assert series.stride == 1
 
     def test_list_protocol(self):
+        """A series is a sized iterable, not a list: no indexing, no list equality."""
         series = DecimatedSeries(limit=16, values=[3, 1, 4])
         assert len(series) == 3
-        assert series[0] == 3
-        assert series[-1] == 4
+        assert list(series) == [3, 1, 4]
         assert bool(series)
         assert not DecimatedSeries(limit=16)
-        assert series == [3, 1, 4]
-        assert series == (3, 1, 4)
-        assert series.values == [3, 1, 4]
-
-    def test_equality_against_other_series(self):
-        a = DecimatedSeries(limit=16, values=[1, 2])
-        b = DecimatedSeries(limit=32, values=[1, 2])
-        assert a == b
+        assert series != [3, 1, 4]
+        with pytest.raises(TypeError):
+            series[0]
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
@@ -90,4 +85,4 @@ class TestDecimation:
             series.append(value)
         assert len(series) <= 16
         if values:
-            assert series[0] == values[0]
+            assert next(iter(series)) == values[0]

@@ -15,8 +15,6 @@ from repro.analysis import (
     FctSummary,
     ImbalanceSeries,
     QueueSeries,
-    cdf_points,
-    summarize_series,
 )
 from repro.analysis.stats import series_stats
 from repro.core.series import DecimatedSeries
@@ -45,14 +43,11 @@ def test_queue_snapshot_reports_the_former_floats():
 
 def test_report_and_histogram_summaries_report_the_former_floats():
     array = np.asarray(OCCUPANCY, dtype=float)
-    assert cdf_points(OCCUPANCY) == [
-        (q, float(np.percentile(array, q))) for q in (10, 25, 50, 75, 90, 99)
+    quantiles = (0, 10, 25, 50, 75, 90, 99, 100)
+    assert series_stats(OCCUPANCY, quantiles, who="OCCUPANCY") == [
+        float(array.mean()), *(float(np.percentile(array, q)) for q in quantiles)
     ]
     p50, p90, p99 = (float(v) for v in np.percentile(array, [50.0, 90.0, 99.0]))
-    assert summarize_series(OCCUPANCY) == {
-        "mean": float(array.mean()), "p50": p50, "p90": p90, "p99": p99,
-        "min": 0.0, "max": 1_000_000.0,
-    }
     assert HistogramSummary.of(DecimatedSeries(values=OCCUPANCY)) == HistogramSummary(
         len(OCCUPANCY), 0.0, 1_000_000.0, float(array.mean()), p50, p90, p99
     )
@@ -61,8 +56,6 @@ def test_report_and_histogram_summaries_report_the_former_floats():
 @pytest.mark.parametrize(
     "ask, who",
     [
-        (lambda: cdf_points([]), "cdf_points"),
-        (lambda: summarize_series(()), "summarize_series"),
         (lambda: FctSummary.from_records([]), "FctSummary.from_records"),
         (lambda: ImbalanceSeries(10, (), ()).mean_percent(), "ImbalanceSeries"),
         (lambda: ImbalanceSeries(10, (), ()).percentile(50), "ImbalanceSeries"),
@@ -70,6 +63,13 @@ def test_report_and_histogram_summaries_report_the_former_floats():
             lambda: QueueSeries.from_timeline(_timeline("occupancy", {"p": ()}), ["p"]).mean("p"),
             "QueueSeries[p]",
         ),
+        (
+            lambda: QueueSeries.from_timeline(
+                _timeline("occupancy", {"q": ()}), ["q"]
+            ).percentile("q", 99),
+            "QueueSeries[q]",
+        ),
+        (lambda: series_stats((), who="mean only"), "mean only"),
         (lambda: series_stats(np.array([]), (50,), who="anything"), "anything"),
     ],
 )
@@ -85,5 +85,5 @@ def test_the_interval_rides_along_only_for_monitors():
         ImbalanceSeries(250, (), ()).mean_percent()
     assert monitor.value.interval == 250 and "250 ns" in str(monitor.value)
     with pytest.raises(EmptySeriesError) as report:
-        cdf_points([])
+        series_stats([], (50,), who="report")
     assert report.value.interval is None and "interval" not in str(report.value)

@@ -136,12 +136,29 @@ class TestTimelineContent:
         assert ("LinkDown", False) in kinds
         assert ("LinkUp", True) in kinds
 
-    def test_limit_bounds_retention(self):
+    @staticmethod
+    def _decimated(limit: int, retained: int, stride: int) -> Timeline:
         timeline = _with_timeline(
-            golden_spec(), interval=microseconds(5), limit=16
+            golden_spec(), interval=microseconds(5), limit=limit
         ).run().timeline
-        assert timeline.samples > 16  # decimation actually engaged
-        assert len(timeline) <= 16
+        assert timeline.samples == 456  # decimation actually engaged
+        assert len(timeline) == retained <= limit
+        assert timeline.times[1] - timeline.times[0] == stride * microseconds(5)
+        return timeline
+
+    # The digests below were recorded when every column was its own
+    # DecimatedSeries; one series of rows must decimate on the same offers.
+    def test_limit_bounds_retention(self):
+        timeline = self._decimated(16, 15, 32)
+        assert timeline.digest() == (
+            "7808dfa98e06511e4386d2820a9bc90b49e59647f24fb42d72cf090b9fad3188"
+        )
+
+    def test_a_stride_of_four_keeps_every_fourth_tick(self):
+        timeline = self._decimated(128, 114, 4)
+        assert timeline.digest() == (
+            "346e3e6027f6f6a4aa1f6aaf6b1eb0f6fc862dc5b282f604ab455f169afcac39"
+        )
 
     def test_manifest_carries_timeline_block(self):
         result = _with_timeline(golden_spec()).run()

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.apps import TrafficStats
 from repro.lb import EcmpSelector
 from repro.obs import TimelineCollector, TimelineSpec
 from repro.sim import Simulator
@@ -151,7 +152,9 @@ class TestPortNames:
         sim = Simulator(seed=1)
         fabric = build(sim, config)
         fabric.finalize(EcmpSelector.factory())
-        collector = TimelineCollector(sim, fabric, TimelineSpec(interval=microseconds(10)))
+        collector = TimelineCollector(
+            sim, fabric, TimelineSpec(interval=microseconds(10)), stats=TrafficStats()
+        )
         collector.start()
         sim.run(until=microseconds(30))
         timeline = collector.snapshot()
