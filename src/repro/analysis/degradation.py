@@ -152,19 +152,6 @@ class DegradationSummary:
             return float("nan")
         return self.goodput_during_bps / self.goodput_before_bps
 
-    @property
-    def goodput_recovered(self) -> float:
-        """Post-restore goodput as a fraction of pre-fault goodput.
-
-        The recovery-matrix companion to :attr:`goodput_retained`: 1.0
-        means the fabric came all the way back after the window closed.
-        NaN when there was no pre-fault phase; 0.0 when the degradation
-        never cleared (``window_end`` is ``None``).
-        """
-        if self.goodput_before_bps <= 0.0:
-            return float("nan")
-        return self.goodput_after_bps / self.goodput_before_bps
-
     def asymmetry_of(self, tier: str) -> float:
         """Peak asymmetry recorded for ``tier`` (0.0 when never degraded)."""
         return dict(self.tier_asymmetry).get(tier, 0.0)

@@ -580,9 +580,7 @@ class ExperimentSpec:
                 # Constructed after traffic so goodput/RTO series can read its
                 # ledger; sampling is strictly read-only (see repro.obs.timeline),
                 # so flow records stay bit-identical with a collector on or
-                # off.  start() above only scheduled arrivals: no port has
-                # transmitted, so a collector may still require the
-                # congestion plane.
+                # off.
                 from repro.obs.timeline import TimelineCollector
 
                 for sampler in dict.fromkeys(samplers):

@@ -105,16 +105,5 @@ class FlowletTable:
         entry.last_seen = self.sim.now
         self.new_flowlets += 1
 
-    @property
-    def active_flowlets(self) -> int:
-        """Number of currently valid (non-expired) entries."""
-        period = self._period
-        tick = self.sim.now // period
-        return sum(
-            1
-            for entry in self._entries.values()  # repro-lint: ignore[D104] -- order-independent count
-            if entry.valid and tick - entry.last_seen // period < 2
-        )
-
 
 __all__ = ["FiveTuple", "FlowletEntry", "FlowletTable"]

@@ -8,7 +8,7 @@ one decision per flow while still using congestion metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.units import microseconds, milliseconds
 
@@ -87,10 +87,6 @@ class CongaParams:
     def max_metric(self) -> int:
         """Largest representable congestion metric, ``2**Q - 1``."""
         return self.metric_levels - 1
-
-    def with_flowlet_timeout(self, timeout: int) -> "CongaParams":
-        """Return a copy with a different flowlet inactivity timeout."""
-        return replace(self, flowlet_timeout=timeout)
 
 
 #: Paper defaults (§3.6).

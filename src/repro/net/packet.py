@@ -97,11 +97,6 @@ class Packet:
             self._five_tuple = cached
         return cached
 
-    @property
-    def end_seq(self) -> int:
-        """Sequence number one past the last payload byte."""
-        return self.seq + self.payload_len
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else ("FIN" if self.fin else "DATA")
         return (

@@ -38,7 +38,7 @@ from repro.core.params import DEFAULT_PROPAGATION_DELAY
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.events import PacketDropped
-from repro.units import SECOND, transmission_time
+from repro.units import transmission_time
 
 if TYPE_CHECKING:
     from repro.net.node import Node
@@ -99,7 +99,6 @@ class Port:
         "_loss_rng",
         "dre",
         "on_transmit",
-        "_ns_per_byte",
         "_serialization_ns",
         "_heap",
         "_advance_ref",
@@ -145,14 +144,10 @@ class Port:
         self.dre = None
         #: Callbacks fired with each packet at transmission start (DRE hook).
         self.on_transmit: list[Callable[[Packet], None]] = []
-        # Serialization-delay fast path: when the line rate divides 8 Gbit
-        # of nanoseconds evenly, ceil(size * 8e9 / rate) collapses to an
-        # exact integer multiply; otherwise per-size results are memoized
-        # (wire sizes repeat: MTU data, ACKs, trailing segments), so either
-        # way the per-packet cost avoids big-integer ceiling division while
-        # staying bit-identical to :func:`repro.units.transmission_time`.
-        bits_ns = 8 * SECOND
-        self._ns_per_byte = bits_ns // rate_bps if bits_ns % rate_bps == 0 else 0
+        # Serialization delays memoized per wire size (sizes repeat: MTU
+        # data, ACKs, trailing segments), so the per-packet cost avoids
+        # big-integer ceiling division while staying bit-identical to
+        # :func:`repro.units.transmission_time`.
         self._serialization_ns: dict[int, int] = {}
         # Port events are never cancelled, so the port pushes both per-hop
         # events onto the kernel's heap itself, in the handle-free
@@ -203,8 +198,6 @@ class Port:
         if rate_bps == self.rate_bps:
             return
         self.rate_bps = rate_bps
-        bits_ns = 8 * SECOND
-        self._ns_per_byte = bits_ns // rate_bps if bits_ns % rate_bps == 0 else 0
         self._serialization_ns = {}
         if self.dre is not None:
             self.dre.set_link_rate(rate_bps)
@@ -304,13 +297,10 @@ class Port:
             if hooks:
                 for hook in hooks:
                     hook(packet)
-            if self._ns_per_byte:
-                serialization = size * self._ns_per_byte
-            else:
-                serialization = self._serialization_ns.get(size)
-                if serialization is None:
-                    serialization = transmission_time(size, self.rate_bps)
-                    self._serialization_ns[size] = serialization
+            serialization = self._serialization_ns.get(size)
+            if serialization is None:
+                serialization = transmission_time(size, self.rate_bps)
+                self._serialization_ns[size] = serialization
             self.busy_time += serialization
             sim = self.sim
             sequence = sim._sequence
@@ -390,13 +380,10 @@ class Port:
         if hooks:
             for hook in hooks:
                 hook(packet)
-        if self._ns_per_byte:
-            serialization = size * self._ns_per_byte
-        else:
-            serialization = self._serialization_ns.get(size)
-            if serialization is None:
-                serialization = transmission_time(size, self.rate_bps)
-                self._serialization_ns[size] = serialization
+        serialization = self._serialization_ns.get(size)
+        if serialization is None:
+            serialization = transmission_time(size, self.rate_bps)
+            self._serialization_ns[size] = serialization
         self.busy_time += serialization
         sequence = sim._sequence
         sim._sequence = sequence + 1

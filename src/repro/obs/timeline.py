@@ -8,8 +8,9 @@ plane that rides the simulation clock itself:
 
 * a :class:`TimelineCollector` arms one kernel :class:`PeriodicTimer` and,
   on every tick, reads — *without mutating* — per-port utilization,
-  residual capacity, queue occupancy, per-uplink DRE estimates, flowlet
-  decision / fault-reroute / loss-recovery rates, and goodput;
+  residual capacity, queue occupancy, the DRE estimates of a running
+  congestion plane, flowlet decision / fault-reroute / loss-recovery
+  rates, and goodput;
 * each tick appends one row to one bounded :class:`DecimatedSeries`, so
   week-long simulated runs keep constant memory while the curves stay
   faithful;
@@ -31,11 +32,12 @@ events unchanged, so flow records are bit-identical with the collector on
 or off (``tests/test_timeline.py`` pins this against the golden fixtures).
 
 A row is the tick's time; per-port utilization, residual and occupancy;
-per-DRE-port utilization; the drop, decision, reroute, RTO,
-retransmission and goodput deltas; then cumulative completions and
-arrivals.  Decimation keeps or drops whole rows, so every series
-:meth:`~TimelineCollector.snapshot` transposes out of them shares the
-``times`` axis sample-for-sample by construction.
+per-DRE-port utilization (none when the fabric's congestion plane is off:
+sampling observes the plane, it never starts it); the drop, decision,
+reroute, RTO, retransmission and goodput deltas; then cumulative
+completions and arrivals.  Decimation keeps or drops whole rows, so every
+series :meth:`~TimelineCollector.snapshot` transposes out of them shares
+the ``times`` axis sample-for-sample by construction.
 """
 
 from __future__ import annotations
@@ -143,12 +145,10 @@ class TimelineCollector:
     stable), pass the run's flow ledger (and its injector, if any), and call
     :meth:`start` before ``sim.run``.  The sample callback is a bound
     method (picklable-safe, closure-free) and performs reads only — see
-    the module docstring for the full determinism contract.  The DRE
-    series are measured state, so the collector requires the fabric's
-    congestion plane: constructed once traffic has crossed a fabric that
-    runs without it, it raises
-    :class:`~repro.switch.fabric.CongestionPlaneError` rather than sample
-    registers nothing fed.
+    the module docstring for the full determinism contract.  The ``dre``
+    series hold the ports whose DREs run: every DRE port when the fabric's
+    congestion plane is on as the collector is built, none when it is off.
+    The collector observes the plane; it never switches it on.
     """
 
     def __init__(
@@ -165,9 +165,13 @@ class TimelineCollector:
         self.spec = spec
         self.stats = stats
         self.injector = injector
-        fabric.require_congestion_plane()
         self._ports = list(fabric.fabric_ports())
-        self._dre_ports = [p for p in self._ports if p.dre is not None]
+        # Only a running plane's DREs measure anything, and sampling never
+        # starts it (DESIGN.md "Congestion plane on demand").
+        self._dre_ports = (
+            [p for p in self._ports if p.dre is not None]
+            if fabric.congestion_plane else []
+        )
         self._rows: DecimatedSeries[tuple] = DecimatedSeries(spec.limit)
         self._previous: tuple = ()  # _totals() at the last tick (or start)
         # Kernel timers draw nothing from the run's RNG, so sampling cannot

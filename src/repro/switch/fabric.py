@@ -109,12 +109,14 @@ class Fabric:
 
         Called by whatever reads that state: a leaf finalized with a
         selector whose ``reads_congestion`` is true, caft's pod-spine
-        weighting, a ``dre``/``table`` tracer, a ``TimelineCollector``,
-        ``LeafSwitch.enable_explicit_feedback``.  Idempotent.  Call it once
-        the fabric is wired — it hooks the ports that exist — and before
-        traffic: once a fabric port has transmitted unmeasured, a DRE
-        started now would report a half-warm register as if it were the
-        link's load, so that raises :class:`CongestionPlaneError` instead.
+        weighting, a ``dre``/``table`` tracer,
+        ``LeafSwitch.enable_explicit_feedback``.  A ``TimelineCollector``
+        is no reader: it samples DREs only when the plane already runs.
+        Idempotent.  Call it once the fabric is wired — it hooks the ports
+        that exist — and before traffic: once a fabric port has transmitted
+        unmeasured, a DRE started now would report a half-warm register as
+        if it were the link's load, so that raises
+        :class:`CongestionPlaneError` instead.
         """
         if self.congestion_plane:
             return
@@ -136,16 +138,6 @@ class Fabric:
         for leaf in self.leaves:
             if leaf.tep is not None:
                 leaf.tep.feedback_loop = True
-
-    # -- pods -------------------------------------------------------------------
-
-    def pod_of_leaf(self, leaf_id: int) -> int:
-        """The pod housing ``leaf_id`` (always 0 on a 2-tier fabric)."""
-        return self.leaf_pod[leaf_id]
-
-    def pod_leaves(self, pod: int) -> list["LeafSwitch"]:
-        """Leaves of ``pod``."""
-        return [leaf for leaf in self.leaves if self.leaf_pod[leaf.leaf_id] == pod]
 
     # -- failure injection -------------------------------------------------------
 

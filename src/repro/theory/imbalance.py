@@ -63,11 +63,6 @@ class ImbalanceEstimate:
     std_error: float
     bound: float
 
-    @property
-    def within_bound(self) -> bool:
-        """Whether the estimate respects the theorem (with 3σ slack)."""
-        return self.mean_imbalance <= self.bound + 3 * self.std_error
-
 
 def sampler_from_distribution(dist: FlowSizeDistribution) -> SizeSampler:
     """Adapt an empirical workload into a vectorized size sampler."""

@@ -71,22 +71,38 @@ def _parse_duration(value: int | str) -> int:
 
     The one parser behind scenario files, CLI flags and the fault grammar
     (``repro.scenarios.loader`` and ``repro.faults.events`` import it).
-    Anything else — a negative, non-finite or unit-less fractional amount, a
-    non-string — raises :class:`ValueError`.
+    The amount is read exactly, as a decimal, and must scale to a whole
+    number of nanoseconds: ``"1.005us"`` is 1005, ``"1.5ns"`` is refused,
+    never rounded.  Anything else — a negative, non-finite, sub-nanosecond
+    or unit-less fractional amount, one beyond float range, a non-string —
+    raises :class:`ValueError`.
     """
     ticks: int | None = None
     if isinstance(value, int) and not isinstance(value, bool):
         ticks = value
     elif isinstance(value, str):
+        # Imported here: a process that parses no duration text (a worker,
+        # a run) loads no decimal.
+        import decimal
+
+        # Wide enough that no amount × suffix product rounds.
+        exact = decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+        )
         text = value.strip()
         try:
             for suffix, scale in _DURATION_SUFFIXES:
                 if text.endswith(suffix):
-                    ticks = round(float(text[: -len(suffix)]) * scale)
+                    amount = exact.multiply(decimal.Decimal(text[: -len(suffix)]), scale)
+                    # Not "nans" or "infs"; "1e400s" overflowed the float parser.
+                    whole = amount.is_finite() and amount.adjusted() <= 308
+                    if whole and amount == amount.to_integral_value():
+                        ticks = int(amount)
                     break
             else:
                 ticks = int(text)
-        except (ValueError, OverflowError):  # "oops", "nans"; "infs", "1e400s"
+        # "oops", "1.5"; "1e999999999999999999s" overflows even this context.
+        except (ValueError, decimal.DecimalException):
             pass
     if ticks is None or ticks < 0:
         raise ValueError(
@@ -114,11 +130,6 @@ def gbps(value: float) -> int:
 def mbps(value: float) -> int:
     """Convert megabits per second to bits per second."""
     return round(value * MBPS)
-
-
-def to_gbps(rate_bps: float) -> float:
-    """Convert bits per second to gigabits per second."""
-    return rate_bps / GBPS
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +169,3 @@ def transmission_time(size_bytes: int, rate_bps: int) -> int:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
     bits = size_bytes * 8
     return -(-bits * SECOND // rate_bps)  # ceiling division
-
-
-def bytes_at_rate(rate_bps: int, duration_ticks: int) -> int:
-    """How many whole bytes a link at ``rate_bps`` carries in ``duration_ticks``."""
-    return (rate_bps * duration_ticks) // (8 * SECOND)

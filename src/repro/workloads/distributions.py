@@ -143,18 +143,6 @@ class FlowSizeDistribution:
             break
         return acc / total
 
-    def byte_median(self) -> float:
-        """The flow size below which half of all bytes lie (Fig. 8, §5.2.1)."""
-        low = self.points[0][0]
-        high = self.points[-1][0]
-        for _ in range(200):
-            mid = (low + high) / 2.0
-            if self.byte_fraction_below(mid) < 0.5:
-                low = mid
-            else:
-                high = mid
-        return (low + high) / 2.0
-
 
 # ---------------------------------------------------------------------------
 # The three published workloads.

@@ -214,14 +214,3 @@ class TestDegradationMetrics:
         assert summary.asymmetry_of("core") == 0.5
         assert summary.asymmetry_of("leaf") == 0.0
         assert summary.asymmetry_of("unknown") == 0.0
-
-    def test_goodput_recovered(self):
-        summary = DegradationSummary.from_records(
-            self._records(),
-            window_start=milliseconds(1),
-            window_end=milliseconds(3),
-            end_time=milliseconds(6),
-        )
-        assert summary.goodput_recovered == pytest.approx(
-            summary.goodput_after_bps / summary.goodput_before_bps
-        )

@@ -9,7 +9,9 @@ selector declares ``reads_congestion = False``.  Three things are pinned:
   records, the kernel's event count and every port's packet count are the
   same with the plane forced on and left off, faults included;
 * **whoever reads it gets it** — every reader switches it on, and one that
-  arrives after unmeasured traffic is refused instead of fed zeros;
+  arrives after unmeasured traffic is refused instead of fed zeros; an
+  observer (a timeline, and so a queue or imbalance monitor) is no reader:
+  it samples DREs only when the plane already runs;
 * **off is visible** — feedback counters read 0, a ``FeedbackLoss`` fault
   is logged and does nothing, reports render.
 """
@@ -23,7 +25,9 @@ from repro.analysis.fct import records_digest
 from repro.apps import (
     SCHEMES,
     ExperimentSpec,
+    ImbalanceMonitorSpec,
     ObsSpec,
+    QueueMonitorSpec,
     TrafficStats,
     get_scheme,
     register_scheme,
@@ -51,6 +55,15 @@ FAULTS = (
     FeedbackLoss(time=microseconds(200), probability=0.5, duration=microseconds(400)),
     LinkDegrade(time=microseconds(700), leaf=1, spine=1, fraction=1.0),
 )
+
+#: Every observer a spec can ask for, each on its own collector.
+MONITORED = {
+    "queue_monitor": QueueMonitorSpec(
+        tier="fabric", direction="both", interval=microseconds(20)
+    ),
+    "imbalance_monitor": ImbalanceMonitorSpec(interval=microseconds(50)),
+    "obs": ObsSpec(categories=(), timeline=TimelineSpec(interval=microseconds(30))),
+}
 
 
 def _hooked(fabric) -> list[bool]:
@@ -151,24 +164,40 @@ class TestWhoSwitchesItOn:
 class TestNobodyReadsIt:
     """Plane forced on vs left off: the proof the skipped work was unread."""
 
-    @pytest.mark.parametrize("faults", [(), FAULTS], ids=["fault-free", "faulted"])
+    @pytest.mark.parametrize(
+        "extra", [{}, {"faults": FAULTS}, MONITORED], ids=["fault-free", "faulted", "monitored"]
+    )
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("scheme", OBLIVIOUS)
-    def test_records_events_and_packets_identical(self, scheme, topology, faults):
+    def test_records_events_and_packets_identical(self, scheme, topology, extra):
+        faults = extra.get("faults", ())
         outcomes = []
         for force_plane in (True, False):
             live = _run(
-                scheme, force_plane=force_plane,
-                config=TOPOLOGIES[topology](), faults=faults,
+                scheme, force_plane=force_plane, config=TOPOLOGIES[topology](), **extra
             )
-            assert live.fabric.congestion_plane is force_plane
+            fabric = live.fabric
+            assert fabric.congestion_plane is force_plane
             assert live.completed == live.arrivals == 40
             # The run outlasts the schedule (no injector without faults).
             assert len(live.injector.applied if faults else ()) == len(faults)
+            feedback = [
+                sum(getattr(leaf.tep, f"feedback_{kind}") for leaf in fabric.leaves)
+                for kind in ("sent", "received", "lost")
+            ]
+            assert (feedback[0] > 0) is force_plane
+            if not force_plane:
+                assert feedback == [0, 0, 0]
+            if live.timeline is not None:
+                # Monitors and the timeline observe the plane, never start it.
+                assert bool(live.timeline.dre) is force_plane
+                assert all(live.queue_series.samples.values()) and live.imbalance_series.samples
             outcomes.append((
                 records_digest(live.records),
                 live.sim.events_executed,
-                [port.tx_packets for port in _all_ports(live.fabric)],
+                [port.tx_packets for port in _all_ports(fabric)],
+                live.queue_series,
+                live.imbalance_series,
             ))
         assert outcomes[0] == outcomes[1]
 
@@ -205,19 +234,29 @@ class TestLateReadersAreRefused:
         _udp_burst(sim, fabric)
         fabric.require_congestion_plane()
 
-    def test_timeline_collector_after_traffic_raises_instead_of_sampling_zeros(self):
+    @pytest.mark.parametrize("after_traffic", [False, True], ids=["before", "after"])
+    def test_a_collector_leaves_a_plane_off_fabric_off(self, after_traffic):
         sim, fabric = _ecmp_fabric()
-        _udp_burst(sim, fabric)
-        with pytest.raises(CongestionPlaneError):
-            TimelineCollector(sim, fabric, TimelineSpec(), stats=TrafficStats())
-
-    def test_timeline_collector_before_traffic_switches_it_on(self):
-        sim, fabric = _ecmp_fabric()
+        if after_traffic:
+            _udp_burst(sim, fabric)
         collector = TimelineCollector(sim, fabric, TimelineSpec(), stats=TrafficStats())
-        assert fabric.congestion_plane
+        collector.start()
+        if not after_traffic:
+            _udp_burst(sim, fabric)
+        sim.run(until=microseconds(400))
+        assert not fabric.congestion_plane and not any(_hooked(fabric))
+        timeline = collector.snapshot()
+        assert timeline.samples > 0 and timeline.dre == {}
+
+    def test_a_collector_samples_a_running_plane(self):
+        sim, fabric = _ecmp_fabric()
+        fabric.require_congestion_plane()
+        collector = TimelineCollector(sim, fabric, TimelineSpec(), stats=TrafficStats())
         collector.start()
         _udp_burst(sim, fabric)
-        assert max(max(series) for series in collector.snapshot().dre.values()) > 0
+        dre = collector.snapshot().dre
+        assert list(dre) == [port.name for port in fabric.fabric_ports()]
+        assert max(max(series) for series in dre.values()) > 0
 
     def test_explicit_feedback_requires_the_plane(self):
         sim, fabric = _ecmp_fabric()

@@ -35,11 +35,6 @@ class TestCongaParams:
         assert DEFAULT_PARAMS.max_metric == 7
         assert CongaParams(quantization_bits=6).max_metric == 63
 
-    def test_with_flowlet_timeout(self):
-        changed = DEFAULT_PARAMS.with_flowlet_timeout(milliseconds(1))
-        assert changed.flowlet_timeout == milliseconds(1)
-        assert changed.quantization_bits == DEFAULT_PARAMS.quantization_bits
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -163,7 +158,7 @@ class TestDRE:
 
 class TestFlowletTable:
     def _table(self, sim, timeout=microseconds(500)):
-        return FlowletTable(sim, DEFAULT_PARAMS.with_flowlet_timeout(timeout))
+        return FlowletTable(sim, CongaParams(flowlet_timeout=timeout))
 
     def test_first_packet_starts_flowlet(self):
         sim = Simulator()
@@ -234,16 +229,6 @@ class TestFlowletTable:
         other = table.lookup(("flow-b",))
         assert other is entry  # collision: same slot
         assert other.valid and other.port == 2
-
-    def test_active_flowlets_count(self):
-        sim = Simulator()
-        table = self._table(sim)
-        for key in range(10):
-            entry = table.lookup((key,))
-            table.install(entry, 0)
-        assert table.active_flowlets == 10
-        sim.run(until=milliseconds(50))
-        assert table.active_flowlets == 0
 
     @given(
         gaps=st.lists(

@@ -11,21 +11,26 @@ between them emit all ten event classes:
 * ``caft-brownout`` — scenarios/caft_recovery.yaml's leaf/brownout/x1 cell
   on the 2-pod Clos: fault applications, restores and caft's reroutes.
 
-Two ``ecmp`` entries pin what an *observer* of a congestion-oblivious run
-sees: ``ecmp-dre-table`` is the trace of a point whose only reader of DREs
-and congestion tables is the tracer (``categories=("dre", "table")``), and
-``ecmp-timeline`` is the ``Timeline.digest()`` of the same point sampled by
-the timeline collector.  Either observer switches the congestion plane on
-(DESIGN.md "Congestion plane on demand"); a plane left off under them
-would record zeros, not fail.
+Three ``ecmp`` entries pin what an *observer* of a congestion-oblivious
+run sees.  ``ecmp-dre-table`` is the trace of a point whose only reader
+of DREs and congestion tables is the tracer (``categories=("dre",
+"table")``), which switches the congestion plane on (DESIGN.md
+"Congestion plane on demand").  ``ecmp-timeline`` is the
+``Timeline.digest()`` of the same point sampled by the timeline collector
+alone: the collector observes the plane but never starts it, so the
+timeline has no DRE column.  ``ecmp-dre-timeline`` is that timeline under
+a ``dre`` tracer, which runs the plane: its 16 DRE series are the ones
+the collector sampled when it still switched the plane on itself.
 
 The first three entries were recorded on the commit *before* the ring
-switched from event objects to rows, the two ``ecmp`` ones on the commit
-before the congestion plane became demand-driven.  All five were
+switched from event objects to rows, the first two ``ecmp`` ones on the
+commit before the congestion plane became demand-driven.  Those five were
 regenerated when parallel links stopped sharing a port name: the traces
 differ from their predecessors only in the renamed ports, and the timeline
-gained the four series its duplicate names had hidden.  Regenerate (only
-when the trace vocabulary or port naming is changed on purpose)::
+gained the four series its duplicate names had hidden.  When the collector
+stopped starting the plane, ``ecmp-timeline`` was re-recorded and its
+previous entry became ``ecmp-dre-timeline``, byte for byte.  Regenerate
+(only when the trace vocabulary or port naming is changed on purpose)::
 
     PYTHONPATH=src python tests/test_golden_traces.py --update
 """
@@ -104,12 +109,13 @@ GOLDEN_TRACES = {
     "ecmp-dre-table": lambda: ecmp_spec(ObsSpec(categories=("dre", "table"))).run().trace,
 }
 
-#: The one timeline entry, kept beside the traces under this key.
-TIMELINE_KEY = "ecmp-timeline"
+#: timeline fixture key -> the tracer categories beside the collector.
+GOLDEN_TIMELINES = {"ecmp-timeline": (), "ecmp-dre-timeline": ("dre",)}
 
 
-def ecmp_timeline() -> Timeline:
-    return ecmp_spec(ObsSpec(categories=(), timeline=TimelineSpec())).run().timeline
+def ecmp_timeline(categories: tuple[str, ...]) -> Timeline:
+    obs = ObsSpec(categories=categories, timeline=TimelineSpec())
+    return ecmp_spec(obs).run().timeline
 
 
 def compute_entry(trace: TraceLog) -> dict:
@@ -127,7 +133,7 @@ def compute_timeline_entry(timeline: Timeline) -> dict:
         "digest": timeline.digest(),
         "samples": timeline.samples,
         "dre_ports": len(timeline.dre),
-        "peak_dre": max(max(series) for series in timeline.dre.values()),
+        "peak_dre": max((max(series) for series in timeline.dre.values()), default=0.0),
     }
 
 
@@ -142,9 +148,16 @@ def test_trace_matches_fixture(key):
 
 def test_ecmp_timeline_matches_fixture():
     golden = json.loads(GOLDEN_PATH.read_text())
-    entry = compute_timeline_entry(ecmp_timeline())
+    entry = compute_timeline_entry(ecmp_timeline(GOLDEN_TIMELINES["ecmp-timeline"]))
+    assert entry["dre_ports"] == 0  # the collector alone leaves the plane off
+    assert entry == golden["ecmp-timeline"]
+
+
+def test_ecmp_timeline_under_a_dre_tracer_matches_fixture():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    entry = compute_timeline_entry(ecmp_timeline(GOLDEN_TIMELINES["ecmp-dre-timeline"]))
     assert entry["peak_dre"] > 0  # measured state, not a plane left off
-    assert entry == golden[TIMELINE_KEY]
+    assert entry == golden["ecmp-dre-timeline"]
 
 
 def test_fixture_covers_every_event_class():
@@ -157,7 +170,8 @@ def test_fixture_covers_every_event_class():
 
 def _update() -> None:
     golden = {key: compute_entry(make()) for key, make in sorted(GOLDEN_TRACES.items())}
-    golden[TIMELINE_KEY] = compute_timeline_entry(ecmp_timeline())
+    for key, categories in GOLDEN_TIMELINES.items():
+        golden[key] = compute_timeline_entry(ecmp_timeline(categories))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
 

@@ -26,10 +26,7 @@ class TestConstruction:
 
     def test_pod_directory(self):
         _sim, fabric = _fabric()
-        assert fabric.pod_of_leaf(0) == 0
-        assert fabric.pod_of_leaf(1) == 0
-        assert fabric.pod_of_leaf(2) == 1
-        assert [l.leaf_id for l in fabric.pod_leaves(1)] == [2, 3]
+        assert fabric.leaf_pod == [0, 0, 1, 1]
 
     def test_spines_have_core_uplinks(self):
         _sim, fabric = _fabric()
@@ -59,7 +56,6 @@ class TestConstruction:
         assert len(core.ports_to_leaf(2)) == len(routes) - 1
         failed.restore()
         assert core.ports_to_leaf(2) == routes
-        assert fabric.leaf_pod == [fabric.pod_of_leaf(leaf) for leaf in range(4)]
 
     def test_negative_propagation_delay_fails_at_the_wiring_call(self):
         with pytest.raises(ValueError, match="propagation delay between .* and "):

@@ -61,10 +61,6 @@ class TestPacket:
         packet = Packet(src=1, dst=2, size=158, sport=10, dport=20, flow_id=5)
         assert packet.five_tuple == (1, 2, 10, 20, "tcp")
 
-    def test_end_seq(self):
-        packet = Packet(src=1, dst=2, size=558, seq=1000, payload_len=500)
-        assert packet.end_seq == 1500
-
     def test_packet_ids_unique(self):
         a = Packet(src=1, dst=2, size=59)
         b = Packet(src=1, dst=2, size=59)

@@ -152,6 +152,8 @@ class TestPortNames:
         sim = Simulator(seed=1)
         fabric = build(sim, config)
         fabric.finalize(EcmpSelector.factory())
+        # The collector samples DREs only on a running congestion plane.
+        fabric.require_congestion_plane()
         collector = TimelineCollector(
             sim, fabric, TimelineSpec(interval=microseconds(10)), stats=TrafficStats()
         )

@@ -30,6 +30,31 @@ class TestTimeConversions:
         assert units.to_milliseconds(units.milliseconds(13)) == pytest.approx(13)
 
 
+class TestParseDuration:
+    @pytest.mark.parametrize("text, ticks", [
+        ("200ms", 200_000_000),
+        ("0.1s", 100_000_000),
+        ("1.005us", 1005),  # the float product is 1004.9999999999999
+        ("2µs", 2000),
+        ("0.000001ms", 1),
+        ("12", 12),
+        (" 3 us", 3000),
+        (7, 7),
+    ])
+    def test_a_whole_number_of_nanoseconds_is_read_exactly(self, text, ticks):
+        assert units._parse_duration(text) == ticks
+
+    @pytest.mark.parametrize("text", [
+        "1.5ns", "2.5ns", "1.0001us", "1e-10s",  # once rounded to 2, 2, 1000, 0
+        "1.0000000000000000000000000001s",  # past any float or default Decimal precision
+        "1.5", "-1ms", "nans", "infs", "1e400s", "oops", "s", 1.5, True,
+        "1e999999999999999999s",  # past the exact context's Emax: Overflow, not a traceback
+    ])
+    def test_anything_else_is_refused_never_rounded(self, text):
+        with pytest.raises(ValueError, match="expected a non-negative duration"):
+            units._parse_duration(text)
+
+
 class TestRates:
     def test_gbps(self):
         assert units.gbps(10) == 10_000_000_000
@@ -37,9 +62,6 @@ class TestRates:
 
     def test_mbps(self):
         assert units.mbps(100) == 100_000_000
-
-    def test_to_gbps(self):
-        assert units.to_gbps(units.gbps(40)) == pytest.approx(40.0)
 
 
 class TestSizes:
@@ -83,15 +105,3 @@ class TestTransmissionTime:
         assert units.transmission_time(size + 1, rate) >= units.transmission_time(
             size, rate
         )
-
-
-class TestBytesAtRate:
-    def test_exact(self):
-        # 10 Gbps for 1 us = 1250 bytes.
-        assert units.bytes_at_rate(units.gbps(10), units.microseconds(1)) == 1250
-
-    def test_inverse_of_transmission_time(self):
-        rate = units.gbps(40)
-        size = 9000
-        ticks = units.transmission_time(size, rate)
-        assert units.bytes_at_rate(rate, ticks) >= size

@@ -130,14 +130,6 @@ class TestByteWeightedViews:
         fraction = DATA_MINING.byte_fraction_below(35e6)
         assert fraction <= 0.15
 
-    def test_byte_median_ordering(self):
-        assert DATA_MINING.byte_median() > ENTERPRISE.byte_median()
-
-    def test_byte_median_bisection_consistent(self):
-        for dist in WORKLOADS.values():
-            median = dist.byte_median()
-            assert dist.byte_fraction_below(median) == pytest.approx(0.5, abs=0.01)
-
 
 @given(u=st.floats(min_value=0.0, max_value=1.0))
 def test_quantile_total_function(u):
