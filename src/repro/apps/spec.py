@@ -276,15 +276,17 @@ class QueueMonitorSpec:
       takes no ``leaf`` or ``spine``.
 
     ``direction`` is implied by the tier (spine ports point down, leaf
-    uplinks point up) and is validated for readability at call sites, e.g.
-    ``QueueMonitorSpec(tier="spine", direction="down", spine=1, leaf=1)``.
+    uplinks point up, the fabric tier samples both) and is filled in from
+    it when omitted; a caller may still spell it out for readability, e.g.
+    ``QueueMonitorSpec(tier="spine", direction="down", spine=1, leaf=1)``,
+    and a direction that contradicts the tier is refused.
     Failed ports are excluded, matching how the figures monitor surviving
     hotspot links.  An index names a member of its tier (negative ones do
     not wrap).
     """
 
     tier: str = "spine"
-    direction: str = "down"
+    direction: str | None = None
     leaf: int | None = None
     spine: int | None = None
     interval: int = field(default_factory=lambda: milliseconds(1))
@@ -297,7 +299,9 @@ class QueueMonitorSpec:
             raise ValueError(
                 f"tier must be one of {sorted(self._DIRECTIONS)}, got {self.tier!r}"
             )
-        if self.direction != expected:
+        if self.direction is None:
+            object.__setattr__(self, "direction", expected)
+        elif self.direction != expected:
             raise ValueError(
                 f"tier {self.tier!r} samples {expected!r} ports, "
                 f"not {self.direction!r}"

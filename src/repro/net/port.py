@@ -4,8 +4,11 @@ A :class:`Port` owns the egress side of one link direction: a drop-tail
 queue feeding a store-and-forward transmitter at the port's line rate.  Two
 ports are joined with :func:`connect`, which makes each the other's ``peer``;
 a packet finishing transmission at one port propagates (after the link's
-propagation delay) to the peer port and is handed to the peer's node via
-``node.receive(packet, port)``.
+propagation delay) to the peer port: the arrival is one kernel entry the run
+loop hands straight to the peer's node as ``node.receive(packet, port)``,
+with no port frame in between.  So a port counts nothing on arrival: its
+``rx_packets`` / ``rx_bytes`` are derived on read from the peer's ``tx_*``
+and ``lost_*`` counters and the deliveries still on the cable.
 
 Transmission is driven as a *packet train*: while the queue is backlogged,
 one self-continuing boundary event (:meth:`Port._advance`) both finishes
@@ -38,6 +41,7 @@ from repro.core.params import DEFAULT_PROPAGATION_DELAY
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.events import PacketDropped
+from repro.sim.kernel import DELIVER
 from repro.units import transmission_time
 
 if TYPE_CHECKING:
@@ -91,10 +95,9 @@ class Port:
         "_transmitting",
         "tx_packets",
         "tx_bytes",
-        "rx_packets",
-        "rx_bytes",
         "busy_time",
         "lost_packets",
+        "lost_bytes",
         "_loss_probability",
         "_loss_rng",
         "dre",
@@ -102,7 +105,6 @@ class Port:
         "_serialization_ns",
         "_heap",
         "_advance_ref",
-        "_arrive_ref",
         "_receive",
     )
 
@@ -132,11 +134,11 @@ class Port:
         self._transmitting = False
         self.tx_packets = 0
         self.tx_bytes = 0
-        self.rx_packets = 0
-        self.rx_bytes = 0
         self.busy_time = 0
-        #: Packets dropped by injected per-packet loss (after serialization).
+        #: Packets (and their bytes) that vanished after serialization:
+        #: injected loss, or a link cut while they were on the wire.
         self.lost_packets = 0
+        self.lost_bytes = 0
         self._loss_probability = 0.0
         self._loss_rng = None
         #: The DRE measuring this port's egress, if a switch attached one;
@@ -150,16 +152,17 @@ class Port:
         # :func:`repro.units.transmission_time`.
         self._serialization_ns: dict[int, int] = {}
         # Port events are never cancelled, so the port pushes both per-hop
-        # events onto the kernel's heap itself, in the handle-free
-        # ``(time, seq, None, callback, packet)`` shape with prebound
-        # methods, taking one sequence number per push exactly as
-        # ``Simulator.schedule_fast`` does (DESIGN.md "One heap, two entry
-        # shapes").  The alias stays valid: the kernel rebuilds its heap
-        # list in place.  Times stay integral because sizes and propagation
-        # delays are checked where they enter (``send``, ``connect``).
+        # events onto the kernel's heap itself, in the handle-free shapes
+        # with prebound methods: the train boundary as
+        # ``(time, seq, None, _advance, packet)``, the arrival at the peer as
+        # ``(time, seq, DELIVER, peer._receive, packet, peer)``.  Each push
+        # takes one sequence number exactly as ``Simulator.schedule_fast``
+        # does (DESIGN.md "One heap, three entry shapes").  The alias stays
+        # valid: the kernel rebuilds its heap list in place.  Times stay
+        # integral because sizes and propagation delays are checked where
+        # they enter (``send``, ``connect``).
         self._heap = sim._heap
         self._advance_ref = self._advance
-        self._arrive_ref = self._arrive
         self._receive = node.receive
 
     # -- wiring ---------------------------------------------------------------
@@ -331,6 +334,7 @@ class Port:
     def _lose(self, packet: Packet, reason: str) -> None:
         """Count a packet that vanished after occupying the wire."""
         self.lost_packets += 1
+        self.lost_bytes += packet.size
         tracer = self.sim.tracer
         if tracer is not None and tracer.drop:
             self._drop_event(tracer, packet, reason)
@@ -359,11 +363,12 @@ class Port:
         ):
             self._lose(packet, "loss")
         elif self.up:
+            peer = self.peer
             sequence = sim._sequence
             sim._sequence = sequence + 1
             heappush(
                 self._heap,
-                (now + self.propagation_delay, sequence, None, self.peer._arrive_ref, packet),
+                (now + self.propagation_delay, sequence, DELIVER, peer._receive, packet, peer),
             )
         else:
             self._lose(packet, "link-down")
@@ -391,10 +396,34 @@ class Port:
 
     # -- ingress --------------------------------------------------------------
 
-    def _arrive(self, packet: Packet) -> None:
-        self.rx_packets += 1
-        self.rx_bytes += packet.size
-        self._receive(packet, self)
+    @property
+    def rx_packets(self) -> int:
+        """Packets delivered to this port's node from the cable.
+
+        Derived, not counted: what the peer finished serializing, minus
+        what vanished on the wire, minus the deliveries to this port still
+        pending on the heap (still propagating).
+        """
+        peer = self.peer
+        if peer is None:
+            return 0
+        count = peer.tx_packets - peer.lost_packets
+        for entry in self._heap:
+            if entry[2] is DELIVER and entry[5] is self:
+                count -= 1
+        return count
+
+    @property
+    def rx_bytes(self) -> int:
+        """Bytes delivered to this port's node; see :attr:`rx_packets`."""
+        peer = self.peer
+        if peer is None:
+            return 0
+        count = peer.tx_bytes - peer.lost_bytes
+        for entry in self._heap:
+            if entry[2] is DELIVER and entry[5] is self:
+                count -= entry[4].size
+        return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Port({self.name}, {self.rate_bps / 1e9:g}Gbps, up={self.up})"

@@ -407,17 +407,8 @@ _TCP = _Section(
 )
 
 
-def _queue_monitor(**kwargs: Any) -> QueueMonitorSpec:
-    # The direction is implied by the tier; authors spell it out only when
-    # they want the readability.
-    if "tier" in kwargs:
-        implied = QueueMonitorSpec._DIRECTIONS.get(kwargs["tier"], "down")
-        kwargs.setdefault("direction", implied)
-    return QueueMonitorSpec(**kwargs)
-
-
 _QUEUE_MONITOR = _Section(
-    _queue_monitor,
+    QueueMonitorSpec,
     {
         "tier": _str,
         "direction": _str,

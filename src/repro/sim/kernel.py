@@ -9,18 +9,22 @@ Components interact with the kernel through :class:`Simulator` (``now``,
 
 Hot-path design notes (the evaluation needs millions of events per point):
 
-* Entries are ``(time, sequence, event)`` for cancellable events and
-  ``(time, sequence, None, callback, arg)`` for the no-handle fast path, so
-  heap pushes and pops compare integer tuples in C and never call back into
-  Python — ``(time, sequence)`` is unique, so index 2 is never compared.
-* Exactly two places push the bare shape: :meth:`Simulator.schedule_fast`
+* Entries are ``(time, sequence, event)`` for cancellable events,
+  ``(time, sequence, None, callback, arg)`` for the no-handle fast path and
+  ``(time, sequence, DELIVER, receive, packet, port)`` for a packet's
+  arrival, so heap pushes and pops compare integer tuples in C and never
+  call back into Python — ``(time, sequence)`` is unique, so index 2 is
+  never compared.
+* Exactly two places push the handle-free shapes: :meth:`Simulator.schedule_fast`
   for cold callers, and ``repro.net.port.Port`` for the two events of every
-  packet hop (the train boundary and the arrival at the peer), which it
-  pushes itself to save a Python frame per event.  Each such push takes
-  one number from ``_sequence`` and appends to ``_heap``, an alias the port
-  binds once: the list is only ever mutated in place, never replaced.  A
-  port push refuses nothing, so the port checks the values its times are
-  built from where they enter (packet size, propagation delay).
+  packet hop (the train boundary, bare; the arrival at the peer, a
+  ``DELIVER`` entry the run loop hands straight to the peer node's
+  ``receive(packet, port)``), which it pushes itself to save a Python
+  frame per event.  Each such push takes one number from ``_sequence`` and
+  appends to ``_heap``, an alias the port binds once: the list is only ever
+  mutated in place, never replaced.  A port push refuses nothing, so the
+  port checks the values its times are built from where they enter (packet
+  size, propagation delay).
 * One heap is the whole calendar.  The mean pending set of every run shape
   the repo ships is in the hundreds, where a push and a pop are a handful
   of C-level comparisons each; DESIGN.md "Event kernel" has the
@@ -95,6 +99,23 @@ class _Event:
         state = " cancelled" if self.cancelled else ""
         return f"_Event(t={self.time}, seq={self.sequence}{state})"
 
+
+class _Deliver:
+    """The marker of a packet arrival's heap entry.
+
+    ``(time, sequence, DELIVER, receive, packet, port)`` runs as
+    ``receive(packet, port)``.  Arrivals are never cancelled; ``cancelled``
+    is a class attribute, so :meth:`Simulator._compact` and
+    :attr:`Simulator.pending_live_events` count such entries as live with
+    the test they apply to an :class:`_Event`.
+    """
+
+    __slots__ = ()
+    cancelled = False
+
+
+#: The one :class:`_Deliver` instance; the run loop tests entries against it.
+DELIVER = _Deliver()
 
 #: Pending sets smaller than this are never worth compacting.
 _COMPACT_FLOOR = 64
@@ -307,6 +328,9 @@ class Simulator:
                 if event is None:  # bare (time, seq, None, callback, arg)
                     self._now = time
                     entry[3](entry[4])
+                elif event is DELIVER:  # (time, seq, DELIVER, receive, packet, port)
+                    self._now = time
+                    entry[3](entry[4], entry[5])
                 elif event.cancelled:
                     continue  # discarded without advancing the clock
                 else:
@@ -522,6 +546,7 @@ def run_until_idle(sim: Simulator, quantum: int = SECOND, max_quanta: int = 10_0
 
 __all__ = [
     "Callback",
+    "DELIVER",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",

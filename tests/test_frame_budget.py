@@ -45,7 +45,7 @@ from repro.topology.multipod import MultiPodConfig
 #: Frames per kernel event each layer may spend on this point.
 BUDGET = {
     "sim": 0.09,
-    "net": 1.90,
+    "net": 1.40,
     "core": 0.82,
     "lb": 0.14,
     "switch": 0.41,
@@ -54,8 +54,9 @@ BUDGET = {
 }
 
 #: ... and all seven together (8.63 before the per-hop flattening; 5.150
-#: while both per-hop pushes still entered ``Simulator.schedule_fast``).
-TOTAL_BUDGET = 4.16
+#: while both per-hop pushes still entered ``Simulator.schedule_fast``;
+#: 4.155 while each arrival still passed through a ``Port._arrive`` frame).
+TOTAL_BUDGET = 3.66
 
 #: ``repro.obs`` frames inside ``Simulator.run`` per recorded trace event.
 #: (Before the ring stored rows each record also cost one generated
@@ -64,9 +65,10 @@ OBS_FRAMES_PER_RECORD = 1
 
 #: The same point under ``ecmp``: ``core`` is construction only (0.628 with
 #: the unconditional DRE hook and feedback loop), and the total falls with
-#: it (4.944 before; 4.300 before ports pushed their own heap entries).
+#: it (4.944 before; 4.300 before ports pushed their own heap entries;
+#: 3.304 before the kernel handed arrivals straight to ``receive``).
 ECMP_CORE_BUDGET = 0.01
-ECMP_TOTAL_BUDGET = 3.31
+ECMP_TOTAL_BUDGET = 2.81
 
 #: The same point on ``MultiPodConfig()``, scheme -> ``switch`` frames per
 #: event.  With forwarding forked into ``topology/multipod.py`` the two

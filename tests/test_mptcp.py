@@ -142,6 +142,27 @@ class TestLinkedIncreases:
         coupled = cc.ca_increase(conn.subflows[0], 1460)
         assert coupled <= single_tcp_increase + 1e-9
 
+    def test_the_single_tcp_cap_binds_on_the_slow_subflow(self):
+        # RFC 6356 §3: the increase is min(alpha·acked·mss/total, acked·mss/cwnd).
+        # With equal RTTs the coupled term is never the larger one, so the cap
+        # only shows over unequal RTTs: 10 MSS at 10 us and 100 MSS at 1 ms.
+        sim, fabric = _fabric()
+        conn = MptcpConnection(
+            sim, fabric.host(0), fabric.host(2), megabytes(1), num_subflows=2
+        )
+        fast, slow = conn.subflows
+        mss = slow.params.mss
+        for flow, segments, rtt in ((fast, 10, microseconds(10)), (slow, 100, 1_000_000)):
+            flow.cwnd = float(segments * mss)
+            flow._srtt = float(rtt)
+        acked = mss
+        alpha = conn.lia_alpha()
+        assert alpha == pytest.approx(110 * 10 / 1e8 / (10 / 1e4 + 100 / 1e6) ** 2)
+        coupled = alpha * acked * mss / conn.total_cwnd()
+        single = acked * mss / slow.cwnd
+        assert slow.cc.ca_increase(slow, acked) == single
+        assert single < coupled
+
     def test_total_cwnd_sums_subflows(self):
         sim, fabric = _fabric()
         conn = MptcpConnection(

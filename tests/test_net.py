@@ -1,6 +1,8 @@
 """Tests for the network substrate: packets, queues, ports, links, hosts."""
 
 import heapq
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -245,8 +247,15 @@ class TestPortAndLink:
         assert state() == before
 
     def test_port_heap_alias_survives_compaction(self):
-        sim, _a, b, pa, _pb = self._pair()
+        sim, _a, b, pa, pb = self._pair()
         heap = sim._heap
+        serialization = transmission_time(1500, gbps(10))
+        pa.send(Packet(src=0, dst=1, size=1500))
+        pa.send(Packet(src=0, dst=1, size=1500))
+        # The first packet is on the cable (a delivery entry at the heap's
+        # head), the second on the wire.
+        sim.run(until=serialization)
+        assert sim.pending_live_events == 2 and pb.rx_packets == 0
         events = [sim.schedule(1_000_000 + i, lambda: None) for i in range(200)]
         for event in events:
             Simulator.cancel(event)
@@ -257,7 +266,40 @@ class TestPortAndLink:
         pa.send(Packet(src=0, dst=1, size=1500))
         sim.run()
         delivered = [time for *_, time in b.received]
-        assert delivered == [transmission_time(1500, gbps(10)) + 500]
+        assert delivered == [k * serialization + 500 for k in (1, 2, 3)]
+        assert (pb.rx_packets, pb.rx_bytes) == (3, 4500)
+
+    def test_rx_counts_a_packet_once_it_arrives(self):
+        sim, _a, b, pa, pb = self._pair()
+        finish = transmission_time(1500, gbps(10))
+        pa.send(Packet(src=0, dst=1, size=1500))
+        sim.run(until=finish)  # finished on the wire, still on the cable
+        assert (pa.tx_packets, pa.tx_bytes) == (1, 1500)
+        assert (pb.rx_packets, pb.rx_bytes) == (0, 0) and b.received == []
+        sim.run()
+        assert (pb.rx_packets, pb.rx_bytes) == (1, 1500)
+        assert b.received[0][2] == finish + 500
+
+    def test_a_cut_after_the_finish_still_delivers(self):
+        sim, _a, b, pa, pb = self._pair()
+        pa.send(Packet(src=0, dst=1, size=1500))
+        sim.run(until=transmission_time(1500, gbps(10)))
+        pa.fail()  # the packet already left the port: the cable carries it
+        sim.run()
+        assert len(b.received) == 1 and b.received[0][1] is pb
+        assert (pb.rx_packets, pb.rx_bytes) == (1, 1500)
+        assert (pa.lost_packets, pa.lost_bytes) == (0, 0)
+
+    def test_a_black_hole_counts_lost_bytes(self):
+        sim, _a, b, pa, pb = self._pair()
+        pa.set_loss(1.0)
+        pa.send(Packet(src=0, dst=1, size=1500))
+        pa.send(Packet(src=0, dst=1, size=700))
+        sim.run()
+        assert b.received == []
+        assert (pa.tx_packets, pa.tx_bytes) == (2, 2200)
+        assert (pa.lost_packets, pa.lost_bytes) == (2, 2200)
+        assert (pb.rx_packets, pb.rx_bytes) == (0, 0)
 
     def test_send_without_peer_drops(self):
         sim = Simulator()
@@ -328,6 +370,36 @@ class TestPortAndLink:
         assert pa.queue.stats.dropped_packets == 0
         (event,) = sim.tracer.events("drop")
         assert (event.reason, event.port, event.flow_id) == ("link-down", pa.name, 9)
+
+
+#: Every port's ``(name, rx_packets, rx_bytes)`` at the end of two points,
+#: recorded while each arrival still incremented the counters itself.
+RX_GOLDEN = Path(__file__).parent / "golden" / "port_rx_counters.json"
+
+
+def _rx_point(key):
+    from repro.analysis.degradation import fault_cell
+    from repro.apps import ExperimentSpec
+    from repro.scenarios import load_scenario
+
+    if key == "conga":
+        return ExperimentSpec(
+            "conga", "enterprise", load=0.6, seed=7, num_flows=30, size_scale=0.02
+        )
+    scenario = load_scenario(RX_GOLDEN.parents[2] / "scenarios" / "caft_recovery.yaml")
+    faults = next(value for value in dict(scenario.axes)["faults"] if value)
+    assert fault_cell(faults) == ("leaf", "brownout", 1)
+    return scenario.template.with_(scheme="caft", seed=21, num_flows=250, faults=faults)
+
+
+@pytest.mark.parametrize("key", ["conga", "caft-brownout"])
+def test_derived_rx_counters_equal_the_counted_ones(key):
+    fabric = _rx_point(key).run_live().fabric
+    ports = [host.nic for host in fabric.hosts.values()]
+    for switch in (*fabric.leaves, *fabric.spines, *fabric.cores):
+        ports.extend(switch.ports)
+    rows = [[port.name, port.rx_packets, port.rx_bytes] for port in ports]
+    assert rows == json.loads(RX_GOLDEN.read_text())[key]
 
 
 class _ReferencePort:

@@ -256,6 +256,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="tier"):
             QueueMonitorSpec(tier="core", direction="down")
 
+    @pytest.mark.parametrize(
+        "tier, direction", [("spine", "down"), ("leaf", "up"), ("fabric", "both")]
+    )
+    def test_monitor_spec_derives_direction_from_tier(self, tier, direction):
+        implied = QueueMonitorSpec(tier=tier)
+        assert implied.direction == direction
+        spelled = QueueMonitorSpec(tier=tier, direction=direction)
+        assert implied == spelled and hash(implied) == hash(spelled)
+        assert TINY.with_(queue_monitor=implied).content_hash() == (
+            TINY.with_(queue_monitor=spelled).content_hash()
+        )
+
     def test_fabric_tier_takes_no_leaf_or_spine(self):
         for index in ({"leaf": 1}, {"spine": 0}):
             with pytest.raises(ValueError, match="tier 'fabric'.*no leaf or spine"):
